@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .harness import evaluate_model, load_run_checkpoint
+    from .harness import EVAL_SCORE_THRESHOLD, evaluate_model, load_run_checkpoint
 
     ckpt_run, result = load_run_checkpoint(args.checkpoint)
     run = ckpt_run if args.config is None else _load_run(args)
@@ -144,7 +144,7 @@ def cmd_eval(args) -> int:
         _, episodes = read_episodes(args.episodes)
     report, diag = evaluate_model(result.state, result.cfg, run, episodes=episodes)
     report.extras.update({
-        "score_threshold": 0.0,
+        "score_threshold": EVAL_SCORE_THRESHOLD,
         "bg_dominance_rate": diag.bg_dominance_rate,
         "mean_separation": diag.mean_separation,
     })

@@ -24,7 +24,6 @@ class TrainingConfig:
     eval_episodes: int = 50
     eval_start_index: int = 10_000
     log_interval: int = 50
-    score_threshold: float = 0.5
     overfit_episode: int | None = None
 
     def __post_init__(self):
@@ -32,8 +31,6 @@ class TrainingConfig:
             raise ConfigError("step counts must be non-negative")
         if self.fine_tune_steps > 0 and self.fine_tune_episodes < 1:
             raise ConfigError("fine_tune_episodes must be >= 1 when fine-tuning")
-        if not (0.0 <= self.score_threshold <= 1.0):
-            raise ConfigError("score_threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -83,20 +83,21 @@ class Episode:
     boxes: np.ndarray           # (G, 4) normalized (cx, cy, w, h)
     labels: np.ndarray          # (G,) class ids
 
+    def patch_classes(self) -> np.ndarray:
+        """(P,) position in ``class_ids`` of the class whose ground-truth box
+        covers each patch, -1 where no box does. Box edges are rounded to
+        the patch grid."""
+        rows, cols = self.grid
+        classes = np.full((rows, cols), -1)
+        for (cx, cy, w, h), label in zip(self.boxes, self.labels):
+            c0, c1 = int(round((cx - w / 2) * cols)), int(round((cx + w / 2) * cols))
+            r0, r1 = int(round((cy - h / 2) * rows)), int(round((cy + h / 2) * rows))
+            classes[r0:r1, c0:c1] = self.class_ids.index(int(label))
+        return classes.reshape(-1)
+
     def object_patch_mask(self) -> np.ndarray:
         """Boolean (P,) mask of patches covered by any ground-truth box."""
-        rows, cols = self.grid
-        mask = np.zeros(rows * cols, dtype=bool)
-        for box in self.boxes:
-            cx, cy, w, h = box
-            c0 = int(round((cx - w / 2) * cols))
-            c1 = int(round((cx + w / 2) * cols))
-            r0 = int(round((cy - h / 2) * rows))
-            r1 = int(round((cy + h / 2) * rows))
-            for r in range(r0, r1):
-                for c in range(c0, c1):
-                    mask[r * cols + c] = True
-        return mask
+        return self.patch_classes() >= 0
 
 
 def _split_code(split: str) -> int:
@@ -368,21 +369,12 @@ def nearest_prototype_accuracy(spec: BenchmarkSpec, split: str,
     total = 0
     for i in range(episode_count):
         ep = generate_episode(spec, i, split)
-        mask = ep.object_patch_mask()
-        truth = np.full(len(mask), spec.class_count)  # background index
-        rows, cols = ep.grid
-        for box, label in zip(ep.boxes, ep.labels):
-            cls = ep.class_ids.index(int(label))
-            cx, cy, w, h = box
-            c0, c1 = int(round((cx - w / 2) * cols)), int(round((cx + w / 2) * cols))
-            r0, r1 = int(round((cy - h / 2) * rows)), int(round((cy + h / 2) * rows))
-            for r in range(r0, r1):
-                for col in range(c0, c1):
-                    truth[r * cols + col] = cls
+        truth = ep.patch_classes()
+        truth[truth < 0] = spec.class_count  # background index
         feats = ep.patches / np.linalg.norm(ep.patches, axis=1, keepdims=True)
         pred = (feats @ centers.T).argmax(axis=1)
         correct += int((pred == truth).sum())
-        total += len(mask)
+        total += len(truth)
     return correct / total
 
 
@@ -402,16 +394,7 @@ def separation_margins(spec: BenchmarkSpec, split: str,
     oo_vals = []
     for i in range(episode_count):
         ep = generate_episode(spec, i, split)
-        rows, cols = ep.grid
-        truth = np.full(spec.num_patches, -1)
-        for box, label in zip(ep.boxes, ep.labels):
-            cls = ep.class_ids.index(int(label))
-            cx, cy, w, h = box
-            c0, c1 = int(round((cx - w / 2) * cols)), int(round((cx + w / 2) * cols))
-            r0, r1 = int(round((cy - h / 2) * rows)), int(round((cy + h / 2) * rows))
-            for r in range(r0, r1):
-                for col in range(c0, c1):
-                    truth[r * cols + col] = cls
+        truth = ep.patch_classes()
         feats = ep.patches / np.linalg.norm(ep.patches, axis=1, keepdims=True)
         sim_cls = feats @ protos_u.T
         sim_bg = feats @ bg

@@ -81,7 +81,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
                lambda t: T.concat_channels(t, Tensor(b)) * 1.7, a),
         _check("concat_rows",
                lambda t: T.concat_rows([t, Tensor(b)]) * 1.3, a),
-        _check("slice_rows", lambda t: T.slice_rows(t, 1, 3), a),
         _check("slice_cols", lambda t: T.slice_cols(t, 1, 4), a),
         _check("take_rows", lambda t: T.take_rows(t, [0, 2, 2, 3]), a),
     ]
@@ -101,6 +100,21 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         lambda t: T.ffn_apply(t, T.FfnParams(Tensor(w1), Tensor(b1),
                                              Tensor(w2), Tensor(b2))),
         a))
+
+    # Fused primitives, checked with respect to each input in turn; two
+    # heads, so the head split and merge are exercised too.
+    fused = {
+        "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
+                      {"q": (3, 4), "k": (5, 4), "v": (5, 4)}),
+        "layer_norm": (T.layer_norm, {"x": (4, 5), "gamma": (5,), "beta": (5,)}),
+    }
+    for op, (fn, shapes) in fused.items():
+        inputs = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        mix = Tensor(rng.normal(size=next(iter(shapes.values()))))  # output shape
+        for name, x in inputs.items():
+            def build(t, name=name, fn=fn, inputs=inputs, mix=mix):
+                return fn(*(t if k == name else Tensor(v) for k, v in inputs.items())) * mix
+            results.append(_check(f"{op}.{name}", build, x))
     return results
 
 

@@ -29,6 +29,10 @@ from .ood import SupportClassFeatures, min_interclass_separation
 from .optim import AdamState
 from .tensor import Tensor, no_grad
 
+# Evaluation keeps every query's best guess, so precision/recall curves are
+# not truncated; the CLI's eval report records this value.
+EVAL_SCORE_THRESHOLD = 0.0
+
 
 @dataclass
 class TrainResult:
@@ -96,14 +100,10 @@ class EvalDiagnostics:
 
 def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
                    episodes: list[Episode] | None = None,
-                   score_threshold: float = 0.0,
                    collect_diagnostics: bool = True
                    ) -> tuple[EvalReport, EvalDiagnostics]:
-    """Run inference over evaluation episodes and compute the metric report.
-
-    A zero score threshold keeps every query's best guess so precision/recall
-    curves are not truncated; the CLI's report records the threshold used.
-    """
+    """Run inference over evaluation episodes at ``EVAL_SCORE_THRESHOLD``
+    and compute the metric report."""
     t = run.training
     if episodes is None:
         episodes = [generate_episode(run.benchmark, t.eval_start_index + i, "test")
@@ -112,7 +112,7 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
     gts: list[GtRecord] = []
     diag = EvalDiagnostics()
     for ep in episodes:
-        for class_id, score, box in run_inference(ep, state, cfg, score_threshold):
+        for class_id, score, box in run_inference(ep, state, cfg, EVAL_SCORE_THRESHOLD):
             dets.append(Detection(ep.index, class_id, score, box))
         for box, label in zip(ep.boxes, ep.labels):
             gts.append(GtRecord(ep.index, int(label), box.copy()))
@@ -166,13 +166,17 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
 
     config, tensors = load_checkpoint(path)
     try:
-        run = run_config_from_dict(config["run"])
+        # Checkpoints written before score_threshold was removed carry it.
+        run_data = dict(config["run"])
+        run_data["training"] = {k: v for k, v in run_data.get("training", {}).items()
+                                if k != "score_threshold"}
+        run = run_config_from_dict(run_data)
         vm = dict(config["variant_model"])
         vm["weights"] = Weights(**vm["weights"])
         cfg = ModelConfig(**vm)
         step = int(config["step"])
         adam_meta = config["adam"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc
 
     params: dict[str, Tensor] = {}

@@ -10,6 +10,10 @@ head scores each decoder output against every support position (class rows
 through a projection, placeholders as the raw background token), which is
 what makes the head class-agnostic and gives the background token its
 supervision path.
+
+Every attention block, in the encoders and the decoder alike, runs its heads
+at once through the fused :func:`fewdet.tensor.attention` primitive, and
+:func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`.
 """
 
 from __future__ import annotations
@@ -23,15 +27,14 @@ import numpy as np
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError, ShapeError
 from .obd import (BackgroundToken, ClassSlot, OfeFusion, OfeProjections,
-                  RefinedFeatures, SupportSequence, BG, background_attention_mass,
+                  SupportSequence, BG, background_attention_mass,
                   build_key_sequence, ofe_query, ofe_support)
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
                        decode_detections, hungarian_match, match_cost, set_loss)
-from .tensor import (FfnParams, Tensor, concat_channels, ffn_apply, matmul,
-                     no_grad, reshape, sigmoid, silu, slice_cols, softmax_rows,
-                     sqrt, take_rows, tmean, transpose)
+from .tensor import (FfnParams, Tensor, attention, ffn_apply, layer_norm, matmul,
+                     no_grad, sigmoid, silu, take_rows, transpose)
 
 VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
@@ -239,42 +242,20 @@ def extract_features(episode: Episode, state: ModelState,
     n = 1 if cfg.single_class_mode else cfg.n_max
     if c > n:
         raise ConfigError(f"episode has {c} classes but sequence capacity is {n}")
-    slots = []
-    for i, cid in enumerate(episode.class_ids):
-        feat = reshape(take_rows(support, [i]), (cfg.d,))
-        slots.append(ClassSlot(int(cid), feat))
+    slots = [ClassSlot(int(cid)) for cid in episode.class_ids]
     slots.extend(BG for _ in range(n - c))
     return QueryPatchFeatures(patches=patches, grid_shape=episode.grid), \
-        SupportSequence(slots)
+        SupportSequence(slots, support)
 
 
 # -- decoder building blocks --------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = tmean(x, axis=1, keepdims=True)
-    centered = x - mu
-    var = tmean(centered * centered, axis=1, keepdims=True)
-    return (centered / sqrt(var + eps)) * gamma + beta
-
-
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor,
                          wv: Tensor, wo: Tensor, heads: int) -> Tensor:
-    d = x_q.shape[1]
-    dh = d // heads
-    q = matmul(x_q, wq)
-    k = matmul(x_kv, wk)
-    v = matmul(x_kv, wv)
-    outs = []
-    for h in range(heads):
-        qs = slice_cols(q, h * dh, (h + 1) * dh)
-        ks = slice_cols(k, h * dh, (h + 1) * dh)
-        vs = slice_cols(v, h * dh, (h + 1) * dh)
-        attn = softmax_rows(matmul(qs, transpose(ks)) * (1.0 / np.sqrt(dh)))
-        outs.append(matmul(attn, vs))
-    merged = outs[0]
-    for o in outs[1:]:
-        merged = concat_channels(merged, o)
+    """Project queries, keys and values, attend over all heads at once, and
+    mix the concatenated head outputs through ``wo``."""
+    merged, _ = attention(matmul(x_q, wq), matmul(x_kv, wk), matmul(x_kv, wv), heads)
     return matmul(merged, wo)
 
 

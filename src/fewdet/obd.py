@@ -10,20 +10,21 @@ token is trained purely through the similarity path.
 Two branches share the machinery: the support branch lets class features
 attend over the sequence itself (self-interaction), the query branch lets
 image patch features attend over the sequence and then fuses the result
-back with the original patches through Conv1D + FFN.
+back with the original patches through Conv1D + FFN. Both run every head at
+once through the fused :func:`fewdet.tensor.attention` primitive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (FfnParams, Tensor, concat_channels, concat_rows, ffn_apply,
-                     matmul, pointwise_conv1d, reshape, slice_cols, slice_rows,
-                     softmax_rows, take_rows, transpose)
+from .tensor import (FfnParams, Tensor, attention, concat_channels, concat_rows,
+                     ffn_apply, matmul, pointwise_conv1d, reshape, take_rows,
+                     transpose)
 
 
 @dataclass
@@ -44,7 +45,9 @@ class BackgroundToken:
 @dataclass
 class ClassSlot:
     class_id: int
-    feature: Tensor  # shape (d,)
+    # (d,) feature, read only when the sequence is built without a feature
+    # matrix; a sequence given one keeps its class features there.
+    feature: Optional[Tensor] = None
 
 
 class BackgroundPlaceholder:
@@ -62,17 +65,30 @@ Slot = Union[ClassSlot, BackgroundPlaceholder]
 
 @dataclass
 class SupportSequence:
-    """Ordered support slots: class features plus background placeholders."""
+    """Ordered support slots: class features plus background placeholders.
+
+    ``features`` is the (C, d) matrix of class features, row i belonging to
+    the i-th class slot. When it is not given it is stacked from the slots'
+    own features.
+    """
 
     slots: list[Slot]
+    features: Optional[Tensor] = None
 
     def __post_init__(self):
         ids = self.class_ids
         if len(set(ids)) != len(ids):
             raise ShapeError(f"duplicate class ids in support sequence: {ids}")
-        dims = {s.feature.shape for s in self.slots if isinstance(s, ClassSlot)}
-        if len(dims) > 1:
-            raise ShapeError(f"inconsistent class feature shapes: {dims}")
+        if self.features is None and ids:
+            feats = [s.feature for s in self.slots if isinstance(s, ClassSlot)]
+            dims = {None if f is None else f.shape for f in feats}
+            if len(dims) > 1 or None in dims:
+                raise ShapeError(f"class slot features missing or inconsistent: {dims}")
+            self.features = concat_rows([reshape(f, (1, f.shape[0])) for f in feats])
+        elif self.features is not None and (
+                self.features.ndim != 2 or self.features.shape[0] != len(ids)):
+            raise ShapeError(f"expected {len(ids)} feature rows, "
+                             f"got {self.features.shape}")
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -100,25 +116,15 @@ class SupportSequence:
         raise KeyError(f"class id {class_id} has no slot in this sequence")
 
     def class_feature_matrix(self) -> Tensor:
-        """Class slot features stacked into a C x d tensor (graph-recorded)."""
-        rows = [reshape(s.feature, (1, s.feature.shape[0]))
-                for s in self.slots if isinstance(s, ClassSlot)]
-        if not rows:
+        """Class slot features as a C x d tensor (graph-recorded)."""
+        if self.features is None:
             raise ShapeError("support sequence has no class slots")
-        return concat_rows(rows)
+        return self.features
 
     def with_class_features(self, features: Tensor) -> "SupportSequence":
-        """Same layout with class slot features replaced by rows of ``features``."""
-        positions = self.class_positions
-        if features.shape[0] != len(positions):
-            raise ShapeError(
-                f"expected {len(positions)} feature rows, got {features.shape}")
-        d = features.shape[1]
-        slots: list[Slot] = list(self.slots)
-        for row, pos in enumerate(positions):
-            feat = reshape(slice_rows(features, row, row + 1), (d,))
-            slots[pos] = ClassSlot(self.slots[pos].class_id, feat)
-        return SupportSequence(slots)
+        """Same layout with the class features replaced by ``features``."""
+        return SupportSequence([ClassSlot(s.class_id) if isinstance(s, ClassSlot)
+                                else s for s in self.slots], features)
 
 
 @dataclass
@@ -147,9 +153,22 @@ class OfeFusion:
 @dataclass
 class RefinedFeatures:
     per_position_output: Tensor
-    attention: Tensor
+    attention: Tensor  # head-averaged, a constant outside the graph
     refined: Optional[Tensor] = None
-    attention_heads: list[Tensor] = field(default_factory=list)
+
+
+def _realize(s: SupportSequence, projected: Optional[Tensor],
+             filler: Tensor) -> Tensor:
+    """Sequence rows in slot order with one gather: row i of ``projected``
+    at the i-th class slot, the ``filler`` row at every placeholder. The
+    filler enters the graph only when the sequence has placeholders."""
+    table = [] if projected is None else [projected]
+    if s.placeholder_positions:
+        table.append(filler)
+    rows = iter(range(s.class_count))
+    index = [next(rows) if isinstance(slot, ClassSlot) else s.class_count
+             for slot in s.slots]
+    return take_rows(table[0] if len(table) == 1 else concat_rows(table), index)
 
 
 def build_key_sequence(s: SupportSequence, w_key: Tensor,
@@ -163,68 +182,16 @@ def build_key_sequence(s: SupportSequence, w_key: Tensor,
         if projected.shape[1] != d:
             raise ShapeError(
                 f"key projection output {projected.shape} does not match token dim {d}")
-    token_row = reshape(token.vector, (1, d))
-    rows = []
-    class_row = 0
-    for slot in s.slots:
-        if isinstance(slot, ClassSlot):
-            rows.append(slice_rows(projected, class_row, class_row + 1))
-            class_row += 1
-        else:
-            rows.append(token_row)
-    return concat_rows(rows)
+    return _realize(s, projected, reshape(token.vector, (1, d)))
 
 
 def build_value_sequence(s: SupportSequence, w3: Tensor) -> Tensor:
     """Value-side realization: projected class features, exact zero rows at
     placeholders (the zero rows are constants and carry no gradient)."""
-    n = len(s)
     if s.class_count == 0:
-        return Tensor(np.zeros((n, w3.shape[0])))
+        return Tensor(np.zeros((len(s), w3.shape[0])))
     projected = matmul(s.class_feature_matrix(), transpose(w3))
-    d = projected.shape[1]
-    zero_row = Tensor(np.zeros((1, d)))
-    rows = []
-    class_row = 0
-    for slot in s.slots:
-        if isinstance(slot, ClassSlot):
-            rows.append(slice_rows(projected, class_row, class_row + 1))
-            class_row += 1
-        else:
-            rows.append(zero_row)
-    return concat_rows(rows)
-
-
-def _headwise_attention(queries: Tensor, keys: Tensor, values: Tensor,
-                        heads: int) -> tuple[Tensor, Tensor, list[Tensor]]:
-    """Scaled dot-product attention per head slice; returns the concatenated
-    output, the head-averaged attention matrix, and per-head attention."""
-    d = queries.shape[1]
-    if d % heads != 0:
-        raise ShapeError(f"feature dim {d} not divisible by {heads} heads")
-    dh = d // heads
-    outputs = []
-    attentions = []
-    for h in range(heads):
-        q = slice_cols(queries, h * dh, (h + 1) * dh)
-        k = slice_cols(keys, h * dh, (h + 1) * dh)
-        v = slice_cols(values, h * dh, (h + 1) * dh)
-        attn = softmax_rows(matmul(q, transpose(k)) * (1.0 / np.sqrt(dh)))
-        outputs.append(matmul(attn, v))
-        attentions.append(attn)
-    combined = outputs[0] if heads == 1 else concat_channels_all(outputs)
-    mean_attn = attentions[0]
-    for a in attentions[1:]:
-        mean_attn = mean_attn + a
-    mean_attn = mean_attn * (1.0 / heads)
-    return combined, mean_attn, attentions
-
-
-def concat_channels_all(parts: list[Tensor]) -> Tensor:
-    out = parts[0]
-    for p in parts[1:]:
-        out = concat_channels(out, p)
-    return out
+    return _realize(s, projected, Tensor(np.zeros((1, projected.shape[1]))))
 
 
 def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken,
@@ -237,9 +204,8 @@ def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken
     values = build_value_sequence(s, proj.w3)
     if keys.shape[1] != d:
         raise ShapeError(f"sequence dim {keys.shape[1]} does not match d={d}")
-    out, attn, per_head = _headwise_attention(keys, keys, values, heads)
-    return RefinedFeatures(per_position_output=out, attention=attn,
-                           attention_heads=per_head)
+    out, attn = attention(keys, keys, values, heads)
+    return RefinedFeatures(per_position_output=out, attention=Tensor(attn))
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
@@ -252,14 +218,14 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
     projected_q = matmul(q_patches, transpose(proj.w1))
     keys = build_key_sequence(s, proj.w2, token)
     values = build_value_sequence(s, proj.w3)
-    out, attn, per_head = _headwise_attention(projected_q, keys, values, heads)
+    out, attn = attention(projected_q, keys, values, heads)
     fused = pointwise_conv1d(concat_channels(q_patches, out),
                              fusion.conv_kernel, fusion.conv_bias)
     refined = ffn_apply(fused, fusion.ffn)
     if refined.shape != (q_patches.shape[0], d):
         raise ShapeError(f"refined output {refined.shape} != ({q_patches.shape[0]}, {d})")
-    return RefinedFeatures(per_position_output=out, attention=attn,
-                           refined=refined, attention_heads=per_head)
+    return RefinedFeatures(per_position_output=out, attention=Tensor(attn),
+                           refined=refined)
 
 
 def background_attention_mass(attention: np.ndarray | Tensor,

@@ -27,13 +27,6 @@ class ClassFeatureSpace:
         if self.embeddings.ndim != 2:
             raise ShapeError(f"embeddings must be 2-d, got {self.embeddings.shape}")
 
-    @staticmethod
-    def initialize(num_classes: int, d: int, rng: np.random.Generator,
-                   temperature: float = 0.1) -> "ClassFeatureSpace":
-        scale = 1.0 / np.sqrt(d)
-        emb = Tensor(rng.normal(0.0, scale, size=(num_classes, d)), requires_grad=True)
-        return ClassFeatureSpace(embeddings=emb, temperature=temperature)
-
 
 @dataclass
 class SupportClassFeatures:

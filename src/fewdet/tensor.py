@@ -310,19 +310,21 @@ def relu(a: Tensor) -> Tensor:
                           lambda g: (g * (a.data > 0.0),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise logistic function, 1 / (1 + exp(-x)).
-
-    Computed branch-wise so large negative inputs saturate to 0 without
-    overflow; the gradient is y * (1 - y).
-    """
-    a = _as_tensor(a)
-    x = a.data
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed branch-wise so large negative inputs
+    saturate to 0 without overflow."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Elementwise logistic function; the gradient is y * (1 - y)."""
+    a = _as_tensor(a)
+    out = _stable_sigmoid(a.data)
     return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -331,27 +333,14 @@ def softplus(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def backward(g: np.ndarray):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return (g * s,)
-
-    return Tensor._result(out, (a,), backward)
+    return Tensor._result(out, (a,), lambda g: (g * _stable_sigmoid(x),))
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x): the smooth nonlinearity used inside FFN blocks."""
     a = _as_tensor(a)
     x = a.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    s = _stable_sigmoid(x)
     return Tensor._result(x * s, (a,), lambda g: (g * (s * (1.0 + x * (1.0 - s))),))
 
 
@@ -397,6 +386,54 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor._result(out, (a,), backward)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
+              ) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention over q (n, d), k (m, d) and
+    v (m, d) as one graph node. Head h takes channel slice h of width
+    dh = d / heads and computes softmax(q_h k_h^T / sqrt(dh)) v_h with the
+    row-max-stabilized softmax of :func:`softmax_rows`; head outputs are
+    concatenated in channel order. Returns the (n, d) output and, as plain
+    numpy for diagnostics, the head-averaged (n, m) attention.
+
+    Hand-derived backward, per head with attention A and upstream gradient G:
+    dV = A^T G, dS = A * (G V^T - rowsum(A * G V^T)) / sqrt(dh), dQ = dS K,
+    dK = dS^T Q.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape \
+            or k.shape[1] != q.shape[1] or k.shape[0] < 1:
+        raise ShapeError(f"attention: queries {q.shape}, keys {k.shape} and "
+                         f"values {v.shape} do not match")
+    d = q.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"feature dim {d} not divisible by {heads} heads")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    if not np.isfinite(scores).all():
+        raise NumericError("attention received non-finite scores")
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    attn = e / e.sum(axis=2, keepdims=True)
+
+    def backward(g: np.ndarray):
+        gh = split(g)
+        d_attn = gh @ vh.transpose(0, 2, 1)
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) * scale
+        return (merge(d_scores @ kh), merge(d_scores.transpose(0, 2, 1) @ qh),
+                merge(attn.transpose(0, 2, 1) @ gh))
+
+    out = Tensor._result(merge(attn @ vh), (q, k, v), backward)
+    return out, attn.sum(axis=0) * (1.0 / heads)
+
+
 # -- shape manipulation -------------------------------------------------------------
 
 
@@ -438,19 +475,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         return (g[:, :wa], g[:, wa:])
 
     return Tensor._result(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {a.shape}")
-
-    def backward(g: np.ndarray):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return Tensor._result(a.data[start:stop].copy(), (a,), backward)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -512,6 +536,30 @@ class FfnParams:
 
     def tensors(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         return (self.w1, self.b1, self.w2, self.b2)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Rows normalized to zero mean and unit (biased) variance, scaled by
+    ``gamma`` and shifted by ``beta``, as one graph node. Backward, with
+    row means and dxhat = g * gamma:
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps).
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+        raise ShapeError(f"layer_norm: input {x.shape} does not match "
+                         f"gamma {gamma.shape} / beta {beta.shape}")
+    inv_width = 1.0 / x.shape[1]
+    centered = x.data - x.data.sum(axis=1, keepdims=True) * inv_width
+    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) * inv_width + eps)
+    xhat = centered / std
+
+    def backward(g: np.ndarray):
+        dxhat = g * gamma.data
+        dx = (dxhat - dxhat.mean(axis=1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / std
+        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+
+    return Tensor._result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:

@@ -101,3 +101,31 @@ def test_model_state_checkpoint_bit_identical_forward(tmp_path):
     assert result2.opt.step_count == result.opt.step_count
     for name, m in result.opt.first_moment.items():
         np.testing.assert_array_equal(result2.opt.first_moment[name], m)
+
+
+def test_checkpoint_with_retired_score_threshold_loads(tmp_path):
+    """Checkpoints written while TrainingConfig had a score_threshold field
+    carry it in their run config; they still load, and the key is dropped."""
+    from fewdet.config import RunConfig, TrainingConfig
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint, train_run
+    import dataclasses
+
+    run = RunConfig(
+        benchmark=dataclasses.replace(RunConfig().benchmark, class_count=2,
+                                      capacity=3, grid_rows=4, grid_cols=4,
+                                      feature_dim=8),
+        model=dataclasses.replace(RunConfig().model, d=8, heads=2,
+                                  encoder_layers=1, decoder_layers=1,
+                                  num_object_queries=3, n_max=3),
+        training=TrainingConfig(steps=2, fine_tune_steps=0))
+    result = train_run(run)
+    config, tensors = checkpoint_payload(run, result)
+    config["run"]["training"]["score_threshold"] = 0.5
+    path = tmp_path / "legacy.fdck"
+    save_checkpoint(path, config, tensors)
+
+    run2, result2 = load_run_checkpoint(path)
+    assert run2 == run
+    for name in result.state.names():
+        np.testing.assert_array_equal(result2.state.params[name].data,
+                                      result.state.params[name].data)

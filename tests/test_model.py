@@ -219,3 +219,26 @@ def test_full_loss_gradient_matches_finite_differences():
     results = full_loss_check(seed=0)
     failures = [r for r in results if not r.ok]
     assert not failures, [f"{r.name}: {r.max_rel_error}" for r in failures]
+
+
+def test_default_train_step_graph_node_budget(monkeypatch):
+    """One default +OBD+OOD train step records fewer than 250 autodiff graph
+    nodes: attention and layer norm are one node per call."""
+    from fewdet import tensor as T
+    from fewdet.config import RunConfig
+
+    run = RunConfig()
+    cfg = ablation_variant(run.resolved_model(), "+OBD+OOD")
+    state = init_model_state(cfg)
+    episode = generate_episode(run.benchmark, 0, "train")
+    result = T.Tensor._result
+    nodes = []
+
+    def counting(data, parents, backward):
+        out = result(data, parents, backward)
+        nodes.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(T.Tensor, "_result", staticmethod(counting))
+    train_step(episode, state, AdamState(learning_rate=cfg.learning_rate), cfg)
+    assert 0 < sum(nodes) < 250

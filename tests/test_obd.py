@@ -330,3 +330,22 @@ def test_attention_rows_stochastic(c, extra, p, seed):
 def test_duplicate_class_ids_rejected():
     with pytest.raises(ShapeError):
         make_sequence(np.zeros((2, 3)), [1, 1])
+
+
+def test_sequence_keeps_given_feature_matrix():
+    rng = np.random.default_rng(12)
+    d = 4
+    feats = Tensor(rng.normal(size=(2, d)), requires_grad=True)
+    seq = SupportSequence([ClassSlot(3), BG, ClassSlot(5)], feats)
+    assert seq.class_feature_matrix() is feats
+    w = rng.normal(size=(d, d))
+    token_vec = rng.normal(size=d)
+    keys = build_key_sequence(seq, Tensor(w), BackgroundToken(Tensor(token_vec)))
+    np.testing.assert_allclose(keys.data, np.vstack([feats.data[0] @ w.T, token_vec,
+                                                     feats.data[1] @ w.T]), rtol=1e-12)
+    replaced = seq.with_class_features(Tensor(np.zeros((2, d))))
+    assert replaced.class_ids == [3, 5] and replaced.placeholder_positions == [1]
+    with pytest.raises(ShapeError):
+        seq.with_class_features(Tensor(np.zeros((3, d))))
+    with pytest.raises(ShapeError):
+        SupportSequence([ClassSlot(3), BG])  # neither slot features nor a matrix

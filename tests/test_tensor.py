@@ -236,3 +236,94 @@ def test_take_rows_accumulates_repeated_indices():
     out = T.take_rows(x, [1, 1, 2])
     T.tsum(out).backward()
     np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [1, 1]])
+
+
+def reference_attention(q, k, v, heads):
+    """Per-head slice/softmax/concat loop: the unfused reference the fused
+    attention primitive must reproduce."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        qs, ks, vs = (T.slice_cols(x, h * dh, (h + 1) * dh) for x in (q, k, v))
+        attn = T.softmax_rows(T.matmul(qs, T.transpose(ks)) * (1.0 / np.sqrt(dh)))
+        outs.append(T.matmul(attn, vs))
+    merged = outs[0]
+    for o in outs[1:]:
+        merged = T.concat_channels(merged, o)
+    return merged
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("self_attention", [False, True])
+    def test_matches_per_head_reference(self, heads, self_attention):
+        rng = np.random.default_rng(11 + heads)
+        n, m, d = 6, 5, 8
+        k_data = rng.normal(size=(m, d))
+        q_data = k_data if self_attention else rng.normal(size=(n, d))
+        v_data = rng.normal(size=(m, d))
+        v_data[[1, 3]] = 0.0  # placeholder rows carry zero values
+        mix = rng.normal(size=(q_data.shape[0], d))
+
+        def run(fn):
+            k = Tensor(k_data, requires_grad=True)
+            q = k if self_attention else Tensor(q_data, requires_grad=True)
+            v = Tensor(v_data, requires_grad=True)
+            out = fn(q, k, v)
+            T.tsum(out * Tensor(mix)).backward()
+            return out.data, q.grad, k.grad, v.grad
+
+        fused = run(lambda q, k, v: T.attention(q, k, v, heads)[0])
+        reference = run(lambda q, k, v: reference_attention(q, k, v, heads))
+        for got, want in zip(fused, reference):
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_mean_attention_is_head_average(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(4, 6))) for _ in range(3))
+        _, mean_attn = T.attention(q, k, v, 2)
+        per_head = [T.softmax_rows(T.matmul(T.slice_cols(q, h * 3, h * 3 + 3),
+                                            T.transpose(T.slice_cols(k, h * 3, h * 3 + 3)))
+                                   * (1.0 / np.sqrt(3))).data for h in range(2)]
+        np.testing.assert_allclose(mean_attn, (per_head[0] + per_head[1]) / 2,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(mean_attn.sum(axis=1), np.ones(4), atol=1e-12)
+
+    def test_nonfinite_scores_raise(self):
+        q = Tensor(np.array([[np.inf, 0.0]]))
+        with pytest.raises(NumericError):
+            T.attention(q, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), 1)
+
+    def test_heads_must_divide_width(self):
+        x = Tensor(np.ones((2, 6)))
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, 4)
+
+    def test_key_value_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))),
+                        Tensor(np.ones((2, 4))), 2)
+
+
+def reference_layer_norm(x, gamma, beta, eps=1e-5):
+    """The layer norm spelled out in elementwise primitives."""
+    centered = x - T.tmean(x, axis=1, keepdims=True)
+    var = T.tmean(centered * centered, axis=1, keepdims=True)
+    return (centered / T.sqrt(var + eps)) * gamma + beta
+
+
+def test_layer_norm_matches_elementwise_reference():
+    rng = np.random.default_rng(5)
+    data = [rng.normal(size=(4, 6)) * 3.0, rng.normal(size=6), rng.normal(size=6)]
+    mix = rng.normal(size=(4, 6))
+
+    def run(fn):
+        args = [Tensor(a, requires_grad=True) for a in data]
+        out = fn(*args)
+        T.tsum(out * Tensor(mix)).backward()
+        return [out.data] + [a.grad for a in args]
+
+    fused, reference = run(T.layer_norm), run(reference_layer_norm)
+    np.testing.assert_array_equal(fused[0], reference[0])  # same arithmetic
+    for got, want in zip(fused[1:], reference[1:]):
+        assert np.abs(got - want).max() < 1e-12
