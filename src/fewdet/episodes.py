@@ -126,12 +126,13 @@ def class_prototypes(spec: BenchmarkSpec, split: str) -> np.ndarray:
     return protos
 
 
-def background_direction(spec: BenchmarkSpec, split: str) -> np.ndarray:
-    """Unit mean of the background patch distribution."""
+def background_direction(spec: BenchmarkSpec, split: str,
+                         protos: np.ndarray) -> np.ndarray:
+    """Unit mean of the background patch distribution; ``protos`` is the
+    split's `class_prototypes(spec, split)`."""
     rng = np.random.default_rng([spec.seed, 104729, _split_code(split)])
     raw = rng.normal(size=spec.feature_dim)
     independent = raw / np.linalg.norm(raw)
-    protos = class_prototypes(spec, split)
     proto_mean = protos.mean(axis=0)
     proto_mean = proto_mean / np.linalg.norm(proto_mean)
     mix = (1.0 - spec.bg_overlap) * independent + spec.bg_overlap * proto_mean
@@ -169,7 +170,7 @@ def generate_episode(spec: BenchmarkSpec, index: int, split: str = "train") -> E
         raise ConfigError("episode index must be non-negative")
     rng = np.random.default_rng([spec.seed, _split_code(split), index])
     protos = class_prototypes(spec, split)
-    bg_mean = background_direction(spec, split)
+    bg_mean = background_direction(spec, split, protos)
     ids = class_id_range(spec, split)
     c, d = spec.class_count, spec.feature_dim
     rows, cols = spec.grid_rows, spec.grid_cols
@@ -362,7 +363,7 @@ def nearest_prototype_accuracy(spec: BenchmarkSpec, split: str,
     among {class prototypes, background mean}; returns mean accuracy. Used to
     validate that the confusion knobs really produce confusion."""
     protos = class_prototypes(spec, split)
-    bg = background_direction(spec, split)
+    bg = background_direction(spec, split, protos)
     centers = np.vstack([protos, bg[None, :]])
     centers = centers / np.linalg.norm(centers, axis=1, keepdims=True)
     correct = 0
@@ -388,7 +389,7 @@ def separation_margins(spec: BenchmarkSpec, split: str,
     best other class, object patches only.
     """
     protos = class_prototypes(spec, split)
-    bg = background_direction(spec, split)
+    bg = background_direction(spec, split, protos)
     protos_u = protos / np.linalg.norm(protos, axis=1, keepdims=True)
     ob_vals = []
     oo_vals = []

@@ -75,35 +75,40 @@ class MatchResult:
     unmatched_queries: list[int] = field(default_factory=list)
 
 
+def _lsa(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One `linear_sum_assignment` solve: rows, columns and total cost."""
+    rows, cols = linear_sum_assignment(cost)
+    return rows, cols, float(cost[rows, cols].sum())
+
+
 def _lsa_total(cost: np.ndarray) -> float:
     if cost.size == 0 or min(cost.shape) == 0:
         return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    return _lsa(cost)[2]
 
 
-def hungarian_match(cost: np.ndarray) -> MatchResult:
-    """Minimum-cost assignment of queries (rows) to ground truths (columns).
+def _optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       total: float, tol: float) -> bool:
+    """True when every assignment avoiding some pair of the optimum
+    (rows, cols) costs more than ``total + 2 * tol``."""
+    work = cost.copy()
+    for q, g in zip(rows, cols):
+        work[q, g] = np.inf
+        try:
+            alternative = _lsa(work)[2]
+        except ValueError:  # infeasible: every assignment uses (q, g)
+            alternative = np.inf
+        work[q, g] = cost[q, g]
+        if alternative <= total + 2 * tol:
+            return False
+    return True
 
-    Matches min(M, G) pairs. Among equally cheap assignments the result is
-    canonical: the pair list sorted by query index is lexicographically
-    smallest on (query index, gt index). When G > M (more ground truths than
-    queries) the cheapest M ground truths are matched and a diagnostic
-    warning is emitted.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ShapeError(f"cost must be 2-d, got {cost.shape}")
+
+def _canonical_search(cost: np.ndarray, total: float) -> list[tuple[int, int]]:
+    """Lexicographically smallest optimal pair list, by brute search: for
+    each query in turn, the smallest ground truth whose choice still admits
+    an optimal completion (one assignment solve per candidate)."""
     m, g = cost.shape
-    if g == 0:
-        return MatchResult(pairs=[], unmatched_queries=list(range(m)))
-    if not np.isfinite(cost).all():
-        raise NumericError("hungarian_match: non-finite cost entries")
-    if g > m:
-        warnings.warn(f"more ground truths ({g}) than queries ({m}); "
-                      f"matching the {m} cheapest", RuntimeWarning)
-
-    total = _lsa_total(cost)
     tol = 1e-9 * max(1.0, abs(total))
     total_pairs = min(m, g)
 
@@ -137,6 +142,46 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
         pairs.append((q, chosen))
         prefix += cost[q, chosen]
         remaining.remove(chosen)
+    return pairs
+
+
+def hungarian_match(cost: np.ndarray) -> MatchResult:
+    """Minimum-cost assignment of queries (rows) to ground truths (columns).
+
+    Matches min(M, G) pairs. Among equally cheap assignments the result is
+    canonical: the pair list sorted by query index is lexicographically
+    smallest on (query index, gt index). When G > M (more ground truths than
+    queries) the cheapest M ground truths are matched and a diagnostic
+    warning is emitted.
+
+    Fast path: the matrix is solved once, then once more per matched pair
+    with that one entry forbidden (1 + min(M, G) solves). When every such
+    re-solve is infeasible or costs more than the optimum plus twice the
+    search tolerance (``1e-9 * max(1, |total|)``; the factor 2 covers float
+    slop in the search's own sums), the optimum is unique and is returned.
+    This is exact: any other assignment the search could accept avoids at
+    least one pair of the optimum, so the re-solve forbidding that pair
+    would have found it within the bound. On a tie the canonical search
+    (`_canonical_search`, one solve per candidate pair) picks the result.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ShapeError(f"cost must be 2-d, got {cost.shape}")
+    m, g = cost.shape
+    if g == 0:
+        return MatchResult(pairs=[], unmatched_queries=list(range(m)))
+    if not np.isfinite(cost).all():
+        raise NumericError("hungarian_match: non-finite cost entries")
+    if g > m:
+        warnings.warn(f"more ground truths ({g}) than queries ({m}); "
+                      f"matching the {m} cheapest", RuntimeWarning)
+
+    rows, cols, total = _lsa(cost)
+    tol = 1e-9 * max(1.0, abs(total))
+    if _optimum_is_unique(cost, rows, cols, total, tol):
+        pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    else:
+        pairs = _canonical_search(cost, total)
 
     matched_q = {q for q, _ in pairs}
     unmatched = [q for q in range(m) if q not in matched_q]
@@ -199,15 +244,13 @@ def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     if len(gt) and ((gt.boxes[:, 2] <= 0).any() or (gt.boxes[:, 3] <= 0).any()):
         raise ShapeError("ground truth contains a degenerate box (w or h <= 0)")
 
+    q_idx = [q for q, _ in match.pairs]
+    g_idx = [g for _, g in match.pairs]
     targets = np.zeros((m, n))
-    placeholder_positions = s.placeholder_positions
-    matched_queries = {q for q, _ in match.pairs}
-    for q, g in match.pairs:
-        targets[q, s.position_of_class(int(gt.labels[g]))] = 1.0
-    for q in range(m):
-        if q not in matched_queries:
-            for pos in placeholder_positions:
-                targets[q, pos] = 1.0
+    targets[q_idx, [s.position_of_class(int(gt.labels[g])) for g in g_idx]] = 1.0
+    unmatched = np.ones(m, dtype=bool)
+    unmatched[q_idx] = False
+    targets[np.ix_(unmatched, s.placeholder_positions)] = 1.0
 
     # Stable BCE from logits: t*softplus(-z) + (1-t)*softplus(z), each class
     # of entry averaged on its own.
@@ -222,8 +265,6 @@ def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     cls_term = weights.cls * bce
 
     if match.pairs:
-        q_idx = [q for q, _ in match.pairs]
-        g_idx = [g for _, g in match.pairs]
         pred_boxes = take_rows(out.boxes, q_idx)
         gt_boxes = Tensor(gt.boxes[g_idx])
         l1 = tmean(tsum(tabs(sub(pred_boxes, gt_boxes)), axis=1))

@@ -69,6 +69,58 @@ def test_missing_file(tmp_path):
         load_tensors(tmp_path / "absent.fdnt")
 
 
+
+class _FailingFile:
+    """Writes half of what it is given, then raises as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("save", ["tensors", "checkpoint"])
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_save_leaves_earlier_file_intact(tmp_path, monkeypatch, save, failure):
+    import builtins
+    import fewdet.checkpoint as checkpoint
+
+    def write(value):
+        tensors = {"w": np.full((64, 64), value)}
+        if save == "tensors":
+            save_tensors(path, tensors)
+        else:
+            save_checkpoint(path, {"step": value}, tensors)
+
+    path = tmp_path / "model.bin"
+    write(1.0)
+    before = path.read_bytes()
+    if failure == "write":
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **k: _FailingFile(builtins.open(*a, **k)),
+                            raising=False)
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(checkpoint.os, "replace", refuse)
+    with pytest.raises(OSError):
+        write(2.0)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
 def test_model_state_checkpoint_bit_identical_forward(tmp_path):
     """Save -> load -> forward reproduces the exact same outputs."""
     from fewdet.config import RunConfig

@@ -65,6 +65,19 @@ class TestGeneration:
         np.testing.assert_array_equal(a.boxes, b.boxes)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    def test_builds_split_prototypes_once(self, monkeypatch):
+        import fewdet.episodes as episodes
+        calls = []
+        original = episodes.class_prototypes
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(episodes, "class_prototypes", counted)
+        generate_episode(spec(), 0, "test")
+        assert len(calls) == 1
+
     def test_different_indices_differ(self):
         a = generate_episode(spec(), 0, "train")
         b = generate_episode(spec(), 1, "train")

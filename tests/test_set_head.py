@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,17 +14,34 @@ from fewdet.tensor import Tensor, finite_diff_gradient, tsum
 
 
 def brute_force_min(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
-    """Exhaustive minimum over all assignments (M = G), returning the
-    lexicographically smallest optimal pair list."""
-    m = cost.shape[0]
+    """Exhaustive minimum over all assignments of min(M, G) pairs, returning
+    the lexicographically smallest optimal pair list."""
+    m, g = cost.shape
+    if m >= g:
+        assignments = ([(q, j) for j, q in enumerate(perm)]
+                       for perm in itertools.permutations(range(m), g))
+    else:
+        assignments = (list(enumerate(perm))
+                       for perm in itertools.permutations(range(g), m))
     best_total, best_pairs = None, None
-    for perm in itertools.permutations(range(m)):
-        total = sum(cost[q, g] for q, g in enumerate(perm))
-        pairs = sorted((q, g) for q, g in enumerate(perm))
+    for assignment in assignments:
+        total = sum(cost[q, j] for q, j in assignment)
+        pairs = sorted(assignment)
         if best_total is None or total < best_total - 1e-12 or (
                 abs(total - best_total) <= 1e-12 and pairs < best_pairs):
             best_total, best_pairs = total, pairs
     return best_total, best_pairs
+
+
+def random_cost(rng, m, g, kind):
+    """Continuous costs, or tie-heavy ones: small integers, or continuous
+    rows duplicated so that whole queries are interchangeable."""
+    if kind == "continuous":
+        return rng.normal(size=(m, g))
+    if kind == "small_ints":
+        return rng.integers(0, 3, size=(m, g)).astype(float)
+    distinct = rng.normal(size=(max(1, m // 2), g))
+    return distinct[rng.integers(0, len(distinct), size=m)]
 
 
 def sequence(ids, placeholders=1, d=4, rng=None):
@@ -79,20 +97,43 @@ class TestHungarian:
         cost = np.array([[1.0, 1.0, 5.0], [1.0, 1.0, 5.0], [5.0, 5.0, 0.0]])
         assert hungarian_match(cost).pairs == [(0, 0), (1, 1), (2, 2)]
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 7), st.integers(0, 2 ** 31 - 1),
-           st.sampled_from(["continuous", "small_ints"]))
-    def test_matches_brute_force_including_ties(self, m, seed, kind):
-        rng = np.random.default_rng(seed)
-        if kind == "continuous":
-            cost = rng.normal(size=(m, m))
-        else:
-            cost = rng.integers(0, 3, size=(m, m)).astype(float)  # many ties
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from(["continuous", "small_ints", "duplicated_rows"]))
+    def test_matches_brute_force_including_ties(self, m, g, seed, kind):
+        cost = random_cost(np.random.default_rng(seed), m, g, kind)
         expected_total, expected_pairs = brute_force_min(cost)
-        match = hungarian_match(cost)
-        total = sum(cost[q, g] for q, g in match.pairs)
+        if g > m:
+            with pytest.warns(RuntimeWarning, match="more ground truths"):
+                match = hungarian_match(cost)
+        else:
+            match = hungarian_match(cost)
+        total = sum(cost[q, j] for q, j in match.pairs)
         assert total == pytest.approx(expected_total, abs=1e-9)
-        assert sorted(match.pairs) == expected_pairs
+        assert match.pairs == expected_pairs
+        assert match.unmatched_queries == sorted(
+            set(range(m)) - {q for q, _ in match.pairs})
+
+    @pytest.mark.parametrize("shape", [(100, 12), (25, 4), (6, 6), (3, 8)])
+    def test_unique_optimum_solves_one_plus_min_m_g(self, monkeypatch, shape):
+        from fewdet import set_head
+        cost = np.random.default_rng(11).normal(size=shape)
+        calls = []
+        solve = set_head.linear_sum_assignment
+        monkeypatch.setattr(set_head, "linear_sum_assignment",
+                            lambda c: calls.append(c.shape) or solve(c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            hungarian_match(cost)
+        assert 0 < len(calls) <= 1 + min(shape)
+
+    @pytest.mark.parametrize("kind", ["continuous", "duplicated_rows"])
+    def test_fast_path_agrees_with_search_at_train_dense_size(self, kind):
+        from fewdet.set_head import _canonical_search, _lsa_total
+        cost = random_cost(np.random.default_rng(12), 100, 12, kind)
+        match = hungarian_match(cost)
+        assert match.pairs == _canonical_search(cost, _lsa_total(cost))
+        assert len(match.pairs) == 12 and len(match.unmatched_queries) == 88
 
 
 class TestMatchCost:
