@@ -70,12 +70,12 @@ def _read_container(buf) -> dict[str, np.ndarray]:
     return tensors
 
 
-def _write_atomic(path, buf: io.BytesIO) -> None:
-    """Write ``buf`` to a temporary file in ``path``'s directory, then rename
+def _write_atomic(path, data: bytes | memoryview) -> None:
+    """Write ``data`` to a temporary file in ``path``'s directory, then rename
     it over ``path``: a write that fails part-way leaves any earlier file at
     ``path`` untouched and no temporary file behind."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    data = buf.getbuffer()
+    data = memoryview(data)
     try:
         with open(tmp, "wb") as fh:
             if hasattr(os, "posix_fallocate"):
@@ -97,7 +97,7 @@ def save_tensors(path, tensors: dict[str, "np.ndarray | Tensor"]) -> None:
               for k, v in tensors.items()}
     buf = io.BytesIO()
     _write_container(buf, arrays)
-    _write_atomic(path, buf)
+    _write_atomic(path, buf.getbuffer())
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
@@ -117,7 +117,7 @@ def save_checkpoint(path, config: dict, tensors: dict[str, "np.ndarray | Tensor"
     buf.write(struct.pack("<II", _VERSION, len(payload)))
     buf.write(payload)
     _write_container(buf, arrays)
-    _write_atomic(path, buf)
+    _write_atomic(path, buf.getbuffer())
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .checkpoint import _write_atomic
 from .config import RunConfig, load_run_config, run_config_to_dict
 from .errors import ConfigError, CorruptionError, NumericError
 from .episodes import read_episodes, write_episodes
@@ -92,8 +93,8 @@ def cmd_gen(args) -> int:
     path = out / f"episodes_{args.split}.bin"
     manifest = write_episodes(run.benchmark, args.count, path,
                               split=args.split, start_index=args.start_index)
-    with open(out / f"episodes_{args.split}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_atomic(out / f"episodes_{args.split}.manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
     print(f"wrote {args.count} episodes to {path}")
     print(f"manifest digest: {manifest['manifest_digest']}")
     return EXIT_OK
@@ -149,7 +150,7 @@ def cmd_eval(args) -> int:
         "mean_separation": diag.mean_separation,
     })
     report_path = out / "eval_report.json"
-    report_path.write_text(report.to_json())
+    _write_atomic(report_path, report.to_json().encode("utf-8"))
     print(report.table())
     print("confusion matrix (rows true, cols predicted, last is BG):")
     print(report.confusion)
@@ -166,7 +167,8 @@ def cmd_ablate(args) -> int:
     table = ablation_table(outcomes)
     summary = ablation_summary(outcomes)
     summary["config"] = run_config_to_dict(run)
-    (out / "ablation.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_atomic(out / "ablation.json",
+                  json.dumps(summary, indent=2, sort_keys=True).encode("utf-8"))
     print(table)
     print(f"summary: {out / 'ablation.json'}")
     return EXIT_OK

@@ -21,10 +21,10 @@ import io
 import json
 import struct
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
+from .checkpoint import _write_atomic
 from .errors import ConfigError, CorruptionError, GenerationError
 
 _MAGIC = b"FDEP"
@@ -277,20 +277,18 @@ def write_episodes(spec: BenchmarkSpec, count: int, path,
     spec_json = json.dumps({"spec": asdict(spec), "split": split,
                             "start_index": start_index},
                            sort_keys=True).encode("utf-8")
-    header = io.BytesIO()
-    header.write(_MAGIC)
-    header.write(struct.pack("<II", _FORMAT_VERSION, len(records)))
-    header.write(struct.pack("<I", len(spec_json)))
-    header.write(spec_json)
+    buf = io.BytesIO()
+    buf.write(_MAGIC)
+    buf.write(struct.pack("<II", _FORMAT_VERSION, len(records)))
+    buf.write(struct.pack("<I", len(spec_json)))
+    buf.write(spec_json)
     for d in digests:
-        header.write(d)
-    header_bytes = header.getvalue()
-
-    with open(path, "wb") as fh:
-        fh.write(header_bytes)
-        for r in records:
-            fh.write(struct.pack("<Q", len(r)))
-            fh.write(r)
+        buf.write(d)
+    header_bytes = buf.getvalue()
+    for r in records:
+        buf.write(struct.pack("<Q", len(r)))
+        buf.write(r)
+    _write_atomic(path, buf.getbuffer())
 
     manifest_digest = hashlib.sha256(header_bytes).hexdigest()
     return {"format_version": _FORMAT_VERSION, "count": count, "split": split,

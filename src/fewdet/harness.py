@@ -21,11 +21,11 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, run_config_to_dict
 from .episodes import Episode, class_id_range, generate_episode
-from .errors import ConfigError, CorruptionError
+from .errors import CorruptionError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (ModelConfig, ModelState, forward, init_model_state,
                     run_inference, train_step, training_episode)
-from .ood import SupportClassFeatures, min_interclass_separation
+from .ood import min_interclass_separation
 from .optim import AdamState
 from .tensor import Tensor, no_grad
 

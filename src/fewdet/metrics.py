@@ -3,6 +3,12 @@ COCO-style average precision over the 0.50:0.05:0.95 threshold band with
 101-point interpolation, and a class confusion matrix with an explicit
 background row/column.
 
+There is one geometry path: ``iou`` and ``giou`` broadcast over leading
+axes, so two (4,) boxes give a scalar and ``a[:, None]`` against ``b[None]``
+the (m, n) matrix, with the same arithmetic and box checks either way. AP
+and the confusion matrix share one score-ordered greedy matcher that reads
+one IoU matrix per episode.
+
 Everything here is plain numpy on raw values; the differentiable box terms
 used by the training loss live elsewhere, which makes these functions an
 independent cross-check of those.
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 
@@ -27,66 +33,45 @@ def box_corners(boxes: np.ndarray) -> np.ndarray:
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
 
 
-def _check_box(box: np.ndarray) -> np.ndarray:
-    box = np.asarray(box, dtype=np.float64)
-    if box.shape != (4,):
-        raise ShapeError(f"box must have 4 entries, got shape {box.shape}")
-    if box[2] <= 0 or box[3] <= 0:
-        raise ShapeError(f"degenerate box with non-positive extent: {box.tolist()}")
-    return box
-
-
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two (cx, cy, w, h) boxes."""
-    a = box_corners(_check_box(a))
-    b = box_corners(_check_box(b))
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-    return float(inter / union)
-
-
-def giou(a: np.ndarray, b: np.ndarray) -> float:
-    """IoU minus the normalized dead area of the smallest enclosing box."""
-    a = box_corners(_check_box(a))
-    b = box_corners(_check_box(b))
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-    enclose = ((max(a[2], b[2]) - min(a[0], b[0]))
-               * (max(a[3], b[3]) - min(a[1], b[1])))
-    return float(inter / union - (enclose - union) / enclose)
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two stacks of (cx, cy, w, h) boxes: (m, n)."""
-    a = box_corners(np.asarray(a, dtype=np.float64).reshape(-1, 4))
-    b = box_corners(np.asarray(b, dtype=np.float64).reshape(-1, 4))
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
+def _overlap(a: np.ndarray, b: np.ndarray):
+    """Corners of ``a`` and ``b`` plus their intersection and union areas,
+    broadcast over the leading axes. Every box must be finite (else
+    NumericError) with positive width and height (else ShapeError)."""
+    corners = []
+    for boxes in (a, b):
+        boxes = np.asarray(boxes, dtype=np.float64)
+        if boxes.shape[-1:] != (4,):
+            raise ShapeError(f"boxes must have 4 entries on the last axis, "
+                             f"got shape {boxes.shape}")
+        if not np.isfinite(boxes).all():
+            raise NumericError(f"non-finite box coordinates: {boxes.tolist()}")
+        if (boxes[..., 2:] <= 0).any():
+            raise ShapeError(f"degenerate box with non-positive extent: "
+                             f"{boxes.tolist()}")
+        corners.append(box_corners(boxes))
+    a, b = corners
+    lt = np.maximum(a[..., :2], b[..., :2])
+    rb = np.minimum(a[..., 2:], b[..., 2:])
     wh = np.clip(rb - lt, 0.0, None)
     inter = wh[..., 0] * wh[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return a, b, inter, area_a + area_b - inter
+
+
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of (cx, cy, w, h) boxes, broadcast over the
+    leading axes: two (4,) boxes give a scalar, ``a[:, None]`` against
+    ``b[None]`` the (m, n) matrix."""
+    _, _, inter, union = _overlap(a, b)
     return inter / union
 
 
-def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = box_corners(np.asarray(a, dtype=np.float64).reshape(-1, 4))
-    b = box_corners(np.asarray(b, dtype=np.float64).reshape(-1, 4))
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    lt_enc = np.minimum(a[:, None, :2], b[None, :, :2])
-    rb_enc = np.maximum(a[:, None, 2:], b[None, :, 2:])
-    wh_enc = rb_enc - lt_enc
+def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU minus the normalized dead area of the smallest enclosing box,
+    broadcast like :func:`iou`."""
+    a, b, inter, union = _overlap(a, b)
+    wh_enc = np.maximum(a[..., 2:], b[..., 2:]) - np.minimum(a[..., :2], b[..., :2])
     enclose = wh_enc[..., 0] * wh_enc[..., 1]
     return inter / union - (enclose - union) / enclose
 
@@ -106,6 +91,40 @@ class GtRecord:
     box: np.ndarray
 
 
+def _greedy_match(dets: list[Detection], gts: list[GtRecord],
+                  iou_threshold: float) -> tuple[list[int], np.ndarray]:
+    """Score-ordered greedy matching, one IoU matrix per episode.
+
+    Returns the detection order (descending score, list order on ties) and
+    ``match[i]``: the index of the ground truth detection ``i`` takes, or -1.
+    In that order each detection takes its best-IoU unused ground truth of
+    the same episode (the first in index order on equal IoU) and keeps it
+    when the IoU is above 0 and at least the threshold.
+    """
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    match = np.full(len(dets), -1, dtype=np.int64)
+    gt_by_episode: dict[int, list[int]] = {}
+    for i, g in enumerate(gts):
+        gt_by_episode.setdefault(g.episode_id, []).append(i)
+    det_by_episode: dict[int, list[int]] = {}
+    for di in order:
+        det_by_episode.setdefault(dets[di].episode_id, []).append(di)
+    for episode, det_ids in det_by_episode.items():
+        gt_ids = gt_by_episode.get(episode)
+        if not gt_ids:
+            continue
+        ious = iou(np.array([dets[i].box for i in det_ids])[:, None],
+                   np.array([gts[i].box for i in gt_ids])[None])
+        used = np.zeros(len(gt_ids), dtype=bool)
+        for di, row in zip(det_ids, ious):
+            row = np.where(used, 0.0, row)
+            best = int(np.argmax(row))
+            if row[best] > 0.0 and row[best] >= iou_threshold:
+                used[best] = True
+                match[di] = gt_ids[best]
+    return order, match
+
+
 def average_precision(dets: list[Detection], gts: list[GtRecord],
                       iou_threshold: float) -> float:
     """Single-class average precision with 101-point interpolation.
@@ -122,28 +141,9 @@ def average_precision(dets: list[Detection], gts: list[GtRecord],
         if not np.isfinite(d.score):
             raise ValueError(f"non-finite detection score: {d.score}")
 
-    gt_by_episode: dict[int, list[int]] = {}
-    for i, g in enumerate(gts):
-        gt_by_episode.setdefault(g.episode_id, []).append(i)
-    used = np.zeros(len(gts), dtype=bool)
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    tp = np.zeros(len(dets))
-    fp = np.zeros(len(dets))
-    for rank, di in enumerate(order):
-        det = dets[di]
-        best_iou, best_gi = 0.0, -1
-        for gi in gt_by_episode.get(det.episode_id, ()):
-            if used[gi]:
-                continue
-            v = iou(det.box, gts[gi].box)
-            if v > best_iou:
-                best_iou, best_gi = v, gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
-            used[best_gi] = True
-            tp[rank] = 1
-        else:
-            fp[rank] = 1
+    order, match = _greedy_match(dets, gts, iou_threshold)
+    tp = (match[order] >= 0).astype(np.float64)
+    fp = 1.0 - tp
 
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(fp)
@@ -175,28 +175,14 @@ def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
     bg = len(class_ids)
     counts = np.zeros((bg + 1, bg + 1), dtype=np.int64)
 
-    gt_by_episode: dict[int, list[int]] = {}
-    for i, g in enumerate(gts):
-        gt_by_episode.setdefault(g.episode_id, []).append(i)
+    _, match = _greedy_match(dets, gts, iou_threshold)
+    for det, gi in zip(dets, match):
+        true = index[gts[gi].class_id] if gi >= 0 else bg
+        counts[true, index[det.class_id]] += 1
     used = np.zeros(len(gts), dtype=bool)
-
-    for di in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
-        det = dets[di]
-        best_iou, best_gi = 0.0, -1
-        for gi in gt_by_episode.get(det.episode_id, ()):
-            if used[gi]:
-                continue
-            v = iou(det.box, gts[gi].box)
-            if v > best_iou:
-                best_iou, best_gi = v, gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
-            used[best_gi] = True
-            counts[index[gts[best_gi].class_id], index[det.class_id]] += 1
-        else:
-            counts[bg, index[det.class_id]] += 1
-    for gi, g in enumerate(gts):
-        if not used[gi]:
-            counts[index[g.class_id], bg] += 1
+    used[match[match >= 0]] = True
+    for gi in np.flatnonzero(~used):
+        counts[index[gts[gi].class_id], bg] += 1
     return counts
 
 

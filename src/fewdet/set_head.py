@@ -17,11 +17,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericError, ShapeError
-from .metrics import giou_matrix
+from .metrics import giou
 from .obd import SupportSequence
-from .tensor import (Tensor, concat_channels, maximum, minimum, mul, relu,
-                     sigmoid, slice_cols, softplus, sub, take_rows, tmean, tsum,
-                     tabs)
+from .tensor import (Tensor, maximum, minimum, mul, relu, slice_cols, softplus,
+                     sub, take_rows, tmean, tsum, tabs)
 
 
 @dataclass
@@ -199,7 +198,7 @@ def match_cost(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     boxes = out.boxes.data
     cost_cls = -probs[:, positions]
     cost_l1 = np.abs(boxes[:, None, :] - gt.boxes[None, :, :]).sum(axis=2)
-    cost_giou = 1.0 - giou_matrix(boxes, gt.boxes)
+    cost_giou = 1.0 - giou(boxes[:, None], gt.boxes[None])
     return weights.cls * cost_cls + weights.l1 * cost_l1 + weights.giou * cost_giou
 
 

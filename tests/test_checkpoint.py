@@ -91,35 +91,86 @@ class _FailingFile:
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("save", ["tensors", "checkpoint"])
+_CLI_CONFIG = {
+    "benchmark": {"class_count": 2, "shots": 3, "capacity": 3, "grid_rows": 4,
+                  "grid_cols": 4, "feature_dim": 8, "objects_min": 1,
+                  "objects_max": 2},
+    "model": {"d": 8, "heads": 2, "encoder_layers": 1, "decoder_layers": 1,
+              "num_object_queries": 4, "n_max": 3},
+    "training": {"steps": 4, "fine_tune_steps": 1, "fine_tune_episodes": 1,
+                 "eval_episodes": 2, "log_interval": 2},
+    "ablate_seeds": [0],
+}
+
+
+def _artifact_writer(save, tmp_path):
+    """(path, write(value)) for one artifact writer; ``value`` changes what
+    is written."""
+    if save == "tensors":
+        path = tmp_path / "model.bin"
+        return path, lambda value: save_tensors(path, {"w": np.full((64, 64), value)})
+    if save == "checkpoint":
+        path = tmp_path / "model.bin"
+        return path, lambda value: save_checkpoint(
+            path, {"step": value}, {"w": np.full((64, 64), value)})
+    if save == "episodes":
+        from fewdet.episodes import BenchmarkSpec, write_episodes
+        path = tmp_path / "episodes.bin"
+        return path, lambda value: write_episodes(BenchmarkSpec(), int(value), path)
+
+    import yaml
+    from fewdet import cli
+
+    out = tmp_path / "out"
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({**_CLI_CONFIG, "out_dir": str(out)}))
+
+    def run(verb, *argv):
+        args = cli.build_parser().parse_args([verb, "--config", str(config), *argv])
+        return getattr(cli, f"cmd_{verb}")(args)
+
+    if save == "manifest":
+        return (out / "episodes_train.manifest.json",
+                lambda value: run("gen", "--count", str(int(value))))
+    if save == "eval_report":
+        run("train")
+        ckpt = str(out / "checkpoint.fdck")
+        return (out / "eval_report.json",
+                lambda value: run("eval", "--checkpoint", ckpt, "--seed", str(int(value))))
+    assert save == "ablation"
+    return out / "ablation.json", lambda value: run("ablate", "--seed", str(int(value)))
+
+
+@pytest.mark.parametrize("save", ["tensors", "checkpoint", "episodes", "manifest",
+                                  "eval_report", "ablation"])
 @pytest.mark.parametrize("failure", ["write", "replace"])
 def test_failed_save_leaves_earlier_file_intact(tmp_path, monkeypatch, save, failure):
     import builtins
     import fewdet.checkpoint as checkpoint
 
-    def write(value):
-        tensors = {"w": np.full((64, 64), value)}
-        if save == "tensors":
-            save_tensors(path, tensors)
-        else:
-            save_checkpoint(path, {"step": value}, tensors)
-
-    path = tmp_path / "model.bin"
+    path, write = _artifact_writer(save, tmp_path)
     write(1.0)
     before = path.read_bytes()
+    # Only the write of ``path`` fails: the CLI verbs write other files too.
     if failure == "write":
-        monkeypatch.setattr(checkpoint, "open",
-                            lambda *a, **k: _FailingFile(builtins.open(*a, **k)),
-                            raising=False)
+        def failing_open(file, *args, **kwargs):
+            fh = builtins.open(file, *args, **kwargs)
+            return _FailingFile(fh) if str(file).startswith(str(path)) else fh
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
     else:
+        real_replace = checkpoint.os.replace
+
         def refuse(src, dst):
-            raise OSError("rename refused")
+            if str(dst) == str(path):
+                raise OSError("rename refused")
+            real_replace(src, dst)
         monkeypatch.setattr(checkpoint.os, "replace", refuse)
     with pytest.raises(OSError):
         write(2.0)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+    assert not [p.name for p in tmp_path.rglob("*.tmp")]
+
 
 def test_model_state_checkpoint_bit_identical_forward(tmp_path):
     """Save -> load -> forward reproduces the exact same outputs."""
@@ -139,7 +190,8 @@ def test_model_state_checkpoint_bit_identical_forward(tmp_path):
                                   encoder_layers=1, decoder_layers=1,
                                   num_object_queries=3, n_max=3),
         training=TrainingConfig(steps=5, fine_tune_steps=0))
-    result = train_run(run)
+    with pytest.warns(RuntimeWarning, match="more ground truths"):
+        result = train_run(run)
     path = tmp_path / "run.fdck"
     save_run_checkpoint(path, run, result)
     run2, result2 = load_run_checkpoint(path)
@@ -170,7 +222,8 @@ def test_checkpoint_with_retired_score_threshold_loads(tmp_path):
                                   encoder_layers=1, decoder_layers=1,
                                   num_object_queries=3, n_max=3),
         training=TrainingConfig(steps=2, fine_tune_steps=0))
-    result = train_run(run)
+    with pytest.warns(RuntimeWarning, match="more ground truths"):
+        result = train_run(run)
     config, tensors = checkpoint_payload(run, result)
     config["run"]["training"]["score_threshold"] = 0.5
     path = tmp_path / "legacy.fdck"

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewdet.errors import ShapeError
+from fewdet.errors import NumericError, ShapeError
 from fewdet.metrics import (Detection, EvalReport, GtRecord, average_precision,
-                            confusion_matrix, evaluate_detections, giou,
-                            giou_matrix, iou, iou_matrix)
+                            confusion_matrix, evaluate_detections, giou, iou)
 
 
 def det(ep, cid, score, box):
@@ -17,6 +16,8 @@ def gtr(ep, cid, box):
 
 
 UNIT = [0.5, 0.5, 1.0, 1.0]  # unit box centered at (0.5, 0.5)
+RIGHT = [1.5, 0.5, 1.0, 1.0]  # UNIT's neighbour to the right
+SPAN = [1.0, 0.5, 1.0, 1.0]   # straddles UNIT and RIGHT: IoU 1/3 with each
 
 
 class TestIou:
@@ -48,17 +49,41 @@ class TestGiou:
                                                                          abs=1e-9)
 
     def test_matrix_agrees_with_scalar(self):
+        """The broadcast form is bit-exact with a loop over 0-d pairs."""
         rng = np.random.default_rng(0)
         a = np.column_stack([rng.uniform(0, 1, (5, 2)), rng.uniform(0.1, 0.5, (5, 2))])
         b = np.column_stack([rng.uniform(0, 1, (4, 2)), rng.uniform(0.1, 0.5, (4, 2))])
-        mat = giou_matrix(a, b)
-        for i in range(5):
-            for j in range(4):
-                assert mat[i, j] == pytest.approx(giou(a[i], b[j]), rel=1e-12)
-        mat_iou = iou_matrix(a, b)
-        for i in range(5):
-            for j in range(4):
-                assert mat_iou[i, j] == pytest.approx(iou(a[i], b[j]), rel=1e-12)
+        b[0] = a[0]                   # identical pair
+        b[1] = [5.0, 5.0, 0.2, 0.2]   # disjoint from every row of a
+        for fn in (iou, giou):
+            mat = fn(a[:, None], b[None])
+            assert mat.shape == (5, 4)
+            for i in range(5):
+                for j in range(4):
+                    pair = fn(a[i], b[j])
+                    assert np.ndim(pair) == 0
+                    assert mat[i, j] == pair
+            np.testing.assert_array_equal(fn(a[:2, None], b[None, :1]), mat[:2, :1])
+
+    @pytest.mark.parametrize("fn", [iou, giou])
+    @pytest.mark.parametrize("bad, error", [
+        ([0.5, 0.5, 0.0, 1.0], ShapeError),    # zero width
+        ([0.5, 0.5, 1.0, -0.2], ShapeError),   # negative height
+        ([0.5, np.nan, 1.0, 1.0], NumericError),
+        ([0.5, 0.5, np.inf, 1.0], NumericError),
+    ])
+    def test_bad_box_raises_from_pairwise_form(self, fn, bad, error):
+        good = np.array([UNIT, [1.0, 0.5, 1.0, 1.0]])
+        boxes = np.array([UNIT, bad])
+        with pytest.raises(error):
+            fn(boxes[:, None], good[None])
+        with pytest.raises(error):
+            fn(good[:, None], boxes[None])
+
+    @pytest.mark.parametrize("fn", [iou, giou])
+    def test_last_axis_must_hold_four_entries(self, fn):
+        with pytest.raises(ShapeError):
+            fn(np.ones((2, 1, 3)), np.ones((1, 2, 4)))
 
 
 class TestAveragePrecision:
@@ -91,6 +116,15 @@ class TestAveragePrecision:
         gts = [gtr(0, 1, UNIT)]
         dets = [det(1, 1, 0.9, UNIT)]  # right box, wrong episode
         assert average_precision(dets, gts, 0.5) == 0.0
+
+    def test_ties_first_gt_and_list_order_win(self):
+        # SPAN overlaps both ground truths at exactly IoU 1/3 and takes the
+        # first one; the exact detection is then left with gt 1 at IoU 0.
+        # With equal scores list order decides which of the two goes first.
+        gts = [gtr(0, 1, UNIT), gtr(0, 1, RIGHT)]
+        span, exact = det(0, 1, 0.5, SPAN), det(0, 1, 0.5, UNIT)
+        assert average_precision([span, exact], gts, 0.3) == 51 / 101
+        assert average_precision([exact, span], gts, 0.3) == 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.1, 10.0))
@@ -126,6 +160,17 @@ class TestConfusion:
         counts = confusion_matrix(dets, gts, 0.5, [0, 1])
         assert counts[0, 1] == 1 and counts[1, 1] == 1
         assert counts.sum() == 2
+
+    def test_ties_first_gt_and_list_order_win(self):
+        gts = [gtr(0, 0, UNIT), gtr(0, 1, RIGHT)]
+        span, exact = det(0, 1, 0.5, SPAN), det(0, 0, 0.5, UNIT)
+        # span takes gt 0 (first on equal IoU), exact finds nothing left.
+        np.testing.assert_array_equal(
+            confusion_matrix([span, exact], gts, 0.3, [0, 1]),
+            [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        np.testing.assert_array_equal(
+            confusion_matrix([exact, span], gts, 0.3, [0, 1]),
+            [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
 
     def test_total_count_identity(self):
         rng = np.random.default_rng(4)
