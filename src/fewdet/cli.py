@@ -130,7 +130,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .harness import EVAL_SCORE_THRESHOLD, evaluate_model, load_run_checkpoint
+    from .harness import (EVAL_SCORE_THRESHOLD, _json_safe, evaluate_model,
+                          load_run_checkpoint)
 
     ckpt_run, result = load_run_checkpoint(args.checkpoint)
     run = ckpt_run if args.config is None else _load_run(args)
@@ -146,8 +147,8 @@ def cmd_eval(args) -> int:
     report, diag = evaluate_model(result.state, result.cfg, run, episodes=episodes)
     report.extras.update({
         "score_threshold": EVAL_SCORE_THRESHOLD,
-        "bg_dominance_rate": diag.bg_dominance_rate,
-        "mean_separation": diag.mean_separation,
+        "bg_dominance_rate": _json_safe(diag.bg_dominance_rate),
+        "mean_separation": _json_safe(diag.mean_separation),
     })
     report_path = out / "eval_report.json"
     _write_atomic(report_path, report.to_json().encode("utf-8"))

@@ -7,7 +7,11 @@ There is one geometry path: ``iou`` and ``giou`` broadcast over leading
 axes, so two (4,) boxes give a scalar and ``a[:, None]`` against ``b[None]``
 the (m, n) matrix, with the same arithmetic and box checks either way. AP
 and the confusion matrix share one score-ordered greedy matcher that reads
-one IoU matrix per episode.
+one IoU matrix per episode and rejects non-finite scores. ``average_precision``
+takes the whole threshold band and returns one AP per threshold, so one sort
+and one IoU matrix per episode serve all ten thresholds; at each threshold
+the matcher steps from match to match (at most one step per ground truth),
+not from detection to detection.
 
 Everything here is plain numpy on raw values; the differentiable box terms
 used by the training loss live elsewhere, which makes these functions an
@@ -92,17 +96,25 @@ class GtRecord:
 
 
 def _greedy_match(dets: list[Detection], gts: list[GtRecord],
-                  iou_threshold: float) -> tuple[list[int], np.ndarray]:
-    """Score-ordered greedy matching, one IoU matrix per episode.
+                  iou_thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Score-ordered greedy matching at every threshold of a band, one IoU
+    matrix per episode.
 
     Returns the detection order (descending score, list order on ties) and
-    ``match[i]``: the index of the ground truth detection ``i`` takes, or -1.
-    In that order each detection takes its best-IoU unused ground truth of
-    the same episode (the first in index order on equal IoU) and keeps it
-    when the IoU is above 0 and at least the threshold.
+    ``match[j, i]``: the index of the ground truth detection ``i`` takes at
+    ``iou_thresholds[j]``, or -1. In that order each detection takes its
+    best-IoU unused ground truth of the same episode (the first in index
+    order on equal IoU) and keeps it when the IoU is above 0 and at least
+    the threshold. The loop steps over matches, not detections: the next
+    match goes to the first remaining detection with such a ground truth
+    free, and the detections it passes over stay unmatched.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    match = np.full(len(dets), -1, dtype=np.int64)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"non-finite detection score: "
+                         f"{scores[~np.isfinite(scores)][0]}")
+    order = np.argsort(-scores, kind="stable")
+    match = np.full((len(iou_thresholds), len(dets)), -1, dtype=np.int64)
     gt_by_episode: dict[int, list[int]] = {}
     for i, g in enumerate(gts):
         gt_by_episode.setdefault(g.episode_id, []).append(i)
@@ -115,51 +127,51 @@ def _greedy_match(dets: list[Detection], gts: list[GtRecord],
             continue
         ious = iou(np.array([dets[i].box for i in det_ids])[:, None],
                    np.array([gts[i].box for i in gt_ids])[None])
-        used = np.zeros(len(gt_ids), dtype=bool)
-        for di, row in zip(det_ids, ious):
-            row = np.where(used, 0.0, row)
-            best = int(np.argmax(row))
-            if row[best] > 0.0 and row[best] >= iou_threshold:
-                used[best] = True
-                match[di] = gt_ids[best]
+        for j, threshold in enumerate(iou_thresholds):
+            free = ious.copy()
+            start = 0
+            while start < len(det_ids):
+                best = free[start:].max(axis=1)
+                hits = np.flatnonzero((best > 0.0) & (best >= threshold))
+                if not hits.size:
+                    break
+                start += int(hits[0])
+                gi = int(np.argmax(free[start]))
+                match[j, det_ids[start]] = gt_ids[gi]
+                free[:, gi] = 0.0
+                start += 1
     return order, match
 
 
 def average_precision(dets: list[Detection], gts: list[GtRecord],
-                      iou_threshold: float) -> float:
-    """Single-class average precision with 101-point interpolation.
+                      iou_thresholds) -> np.ndarray:
+    """Single-class average precision with 101-point interpolation at each
+    threshold of ``iou_thresholds``: a (T,) float64 array.
 
     Detections are greedily matched in descending score order; each ground
     truth is consumed at most once; matches must reach the IoU threshold and
-    stay within the same episode.
+    stay within the same episode. One sort and one IoU matrix per episode
+    serve the whole band. A non-finite score raises ValueError.
     """
-    if not gts:
-        return 0.0
-    if not dets:
-        return 0.0
-    for d in dets:
-        if not np.isfinite(d.score):
-            raise ValueError(f"non-finite detection score: {d.score}")
-
-    order, match = _greedy_match(dets, gts, iou_threshold)
-    tp = (match[order] >= 0).astype(np.float64)
-    fp = 1.0 - tp
-
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(fp)
+    ap = np.zeros(len(iou_thresholds))
+    if not gts or not dets:
+        return ap
+    order, match = _greedy_match(dets, gts, iou_thresholds)
+    tp = (match[:, order] >= 0).astype(np.float64)
+    cum_tp = np.cumsum(tp, axis=1)
+    cum_fp = np.cumsum(1.0 - tp, axis=1)
     recall = cum_tp / len(gts)
     precision = cum_tp / (cum_tp + cum_fp)
 
     # 101-point interpolation: for each recall grid point take the best
-    # precision achieved at that recall or beyond.
+    # precision achieved at that recall or beyond. The sum runs left to
+    # right (cumsum, not the pairwise np.sum) so every bit is kept.
     grid = np.linspace(0.0, 1.0, 101)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    for r in grid:
-        idx = np.searchsorted(recall, r, side="left")
-        if idx < len(envelope):
-            ap += envelope[idx]
-    return float(ap / len(grid))
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    for j in range(len(ap)):
+        idx = np.searchsorted(recall[j], grid, side="left")
+        ap[j] = np.cumsum(envelope[j, idx[idx < len(dets)]])[-1] / len(grid)
+    return ap
 
 
 def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
@@ -175,7 +187,7 @@ def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
     bg = len(class_ids)
     counts = np.zeros((bg + 1, bg + 1), dtype=np.int64)
 
-    _, match = _greedy_match(dets, gts, iou_threshold)
+    _, (match,) = _greedy_match(dets, gts, (iou_threshold,))
     for det, gi in zip(dets, match):
         true = index[gts[gi].class_id] if gi >= 0 else bg
         counts[true, index[det.class_id]] += 1
@@ -272,8 +284,7 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
     for i, cid in enumerate(present):
         cls_dets = [d for d in dets if d.class_id == cid]
         cls_gts = [g for g in gts if g.class_id == cid]
-        for j, t in enumerate(thresholds):
-            ap[i, j] = average_precision(cls_dets, cls_gts, t)
+        ap[i] = average_precision(cls_dets, cls_gts, thresholds)
     confusion = confusion_matrix(dets, gts, 0.5, list(class_ids))
     return EvalReport(class_ids=list(present), thresholds=thresholds, ap=ap,
                       confusion=confusion, episode_count=episode_count,

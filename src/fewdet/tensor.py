@@ -311,14 +311,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), computed branch-wise so large negative inputs
-    saturate to 0 without overflow."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so large
+    negative inputs saturate to 0 without overflow. ``exp(min(x, -x))`` is
+    exactly the exponential each branch needs (``-|x|``, but a NaN input
+    keeps its sign bit), so no mask indexing is required."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -95,6 +95,22 @@ class TestTrainEval:
         report = EvalReport.from_json(report_path.read_text())
         assert report.episode_count == 3
 
+    def test_baseline_eval_report_is_strict_json(self, fast_config, tmp_path, capsys):
+        """The baseline has no placeholders, so its background diagnostics
+        are undefined; the report carries them as null, never as NaN."""
+        assert run_cli("train", "--config", str(fast_config),
+                       "--variant", "baseline") == 0
+        assert run_cli("eval", "--checkpoint",
+                       str(tmp_path / "out" / "checkpoint.fdck")) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "out" / "eval_report.json").read_text()
+        extras = json.loads(text, parse_constant=reject)["extras"]
+        assert extras["bg_dominance_rate"] is None
+        assert extras["mean_separation"] is None
+
     def test_resume_continues_step_numbering(self, fast_config, tmp_path, capsys):
         run_cli("train", "--config", str(fast_config))
         ckpt = tmp_path / "out" / "checkpoint.fdck"

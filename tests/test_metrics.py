@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewdet.errors import NumericError, ShapeError
-from fewdet.metrics import (Detection, EvalReport, GtRecord, average_precision,
-                            confusion_matrix, evaluate_detections, giou, iou)
+from fewdet import metrics
+from fewdet.metrics import (IOU_THRESHOLDS, Detection, EvalReport, GtRecord,
+                            average_precision, confusion_matrix,
+                            evaluate_detections, giou, iou)
 
 
 def det(ep, cid, score, box):
@@ -86,36 +88,94 @@ class TestGiou:
             fn(np.ones((2, 1, 3)), np.ones((1, 2, 4)))
 
 
+def reference_average_precision(dets, gts, threshold):
+    """The per-detection form of AP at one threshold: a greedy loop over every
+    detection in score order, then a 101-step interpolation loop."""
+    if not gts or not dets:
+        return 0.0
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    ious = iou(np.array([d.box for d in dets])[:, None],
+               np.array([g.box for g in gts])[None])
+    same_episode = (np.array([d.episode_id for d in dets])[:, None]
+                    == np.array([g.episode_id for g in gts])[None])
+    used = np.zeros(len(gts), dtype=bool)
+    tp = np.zeros(len(dets))
+    for k, di in enumerate(order):
+        row = np.where(used | ~same_episode[di], 0.0, ious[di])
+        best = int(np.argmax(row))
+        if row[best] > 0.0 and row[best] >= threshold:
+            used[best] = True
+            tp[k] = 1.0
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / len(gts)
+    precision = cum_tp / (cum_tp + np.cumsum(1.0 - tp))
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        idx = np.searchsorted(recall, r, side="left")
+        if idx < len(envelope):
+            ap += envelope[idx]
+    return float(ap / 101)
+
+
+def random_tie_set(rng):
+    """Detections and ground truths of one class over a few episodes, with
+    boxes on a coarse grid (duplicate boxes, equal IoUs, IoUs exactly on a
+    threshold) and scores from a short list (equal scores)."""
+    def box():
+        return [rng.integers(2, 9) / 10, rng.integers(2, 9) / 10,
+                rng.integers(1, 5) / 10, rng.integers(1, 5) / 10]
+    episodes = int(rng.integers(1, 4))
+    gts = [gtr(int(rng.integers(0, episodes)), 1, box())
+           for _ in range(rng.integers(0, 7))]
+    dets = []
+    for _ in range(rng.integers(0, 13)):
+        source = gts[rng.integers(0, len(gts))].box if gts and rng.random() < 0.5 else box()
+        dets.append(det(int(rng.integers(0, episodes)), 1,
+                        float(rng.choice([0.2, 0.5, 0.5, 0.9])), source))
+    return dets, gts
+
+
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
         dets = [det(0, 1, 0.7, UNIT)]
         gts = [gtr(0, 1, UNIT)]
-        for threshold in np.arange(0.5, 0.96, 0.05):
-            assert average_precision(dets, gts, threshold) == 1.0
+        ap = average_precision(dets, gts, IOU_THRESHOLDS)
+        assert ap.shape == (len(IOU_THRESHOLDS),) and ap.dtype == np.float64
+        np.testing.assert_array_equal(ap, np.ones(len(IOU_THRESHOLDS)))
 
     def test_no_detections(self):
-        assert average_precision([], [gtr(0, 1, UNIT)], 0.5) == 0.0
+        np.testing.assert_array_equal(
+            average_precision([], [gtr(0, 1, UNIT)], IOU_THRESHOLDS),
+            np.zeros(len(IOU_THRESHOLDS)))
 
     def test_tp_before_fp_gives_full_ap(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.9, UNIT), det(0, 1, 0.8, [5, 5, 1, 1])]
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert average_precision(dets, gts, [0.5])[0] == 1.0
 
     def test_fp_before_tp_halves_ap(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.8, UNIT), det(0, 1, 0.9, [5, 5, 1, 1])]
-        assert average_precision(dets, gts, 0.5) == pytest.approx(0.5)
+        assert average_precision(dets, gts, [0.5])[0] == pytest.approx(0.5)
 
     def test_one_gt_used_once(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.9, UNIT), det(0, 1, 0.8, UNIT)]
         # second detection duplicates the first -> FP
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert average_precision(dets, gts, [0.5])[0] == 1.0
 
     def test_episodes_do_not_cross_match(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(1, 1, 0.9, UNIT)]  # right box, wrong episode
-        assert average_precision(dets, gts, 0.5) == 0.0
+        assert average_precision(dets, gts, [0.5])[0] == 0.0
+
+    def test_zero_threshold_still_needs_overlap(self):
+        gts = [gtr(0, 1, UNIT)]
+        dets = [det(0, 1, 0.9, [5, 5, 1, 1]), det(0, 1, 0.8, SPAN)]
+        ap = average_precision(dets, gts, [0.0, 0.5])
+        assert ap[0] == reference_average_precision(dets, gts, 0.0) == 0.5
+        assert ap[1] == 0.0
 
     def test_ties_first_gt_and_list_order_win(self):
         # SPAN overlaps both ground truths at exactly IoU 1/3 and takes the
@@ -123,8 +183,19 @@ class TestAveragePrecision:
         # With equal scores list order decides which of the two goes first.
         gts = [gtr(0, 1, UNIT), gtr(0, 1, RIGHT)]
         span, exact = det(0, 1, 0.5, SPAN), det(0, 1, 0.5, UNIT)
-        assert average_precision([span, exact], gts, 0.3) == 51 / 101
-        assert average_precision([exact, span], gts, 0.3) == 1.0
+        assert average_precision([span, exact], gts, [0.3])[0] == 51 / 101
+        assert average_precision([exact, span], gts, [0.3])[0] == 1.0
+
+    def test_band_equals_per_detection_reference(self):
+        """Every threshold of the band is bit-equal to the per-detection
+        greedy loop and the 101-step interpolation, on sets with IoU and
+        score ties."""
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            dets, gts = random_tie_set(rng)
+            ap = average_precision(dets, gts, IOU_THRESHOLDS)
+            for j, t in enumerate(IOU_THRESHOLDS):
+                assert ap[j] == reference_average_precision(dets, gts, t)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.1, 10.0))
@@ -135,10 +206,21 @@ class TestAveragePrecision:
         dets = [det(rng.integers(0, 3), 1, rng.uniform(0.1, 0.9),
                     [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2])
                 for _ in range(8)]
-        base = average_precision(dets, gts, 0.5)
+        base = average_precision(dets, gts, IOU_THRESHOLDS)
         scaled = [Detection(d.episode_id, d.class_id, scale * d.score + 2.0, d.box)
                   for d in dets]
-        assert average_precision(scaled, gts, 0.5) == pytest.approx(base)
+        np.testing.assert_allclose(average_precision(scaled, gts, IOU_THRESHOLDS),
+                                   base)
+
+
+@pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_raises_in_ap_and_confusion(score):
+    gts = [gtr(0, 0, UNIT)]
+    dets = [det(0, 0, 0.9, UNIT), det(0, 0, score, RIGHT)]
+    with pytest.raises(ValueError, match="non-finite"):
+        average_precision(dets, gts, IOU_THRESHOLDS)
+    with pytest.raises(ValueError, match="non-finite"):
+        confusion_matrix(dets, gts, 0.5, [0])
 
 
 class TestConfusion:
@@ -219,3 +301,26 @@ class TestEvalReport:
                 assert s == pytest.approx(1.0)
             else:
                 assert s == 0.0
+
+
+def test_one_iou_matrix_per_class_episode_and_per_episode(monkeypatch):
+    """AP reads one IoU matrix per (class, episode) for the whole band and
+    the confusion matrix one per episode."""
+    rng = np.random.default_rng(11)
+    classes, episodes = [0, 1, 2], 4
+    gts = [gtr(e, c, [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2])
+           for e in range(episodes) for c in classes]
+    dets = [det(e, c, rng.uniform(), [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
+                                      0.2, 0.2])
+            for e in range(episodes) for c in classes for _ in range(3)]
+    calls = []
+    real_iou = metrics.iou
+
+    def counted_iou(a, b):
+        calls.append(1)
+        return real_iou(a, b)
+
+    monkeypatch.setattr(metrics, "iou", counted_iou)
+    report = evaluate_detections(dets, gts, classes, episode_count=episodes)
+    assert report.ap.shape == (len(classes), len(IOU_THRESHOLDS))
+    assert 0 < len(calls) <= len(classes) * episodes + episodes

@@ -74,6 +74,29 @@ class TestSigmoid:
     def test_ln3(self):
         assert T.sigmoid(Tensor(np.log(3.0))).item() == pytest.approx(0.75, rel=1e-12)
 
+    @staticmethod
+    def branchwise(x):
+        """The masked two-branch form: 1 / (1 + exp(-x)) on x >= 0,
+        exp(x) / (1 + exp(x)) elsewhere."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 800.0,
+                  -800.0, np.inf, -np.inf, np.nan, -np.nan]),
+        np.random.default_rng(0).normal(0.0, 5.0, (64, 128)),
+        np.random.default_rng(1).normal(0.0, 30.0, (256, 128)),
+    ], ids=["specials", "64x128", "256x128"])
+    def test_bit_identical_to_branchwise(self, x):
+        out = T._stable_sigmoid(x)
+        assert out.shape == x.shape
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      self.branchwise(x).view(np.uint64))
+
 
 class TestConcatChannels:
     def test_empty_second(self):
