@@ -21,6 +21,7 @@ from .checkpoint import _write_atomic
 from .config import RunConfig, load_run_config, run_config_to_dict
 from .errors import ConfigError, CorruptionError, NumericError
 from .episodes import read_episodes, write_episodes
+from .model import VARIANTS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,8 +54,7 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train a model, emit checkpoint + log")
     common(p_train)
     p_train.add_argument("--checkpoint", help="resume from this checkpoint")
-    p_train.add_argument("--variant", default="+OBD+OOD",
-                         choices=("baseline", "+OBD", "+OBD+OOD"))
+    p_train.add_argument("--variant", default="+OBD+OOD", choices=VARIANTS)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
     report_path = out / "eval_report.json"
     _write_atomic(report_path, report.to_json().encode("utf-8"))
     print(report.table())
-    print("confusion matrix (rows true, cols predicted, last is BG):")
+    print("confusion matrix (rows true, cols predicted, last is background):")
     print(report.confusion)
     print(f"report: {report_path}")
     return EXIT_OK

@@ -43,12 +43,14 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def resolved_model(self) -> ModelConfig:
-        """Model config with fields that must agree with the benchmark
-        (input dim, class-embedding rows) derived from it."""
+        """Model config with the fields that must agree with the benchmark
+        (input dim, class-embedding rows, support sequence length) derived
+        from it."""
         return dataclasses.replace(
             self.model,
             input_dim=self.benchmark.feature_dim,
             num_class_embeddings=2 * self.benchmark.class_count,
+            n_max=self.benchmark.capacity,
             seed=self.seed if self.model.seed == 0 else self.model.seed)
 
 

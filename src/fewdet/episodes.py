@@ -37,7 +37,10 @@ SPLITS = ("train", "test")
 class BenchmarkSpec:
     class_count: int = 4
     shots: int = 10
-    capacity: int = 5           # support sequence length N (classes + placeholders)
+    # Support sequence length N (classes + placeholders); RunConfig.resolved_model
+    # sets ModelConfig.n_max from it, next to input_dim (from feature_dim) and
+    # num_class_embeddings (from class_count).
+    capacity: int = 5
     grid_rows: int = 8
     grid_cols: int = 8
     feature_dim: int = 32

@@ -23,8 +23,9 @@ from .config import RunConfig, run_config_to_dict
 from .episodes import Episode, class_id_range, generate_episode
 from .errors import CorruptionError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
-from .model import (ModelConfig, ModelState, forward, init_model_state,
-                    run_inference, train_step, training_episode)
+from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
+                    forward, init_model_state, run_inference, train_step,
+                    training_episode)
 from .ood import min_interclass_separation
 from .optim import AdamState
 from .tensor import Tensor, no_grad
@@ -218,12 +219,10 @@ class VariantOutcome:
     train_seconds: float
 
 
-def run_ablation(run: RunConfig, variants=("baseline", "+OBD", "+OBD+OOD"),
+def run_ablation(run: RunConfig, variants=VARIANTS,
                  log=None) -> list[VariantOutcome]:
     """Train and evaluate every variant on the identical benchmark for each
     configured seed. Deterministic given the config."""
-    from .model import ablation_variant
-
     outcomes = []
     for variant in variants:
         for seed in run.ablate_seeds:

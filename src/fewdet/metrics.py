@@ -179,7 +179,8 @@ def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
     """(C+1) x (C+1) count matrix, rows true class / columns predicted,
     final index is background. Each detection is assigned to its best-IoU
     unused ground truth of any class (score order, same episode); unmatched
-    detections land in the BG row, unmatched ground truths in the BG column.
+    detections land in the background row, unmatched ground truths in the
+    background column.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold must lie in (0, 1), got {iou_threshold}")

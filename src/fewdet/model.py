@@ -3,13 +3,16 @@ stack, transformer decoder over learned object queries, and the detection
 heads, plus the training step combining the set loss with the contrastive
 class-separation loss.
 
-The support branch refines class features through self-interaction layers;
-its final class rows feed the contrastive loss. The query branch refines
-patch features against the *modified* support sequence. The classification
-head scores each decoder output against every support position (class rows
-through a projection, placeholders as the raw background token), which is
-what makes the head class-agnostic and gives the background token its
-supervision path.
+The support sequence is a layout (class ids in episode order, then ``None``
+placeholders up to ``n_max``, or none in single-class mode) over the
+embedded (C, d) support features. The support branch refines those features
+through self-interaction layers, each layer replacing the sequence's feature
+matrix and keeping its layout; the final class rows feed the contrastive
+loss. The query branch refines patch features against the *modified*
+support sequence. The classification head scores each decoder output
+against every support position (class rows through a projection,
+placeholders as the raw background token), which is what makes the head
+class-agnostic and gives the background token its supervision path.
 
 Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
@@ -26,9 +29,9 @@ import numpy as np
 
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError, ShapeError
-from .obd import (BackgroundToken, ClassSlot, OfeFusion, OfeProjections,
-                  SupportSequence, BG, background_attention_mass,
-                  build_key_sequence, ofe_query, ofe_support)
+from .obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
+                  background_attention_mass, build_key_sequence, ofe_query,
+                  ofe_support)
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
@@ -41,6 +44,11 @@ VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model hyper-parameters. ``RunConfig.resolved_model`` derives three of
+    them from the benchmark: ``input_dim`` (its ``feature_dim``),
+    ``num_class_embeddings`` (twice its ``class_count``) and ``n_max`` (its
+    ``capacity``, the support sequence length)."""
+
     d: int = 64
     heads: int = 4
     encoder_layers: int = 2
@@ -192,18 +200,6 @@ def zero_model_state(cfg: ModelConfig) -> ModelState:
 # -- feature extraction -----------------------------------------------------------
 
 
-@dataclass
-class QueryPatchFeatures:
-    patches: Tensor
-    grid_shape: tuple[int, int]
-
-    def __post_init__(self):
-        rows, cols = self.grid_shape
-        if rows * cols != self.patches.shape[0]:
-            raise ShapeError(
-                f"grid {self.grid_shape} does not cover {self.patches.shape[0]} patches")
-
-
 @functools.lru_cache(maxsize=32)
 def sinusoidal_grid_encoding(rows: int, cols: int, d: int) -> np.ndarray:
     """Fixed 2-d positional code: half the channels encode the row index,
@@ -224,10 +220,11 @@ def sinusoidal_grid_encoding(rows: int, cols: int, d: int) -> np.ndarray:
 
 
 def extract_features(episode: Episode, state: ModelState,
-                     cfg: ModelConfig) -> tuple[QueryPatchFeatures, SupportSequence]:
+                     cfg: ModelConfig) -> tuple[Tensor, SupportSequence]:
     """Embed raw patch and support features through the shared affine map,
-    add positional codes to patches, and pad the support sequence with
-    background placeholders up to its capacity."""
+    add positional codes to patches, and lay the support classes out in
+    episode order, padded with background placeholders up to the sequence
+    capacity."""
     if episode.patches.shape[1] != cfg.input_dim:
         raise ShapeError(
             f"episode feature dim {episode.patches.shape[1]} does not match "
@@ -242,10 +239,8 @@ def extract_features(episode: Episode, state: ModelState,
     n = 1 if cfg.single_class_mode else cfg.n_max
     if c > n:
         raise ConfigError(f"episode has {c} classes but sequence capacity is {n}")
-    slots = [ClassSlot(int(cid)) for cid in episode.class_ids]
-    slots.extend(BG for _ in range(n - c))
-    return QueryPatchFeatures(patches=patches, grid_shape=episode.grid), \
-        SupportSequence(slots, support)
+    layout = tuple(int(cid) for cid in episode.class_ids) + (None,) * (n - c)
+    return patches, SupportSequence(layout, support)
 
 
 # -- decoder building blocks --------------------------------------------------------
@@ -291,32 +286,24 @@ def _decoder(state: ModelState, cfg: ModelConfig, memory: Tensor,
 def forward(episode: Episode, state: ModelState, cfg: ModelConfig
             ) -> tuple[DetectionOutput, SupportClassFeatures, dict]:
     """Full forward pass; returns detections, the support-branch class
-    features (contrastive tap), and per-layer attention diagnostics."""
-    qpf, seq = extract_features(episode, state, cfg)
+    features (contrastive tap), and diagnostics: the final support
+    ``sequence`` and the query branch's per-layer ``background_mass``."""
+    patches, seq = extract_features(episode, state, cfg)
     token = state.background_token()
-    diagnostics: dict = {"support_attention": [], "query_attention": [],
-                         "background_mass": []}
 
     for i in range(cfg.encoder_layers):
-        proj = state.ofe_projections(i)
-        ref = ofe_support(seq, proj, token, cfg.d, cfg.heads)
-        positions = seq.class_positions
-        refined_rows = take_rows(ref.per_position_output, positions)
-        new_features = seq.class_feature_matrix() + refined_rows
-        seq = seq.with_class_features(new_features)
-        diagnostics["support_attention"].append(ref.attention.data)
+        ref = ofe_support(seq, state.ofe_projections(i), token, cfg.d, cfg.heads)
+        refined_rows = take_rows(ref.per_position_output, seq.class_positions)
+        seq = dataclasses.replace(seq, features=seq.features + refined_rows)
 
-    support_features = SupportClassFeatures(features=seq.class_feature_matrix())
+    support_features = SupportClassFeatures(features=seq.features)
 
-    patches = qpf.patches
+    background_mass = []
     for i in range(cfg.encoder_layers):
-        proj = state.ofe_projections(i)
-        ref = ofe_query(patches, seq, proj, token, cfg.d, state.ofe_fusion(i),
-                        cfg.heads)
+        ref = ofe_query(patches, seq, state.ofe_projections(i), token, cfg.d,
+                        state.ofe_fusion(i), cfg.heads)
         patches = ref.refined
-        diagnostics["query_attention"].append(ref.attention.data)
-        diagnostics["background_mass"].append(
-            background_attention_mass(ref.attention, seq))
+        background_mass.append(background_attention_mass(ref.attention, seq))
 
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
@@ -335,7 +322,8 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     boxes = sigmoid(state["queries.ref"] + box_delta)
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)
-    return out, support_features, {"sequence": seq, **diagnostics}
+    return out, support_features, {"sequence": seq,
+                                   "background_mass": background_mass}
 
 
 # -- training -----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Object-background distinguishing attention.
 
-A support sequence mixes per-class feature slots with background
-placeholders. On the key side every placeholder is realized as a shared
-learnable background token (deliberately *not* passed through the key
-projection); on the value side it is a fixed zero vector, so attention mass
-spent on the background contributes nothing to the mixed output and the
-token is trained purely through the similarity path.
+A support sequence is a layout of class positions and background
+placeholders over a (C, d) class-feature matrix. On the key side every
+placeholder is realized as a shared learnable background token
+(deliberately *not* passed through the key projection); on the value side
+it is a fixed zero vector, so attention mass spent on the background
+contributes nothing to the mixed output and the token is trained purely
+through the similarity path. Both sides are one row gather over the
+projected class features plus one filler row.
 
 Two branches share the machinery: the support branch lets class features
 attend over the sequence itself (self-interaction), the query branch lets
@@ -17,7 +19,8 @@ once through the fused :func:`fewdet.tensor.attention` primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -42,89 +45,59 @@ class BackgroundToken:
         return self.vector.shape[0]
 
 
-@dataclass
-class ClassSlot:
-    class_id: int
-    # (d,) feature, read only when the sequence is built without a feature
-    # matrix; a sequence given one keeps its class features there.
-    feature: Optional[Tensor] = None
-
-
-class BackgroundPlaceholder:
-    """Marker slot holding no class."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "[bg]"
-
-
-BG = BackgroundPlaceholder()
-Slot = Union[ClassSlot, BackgroundPlaceholder]
-
-
-@dataclass
+@dataclass(frozen=True)
 class SupportSequence:
-    """Ordered support slots: class features plus background placeholders.
+    """Ordered support positions: classes and background placeholders.
 
-    ``features`` is the (C, d) matrix of class features, row i belonging to
-    the i-th class slot. When it is not given it is stacked from the slots'
-    own features.
+    ``layout`` holds a class id at each class position and ``None`` at each
+    placeholder; ``features`` is the (C, d) class-feature matrix, row i
+    belonging to the i-th class position. Positions, class ids and the row
+    gather index are derived from the layout once per instance;
+    ``dataclasses.replace(seq, features=...)`` swaps the features and
+    re-runs the checks.
     """
 
-    slots: list[Slot]
-    features: Optional[Tensor] = None
+    layout: tuple[Optional[int], ...]
+    features: Tensor
 
     def __post_init__(self):
         ids = self.class_ids
         if len(set(ids)) != len(ids):
             raise ShapeError(f"duplicate class ids in support sequence: {ids}")
-        if self.features is None and ids:
-            feats = [s.feature for s in self.slots if isinstance(s, ClassSlot)]
-            dims = {None if f is None else f.shape for f in feats}
-            if len(dims) > 1 or None in dims:
-                raise ShapeError(f"class slot features missing or inconsistent: {dims}")
-            self.features = concat_rows([reshape(f, (1, f.shape[0])) for f in feats])
-        elif self.features is not None and (
-                self.features.ndim != 2 or self.features.shape[0] != len(ids)):
+        if self.features.ndim != 2 or self.features.shape[0] != len(ids):
             raise ShapeError(f"expected {len(ids)} feature rows, "
                              f"got {self.features.shape}")
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.layout)
+
+    @cached_property
+    def class_positions(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.layout) if c is not None)
+
+    @cached_property
+    def placeholder_positions(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.layout) if c is None)
+
+    @cached_property
+    def class_ids(self) -> tuple[int, ...]:
+        return tuple(c for c in self.layout if c is not None)
 
     @property
     def class_count(self) -> int:
-        return sum(1 for s in self.slots if isinstance(s, ClassSlot))
+        return len(self.class_ids)
 
-    @property
-    def class_positions(self) -> list[int]:
-        return [i for i, s in enumerate(self.slots) if isinstance(s, ClassSlot)]
-
-    @property
-    def placeholder_positions(self) -> list[int]:
-        return [i for i, s in enumerate(self.slots) if not isinstance(s, ClassSlot)]
-
-    @property
-    def class_ids(self) -> list[int]:
-        return [s.class_id for s in self.slots if isinstance(s, ClassSlot)]
+    @cached_property
+    def gather_index(self) -> tuple[int, ...]:
+        """Row of ``[class rows; filler row]`` realized at each position."""
+        rows = iter(range(self.class_count))
+        return tuple(self.class_count if c is None else next(rows)
+                     for c in self.layout)
 
     def position_of_class(self, class_id: int) -> int:
-        for i, s in enumerate(self.slots):
-            if isinstance(s, ClassSlot) and s.class_id == class_id:
-                return i
-        raise KeyError(f"class id {class_id} has no slot in this sequence")
-
-    def class_feature_matrix(self) -> Tensor:
-        """Class slot features as a C x d tensor (graph-recorded)."""
-        if self.features is None:
-            raise ShapeError("support sequence has no class slots")
-        return self.features
-
-    def with_class_features(self, features: Tensor) -> "SupportSequence":
-        """Same layout with the class features replaced by ``features``."""
-        return SupportSequence([ClassSlot(s.class_id) if isinstance(s, ClassSlot)
-                                else s for s in self.slots], features)
+        if class_id not in self.class_ids:
+            raise KeyError(f"class id {class_id} has no position in this sequence")
+        return self.layout.index(class_id)
 
 
 @dataclass
@@ -153,22 +126,17 @@ class OfeFusion:
 @dataclass
 class RefinedFeatures:
     per_position_output: Tensor
-    attention: Tensor  # head-averaged, a constant outside the graph
+    attention: np.ndarray  # head-averaged, a constant outside the graph
     refined: Optional[Tensor] = None
 
 
-def _realize(s: SupportSequence, projected: Optional[Tensor],
-             filler: Tensor) -> Tensor:
-    """Sequence rows in slot order with one gather: row i of ``projected``
-    at the i-th class slot, the ``filler`` row at every placeholder. The
-    filler enters the graph only when the sequence has placeholders."""
-    table = [] if projected is None else [projected]
-    if s.placeholder_positions:
-        table.append(filler)
-    rows = iter(range(s.class_count))
-    index = [next(rows) if isinstance(slot, ClassSlot) else s.class_count
-             for slot in s.slots]
-    return take_rows(table[0] if len(table) == 1 else concat_rows(table), index)
+def _realize(s: SupportSequence, projected: Tensor, filler: Tensor) -> Tensor:
+    """Sequence rows in position order with one gather: row i of
+    ``projected`` at the i-th class position, the ``filler`` row at every
+    placeholder. The filler enters the graph only when the sequence has
+    placeholders."""
+    table = concat_rows([projected, filler]) if s.placeholder_positions else projected
+    return take_rows(table, s.gather_index)
 
 
 def build_key_sequence(s: SupportSequence, w_key: Tensor,
@@ -176,21 +144,17 @@ def build_key_sequence(s: SupportSequence, w_key: Tensor,
     """Key-side realization of the sequence: projected class features with the
     background token dropped in *unprojected* at every placeholder."""
     d = token.dim
-    projected = None
-    if s.class_count:
-        projected = matmul(s.class_feature_matrix(), transpose(w_key))
-        if projected.shape[1] != d:
-            raise ShapeError(
-                f"key projection output {projected.shape} does not match token dim {d}")
+    projected = matmul(s.features, transpose(w_key))
+    if projected.shape[1] != d:
+        raise ShapeError(
+            f"key projection output {projected.shape} does not match token dim {d}")
     return _realize(s, projected, reshape(token.vector, (1, d)))
 
 
 def build_value_sequence(s: SupportSequence, w3: Tensor) -> Tensor:
     """Value-side realization: projected class features, exact zero rows at
     placeholders (the zero rows are constants and carry no gradient)."""
-    if s.class_count == 0:
-        return Tensor(np.zeros((len(s), w3.shape[0])))
-    projected = matmul(s.class_feature_matrix(), transpose(w3))
+    projected = matmul(s.features, transpose(w3))
     return _realize(s, projected, Tensor(np.zeros((1, projected.shape[1]))))
 
 
@@ -205,7 +169,7 @@ def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken
     if keys.shape[1] != d:
         raise ShapeError(f"sequence dim {keys.shape[1]} does not match d={d}")
     out, attn = attention(keys, keys, values, heads)
-    return RefinedFeatures(per_position_output=out, attention=Tensor(attn))
+    return RefinedFeatures(per_position_output=out, attention=attn)
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
@@ -224,16 +188,15 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
     refined = ffn_apply(fused, fusion.ffn)
     if refined.shape != (q_patches.shape[0], d):
         raise ShapeError(f"refined output {refined.shape} != ({q_patches.shape[0]}, {d})")
-    return RefinedFeatures(per_position_output=out, attention=Tensor(attn),
+    return RefinedFeatures(per_position_output=out, attention=attn,
                            refined=refined)
 
 
-def background_attention_mass(attention: np.ndarray | Tensor,
+def background_attention_mass(attention: np.ndarray,
                               s: SupportSequence) -> np.ndarray:
     """Per row of the attention matrix, the mass spent on placeholder
     positions (diagnostic; zero vector when the sequence has none)."""
-    attn = attention.data if isinstance(attention, Tensor) else np.asarray(attention)
     positions = s.placeholder_positions
     if not positions:
-        return np.zeros(attn.shape[0])
-    return attn[:, positions].sum(axis=1)
+        return np.zeros(attention.shape[0])
+    return attention[:, positions].sum(axis=1)

@@ -30,7 +30,7 @@ class ClassFeatureSpace:
 
 @dataclass
 class SupportClassFeatures:
-    """Support-branch output rows for class slots only (no placeholders)."""
+    """Support-branch output rows for class positions only (no placeholders)."""
 
     features: Tensor
 

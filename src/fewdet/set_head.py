@@ -291,14 +291,9 @@ def decode_detections(out: DetectionOutput, s: SupportSequence,
     class_positions = s.class_positions
     if not class_positions:
         return []
-    probs = out.position_probs.data
+    probs = out.position_probs.data[:, class_positions]
+    best = np.argmax(probs, axis=1)
+    scores = probs[np.arange(len(best)), best]
     boxes = out.boxes.data
-    detections = []
-    for q in range(out.num_queries):
-        row = probs[q, class_positions]
-        best = int(np.argmax(row))
-        score = float(row[best])
-        if score >= score_threshold:
-            class_id = s.slots[class_positions[best]].class_id
-            detections.append((class_id, score, boxes[q].copy()))
-    return detections
+    return [(s.class_ids[best[q]], float(scores[q]), boxes[q].copy())
+            for q in np.flatnonzero(scores >= score_threshold)]

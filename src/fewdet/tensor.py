@@ -50,10 +50,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...],
                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> "Tensor":
         out = Tensor.__new__(Tensor)
@@ -89,10 +85,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def detach(self) -> "Tensor":
-        """A constant copy of this tensor, outside the recorded graph."""
-        return Tensor(self.data.copy())
 
     # -- backward pass ----------------------------------------------------------
 

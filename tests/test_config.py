@@ -66,3 +66,4 @@ def test_resolved_model_derives_benchmark_fields():
     cfg = run.resolved_model()
     assert cfg.input_dim == 24
     assert cfg.num_class_embeddings == 6
+    assert cfg.n_max == 4

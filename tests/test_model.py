@@ -10,7 +10,6 @@ from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
                           extract_features, forward, init_model_state,
                           run_inference, train_step, training_episode,
                           zero_model_state)
-from fewdet.obd import BackgroundPlaceholder, ClassSlot
 from fewdet.optim import AdamState
 
 
@@ -47,9 +46,7 @@ class TestExtractFeatures:
         ep = generate_episode(spec, 0, "train")
         state = init_model_state(cfg)
         _, seq = extract_features(ep, state, cfg)
-        assert isinstance(seq.slots[0], ClassSlot)
-        assert isinstance(seq.slots[1], BackgroundPlaceholder)
-        assert isinstance(seq.slots[2], BackgroundPlaceholder)
+        assert seq.layout == (int(ep.class_ids[0]), None, None)
 
     def test_identity_embedder_passthrough(self):
         spec = micro_spec()
@@ -59,7 +56,7 @@ class TestExtractFeatures:
         state.params["embed.weight"].data[:] = np.eye(8)
         _, seq = extract_features(ep, state, cfg)
         # support features pass through the identity map unchanged
-        feats = seq.class_feature_matrix().data
+        feats = seq.features.data
         np.testing.assert_allclose(feats, ep.support, atol=1e-12)
 
     def test_deterministic(self):
@@ -69,7 +66,7 @@ class TestExtractFeatures:
         ep = generate_episode(spec, 5, "train")
         a, _ = extract_features(ep, state, cfg)
         b, _ = extract_features(ep, state, cfg)
-        np.testing.assert_array_equal(a.patches.data, b.patches.data)
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestForward:
@@ -196,7 +193,7 @@ class TestAblationVariants:
         spec = micro_spec()
         ep = training_episode(generate_episode(spec, 0, "train"), cfg, 0)
         _, seq = extract_features(ep, init_model_state(cfg), cfg)
-        assert len(seq) == 1 and seq.placeholder_positions == []
+        assert len(seq) == 1 and seq.placeholder_positions == ()
 
     def test_obd_only_zeroes_ood(self):
         cfg = ablation_variant(micro_cfg(), "+OBD")

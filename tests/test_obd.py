@@ -1,28 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewdet.errors import ShapeError
-from fewdet.obd import (BG, BackgroundToken, ClassSlot, OfeFusion,
-                        OfeProjections, SupportSequence,
+from fewdet.obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
                         background_attention_mass, build_key_sequence,
                         build_value_sequence, ofe_query, ofe_support)
 from fewdet.tensor import FfnParams, Tensor, tsum
 
 
 def make_sequence(features, ids, placeholders_at=()):
-    """Class slots in order, with placeholders inserted at given positions."""
-    slots = []
-    feat_iter = iter(zip(ids, features))
-    n = len(features) + len(placeholders_at)
-    for pos in range(n):
-        if pos in placeholders_at:
-            slots.append(BG)
-        else:
-            cid, feat = next(feat_iter)
-            slots.append(ClassSlot(cid, Tensor(np.asarray(feat, dtype=float),
-                                               requires_grad=True)))
-    return SupportSequence(slots)
+    """Class positions in order, with placeholders inserted at given positions."""
+    features = np.asarray(features, dtype=float)
+    id_iter = iter(ids)
+    layout = tuple(None if pos in placeholders_at else next(id_iter)
+                   for pos in range(len(features) + len(placeholders_at)))
+    return SupportSequence(layout, Tensor(features, requires_grad=True))
 
 
 def random_projections(rng, d, requires_grad=True):
@@ -54,7 +49,7 @@ class TestBuildSequences:
     def test_all_placeholder_single_row_is_token_verbatim(self):
         d = 4
         token_vec = np.arange(float(d))
-        seq = SupportSequence([BG])
+        seq = make_sequence(np.zeros((0, d)), [], placeholders_at=(0,))
         keys = build_key_sequence(seq, Tensor(np.eye(d)),
                                   BackgroundToken(Tensor(token_vec)))
         np.testing.assert_array_equal(keys.data, token_vec[None, :])
@@ -84,7 +79,7 @@ class TestBuildSequences:
         np.testing.assert_allclose(values.data[2], feats[1])
 
     def test_all_placeholders_zero_matrix(self):
-        seq = SupportSequence([BG, BG])
+        seq = make_sequence(np.zeros((0, 3)), [], placeholders_at=(0, 1))
         values = build_value_sequence(seq, Tensor(np.eye(3)))
         np.testing.assert_array_equal(values.data, np.zeros((2, 3)))
 
@@ -98,7 +93,7 @@ class TestBuildSequences:
         seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders_at=(1,))
         proj = random_projections(rng, d)
         ref = ofe_support(seq, proj, token, d)
-        frozen_attention = Tensor(ref.attention.data)
+        frozen_attention = Tensor(ref.attention)
         values = build_value_sequence(seq, proj.w3)
         from fewdet.tensor import matmul
         out = matmul(frozen_attention, values)
@@ -115,7 +110,7 @@ class TestOfeSupport:
         proj = random_projections(rng, d)
         token = BackgroundToken(Tensor(rng.normal(size=d)))
         ref = ofe_support(seq, proj, token, d)
-        np.testing.assert_array_equal(ref.attention.data, [[1.0]])
+        np.testing.assert_array_equal(ref.attention, [[1.0]])
         np.testing.assert_allclose(ref.per_position_output.data,
                                    feats @ proj.w3.data.T, rtol=1e-12)
 
@@ -132,7 +127,7 @@ class TestOfeSupport:
         proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
         ref = ofe_support(seq, proj, BackgroundToken(Tensor(token_vec)), d)
         e = np.e
-        np.testing.assert_allclose(ref.attention.data[0],
+        np.testing.assert_allclose(ref.attention[0],
                                    [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
         np.testing.assert_allclose(ref.per_position_output.data[0],
                                    (e / (e + 1)) * c, rtol=1e-12)
@@ -144,7 +139,7 @@ class TestOfeSupport:
         seq = make_sequence([c, c], [0, 1], placeholders_at=(2,))
         proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
         ref = ofe_support(seq, proj, BackgroundToken(Tensor(c)), d)
-        np.testing.assert_allclose(ref.attention.data, np.full((3, 3), 1 / 3),
+        np.testing.assert_allclose(ref.attention, np.full((3, 3), 1 / 3),
                                    rtol=1e-12)
 
     def test_reduces_to_standard_self_attention_without_placeholders(self):
@@ -200,7 +195,7 @@ class TestOfeQuery:
                                      Tensor(np.zeros((d, d))), Tensor(np.zeros(d))))
         token = BackgroundToken(Tensor(np.zeros(d)))
         ref = ofe_query(Tensor(np.zeros((p, d))), seq, proj, token, d, fusion)
-        np.testing.assert_allclose(ref.attention.data, np.full((p, n), 1 / n))
+        np.testing.assert_allclose(ref.attention, np.full((p, n), 1 / n))
         values = build_value_sequence(seq, proj.w3)
         np.testing.assert_allclose(ref.per_position_output.data,
                                    np.tile(values.data.mean(axis=0), (p, 1)))
@@ -216,7 +211,7 @@ class TestOfeQuery:
         patch = np.zeros((1, d))
         patch[0, 0] = 50.0  # huge dot product with class 0's key only
         ref = ofe_query(Tensor(patch), seq, proj, token, d, fusion)
-        assert ref.attention.data[0, 0] > 1.0 - 1e-10
+        assert ref.attention[0, 0] > 1.0 - 1e-10
         np.testing.assert_allclose(ref.per_position_output.data[0],
                                    feats[0], rtol=1e-8)
 
@@ -249,7 +244,7 @@ class TestOfeQuery:
         hidden = hidden / (1.0 + np.exp(-hidden))
         expected = fused + hidden @ w2 + b2
 
-        np.testing.assert_allclose(ref.attention.data, attn, rtol=1e-10)
+        np.testing.assert_allclose(ref.attention, attn, rtol=1e-10)
         np.testing.assert_allclose(ref.refined.data, expected, rtol=1e-9)
 
     def test_refined_shape_independent_of_n(self):
@@ -273,7 +268,7 @@ class TestBackgroundMass:
         np.testing.assert_array_equal(mass, np.zeros(4))
 
     def test_all_placeholders(self):
-        seq = SupportSequence([BG, BG])
+        seq = make_sequence(np.zeros((0, 3)), [], placeholders_at=(0, 1))
         mass = background_attention_mass(np.full((3, 2), 0.5), seq)
         np.testing.assert_allclose(mass, np.ones(3))
 
@@ -295,17 +290,19 @@ def test_permutation_equivariance(c, extra, seed, heads):
     proj = random_projections(rng, d, requires_grad=False)
     token = BackgroundToken(Tensor(rng.normal(size=d)))
 
-    slots = [ClassSlot(i, Tensor(feats[i])) for i in range(c)] + [BG] * extra
-    perm = rng.permutation(len(slots))
-    base = SupportSequence(list(slots))
-    permuted = SupportSequence([slots[i] for i in perm])
+    layout = tuple(range(c)) + (None,) * extra
+    perm = rng.permutation(len(layout))
+    base = SupportSequence(layout, Tensor(feats))
+    permuted_layout = tuple(layout[i] for i in perm)
+    permuted = SupportSequence(permuted_layout, Tensor(
+        feats[[cid for cid in permuted_layout if cid is not None]]))
 
     ref_a = ofe_support(base, proj, token, d, heads=heads)
     ref_b = ofe_support(permuted, proj, token, d, heads=heads)
     np.testing.assert_allclose(ref_b.per_position_output.data,
                                ref_a.per_position_output.data[perm], atol=1e-12)
-    np.testing.assert_allclose(ref_b.attention.data,
-                               ref_a.attention.data[np.ix_(perm, perm)], atol=1e-12)
+    np.testing.assert_allclose(ref_b.attention,
+                               ref_a.attention[np.ix_(perm, perm)], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -321,9 +318,9 @@ def test_attention_rows_stochastic(c, extra, p, seed):
     fusion = random_fusion(np.random.default_rng(seed + 1), d)
     sup = ofe_support(seq, proj, token, d)
     qry = ofe_query(Tensor(rng.normal(size=(p, d))), seq, proj, token, d, fusion)
-    np.testing.assert_allclose(sup.attention.data.sum(axis=1),
+    np.testing.assert_allclose(sup.attention.sum(axis=1),
                                np.ones(len(seq)), atol=1e-9)
-    np.testing.assert_allclose(qry.attention.data.sum(axis=1),
+    np.testing.assert_allclose(qry.attention.sum(axis=1),
                                np.ones(p), atol=1e-9)
 
 
@@ -336,16 +333,52 @@ def test_sequence_keeps_given_feature_matrix():
     rng = np.random.default_rng(12)
     d = 4
     feats = Tensor(rng.normal(size=(2, d)), requires_grad=True)
-    seq = SupportSequence([ClassSlot(3), BG, ClassSlot(5)], feats)
-    assert seq.class_feature_matrix() is feats
+    seq = SupportSequence((3, None, 5), feats)
+    assert seq.features is feats and len(seq) == 3
+    assert seq.class_positions == (0, 2) and seq.placeholder_positions == (1,)
+    assert seq.class_ids == (3, 5) and seq.gather_index == (0, 2, 1)
+    assert seq.position_of_class(3) == 0 and seq.position_of_class(5) == 2
+    for absent in (4, None):
+        with pytest.raises(KeyError):
+            seq.position_of_class(absent)
     w = rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
     keys = build_key_sequence(seq, Tensor(w), BackgroundToken(Tensor(token_vec)))
     np.testing.assert_allclose(keys.data, np.vstack([feats.data[0] @ w.T, token_vec,
                                                      feats.data[1] @ w.T]), rtol=1e-12)
-    replaced = seq.with_class_features(Tensor(np.zeros((2, d))))
-    assert replaced.class_ids == [3, 5] and replaced.placeholder_positions == [1]
+    replaced = dataclasses.replace(seq, features=Tensor(np.zeros((2, d))))
+    assert replaced.layout == seq.layout and replaced.class_ids == (3, 5)
+    assert replaced.placeholder_positions == (1,)
     with pytest.raises(ShapeError):
-        seq.with_class_features(Tensor(np.zeros((3, d))))
+        dataclasses.replace(seq, features=Tensor(np.zeros((3, d))))
     with pytest.raises(ShapeError):
-        SupportSequence([ClassSlot(3), BG])  # neither slot features nor a matrix
+        SupportSequence((3, None), Tensor(np.zeros(d)))  # a vector, not (C, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=8),
+       st.integers(0, 2 ** 31 - 1))
+def test_key_and_value_rows_follow_layout(is_placeholder, seed):
+    """Placeholders anywhere among the class positions: class rows are the
+    projected features in class order, placeholder rows the raw token on the
+    key side and exact zeros on the value side."""
+    placeholders_at = tuple(i for i, p in enumerate(is_placeholder) if p)
+    n = len(is_placeholder)
+    c = n - len(placeholders_at)
+    rng = np.random.default_rng(seed)
+    d = 4
+    feats = rng.normal(size=(c, d))
+    seq = make_sequence(feats, [10 + i for i in range(c)], placeholders_at)
+    w, w3 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    token_vec = rng.normal(size=d)
+    keys = build_key_sequence(seq, Tensor(w), BackgroundToken(Tensor(token_vec)))
+    values = build_value_sequence(seq, Tensor(w3))
+    assert keys.shape == values.shape == (n, d)
+    assert seq.placeholder_positions == placeholders_at
+    np.testing.assert_allclose(keys.data[list(seq.class_positions)], feats @ w.T,
+                               rtol=1e-12)
+    np.testing.assert_allclose(values.data[list(seq.class_positions)], feats @ w3.T,
+                               rtol=1e-12)
+    for pos in placeholders_at:
+        np.testing.assert_array_equal(keys.data[pos], token_vec)
+        np.testing.assert_array_equal(values.data[pos], np.zeros(d))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewdet.errors import NumericError, ShapeError
-from fewdet.obd import BG, ClassSlot, SupportSequence
+from fewdet.obd import SupportSequence
 from fewdet.set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
                              decode_detections, giou_pairs, hungarian_match,
                              match_cost, set_loss)
@@ -46,9 +46,24 @@ def random_cost(rng, m, g, kind):
 
 def sequence(ids, placeholders=1, d=4, rng=None):
     rng = rng or np.random.default_rng(0)
-    slots = [ClassSlot(cid, Tensor(rng.normal(size=d))) for cid in ids]
-    slots += [BG] * placeholders
-    return SupportSequence(slots)
+    return SupportSequence(tuple(ids) + (None,) * placeholders,
+                           Tensor(rng.normal(size=(len(ids), d))))
+
+
+def decode_reference(out, s, score_threshold):
+    """The per-query loop that decode_detections replaced."""
+    class_positions = list(s.class_positions)
+    if not class_positions:
+        return []
+    detections = []
+    for q in range(out.num_queries):
+        row = out.position_probs.data[q, class_positions]
+        best = int(np.argmax(row))
+        score = float(row[best])
+        if score >= score_threshold:
+            detections.append((s.layout[class_positions[best]], score,
+                               out.boxes.data[q].copy()))
+    return detections
 
 
 def output(probs, boxes):
@@ -350,3 +365,24 @@ class TestDecode:
         out = output(rng.uniform(0.01, 0.99, size=(7, 3)),
                      rng.uniform(0.3, 0.7, size=(7, 4)))
         assert len(decode_detections(out, seq, 0.0)) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=6), st.integers(0, 12),
+           st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 31 - 1))
+    def test_matches_per_query_loop(self, is_placeholder, m, threshold, seed):
+        """Probabilities drawn from a few levels, 1.0 included, so rows tie
+        exactly and the threshold-1 case emits."""
+        rng = np.random.default_rng(seed)
+        layout = tuple(None if p else 20 + i for i, p in enumerate(is_placeholder))
+        class_count = sum(c is not None for c in layout)
+        seq = SupportSequence(layout, Tensor(np.zeros((class_count, 4))))
+        probs = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, len(layout)))
+        out = DetectionOutput(boxes=Tensor(rng.uniform(0.3, 0.7, size=(m, 4))),
+                              position_probs=Tensor(probs),
+                              position_logits=Tensor(np.zeros_like(probs)))
+        got = decode_detections(out, seq, threshold)
+        want = decode_reference(out, seq, threshold)
+        assert [(c, sc) for c, sc, _ in got] == [(c, sc) for c, sc, _ in want]
+        assert all(type(c) is int and type(sc) is float for c, sc, _ in got)
+        for (_, _, box), (_, _, ref_box) in zip(got, want):
+            np.testing.assert_array_equal(box, ref_box)
