@@ -1,4 +1,4 @@
-"""Named-tensor container and model checkpoints.
+"""Model checkpoints: a JSON config record plus a named-tensor container.
 
 Container layout (all integers little-endian):
   magic "FDNT" | u32 format version | u32 tensor count
@@ -90,22 +90,6 @@ def _write_atomic(path, data: bytes | memoryview) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def save_tensors(path, tensors: dict[str, "np.ndarray | Tensor"]) -> None:
-    arrays = {k: (v.data if isinstance(v, Tensor) else np.asarray(v))
-              for k, v in tensors.items()}
-    buf = io.BytesIO()
-    _write_container(buf, arrays)
-    _write_atomic(path, buf.getbuffer())
-
-
-def load_tensors(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            return _read_container(fh)
-    except OSError as exc:
-        raise CorruptionError(f"cannot read tensor container {path}: {exc}") from exc
 
 
 def save_checkpoint(path, config: dict, tensors: dict[str, "np.ndarray | Tensor"]) -> None:

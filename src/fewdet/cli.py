@@ -1,9 +1,17 @@
-"""Command-line interface.
+"""Command-line interface. Every verb reads --config (a YAML run
+configuration) and the flags listed with it; any other flag is a usage error.
 
-Verbs: gen (materialize episode files), train (base training plus optional
-fine-tuning, with JSONL metrics log and checkpoints), eval (metric report
-for a checkpoint), ablate (three-variant comparison on one fixed benchmark),
-gradcheck (finite-difference audit of every primitive and the full loss).
+  gen        episode file; data seed from the config's benchmark.seed:
+             --out --count --split --start-index
+  train      base training plus optional fine-tuning, a JSONL metrics log and
+             a checkpoint: --seed --out --variant --checkpoint (resume, with
+             the checkpoint's settings)
+  eval       metric report for a checkpoint, on its settings unless --config
+             is given: --out --checkpoint --episodes
+  ablate     three variants on one fixed benchmark, one model per config
+             ablate_seeds entry: --out
+  gradcheck  finite-difference audit of every primitive and the full loss;
+             writes nothing: --seed
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric failure,
 3 I/O or corruption.
@@ -40,10 +48,12 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed: bool = False, out: bool = True):
         p.add_argument("--config", help="YAML run configuration file")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--out", help="override output directory")
+        if seed:
+            p.add_argument("--seed", type=int, help="override config seed")
+        if out:
+            p.add_argument("--out", help="override output directory")
 
     p_gen = sub.add_parser("gen", help="materialize a benchmark episode file")
     common(p_gen)
@@ -52,7 +62,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--start-index", type=int, default=0)
 
     p_train = sub.add_parser("train", help="train a model, emit checkpoint + log")
-    common(p_train)
+    common(p_train, seed=True)
     p_train.add_argument("--checkpoint", help="resume from this checkpoint")
     p_train.add_argument("--variant", default="+OBD+OOD", choices=VARIANTS)
 
@@ -66,19 +76,16 @@ def build_parser() -> _Parser:
     common(p_ablate)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    common(p_gc)
+    common(p_gc, seed=True, out=False)
     p_gc.add_argument("--inject-fault", help=argparse.SUPPRESS)
 
     return parser
 
 
 def _load_run(args) -> RunConfig:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    return load_run_config(args.config, overrides)
+    flags = {"seed": vars(args).get("seed"), "out_dir": vars(args).get("out")}
+    return load_run_config(args.config,
+                           {k: v for k, v in flags.items() if v is not None})
 
 
 def _out_dir(run: RunConfig) -> Path:
@@ -135,8 +142,6 @@ def cmd_eval(args) -> int:
 
     ckpt_run, result = load_run_checkpoint(args.checkpoint)
     run = ckpt_run if args.config is None else _load_run(args)
-    if args.seed is not None:
-        run = dataclasses.replace(run, seed=args.seed)
     if args.out is not None:
         run = dataclasses.replace(run, out_dir=args.out)
     out = _out_dir(run)
@@ -165,12 +170,11 @@ def cmd_ablate(args) -> int:
     run = _load_run(args)
     out = _out_dir(run)
     outcomes = run_ablation(run, log=print)
-    table = ablation_table(outcomes)
     summary = ablation_summary(outcomes)
     summary["config"] = run_config_to_dict(run)
     _write_atomic(out / "ablation.json",
                   json.dumps(summary, indent=2, sort_keys=True).encode("utf-8"))
-    print(table)
+    print(ablation_table(summary))
     print(f"summary: {out / 'ablation.json'}")
     return EXIT_OK
 

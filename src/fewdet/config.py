@@ -1,6 +1,11 @@
 """Run configuration: one YAML file with nested sections, every field
 defaulted, unknown keys rejected. Precedence is flags > file > defaults;
 the CLI passes its flag overrides into :func:`load_run_config`.
+
+Seeds: the top-level ``seed`` initialises the model, ``benchmark.seed``
+generates the episodes, and ``ablate_seeds`` seed the ablation's models.
+Every setting has one source: a file that sets a ``model`` key derived from
+another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -45,13 +50,23 @@ class RunConfig:
     def resolved_model(self) -> ModelConfig:
         """Model config with the fields that must agree with the benchmark
         (input dim, class-embedding rows, support sequence length) derived
-        from it."""
+        from it, seeded by the top-level seed."""
         return dataclasses.replace(
             self.model,
             input_dim=self.benchmark.feature_dim,
             num_class_embeddings=2 * self.benchmark.class_count,
             n_max=self.benchmark.capacity,
-            seed=self.seed if self.model.seed == 0 else self.model.seed)
+            seed=self.seed)
+
+
+# ``model`` keys a config file may not set, and where each value comes from.
+DERIVED_MODEL_KEYS = {
+    "input_dim": "benchmark.feature_dim",
+    "num_class_embeddings": "benchmark.class_count (twice it)",
+    "n_max": "benchmark.capacity",
+    "seed": "the top-level seed",
+    "single_class_mode": "the variant (only baseline sets it)",
+}
 
 
 _SECTION_TYPES = {
@@ -67,6 +82,10 @@ def _build_section(cls, values: dict, section: str):
     unknown = set(values) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
+    derived = sorted(set(values) & set(DERIVED_MODEL_KEYS)) if cls is ModelConfig else []
+    if derived:
+        raise ConfigError("derived key(s) in 'model' cannot be set: " + "; ".join(
+            f"{key} comes from {DERIVED_MODEL_KEYS[key]}" for key in derived))
     if cls is ModelConfig and "weights" in values:
         w = values["weights"]
         walowed = {f.name for f in dataclasses.fields(Weights)}
@@ -103,6 +122,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
 def run_config_to_dict(cfg: RunConfig) -> dict:
     data = dataclasses.asdict(cfg)
     data["ablate_seeds"] = list(cfg.ablate_seeds)
+    for key in DERIVED_MODEL_KEYS:
+        del data["model"][key]
     return data
 
 

@@ -186,10 +186,9 @@ def generate_episode(spec: BenchmarkSpec, index: int, split: str = "train") -> E
     boxes = np.zeros((count, 4))
     labels = np.zeros(count, dtype=np.int64)
     for i, ((r0, c0, h, w), cls) in enumerate(zip(rects, object_classes)):
-        proto = protos[cls]
-        for r in range(r0, r0 + h):
-            for col in range(c0, c0 + w):
-                patches[r * cols + col] = proto + spec.noise_std * rng.normal(size=d)
+        # Row-major over the rectangle: the draw order of one normal per patch.
+        rect = (np.arange(r0, r0 + h)[:, None] * cols + np.arange(c0, c0 + w)).ravel()
+        patches[rect] = protos[cls] + spec.noise_std * rng.normal(size=(h * w, d))
         boxes[i] = [(c0 + w / 2) / cols, (r0 + h / 2) / rows, w / cols, h / rows]
         labels[i] = ids[cls]
 

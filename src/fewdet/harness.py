@@ -19,15 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, run_config_to_dict
+from .config import (DERIVED_MODEL_KEYS, RunConfig, run_config_from_dict,
+                     run_config_to_dict)
 from .episodes import Episode, class_id_range, generate_episode
 from .errors import CorruptionError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
-                    forward, init_model_state, run_inference, train_step,
-                    training_episode)
+                    forward, init_model_state, parameter_shapes, run_inference,
+                    train_step, training_episode)
 from .ood import min_interclass_separation
-from .optim import AdamState
+from .optim import BETA1, BETA2, EPSILON, AdamState
+from .set_head import Weights
 from .tensor import Tensor, no_grad
 
 # Evaluation keeps every query's best guess, so precision/recall curves are
@@ -82,8 +84,6 @@ def train_run(run: RunConfig, cfg: ModelConfig | None = None,
 class EvalDiagnostics:
     """Attention/feature statistics collected alongside the metric sweep."""
 
-    bg_mass_background: list[float] = field(default_factory=list)
-    bg_mass_object: list[float] = field(default_factory=list)
     episodes_bg_dominant: int = 0
     episodes_with_diag: int = 0
     separations: list[float] = field(default_factory=list)
@@ -100,8 +100,7 @@ class EvalDiagnostics:
 
 
 def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
-                   episodes: list[Episode] | None = None,
-                   collect_diagnostics: bool = True
+                   episodes: list[Episode] | None = None
                    ) -> tuple[EvalReport, EvalDiagnostics]:
     """Run inference over evaluation episodes at ``EVAL_SCORE_THRESHOLD``
     and compute the metric report."""
@@ -117,18 +116,14 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
             dets.append(Detection(ep.index, class_id, score, box))
         for box, label in zip(ep.boxes, ep.labels):
             gts.append(GtRecord(ep.index, int(label), box.copy()))
-        if collect_diagnostics and not cfg.single_class_mode:
+        if not cfg.single_class_mode:
             with no_grad():
                 _, feats, fdiag = forward(ep, state, cfg)
             mask = ep.object_patch_mask()
             mass = fdiag["background_mass"][-1]
             if mask.any() and (~mask).any():
-                bg_mean = float(mass[~mask].mean())
-                obj_mean = float(mass[mask].mean())
-                diag.bg_mass_background.append(bg_mean)
-                diag.bg_mass_object.append(obj_mean)
                 diag.episodes_with_diag += 1
-                if bg_mean > obj_mean:
+                if mass[~mask].mean() > mass[mask].mean():
                     diag.episodes_bg_dominant += 1
             if feats.class_count >= 2:
                 diag.separations.append(min_interclass_separation(feats))
@@ -143,8 +138,6 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
 def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]:
     config = {"run": run_config_to_dict(run), "step": result.steps_done,
               "adam": {"learning_rate": result.opt.learning_rate,
-                       "beta1": result.opt.beta1, "beta2": result.opt.beta2,
-                       "epsilon": result.opt.epsilon,
                        "step_count": result.opt.step_count},
               "variant_model": dataclasses.asdict(result.cfg)}
     tensors: dict[str, np.ndarray] = {name: p.data for name, p in
@@ -162,29 +155,43 @@ def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
 
 
 def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
-    from .config import run_config_from_dict
-    from .set_head import Weights
-
     config, tensors = load_checkpoint(path)
     try:
-        # Checkpoints written before score_threshold was removed carry it.
+        # Older checkpoints carry retired keys: training.score_threshold, the
+        # derived model keys and Adam constants, which must match adam_step's.
         run_data = dict(config["run"])
         run_data["training"] = {k: v for k, v in run_data.get("training", {}).items()
                                 if k != "score_threshold"}
+        run_data["model"] = {k: v for k, v in run_data.get("model", {}).items()
+                             if k not in DERIVED_MODEL_KEYS}
         run = run_config_from_dict(run_data)
         vm = dict(config["variant_model"])
         vm["weights"] = Weights(**vm["weights"])
         cfg = ModelConfig(**vm)
         step = int(config["step"])
         adam_meta = config["adam"]
+        for key, value in (("beta1", BETA1), ("beta2", BETA2), ("epsilon", EPSILON)):
+            if adam_meta.get(key, value) != value:
+                raise CorruptionError(f"{path}: adam {key} is {adam_meta[key]}, "
+                                      f"the optimiser uses {value}")
+        opt = AdamState(learning_rate=adam_meta["learning_rate"],
+                        step_count=adam_meta["step_count"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc
 
+    expected = parameter_shapes(cfg)
+    shapes = {prefix + name: shape for prefix in ("", "adam.m.", "adam.v.")
+              for name, shape in expected.items()}
+    missing = sorted(set(expected) - set(tensors))
+    extra = sorted(set(tensors) - set(shapes))
+    if missing or extra:
+        raise CorruptionError(f"{path}: tensor names do not match config "
+                              f"(missing {missing}, unexpected {extra})")
+    for name, arr in tensors.items():
+        if arr.shape != shapes[name]:
+            raise CorruptionError(f"{path}: '{name}' has shape {arr.shape}, "
+                                  f"the config gives {shapes[name]}")
     params: dict[str, Tensor] = {}
-    opt = AdamState(learning_rate=adam_meta["learning_rate"],
-                    beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
-                    epsilon=adam_meta["epsilon"],
-                    step_count=adam_meta["step_count"])
     for name, arr in tensors.items():
         if name.startswith("adam.m."):
             opt.first_moment[name[len("adam.m."):]] = arr
@@ -192,15 +199,12 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
             opt.second_moment[name[len("adam.v."):]] = arr
         else:
             params[name] = Tensor(arr, requires_grad=True)
-
-    from .model import parameter_shapes
-    expected = parameter_shapes(cfg)
-    if set(expected) != set(params):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
+    # Moments may cover only some parameters: one that never had a gradient
+    # (the baseline's background token) has none.
+    if set(opt.first_moment) != set(opt.second_moment):
         raise CorruptionError(
-            f"{path}: parameter names do not match config "
-            f"(missing {missing}, unexpected {extra})")
+            f"{path}: adam.m and adam.v differ for "
+            f"{sorted(set(opt.first_moment) ^ set(opt.second_moment))}")
     state = ModelState(params, cfg)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
@@ -227,9 +231,7 @@ def run_ablation(run: RunConfig, variants=VARIANTS,
     for variant in variants:
         for seed in run.ablate_seeds:
             seeded = dataclasses.replace(run, seed=int(seed))
-            cfg = ablation_variant(
-                dataclasses.replace(seeded.resolved_model(), seed=int(seed)),
-                variant)
+            cfg = ablation_variant(seeded.resolved_model(), variant)
             start = time.perf_counter()
             result = train_run(seeded, cfg=cfg)
             report, diag = evaluate_model(result.state, cfg, seeded)
@@ -247,45 +249,38 @@ def run_ablation(run: RunConfig, variants=VARIANTS,
     return outcomes
 
 
-def ablation_table(outcomes: list[VariantOutcome]) -> str:
-    lines = [f"{'variant':12s} {'mAP@0.5':>10s} {'mAP@[0.5:0.95]':>16s} "
-             f"{'bg-dominance':>13s} {'separation':>11s}"]
-    for variant in dict.fromkeys(o.variant for o in outcomes):
-        rows = [o for o in outcomes if o.variant == variant]
-        map50 = np.mean([o.map_50 for o in rows])
-        band = np.mean([o.map_band for o in rows])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            dom = np.nanmean([o.bg_dominance_rate for o in rows])
-            sep = np.nanmean([o.mean_separation for o in rows])
-        lines.append(f"{variant:12s} {map50:10.4f} {band:16.4f} "
-                     f"{dom:13.3f} {sep:11.4f}")
-    return "\n".join(lines)
-
-
 def _json_safe(value: float) -> float | None:
     return None if isinstance(value, float) and np.isnan(value) else value
+
+
+# Each outcome column and how a variant's seeds are averaged: the
+# diagnostics are NaN for the single-class baseline, so they skip NaNs.
+_MEAN_COLUMNS = (("map_50", np.mean), ("map_band", np.mean),
+                 ("bg_dominance_rate", np.nanmean), ("mean_separation", np.nanmean))
 
 
 def ablation_summary(outcomes: list[VariantOutcome]) -> dict:
     """JSON-serializable summary; NaN diagnostics (e.g. for the single-class
     baseline, which has no placeholders) become null."""
-    rows = []
-    for o in outcomes:
-        row = dataclasses.asdict(o)
-        row = {k: _json_safe(v) for k, v in row.items()}
-        rows.append(row)
-    summary: dict = {"rows": rows, "mean": {}}
+    summary: dict = {"rows": [{k: _json_safe(v) for k, v in dataclasses.asdict(o).items()}
+                              for o in outcomes], "mean": {}}
     for variant in dict.fromkeys(o.variant for o in outcomes):
         group = [o for o in outcomes if o.variant == variant]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary["mean"][variant] = {
-                "map_50": _json_safe(float(np.mean([o.map_50 for o in group]))),
-                "map_band": _json_safe(float(np.mean([o.map_band for o in group]))),
-                "bg_dominance_rate": _json_safe(
-                    float(np.nanmean([o.bg_dominance_rate for o in group]))),
-                "mean_separation": _json_safe(
-                    float(np.nanmean([o.mean_separation for o in group]))),
-            }
+                key: _json_safe(float(mean([getattr(o, key) for o in group])))
+                for key, mean in _MEAN_COLUMNS}
     return summary
+
+
+def ablation_table(summary: dict) -> str:
+    """The per-variant means of an :func:`ablation_summary`, null as nan."""
+    lines = [f"{'variant':12s} {'mAP@0.5':>10s} {'mAP@[0.5:0.95]':>16s} "
+             f"{'bg-dominance':>13s} {'separation':>11s}"]
+    for variant, mean in summary["mean"].items():
+        map50, band, dom, sep = (float("nan") if mean[key] is None else mean[key]
+                                 for key, _ in _MEAN_COLUMNS)
+        lines.append(f"{variant:12s} {map50:10.4f} {band:16.4f} "
+                     f"{dom:13.3f} {sep:11.4f}")
+    return "\n".join(lines)

@@ -224,14 +224,6 @@ class EvalReport:
         """mAP averaged over the whole threshold band."""
         return float(self.map_per_threshold.mean()) if self.ap.size else 0.0
 
-    @property
-    def confusion_normalized(self) -> np.ndarray:
-        """Row-normalized view of the confusion counts (rows that are all
-        zero stay zero)."""
-        c = self.confusion.astype(np.float64)
-        sums = c.sum(axis=1, keepdims=True)
-        return np.divide(c, sums, out=np.zeros_like(c), where=sums > 0)
-
     def to_json(self) -> str:
         payload = {
             "format_version": 1,

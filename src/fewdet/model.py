@@ -44,10 +44,12 @@ VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model hyper-parameters. ``RunConfig.resolved_model`` derives three of
-    them from the benchmark: ``input_dim`` (its ``feature_dim``),
-    ``num_class_embeddings`` (twice its ``class_count``) and ``n_max`` (its
-    ``capacity``, the support sequence length)."""
+    """Model hyper-parameters. Five of them are derived, never read from a
+    config file (``config.DERIVED_MODEL_KEYS``): ``RunConfig.resolved_model``
+    sets ``input_dim`` (the benchmark's ``feature_dim``),
+    ``num_class_embeddings`` (twice its ``class_count``), ``n_max`` (its
+    ``capacity``, the support sequence length) and ``seed`` (the run's
+    top-level seed); :func:`ablation_variant` sets ``single_class_mode``."""
 
     d: int = 64
     heads: int = 4

@@ -14,13 +14,15 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
+# Adam's decay rates and denominator floor, the defaults of Kingma & Ba.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -36,8 +38,8 @@ def adam_step(params: dict[str, Tensor],
     """
     state.step_count += 1
     t = state.step_count
-    correction1 = 1.0 - state.beta1 ** t
-    correction2 = 1.0 - state.beta2 ** t
+    correction1 = 1.0 - BETA1 ** t
+    correction2 = 1.0 - BETA2 ** t
     for name, grad in grads.items():
         param = params[name]
         if grad.shape != param.data.shape:
@@ -51,13 +53,13 @@ def adam_step(params: dict[str, Tensor],
             v = np.zeros_like(param.data)
             state.first_moment[name] = m
             state.second_moment[name] = v
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (grad * grad)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * (grad * grad)
         m_hat = m / correction1
         v_hat = v / correction2
-        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return params, state
 
 

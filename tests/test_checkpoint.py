@@ -1,8 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from fewdet.checkpoint import (load_checkpoint, load_tensors, save_checkpoint,
-                               save_tensors)
+from fewdet.checkpoint import load_checkpoint, save_checkpoint
 from fewdet.errors import CorruptionError
 from fewdet.tensor import Tensor
 
@@ -15,9 +16,9 @@ def test_tensor_container_roundtrip_bit_exact(tmp_path):
         "c.scalarish": np.array(3.25),
         "wrapped": Tensor(rng.normal(size=(2, 2, 2))),
     }
-    path = tmp_path / "tensors.fdnt"
-    save_tensors(path, tensors)
-    loaded = load_tensors(path)
+    path = tmp_path / "tensors.fdck"
+    save_checkpoint(path, {}, tensors)
+    _, loaded = load_checkpoint(path)
     assert set(loaded) == set(tensors)
     for name, value in tensors.items():
         data = value.data if isinstance(value, Tensor) else value
@@ -37,20 +38,25 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_truncated_container(tmp_path):
-    path = tmp_path / "tensors.fdnt"
-    save_tensors(path, {"w": np.ones((4, 4))})
+    path = tmp_path / "model.fdck"
+    save_checkpoint(path, {}, {"w": np.ones((4, 4))})
     blob = path.read_bytes()
     path.write_bytes(blob[:-9])
-    with pytest.raises(CorruptionError):
-        load_tensors(path)
+    with pytest.raises(CorruptionError, match="truncated"):
+        load_checkpoint(path)
 
 
 def test_bad_magic(tmp_path):
-    path = tmp_path / "bad.fdnt"
+    path = tmp_path / "bad.fdck"
     path.write_bytes(b"JUNKJUNKJUNK")
-    with pytest.raises(CorruptionError):
-        load_tensors(path)
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match="bad magic"):
+        load_checkpoint(path)
+    save_checkpoint(path, {}, {"w": np.ones(2)})
+    blob = bytearray(path.read_bytes())
+    container = blob.index(b"FDNT")
+    blob[container:container + 4] = b"JUNK"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="bad magic"):
         load_checkpoint(path)
 
 
@@ -66,7 +72,7 @@ def test_garbage_config_record(tmp_path):
 
 def test_missing_file(tmp_path):
     with pytest.raises(CorruptionError):
-        load_tensors(tmp_path / "absent.fdnt")
+        load_checkpoint(tmp_path / "absent.fdck")
 
 
 
@@ -96,7 +102,7 @@ _CLI_CONFIG = {
                   "grid_cols": 4, "feature_dim": 8, "objects_min": 1,
                   "objects_max": 2},
     "model": {"d": 8, "heads": 2, "encoder_layers": 1, "decoder_layers": 1,
-              "num_object_queries": 4, "n_max": 3},
+              "num_object_queries": 4},
     "training": {"steps": 4, "fine_tune_steps": 1, "fine_tune_episodes": 1,
                  "eval_episodes": 2, "log_interval": 2},
     "ablate_seeds": [0],
@@ -106,9 +112,6 @@ _CLI_CONFIG = {
 def _artifact_writer(save, tmp_path):
     """(path, write(value)) for one artifact writer; ``value`` changes what
     is written."""
-    if save == "tensors":
-        path = tmp_path / "model.bin"
-        return path, lambda value: save_tensors(path, {"w": np.full((64, 64), value)})
     if save == "checkpoint":
         path = tmp_path / "model.bin"
         return path, lambda value: save_checkpoint(
@@ -123,9 +126,12 @@ def _artifact_writer(save, tmp_path):
 
     out = tmp_path / "out"
     config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump({**_CLI_CONFIG, "out_dir": str(out)}))
 
-    def run(verb, *argv):
+    def run(verb, *argv, value=1.0):
+        # The value reaches the artifact through settings the verbs read.
+        training = {**_CLI_CONFIG["training"], "eval_start_index": 10_000 + int(value)}
+        config.write_text(yaml.safe_dump({**_CLI_CONFIG, "out_dir": str(out),
+                                          "seed": int(value), "training": training}))
         args = cli.build_parser().parse_args([verb, "--config", str(config), *argv])
         return getattr(cli, f"cmd_{verb}")(args)
 
@@ -136,12 +142,12 @@ def _artifact_writer(save, tmp_path):
         run("train")
         ckpt = str(out / "checkpoint.fdck")
         return (out / "eval_report.json",
-                lambda value: run("eval", "--checkpoint", ckpt, "--seed", str(int(value))))
+                lambda value: run("eval", "--checkpoint", ckpt, value=value))
     assert save == "ablation"
-    return out / "ablation.json", lambda value: run("ablate", "--seed", str(int(value)))
+    return out / "ablation.json", lambda value: run("ablate", value=value)
 
 
-@pytest.mark.parametrize("save", ["tensors", "checkpoint", "episodes", "manifest",
+@pytest.mark.parametrize("save", ["checkpoint", "episodes", "manifest",
                                   "eval_report", "ablation"])
 @pytest.mark.parametrize("failure", ["write", "replace"])
 def test_failed_save_leaves_earlier_file_intact(tmp_path, monkeypatch, save, failure):
@@ -207,11 +213,11 @@ def test_model_state_checkpoint_bit_identical_forward(tmp_path):
         np.testing.assert_array_equal(result2.opt.first_moment[name], m)
 
 
-def test_checkpoint_with_retired_score_threshold_loads(tmp_path):
-    """Checkpoints written while TrainingConfig had a score_threshold field
-    carry it in their run config; they still load, and the key is dropped."""
+@pytest.fixture(scope="module")
+def tiny_trained():
+    """(run, result) of a two-step training run on a tiny benchmark."""
     from fewdet.config import RunConfig, TrainingConfig
-    from fewdet.harness import checkpoint_payload, load_run_checkpoint, train_run
+    from fewdet.harness import train_run
     import dataclasses
 
     run = RunConfig(
@@ -220,12 +226,25 @@ def test_checkpoint_with_retired_score_threshold_loads(tmp_path):
                                       feature_dim=8),
         model=dataclasses.replace(RunConfig().model, d=8, heads=2,
                                   encoder_layers=1, decoder_layers=1,
-                                  num_object_queries=3, n_max=3),
+                                  num_object_queries=3),
         training=TrainingConfig(steps=2, fine_tune_steps=0))
     with pytest.warns(RuntimeWarning, match="more ground truths"):
         result = train_run(run)
+    return run, result
+
+
+def test_checkpoint_with_retired_score_threshold_loads(tmp_path, tiny_trained):
+    """Older checkpoints carry keys since retired: training.score_threshold,
+    the derived model keys and the Adam constants. They still load, and the
+    keys are dropped."""
+    import dataclasses
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    run, result = tiny_trained
     config, tensors = checkpoint_payload(run, result)
     config["run"]["training"]["score_threshold"] = 0.5
+    config["run"]["model"] = dataclasses.asdict(run.resolved_model())
+    config["adam"].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
     path = tmp_path / "legacy.fdck"
     save_checkpoint(path, config, tensors)
 
@@ -234,3 +253,37 @@ def test_checkpoint_with_retired_score_threshold_loads(tmp_path):
     for name in result.state.names():
         np.testing.assert_array_equal(result2.state.params[name].data,
                                       result.state.params[name].data)
+
+
+def test_checkpoint_with_other_adam_constant_is_corrupt(tmp_path, tiny_trained):
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    config["adam"].update(beta1=0.8, beta2=0.999, epsilon=1e-8)
+    path = tmp_path / "legacy.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError, match="beta1"):
+        load_run_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("embed.bias", lambda t: t.update({"embed.bias": np.zeros(1)})),
+    ("adam.v.embed.weight",
+     lambda t: t.update({"adam.v.embed.weight": np.zeros((8, 7))})),
+    ("adam.m.not.a.param", lambda t: t.update({"adam.m.not.a.param": np.zeros(8),
+                                               "adam.v.not.a.param": np.zeros(8)})),
+    ("embed.bias", lambda t: t.pop("adam.v.embed.bias")),
+], ids=["param-shape", "moment-shape", "moment-name", "moment-unpaired"])
+def test_checkpoint_tensor_that_does_not_fit_the_config_is_corrupt(
+        tmp_path, tiny_trained, name, change):
+    """Shapes are checked, not only names: numpy broadcasting would let a
+    model run on a wrongly shaped tensor."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    tensors = dict(tensors)
+    change(tensors)
+    path = tmp_path / "bad.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError, match=re.escape(f"'{name}'")):
+        load_run_checkpoint(path)

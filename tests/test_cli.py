@@ -16,7 +16,7 @@ FAST_CONFIG = {
                   "grid_cols": 4, "feature_dim": 8, "objects_min": 1,
                   "objects_max": 2},
     "model": {"d": 8, "heads": 2, "encoder_layers": 1, "decoder_layers": 1,
-              "num_object_queries": 4, "n_max": 3},
+              "num_object_queries": 4},
     "training": {"steps": 6, "fine_tune_steps": 2, "fine_tune_episodes": 2,
                  "eval_episodes": 3, "log_interval": 2},
     "ablate_seeds": [0],
@@ -75,6 +75,16 @@ class TestUsageErrors:
 
     def test_missing_config_file_exits_1(self, capsys):
         assert run_cli("gen", "--config", "/does/not/exist.yaml") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--seed", "1"),
+        ("eval", "--checkpoint", "x.fdck", "--seed", "1"),
+        ("ablate", "--seed", "1"),
+        ("gradcheck", "--out", "x"),
+    ], ids=["gen-seed", "eval-seed", "ablate-seed", "gradcheck-out"])
+    def test_flag_the_verb_does_not_read_exits_1(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -168,10 +178,6 @@ class TestAblate:
 
 
 class TestGradcheckVerb:
-    def test_clean_exit_zero(self, fast_config, capsys):
-        assert run_cli("gradcheck", "--config", str(fast_config)) == 0
-        assert "all" in capsys.readouterr().out
-
     def test_injected_fault_exits_2_and_names_op(self, fast_config, capsys):
         import fewdet.gradcheck as gc
         try:
@@ -181,7 +187,8 @@ class TestGradcheckVerb:
             gc._INJECT_FAULT = None
         assert code == 2
         captured = capsys.readouterr()
-        assert "sigmoid" in captured.err
+        # Every other check, the full-loss ones included, passes.
+        assert captured.err == "gradient check FAILED for: sigmoid\n"
 
 
 def test_console_entry_point_runs():

@@ -1,8 +1,8 @@
 import pytest
 import yaml
 
-from fewdet.config import (RunConfig, load_run_config, run_config_from_dict,
-                           run_config_to_dict)
+from fewdet.config import (DERIVED_MODEL_KEYS, RunConfig, load_run_config,
+                           run_config_from_dict, run_config_to_dict)
 from fewdet.errors import ConfigError
 
 
@@ -56,8 +56,23 @@ def test_malformed_yaml_is_config_error(tmp_path):
 
 def test_roundtrip_through_dict():
     run = load_run_config(None)
-    again = run_config_from_dict(run_config_to_dict(run))
-    assert again == run
+    data = run_config_to_dict(run)
+    assert not set(data["model"]) & set(DERIVED_MODEL_KEYS)
+    assert run_config_from_dict(data) == run
+
+
+@pytest.mark.parametrize("key, source", [pytest.param(k, s, id=k) for k, s in (
+    ("input_dim", "benchmark.feature_dim"),
+    ("num_class_embeddings", "benchmark.class_count"),
+    ("n_max", "benchmark.capacity"),
+    ("seed", "top-level seed"),
+    ("single_class_mode", "variant"),
+)])
+def test_derived_model_key_is_refused_naming_its_source(tmp_path, key, source):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"model": {key: 3}}))
+    with pytest.raises(ConfigError, match=rf"{key} comes from .*{source}"):
+        load_run_config(str(path))
 
 
 def test_resolved_model_derives_benchmark_fields():

@@ -1,12 +1,13 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from fewdet.episodes import (BenchmarkSpec, class_prototypes, generate_episode,
-                             nearest_prototype_accuracy, read_episodes,
-                             separation_margins, single_class_view,
-                             write_episodes)
+from fewdet.episodes import (BenchmarkSpec, _encode_episode, class_prototypes,
+                             generate_episode, nearest_prototype_accuracy,
+                             read_episodes, separation_margins,
+                             single_class_view, write_episodes)
 from fewdet.errors import ConfigError, CorruptionError, GenerationError
 
 
@@ -64,6 +65,18 @@ class TestGeneration:
         np.testing.assert_array_equal(a.support, b.support)
         np.testing.assert_array_equal(a.boxes, b.boxes)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("split, digest", [
+        ("train", "cb101edaca1eea59e50487c3bb650d7489b06ef0bf936e0362a5acd54d189c45"),
+        ("test", "5d4cad750d58fedfc936bbf8107c4274cff662b584df2c92a7924cf4140d30fb"),
+    ], ids=["train", "test"])
+    def test_default_episodes_are_pinned(self, split, digest):
+        """The values of default-spec episodes 0-49, not only their
+        determinism: a change to the generator's draws shows here."""
+        h = hashlib.sha256()
+        for i in range(50):
+            h.update(_encode_episode(generate_episode(BenchmarkSpec(), i, split)))
+        assert h.hexdigest() == digest
 
     def test_builds_split_prototypes_once(self, monkeypatch):
         import fewdet.episodes as episodes

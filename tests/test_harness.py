@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fewdet.config import RunConfig, TrainingConfig, run_config_from_dict
-from fewdet.harness import (ablation_summary, ablation_table, evaluate_model,
-                            run_ablation, train_run)
+from fewdet.harness import (VariantOutcome, ablation_summary, ablation_table,
+                            evaluate_model, run_ablation, train_run)
 from fewdet.model import ablation_variant
 
 
@@ -20,7 +20,7 @@ def fast_run(**training_kw):
                       "grid_rows": 4, "grid_cols": 4, "feature_dim": 8,
                       "objects_min": 1, "objects_max": 2},
         "model": {"d": 8, "heads": 2, "encoder_layers": 1, "decoder_layers": 1,
-                  "num_object_queries": 4, "n_max": 3},
+                  "num_object_queries": 4},
         "training": training,
     })
 
@@ -67,10 +67,23 @@ def test_ablation_covers_variants_and_seeds():
     outcomes = run_ablation(run)
     assert len(outcomes) == 6
     assert {o.variant for o in outcomes} == {"baseline", "+OBD", "+OBD+OOD"}
-    table = ablation_table(outcomes)
-    assert table.count("\n") == 3
     summary = ablation_summary(outcomes)
     json.dumps(summary)  # strictly serializable (no NaN)
+    assert ablation_table(summary).count("\n") == 3
+
+
+def test_ablation_table_prints_null_means_as_nan():
+    nan = float("nan")
+    outcomes = [VariantOutcome("baseline", 0, 0.125, 0.0625, nan, nan, 1.0),
+                VariantOutcome("baseline", 1, 0.25, 0.03125, nan, nan, 1.0),
+                VariantOutcome("+OBD", 0, 0.5, 0.2, 0.75, 0.125, 1.0),
+                VariantOutcome("+OBD", 1, 0.0, 0.1, nan, 0.5, 1.0),
+                VariantOutcome("+OBD+OOD", 0, 1.0, 0.333333, 0.4, 1.25, 1.0)]
+    assert ablation_table(ablation_summary(outcomes)) == (
+        "variant         mAP@0.5   mAP@[0.5:0.95]  bg-dominance  separation\n"
+        "baseline         0.1875           0.0469           nan         nan\n"
+        "+OBD             0.2500           0.1500         0.750      0.3125\n"
+        "+OBD+OOD         1.0000           0.3333         0.400      1.2500")
 
 
 def test_overfit_mode_reuses_one_episode():

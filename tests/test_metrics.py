@@ -292,16 +292,6 @@ class TestEvalReport:
         assert report.thresholds == back.thresholds
         assert back.to_json() == report.to_json()
 
-    def test_normalized_rows(self):
-        report = self.make_report()
-        normalized = report.confusion_normalized
-        sums = normalized.sum(axis=1)
-        for i, s in enumerate(sums):
-            if report.confusion[i].sum() > 0:
-                assert s == pytest.approx(1.0)
-            else:
-                assert s == 0.0
-
 
 def test_one_iou_matrix_per_class_episode_and_per_episode(monkeypatch):
     """AP reads one IoU matrix per (class, episode) for the whole band and
