@@ -7,12 +7,19 @@ Container layout (all integers little-endian):
 
 A checkpoint wraps one container together with a JSON config record:
   magic "FDCK" | u32 version | u32 json length | JSON bytes | container
+
+Checkpoints and episode files are both parsed through :class:`Reader`, which
+reads both formats unchanged. Every malformed input is a CorruptionError that
+names the artifact and the field: a short read, a length past the end of the
+file (refused before it is read or allocated), a wrong magic or version, a
+field that does not decode, or bytes after the last field.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 
@@ -26,6 +33,59 @@ _CHECKPOINT_MAGIC = b"FDCK"
 _VERSION = 1
 
 
+class Reader:
+    """Bounds-checked reads from a binary file object; ``artifact`` names the
+    file in every error."""
+
+    def __init__(self, fh, artifact: str):
+        self.fh = fh
+        self.artifact = artifact
+        start = fh.tell()
+        self.left = fh.seek(0, os.SEEK_END) - fh.seek(start)
+
+    def error(self, field: str, problem: str) -> CorruptionError:
+        return CorruptionError(f"{self.artifact}: {field}: {problem}")
+
+    def read(self, n: int, field: str) -> bytes:
+        if n > self.left:
+            raise self.error(field, f"truncated ({n} bytes needed, {self.left} left)")
+        self.left -= n
+        return self.fh.read(n)
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), field))
+
+    def magic(self, expected: bytes, field: str = "magic") -> None:
+        found = self.read(len(expected), field)
+        if found != expected:
+            raise self.error(field, f"bad magic {found!r}, expected {expected!r}")
+
+    def text(self, n: int, field: str) -> str:
+        try:
+            return self.read(n, field).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(field, f"not UTF-8: {exc}") from exc
+
+    def json(self, n: int, field: str):
+        try:
+            return json.loads(self.text(n, field))
+        except (ValueError, RecursionError) as exc:
+            raise self.error(field, f"not JSON: {exc}") from exc
+
+    def array(self, dtype: str, shape: tuple[int, ...], field: str) -> np.ndarray:
+        """A writable ``shape`` array of ``dtype`` values in row-major order."""
+        dt = np.dtype(dtype)
+        raw = self.read(dt.itemsize * math.prod(shape), field)
+        try:
+            return np.frombuffer(raw, dt).reshape(shape).copy()
+        except ValueError as exc:
+            raise self.error(field, f"shape {shape} does not decode: {exc}") from exc
+
+    def end(self) -> None:
+        if self.left:
+            raise self.error("end", f"{self.left} bytes after the last field")
+
+
 def _write_container(buf, tensors: dict[str, np.ndarray]) -> None:
     buf.write(_TENSOR_MAGIC)
     buf.write(struct.pack("<II", _VERSION, len(tensors)))
@@ -34,39 +94,24 @@ def _write_container(buf, tensors: dict[str, np.ndarray]) -> None:
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<I", len(encoded)))
         buf.write(encoded)
-        buf.write(struct.pack("<I", arr.ndim))
-        for extent in arr.shape:
-            buf.write(struct.pack("<Q", extent))
+        buf.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
         buf.write(arr.tobytes())
 
 
-def _read_container(buf) -> dict[str, np.ndarray]:
-    def read(n: int, what: str) -> bytes:
-        raw = buf.read(n)
-        if len(raw) != n:
-            raise CorruptionError(f"tensor container truncated while reading {what}")
-        return raw
-
-    if read(4, "magic") != _TENSOR_MAGIC:
-        raise CorruptionError("not a tensor container (bad magic)")
-    version, count = struct.unpack("<II", read(8, "header"))
+def _read_container(r: Reader) -> dict[str, np.ndarray]:
+    r.magic(_TENSOR_MAGIC, "tensor container magic")
+    version, count = r.unpack("<II", "tensor container header")
     if version != _VERSION:
-        raise CorruptionError(f"unsupported tensor container version {version}")
+        raise r.error("tensor container header", f"unsupported version {version}")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", read(4, "name length"))
-        if name_len > 1 << 20:
-            raise CorruptionError(f"implausible tensor name length {name_len}")
-        name = read(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<I", read(4, "rank"))
-        if rank > 32:
-            raise CorruptionError(f"implausible tensor rank {rank} for '{name}'")
-        extents = [struct.unpack("<Q", read(8, "extent"))[0] for _ in range(rank)]
-        n_values = int(np.prod(extents)) if extents else 1
-        if n_values > 1 << 28:
-            raise CorruptionError(f"implausible tensor size for '{name}'")
-        raw = read(8 * n_values, f"values of '{name}'")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(extents).copy()
+    for i in range(count):
+        (name_len,) = r.unpack("<I", f"tensor {i} name length")
+        name = r.text(name_len, f"tensor {i} name")
+        if name in tensors:
+            raise r.error(f"tensor {i} name", f"duplicate name '{name}'")
+        (rank,) = r.unpack("<I", f"rank of '{name}'")
+        extents = r.unpack(f"<{rank}Q", f"extents of '{name}'")
+        tensors[name] = r.array("<f8", extents, f"values of '{name}'")
     return tensors
 
 
@@ -106,24 +151,16 @@ def save_checkpoint(path, config: dict, tensors: dict[str, "np.ndarray | Tensor"
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _CHECKPOINT_MAGIC:
-                raise CorruptionError(f"{path}: not a checkpoint (bad magic {magic!r})")
-            header = fh.read(8)
-            if len(header) != 8:
-                raise CorruptionError(f"{path}: truncated checkpoint header")
-            version, json_len = struct.unpack("<II", header)
-            if version != _VERSION:
-                raise CorruptionError(f"{path}: unsupported checkpoint version {version}")
-            raw = fh.read(json_len)
-            if len(raw) != json_len:
-                raise CorruptionError(f"{path}: truncated config record")
-            try:
-                config = json.loads(raw.decode("utf-8"))
-            except ValueError as exc:
-                raise CorruptionError(f"{path}: unreadable config record") from exc
-            tensors = _read_container(fh)
-            return config, tensors
+        fh = open(path, "rb")
     except OSError as exc:
         raise CorruptionError(f"cannot read checkpoint {path}: {exc}") from exc
+    with fh:
+        r = Reader(fh, f"checkpoint {path}")
+        r.magic(_CHECKPOINT_MAGIC)
+        version, json_len = r.unpack("<II", "header")
+        if version != _VERSION:
+            raise r.error("header", f"unsupported version {version}")
+        config = r.json(json_len, "config record")
+        tensors = _read_container(r)
+        r.end()
+    return config, tensors

@@ -7,7 +7,8 @@ configuration) and the flags listed with it; any other flag is a usage error.
              a checkpoint: --seed --out --variant --checkpoint (resume, with
              the checkpoint's settings)
   eval       metric report for a checkpoint, on its settings unless --config
-             is given: --out --checkpoint --episodes
+             is given: --out --checkpoint --episodes; exits 1 when the
+             benchmark's feature_dim is not the checkpoint's input_dim
   ablate     three variants on one fixed benchmark, one model per config
              ablate_seeds entry: --out
   gradcheck  finite-difference audit of every primitive and the full loss;
@@ -77,7 +78,6 @@ def build_parser() -> _Parser:
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     common(p_gc, seed=True, out=False)
-    p_gc.add_argument("--inject-fault", help=argparse.SUPPRESS)
 
     return parser
 
@@ -182,8 +182,6 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from . import gradcheck as gc
 
-    if args.inject_fault:
-        gc._INJECT_FAULT = args.inject_fault
     run = _load_run(args)
     results, ok = gc.run_gradcheck(seed=run.seed)
     failures = [r for r in results if not r.ok]

@@ -127,20 +127,10 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     return data
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
 def load_run_config(path: str | None = None,
                     overrides: dict | None = None) -> RunConfig:
     """Defaults, overlaid with the YAML file (if given), overlaid with the
-    flag overrides (if given)."""
+    flag overrides (if given), which are top-level keys."""
     data: dict = {}
     if path is not None:
         try:
@@ -155,6 +145,4 @@ def load_run_config(path: str | None = None,
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must contain a mapping")
         data = loaded
-    if overrides:
-        data = _deep_merge(data, overrides)
-    return run_config_from_dict(data)
+    return run_config_from_dict({**data, **(overrides or {})})

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import _write_atomic
-from .errors import ConfigError, CorruptionError, GenerationError
+from .checkpoint import Reader, _write_atomic
+from .errors import ConfigError, GenerationError
 
 _MAGIC = b"FDEP"
 _FORMAT_VERSION = 1
@@ -232,39 +232,19 @@ def _encode_episode(ep: Episode) -> bytes:
     return buf.getvalue()
 
 
-def _decode_episode(blob: bytes) -> Episode:
-    buf = io.BytesIO(blob)
-
-    def read(fmt):
-        size = struct.calcsize(fmt)
-        raw = buf.read(size)
-        if len(raw) != size:
-            raise CorruptionError("episode record truncated")
-        return struct.unpack(fmt, raw)
-
-    index, split_code, c = read("<QBI")
+def _decode_episode(r: Reader) -> Episode:
+    index, split_code, c = r.unpack("<QBI", "header")
     if split_code >= len(SPLITS):
-        raise CorruptionError(f"episode record has invalid split code {split_code}")
-    ids_raw = buf.read(4 * c)
-    if len(ids_raw) != 4 * c:
-        raise CorruptionError("episode record truncated")
-    class_ids = np.frombuffer(ids_raw, dtype="<u4").astype(int).tolist()
-    grid = read("<II")
-    mats = []
-    for _ in range(3):
-        r, k = read("<II")
-        raw = buf.read(8 * r * k)
-        if len(raw) != 8 * r * k:
-            raise CorruptionError("episode record truncated")
-        mats.append(np.frombuffer(raw, dtype="<f8").reshape(r, k).copy())
-    (g,) = read("<I")
-    raw = buf.read(4 * g)
-    if len(raw) != 4 * g:
-        raise CorruptionError("episode record truncated")
-    labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-    return Episode(index=index, split=SPLITS[split_code], class_ids=class_ids,
-                   support=mats[0], patches=mats[1], grid=(grid[0], grid[1]),
-                   boxes=mats[2], labels=labels)
+        raise r.error("header", f"invalid split code {split_code}")
+    class_ids = r.array("<u4", (c,), "class ids").astype(int).tolist()
+    grid = r.unpack("<II", "grid")
+    support, patches, boxes = [r.array("<f8", r.unpack("<II", f"{name} shape"), name)
+                               for name in ("support", "patches", "boxes")]
+    (g,) = r.unpack("<I", "label count")
+    labels = r.array("<u4", (g,), "labels").astype(np.int64)
+    r.end()
+    return Episode(index, SPLITS[split_code], class_ids, support, patches, grid,
+                   boxes, labels)
 
 
 def write_episodes(spec: BenchmarkSpec, count: int, path,
@@ -281,11 +261,9 @@ def write_episodes(spec: BenchmarkSpec, count: int, path,
                            sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
     buf.write(_MAGIC)
-    buf.write(struct.pack("<II", _FORMAT_VERSION, len(records)))
-    buf.write(struct.pack("<I", len(spec_json)))
+    buf.write(struct.pack("<III", _FORMAT_VERSION, len(records), len(spec_json)))
     buf.write(spec_json)
-    for d in digests:
-        buf.write(d)
+    buf.write(b"".join(digests))
     header_bytes = buf.getvalue()
     for r in records:
         buf.write(struct.pack("<Q", len(r)))
@@ -300,58 +278,42 @@ def write_episodes(spec: BenchmarkSpec, count: int, path,
 
 
 def read_episodes(path) -> tuple[dict, list[Episode]]:
-    """Load an episode file, validating structure and per-episode digests."""
+    """Load an episode file, checking its structure, its digests, and that
+    record i is episode ``start_index + i`` of the header's ``split``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     buf = io.BytesIO(blob)
-    magic = buf.read(4)
-    if magic != _MAGIC:
-        raise CorruptionError(f"{path}: not an episode file (bad magic {magic!r})")
-
-    def read(fmt):
-        size = struct.calcsize(fmt)
-        raw = buf.read(size)
-        if len(raw) != size:
-            raise CorruptionError(f"{path}: truncated header")
-        return struct.unpack(fmt, raw)
-
-    version, count = read("<II")
+    r = Reader(buf, f"episode file {path}")
+    r.magic(_MAGIC)
+    version, count, spec_len = r.unpack("<III", "header")
     if version != _FORMAT_VERSION:
-        raise CorruptionError(f"{path}: unsupported format version {version}")
-    (spec_len,) = read("<I")
-    spec_json = buf.read(spec_len)
-    if len(spec_json) != spec_len:
-        raise CorruptionError(f"{path}: truncated header")
+        raise r.error("header", f"unsupported format version {version}")
+    meta = r.json(spec_len, "spec block")
     try:
-        meta = json.loads(spec_json.decode("utf-8"))
         spec = BenchmarkSpec(**meta["spec"])
+        split, start = meta["split"], meta["start_index"]
+        indices = range(start, start + count)
+        _split_code(split)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptionError(f"{path}: unreadable spec block: {exc}") from exc
-
-    digests = []
-    for _ in range(count):
-        d = buf.read(32)
-        if len(d) != 32:
-            raise CorruptionError(f"{path}: truncated digest table")
-        digests.append(d)
-
+        raise r.error("spec block", f"unreadable: {exc!r}") from exc
+    table = r.read(32 * count, "digest table")
+    digests = [table[32 * i:32 * (i + 1)] for i in range(count)]
     header_bytes = blob[:buf.tell()]
     episodes = []
-    for i in range(count):
-        raw = buf.read(8)
-        if len(raw) != 8:
-            raise CorruptionError(f"{path}: truncated before episode {i}")
-        (rec_len,) = struct.unpack("<Q", raw)
-        record = buf.read(rec_len)
-        if len(record) != rec_len:
-            raise CorruptionError(f"{path}: truncated inside episode {i}")
-        if hashlib.sha256(record).digest() != digests[i]:
-            raise CorruptionError(f"{path}: digest mismatch for episode {i}")
-        episodes.append(_decode_episode(record))
+    for i, (digest, index) in enumerate(zip(digests, indices)):
+        (rec_len,) = r.unpack("<Q", f"length of episode {i}")
+        record = r.read(rec_len, f"episode {i}")
+        if hashlib.sha256(record).digest() != digest:
+            raise r.error(f"episode {i}", "digest mismatch")
+        ep = _decode_episode(Reader(io.BytesIO(record), f"{r.artifact} episode {i}"))
+        if (ep.split, ep.index) != (split, index):
+            raise r.error(f"episode {i}", f"{ep.split} episode {ep.index} where the "
+                          f"header gives {split} episode {index}")
+        episodes.append(ep)
+    r.end()
 
-    manifest = {"format_version": version, "count": count,
-                "split": meta["split"], "spec": asdict(spec),
-                "start_index": meta.get("start_index", 0),
+    manifest = {"format_version": version, "count": count, "split": split,
+                "spec": asdict(spec), "start_index": start,
                 "episode_digests": [d.hex() for d in digests],
                 "manifest_digest": hashlib.sha256(header_bytes).hexdigest()}
     return manifest, episodes

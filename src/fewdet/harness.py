@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (DERIVED_MODEL_KEYS, RunConfig, run_config_from_dict,
                      run_config_to_dict)
-from .episodes import Episode, class_id_range, generate_episode
+from .episodes import Episode, generate_episode
 from .errors import CorruptionError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
@@ -127,7 +127,7 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
                     diag.episodes_bg_dominant += 1
             if feats.class_count >= 2:
                 diag.separations.append(min_interclass_separation(feats))
-    class_ids = class_id_range(run.benchmark, episodes[0].split) if episodes else []
+    class_ids = list(episodes[0].class_ids) if episodes else []
     report = evaluate_detections(dets, gts, class_ids, len(episodes))
     return report, diag
 
@@ -137,8 +137,7 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
 
 def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]:
     config = {"run": run_config_to_dict(run), "step": result.steps_done,
-              "adam": {"learning_rate": result.opt.learning_rate,
-                       "step_count": result.opt.step_count},
+              "adam": {"step_count": result.opt.step_count},
               "variant_model": dataclasses.asdict(result.cfg)}
     tensors: dict[str, np.ndarray] = {name: p.data for name, p in
                                       result.state.params.items()}
@@ -158,7 +157,8 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
     config, tensors = load_checkpoint(path)
     try:
         # Older checkpoints carry retired keys: training.score_threshold, the
-        # derived model keys and Adam constants, which must match adam_step's.
+        # derived model keys, and Adam's learning rate and constants, which
+        # must match the model's rate and adam_step's constants.
         run_data = dict(config["run"])
         run_data["training"] = {k: v for k, v in run_data.get("training", {}).items()
                                 if k != "score_threshold"}
@@ -170,11 +170,12 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
         cfg = ModelConfig(**vm)
         step = int(config["step"])
         adam_meta = config["adam"]
-        for key, value in (("beta1", BETA1), ("beta2", BETA2), ("epsilon", EPSILON)):
+        for key, value in (("learning_rate", cfg.learning_rate), ("beta1", BETA1),
+                           ("beta2", BETA2), ("epsilon", EPSILON)):
             if adam_meta.get(key, value) != value:
                 raise CorruptionError(f"{path}: adam {key} is {adam_meta[key]}, "
                                       f"the optimiser uses {value}")
-        opt = AdamState(learning_rate=adam_meta["learning_rate"],
+        opt = AdamState(learning_rate=cfg.learning_rate,
                         step_count=adam_meta["step_count"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .episodes import Episode, single_class_view
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
                   background_attention_mass, build_key_sequence, ofe_query,
                   ofe_support)
@@ -179,7 +179,7 @@ def init_model_state(cfg: ModelConfig) -> ModelState:
             data = rng.normal(0.0, 1.0 / np.sqrt(cfg.d), size=shape)
         elif name.endswith(".gamma"):
             data = np.ones(shape)
-        elif name.endswith((".bias", ".beta", ".b1", ".b2")) or name == "head.class.bias":
+        elif name.endswith((".bias", ".beta", ".b1", ".b2")):
             data = np.zeros(shape)
         elif name == "queries.embed":
             data = rng.normal(0.0, 1.0 / np.sqrt(cfg.d), size=shape)
@@ -228,7 +228,7 @@ def extract_features(episode: Episode, state: ModelState,
     episode order, padded with background placeholders up to the sequence
     capacity."""
     if episode.patches.shape[1] != cfg.input_dim:
-        raise ShapeError(
+        raise ConfigError(
             f"episode feature dim {episode.patches.shape[1]} does not match "
             f"model input_dim {cfg.input_dim}")
     w, b = state["embed.weight"], state["embed.bias"]
@@ -343,17 +343,16 @@ class LossBreakdown:
         return dataclasses.asdict(self)
 
 
-def compute_loss(episode: Episode, state: ModelState, cfg: ModelConfig
+def compute_loss(episode: Episode, state: ModelState, cfg: ModelConfig,
+                 match: MatchResult | None = None
                  ) -> tuple[Tensor, LossBreakdown, dict]:
-    """Forward + matching + combined loss (no parameter update)."""
+    """Forward + matching + combined loss (no parameter update). A given
+    ``match`` is used as it is instead of matching the forward's output."""
     out, support_features, diag = forward(episode, state, cfg)
     seq: SupportSequence = diag["sequence"]
     gt = GroundTruth(boxes=episode.boxes, labels=episode.labels)
-    if len(gt):
-        cost = match_cost(out, gt, seq, cfg.weights)
-        match = hungarian_match(cost)
-    else:
-        match = MatchResult(pairs=[], unmatched_queries=list(range(out.num_queries)))
+    if match is None:
+        match = hungarian_match(match_cost(out, gt, seq, cfg.weights))
     loss, parts = set_loss(out, gt, seq, match, cfg.weights)
 
     ood_value = 0.0

@@ -1,9 +1,12 @@
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from fewdet.checkpoint import load_checkpoint, save_checkpoint
+from fewdet.episodes import BenchmarkSpec, read_episodes, write_episodes
 from fewdet.errors import CorruptionError
 from fewdet.tensor import Tensor
 
@@ -74,6 +77,92 @@ def test_missing_file(tmp_path):
     with pytest.raises(CorruptionError):
         load_checkpoint(tmp_path / "absent.fdck")
 
+
+_PINNED_CONFIG = {"a": 1, "b": [1.5]}
+_PINNED_TENSORS = {"w.x": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}
+
+
+def test_written_checkpoint_bytes_are_pinned(tmp_path):
+    """The on-disk format is fixed: files written earlier still load."""
+    path = tmp_path / "pinned.fdck"
+    save_checkpoint(path, _PINNED_CONFIG, _PINNED_TENSORS)
+    blob = path.read_bytes()
+    assert len(blob) == 152
+    assert hashlib.sha256(blob).hexdigest() == (
+        "15cb3b96a8fb6a34ae77f2e92d31239acf39df5d7e7cac8b02fd198f4f1734bd")
+    config, tensors = load_checkpoint(path)
+    assert config == _PINNED_CONFIG
+    assert set(tensors) == set(_PINNED_TENSORS)
+    for name, value in _PINNED_TENSORS.items():
+        np.testing.assert_array_equal(tensors[name], value)
+
+
+def _damaged_copies(blob: bytes):
+    """(proper prefix?, bytes) for every proper prefix of ``blob`` and every
+    single-byte XOR of it with 0x01, 0x80 and 0xFF."""
+    for n in range(len(blob)):
+        yield True, blob[:n]
+    for i in range(len(blob)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(blob)
+            flipped[i] ^= mask
+            yield False, bytes(flipped)
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "episodes"])
+def test_damaged_file_loads_or_is_corrupt(tmp_path, artifact):
+    """Truncated or bit-flipped, a file either loads or raises
+    CorruptionError (exit 3 from the CLI), never another exception. A
+    truncated file never loads."""
+    path = tmp_path / "artifact.bin"
+    if artifact == "checkpoint":
+        save_checkpoint(path, _PINNED_CONFIG, _PINNED_TENSORS)
+        load, size = load_checkpoint, 152
+    else:
+        write_episodes(BenchmarkSpec(class_count=2, capacity=3, grid_rows=2,
+                                     grid_cols=2, feature_dim=4, objects_min=1,
+                                     objects_max=1, shots=1), 2, path)
+        load, size = read_episodes, 913
+    blob = path.read_bytes()
+    assert len(blob) == size
+    for prefix, damaged in _damaged_copies(blob):
+        path.write_bytes(damaged)
+        try:
+            load(path)
+        except CorruptionError:
+            continue
+        assert not prefix, f"a {len(damaged)}-byte prefix loaded"
+
+
+@pytest.mark.parametrize("offset, mask, field", [
+    (0, 0x01, "magic: bad magic"),
+    (12, 0x01, "config record: not JSON"),
+    (48, 0x80, "tensor 0 name: not UTF-8"),
+    (49, 0xFF, "extents of 'b': truncated"),
+    (60, 0x80, "values of 'b': truncated"),
+    (-1, None, "values of 'w.x': truncated"),
+], ids=["magic", "config-not-json", "name-not-utf8", "rank-past-end",
+        "extent-past-end", "short-values"])
+def test_corruption_names_the_artifact_and_field(tmp_path, offset, mask, field):
+    path = tmp_path / "pinned.fdck"
+    save_checkpoint(path, _PINNED_CONFIG, _PINNED_TENSORS)
+    blob = bytearray(path.read_bytes())
+    if mask is None:
+        del blob[offset:]
+    else:
+        blob[offset] ^= mask
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"checkpoint {path}: {field}")
+
+
+def test_deeply_nested_config_record_is_corrupt(tmp_path):
+    payload = b"[" * 100_000
+    path = tmp_path / "nested.fdck"
+    path.write_bytes(b"FDCK" + struct.pack("<II", 1, len(payload)) + payload)
+    with pytest.raises(CorruptionError, match="config record: not JSON"):
+        load_checkpoint(path)
 
 
 class _FailingFile:
@@ -244,12 +333,15 @@ def test_checkpoint_with_retired_score_threshold_loads(tmp_path, tiny_trained):
     config, tensors = checkpoint_payload(run, result)
     config["run"]["training"]["score_threshold"] = 0.5
     config["run"]["model"] = dataclasses.asdict(run.resolved_model())
-    config["adam"].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
+    assert "learning_rate" not in config["adam"]
+    config["adam"].update(learning_rate=result.cfg.learning_rate,
+                          beta1=0.9, beta2=0.999, epsilon=1e-8)
     path = tmp_path / "legacy.fdck"
     save_checkpoint(path, config, tensors)
 
     run2, result2 = load_run_checkpoint(path)
     assert run2 == run
+    assert result2.opt.learning_rate == result.cfg.learning_rate
     for name in result.state.names():
         np.testing.assert_array_equal(result2.state.params[name].data,
                                       result.state.params[name].data)
@@ -263,6 +355,21 @@ def test_checkpoint_with_other_adam_constant_is_corrupt(tmp_path, tiny_trained):
     path = tmp_path / "legacy.fdck"
     save_checkpoint(path, config, tensors)
     with pytest.raises(CorruptionError, match="beta1"):
+        load_run_checkpoint(path)
+
+
+def test_checkpoint_with_other_adam_learning_rate_is_corrupt(tmp_path, tiny_trained):
+    """The model's rate is the one the optimiser steps at: a legacy Adam
+    record with another rate is refused, naming both."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    config["adam"]["learning_rate"] = 0.5
+    path = tmp_path / "legacy.fdck"
+    save_checkpoint(path, config, tensors)
+    rate = config["variant_model"]["learning_rate"]
+    with pytest.raises(CorruptionError,
+                       match=rf"adam learning_rate is 0\.5, the optimiser uses {rate}"):
         load_run_checkpoint(path)
 
 

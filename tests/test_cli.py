@@ -81,7 +81,9 @@ class TestUsageErrors:
         ("eval", "--checkpoint", "x.fdck", "--seed", "1"),
         ("ablate", "--seed", "1"),
         ("gradcheck", "--out", "x"),
-    ], ids=["gen-seed", "eval-seed", "ablate-seed", "gradcheck-out"])
+        ("gradcheck", "--inject-fault", "sigmoid"),
+    ], ids=["gen-seed", "eval-seed", "ablate-seed", "gradcheck-out",
+            "gradcheck-inject-fault"])
     def test_flag_the_verb_does_not_read_exits_1(self, argv, capsys):
         assert run_cli(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -142,6 +144,39 @@ class TestTrainEval:
                        "--episodes", str(tmp_path / "out" / "episodes_test.bin"))
         assert code == 0
 
+    def test_eval_on_benchmark_of_other_feature_width_exits_1(
+            self, fast_config, tmp_path, capsys):
+        run_cli("train", "--config", str(fast_config))
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["benchmark"]["feature_dim"] = 12
+        wide = tmp_path / "wide.yaml"
+        wide.write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint",
+                       str(tmp_path / "out" / "checkpoint.fdck"),
+                       "--config", str(wide)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "feature dim 12" in err and "input_dim 8" in err
+
+    def test_eval_on_episode_file_of_other_vocabulary(self, fast_config, tmp_path,
+                                                       capsys):
+        """The report's classes are the file's, not the checkpoint's."""
+        run_cli("train", "--config", str(fast_config))
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["benchmark"]["class_count"] = 3
+        cfg["out_dir"] = str(tmp_path / "three")
+        three = tmp_path / "three.yaml"
+        three.write_text(yaml.safe_dump(cfg))
+        run_cli("gen", "--config", str(three), "--count", "2", "--split", "test")
+        assert run_cli("eval", "--checkpoint",
+                       str(tmp_path / "out" / "checkpoint.fdck"),
+                       "--episodes", str(tmp_path / "three" / "episodes_test.bin")) == 0
+        from fewdet.metrics import EvalReport
+        report = EvalReport.from_json(
+            (tmp_path / "out" / "eval_report.json").read_text())
+        assert report.confusion.shape == (4, 4)
+
     def test_eval_missing_checkpoint_exits_3(self, capsys):
         assert run_cli("eval", "--checkpoint", "/no/such/file.fdck") == 3
 
@@ -178,13 +213,19 @@ class TestAblate:
 
 
 class TestGradcheckVerb:
-    def test_injected_fault_exits_2_and_names_op(self, fast_config, capsys):
-        import fewdet.gradcheck as gc
-        try:
-            code = run_cli("gradcheck", "--config", str(fast_config),
-                           "--inject-fault", "sigmoid")
-        finally:
-            gc._INJECT_FAULT = None
+    def test_injected_fault_exits_2_and_names_op(self, fast_config, monkeypatch,
+                                                 capsys):
+        """A sigmoid whose backward is negated fails its primitive check.
+        The model binds its own sigmoid at import, so the full-loss checks
+        still pass."""
+        import fewdet.tensor as T
+
+        def wrong_sigmoid(a):
+            out = T._stable_sigmoid(a.data)
+            return T.Tensor._result(out, (a,), lambda g: (-g * out * (1.0 - out),))
+
+        monkeypatch.setattr(T, "sigmoid", wrong_sigmoid)
+        code = run_cli("gradcheck", "--config", str(fast_config))
         assert code == 2
         captured = capsys.readouterr()
         # Every other check, the full-loss ones included, passes.

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -201,6 +202,37 @@ class TestFiles:
         m1 = write_episodes(spec(), 4, tmp_path / "a.bin")
         m2 = write_episodes(spec(), 4, tmp_path / "b.bin")
         assert m1["manifest_digest"] == m2["manifest_digest"]
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        """The on-disk format is fixed: files written earlier still load."""
+        path = tmp_path / "episodes.bin"
+        manifest = write_episodes(BenchmarkSpec(), 5, path, split="test")
+        blob = path.read_bytes()
+        assert len(blob) == 88333
+        assert hashlib.sha256(blob).hexdigest() == (
+            "5fbe179d9c5bd7dbe7aeb877b43de5aa3b2695c9ccf351e593ad3181bf3d6766")
+        assert manifest["manifest_digest"] == (
+            "0564d7a14c99f3e1a4db34237f59da7f15af1dfaa50e7e2556ec1305c2c58218")
+        assert read_episodes(path)[0] == manifest
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b'"split": "test"', b'"split": "train"', "train episode 3"),
+        (b', "split": "test"', b"", "KeyError"),
+        (b'"start_index": 3', b'"start_index": 4', "test episode 4"),
+    ], ids=["split-disagrees", "split-missing", "start-index-disagrees"])
+    def test_header_that_does_not_match_its_records_is_corrupt(
+            self, tmp_path, old, new, message):
+        path = tmp_path / "episodes.bin"
+        write_episodes(spec(), 2, path, split="test", start_index=3)
+        blob = path.read_bytes()
+        (spec_len,) = struct.unpack_from("<I", blob, 12)
+        header = blob[16:16 + spec_len]
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + spec_len:])
+        with pytest.raises(CorruptionError, match=message):
+            read_episodes(path)
 
     def test_empty_file_ok(self, tmp_path):
         path = tmp_path / "empty.bin"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewdet.episodes import BenchmarkSpec, generate_episode
+from fewdet.episodes import BenchmarkSpec, generate_episode, single_class_view
 from fewdet.errors import ConfigError
 from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
                           extract_features, forward, init_model_state,
@@ -123,6 +123,17 @@ class TestTrainStep:
         ep = generate_episode(spec, 0, "train")
         b = train_step(ep, state, AdamState(), cfg)
         assert set(b.as_dict()) == {"cls", "box", "giou", "ood", "total"}
+
+    def test_episode_without_ground_truth_matches_no_query(self):
+        cfg = micro_cfg()
+        ep = generate_episode(micro_spec(objects_min=1, objects_max=1), 0, "train")
+        absent = next(c for c in ep.class_ids if c not in ep.labels)
+        view = single_class_view(ep, absent)
+        assert len(view.labels) == 0
+        loss, b, diag = compute_loss(view, init_model_state(cfg), cfg)
+        assert diag["match"].pairs == []
+        assert diag["match"].unmatched_queries == list(range(cfg.num_object_queries))
+        assert b.box == b.giou == 0.0 and np.isfinite(b.total)
 
     def test_ood_weight_zero_means_no_embedding_gradient(self):
         spec = micro_spec()
