@@ -22,6 +22,7 @@ import json
 import math
 import os
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -46,11 +47,15 @@ class Reader:
     def error(self, field: str, problem: str) -> CorruptionError:
         return CorruptionError(f"{self.artifact}: {field}: {problem}")
 
-    def read(self, n: int, field: str) -> bytes:
+    def read(self, n: int, field: str, into: np.ndarray | None = None) -> bytes | None:
+        """``n`` bytes, or None once they are read into the buffer ``into``."""
         if n > self.left:
             raise self.error(field, f"truncated ({n} bytes needed, {self.left} left)")
         self.left -= n
-        return self.fh.read(n)
+        if into is None:
+            return self.fh.read(n)
+        self.fh.readinto(memoryview(into).cast("B"))
+        return None
 
     def unpack(self, fmt: str, field: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), field))
@@ -72,10 +77,18 @@ class Reader:
         except (ValueError, RecursionError) as exc:
             raise self.error(field, f"not JSON: {exc}") from exc
 
-    def array(self, dtype: str, shape: tuple[int, ...], field: str) -> np.ndarray:
-        """A writable ``shape`` array of ``dtype`` values in row-major order."""
+    def array(self, dtype: str, shape: tuple[int, ...], field: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """A writable ``shape`` array of ``dtype`` values in row-major order:
+        ``out`` itself, read straight into, when it is a C-contiguous array
+        of that dtype and shape."""
         dt = np.dtype(dtype)
-        raw = self.read(dt.itemsize * math.prod(shape), field)
+        n = dt.itemsize * math.prod(shape)
+        if (out is not None and out.dtype == dt and out.shape == tuple(shape)
+                and out.flags.c_contiguous and out.flags.writeable):
+            self.read(n, field, out)
+            return out
+        raw = self.read(n, field)
         try:
             return np.frombuffer(raw, dt).reshape(shape).copy()
         except ValueError as exc:
@@ -98,7 +111,7 @@ def _write_container(buf, tensors: dict[str, np.ndarray]) -> None:
         buf.write(arr.tobytes())
 
 
-def _read_container(r: Reader) -> dict[str, np.ndarray]:
+def _read_container(r: Reader, into: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     r.magic(_TENSOR_MAGIC, "tensor container magic")
     version, count = r.unpack("<II", "tensor container header")
     if version != _VERSION:
@@ -111,7 +124,7 @@ def _read_container(r: Reader) -> dict[str, np.ndarray]:
             raise r.error(f"tensor {i} name", f"duplicate name '{name}'")
         (rank,) = r.unpack("<I", f"rank of '{name}'")
         extents = r.unpack(f"<{rank}Q", f"extents of '{name}'")
-        tensors[name] = r.array("<f8", extents, f"values of '{name}'")
+        tensors[name] = r.array("<f8", extents, f"values of '{name}'", into.get(name))
     return tensors
 
 
@@ -149,7 +162,13 @@ def save_checkpoint(path, config: dict, tensors: dict[str, "np.ndarray | Tensor"
     _write_atomic(path, buf.getbuffer())
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def load_checkpoint(path, into: Callable[[dict], dict[str, np.ndarray]] | None = None
+                    ) -> tuple[dict, dict[str, np.ndarray]]:
+    """The config record and the tensors of a checkpoint. ``into``, if
+    given, is called with the config record and returns arrays by tensor
+    name: a tensor of that name whose shape matches is read straight into
+    its array, which the returned dict then holds. Other tensors get arrays
+    of their own."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -161,6 +180,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if version != _VERSION:
             raise r.error("header", f"unsupported version {version}")
         config = r.json(json_len, "config record")
-        tensors = _read_container(r)
+        tensors = _read_container(r, into(config) if into else {})
         r.end()
     return config, tensors

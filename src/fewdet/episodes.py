@@ -277,9 +277,28 @@ def write_episodes(spec: BenchmarkSpec, count: int, path,
             "manifest_digest": manifest_digest}
 
 
+def _spec_mismatch(ep: Episode, spec: BenchmarkSpec) -> str | None:
+    """How an episode record disagrees with the header's spec on the grid,
+    the feature width or the class ids, or None if it does not."""
+    grid = (spec.grid_rows, spec.grid_cols)
+    if tuple(ep.grid) != grid:
+        return (f"grid {tuple(ep.grid)} where the header gives "
+                f"(grid_rows, grid_cols) {grid}")
+    for name, arr in (("support", ep.support), ("patches", ep.patches)):
+        if arr.shape[1] != spec.feature_dim:
+            return (f"{name} width {arr.shape[1]} where the header gives "
+                    f"feature_dim {spec.feature_dim}")
+    ids = class_id_range(spec, ep.split)
+    if ep.class_ids != ids:
+        return f"class ids {ep.class_ids} where the header gives {ids}"
+    return None
+
+
 def read_episodes(path) -> tuple[dict, list[Episode]]:
-    """Load an episode file, checking its structure, its digests, and that
-    record i is episode ``start_index + i`` of the header's ``split``."""
+    """Load an episode file, checking its structure, its digests, that
+    record i is episode ``start_index + i`` of the header's ``split``, and
+    that every record has the grid, feature width and class ids of the
+    header's spec."""
     with open(path, "rb") as fh:
         blob = fh.read()
     buf = io.BytesIO(blob)
@@ -309,6 +328,9 @@ def read_episodes(path) -> tuple[dict, list[Episode]]:
         if (ep.split, ep.index) != (split, index):
             raise r.error(f"episode {i}", f"{ep.split} episode {ep.index} where the "
                           f"header gives {split} episode {index}")
+        mismatch = _spec_mismatch(ep, spec)
+        if mismatch:
+            raise r.error(f"episode {i}", mismatch)
         episodes.append(ep)
     r.end()
 

@@ -28,9 +28,10 @@ from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_shapes, run_inference,
                     train_step, training_episode)
 from .ood import min_interclass_separation
-from .optim import BETA1, BETA2, EPSILON, AdamState
+from .optim import (BETA1, BETA2, EPSILON, AdamState, flat_parameters,
+                    flat_views)
 from .set_head import Weights
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 # Evaluation keeps every query's best guess, so precision/recall curves are
 # not truncated; the CLI's eval report records this value.
@@ -153,8 +154,8 @@ def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
     save_checkpoint(path, config, tensors)
 
 
-def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
-    config, tensors = load_checkpoint(path)
+def _parse_run_config(path, config: dict
+                      ) -> tuple[RunConfig, ModelConfig, int, AdamState]:
     try:
         # Older checkpoints carry retired keys: training.score_threshold, the
         # derived model keys, and Adam's learning rate and constants, which
@@ -179,29 +180,50 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
                         step_count=adam_meta["step_count"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc
+    return run, cfg, step, opt
 
+
+def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
+    parsed = []
+
+    def into(config: dict) -> dict[str, np.ndarray]:
+        # The config record comes before the tensors, so the parameters and
+        # moments are read straight into flat buffers laid out as
+        # init_model_state lays them out. The reads fill the buffers, bar
+        # the moments of parameters that have none, zeroed below.
+        run, cfg, step, opt = _parse_run_config(path, config)
+        shapes = parameter_shapes(cfg)
+        params = flat_parameters(shapes, zeroed=False)
+        slots = {name: p.data for name, p in params.items()}
+        for prefix in ("adam.m.", "adam.v."):
+            _, views = flat_views(shapes, zeroed=False)
+            slots.update((prefix + name, view) for name, view in views.items())
+        parsed.extend((run, cfg, step, opt, params, slots))
+        return slots
+
+    _, tensors = load_checkpoint(path, into)
+    run, cfg, step, opt, params, slots = parsed
     expected = parameter_shapes(cfg)
-    shapes = {prefix + name: shape for prefix in ("", "adam.m.", "adam.v.")
-              for name, shape in expected.items()}
     missing = sorted(set(expected) - set(tensors))
-    extra = sorted(set(tensors) - set(shapes))
+    extra = sorted(set(tensors) - set(slots))
     if missing or extra:
         raise CorruptionError(f"{path}: tensor names do not match config "
                               f"(missing {missing}, unexpected {extra})")
     for name, arr in tensors.items():
-        if arr.shape != shapes[name]:
+        if arr.shape != slots[name].shape:
             raise CorruptionError(f"{path}: '{name}' has shape {arr.shape}, "
-                                  f"the config gives {shapes[name]}")
-    params: dict[str, Tensor] = {}
-    for name, arr in tensors.items():
-        if name.startswith("adam.m."):
-            opt.first_moment[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            opt.second_moment[name[len("adam.v."):]] = arr
-        else:
-            params[name] = Tensor(arr, requires_grad=True)
+                                  f"the config gives {slots[name].shape}")
+        if arr is not slots[name]:  # not read in place (a big-endian host)
+            slots[name][...] = arr
     # Moments may cover only some parameters: one that never had a gradient
     # (the baseline's background token) has none.
+    for prefix, moments in (("adam.m.", opt.first_moment),
+                            ("adam.v.", opt.second_moment)):
+        for name in expected:
+            if prefix + name in tensors:
+                moments[name] = slots[prefix + name]
+            else:
+                slots[prefix + name][...] = 0.0
     if set(opt.first_moment) != set(opt.second_moment):
         raise CorruptionError(
             f"{path}: adam.m and adam.v differ for "

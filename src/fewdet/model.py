@@ -33,7 +33,8 @@ from .obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
                   background_attention_mass, build_key_sequence, ofe_query,
                   ofe_support)
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
-from .optim import AdamState, adam_step, collect_grads, zero_grads
+from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
+                    zero_grads)
 from .set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
                        decode_detections, hungarian_match, match_cost, set_loss)
 from .tensor import (FfnParams, Tensor, attention, ffn_apply, layer_norm, matmul,
@@ -80,7 +81,12 @@ class ModelConfig:
 
 
 class ModelState:
-    """All learnable tensors, keyed by stable names derived from the config."""
+    """All learnable tensors, keyed by stable names derived from the config.
+
+    Every parameter's ``.data`` is a view into one flat float64 buffer, in
+    the order of :func:`parameter_shapes` (see :mod:`fewdet.optim`), so
+    that Adam updates the whole model a few buffer-wide operations at a
+    time."""
 
     def __init__(self, params: dict[str, Tensor], cfg: ModelConfig):
         self.params = params
@@ -171,16 +177,17 @@ def _reference_lattice(m: int) -> np.ndarray:
 
 def init_model_state(cfg: ModelConfig) -> ModelState:
     rng = np.random.default_rng(cfg.seed)
-    params: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(cfg).items():
+    shapes = parameter_shapes(cfg)
+    params = flat_parameters(shapes, zeroed=False)  # every value is set below
+    for name, shape in shapes.items():
         if name == "obd.background_token":
             data = rng.normal(0.0, 0.02, size=shape)
         elif name == "ood.embeddings":
             data = rng.normal(0.0, 1.0 / np.sqrt(cfg.d), size=shape)
         elif name.endswith(".gamma"):
-            data = np.ones(shape)
+            data = 1.0
         elif name.endswith((".bias", ".beta", ".b1", ".b2")):
-            data = np.zeros(shape)
+            data = 0.0
         elif name == "queries.embed":
             data = rng.normal(0.0, 1.0 / np.sqrt(cfg.d), size=shape)
         elif name == "queries.ref":
@@ -188,15 +195,13 @@ def init_model_state(cfg: ModelConfig) -> ModelState:
         else:
             fan_in = shape[0]
             data = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-        params[name] = Tensor(data, requires_grad=True)
+        params[name].data[...] = data
     return ModelState(params, cfg)
 
 
 def zero_model_state(cfg: ModelConfig) -> ModelState:
     """Every parameter exactly zero; useful for contract tests."""
-    params = {name: Tensor(np.zeros(shape), requires_grad=True)
-              for name, shape in parameter_shapes(cfg).items()}
-    return ModelState(params, cfg)
+    return ModelState(flat_parameters(parameter_shapes(cfg)), cfg)
 
 
 # -- feature extraction -----------------------------------------------------------
@@ -381,6 +386,9 @@ def train_step(episode: Episode, state: ModelState, opt: AdamState,
                            "breakdown": breakdown.as_dict()}
         raise err
     loss.backward()
+    # Free the graph and its gradients first: the update then reuses their
+    # memory instead of adding to the step's peak.
+    del loss, diag
     adam_step(state.params, collect_grads(state.params), opt)
     return breakdown
 

@@ -50,6 +50,19 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
+    def parameter(data: np.ndarray) -> "Tensor":
+        """A leaf that requires grad and holds the float64 array ``data``
+        itself, not a copy, so that a parameter can be a view into a buffer
+        (:func:`fewdet.optim.flat_parameters`)."""
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.requires_grad = True
+        out.grad = None
+        out._parents = ()
+        out._backward = None
+        return out
+
+    @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...],
                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> "Tensor":
         out = Tensor.__new__(Tensor)

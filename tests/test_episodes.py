@@ -219,7 +219,12 @@ class TestFiles:
         (b'"split": "test"', b'"split": "train"', "train episode 3"),
         (b', "split": "test"', b"", "KeyError"),
         (b'"start_index": 3', b'"start_index": 4', "test episode 4"),
-    ], ids=["split-disagrees", "split-missing", "start-index-disagrees"])
+        (b'"feature_dim": 16', b'"feature_dim": 17',
+         "episode 0: support width 16 where the header gives feature_dim 17"),
+        (b'"class_count": 3', b'"class_count": 2',
+         r"episode 0: class ids \[3, 4, 5\] where the header gives \[2, 3\]"),
+    ], ids=["split-disagrees", "split-missing", "start-index-disagrees",
+            "feature-dim-disagrees", "class-ids-disagree"])
     def test_header_that_does_not_match_its_records_is_corrupt(
             self, tmp_path, old, new, message):
         path = tmp_path / "episodes.bin"
@@ -232,6 +237,22 @@ class TestFiles:
         path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
                          + blob[16 + spec_len:])
         with pytest.raises(CorruptionError, match=message):
+            read_episodes(path)
+
+    def test_header_grid_no_record_has_is_corrupt(self, tmp_path):
+        """One digit of the header's grid changed, in a file whose records
+        all have a 2x2 grid: the file is refused, not loaded with a spec
+        that is not its records'."""
+        path = tmp_path / "episodes.bin"
+        write_episodes(BenchmarkSpec(class_count=2, capacity=3, grid_rows=2,
+                                     grid_cols=2, feature_dim=4, objects_min=1,
+                                     objects_max=1, shots=1), 2, path)
+        blob = path.read_bytes()
+        assert len(blob) == 913 and blob.count(b'"grid_rows": 2') == 1
+        path.write_bytes(blob.replace(b'"grid_rows": 2', b'"grid_rows": 3'))
+        with pytest.raises(CorruptionError, match=(
+                r"episode 0: grid \(2, 2\) where the header gives "
+                r"\(grid_rows, grid_cols\) \(3, 2\)")):
             read_episodes(path)
 
     def test_empty_file_ok(self, tmp_path):

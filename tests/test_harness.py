@@ -7,8 +7,9 @@ import pytest
 
 from fewdet.config import RunConfig, TrainingConfig, run_config_from_dict
 from fewdet.harness import (VariantOutcome, ablation_summary, ablation_table,
-                            evaluate_model, run_ablation, train_run)
-from fewdet.model import ablation_variant
+                            evaluate_model, load_run_checkpoint, run_ablation,
+                            save_run_checkpoint, train_run)
+from fewdet.model import ablation_variant, init_model_state
 
 
 def fast_run(**training_kw):
@@ -90,3 +91,66 @@ def test_overfit_mode_reuses_one_episode():
     run = fast_run(steps=4, fine_tune_steps=0, overfit_episode=7)
     result = train_run(run)
     assert result.steps_done == 4
+
+
+def _one_buffer(arrays):
+    """The one 1-D buffer all ``arrays`` are C-contiguous views of, else None."""
+    base = arrays[0].base
+    ok = base is not None and base.ndim == 1 and all(
+        a.base is base and a.flags.c_contiguous and a.flags.writeable
+        for a in arrays)
+    return base if ok else None
+
+
+def test_parameters_and_moments_share_one_buffer(tmp_path):
+    run = fast_run()
+    cfg = run.resolved_model()
+    state = init_model_state(cfg)
+    assert _one_buffer([p.data for p in state.params.values()]) is not None
+    result = train_run(run, cfg=cfg, state=state)
+    path = tmp_path / "run.fdck"
+    save_run_checkpoint(path, run, result)
+    _, loaded = load_run_checkpoint(path)
+    params = [p.data for p in loaded.state.params.values()]
+    bases = [_one_buffer(params), _one_buffer(list(loaded.opt.first_moment.values())),
+             _one_buffer(list(loaded.opt.second_moment.values()))]
+    assert all(b is not None for b in bases)
+    assert len({id(b) for b in bases}) == 3
+    assert bases[0].size == sum(p.size for p in params)
+    # A step on the loaded state updates those buffers in place.
+    kept = {n: p.data for n, p in loaded.state.params.items()}
+    train_run(run, cfg=loaded.cfg, state=loaded.state, opt=loaded.opt,
+              start_step=result.steps_done - 1)
+    assert all(loaded.state.params[n].data is kept[n] for n in kept)
+    assert _one_buffer(list(loaded.opt.first_moment.values())) is bases[1]
+    assert _one_buffer(list(loaded.opt.second_moment.values())) is bases[2]
+
+
+@pytest.mark.parametrize("variant", ["+OBD+OOD", "baseline"])
+def test_resumed_run_equals_uninterrupted_run(tmp_path, variant):
+    """Four steps, a checkpoint round trip, then the rest of the run: the
+    parameters, Adam moments and step count are bit-identical to a run
+    that was never interrupted."""
+    run = fast_run()
+    cfg = ablation_variant(run.resolved_model(), variant)
+    whole = train_run(run, cfg=cfg)
+    assert whole.steps_done == 9
+    first_four = dataclasses.replace(run, training=dataclasses.replace(
+        run.training, steps=4, fine_tune_steps=0))
+    path = tmp_path / "run.fdck"
+    save_run_checkpoint(path, run, train_run(first_four, cfg=cfg))
+    run2, loaded = load_run_checkpoint(path)
+    resumed = train_run(run2, cfg=loaded.cfg, state=loaded.state, opt=loaded.opt,
+                        start_step=loaded.steps_done)
+    assert resumed.opt.step_count == whole.opt.step_count == 9
+    assert resumed.state.names() == whole.state.names()
+    for name in whole.state.names():
+        assert (resumed.state.params[name].data.tobytes()
+                == whole.state.params[name].data.tobytes()), name
+    for got, want in ((resumed.opt.first_moment, whole.opt.first_moment),
+                      (resumed.opt.second_moment, whole.opt.second_moment)):
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+    if variant == "baseline":  # the background token never has a gradient
+        assert "obd.background_token" not in resumed.opt.first_moment
