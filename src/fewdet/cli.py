@@ -5,7 +5,8 @@ configuration) and the flags listed with it; any other flag is a usage error.
              --out --count --split --start-index
   train      base training plus optional fine-tuning, a JSONL metrics log and
              a checkpoint: --seed --out --variant --checkpoint (resume, with
-             the checkpoint's settings)
+             the checkpoint's settings; a --seed or --variant that differs
+             from the checkpoint's exits 1)
   eval       metric report for a checkpoint, on its settings unless --config
              is given: --out --checkpoint --episodes; exits 1 when the
              benchmark's feature_dim is not the checkpoint's input_dim
@@ -65,7 +66,8 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train a model, emit checkpoint + log")
     common(p_train, seed=True)
     p_train.add_argument("--checkpoint", help="resume from this checkpoint")
-    p_train.add_argument("--variant", default="+OBD+OOD", choices=VARIANTS)
+    p_train.add_argument("--variant", choices=VARIANTS,
+                         help="ablation variant (default +OBD+OOD)")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
@@ -118,9 +120,18 @@ def cmd_train(args) -> int:
     if args.checkpoint:
         prev_run, prev = load_run_checkpoint(args.checkpoint)
         cfg, state, opt, start_step = prev.cfg, prev.state, prev.opt, prev.steps_done
+        if args.seed is not None and args.seed != prev_run.seed:
+            raise ConfigError(f"--seed {args.seed} differs from the checkpoint's "
+                              f"seed {prev_run.seed}")
+        if (args.variant is not None
+                and ablation_variant(cfg, args.variant) != cfg):
+            theirs = next((v for v in VARIANTS if ablation_variant(cfg, v) == cfg),
+                          f"(none of {', '.join(VARIANTS)})")
+            raise ConfigError(f"--variant {args.variant} differs from the "
+                              f"checkpoint's variant {theirs}")
         run = prev_run
     else:
-        cfg = ablation_variant(run.resolved_model(), args.variant)
+        cfg = ablation_variant(run.resolved_model(), args.variant or "+OBD+OOD")
 
     log_path = out / "train_log.jsonl"
     with open(log_path, "a") as log_fh:

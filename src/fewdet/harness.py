@@ -6,6 +6,17 @@ k-shot regime: every episode's support is a k-shot mean), then evaluate on
 held-out test-split episodes. The single-class baseline rotates the
 supported class during training and fans one forward out per class during
 evaluation.
+
+Run checkpoints: a checkpoint (see :mod:`fewdet.checkpoint`) holding three
+tensors, ``params``, ``adam.m`` and ``adam.v``, each one whole 1-D float64
+buffer laid out as ``parameter_shapes(variant_model)`` lays the parameters
+out (see :mod:`fewdet.optim`). The config record holds ``run``, ``step``,
+``adam`` (the step count), ``variant_model`` and ``moments``: the
+parameters that have Adam moments, in layout order; the others are zeros
+in both moment buffers. Per-parameter checkpoints written before, with no
+``moments`` field, hold one tensor per parameter plus ``adam.m.<name>`` and
+``adam.v.<name>`` for each parameter with moments; they load into views of
+the same three buffers.
 """
 
 from __future__ import annotations
@@ -22,16 +33,15 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (DERIVED_MODEL_KEYS, RunConfig, run_config_from_dict,
                      run_config_to_dict)
 from .episodes import Episode, generate_episode
-from .errors import CorruptionError
+from .errors import CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_shapes, run_inference,
                     train_step, training_episode)
 from .ood import min_interclass_separation
-from .optim import (BETA1, BETA2, EPSILON, AdamState, flat_parameters,
-                    flat_views)
+from .optim import BETA1, BETA2, EPSILON, AdamState, flat_buffers, flat_views
 from .set_head import Weights
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 
 # Evaluation keeps every query's best guess, so precision/recall curves are
 # not truncated; the CLI's eval report records this value.
@@ -135,18 +145,20 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
 
 # -- checkpoints ------------------------------------------------------------------
 
+_BUFFERS = ("params", "adam.m", "adam.v")
+
 
 def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]:
+    params, opt = result.state.params, result.opt
+    if ([(name, p.data.shape) for name, p in params.items()]
+            != list(parameter_shapes(result.cfg).items())):
+        raise ShapeError("checkpoint: the parameters are not the ones, in the "
+                         "order, that the model config lays out")
     config = {"run": run_config_to_dict(run), "step": result.steps_done,
-              "adam": {"step_count": result.opt.step_count},
-              "variant_model": dataclasses.asdict(result.cfg)}
-    tensors: dict[str, np.ndarray] = {name: p.data for name, p in
-                                      result.state.params.items()}
-    for name, m in result.opt.first_moment.items():
-        tensors[f"adam.m.{name}"] = m
-    for name, v in result.opt.second_moment.items():
-        tensors[f"adam.v.{name}"] = v
-    return config, tensors
+              "adam": {"step_count": opt.step_count},
+              "variant_model": dataclasses.asdict(result.cfg),
+              "moments": [name for name in params if name in opt.first_moment]}
+    return config, dict(zip(_BUFFERS, flat_buffers(params, opt)))
 
 
 def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
@@ -155,7 +167,9 @@ def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
 
 
 def _parse_run_config(path, config: dict
-                      ) -> tuple[RunConfig, ModelConfig, int, AdamState]:
+                      ) -> tuple[RunConfig, ModelConfig, int, AdamState, list | None]:
+    """The run, variant config, step, optimizer state and moment names
+    (None for a per-parameter checkpoint) of a config record."""
     try:
         # Older checkpoints carry retired keys: training.score_threshold, the
         # derived model keys, and Adam's learning rate and constants, which
@@ -178,33 +192,46 @@ def _parse_run_config(path, config: dict
                                       f"the optimiser uses {value}")
         opt = AdamState(learning_rate=cfg.learning_rate,
                         step_count=adam_meta["step_count"])
+        moments = config.get("moments")
+        if moments is not None and not (isinstance(moments, list) and all(
+                isinstance(name, str) for name in moments)):
+            raise TypeError(f"moments is not a list of names: {moments!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc
-    return run, cfg, step, opt
+    return run, cfg, step, opt, moments
 
 
 def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
     parsed = []
 
     def into(config: dict) -> dict[str, np.ndarray]:
-        # The config record comes before the tensors, so the parameters and
-        # moments are read straight into flat buffers laid out as
-        # init_model_state lays them out. The reads fill the buffers, bar
-        # the moments of parameters that have none, zeroed below.
-        run, cfg, step, opt = _parse_run_config(path, config)
+        # The config record comes before the tensors, so they are read
+        # straight into the three buffers, laid out as init_model_state lays
+        # them out: whole, or (per-parameter) into views of them.
+        run, cfg, step, opt, moments = _parse_run_config(path, config)
         shapes = parameter_shapes(cfg)
-        params = flat_parameters(shapes, zeroed=False)
-        slots = {name: p.data for name, p in params.items()}
-        for prefix in ("adam.m.", "adam.v."):
-            _, views = flat_views(shapes, zeroed=False)
-            slots.update((prefix + name, view) for name, view in views.items())
-        parsed.extend((run, cfg, step, opt, params, slots))
+        seen: set[str] = set()
+        for name in moments or ():
+            if name not in shapes:
+                raise CorruptionError(f"{path}: moments: '{name}' is not a parameter")
+            if name in seen:
+                raise CorruptionError(f"{path}: moments: '{name}' appears twice")
+            seen.add(name)
+        buffers, views = zip(*(flat_views(shapes, zeroed=False) for _ in _BUFFERS))
+        if moments is None:
+            slots = dict(views[0])
+            for prefix, moment_views in (("adam.m.", views[1]), ("adam.v.", views[2])):
+                slots.update((prefix + name, v) for name, v in moment_views.items())
+            required = set(shapes)
+        else:
+            slots = dict(zip(_BUFFERS, buffers))
+            required = set(_BUFFERS)
+        parsed.extend((run, cfg, step, opt, moments, views, slots, required))
         return slots
 
     _, tensors = load_checkpoint(path, into)
-    run, cfg, step, opt, params, slots = parsed
-    expected = parameter_shapes(cfg)
-    missing = sorted(set(expected) - set(tensors))
+    run, cfg, step, opt, moments, (params, m_views, v_views), slots, required = parsed
+    missing = sorted(required - set(tensors))
     extra = sorted(set(tensors) - set(slots))
     if missing or extra:
         raise CorruptionError(f"{path}: tensor names do not match config "
@@ -215,20 +242,22 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
                                   f"the config gives {slots[name].shape}")
         if arr is not slots[name]:  # not read in place (a big-endian host)
             slots[name][...] = arr
+    if moments is None:
+        moments = [name for name in params if "adam.m." + name in tensors]
+        unpaired = {name for name in params
+                    if ("adam.m." + name in tensors) != ("adam.v." + name in tensors)}
+        if unpaired:
+            raise CorruptionError(f"{path}: adam.m and adam.v differ for "
+                                  f"{sorted(unpaired)}")
     # Moments may cover only some parameters: one that never had a gradient
-    # (the baseline's background token) has none.
-    for prefix, moments in (("adam.m.", opt.first_moment),
-                            ("adam.v.", opt.second_moment)):
-        for name in expected:
-            if prefix + name in tensors:
-                moments[name] = slots[prefix + name]
-            else:
-                slots[prefix + name][...] = 0.0
-    if set(opt.first_moment) != set(opt.second_moment):
-        raise CorruptionError(
-            f"{path}: adam.m and adam.v differ for "
-            f"{sorted(set(opt.first_moment) ^ set(opt.second_moment))}")
-    state = ModelState(params, cfg)
+    # (the baseline's background token) has none. Its part of the moment
+    # buffers is read by nothing; the optimizer zeroes it when it takes
+    # the buffers over.
+    for name in moments:
+        opt.first_moment[name] = m_views[name]
+        opt.second_moment[name] = v_views[name]
+    state = ModelState({name: Tensor.parameter(view) for name, view in params.items()},
+                       cfg)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
 

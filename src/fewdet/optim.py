@@ -4,9 +4,10 @@ Buffer layout: every parameter's ``Tensor.data`` is a writable C-contiguous
 view into one 1-D float64 buffer, in the order of the parameter dict, and
 the Adam moments live in two buffers with the same layout. The moment
 dicts of :class:`AdamState` are views into those buffers, holding only the
-parameters that have had a gradient, so optimizer state still rides along
-in checkpoints by name. :func:`flat_parameters` builds parameters in such a
-buffer from the start.
+parameters that have had a gradient; the moments of a parameter without
+one are zeros in the buffers. :func:`flat_parameters` builds parameters in
+such a buffer from the start, and :func:`flat_buffers` hands the three
+buffers to a checkpoint writer.
 
 Block-wise update: the buffer is cut at parameter boundaries into blocks of
 about ``BLOCK_ELEMENTS`` (a parameter larger than that is a block of its
@@ -19,6 +20,9 @@ for bit those of one.
 Skipped parameters: a parameter absent from ``grads`` is not touched, not
 its value and not its moments (they are not decayed). Its elements are
 masked out of the block's operations with ``where=``.
+
+Bias correction: from step 356 on, ``1 - BETA1**t`` rounds to exactly 1.0,
+so ``m / correction1`` is ``m`` bit for bit and that division is skipped.
 
 Validate before mutate: every gradient name and shape is checked before
 any value, moment or the step count changes.
@@ -129,6 +133,7 @@ class _FlatLayout:
                     views[name][...] = arr
             moment_bufs.append(buf)
         m_buf, v_buf = moment_bufs
+        self.buffers = (param_buf, m_buf, v_buf)
         self.blocks: list[_Block] = []
         block: list[_Entry] = []
         lo = hi = 0
@@ -139,9 +144,13 @@ class _FlatLayout:
                                           v_buf[lo:hi]))
                 block, lo = [], hi
             at = slice(hi, hi + size)
+            has_moments = name in state.first_moment
+            if not has_moments:  # a reused buffer may hold stale moments
+                m_buf[at] = 0.0
+                v_buf[at] = 0.0
             block.append(_Entry(name, p.data, m_buf[at].reshape(shapes[name]),
                                 v_buf[at].reshape(shapes[name]), hi - lo,
-                                hi - lo + size, name in state.first_moment))
+                                hi - lo + size, has_moments))
             hi += size
         if block:
             self.blocks.append(_Block(block, param_buf[lo:hi], m_buf[lo:hi],
@@ -169,6 +178,28 @@ class _FlatLayout:
                     or second.get(e.name) is not e.v_entry):
                 return False
         return True
+
+
+def flat_buffers(params: dict[str, Tensor], state: AdamState
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parameter, first-moment and second-moment buffers of ``params``
+    and ``state``, in the order of ``params``; a parameter without moments
+    is zeros in the moment buffers. They are the live buffers of the
+    optimizer's layout while it is current, else packed copies (say of a
+    model that has not taken a step yet). Nothing is rebound either way."""
+    layout = state._flat
+    if layout is not None and layout.current(params, state):
+        return layout.buffers
+    shapes = {name: p.data.shape for name, p in params.items()}
+    buffers = []
+    for arrays in ({n: p.data for n, p in params.items()},
+                   state.first_moment, state.second_moment):
+        buf, views = flat_views(shapes)
+        for name, view in views.items():
+            if name in arrays:
+                view[...] = arrays[name]
+        buffers.append(buf)
+    return tuple(buffers)
 
 
 def _address(arr: np.ndarray) -> int:
@@ -241,9 +272,8 @@ def adam_step(params: dict[str, Tensor],
                 continue
             g[e.lo:e.hi] = grad.reshape(-1)
             if e.m_entry is None:
-                # A parameter's first gradient: its moments start at zero.
-                e.m[...] = 0.0
-                e.v[...] = 0.0
+                # A parameter's first gradient: its moments, zero until now,
+                # enter the moment dicts.
                 e.m_entry = state.first_moment[e.name] = e.m
                 e.v_entry = state.second_moment[e.name] = e.v
         where = True
@@ -259,8 +289,11 @@ def adam_step(params: dict[str, Tensor],
         np.multiply(g, g, out=tmp, where=where)
         np.multiply(tmp, 1.0 - BETA2, out=tmp, where=where)
         np.add(v, tmp, out=v, where=where)
-        np.divide(m, correction1, out=tmp, where=where)
-        np.multiply(tmp, lr, out=tmp, where=where)
+        if correction1 == 1.0:
+            np.multiply(m, lr, out=tmp, where=where)
+        else:
+            np.divide(m, correction1, out=tmp, where=where)
+            np.multiply(tmp, lr, out=tmp, where=where)
         np.divide(v, correction2, out=g, where=where)
         np.sqrt(g, out=g, where=where)
         np.add(g, EPSILON, out=g, where=where)

@@ -185,6 +185,10 @@ class _FailingFile:
         self.fh.write(data[:len(data) // 2])
         raise OSError(28, "No space left on device")
 
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
 
 _CLI_CONFIG = {
     "benchmark": {"class_count": 2, "shots": 3, "capacity": 3, "grid_rows": 4,
@@ -205,6 +209,22 @@ def _artifact_writer(save, tmp_path):
         path = tmp_path / "model.bin"
         return path, lambda value: save_checkpoint(
             path, {"step": value}, {"w": np.full((64, 64), value)})
+    if save == "run_checkpoint":
+        from fewdet.config import run_config_from_dict
+        from fewdet.harness import TrainResult, save_run_checkpoint
+        from fewdet.model import zero_model_state
+        from fewdet.optim import AdamState
+
+        path = tmp_path / "run.fdck"
+        run = run_config_from_dict(_CLI_CONFIG)
+        state = zero_model_state(run.resolved_model())
+
+        def write(value):
+            for p in state.params.values():
+                p.data[...] = value
+            save_run_checkpoint(path, run, TrainResult(state, AdamState(), state.cfg,
+                                                       int(value)))
+        return path, write
     if save == "episodes":
         from fewdet.episodes import BenchmarkSpec, write_episodes
         path = tmp_path / "episodes.bin"
@@ -236,8 +256,8 @@ def _artifact_writer(save, tmp_path):
     return out / "ablation.json", lambda value: run("ablate", value=value)
 
 
-@pytest.mark.parametrize("save", ["checkpoint", "episodes", "manifest",
-                                  "eval_report", "ablation"])
+@pytest.mark.parametrize("save", ["checkpoint", "run_checkpoint", "episodes",
+                                  "manifest", "eval_report", "ablation"])
 @pytest.mark.parametrize("failure", ["write", "replace"])
 def test_failed_save_leaves_earlier_file_intact(tmp_path, monkeypatch, save, failure):
     import builtins
@@ -373,6 +393,24 @@ def test_checkpoint_with_other_adam_learning_rate_is_corrupt(tmp_path, tiny_trai
         load_run_checkpoint(path)
 
 
+def legacy_payload(run, result) -> tuple[dict, dict]:
+    """The per-parameter run checkpoint written before checkpoints stored
+    flat buffers: one tensor per parameter and per Adam moment, and no
+    ``moments`` field."""
+    import dataclasses
+    from fewdet.config import run_config_to_dict
+
+    config = {"run": run_config_to_dict(run), "step": result.steps_done,
+              "adam": {"step_count": result.opt.step_count},
+              "variant_model": dataclasses.asdict(result.cfg)}
+    tensors = {name: p.data for name, p in result.state.params.items()}
+    for name, m in result.opt.first_moment.items():
+        tensors[f"adam.m.{name}"] = m
+    for name, v in result.opt.second_moment.items():
+        tensors[f"adam.v.{name}"] = v
+    return config, tensors
+
+
 @pytest.mark.parametrize("name, change", [
     ("embed.bias", lambda t: t.update({"embed.bias": np.zeros(1)})),
     ("adam.v.embed.weight",
@@ -384,13 +422,175 @@ def test_checkpoint_with_other_adam_learning_rate_is_corrupt(tmp_path, tiny_trai
 def test_checkpoint_tensor_that_does_not_fit_the_config_is_corrupt(
         tmp_path, tiny_trained, name, change):
     """Shapes are checked, not only names: numpy broadcasting would let a
-    model run on a wrongly shaped tensor."""
-    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+    model run on a wrongly shaped tensor. Per-parameter layout."""
+    from fewdet.harness import load_run_checkpoint
 
-    config, tensors = checkpoint_payload(*tiny_trained)
+    config, tensors = legacy_payload(*tiny_trained)
     tensors = dict(tensors)
     change(tensors)
     path = tmp_path / "bad.fdck"
     save_checkpoint(path, config, tensors)
     with pytest.raises(CorruptionError, match=re.escape(f"'{name}'")):
         load_run_checkpoint(path)
+
+
+def _short_params(config, tensors):
+    tensors["params"] = tensors["params"][:-1]
+    return "'params' has shape"
+
+
+def _no_second_moments(config, tensors):
+    del tensors["adam.v"]
+    return "missing ['adam.v']"
+
+
+def _unknown_moment(config, tensors):
+    config["moments"].append("not.a.param")
+    return "moments: 'not.a.param' is not a parameter"
+
+
+def _repeated_moment(config, tensors):
+    config["moments"].append(config["moments"][0])
+    return f"moments: '{config['moments'][0]}' appears twice"
+
+
+def _moments_not_names(config, tensors):
+    config["moments"] = 3
+    return "moments is not a list of names"
+
+
+@pytest.mark.parametrize("change", [_short_params, _no_second_moments,
+                                    _unknown_moment, _repeated_moment,
+                                    _moments_not_names],
+                         ids=["buffer-length", "missing-buffer", "unknown-moment",
+                              "repeated-moment", "moments-not-names"])
+def test_flat_checkpoint_that_does_not_fit_the_config_is_corrupt(
+        tmp_path, tiny_trained, change):
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    tensors = dict(tensors)
+    offender = change(config, tensors)
+    path = tmp_path / "bad.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError, match=re.escape(offender)):
+        load_run_checkpoint(path)
+
+
+def _state_bytes(result) -> dict:
+    """Every parameter and Adam moment as bytes, by kind and name, and the
+    step counts."""
+    return {"p": {n: p.data.tobytes() for n, p in result.state.params.items()},
+            "m": {n: m.tobytes() for n, m in result.opt.first_moment.items()},
+            "v": {n: v.tobytes() for n, v in result.opt.second_moment.items()},
+            "steps": (result.steps_done, result.opt.step_count)}
+
+
+@pytest.mark.parametrize("variant", ["+OBD+OOD", "baseline"])
+def test_per_parameter_checkpoint_loads_as_the_flat_one(tmp_path, variant):
+    """A checkpoint in the per-parameter layout loads to the same state as
+    the flat checkpoint of the same run."""
+    from fewdet.config import run_config_from_dict
+    from fewdet.harness import load_run_checkpoint, save_run_checkpoint, train_run
+    from fewdet.model import ablation_variant
+
+    run = run_config_from_dict(_CLI_CONFIG)
+    result = train_run(run, cfg=ablation_variant(run.resolved_model(), variant))
+    flat, legacy = tmp_path / "flat.fdck", tmp_path / "legacy.fdck"
+    save_run_checkpoint(flat, run, result)
+    save_checkpoint(legacy, *legacy_payload(run, result))
+    (run_flat, from_flat), (run_legacy, from_legacy) = (
+        load_run_checkpoint(flat), load_run_checkpoint(legacy))
+    assert run_flat == run_legacy == run
+    assert _state_bytes(from_flat) == _state_bytes(from_legacy) == _state_bytes(result)
+    if variant == "baseline":  # the background token never has a gradient
+        assert "obd.background_token" not in from_legacy.opt.first_moment
+        assert "obd.background_token" not in from_legacy.opt.second_moment
+
+
+def _pinned_run():
+    """A run, and a tiny model after one Adam step on fixed gradients (all
+    but the background token), so its checkpoint's bytes depend on no
+    matrix product."""
+    from fewdet.config import run_config_from_dict
+    from fewdet.harness import TrainResult
+    from fewdet.model import init_model_state
+    from fewdet.optim import AdamState, adam_step
+
+    run = run_config_from_dict(_CLI_CONFIG)
+    cfg = run.resolved_model()
+    state = init_model_state(cfg)
+    opt = AdamState(learning_rate=cfg.learning_rate)
+    adam_step(state.params, {name: np.full(p.data.shape, 0.25)
+                             for name, p in state.params.items()
+                             if name != "obd.background_token"}, opt)
+    return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=1)
+
+
+def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
+    """A run checkpoint is three flat buffers and a ``moments`` list; a
+    parameter without moments is zeros in both moment buffers."""
+    from fewdet.harness import load_run_checkpoint, save_run_checkpoint
+    from fewdet.model import parameter_shapes
+
+    run, result = _pinned_run()
+    path = tmp_path / "run.fdck"
+    save_run_checkpoint(path, run, result)
+    blob = path.read_bytes()
+    assert len(blob) == 48688
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8e8a35951cbd0c7845972a6decd349118def832c6fbae22b1abe1156bccc1ef7")
+    config, tensors = load_checkpoint(path)
+    names = list(parameter_shapes(result.cfg))
+    assert config["moments"] == [n for n in names if n != "obd.background_token"]
+    size = sum(p.data.size for p in result.state.params.values())
+    assert {k: v.shape for k, v in tensors.items()} == {
+        "params": (size,), "adam.m": (size,), "adam.v": (size,)}
+    token = names.index("obd.background_token")
+    start = sum(result.state.params[n].data.size for n in names[:token])
+    token_size = result.state.params["obd.background_token"].data.size
+    for key in ("adam.m", "adam.v"):
+        assert not tensors[key][start:start + token_size].any()
+    _, loaded = load_run_checkpoint(path)
+    assert _state_bytes(loaded) == _state_bytes(result)
+
+
+def test_model_without_moments_round_trips(tmp_path):
+    """A model that has not taken a step yet has no moments: the buffers are
+    packed for the save, the state is left as it was."""
+    from fewdet.config import run_config_from_dict
+    from fewdet.harness import TrainResult, load_run_checkpoint, save_run_checkpoint
+    from fewdet.model import init_model_state
+    from fewdet.optim import AdamState
+
+    run = run_config_from_dict(_CLI_CONFIG)
+    cfg = run.resolved_model()
+    state = init_model_state(cfg)
+    kept = {n: p.data for n, p in state.params.items()}
+    result = TrainResult(state=state, opt=AdamState(learning_rate=cfg.learning_rate),
+                         cfg=cfg, steps_done=0)
+    path = tmp_path / "fresh.fdck"
+    save_run_checkpoint(path, run, result)
+    assert all(state.params[n].data is kept[n] for n in kept)
+    config, tensors = load_checkpoint(path)
+    assert config["moments"] == []
+    assert not tensors["adam.m"].any() and not tensors["adam.v"].any()
+    _, loaded = load_run_checkpoint(path)
+    assert _state_bytes(loaded) == _state_bytes(result)
+    assert loaded.opt.first_moment == {} and loaded.opt.second_moment == {}
+
+
+def test_parameters_out_of_layout_order_are_refused(tmp_path, tiny_trained):
+    """The buffers carry no names: parameters in another order than the
+    config's layout would load shuffled, so they are not saved."""
+    import dataclasses
+    from fewdet.errors import ShapeError
+    from fewdet.harness import save_run_checkpoint
+    from fewdet.model import ModelState
+
+    run, result = tiny_trained
+    state = ModelState(dict(reversed(result.state.params.items())), result.cfg)
+    path = tmp_path / "shuffled.fdck"
+    with pytest.raises(ShapeError, match="the model config lays out"):
+        save_run_checkpoint(path, run, dataclasses.replace(result, state=state))
+    assert not path.exists()

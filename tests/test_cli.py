@@ -135,6 +135,25 @@ class TestTrainEval:
         _, after = load_run_checkpoint(ckpt)
         assert after.steps_done == 8
 
+    @pytest.mark.parametrize("flag, value, same, theirs", [
+        ("--seed", "5", "0", "seed 0"),
+        ("--variant", "baseline", "+OBD+OOD", "variant +OBD+OOD"),
+    ], ids=["seed", "variant"])
+    def test_resume_with_a_differing_flag_exits_1(self, fast_config, tmp_path, capsys,
+                                                  flag, value, same, theirs):
+        """A resumed run keeps the checkpoint's settings: a flag that asks
+        for another value is refused, naming both, not dropped."""
+        run_cli("train", "--config", str(fast_config))
+        ckpt = tmp_path / "out" / "checkpoint.fdck"
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        resume = ("train", "--config", str(fast_config), "--checkpoint", str(ckpt))
+        assert run_cli(*resume, flag, value) == 1
+        assert (f"error: {flag} {value} differs from the checkpoint's {theirs}"
+                in capsys.readouterr().err)
+        assert ckpt.read_bytes() == before
+        assert run_cli(*resume, flag, same) == 0
+
     def test_eval_on_episode_file(self, fast_config, tmp_path, capsys):
         run_cli("train", "--config", str(fast_config))
         run_cli("gen", "--config", str(fast_config), "--count", "3",

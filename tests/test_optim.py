@@ -215,3 +215,23 @@ def test_rejected_gradient_changes_nothing(stepped):
     with pytest.raises(ShapeError, match="'zz', which is not a parameter"):
         adam_step(params, {"p": np.ones(2), "zz": np.ones(2)}, state)
     _assert_unchanged(before, params, state)
+
+
+@pytest.mark.parametrize("t", [355, 356, 400])
+def test_update_once_bias_correction_rounds_to_one(t):
+    """From step 356 on ``1 - BETA1**t`` is exactly 1.0 and the update skips
+    dividing by it; either side of that step it equals the reference."""
+    assert (1.0 - BETA1 ** t == 1.0) == (t >= 356)
+    rng = np.random.default_rng(t)
+    values = _random_params(rng)
+    params = {n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
+    ref_params = {n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
+    state, ref_state = AdamState(learning_rate=0.01), AdamState(learning_rate=0.01)
+    for s in (state, ref_state):
+        s.step_count = t - 2
+    for names in (("a", "b", "c"), ("a", "c", "d")):
+        grads = {n: rng.normal(size=SHAPES[n]) for n in names}
+        adam_step(params, grads, state)
+        adam_reference(ref_params, grads, ref_state)
+    assert state.step_count == t
+    _assert_same(params, state, ref_params, ref_state)
