@@ -2,11 +2,12 @@
 configuration) and the flags listed with it; any other flag is a usage error.
 
   gen        episode file; data seed from the config's benchmark.seed:
-             --out --count --split --start-index
+             --out --count (>= 0) --split --start-index
   train      base training plus optional fine-tuning, a JSONL metrics log and
              a checkpoint: --seed --out --variant --checkpoint (resume, with
              the checkpoint's settings; a --seed or --variant that differs
-             from the checkpoint's exits 1)
+             from the checkpoint's, or a --config whose settings but out_dir
+             differ from its run's, exits 1)
   eval       metric report for a checkpoint, on its settings unless --config
              is given: --out --checkpoint --episodes; exits 1 when the
              benchmark's feature_dim is not the checkpoint's input_dim
@@ -98,6 +99,8 @@ def _out_dir(run: RunConfig) -> Path:
 
 def cmd_gen(args) -> int:
     run = _load_run(args)
+    if args.count < 0:
+        raise ConfigError(f"--count must be >= 0, not {args.count}")
     out = _out_dir(run)
     path = out / f"episodes_{args.split}.bin"
     manifest = write_episodes(run.benchmark, args.count, path,
@@ -109,12 +112,24 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _first_difference(ours, theirs, prefix: str = ""):
+    """(dotted name, ours, theirs) of the first setting in which two config
+    dataclasses differ, or None."""
+    for f in dataclasses.fields(ours):
+        a, b = getattr(ours, f.name), getattr(theirs, f.name)
+        if a != b:
+            if dataclasses.is_dataclass(a):
+                return _first_difference(a, b, f"{prefix}{f.name}.")
+            return prefix + f.name, a, b
+    return None
+
+
 def cmd_train(args) -> int:
     from .harness import (load_run_checkpoint, save_run_checkpoint, train_run)
     from .model import ablation_variant
 
     run = _load_run(args)
-    out = _out_dir(run)
+    out = Path(run.out_dir)
     state = opt = None
     start_step = 0
     if args.checkpoint:
@@ -129,9 +144,15 @@ def cmd_train(args) -> int:
                           f"(none of {', '.join(VARIANTS)})")
             raise ConfigError(f"--variant {args.variant} differs from the "
                               f"checkpoint's variant {theirs}")
+        differs = args.config and _first_difference(
+            dataclasses.replace(run, out_dir=prev_run.out_dir), prev_run)
+        if differs:
+            raise ConfigError("--config gives %s %r, the checkpoint's run has %r"
+                              % differs)
         run = prev_run
     else:
         cfg = ablation_variant(run.resolved_model(), args.variant or "+OBD+OOD")
+    out.mkdir(parents=True, exist_ok=True)
 
     log_path = out / "train_log.jsonl"
     with open(log_path, "a") as log_fh:

@@ -5,7 +5,8 @@ the CLI passes its flag overrides into :func:`load_run_config`.
 Seeds: the top-level ``seed`` initialises the model, ``benchmark.seed``
 generates the episodes, and ``ablate_seeds`` seed the ablation's models.
 Every setting has one source: a file that sets a ``model`` key derived from
-another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it.
+another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it, and
+so does an integer setting that is not a YAML integer (``2.5``, ``true``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class TrainingConfig:
             raise ConfigError("step counts must be non-negative")
         if self.fine_tune_steps > 0 and self.fine_tune_episodes < 1:
             raise ConfigError("fine_tune_episodes must be >= 1 when fine-tuning")
+        for name in ("eval_episodes", "log_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,16 @@ _SECTION_TYPES = {
 _TOP_LEVEL_SCALARS = {"seed", "out_dir", "ablate_seeds"}
 
 
+def _check_integers(cls, values: dict, prefix: str) -> None:
+    """ConfigError unless each of ``values`` that sets an int field of ``cls``
+    is an int, not a bool (``f.type`` is a string: annotations are deferred)."""
+    for f in dataclasses.fields(cls):
+        value = values.get(f.name, 0)
+        if f.type in ("int", "int | None") and type(value) is not int and not (
+                value is None and f.type != "int"):
+            raise ConfigError(f"{prefix}{f.name} must be an integer, not {value!r}")
+
+
 def _build_section(cls, values: dict, section: str):
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(values) - allowed
@@ -94,6 +108,7 @@ def _build_section(cls, values: dict, section: str):
             raise ConfigError(f"unknown key(s) in 'model.weights': {sorted(wunknown)}")
         values = dict(values)
         values["weights"] = Weights(**w)
+    _check_integers(cls, values, f"{section}.")
     try:
         return cls(**values)
     except TypeError as exc:
@@ -106,6 +121,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - set(_SECTION_TYPES) - _TOP_LEVEL_SCALARS
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+    _check_integers(RunConfig, data, "")
     kwargs = {}
     for key in _TOP_LEVEL_SCALARS:
         if key in data:

@@ -16,7 +16,8 @@ parameters that have Adam moments, in layout order; the others are zeros
 in both moment buffers. Per-parameter checkpoints written before, with no
 ``moments`` field, hold one tensor per parameter plus ``adam.m.<name>`` and
 ``adam.v.<name>`` for each parameter with moments; they load into views of
-the same three buffers.
+the same three buffers. :func:`fewdet.optim.restore` hands either kind's
+moment buffers to the optimizer, zeroing the parts without moments.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_shapes, run_inference,
                     train_step, training_episode)
 from .ood import min_interclass_separation
-from .optim import BETA1, BETA2, EPSILON, AdamState, flat_buffers, flat_views
+from .optim import (BETA1, BETA2, EPSILON, AdamState, flat_buffers, flat_views,
+                    restore)
 from .set_head import Weights
 from .tensor import Tensor, no_grad
 
@@ -81,7 +83,7 @@ def train_run(run: RunConfig, cfg: ModelConfig | None = None,
         episode, _ = _episode_for_step(run, step)
         ep = training_episode(episode, cfg, step)
         breakdown = train_step(ep, state, opt, cfg)
-        if step % max(run.training.log_interval, 1) == 0 or step == total_steps - 1:
+        if step % run.training.log_interval == 0 or step == total_steps - 1:
             row = {"step": step, **breakdown.as_dict()}
             history.append(row)
             if log_fh is not None:
@@ -183,15 +185,18 @@ def _parse_run_config(path, config: dict
         vm = dict(config["variant_model"])
         vm["weights"] = Weights(**vm["weights"])
         cfg = ModelConfig(**vm)
-        step = int(config["step"])
-        adam_meta = config["adam"]
+        step, adam_meta = config["step"], config["adam"]
+        count = adam_meta["step_count"]
+        for field, value in (("step", step), ("adam.step_count", count)):
+            if type(value) is not int or value < 0:  # a bool is not a count
+                raise CorruptionError(f"{path}: {field} is {value!r}, not a "
+                                      f"non-negative integer")
         for key, value in (("learning_rate", cfg.learning_rate), ("beta1", BETA1),
                            ("beta2", BETA2), ("epsilon", EPSILON)):
             if adam_meta.get(key, value) != value:
                 raise CorruptionError(f"{path}: adam {key} is {adam_meta[key]}, "
                                       f"the optimiser uses {value}")
-        opt = AdamState(learning_rate=cfg.learning_rate,
-                        step_count=adam_meta["step_count"])
+        opt = AdamState(learning_rate=cfg.learning_rate, step_count=count)
         moments = config.get("moments")
         if moments is not None and not (isinstance(moments, list) and all(
                 isinstance(name, str) for name in moments)):
@@ -217,20 +222,24 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
             if name in seen:
                 raise CorruptionError(f"{path}: moments: '{name}' appears twice")
             seen.add(name)
-        buffers, views = zip(*(flat_views(shapes, zeroed=False) for _ in _BUFFERS))
+        param_buf, params = flat_views(shapes, zeroed=False)
         if moments is None:
-            slots = dict(views[0])
-            for prefix, moment_views in (("adam.m.", views[1]), ("adam.v.", views[2])):
+            (m_buf, m_views), (v_buf, v_views) = (flat_views(shapes, zeroed=False)
+                                                  for _ in "mv")
+            slots = dict(params)
+            for prefix, moment_views in (("adam.m.", m_views), ("adam.v.", v_views)):
                 slots.update((prefix + name, v) for name, v in moment_views.items())
             required = set(shapes)
         else:
-            slots = dict(zip(_BUFFERS, buffers))
+            m_buf, v_buf = np.empty(param_buf.size), np.empty(param_buf.size)
+            slots = dict(zip(_BUFFERS, (param_buf, m_buf, v_buf)))
             required = set(_BUFFERS)
-        parsed.extend((run, cfg, step, opt, moments, views, slots, required))
+        parsed.extend((run, cfg, step, opt, moments, params, m_buf, v_buf, slots,
+                       required))
         return slots
 
     _, tensors = load_checkpoint(path, into)
-    run, cfg, step, opt, moments, (params, m_views, v_views), slots, required = parsed
+    run, cfg, step, opt, moments, params, m_buf, v_buf, slots, required = parsed
     missing = sorted(required - set(tensors))
     extra = sorted(set(tensors) - set(slots))
     if missing or extra:
@@ -250,14 +259,11 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
             raise CorruptionError(f"{path}: adam.m and adam.v differ for "
                                   f"{sorted(unpaired)}")
     # Moments may cover only some parameters: one that never had a gradient
-    # (the baseline's background token) has none. Its part of the moment
-    # buffers is read by nothing; the optimizer zeroes it when it takes
-    # the buffers over.
-    for name in moments:
-        opt.first_moment[name] = m_views[name]
-        opt.second_moment[name] = v_views[name]
+    # (the baseline's background token) has none, and restore zeroes its
+    # part of the moment buffers.
     state = ModelState({name: Tensor.parameter(view) for name, view in params.items()},
                        cfg)
+    restore(state.params, opt, m_buf, v_buf, moments)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
 

@@ -68,6 +68,9 @@ class ModelConfig:
     single_class_mode: bool = False
 
     def __post_init__(self):
+        if self.d < 4 or self.d % 4:
+            raise ConfigError(f"d must be a positive multiple of 4 (the "
+                              f"positional code has four parts), not {self.d}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         for name in ("heads", "encoder_layers", "decoder_layers",
@@ -211,8 +214,6 @@ def zero_model_state(cfg: ModelConfig) -> ModelState:
 def sinusoidal_grid_encoding(rows: int, cols: int, d: int) -> np.ndarray:
     """Fixed 2-d positional code: half the channels encode the row index,
     half the column index, interleaved sine/cosine at geometric wavelengths."""
-    if d % 4 != 0:
-        raise ConfigError(f"positional encoding needs d divisible by 4, got {d}")
     quarter = d // 4
     freqs = 1.0 / (100.0 ** (np.arange(quarter) / max(quarter, 1)))
     out = np.zeros((rows * cols, d))

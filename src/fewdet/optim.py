@@ -27,12 +27,13 @@ so ``m / correction1`` is ``m`` bit for bit and that division is skipped.
 Validate before mutate: every gradient name and shape is checked before
 any value, moment or the step count changes.
 
-Re-packing: each step checks, by identity, that every parameter's
-``.data`` and its moments are still the views the buffers were built from
-(a swapped ``Tensor`` brings its own ``.data``). Parameters passed as
-separate arrays, or a dict entry or a ``.data`` swapped out since the last
-step, make the step copy the current values into fresh buffers and rebind
-``.data`` and the moment dicts to views of them.
+Ownership: an :class:`AdamState` owns its moment buffers, zeros or a
+checkpoint's given through :func:`restore`, and binds them once to the
+buffer the parameters tile, at its first :func:`adam_step` or
+:func:`flat_buffers` call. Nothing is re-packed: parameters that do not
+tile one buffer in dict order, or a ``Tensor`` or ``.data`` replaced after
+binding, raise ShapeError before anything changes. The moment dicts are
+outputs: no step reads a moment from them.
 """
 
 from __future__ import annotations
@@ -62,13 +63,18 @@ def flat_views(shapes: dict[str, tuple[int, ...]], zeroed: bool = True
     """A 1-D float64 buffer, zeroed unless ``zeroed`` is false, and, by
     name, writable C-contiguous views of the given shapes that tile it in
     the order of ``shapes``."""
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    buffer = (np.zeros if zeroed else np.empty)(sum(sizes))
+    buffer = (np.zeros if zeroed else np.empty)(sum(map(math.prod, shapes.values())))
+    return buffer, _views(buffer, shapes)
+
+
+def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]
+           ) -> dict[str, np.ndarray]:
     views, start = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
+    for name, shape in shapes.items():
+        size = math.prod(shape)
         views[name] = buffer[start:start + size].reshape(shape)
         start += size
-    return buffer, views
+    return views
 
 
 def flat_parameters(shapes: dict[str, tuple[int, ...]], zeroed: bool = True
@@ -84,148 +90,97 @@ def flat_parameters(shapes: dict[str, tuple[int, ...]], zeroed: bool = True
 class AdamState:
     learning_rate: float = 1e-3
     step_count: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    first_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    second_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    # The moment buffers restore gave, and the layout that binds them (or
+    # zeros) to the parameters at the first step or flat_buffers call.
+    _restored: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
     _flat: "_FlatLayout | None" = field(default=None, init=False, repr=False,
                                         compare=False)
 
 
-class _Entry:
-    """One parameter in the layout: its ``.data`` view, its moment views,
-    its span within its block, and its moments' dict entries (None while it
-    has had no gradient)."""
-
-    __slots__ = ("name", "data", "m", "v", "lo", "hi", "m_entry", "v_entry")
-
-    def __init__(self, name, data, m, v, lo, hi, has_moments):
-        self.name, self.data = name, data
-        self.m, self.v, self.lo, self.hi = m, v, lo, hi
-        self.m_entry = m if has_moments else None
-        self.v_entry = v if has_moments else None
-
-
-class _Block:
-    __slots__ = ("entries", "param", "m", "v")
-
-    def __init__(self, entries, param, m, v):
-        self.entries, self.param, self.m, self.v = entries, param, m, v
-
-
 class _FlatLayout:
-    """Parameters and moments as views into three matching flat buffers,
-    cut into blocks at parameter boundaries."""
+    """The buffer the parameters tile (else ShapeError) and two moment
+    buffers (zeros unless given), cut into blocks at parameter boundaries."""
 
-    def __init__(self, params: dict[str, Tensor], state: AdamState):
-        shapes = {name: p.data.shape for name, p in params.items()}
-        param_buf = _buffer_of({n: p.data for n, p in params.items()}, shapes)
-        if param_buf is None:
-            param_buf, views = flat_views(shapes, zeroed=False)
-            for name, p in params.items():
-                views[name][...] = p.data
-                p.data = views[name]
-        moment_bufs = []
-        for moments in (state.first_moment, state.second_moment):
-            present = {n: moments[n] for n in shapes if n in moments}
-            buf = _buffer_of(present, shapes)
-            if buf is None or any(buf is b for b in (param_buf, *moment_bufs)):
-                buf, views = flat_views(shapes)
-                for name, arr in present.items():
-                    views[name][...] = arr
-            moment_bufs.append(buf)
-        m_buf, v_buf = moment_bufs
+    def __init__(self, params: dict[str, Tensor], m_buf: np.ndarray | None = None,
+                 v_buf: np.ndarray | None = None):
+        param_buf = next(iter(params.values())).data.base if params else None
+        if not (isinstance(param_buf, np.ndarray) and param_buf.ndim == 1
+                and param_buf.dtype == np.float64 and param_buf.flags.c_contiguous
+                and param_buf.size == sum(p.data.size for p in params.values())):
+            raise ShapeError("adam: the parameters are not views tiling one flat "
+                             "float64 buffer (see flat_parameters)")
+        if m_buf is None:
+            m_buf, v_buf = np.zeros(param_buf.size), np.zeros(param_buf.size)
         self.buffers = (param_buf, m_buf, v_buf)
-        self.blocks: list[_Block] = []
-        block: list[_Entry] = []
+        # Per block: (name, .data, span in the block) of each parameter, and
+        # the block's slices of the three buffers.
+        self.blocks = []
+        block = []
         lo = hi = 0
         for name, p in params.items():
-            size = p.data.size
+            data, size = p.data, p.data.size
+            if (data.base is not param_buf or data.dtype != np.float64
+                    or not data.flags.c_contiguous or not data.flags.writeable
+                    or _address(data) != _address(param_buf) + hi * data.itemsize):
+                raise ShapeError(f"adam: parameter '{name}' is not the next view "
+                                 f"of the parameters' flat buffer")
             if block and hi + size - lo > BLOCK_ELEMENTS:
-                self.blocks.append(_Block(block, param_buf[lo:hi], m_buf[lo:hi],
-                                          v_buf[lo:hi]))
+                self.blocks.append((block, param_buf[lo:hi], m_buf[lo:hi], v_buf[lo:hi]))
                 block, lo = [], hi
-            at = slice(hi, hi + size)
-            has_moments = name in state.first_moment
-            if not has_moments:  # a reused buffer may hold stale moments
-                m_buf[at] = 0.0
-                v_buf[at] = 0.0
-            block.append(_Entry(name, p.data, m_buf[at].reshape(shapes[name]),
-                                v_buf[at].reshape(shapes[name]), hi - lo,
-                                hi - lo + size, has_moments))
+            block.append((name, data, hi - lo, hi - lo + size))
             hi += size
         if block:
-            self.blocks.append(_Block(block, param_buf[lo:hi], m_buf[lo:hi],
-                                      v_buf[lo:hi]))
-        self.entries = [e for b in self.blocks for e in b.entries]
-        self.width = max((b.param.size for b in self.blocks), default=0)
-        for e in self.entries:
-            if e.m_entry is not None:
-                state.first_moment[e.name] = e.m
-                state.second_moment[e.name] = e.v
-        self.first_moment = state.first_moment
-        self.second_moment = state.second_moment
-
-    def current(self, params: dict[str, Tensor], state: AdamState) -> bool:
-        """Whether ``params`` and the moments are still this layout's views."""
-        if (len(params) != len(self.entries)
-                or state.first_moment is not self.first_moment
-                or state.second_moment is not self.second_moment):
-            return False
-        first, second = state.first_moment, state.second_moment
-        for e in self.entries:
-            tensor = params.get(e.name)
-            if (tensor is None or tensor.data is not e.data
-                    or first.get(e.name) is not e.m_entry
-                    or second.get(e.name) is not e.v_entry):
-                return False
-        return True
-
-
-def flat_buffers(params: dict[str, Tensor], state: AdamState
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parameter, first-moment and second-moment buffers of ``params``
-    and ``state``, in the order of ``params``; a parameter without moments
-    is zeros in the moment buffers. They are the live buffers of the
-    optimizer's layout while it is current, else packed copies (say of a
-    model that has not taken a step yet). Nothing is rebound either way."""
-    layout = state._flat
-    if layout is not None and layout.current(params, state):
-        return layout.buffers
-    shapes = {name: p.data.shape for name, p in params.items()}
-    buffers = []
-    for arrays in ({n: p.data for n, p in params.items()},
-                   state.first_moment, state.second_moment):
-        buf, views = flat_views(shapes)
-        for name, view in views.items():
-            if name in arrays:
-                view[...] = arrays[name]
-        buffers.append(buf)
-    return tuple(buffers)
+            self.blocks.append((block, param_buf[lo:hi], m_buf[lo:hi], v_buf[lo:hi]))
+        self.entries = [e for entries, *_ in self.blocks for e in entries]
+        self.width = max(param.size for _, param, _, _ in self.blocks)
 
 
 def _address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
-def _buffer_of(arrays: dict[str, np.ndarray],
-               shapes: dict[str, tuple[int, ...]]) -> np.ndarray | None:
-    """The buffer that :func:`flat_views` of ``shapes`` would lay out, if
-    every one of ``arrays`` already is its writable view there; else None."""
-    base = next(iter(arrays.values())).base if arrays else None
-    if not (isinstance(base, np.ndarray) and base.ndim == 1
-            and base.dtype == np.float64 and base.flags.c_contiguous
-            and base.size == sum(math.prod(s) for s in shapes.values())):
-        return None
-    address = _address(base)
-    for name, shape in shapes.items():
-        arr = arrays.get(name)
-        if arr is not None and (arr.base is not base or arr.shape != shape
-                                or arr.dtype != np.float64
-                                or not arr.flags.c_contiguous
-                                or not arr.flags.writeable
-                                or _address(arr) != address):
-            return None
-        address += base.itemsize * math.prod(shape)
-    return base
+def _bound_layout(params: dict[str, Tensor], state: AdamState) -> _FlatLayout:
+    """``state``'s layout, bound to ``params`` with zero moments if it has
+    none yet; ShapeError unless ``params`` hold its views."""
+    layout = state._flat
+    if layout is None:
+        layout = state._flat = _FlatLayout(params, *(state._restored or ()))
+    elif len(params) != len(layout.entries) or any(
+            getattr(params.get(name), "data", None) is not data
+            for name, data, _, _ in layout.entries):
+        raise ShapeError("adam: a parameter or its .data was replaced after "
+                         "the optimizer bound its buffers")
+    return layout
+
+
+def flat_buffers(params: dict[str, Tensor], state: AdamState
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parameter, first-moment and second-moment buffers of ``params``
+    and ``state``, in the order of ``params``: the live buffers the next
+    :func:`adam_step` updates in place (bound here if ``state`` has none
+    yet). A parameter without moments is zeros in the moment buffers."""
+    return _bound_layout(params, state).buffers
+
+
+def restore(params: dict[str, Tensor], state: AdamState, m: np.ndarray,
+            v: np.ndarray, moments: list[str]) -> None:
+    """Give a fresh ``state`` the moment buffers ``m`` and ``v``, laid out as
+    ``params`` tile their buffer (say, read from a checkpoint). The
+    parameters named in ``moments`` enter the moment dicts and the others'
+    parts are zeroed; the first step or flat_buffers call binds them."""
+    if state._flat is not None or state._restored is not None:
+        raise ShapeError("adam: restore into an optimizer already bound")
+    state._restored, moments = (m, v), set(moments)
+    shapes = {name: p.data.shape for name, p in params.items()}
+    for moment_dict, buffer in ((state.first_moment, m), (state.second_moment, v)):
+        for name, view in _views(buffer, shapes).items():
+            if name in moments:
+                moment_dict[name] = view
+            else:
+                view[...] = 0.0
 
 
 def _validate(params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
@@ -247,13 +202,12 @@ def adam_step(params: dict[str, Tensor],
 
     ``grads`` maps a subset of parameter names to gradient arrays; names not
     present are left untouched. A gradient whose name is not a parameter's,
-    or whose shape is not its parameter's, raises ShapeError before anything
+    or whose shape is not its parameter's, and parameters the optimizer
+    cannot bind or is not bound to, raise ShapeError before anything
     changes. Returns the same objects for chaining.
     """
     _validate(params, grads)
-    layout = state._flat
-    if layout is None or not layout.current(params, state):
-        layout = state._flat = _FlatLayout(params, state)
+    layout = _bound_layout(params, state)
     state.step_count += 1
     t = state.step_count
     correction1 = 1.0 - BETA1 ** t
@@ -261,27 +215,26 @@ def adam_step(params: dict[str, Tensor],
     lr = state.learning_rate
     # Scratch is per step: it reuses memory the freed graph left behind.
     grad_buf, tmp_buf = np.empty(layout.width), np.empty(layout.width)
-    for block in layout.blocks:
-        n = block.param.size
+    for entries, p, m, v in layout.blocks:
+        n = p.size
         g, tmp = grad_buf[:n], tmp_buf[:n]
         skipped = False
-        for e in block.entries:
-            grad = grads.get(e.name)
+        for name, data, lo, hi in entries:
+            grad = grads.get(name)
             if grad is None:
                 skipped = True
                 continue
-            g[e.lo:e.hi] = grad.reshape(-1)
-            if e.m_entry is None:
+            g[lo:hi] = grad.reshape(-1)
+            if name not in state.first_moment:
                 # A parameter's first gradient: its moments, zero until now,
                 # enter the moment dicts.
-                e.m_entry = state.first_moment[e.name] = e.m
-                e.v_entry = state.second_moment[e.name] = e.v
+                state.first_moment[name] = m[lo:hi].reshape(data.shape)
+                state.second_moment[name] = v[lo:hi].reshape(data.shape)
         where = True
         if skipped:
             where = np.zeros(n, bool)
-            for e in block.entries:
-                where[e.lo:e.hi] = e.name in grads
-        m, v, p = block.m, block.v, block.param
+            for name, _, lo, hi in entries:
+                where[lo:hi] = name in grads
         np.multiply(m, BETA1, out=m, where=where)
         np.multiply(g, 1.0 - BETA1, out=tmp, where=where)
         np.add(m, tmp, out=m, where=where)

@@ -393,6 +393,24 @@ def test_checkpoint_with_other_adam_learning_rate_is_corrupt(tmp_path, tiny_trai
         load_run_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [2.5, 7.9, -1, True])
+@pytest.mark.parametrize("field", ["step", "adam.step_count"])
+def test_step_counter_that_is_not_a_count_is_corrupt(tmp_path, tiny_trained,
+                                                     field, value):
+    """Step counters load as non-negative JSON integers or not at all: not
+    truncated, not as a fraction a resumed run would bias-correct with."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    record = config["adam"] if field == "adam.step_count" else config
+    record[field.split(".")[-1]] = value
+    path = tmp_path / "counter.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError,
+                       match=rf"{field} is {value!r}, not a non-negative integer"):
+        load_run_checkpoint(path)
+
+
 def legacy_payload(run, result) -> tuple[dict, dict]:
     """The per-parameter run checkpoint written before checkpoints stored
     flat buffers: one tensor per parameter and per Adam moment, and no

@@ -76,6 +76,32 @@ class TestUsageErrors:
     def test_missing_config_file_exits_1(self, capsys):
         assert run_cli("gen", "--config", "/does/not/exist.yaml") == 1
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "steps", 2.5),
+        ("training", "steps", True),
+        ("benchmark", "grid_rows", 4.0),
+        ("training", "eval_episodes", -5),
+        ("training", "log_interval", 0),
+        ("model", "d", 0),
+        ("model", "d", 6),
+    ], ids=["float-steps", "bool-steps", "float-grid-rows", "negative-eval-episodes",
+            "zero-log-interval", "zero-d", "d-not-multiple-of-4"])
+    def test_bad_integer_setting_exits_1(self, fast_config, tmp_path, capsys,
+                                         section, key, value):
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg[section] = {**cfg[section], key: value}
+        fast_config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("train", "--config", str(fast_config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_gen_count_exits_1(self, fast_config, tmp_path, capsys):
+        assert run_cli("gen", "--config", str(fast_config), "--count", "-1") == 1
+        assert capsys.readouterr().err == "error: --count must be >= 0, not -1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ("gen", "--seed", "1"),
         ("eval", "--checkpoint", "x.fdck", "--seed", "1"),
@@ -153,6 +179,28 @@ class TestTrainEval:
                 in capsys.readouterr().err)
         assert ckpt.read_bytes() == before
         assert run_cli(*resume, flag, same) == 0
+
+    def test_resume_with_a_differing_config_exits_1(self, fast_config, tmp_path,
+                                                    capsys):
+        """A config that differs from the checkpoint's run is refused,
+        naming the first setting, before anything is written; one that
+        equals it but for out_dir resumes there."""
+        run_cli("train", "--config", str(fast_config))
+        ckpt = tmp_path / "out" / "checkpoint.fdck"
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["out_dir"] = str(tmp_path / "more")
+        cfg["training"] = {**cfg["training"], "steps": 20, "log_interval": 3}
+        more = tmp_path / "more.yaml"
+        more.write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(more), "--checkpoint", str(ckpt)) == 1
+        assert capsys.readouterr().err == (
+            "error: --config gives training.steps 20, the checkpoint's run has 6\n")
+        assert not (tmp_path / "more").exists()
+        cfg["training"] = FAST_CONFIG["training"]
+        more.write_text(yaml.safe_dump(cfg))
+        assert run_cli("train", "--config", str(more), "--checkpoint", str(ckpt)) == 0
+        assert (tmp_path / "more" / "checkpoint.fdck").read_bytes() == ckpt.read_bytes()
 
     def test_eval_on_episode_file(self, fast_config, tmp_path, capsys):
         run_cli("train", "--config", str(fast_config))

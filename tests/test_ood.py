@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from fewdet.errors import ConfigError, NumericError, ShapeError
 from fewdet.ood import (ClassFeatureSpace, SupportClassFeatures, infonce_loss,
                         min_interclass_separation)
-from fewdet.optim import AdamState, adam_step, collect_grads, zero_grads
+from fewdet.optim import (AdamState, adam_step, collect_grads, flat_parameters,
+                          zero_grads)
 from fewdet.tensor import Tensor, finite_diff_gradient, tsum
 
 
@@ -127,9 +128,10 @@ def test_minimizing_infonce_increases_separation():
     """Adam on the contrastive loss alone (C=4, d=8, 500 steps): features
     become strictly more separated than at initialization."""
     rng = np.random.default_rng(11)
-    f = Tensor(rng.normal(size=(4, 8)) * 0.3, requires_grad=True)
-    t = Tensor(rng.normal(size=(4, 8)) * 0.3, requires_grad=True)
-    params = {"f": f, "t": t}
+    params = flat_parameters({"f": (4, 8), "t": (4, 8)})
+    for p in params.values():
+        p.data[...] = rng.normal(size=(4, 8)) * 0.3
+    f, t = params["f"], params["t"]
     initial = min_interclass_separation(SupportClassFeatures(f))
     opt = AdamState(learning_rate=1e-2)
     for _ in range(500):

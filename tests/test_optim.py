@@ -4,64 +4,71 @@ import pytest
 from fewdet import optim
 from fewdet.errors import ShapeError
 from fewdet.optim import (BETA1, BETA2, BLOCK_ELEMENTS, EPSILON, AdamState,
-                          adam_step, collect_grads, flat_parameters, zero_grads)
+                          adam_step, collect_grads, flat_buffers, flat_parameters,
+                          restore, zero_grads)
 from fewdet.tensor import Tensor, tsum
 
 
+def flat(values):
+    """Parameters holding copies of ``values``, in one flat buffer."""
+    params = flat_parameters({name: np.shape(v) for name, v in values.items()})
+    for name, value in values.items():
+        params[name].data[...] = value
+    return params
+
+
 def test_zero_gradient_leaves_parameters_unchanged():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    params = flat({"p": [1.0, -2.0]})
     state = AdamState()
-    adam_step({"p": p}, {"p": np.zeros(2)}, state)
-    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    adam_step(params, {"p": np.zeros(2)}, state)
+    np.testing.assert_array_equal(params["p"].data, [1.0, -2.0])
     assert state.step_count == 1
 
 
 def test_first_step_magnitude_is_learning_rate():
     # On f(x) = x the gradient is 1; bias correction makes the first step
     # equal to the learning rate (up to epsilon).
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    params = flat({"p": [1.0]})
     state = AdamState(learning_rate=0.1)
-    adam_step({"p": p}, {"p": np.ones(1)}, state)
-    assert p.data[0] == pytest.approx(0.9, abs=1e-6)
+    adam_step(params, {"p": np.ones(1)}, state)
+    assert params["p"].data[0] == pytest.approx(0.9, abs=1e-6)
 
 
 def test_quadratic_descent_monotone_after_warmup():
     target = np.array([0.3, -1.2, 2.0])
-    p = Tensor(np.zeros(3), requires_grad=True)
+    params = flat({"p": np.zeros(3)})
     state = AdamState(learning_rate=0.01)
     losses = []
     for _ in range(200):
-        zero_grads({"p": p})
-        diff = p - Tensor(target)
+        zero_grads(params)
+        diff = params["p"] - Tensor(target)
         loss = tsum(diff * diff)
         losses.append(loss.item())
         loss.backward()
-        adam_step({"p": p}, collect_grads({"p": p}), state)
+        adam_step(params, collect_grads(params), state)
     for k in range(10, len(losses) - 1):
         assert losses[k + 1] < losses[k]
 
 
 def test_shape_mismatch_rejected():
-    p = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        adam_step({"p": p}, {"p": np.zeros(4)}, AdamState())
+        adam_step(flat({"p": np.zeros(3)}), {"p": np.zeros(4)}, AdamState())
 
 
 def test_step_count_increments_once_per_update():
-    p = Tensor(np.zeros(2), requires_grad=True)
+    params = flat({"p": np.zeros(2)})
     state = AdamState()
     for expected in range(1, 5):
-        adam_step({"p": p}, {"p": np.ones(2)}, state)
+        adam_step(params, {"p": np.ones(2)}, state)
         assert state.step_count == expected
 
 
 def test_skipped_parameters_keep_moments_untouched():
-    p = Tensor(np.zeros(2), requires_grad=True)
-    q = Tensor(np.zeros(2), requires_grad=True)
+    params = flat({"p": np.zeros(2), "q": np.zeros(2)})
     state = AdamState()
-    adam_step({"p": p, "q": q}, {"p": np.ones(2)}, state)
+    adam_step(params, {"p": np.ones(2)}, state)
     assert "q" not in state.first_moment
-    np.testing.assert_array_equal(q.data, np.zeros(2))
+    np.testing.assert_array_equal(params["q"].data, np.zeros(2))
 
 
 # -- the flat, block-wise update against the per-parameter loop --------------------
@@ -126,17 +133,21 @@ def _shares_one_buffer(arrays):
 @pytest.mark.parametrize("block", [BLOCK_ELEMENTS, 7], ids=["default", "tiny"])
 @pytest.mark.parametrize("built", ["separate", "flat"])
 def test_flat_update_equals_per_parameter_loop(monkeypatch, block, built):
+    """Flat parameters update as the per-parameter loop does, bit for bit;
+    separate arrays are refused with nothing changed, not re-packed."""
     monkeypatch.setattr(optim, "BLOCK_ELEMENTS", block)
     rng = np.random.default_rng(12)
     values = _random_params(rng)
-    if built == "flat":
-        params = flat_parameters({n: v.shape for n, v in values.items()})
-        for name, value in values.items():
-            params[name].data[...] = value
-    else:
-        params = {n: Tensor(v, requires_grad=True) for n, v in values.items()}
-    ref_params = {n: Tensor(v, requires_grad=True) for n, v in values.items()}
     state, ref_state = AdamState(learning_rate=0.01), AdamState(learning_rate=0.01)
+    if built == "separate":
+        params = {n: Tensor(v, requires_grad=True) for n, v in values.items()}
+        before = _snapshot(params, state)
+        with pytest.raises(ShapeError, match="not views tiling one flat"):
+            adam_step(params, {"a": np.ones(SHAPES["a"])}, state)
+        _assert_unchanged(before, params, state)
+        return
+    params = flat(values)
+    ref_params = {n: Tensor(v, requires_grad=True) for n, v in values.items()}
     for names in SCHEDULE * 2:
         grads = {n: rng.normal(size=SHAPES[n]) for n in names}
         adam_step(params, grads, state)
@@ -147,12 +158,25 @@ def test_flat_update_equals_per_parameter_loop(monkeypatch, block, built):
     assert "e" not in state.first_moment
 
 
-def test_replaced_tensor_or_data_is_repacked():
+def test_parameters_out_of_buffer_order_are_refused():
+    values = _random_params(np.random.default_rng(5))
+    shuffled = dict(reversed(flat(values).items()))
+    state = AdamState()
+    before = _snapshot(shuffled, state)
+    for call in (lambda: adam_step(shuffled, {"a": np.ones(SHAPES["a"])}, state),
+                 lambda: flat_buffers(shuffled, state)):
+        with pytest.raises(ShapeError, match="'e' is not the next view"):
+            call()
+        _assert_unchanged(before, shuffled, state)
+
+
+def test_replaced_tensor_or_data_is_refused():
+    """After binding, a swapped ``Tensor`` or ``.data`` is refused with the
+    parameters, moments and step count unchanged; put back, the run goes on
+    as if it had never been swapped."""
     rng = np.random.default_rng(3)
     values = _random_params(rng)
-    params = flat_parameters({n: v.shape for n, v in values.items()})
-    for name, value in values.items():
-        params[name].data[...] = value
+    params = flat(values)
     ref_params = {n: Tensor(v, requires_grad=True) for n, v in values.items()}
     state, ref_state = AdamState(), AdamState()
 
@@ -163,22 +187,73 @@ def test_replaced_tensor_or_data_is_repacked():
         _assert_same(params, state, ref_params, ref_state)
 
     step("abcd")
-    fresh = rng.normal(size=SHAPES["a"])
-    params["a"] = Tensor(fresh, requires_grad=True)      # a new Tensor
-    ref_params["a"] = Tensor(fresh, requires_grad=True)
+    original = params["a"]
+    params["a"] = Tensor(rng.normal(size=SHAPES["a"]), requires_grad=True)
+    before = _snapshot(params, state)
+    for call in (lambda: adam_step(params, {"b": np.ones(1)}, state),
+                 lambda: flat_buffers(params, state)):
+        with pytest.raises(ShapeError, match="replaced after the optimizer bound"):
+            call()
+        _assert_unchanged(before, params, state)
+    params["a"] = original
     step("abcd")
-    fresh = rng.normal(size=SHAPES["d"])
-    params["d"].data = fresh.copy()                      # a new .data
-    ref_params["d"].data = fresh.copy()
-    step("abd")
-    for moments in (state.first_moment, state.second_moment,
-                    ref_state.first_moment, ref_state.second_moment):
-        del moments["b"]                                 # b's moments restart
-    step("abcd")
-    assert _shares_one_buffer([p.data for p in params.values()])
+    original = params["d"].data
+    params["d"].data = rng.normal(size=SHAPES["d"])
+    before = _snapshot(params, state)
+    with pytest.raises(ShapeError, match="replaced after the optimizer bound"):
+        adam_step(params, {"b": np.ones(1)}, state)
+    _assert_unchanged(before, params, state)
+    params["d"].data = original
     kept = {n: p.data for n, p in params.items()}
-    step("abcd")  # nothing swapped: no re-packing, the same views
+    step("abd")
     assert all(params[n].data is kept[n] for n in params)
+
+
+def test_flat_buffers_before_a_step_are_the_ones_the_step_updates():
+    rng = np.random.default_rng(8)
+    params = flat(_random_params(rng))
+    state = AdamState()
+    buffers = flat_buffers(params, state)
+    assert buffers[0] is params["a"].data.base
+    assert not buffers[1].any() and not buffers[2].any()
+    adam_step(params, {n: rng.normal(size=SHAPES[n]) for n in "ab"}, state)
+    assert all(a is b for a, b in zip(flat_buffers(params, state), buffers))
+    for moments, buffer in ((state.first_moment, buffers[1]),
+                            (state.second_moment, buffers[2])):
+        assert sorted(moments) == ["a", "b"]
+        assert all(m.base is buffer and m.any() for m in moments.values())
+
+
+def test_restore_zeroes_moments_of_parameters_without_them():
+    """Moment buffers full of garbage: the regions of the named parameters
+    are kept, the others' zeroed, and the run goes on as the reference with
+    those moments."""
+    rng = np.random.default_rng(9)
+    values = _random_params(rng)
+    params = flat(values)
+    size = sum(v.size for v in values.values())
+    m, v = rng.normal(size=size), np.abs(rng.normal(size=size))
+    state = AdamState(learning_rate=0.01, step_count=4)
+    restore(params, state, m, v, ["c", "a"])
+    assert sorted(state.first_moment) == sorted(state.second_moment) == ["a", "c"]
+    assert state.first_moment["c"].base is m and state.second_moment["c"].base is v
+    offset = 0
+    for name, value in values.items():
+        for buffer in (m, v):
+            assert buffer[offset:offset + value.size].any() == (name in "ac"), name
+        offset += value.size
+    ref_params = {n: Tensor(x, requires_grad=True) for n, x in values.items()}
+    ref_state = AdamState(learning_rate=0.01, step_count=4)
+    for name in "ac":
+        ref_state.first_moment[name] = state.first_moment[name].copy()
+        ref_state.second_moment[name] = state.second_moment[name].copy()
+    for names in SCHEDULE:
+        grads = {n: rng.normal(size=SHAPES[n]) for n in names}
+        adam_step(params, grads, state)
+        adam_reference(ref_params, grads, ref_state)
+        _assert_same(params, state, ref_params, ref_state)
+    with pytest.raises(ShapeError, match="already bound"):
+        restore(params, state, m, v, [])
 
 
 def _snapshot(params, state):
@@ -203,9 +278,7 @@ def _assert_unchanged(before, params, state):
 def test_rejected_gradient_changes_nothing(stepped):
     """Names and shapes are checked before any parameter, moment or the
     step count changes, for a first step and for a later one."""
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    q = Tensor(np.arange(4.0), requires_grad=True)
-    params, state = {"p": p, "q": q}, AdamState()
+    params, state = flat({"p": [1.0, -2.0], "q": np.arange(4.0)}), AdamState()
     if stepped:
         adam_step(params, {"p": np.ones(2), "q": np.ones(4)}, state)
     before = _snapshot(params, state)
@@ -224,7 +297,7 @@ def test_update_once_bias_correction_rounds_to_one(t):
     assert (1.0 - BETA1 ** t == 1.0) == (t >= 356)
     rng = np.random.default_rng(t)
     values = _random_params(rng)
-    params = {n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
+    params = flat(values)
     ref_params = {n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
     state, ref_state = AdamState(learning_rate=0.01), AdamState(learning_rate=0.01)
     for s in (state, ref_state):
