@@ -6,7 +6,8 @@ Seeds: the top-level ``seed`` initialises the model, ``benchmark.seed``
 generates the episodes, and ``ablate_seeds`` seed the ablation's models.
 Every setting has one source: a file that sets a ``model`` key derived from
 another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it, and
-so does an integer setting that is not a YAML integer (``2.5``, ``true``).
+so does an integer setting that is not a YAML integer (``2.5``, ``true``)
+or an ``ablate_seeds`` entry that is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ class RunConfig:
     benchmark: BenchmarkSpec = field(default_factory=BenchmarkSpec)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
+    def __post_init__(self):
+        for i, seed in enumerate(self.ablate_seeds):
+            if type(seed) is not int or seed < 0:  # a bool is not a seed
+                raise ConfigError(f"ablate_seeds[{i}] must be a non-negative "
+                                  f"integer, not {seed!r}")
+
     def resolved_model(self) -> ModelConfig:
         """Model config with the fields that must agree with the benchmark
         (input dim, class-embedding rows, support sequence length) derived
@@ -81,7 +88,7 @@ _SECTION_TYPES = {
 _TOP_LEVEL_SCALARS = {"seed", "out_dir", "ablate_seeds"}
 
 
-def _check_integers(cls, values: dict, prefix: str) -> None:
+def check_integers(cls, values: dict, prefix: str) -> None:
     """ConfigError unless each of ``values`` that sets an int field of ``cls``
     is an int, not a bool (``f.type`` is a string: annotations are deferred)."""
     for f in dataclasses.fields(cls):
@@ -108,7 +115,7 @@ def _build_section(cls, values: dict, section: str):
             raise ConfigError(f"unknown key(s) in 'model.weights': {sorted(wunknown)}")
         values = dict(values)
         values["weights"] = Weights(**w)
-    _check_integers(cls, values, f"{section}.")
+    check_integers(cls, values, f"{section}.")
     try:
         return cls(**values)
     except TypeError as exc:
@@ -121,12 +128,16 @@ def run_config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - set(_SECTION_TYPES) - _TOP_LEVEL_SCALARS
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    _check_integers(RunConfig, data, "")
+    check_integers(RunConfig, data, "")
     kwargs = {}
     for key in _TOP_LEVEL_SCALARS:
         if key in data:
             value = data[key]
-            kwargs[key] = tuple(value) if key == "ablate_seeds" else value
+            if key == "ablate_seeds":
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"ablate_seeds must be a list, not {value!r}")
+                value = tuple(value)
+            kwargs[key] = value
     for section, cls in _SECTION_TYPES.items():
         if section in data:
             if not isinstance(data[section], dict):

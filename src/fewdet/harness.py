@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (DERIVED_MODEL_KEYS, RunConfig, run_config_from_dict,
-                     run_config_to_dict)
+from .config import (DERIVED_MODEL_KEYS, RunConfig, check_integers,
+                     run_config_from_dict, run_config_to_dict)
 from .episodes import Episode, generate_episode
 from .errors import CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
@@ -183,6 +183,7 @@ def _parse_run_config(path, config: dict
                              if k not in DERIVED_MODEL_KEYS}
         run = run_config_from_dict(run_data)
         vm = dict(config["variant_model"])
+        check_integers(ModelConfig, vm, "variant_model.")
         vm["weights"] = Weights(**vm["weights"])
         cfg = ModelConfig(**vm)
         step, adam_meta = config["step"], config["adam"]

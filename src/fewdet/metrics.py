@@ -13,9 +13,9 @@ and one IoU matrix per episode serve all ten thresholds; at each threshold
 the matcher steps from match to match (at most one step per ground truth),
 not from detection to detection.
 
-Everything here is plain numpy on raw values; the differentiable box terms
-used by the training loss live elsewhere, which makes these functions an
-independent cross-check of those.
+Everything here is plain numpy on raw values. The training loss's box term
+(:func:`fewdet.set_head.box_loss`) repeats ``giou``'s arithmetic inside one
+autodiff node, and the tests hold the two bit-identical pair by pair.
 """
 
 from __future__ import annotations

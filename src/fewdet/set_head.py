@@ -6,6 +6,10 @@ placeholders included. Bipartite matching excludes the background columns
 entirely; the loss then supervises them explicitly: a matched query targets
 1 at its ground-truth class position and 0 everywhere else, an unmatched
 query targets 1 at every placeholder position.
+
+The loss is two graph nodes with hand-derived backwards: ``bce_with_logits``
+for the classification term and ``box_loss`` for the L1 and GIoU terms of the
+matched boxes, whose GIoU is :func:`fewdet.metrics.giou`'s arithmetic.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import NumericError, ShapeError
 from .metrics import giou
 from .obd import SupportSequence
-from .tensor import (Tensor, maximum, minimum, mul, relu, slice_cols, softplus,
-                     sub, take_rows, tmean, tsum, tabs)
+from .tensor import Tensor
 
 
 @dataclass
@@ -202,30 +205,99 @@ def match_cost(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     return weights.cls * cost_cls + weights.l1 * cost_l1 + weights.giou * cost_giou
 
 
-def _corners(boxes: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    cx = slice_cols(boxes, 0, 1)
-    cy = slice_cols(boxes, 1, 2)
-    w = slice_cols(boxes, 2, 3)
-    h = slice_cols(boxes, 3, 4)
-    half_w = w * 0.5
-    half_h = h * 0.5
-    return cx - half_w, cy - half_h, cx + half_w, cy + half_h
+def bce_with_logits(z: Tensor, pos_w: np.ndarray, neg_w: np.ndarray) -> Tensor:
+    """Balanced binary cross-entropy from logits as one graph node:
+    ``(sum(pos_w * softplus(-z)) + sum(neg_w * softplus(z))) * 0.5``, with
+    softplus in the overflow-safe form ``max(x, 0) + log1p(exp(-|x|))``.
+    Backward: ``dz = 0.5 g (neg_w sigmoid(z) - pos_w sigmoid(-z))``."""
+    if z.shape != pos_w.shape or z.shape != neg_w.shape:
+        raise ShapeError(f"bce_with_logits: logits {z.shape}, weights "
+                         f"{pos_w.shape} and {neg_w.shape} disagree")
+    x = z.data
+    e = np.exp(-np.abs(x))
+    tail = np.log1p(e)
+    pos = (pos_w * (np.maximum(-x, 0.0) + tail)).sum()
+    neg = (neg_w * (np.maximum(x, 0.0) + tail)).sum()
+
+    def backward(g: np.ndarray):
+        # sigmoid(x) and sigmoid(-x), both from exp(-|x|) without overflow.
+        inv = 1.0 / (1.0 + e)
+        nonneg = x >= 0
+        sig = np.where(nonneg, 1.0, e) * inv
+        sig_neg = np.where(nonneg, e, 1.0) * inv
+        half = g * 0.5
+        return (half * (neg_w * sig) - half * (pos_w * sig_neg),)
+
+    return Tensor._result(np.asarray((pos + neg) * 0.5), (z,), backward)
 
 
-def giou_pairs(pred: Tensor, target: Tensor) -> Tensor:
-    """Differentiable GIoU of row-aligned box pairs; returns a (K, 1) tensor."""
-    px1, py1, px2, py2 = _corners(pred)
-    tx1, ty1, tx2, ty2 = _corners(target)
-    iw = relu(minimum(px2, tx2) - maximum(px1, tx1))
-    ih = relu(minimum(py2, ty2) - maximum(py1, ty1))
-    inter = iw * ih
-    area_p = (px2 - px1) * (py2 - py1)
-    area_t = (tx2 - tx1) * (ty2 - ty1)
-    union = area_p + area_t - inter
-    enc_w = maximum(px2, tx2) - minimum(px1, tx1)
-    enc_h = maximum(py2, ty2) - minimum(py1, ty1)
-    enclose = enc_w * enc_h
-    return inter / union - (enclose - union) / enclose
+def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
+             w_giou: float) -> tuple[Tensor, float, float]:
+    """Weighted L1 plus GIoU-complement loss of the matched boxes as one
+    graph node: rows ``q_idx`` of ``boxes`` against the row-aligned
+    ``gt_boxes``, each term averaged over the K pairs. Returns the
+    ``w_l1 * l1 + w_giou * (1 - giou)`` tensor and its two terms as floats.
+    The GIoU repeats :func:`fewdet.metrics.giou`'s arithmetic, so each pair's
+    value is bit-identical to it. With no pairs both terms are 0 and the
+    result is a constant, so ``boxes`` gets no gradient (not a zero one, which
+    would still move Adam's moments).
+
+    Hand-derived backward, with the subgradients at ties of the elementwise
+    chain it replaces: ``min``/``max`` of a predicted and a target corner
+    send the gradient to the prediction, the intersection's clip at 0 passes
+    nothing at 0, and ``sign(0) = 0`` in the L1 term.
+    """
+    idx = np.asarray(q_idx, dtype=np.intp)
+    k = idx.size
+    if idx.ndim != 1 or gt_boxes.shape != (k, 4) or boxes.ndim != 2 \
+            or boxes.shape[1] != 4:
+        raise ShapeError(f"box_loss: boxes {boxes.shape}, {k} indices and "
+                         f"targets {gt_boxes.shape} do not match")
+    if k and (idx.min() < 0 or idx.max() >= boxes.shape[0]):
+        raise ShapeError(f"box_loss: row indices out of range for {boxes.shape}")
+    if not k:
+        return Tensor(0.0), 0.0, 0.0
+    inv_k = 1.0 / k
+    pred = boxes.data[idx]
+    diff = pred - gt_boxes
+    box_part = np.abs(diff).sum(axis=1).sum() * inv_k * w_l1
+
+    # Corners as (x, y) column pairs, then metrics.giou's arithmetic.
+    lo_p = pred[:, :2] - pred[:, 2:] * 0.5
+    hi_p = pred[:, :2] + pred[:, 2:] * 0.5
+    lo_t = gt_boxes[:, :2] - gt_boxes[:, 2:] * 0.5
+    hi_t = gt_boxes[:, :2] + gt_boxes[:, 2:] * 0.5
+    overlap = np.minimum(hi_p, hi_t) - np.maximum(lo_p, lo_t)
+    inter_wh = np.maximum(overlap, 0.0)
+    inter = inter_wh[:, 0] * inter_wh[:, 1]
+    size_p = hi_p - lo_p
+    size_t = hi_t - lo_t
+    union = size_p[:, 0] * size_p[:, 1] + size_t[:, 0] * size_t[:, 1] - inter
+    enclose_wh = np.maximum(hi_p, hi_t) - np.minimum(lo_p, lo_t)
+    enclose = enclose_wh[:, 0] * enclose_wh[:, 1]
+    giou = inter / union - (enclose - union) / enclose
+    giou_part = (1.0 - giou).sum() * inv_k * w_giou
+
+    def backward(g: np.ndarray):
+        d_giou = -(g * w_giou * inv_k)
+        # giou = inter / union - (enclose - union) / enclose
+        d_union = d_giou / enclose - d_giou * inter / (union * union)
+        d_enclose = -d_giou * union / (enclose * enclose)
+        d_inter = d_giou / union - d_union
+        d_overlap = (d_inter[:, None] * inter_wh[:, ::-1]) * (overlap > 0.0)
+        d_size = d_union[:, None] * size_p[:, ::-1]
+        d_enclose_wh = d_enclose[:, None] * enclose_wh[:, ::-1]
+        d_hi = d_size + d_overlap * (hi_p <= hi_t) + d_enclose_wh * (hi_p >= hi_t)
+        d_lo = -d_size - d_overlap * (lo_p >= lo_t) - d_enclose_wh * (lo_p <= lo_t)
+        d_pred = (g * w_l1 * inv_k) * np.sign(diff)
+        d_pred[:, :2] += d_lo + d_hi
+        d_pred[:, 2:] += (d_hi - d_lo) * 0.5
+        full = np.zeros_like(boxes.data)
+        np.add.at(full, idx, d_pred)
+        return (full,)
+
+    out = Tensor._result(np.asarray(box_part + giou_part), (boxes,), backward)
+    return out, float(box_part), float(giou_part)
 
 
 def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
@@ -251,34 +323,17 @@ def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     unmatched[q_idx] = False
     targets[np.ix_(unmatched, s.placeholder_positions)] = 1.0
 
-    # Stable BCE from logits: t*softplus(-z) + (1-t)*softplus(z), each class
-    # of entry averaged on its own.
-    z = out.position_logits
+    # Positives and negatives are each averaged on their own.
     n_pos = targets.sum()
     n_neg = targets.size - n_pos
     pos_weights = targets / n_pos if n_pos else targets
     neg_weights = (1.0 - targets) / n_neg if n_neg else (1.0 - targets)
-    bce_pos = tsum(mul(Tensor(pos_weights), softplus(-z)))
-    bce_neg = tsum(mul(Tensor(neg_weights), softplus(z)))
-    bce = (bce_pos + bce_neg) * 0.5
-    cls_term = weights.cls * bce
-
-    if match.pairs:
-        pred_boxes = take_rows(out.boxes, q_idx)
-        gt_boxes = Tensor(gt.boxes[g_idx])
-        l1 = tmean(tsum(tabs(sub(pred_boxes, gt_boxes)), axis=1))
-        g = tmean(1.0 - giou_pairs(pred_boxes, gt_boxes))
-        box_term = weights.l1 * l1
-        giou_term = weights.giou * g
-        total = cls_term + box_term + giou_term
-    else:
-        box_term = Tensor(0.0)
-        giou_term = Tensor(0.0)
-        total = cls_term
-
-    breakdown = {"cls": cls_term.item(), "box": box_term.item(),
-                 "giou": giou_term.item()}
-    return total, breakdown
+    cls_term = weights.cls * bce_with_logits(out.position_logits, pos_weights,
+                                             neg_weights)
+    box_term, box_part, giou_part = box_loss(out.boxes, q_idx, gt.boxes[g_idx],
+                                             weights.l1, weights.giou)
+    total = cls_term + box_term
+    return total, {"cls": cls_term.item(), "box": box_part, "giou": giou_part}
 
 
 def decode_detections(out: DetectionOutput, s: SupportSequence,

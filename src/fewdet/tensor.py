@@ -103,7 +103,15 @@ class Tensor:
     # -- backward pass ----------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar; accumulates into ``.grad``."""
+        """Reverse-mode pass from a scalar; accumulates into ``.grad``.
+
+        A backward closure never writes into the upstream gradient it is
+        given, and may hand one array to several parents. So an interior
+        node takes its first gradient as it is and accumulates out of place,
+        never changing an array another node may hold; a leaf copies its
+        first gradient and accumulates in place, so its ``.grad`` is an
+        array it owns.
+        """
         if self.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -133,8 +141,9 @@ class Tensor:
             for parent, g in zip(node._parents, parent_grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    # Copy: backward closures may hand out shared arrays.
+                if parent._backward is not None:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+                elif parent.grad is None:
                     parent.grad = np.array(g)
                 else:
                     parent.grad += g
@@ -305,17 +314,6 @@ def sqrt(a: Tensor) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * (0.5 / out),))
 
 
-def tabs(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor._result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor._result(np.maximum(a.data, 0.0), (a,),
-                          lambda g: (g * (a.data > 0.0),))
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so large
     negative inputs saturate to 0 without overflow. ``exp(min(x, -x))`` is
@@ -332,39 +330,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)) in the overflow-safe form max(x, 0) + log1p(exp(-|x|))."""
-    a = _as_tensor(a)
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return Tensor._result(out, (a,), lambda g: (g * _stable_sigmoid(x),))
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x): the smooth nonlinearity used inside FFN blocks."""
     a = _as_tensor(a)
     x = a.data
     s = _stable_sigmoid(x)
     return Tensor._result(x * s, (a,), lambda g: (g * (s * (1.0 + x * (1.0 - s))),))
-
-
-def maximum(a, b) -> Tensor:
-    # Subgradient convention on ties: the left operand receives the gradient.
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b, "maximum")
-    mask = a.data >= b.data
-    return Tensor._result(
-        np.maximum(a.data, b.data), (a, b),
-        lambda g: (_unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)))
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b, "minimum")
-    mask = a.data <= b.data
-    return Tensor._result(
-        np.minimum(a.data, b.data), (a, b),
-        lambda g: (_unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)))
 
 
 # -- softmax ---------------------------------------------------------------------
@@ -479,19 +450,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         return (g[:, :wa], g[:, wa:])
 
     return Tensor._result(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-
-    def backward(g: np.ndarray):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return Tensor._result(a.data[:, start:stop].copy(), (a,), backward)
 
 
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:

@@ -411,6 +411,24 @@ def test_step_counter_that_is_not_a_count_is_corrupt(tmp_path, tiny_trained,
         load_run_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("heads", 2.0), ("encoder_layers", 1.0), ("d", True), ("num_object_queries", "3"),
+])
+def test_variant_model_integer_that_is_not_an_int_is_corrupt(tmp_path, tiny_trained,
+                                                             field, value):
+    """The variant config's integer fields load as JSON integers or not at
+    all: not as a float that a later shape computation trips over."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    config["variant_model"][field] = value
+    path = tmp_path / "variant.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError,
+                       match=rf"variant_model\.{field} must be an integer, not {value!r}"):
+        load_run_checkpoint(path)
+
+
 def legacy_payload(run, result) -> tuple[dict, dict]:
     """The per-parameter run checkpoint written before checkpoints stored
     flat buffers: one tensor per parameter and per Adam moment, and no

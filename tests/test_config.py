@@ -82,3 +82,17 @@ def test_resolved_model_derives_benchmark_fields():
     assert cfg.input_dim == 24
     assert cfg.num_class_embeddings == 6
     assert cfg.n_max == 4
+
+
+@pytest.mark.parametrize("seeds, bad", [
+    ([0, 0.5], "ablate_seeds\\[1\\] must be a non-negative integer, not 0.5"),
+    ([True, 2], "ablate_seeds\\[0\\] must be a non-negative integer, not True"),
+    ([1, 2, -3], "ablate_seeds\\[2\\] must be a non-negative integer, not -3"),
+    (["7"], "ablate_seeds\\[0\\] must be a non-negative integer, not '7'"),
+    (5, "ablate_seeds must be a list, not 5"),
+], ids=["fraction", "bool", "negative", "string", "not-a-list"])
+def test_ablate_seed_that_is_not_a_seed_is_refused(tmp_path, seeds, bad):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"ablate_seeds": seeds}))
+    with pytest.raises(ConfigError, match=bad):
+        load_run_config(str(path))

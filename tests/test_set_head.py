@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fewdet.errors import NumericError, ShapeError
 from fewdet.obd import SupportSequence
 from fewdet.set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
-                             decode_detections, giou_pairs, hungarian_match,
-                             match_cost, set_loss)
+                             bce_with_logits, box_loss, decode_detections,
+                             hungarian_match, match_cost, set_loss)
 from fewdet.tensor import Tensor, finite_diff_gradient, tsum
 
 
@@ -288,6 +288,31 @@ class TestSetLoss:
         np.testing.assert_allclose(lt.grad, num_l, rtol=1e-4, atol=1e-9)
         np.testing.assert_allclose(bt.grad, num_b, rtol=1e-4, atol=1e-9)
 
+    def test_empty_match_gives_boxes_no_gradient(self):
+        """No pairs: the box and GIoU parts are exactly 0, the boxes get no
+        gradient (Adam then leaves their moments alone), and the loss does
+        not move with them."""
+        rng = np.random.default_rng(18)
+        seq = sequence([0], placeholders=1, rng=rng)
+        logits, raw = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
+        gt = GroundTruth(boxes=np.zeros((0, 4)), labels=[])
+        match = MatchResult(pairs=[], unmatched_queries=[0, 1, 2])
+
+        from fewdet.tensor import sigmoid
+
+        def build(raw_boxes):
+            out = DetectionOutput(boxes=sigmoid(raw_boxes),
+                                  position_probs=sigmoid(Tensor(logits)),
+                                  position_logits=Tensor(logits))
+            return set_loss(out, gt, seq, match, Weights())
+
+        bt = Tensor(raw, requires_grad=True)
+        loss, parts = build(bt)
+        assert parts["box"] == 0.0 and parts["giou"] == 0.0
+        assert not loss.requires_grad and bt.grad is None
+        numeric = finite_diff_gradient(lambda v: build(v)[0], Tensor(raw))
+        assert not numeric.any()
+
     def test_gt_permutation_invariance_with_rematching(self):
         rng = np.random.default_rng(7)
         seq = sequence([0, 1, 2], placeholders=1, rng=rng)
@@ -327,17 +352,184 @@ class TestSetLoss:
             previous = loss.item()
 
 
-class TestGiouPairs:
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(9)
-        a = np.column_stack([rng.uniform(0.3, 0.7, size=(6, 2)),
-                             rng.uniform(0.05, 0.4, size=(6, 2))])
-        b = np.column_stack([rng.uniform(0.3, 0.7, size=(6, 2)),
-                             rng.uniform(0.05, 0.4, size=(6, 2))])
-        out = giou_pairs(Tensor(a), Tensor(b))
+def softplus_reference(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def random_boxes(rng, k):
+    return np.column_stack([rng.uniform(0.3, 0.7, size=(k, 2)),
+                            rng.uniform(0.05, 0.4, size=(k, 2))])
+
+
+class TestBceWithLogits:
+    def test_bit_identical_to_softplus_formula(self):
+        """The balanced BCE of the elementwise chain the node replaced:
+        weighted softplus sums, averaged, scaled by the class weight."""
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(25, 5)) * 4.0
+        z[0, :3] = [800.0, -800.0, 0.0]
+        targets = (rng.uniform(size=z.shape) < 0.2).astype(float)
+        pos_w = targets / targets.sum()
+        neg_w = (1.0 - targets) / (targets.size - targets.sum())
+        want = ((pos_w * softplus_reference(-z)).sum()
+                + (neg_w * softplus_reference(z)).sum()) * 0.5
+        assert bce_with_logits(Tensor(z), pos_w, neg_w).item() == want
+
+    def test_cls_part_of_set_loss_is_bit_identical(self):
+        rng = np.random.default_rng(14)
+        seq = sequence([0, 1], placeholders=1, rng=rng)
+        probs = rng.uniform(0.05, 0.95, size=(4, 3))
+        out = output(probs, random_boxes(rng, 4))
+        gt = GroundTruth(boxes=random_boxes(rng, 2), labels=[1, 0])
+        match = MatchResult(pairs=[(1, 1), (3, 0)], unmatched_queries=[0, 2])
+        w = Weights(cls=1.7)
+        _, parts = set_loss(out, gt, seq, match, w)
+        targets = np.zeros((4, 3))
+        targets[[1, 3], [seq.position_of_class(0), seq.position_of_class(1)]] = 1.0
+        targets[[0, 2], seq.placeholder_positions[0]] = 1.0
+        z = out.position_logits.data
+        bce = ((targets / targets.sum() * softplus_reference(-z)).sum()
+               + ((1.0 - targets) / (targets.size - targets.sum())
+                  * softplus_reference(z)).sum()) * 0.5
+        assert parts["cls"] == bce * w.cls
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_gradient_matches_finite_differences(self, scale):
+        rng = np.random.default_rng(15)
+        pos_w, neg_w = rng.uniform(0.0, 1.0, size=(2, 3, 4))
+        z0 = rng.normal(size=(3, 4)) * scale
+        z = Tensor(z0, requires_grad=True)
+        bce_with_logits(z, pos_w, neg_w).backward()
+        numeric = finite_diff_gradient(
+            lambda v: bce_with_logits(v, pos_w, neg_w), Tensor(z0))
+        np.testing.assert_allclose(z.grad, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_weight_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            bce_with_logits(Tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def box_loss_at(boxes, idx, targets, w_l1=5.0, w_giou=2.0):
+    return lambda v: box_loss(v, idx, targets, w_l1, w_giou)[0]
+
+
+def assert_box_gradient(boxes, idx, targets, rtol=1e-6, atol=1e-9):
+    t = Tensor(boxes, requires_grad=True)
+    box_loss_at(boxes, idx, targets)(t).backward()
+    numeric = finite_diff_gradient(box_loss_at(boxes, idx, targets), Tensor(boxes))
+    np.testing.assert_allclose(t.grad, numeric, rtol=rtol, atol=atol)
+    return t.grad
+
+
+class TestBoxLoss:
+    def test_pair_giou_is_bit_identical_to_metrics(self):
+        """With one pair and unit weights the GIoU part is 1 - giou of that
+        pair, so each pair's value can be read off exactly."""
         from fewdet.metrics import giou
-        expected = [giou(a[i], b[i]) for i in range(6)]
-        np.testing.assert_allclose(out.data.ravel(), expected, rtol=1e-12)
+        rng = np.random.default_rng(9)
+        a, b = random_boxes(rng, 6), random_boxes(rng, 6)
+        for i in range(6):
+            _, _, giou_part = box_loss(Tensor(a), [i], b[i:i + 1], 1.0, 1.0)
+            assert giou_part == 1.0 - giou(a[i], b[i])
+
+    def test_parts_are_the_weighted_means(self):
+        from fewdet.metrics import giou
+        rng = np.random.default_rng(16)
+        boxes, targets = random_boxes(rng, 5), random_boxes(rng, 3)
+        idx = [4, 0, 2]
+        out, box_part, giou_part = box_loss(Tensor(boxes), idx, targets, 5.0, 2.0)
+        l1 = np.abs(boxes[idx] - targets).sum(axis=1).mean()
+        g = np.mean([1.0 - giou(boxes[q], t) for q, t in zip(idx, targets)])
+        assert box_part == pytest.approx(5.0 * l1, rel=1e-14)
+        assert giou_part == pytest.approx(2.0 * g, rel=1e-14)
+        assert out.item() == box_part + giou_part
+
+    @pytest.mark.parametrize("kind, boxes, targets", [pytest.param(*case, id=case[0])
+                                                     for case in (
+        ("overlap", [0.46, 0.55, 0.3, 0.2], [0.5, 0.51, 0.2, 0.3]),
+        ("disjoint", [0.2, 0.52, 0.2, 0.3], [0.7, 0.45, 0.25, 0.2]),
+        ("contains", [0.5, 0.5, 0.6, 0.5], [0.48, 0.53, 0.2, 0.1]),
+        ("contained", [0.48, 0.53, 0.2, 0.1], [0.5, 0.5, 0.6, 0.5]),
+    )])
+    def test_single_pair_gradient_matches_finite_differences(self, kind, boxes,
+                                                             targets):
+        from fewdet.metrics import box_corners
+        p, t = box_corners(boxes), box_corners(targets)
+        lo, hi = np.maximum(p[:2], t[:2]), np.minimum(p[2:], t[2:])
+        assert kind == ("disjoint" if (hi[0] - lo[0]) < 0 else
+                        "contains" if (lo == t[:2]).all() and (hi == t[2:]).all() else
+                        "contained" if (lo == p[:2]).all() and (hi == p[2:]).all() else
+                        "overlap")
+        assert_box_gradient(np.array([boxes]), [0], np.array([targets]))
+
+    def test_repeated_and_unmatched_rows(self):
+        rng = np.random.default_rng(17)
+        boxes, targets = random_boxes(rng, 5), random_boxes(rng, 4)
+        grad = assert_box_gradient(boxes, [3, 1, 3, 0], targets)
+        assert not grad[[2, 4]].any()
+
+    @pytest.mark.parametrize("kind, boxes, targets, side", [
+        pytest.param("edge-tie", [0.5, 0.25, 0.25, 0.25], [0.5625, 0.75, 0.125, 0.25],
+                     1, id="edge-tie"),
+        pytest.param("touching", [0.375, 0.4375, 0.25, 0.375],
+                     [0.6875, 0.5625, 0.375, 0.3125], -1, id="touching"),
+    ])
+    def test_kink_takes_the_one_sided_derivative_of_its_convention(
+            self, kind, boxes, targets, side):
+        """Exact dyadic kinks in x, each with a single active branch.
+        edge-tie: px2 == tx2 with the boxes apart in y, so only the
+        enclosure's max is at its kink and gives the prediction the gradient:
+        the derivative of moving px2 right. touching: px2 == tx1, the
+        intersection width is exactly 0 and its clip passes nothing: the
+        derivative of moving px2 left. In x the two one-sided derivatives
+        differ; in y everything is smooth and central differences apply."""
+        boxes, targets = np.array([boxes]), np.array([targets])
+        p, t = boxes[0, 0] + boxes[0, 2] / 2, targets[0, 0] - targets[0, 2] / 2
+        assert p == (targets[0, 0] + targets[0, 2] / 2 if kind == "edge-tie" else t)
+        f = box_loss_at(boxes, [0], targets)
+        bt = Tensor(boxes, requires_grad=True)
+        f(bt).backward()
+        numeric = finite_diff_gradient(f, Tensor(boxes))
+        np.testing.assert_allclose(bt.grad[0, [1, 3]], numeric[0, [1, 3]],
+                                   rtol=1e-6, atol=1e-9)
+
+        def one_sided(col, direction, h=1e-6):
+            """Second-order one-sided difference along ``direction`` * col."""
+            def at(step):
+                probe = boxes.copy()
+                probe[0, col] += direction * step
+                return f(Tensor(probe)).item()
+            return direction * (-3 * at(0) + 4 * at(h) - at(2 * h)) / (2 * h)
+
+        for col in (0, 2):  # cx and w both move px2
+            taken, other = one_sided(col, side), one_sided(col, -side)
+            assert bt.grad[0, col] == pytest.approx(taken, rel=1e-6)
+            assert abs(taken - other) > 1e-3
+
+    def test_identical_boxes_have_zero_gradient(self):
+        """Every corner ties and the loss is at its minimum: with the
+        prediction taking both branches of each min/max and sign(0) = 0, the
+        intersection and enclosure terms cancel exactly."""
+        boxes = np.array([[0.5, 0.4, 0.3, 0.2], [0.3, 0.6, 0.25, 0.125]])
+        bt = Tensor(boxes, requires_grad=True)
+        out, box_part, giou_part = box_loss(bt, [0, 1], boxes.copy(), 5.0, 2.0)
+        out.backward()
+        assert (box_part, giou_part) == (0.0, 0.0)
+        np.testing.assert_array_equal(bt.grad, np.zeros_like(boxes))
+
+    def test_empty_match_is_constant_zero(self):
+        out, box_part, giou_part = box_loss(Tensor(np.full((3, 4), 0.5),
+                                                   requires_grad=True),
+                                            [], np.zeros((0, 4)), 5.0, 2.0)
+        assert (out.item(), box_part, giou_part) == (0.0, 0.0, 0.0)
+        assert not out.requires_grad
+
+    @pytest.mark.parametrize("idx, targets", [
+        ([0, 1], np.zeros((1, 4))), ([3], np.zeros((1, 4))), ([-1], np.zeros((1, 4))),
+    ], ids=["count", "past-end", "negative"])
+    def test_bad_indices_or_targets(self, idx, targets):
+        with pytest.raises(ShapeError):
+            box_loss(Tensor(np.full((3, 4), 0.5)), idx, targets, 5.0, 2.0)
 
 
 class TestDecode:
