@@ -16,7 +16,10 @@ class-agnostic and gives the background token its supervision path.
 
 Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
-:func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`.
+:func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`. The
+embedding and the box head's layers are :func:`fewdet.tensor.linear`
+nodes, each FFN block is one :func:`ffn_apply` node, and the class logits
+score against the support keys through :func:`fewdet.tensor.matmul_t`.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
 from .set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
                        decode_detections, hungarian_match, match_cost, set_loss)
-from .tensor import (FfnParams, Tensor, attention, ffn_apply, layer_norm, matmul,
-                     no_grad, sigmoid, silu, take_rows, transpose)
+from .tensor import (FfnParams, Tensor, attention, ffn_apply, layer_norm, linear,
+                     matmul, matmul_t, no_grad, sigmoid, silu, take_rows)
 
 VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
@@ -240,9 +243,9 @@ def extract_features(episode: Episode, state: ModelState,
     w, b = state["embed.weight"], state["embed.bias"]
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
-    patches = matmul(Tensor(episode.patches), w) + b + pos
+    patches = linear(Tensor(episode.patches), w, b) + pos
 
-    support = matmul(Tensor(episode.support), w) + b
+    support = linear(Tensor(episode.support), w, b)
     c = len(episode.class_ids)
     n = 1 if cfg.single_class_mode else cfg.n_max
     if c > n:
@@ -318,15 +321,14 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     decoded = _decoder(state, cfg, patches, pos)
 
     match_keys = build_key_sequence(seq, state["head.class.support_proj"], token)
-    logits = matmul(matmul(decoded, state["head.class.query_proj"]),
-                    transpose(match_keys)) * (1.0 / np.sqrt(cfg.d)) \
-        + state["head.class.bias"]
+    logits = matmul_t(matmul(decoded, state["head.class.query_proj"]),
+                      match_keys) * (1.0 / np.sqrt(cfg.d)) + state["head.class.bias"]
     probs = sigmoid(logits)
 
     # Boxes are offsets from per-query learnable reference boxes, in logit
     # space; with an all-zero state this still decodes to sigmoid(0).
-    box_hidden = matmul(decoded, state["head.box.w1"]) + state["head.box.b1"]
-    box_delta = matmul(silu(box_hidden), state["head.box.w2"]) + state["head.box.b2"]
+    box_hidden = linear(decoded, state["head.box.w1"], state["head.box.b1"])
+    box_delta = linear(silu(box_hidden), state["head.box.w2"], state["head.box.b2"])
     boxes = sigmoid(state["queries.ref"] + box_delta)
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)

@@ -6,14 +6,17 @@ placeholder is realized as a shared learnable background token
 (deliberately *not* passed through the key projection); on the value side
 it is a fixed zero vector, so attention mass spent on the background
 contributes nothing to the mixed output and the token is trained purely
-through the similarity path. Both sides are one row gather over the
-projected class features plus one filler row.
+through the similarity path. Each side is two graph nodes: the projection
+of the class features (:func:`fewdet.tensor.matmul_t`) and one row gather
+over the projected rows with the 1-d filler (:func:`fewdet.tensor.take_rows`).
 
 Two branches share the machinery: the support branch lets class features
 attend over the sequence itself (self-interaction), the query branch lets
 image patch features attend over the sequence and then fuses the result
-back with the original patches through Conv1D + FFN. Both run every head at
-once through the fused :func:`fewdet.tensor.attention` primitive.
+back with the original patches through Conv1D (one
+:func:`fewdet.tensor.linear` node) + FFN (one
+:func:`fewdet.tensor.ffn_apply` node). Both run every head at once through
+the fused :func:`fewdet.tensor.attention` primitive.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (FfnParams, Tensor, attention, concat_channels, concat_rows,
-                     ffn_apply, matmul, pointwise_conv1d, reshape, take_rows,
-                     transpose)
+from .tensor import (FfnParams, Tensor, attention, concat_channels, ffn_apply,
+                     linear, matmul_t, take_rows)
 
 
 @dataclass
@@ -132,11 +134,11 @@ class RefinedFeatures:
 
 def _realize(s: SupportSequence, projected: Tensor, filler: Tensor) -> Tensor:
     """Sequence rows in position order with one gather: row i of
-    ``projected`` at the i-th class position, the ``filler`` row at every
+    ``projected`` at the i-th class position, the 1-d ``filler`` at every
     placeholder. The filler enters the graph only when the sequence has
     placeholders."""
-    table = concat_rows([projected, filler]) if s.placeholder_positions else projected
-    return take_rows(table, s.gather_index)
+    return take_rows(projected, s.gather_index,
+                     filler if s.placeholder_positions else None)
 
 
 def build_key_sequence(s: SupportSequence, w_key: Tensor,
@@ -144,18 +146,18 @@ def build_key_sequence(s: SupportSequence, w_key: Tensor,
     """Key-side realization of the sequence: projected class features with the
     background token dropped in *unprojected* at every placeholder."""
     d = token.dim
-    projected = matmul(s.features, transpose(w_key))
+    projected = matmul_t(s.features, w_key)
     if projected.shape[1] != d:
         raise ShapeError(
             f"key projection output {projected.shape} does not match token dim {d}")
-    return _realize(s, projected, reshape(token.vector, (1, d)))
+    return _realize(s, projected, token.vector)
 
 
 def build_value_sequence(s: SupportSequence, w3: Tensor) -> Tensor:
     """Value-side realization: projected class features, exact zero rows at
     placeholders (the zero rows are constants and carry no gradient)."""
-    projected = matmul(s.features, transpose(w3))
-    return _realize(s, projected, Tensor(np.zeros((1, projected.shape[1]))))
+    projected = matmul_t(s.features, w3)
+    return _realize(s, projected, Tensor(np.zeros(projected.shape[1])))
 
 
 def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken,
@@ -179,12 +181,12 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
     original patches, so global image content is retained."""
     if q_patches.ndim != 2 or q_patches.shape[0] < 1:
         raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
-    projected_q = matmul(q_patches, transpose(proj.w1))
+    projected_q = matmul_t(q_patches, proj.w1)
     keys = build_key_sequence(s, proj.w2, token)
     values = build_value_sequence(s, proj.w3)
     out, attn = attention(projected_q, keys, values, heads)
-    fused = pointwise_conv1d(concat_channels(q_patches, out),
-                             fusion.conv_kernel, fusion.conv_bias)
+    fused = linear(concat_channels(q_patches, out),
+                   fusion.conv_kernel, fusion.conv_bias)
     refined = ffn_apply(fused, fusion.ffn)
     if refined.shape != (q_patches.shape[0], d):
         raise ShapeError(f"refined output {refined.shape} != ({q_patches.shape[0]}, {d})")

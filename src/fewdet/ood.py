@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import (Tensor, log, exp, matmul, take_rows, tmean, tsum, transpose)
+from .tensor import Tensor, exp, log, matmul_t, take_rows, tmean, tsum
 
 
 @dataclass
@@ -63,7 +63,7 @@ def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
         raise ShapeError("infonce_loss requires at least one class")
 
     selected = take_rows(t.embeddings, ids)
-    logits = matmul(f.features, transpose(selected)) * (1.0 / t.temperature)
+    logits = matmul_t(f.features, selected) * (1.0 / t.temperature)
     # Row-max subtraction (as a constant) keeps the exponentials bounded
     # without changing the value or the gradient.
     shift = Tensor(logits.data.max(axis=1, keepdims=True))

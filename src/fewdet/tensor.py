@@ -6,6 +6,13 @@ backward closure, so calling :meth:`Tensor.backward` on a scalar loss fills
 summation when a tensor is used more than once, the standard reverse-mode
 convention.
 
+Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
+the product with a transposed weight (:func:`matmul_t`), the FFN block
+(:func:`ffn_apply`), multi-head attention, layer norm and the row gather
+(:func:`take_rows`, optionally with a filler row). Each has a hand-derived
+backward that repeats the arithmetic of the primitive chain it stands for,
+so values and gradients are bit-identical to that chain.
+
 Everything is float64: this library exists to make gradient checks against
 central finite differences meaningful, not to be fast on large models.
 """
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,6 +101,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        if self.size != 1:
+            raise ShapeError(f"item() requires a single value, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -180,10 +189,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -265,11 +270,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-d tensor, got {a.shape}")
-    return Tensor._result(a.data.T.copy(), (a,), lambda g: (g.T,))
+def matmul_t(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w^T`` as one graph node. The product runs against a contiguous
+    copy of ``w^T``: OpenBLAS picks other small-matrix kernels for a
+    transposed view, whose sums can differ in the last bits."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"matmul_t: {x.shape} does not match the transpose of {w.shape}")
+    wt = w.data.T.copy()
+    return Tensor._result(x.data @ wt, (x, w),
+                          lambda g: (g @ wt.T, (x.data.T @ g).T))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b`` (a width-1 convolution over the channel
+    axis) as one graph node. ``x`` gets no gradient unless it requires one,
+    so raw inputs cost no backward product."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g: np.ndarray):
+        return (g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0))
+
+    return Tensor._result(out, (x, w, b), backward)
 
 
 # -- reductions --------------------------------------------------------------------
@@ -308,12 +336,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-    return Tensor._result(out, (a,), lambda g: (g * (0.5 / out),))
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so large
     negative inputs saturate to 0 without overflow. ``exp(min(x, -x))`` is
@@ -338,37 +360,17 @@ def silu(a: Tensor) -> Tensor:
     return Tensor._result(x * s, (a,), lambda g: (g * (s * (1.0 + x * (1.0 - s))),))
 
 
-# -- softmax ---------------------------------------------------------------------
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, stabilized by row-max subtraction."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows requires a 2-d tensor, got {a.shape}")
-    if a.shape[1] < 1:
-        raise ShapeError("softmax_rows requires at least one column")
-    if not np.isfinite(a.data).all():
-        raise NumericError("softmax_rows received non-finite input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor._result(out, (a,), backward)
+# -- attention ---------------------------------------------------------------------
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
               ) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over q (n, d), k (m, d) and
     v (m, d) as one graph node. Head h takes channel slice h of width
-    dh = d / heads and computes softmax(q_h k_h^T / sqrt(dh)) v_h with the
-    row-max-stabilized softmax of :func:`softmax_rows`; head outputs are
-    concatenated in channel order. Returns the (n, d) output and, as plain
-    numpy for diagnostics, the head-averaged (n, m) attention.
+    dh = d / heads and computes softmax(q_h k_h^T / sqrt(dh)) v_h with a
+    row-max-stabilized softmax; head outputs are concatenated in channel
+    order. Returns the (n, d) output and, as plain numpy for diagnostics,
+    the head-averaged (n, m) attention.
 
     Hand-derived backward, per head with attention A and upstream gradient G:
     dV = A^T G, dS = A * (G V^T - rowsum(A * G V^T)) / sqrt(dh), dQ = dS K,
@@ -412,32 +414,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 # -- shape manipulation -------------------------------------------------------------
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor._result(a.data.reshape(shape).copy(), (a,),
-                          lambda g: (g.reshape(a.shape),))
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Stack 2-d tensors vertically; gradients split back by row ranges."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_rows of zero tensors")
-    width = parts[0].shape[1]
-    for p in parts:
-        if p.ndim != 2 or p.shape[1] != width:
-            raise ShapeError(
-                f"concat_rows column mismatch: {[p.shape for p in parts]}")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return Tensor._result(np.concatenate([p.data for p in parts], axis=0),
-                          tuple(parts), backward)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along columns: rows of `a` followed by rows of `b`."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -452,36 +428,37 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
 
 
-def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows by index; repeated indices accumulate gradient."""
+def take_rows(a: Tensor, indices: Sequence[int],
+              filler: Tensor | None = None) -> Tensor:
+    """Select rows of ``a`` by index as one graph node. With a 1-d
+    ``filler`` the rows are those of ``[a; filler]``: index ``len(a)``
+    selects the filler. Backward scatters into that stacked table in index
+    order (``np.add.at``), so a repeated index accumulates in a fixed order."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("take_rows expects a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"row indices out of range for {a.shape}")
+    rows = a.shape[0]
+    if filler is None:
+        parents, table = (a,), a.data
+    else:
+        filler = _as_tensor(filler)
+        if a.ndim != 2 or filler.shape != (a.shape[1],):
+            raise ShapeError(f"take_rows: filler {filler.shape} does not match "
+                             f"rows of {a.shape}")
+        parents, table = (a, filler), np.concatenate((a.data, filler.data[None]))
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"row indices out of range for {table.shape}")
 
     def backward(g: np.ndarray):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(table)
         np.add.at(full, idx, g)
-        return (full,)
+        return (full,) if filler is None else (full[:rows], full[rows])
 
-    return Tensor._result(a.data[idx].copy(), (a,), backward)
+    return Tensor._result(table[idx], parents, backward)
 
 
 # -- composite layers ------------------------------------------------------------
-
-
-def pointwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Width-1 convolution over the channel axis: per-row affine mixing."""
-    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
-    if x.ndim != 2 or kernel.ndim != 2 or x.shape[1] != kernel.shape[0]:
-        raise ShapeError(
-            f"pointwise_conv1d: input {x.shape} does not match kernel {kernel.shape}")
-    if bias.shape != (kernel.shape[1],):
-        raise ShapeError(
-            f"pointwise_conv1d: bias {bias.shape} does not match kernel {kernel.shape}")
-    return add(matmul(x, kernel), bias)
 
 
 class FfnParams:
@@ -525,12 +502,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
-    """Two affine layers with a smooth nonlinearity between, plus residual."""
+    """Two affine layers with SiLU between, plus the residual, as one graph
+    node: ``x + silu(x @ w1 + b1) @ w2 + b2``. Backward, with h the hidden
+    pre-activation and s = sigmoid(h):
+    dh = (g @ w2^T) * s * (1 + h * (1 - s)), dx = g + dh @ w1^T.
+    ``x`` is a parent twice, once for the residual and once for the hidden
+    layer, so its two gradients accumulate in the order the unfused chain
+    gave them."""
     x = _as_tensor(x)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise ShapeError(f"ffn_apply: input {x.shape} does not match w1 {params.w1.shape}")
-    hidden = silu(add(matmul(x, params.w1), params.b1))
-    return add(x, add(matmul(hidden, params.w2), params.b2))
+    w1, b1, w2, b2 = params.tensors()
+    if x.ndim != 2 or x.shape[1] != w1.shape[0]:
+        raise ShapeError(f"ffn_apply: input {x.shape} does not match w1 {w1.shape}")
+    h = x.data @ w1.data
+    h += b1.data
+    s = _stable_sigmoid(h)
+    a = h * s
+    y = a @ w2.data
+    y += b2.data
+
+    def backward(g: np.ndarray):
+        dh = (g @ w2.data.T) * (s * (1.0 + h * (1.0 - s)))
+        return (g, dh @ w1.data.T, x.data.T @ dh, dh.sum(axis=0), a.T @ g,
+                g.sum(axis=0))
+
+    return Tensor._result(x.data + y, (x, x, w1, b1, w2, b2), backward)
 
 
 # -- finite-difference oracle -------------------------------------------------------

@@ -7,6 +7,26 @@ from fewdet.errors import NumericError, ShapeError
 from fewdet.tensor import Tensor, finite_diff_gradient
 
 
+def softmax_rows(a):
+    """Row-wise softmax stabilized by row-max subtraction, as a graph node:
+    the per-head softmax the fused attention must reproduce."""
+    if not np.isfinite(a.data).all():
+        raise NumericError("softmax_rows received non-finite input")
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    out = e / e.sum(axis=1, keepdims=True)
+    return Tensor._result(
+        out, (a,), lambda g: (out * (g - (g * out).sum(axis=1, keepdims=True)),))
+
+
+def transpose(a):
+    return Tensor._result(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def sqrt(a):
+    out = np.sqrt(a.data)
+    return Tensor._result(out, (a,), lambda g: (g * (0.5 / out),))
+
+
 def grad_check(build, x, rtol=1e-5, atol=1e-7, h=1e-6):
     """Reverse-mode vs central finite differences on sum(build(x))."""
     t = Tensor(x, requires_grad=True)
@@ -38,28 +58,30 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """Pins the test-local softmax the attention reference is built from."""
+
     def test_single_column_is_ones(self):
-        out = T.softmax_rows(Tensor([[3.0], [-1.0]]))
+        out = softmax_rows(Tensor([[3.0], [-1.0]]))
         np.testing.assert_array_equal(out.data, [[1.0], [1.0]])
 
     def test_symmetric_row(self):
-        out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_log_weights(self):
-        out = T.softmax_rows(Tensor([[np.log(1), np.log(2), np.log(3)]]))
+        out = softmax_rows(Tensor([[np.log(1), np.log(2), np.log(3)]]))
         np.testing.assert_allclose(out.data, [[1 / 6, 2 / 6, 3 / 6]], rtol=1e-12)
 
     def test_nonfinite_input_raises(self):
         with pytest.raises(NumericError):
-            T.softmax_rows(Tensor([[np.inf, 0.0]]))
+            softmax_rows(Tensor([[np.inf, 0.0]]))
 
     def test_rows_sum_to_one_and_shift_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 7)) * 10
-        out = T.softmax_rows(Tensor(x))
+        out = softmax_rows(Tensor(x))
         np.testing.assert_allclose(out.data.sum(axis=1), np.ones(6), atol=1e-12)
-        shifted = T.softmax_rows(Tensor(x + 123.456))
+        shifted = softmax_rows(Tensor(x + 123.456))
         np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
 
 
@@ -130,24 +152,88 @@ class TestConcatChannels:
             T.concat_channels(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))))
 
 
-class TestPointwiseConv:
+def run_node(fn, inputs, mix):
+    """Forward value and the gradient of sum(fn(*inputs) * mix) for every
+    input, each input a fresh leaf."""
+    leaves = [Tensor(x, requires_grad=True) for x in inputs]
+    out = fn(*leaves)
+    T.tsum(out * Tensor(mix)).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+class TestLinear:
     def test_identity_kernel(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 4))
-        out = T.pointwise_conv1d(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
+        out = T.linear(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(out.data, x)
 
     def test_single_row_is_vector_matrix_product(self):
         rng = np.random.default_rng(5)
         x, k, b = rng.normal(size=(1, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
-        out = T.pointwise_conv1d(Tensor(x), Tensor(k), Tensor(b))
+        out = T.linear(Tensor(x), Tensor(k), Tensor(b))
         np.testing.assert_allclose(out.data, x @ k + b)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
-        k = Tensor(rng.normal(size=(4, 3)))
-        b = Tensor(rng.normal(size=3))
-        grad_check(lambda t: T.pointwise_conv1d(t, k, b), rng.normal(size=(5, 4)))
+        x, k, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        grad_check(lambda t: T.linear(t, Tensor(k), Tensor(b)), x)
+        grad_check(lambda t: T.linear(Tensor(x), t, Tensor(b)), k)
+        grad_check(lambda t: T.linear(Tensor(x), Tensor(k), t), b)
+
+    def test_bit_identical_to_matmul_plus_bias(self):
+        rng = np.random.default_rng(8)
+        x, w, b, g = (rng.normal(size=s) for s in ((6, 5), (5, 3), (3,), (6, 3)))
+        assert_bit_identical(run_node(T.linear, (x, w, b), g),
+                             [x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)])
+
+    def test_constant_input_gets_no_gradient_product(self):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = T.linear(Tensor(rng.normal(size=(2, 4))), w, Tensor(np.zeros(3)))
+        assert out._backward(np.ones((2, 3)))[0] is None
+
+    @pytest.mark.parametrize("x, w, b", [
+        ((2, 3), (4, 2), (2,)),
+        ((3,), (3, 2), (2,)),
+        ((2, 3), (3, 2), (3,)),
+        ((2, 3), (3, 2), (1, 2)),
+    ], ids=["inner-extent", "vector-input", "bias-width", "bias-rank"])
+    def test_shape_mismatch(self, x, w, b):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
+
+
+class TestMatmulT:
+    def test_bit_identical_to_product_with_copied_transpose(self):
+        rng = np.random.default_rng(10)
+        for n, m, k in ((4, 3, 64), (5, 5, 64), (25, 7, 64), (1, 2, 3)):
+            x, w, g = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(size=(n, m))
+            wt = w.T.copy()
+            assert_bit_identical(run_node(T.matmul_t, (x, w), g),
+                                 [x @ wt, g @ wt.T, (x.T @ g).T])
+
+    def test_bit_identical_to_matmul_of_transpose(self):
+        rng = np.random.default_rng(11)
+        x, w, g = rng.normal(size=(6, 8)), rng.normal(size=(5, 8)), rng.normal(size=(6, 5))
+        assert_bit_identical(run_node(T.matmul_t, (x, w), g),
+                             run_node(lambda a, b: T.matmul(a, transpose(b)), (x, w), g))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(12)
+        x, w = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        grad_check(lambda t: T.matmul_t(t, Tensor(w)), x)
+        grad_check(lambda t: T.matmul_t(Tensor(x), t), w)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+            T.matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 class TestFfn:
@@ -164,11 +250,72 @@ class TestFfn:
         out = T.ffn_apply(Tensor(np.zeros((0, 4))), self.zero_params(4, 6))
         assert out.shape == (0, 4)
 
+    @staticmethod
+    def chain(x, w1, b1, w2, b2):
+        """The unfused block: matmul, bias, SiLU, matmul, bias, residual."""
+        hidden = T.silu(T.add(T.matmul(x, w1), b1))
+        return T.add(x, T.add(T.matmul(hidden, w2), b2))
+
+    @staticmethod
+    def fused(x, w1, b1, w2, b2):
+        return T.ffn_apply(x, T.FfnParams(w1, b1, w2, b2))
+
+    @staticmethod
+    def inputs(seed, n=5, d=4, h=8):
+        rng = np.random.default_rng(seed)
+        shapes = ((n, d), (d, h), (h,), (h, d), (d,), (n, d))
+        return [rng.normal(size=s) * 2.0 for s in shapes]
+
+    def test_bit_identical_to_numpy_chain(self):
+        x, w1, b1, w2, b2, g = self.inputs(13)
+        h = x @ w1 + b1
+        s = T._stable_sigmoid(h)
+        a = h * s
+        dh = (g @ w2.T) * (s * (1.0 + h * (1.0 - s)))
+        want = [x + (a @ w2 + b2), g + dh @ w1.T, x.T @ dh, dh.sum(axis=0),
+                a.T @ g, g.sum(axis=0)]
+        assert_bit_identical(run_node(self.fused, (x, w1, b1, w2, b2), g), want)
+
+    @pytest.mark.parametrize("other_first", [False, True])
+    def test_input_with_a_second_consumer_matches_chain(self, other_first):
+        """The input's residual and hidden-layer gradients accumulate with a
+        third one from another consumer in the chain's order, whichever
+        consumer the backward pass reaches first."""
+        *params, mix = self.inputs(14)
+        c = np.random.default_rng(15).normal(size=mix.shape)
+
+        def run(block):
+            x, w1, b1, w2, b2 = (Tensor(p, requires_grad=True) for p in params)
+            hidden = T.exp(x * 0.5)  # an interior input, used twice
+            out = block(hidden, w1, b1, w2, b2)
+            terms = [T.tsum(out * Tensor(mix)), T.tsum(hidden * Tensor(c))]
+            loss = terms[1] + terms[0] if other_first else terms[0] + terms[1]
+            loss.backward()
+            return [out.data, hidden.grad] + [p.grad for p in (x, w1, b1, w2, b2)]
+
+        assert_bit_identical(run(self.fused), run(self.chain))
+
+    def test_leaf_input_with_a_second_consumer_matches_chain(self):
+        *params, mix = self.inputs(16)
+
+        def run(block):
+            x, w1, b1, w2, b2 = (Tensor(p, requires_grad=True) for p in params)
+            loss = T.tsum(x * 3.0) + T.tsum(block(x, w1, b1, w2, b2) * Tensor(mix))
+            loss.backward()
+            return [p.grad for p in (x, w1, b1, w2, b2)]
+
+        assert_bit_identical(run(self.fused), run(self.chain))
+
     def test_gradient(self):
-        rng = np.random.default_rng(7)
-        params = T.FfnParams(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=6)),
-                             Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=4)))
-        grad_check(lambda t: T.ffn_apply(t, params), rng.normal(size=(3, 4)))
+        *args, _ = self.inputs(7, n=3, d=4, h=6)
+        for i, arg in enumerate(args):
+            def build(t, i=i):
+                return self.fused(*(t if j == i else Tensor(a) for j, a in enumerate(args)))
+            grad_check(build, arg)
+
+    def test_input_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.ffn_apply(Tensor(np.zeros((2, 3))), self.zero_params(4, 6))
 
 
 class TestFiniteDiff:
@@ -198,8 +345,8 @@ _PRIMITIVES = {
     "sigmoid": lambda t, c: T.sigmoid(t * 3.0),
     "silu": lambda t, c: T.silu(t * 3.0),
     "exp": lambda t, c: T.exp(t),
-    "softmax": lambda t, c: T.softmax_rows(t) * c,
-    "matmul": lambda t, c: T.matmul(t, T.transpose(c)),
+    "softmax": lambda t, c: softmax_rows(t) * c,
+    "matmul_t": lambda t, c: T.matmul_t(t, c),
     "sum_axis0": lambda t, c: T.tsum(t, axis=0),
     "mean_axis1": lambda t, c: T.tmean(t, axis=1),
 }
@@ -227,7 +374,7 @@ def test_forward_bit_reproducible(m, n, seed):
 
     def run():
         t = Tensor(x, requires_grad=True)
-        return T.tsum(T.softmax_rows(T.matmul(t, Tensor(w))) * T.sigmoid(t)).item()
+        return T.tsum(softmax_rows(T.matmul(t, Tensor(w))) * T.sigmoid(t)).item()
 
     assert run() == run()
 
@@ -306,6 +453,13 @@ def test_backward_requires_scalar():
         (x * 2.0).backward()
 
 
+def test_item_requires_a_single_value():
+    assert Tensor(np.full((1, 1), 2.5)).item() == 2.5
+    for shape in ((2, 3), (0,), (2,)):
+        with pytest.raises(ShapeError):
+            Tensor(np.arange(float(np.prod(shape))).reshape(shape)).item()
+
+
 def test_take_rows_accumulates_repeated_indices():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     out = T.take_rows(x, [1, 1, 2])
@@ -313,10 +467,43 @@ def test_take_rows_accumulates_repeated_indices():
     np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [1, 1]])
 
 
+class TestTakeRows:
+    @pytest.mark.parametrize("index", [[0, 3, 1, 3, 3, 2], [3, 3], [2, 0, 1]],
+                             ids=["placeholders-between", "only-filler", "no-filler-row"])
+    def test_filler_is_bit_identical_to_concat_then_take(self, index):
+        """Rows of [a; filler] with the filler repeated: forward and both
+        gradients equal the stacked-table gather, scattered in index order."""
+        rng = np.random.default_rng(18)
+        a, filler = rng.normal(size=(3, 4)), rng.normal(size=4)
+        g = rng.normal(size=(len(index), 4)) * 1e3
+        table = np.concatenate([a, filler[None]])
+        full = np.zeros_like(table)
+        np.add.at(full, index, g)
+        got = run_node(lambda t, f: T.take_rows(t, index, f), (a, filler), g)
+        assert_bit_identical(got, [table[index], full[:3], full[3]])
+
+    def test_filler_gradient(self):
+        rng = np.random.default_rng(19)
+        a, filler = rng.normal(size=(3, 4)), rng.normal(size=4)
+        index = [3, 0, 3, 2, 3]
+        grad_check(lambda t: T.take_rows(t, index, Tensor(filler)), a)
+        grad_check(lambda t: T.take_rows(Tensor(a), index, t), filler)
+
+    @pytest.mark.parametrize("index, filler", [
+        ([[0, 1]], None), ([3], None), ([-1], None), ([4], (2,)), ([0], (3,)),
+        ([0], (1, 2)),
+    ], ids=["nested-index", "past-end", "negative", "past-filler", "filler-width",
+            "filler-rank"])
+    def test_bad_index_or_filler(self, index, filler):
+        with pytest.raises(ShapeError):
+            T.take_rows(Tensor(np.zeros((3, 2))), index,
+                        None if filler is None else Tensor(np.zeros(filler)))
+
+
 def columns(x, start, stop):
     """Columns [start, stop) of a 2-d tensor, as an exact row gather of its
     transpose."""
-    return T.transpose(T.take_rows(T.transpose(x), range(start, stop)))
+    return transpose(T.take_rows(transpose(x), range(start, stop)))
 
 
 def reference_attention(q, k, v, heads):
@@ -326,7 +513,7 @@ def reference_attention(q, k, v, heads):
     outs = []
     for h in range(heads):
         qs, ks, vs = (columns(x, h * dh, (h + 1) * dh) for x in (q, k, v))
-        attn = T.softmax_rows(T.matmul(qs, T.transpose(ks)) * (1.0 / np.sqrt(dh)))
+        attn = softmax_rows(T.matmul(qs, transpose(ks)) * (1.0 / np.sqrt(dh)))
         outs.append(T.matmul(attn, vs))
     merged = outs[0]
     for o in outs[1:]:
@@ -363,9 +550,9 @@ class TestAttention:
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.normal(size=(4, 6))) for _ in range(3))
         _, mean_attn = T.attention(q, k, v, 2)
-        per_head = [T.softmax_rows(T.matmul(columns(q, h * 3, h * 3 + 3),
-                                            T.transpose(columns(k, h * 3, h * 3 + 3)))
-                                   * (1.0 / np.sqrt(3))).data for h in range(2)]
+        per_head = [softmax_rows(T.matmul(columns(q, h * 3, h * 3 + 3),
+                                          transpose(columns(k, h * 3, h * 3 + 3)))
+                                 * (1.0 / np.sqrt(3))).data for h in range(2)]
         np.testing.assert_allclose(mean_attn, (per_head[0] + per_head[1]) / 2,
                                    rtol=1e-12)
         np.testing.assert_allclose(mean_attn.sum(axis=1), np.ones(4), atol=1e-12)
@@ -390,7 +577,7 @@ def reference_layer_norm(x, gamma, beta, eps=1e-5):
     """The layer norm spelled out in elementwise primitives."""
     centered = x - T.tmean(x, axis=1, keepdims=True)
     var = T.tmean(centered * centered, axis=1, keepdims=True)
-    return (centered / T.sqrt(var + eps)) * gamma + beta
+    return (centered / sqrt(var + eps)) * gamma + beta
 
 
 def test_layer_norm_matches_elementwise_reference():
