@@ -128,8 +128,14 @@ class OfeFusion:
 @dataclass
 class RefinedFeatures:
     per_position_output: Tensor
-    attention: np.ndarray  # head-averaged, a constant outside the graph
+    head_attention: np.ndarray  # (heads, n, m), a constant outside the graph
     refined: Optional[Tensor] = None
+
+    @property
+    def attention(self) -> np.ndarray:
+        """The head-averaged (n, m) attention, computed when read: most
+        forwards never read it."""
+        return self.head_attention.sum(axis=0) * (1.0 / self.head_attention.shape[0])
 
 
 def _realize(s: SupportSequence, projected: Tensor, filler: Tensor) -> Tensor:
@@ -171,7 +177,7 @@ def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken
     if keys.shape[1] != d:
         raise ShapeError(f"sequence dim {keys.shape[1]} does not match d={d}")
     out, attn = attention(keys, keys, values, heads)
-    return RefinedFeatures(per_position_output=out, attention=attn)
+    return RefinedFeatures(per_position_output=out, head_attention=attn)
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
@@ -190,7 +196,7 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
     refined = ffn_apply(fused, fusion.ffn)
     if refined.shape != (q_patches.shape[0], d):
         raise ShapeError(f"refined output {refined.shape} != ({q_patches.shape[0]}, {d})")
-    return RefinedFeatures(per_position_output=out, attention=attn,
+    return RefinedFeatures(per_position_output=out, head_attention=attn,
                            refined=refined)
 
 

@@ -7,6 +7,13 @@ entirely; the loss then supervises them explicitly: a matched query targets
 1 at its ground-truth class position and 0 everywhere else, an unmatched
 query targets 1 at every placeholder position.
 
+Matching is plain numpy: :func:`linear_sum_assignment` is Crouse's
+shortest augmenting path solver (the algorithm scipy runs), and it also
+returns its dual potentials. :func:`hungarian_match` solves once and reads
+from those duals how much dearer the second-best assignment is; only when
+that gap is within tolerance of zero, a tie, does the canonical search
+re-solve sub-problems to pick the lexicographically smallest optimum.
+
 The loss is two graph nodes with hand-derived backwards: ``bce_with_logits``
 for the classification term and ``box_loss`` for the L1 and GIoU terms of the
 matched boxes, whose GIoU is :func:`fewdet.metrics.giou`'s arithmetic.
@@ -18,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericError, ShapeError
 from .metrics import giou
@@ -77,33 +83,130 @@ class MatchResult:
     unmatched_queries: list[int] = field(default_factory=list)
 
 
-def _lsa(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """One `linear_sum_assignment` solve: rows, columns and total cost."""
-    rows, cols = linear_sum_assignment(cost)
-    return rows, cols, float(cost[rows, cols].sum())
+def linear_sum_assignment(cost: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of min(M, G) pairs of a finite (M, G) cost
+    matrix, with its dual potentials.
+
+    Crouse's rectangular shortest augmenting path algorithm (IEEE TAES
+    2016), the one ``scipy.optimize.linear_sum_assignment`` runs, on the
+    min(M, G) x max(M, G) orientation of the matrix, where every row is
+    matched. Each row starts at its minimum; a row whose cheapest column no
+    earlier row took keeps it. Every other row is added along a shortest
+    augmenting path in reduced costs (Dijkstra, one vectorised scan of the
+    columns per step), and the duals are updated as in Crouse's algorithm.
+
+    Returns ``rows`` (ascending), ``cols`` and the duals ``u`` (M,) and
+    ``v`` (G,) of the input's rows and columns: ``cost - u[:, None] - v`` is
+    >= 0 up to rounding and 0 on every matched pair. On the long side a dual
+    is 0 at every unmatched index and <= 0 everywhere.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if min(cost.shape) == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(cost.shape[0]), np.zeros(cost.shape[1])
+    transposed = cost.shape[0] > cost.shape[1]
+    c = cost.T if transposed else cost
+    nr, nc = c.shape
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for i, j in enumerate(c.argmin(axis=1).tolist()):
+        if row4col[j] < 0:
+            row4col[j], col4row[i] = i, j
+    u = c.min(axis=1)
+    v = np.zeros(nc)
+    path = np.empty(nc, dtype=np.intp)  # the row a shortest path reaches column j from
+    key = np.empty(nc)                  # shortest path length found so far to column j
+    for cur in range(nr):
+        if col4row[cur] >= 0:
+            continue
+        key.fill(np.inf)
+        # A scanned column's dual is -inf here, so its reduced cost is +inf
+        # and later scans leave its path and length alone.
+        blocked = v.copy()
+        scanned, lengths = [], []
+        i, min_val = cur, 0.0
+        while True:
+            r = c[i] - blocked
+            r += min_val - u[i]
+            path[r < key] = i
+            np.minimum(key, r, out=key)
+            j = int(key.argmin())
+            min_val = float(key[j])
+            scanned.append(j)
+            lengths.append(min_val)
+            i = row4col[j]
+            if i < 0:
+                break
+            key[j] = np.inf
+            blocked[j] = -np.inf
+        u[cur] += min_val
+        for j, length in zip(scanned, lengths):
+            v[j] -= min_val - length
+            if row4col[j] >= 0:
+                u[row4col[j]] += min_val - length
+        while True:  # augment back from the free column j
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    cols = np.array(col4row, dtype=np.intp)
+    if transposed:
+        order = np.argsort(cols)
+        return cols[order], order, v, u
+    return np.arange(nr), cols, u, v
 
 
 def _lsa_total(cost: np.ndarray) -> float:
     if cost.size == 0 or min(cost.shape) == 0:
         return 0.0
-    return _lsa(cost)[2]
+    rows, cols, _, _ = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
 
 
-def _optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                       total: float, tol: float) -> bool:
-    """True when every assignment avoiding some pair of the optimum
-    (rows, cols) costs more than ``total + 2 * tol``."""
-    work = cost.copy()
-    for q, g in zip(rows, cols):
-        work[q, g] = np.inf
-        try:
-            alternative = _lsa(work)[2]
-        except ValueError:  # infeasible: every assignment uses (q, g)
-            alternative = np.inf
-        work[q, g] = cost[q, g]
-        if alternative <= total + 2 * tol:
-            return False
-    return True
+def _second_best_gap(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     u: np.ndarray, v: np.ndarray, cutoff: float = np.inf) -> float:
+    """How much more than the optimum ``(rows, cols)`` the cheapest other
+    assignment of min(M, G) pairs costs, read from the solver's duals
+    ``u, v``; ``inf`` when there is no other assignment.
+
+    In the min(M, G) x max(M, G) orientation every row is matched, and
+    another assignment costs the optimum plus its reduced costs
+    ``cost - u - v`` (>= 0) plus ``-v`` (>= 0) of each column it leaves
+    empty, since ``v`` is 0 on the free columns. Its difference with the
+    optimum splits into alternating cycles among matched rows and
+    alternating chains that end at a free column, each of non-negative
+    cost, so the second-best assignment differs from the optimum by one
+    cycle or one chain. Both are cycles in a graph of k + 1 nodes, found by
+    Floyd-Warshall: the k matched rows, with an edge a -> b of the reduced
+    cost of row a taking b's column, and one node for the free columns, with
+    an edge a -> free of row a's cheapest free column and free -> b of
+    ``-v`` of the column b leaves.
+
+    Every other assignment moves some row off its column, so the smallest
+    reduced cost off the matching is a lower bound. It is returned in place
+    of the exact gap when it already exceeds ``cutoff``.
+    """
+    reduced = cost - u[:, None]
+    reduced -= v
+    reduced[rows, cols] = np.inf
+    bound = float(reduced.min(initial=np.inf))
+    if bound > cutoff:
+        return bound
+    if cost.shape[0] > cost.shape[1]:
+        reduced, rows, cols, v = reduced.T, cols, rows, u
+    k, n = reduced.shape
+    free = np.ones(n, dtype=bool)
+    free[cols] = False
+    graph = np.empty((k + 1, k + 1))
+    graph[:k, :k] = reduced[np.ix_(rows, cols)]  # inf on the diagonal
+    graph[:k, k] = reduced[rows][:, free].min(axis=1, initial=np.inf)
+    graph[k, :k] = -v[cols]
+    graph[k, k] = np.inf
+    for b in range(k + 1):
+        np.minimum(graph, graph[:, b, None] + graph[b], out=graph)
+    return float(graph.diagonal().min())
 
 
 def _canonical_search(cost: np.ndarray, total: float) -> list[tuple[int, int]]:
@@ -156,15 +259,14 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     queries) the cheapest M ground truths are matched and a diagnostic
     warning is emitted.
 
-    Fast path: the matrix is solved once, then once more per matched pair
-    with that one entry forbidden (1 + min(M, G) solves). When every such
-    re-solve is infeasible or costs more than the optimum plus twice the
-    search tolerance (``1e-9 * max(1, |total|)``; the factor 2 covers float
-    slop in the search's own sums), the optimum is unique and is returned.
-    This is exact: any other assignment the search could accept avoids at
-    least one pair of the optimum, so the re-solve forbidding that pair
-    would have found it within the bound. On a tie the canonical search
-    (`_canonical_search`, one solve per candidate pair) picks the result.
+    Fast path: one solve, whose duals give the gap between the optimum and
+    the second-best assignment (:func:`_second_best_gap`). When that gap
+    exceeds twice the search tolerance (``1e-9 * max(1, |total|)``; the
+    factor 2 covers float slop in the search's own sums), the optimum is
+    unique and is returned. This is exact: any other assignment the search
+    could accept would cost at most the optimum plus the tolerance. On a tie
+    the canonical search (`_canonical_search`, one solve per candidate pair)
+    picks the result.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -178,10 +280,11 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
         warnings.warn(f"more ground truths ({g}) than queries ({m}); "
                       f"matching the {m} cheapest", RuntimeWarning)
 
-    rows, cols, total = _lsa(cost)
+    rows, cols, u, v = linear_sum_assignment(cost)
+    total = float(cost[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(total))
-    if _optimum_is_unique(cost, rows, cols, total, tol):
-        pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    if _second_best_gap(cost, rows, cols, u, v, 2 * tol) > 2 * tol:
+        pairs = list(zip(rows.tolist(), cols.tolist()))
     else:
         pairs = _canonical_search(cost, total)
 

@@ -126,6 +126,9 @@ class Tensor:
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
 
+        # Post-order of the interior nodes. Leaves are never pushed: they
+        # have no parents and no backward, so the order is the same without
+        # them. The root is pushed even when it is a leaf.
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -139,7 +142,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
@@ -340,9 +343,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so large
     negative inputs saturate to 0 without overflow. ``exp(min(x, -x))`` is
     exactly the exponential each branch needs (``-|x|``, but a NaN input
-    keeps its sign bit), so no mask indexing is required."""
+    keeps its sign bit), so no mask indexing is required. The numerator
+    ``max(e, x >= 0)`` is 1 where x >= 0 (there e <= 1), e below, and a
+    NaN input's own NaN."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0.0, dtype=np.float64) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -370,7 +375,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     dh = d / heads and computes softmax(q_h k_h^T / sqrt(dh)) v_h with a
     row-max-stabilized softmax; head outputs are concatenated in channel
     order. Returns the (n, d) output and, as plain numpy for diagnostics,
-    the head-averaged (n, m) attention.
+    the (heads, n, m) attention probabilities; the array is the one the
+    backward keeps, so returning it costs nothing.
 
     Hand-derived backward, per head with attention A and upstream gradient G:
     dV = A^T G, dS = A * (G V^T - rowsum(A * G V^T)) / sqrt(dh), dQ = dS K,
@@ -408,7 +414,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
                 merge(attn.transpose(0, 2, 1) @ gh))
 
     out = Tensor._result(merge(attn @ vh), (q, k, v), backward)
-    return out, attn.sum(axis=0) * (1.0 / heads)
+    return out, attn
 
 
 # -- shape manipulation -------------------------------------------------------------
@@ -487,15 +493,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError(f"layer_norm: input {x.shape} does not match "
                          f"gamma {gamma.shape} / beta {beta.shape}")
-    inv_width = 1.0 / x.shape[1]
+    width = x.shape[1]
+    inv_width = 1.0 / width
     centered = x.data - x.data.sum(axis=1, keepdims=True) * inv_width
     std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) * inv_width + eps)
     xhat = centered / std
 
     def backward(g: np.ndarray):
         dxhat = g * gamma.data
-        dx = (dxhat - dxhat.mean(axis=1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / std
+        dx = (dxhat - dxhat.sum(axis=1, keepdims=True) / width
+              - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / width)) / std
         return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
 
     return Tensor._result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)

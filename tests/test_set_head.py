@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from fewdet.errors import NumericError, ShapeError
 from fewdet.obd import SupportSequence
 from fewdet.set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
-                             bce_with_logits, box_loss, decode_detections,
-                             hungarian_match, match_cost, set_loss)
+                             _second_best_gap, bce_with_logits, box_loss,
+                             decode_detections, hungarian_match,
+                             linear_sum_assignment, match_cost, set_loss)
 from fewdet.tensor import Tensor, finite_diff_gradient, tsum
 
 
@@ -42,6 +44,29 @@ def random_cost(rng, m, g, kind):
         return rng.integers(0, 3, size=(m, g)).astype(float)
     distinct = rng.normal(size=(max(1, m // 2), g))
     return distinct[rng.integers(0, len(distinct), size=m)]
+
+
+KINDS = ["continuous", "small_ints", "duplicated_rows"]
+
+
+def _optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       total: float, tol: float) -> bool:
+    """True when every assignment avoiding some pair of the optimum
+    (rows, cols) costs more than ``total + 2 * tol``: one scipy re-solve per
+    pair, with that pair forbidden. The uniqueness test matching used before
+    the dual gap, kept as its reference."""
+    work = cost.copy()
+    for q, g in zip(rows, cols):
+        work[q, g] = np.inf
+        try:
+            r, c = scipy_lsa(work)
+            alternative = float(work[r, c].sum())
+        except ValueError:  # infeasible: every assignment uses (q, g)
+            alternative = np.inf
+        work[q, g] = cost[q, g]
+        if alternative <= total + 2 * tol:
+            return False
+    return True
 
 
 def sequence(ids, placeholders=1, d=4, rng=None):
@@ -142,6 +167,19 @@ class TestHungarian:
             hungarian_match(cost)
         assert 0 < len(calls) <= 1 + min(shape)
 
+    @pytest.mark.parametrize("shape", [(100, 12), (25, 4), (6, 6), (3, 8)])
+    def test_unique_optimum_needs_one_solve(self, monkeypatch, shape):
+        from fewdet import set_head
+        cost = np.random.default_rng(11).normal(size=shape)
+        calls = []
+        solve = set_head.linear_sum_assignment
+        monkeypatch.setattr(set_head, "linear_sum_assignment",
+                            lambda c: calls.append(c.shape) or solve(c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            hungarian_match(cost)
+        assert calls == [shape]
+
     @pytest.mark.parametrize("kind", ["continuous", "duplicated_rows"])
     def test_fast_path_agrees_with_search_at_train_dense_size(self, kind):
         from fewdet.set_head import _canonical_search, _lsa_total
@@ -149,6 +187,77 @@ class TestHungarian:
         match = hungarian_match(cost)
         assert match.pairs == _canonical_search(cost, _lsa_total(cost))
         assert len(match.pairs) == 12 and len(match.unmatched_queries) == 88
+
+
+class TestLinearSumAssignment:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 5), (12, 12),
+                                       (3, 8), (8, 3), (4, 25), (25, 4),
+                                       (12, 100), (100, 12)], ids=str)
+    def test_agrees_with_scipy(self, shape, kind):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for _ in range(15):
+            cost = random_cost(rng, *shape, kind)
+            rows, cols, u, v = linear_sum_assignment(cost)
+            want_rows, want_cols = scipy_lsa(cost)
+            assert cost[rows, cols].sum() == pytest.approx(
+                cost[want_rows, want_cols].sum(), abs=1e-9)
+            assert rows.size == cols.size == min(shape)
+            assert (np.diff(rows) > 0).all() and np.unique(cols).size == cols.size
+            if kind == "continuous":  # the optimum is unique
+                np.testing.assert_array_equal(rows, want_rows)
+                np.testing.assert_array_equal(cols, want_cols)
+            # Duals: feasible, tight on the matching, and on the long side 0
+            # where unmatched and <= 0 everywhere.
+            reduced = cost - u[:, None] - v
+            assert reduced.min() > -1e-12
+            assert np.abs(reduced[rows, cols]).max() < 1e-12
+            long_duals, matched = (u, rows) if shape[0] > shape[1] else (v, cols)
+            unmatched = np.setdiff1d(np.arange(long_duals.size), matched)
+            assert (long_duals[unmatched] == 0.0).all()
+            assert (long_duals <= 0.0).all()
+
+    def test_empty(self):
+        for shape in ((0, 3), (3, 0)):
+            rows, cols, u, v = linear_sum_assignment(np.zeros(shape))
+            assert rows.size == cols.size == 0
+            assert u.shape == (shape[0],) and v.shape == (shape[1],)
+
+
+class TestSecondBestGap:
+    @pytest.mark.parametrize("cost, gap", [
+        ([[0.0, 1.0], [1.0, 0.0]], 2.0),        # a 2-cycle
+        ([[0.0, 1.0, 5.0]], 1.0),               # one row moves to a free column
+        # A chain: row 0 takes row 1's column 0, row 1 moves to column 1.
+        ([[0.0, 4.0, 1.0], [0.0, 3.0, 9.0]], 2.0),
+        ([[3.0]], np.inf),                      # no other assignment
+    ])
+    def test_hand_computed(self, cost, gap):
+        cost = np.array(cost)
+        rows, cols, u, v = linear_sum_assignment(cost)
+        assert _second_best_gap(cost, rows, cols, u, v) == pytest.approx(gap)
+        assert _second_best_gap(cost.T.copy(), cols, rows, v, u) == pytest.approx(gap)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_agrees_with_resolving_without_each_pair(self, kind):
+        """The gap test against the forbidden-pair re-solves it replaced, on
+        matrices up to 12x12, with and without the early exit."""
+        rng = np.random.default_rng(KINDS.index(kind))
+        ties = 0
+        for _ in range(300):
+            m, g = rng.integers(1, 13, size=2)
+            cost = random_cost(rng, m, g, kind)
+            rows, cols, u, v = linear_sum_assignment(cost)
+            want_rows, want_cols = scipy_lsa(cost)
+            total = float(cost[want_rows, want_cols].sum())
+            tol = 1e-9 * max(1.0, abs(total))
+            unique = _optimum_is_unique(cost, want_rows, want_cols, total, tol)
+            ties += not unique
+            assert (_second_best_gap(cost, rows, cols, u, v) > 2 * tol) == unique
+            assert (_second_best_gap(cost, rows, cols, u, v, 2 * tol)
+                    > 2 * tol) == unique
+        if kind != "continuous":
+            assert ties > 100
 
 
 class TestMatchCost:

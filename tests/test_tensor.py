@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fewdet import tensor as T
 from fewdet.errors import NumericError, ShapeError
+from fewdet.obd import RefinedFeatures
 from fewdet.tensor import Tensor, finite_diff_gradient
 
 
@@ -118,6 +119,21 @@ class TestSigmoid:
         assert out.shape == x.shape
         np.testing.assert_array_equal(out.view(np.uint64),
                                       self.branchwise(x).view(np.uint64))
+
+    def test_bit_identical_to_where_form(self):
+        """The ``np.maximum`` numerator against the ``np.where`` one it
+        replaced, bit for bit, on signed zeros, infinities and NaNs of both
+        signs."""
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0xFFF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                             745.0, -745.0], nans,
+                            np.random.default_rng(2).normal(0.0, 10.0, 64)])
+        e = np.exp(np.minimum(x, -x))
+        where_form = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        np.testing.assert_array_equal(T._stable_sigmoid(x).view(np.uint64),
+                                      where_form.view(np.uint64))
 
 
 class TestConcatChannels:
@@ -447,6 +463,12 @@ def test_no_grad_suppresses_recording():
     assert z.requires_grad
 
 
+def test_backward_from_a_leaf_root_sets_its_gradient():
+    x = Tensor(3.0, requires_grad=True)
+    x.backward()
+    np.testing.assert_array_equal(x.grad, 1.0)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -549,10 +571,15 @@ class TestAttention:
     def test_mean_attention_is_head_average(self):
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.normal(size=(4, 6))) for _ in range(3))
-        _, mean_attn = T.attention(q, k, v, 2)
+        _, head_attn = T.attention(q, k, v, 2)
         per_head = [softmax_rows(T.matmul(columns(q, h * 3, h * 3 + 3),
                                           transpose(columns(k, h * 3, h * 3 + 3)))
                                  * (1.0 / np.sqrt(3))).data for h in range(2)]
+        np.testing.assert_allclose(head_attn, per_head, rtol=1e-12)
+        mean_attn = RefinedFeatures(per_position_output=q,
+                                    head_attention=head_attn).attention
+        # The expression attention() used to return, bit for bit.
+        np.testing.assert_array_equal(mean_attn, head_attn.sum(axis=0) * (1.0 / 2))
         np.testing.assert_allclose(mean_attn, (per_head[0] + per_head[1]) / 2,
                                    rtol=1e-12)
         np.testing.assert_allclose(mean_attn.sum(axis=1), np.ones(4), atol=1e-12)
@@ -595,3 +622,22 @@ def test_layer_norm_matches_elementwise_reference():
     np.testing.assert_array_equal(fused[0], reference[0])  # same arithmetic
     for got, want in zip(fused[1:], reference[1:]):
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_layer_norm_backward_bit_identical_to_mean_form():
+    """The input gradient, with its row means taken as ``sum / width``,
+    against the same formula with ``np.mean``."""
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(25, 64)) * 3.0, requires_grad=True)
+    gamma, beta = Tensor(rng.normal(size=64)), Tensor(rng.normal(size=64))
+    g = rng.normal(size=(25, 64))
+    T.tsum(T.layer_norm(x, gamma, beta) * Tensor(g)).backward()
+
+    centered = x.data - x.data.sum(axis=1, keepdims=True) * (1.0 / 64)
+    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) * (1.0 / 64)
+                  + 1e-5)
+    xhat = centered / std
+    dxhat = g * gamma.data
+    want = (dxhat - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / std
+    np.testing.assert_array_equal(x.grad.view(np.uint64), want.view(np.uint64))
