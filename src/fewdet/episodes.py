@@ -12,10 +12,16 @@ Object patches are the class prototype plus Gaussian noise; objects occupy
 non-overlapping axis-aligned rectangles of grid patches and their bounding
 boxes are exact in normalized coordinates. Support prototypes are the mean
 of k noisy shots, resampled per episode.
+
+A split's prototypes and background direction depend only on the spec and
+the split, so each process builds them once per (spec, split) and shares
+them read-only between episodes; ``class_prototypes`` and
+``background_direction`` themselves build fresh arrays on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -142,6 +148,18 @@ def background_direction(spec: BenchmarkSpec, split: str,
     return mix / np.linalg.norm(mix)
 
 
+@functools.lru_cache(maxsize=8)
+def _split_constants(spec: BenchmarkSpec, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """The split's `class_prototypes` and `background_direction`, built once
+    per (spec, split) and returned read-only, since every caller shares
+    them."""
+    protos = class_prototypes(spec, split)
+    bg = background_direction(spec, split, protos)
+    protos.flags.writeable = False
+    bg.flags.writeable = False
+    return protos, bg
+
+
 def _place_objects(rng: np.random.Generator, spec: BenchmarkSpec,
                    count: int) -> list[tuple[int, int, int, int]]:
     """Non-overlapping (r0, c0, height, width) patch rectangles."""
@@ -172,8 +190,7 @@ def generate_episode(spec: BenchmarkSpec, index: int, split: str = "train") -> E
     if index < 0:
         raise ConfigError("episode index must be non-negative")
     rng = np.random.default_rng([spec.seed, _split_code(split), index])
-    protos = class_prototypes(spec, split)
-    bg_mean = background_direction(spec, split, protos)
+    protos, bg_mean = _split_constants(spec, split)
     ids = class_id_range(spec, split)
     c, d = spec.class_count, spec.feature_dim
     rows, cols = spec.grid_rows, spec.grid_cols
@@ -182,17 +199,19 @@ def generate_episode(spec: BenchmarkSpec, index: int, split: str = "train") -> E
     rects = _place_objects(rng, spec, count)
     object_classes = rng.integers(0, c, size=count)
 
-    patches = bg_mean[None, :] + spec.noise_std * rng.normal(size=(rows * cols, d))
+    # standard_normal draws what normal(0, 1) draws, without its loc/scale pass.
+    patches = bg_mean[None, :] + spec.noise_std * rng.standard_normal((rows * cols, d))
+    grid = patches.reshape(rows, cols, d)  # a view: writes land in patches
     boxes = np.zeros((count, 4))
     labels = np.zeros(count, dtype=np.int64)
     for i, ((r0, c0, h, w), cls) in enumerate(zip(rects, object_classes)):
         # Row-major over the rectangle: the draw order of one normal per patch.
-        rect = (np.arange(r0, r0 + h)[:, None] * cols + np.arange(c0, c0 + w)).ravel()
-        patches[rect] = protos[cls] + spec.noise_std * rng.normal(size=(h * w, d))
+        noise = spec.noise_std * rng.standard_normal((h, w, d))
+        grid[r0:r0 + h, c0:c0 + w] = protos[cls] + noise
         boxes[i] = [(c0 + w / 2) / cols, (r0 + h / 2) / rows, w / cols, h / rows]
         labels[i] = ids[cls]
 
-    shots = protos[:, None, :] + spec.noise_std * rng.normal(size=(c, spec.shots, d))
+    shots = protos[:, None, :] + spec.noise_std * rng.standard_normal((c, spec.shots, d))
     support = shots.mean(axis=1)
 
     return Episode(index=index, split=split, class_ids=ids, support=support,
@@ -346,8 +365,7 @@ def nearest_prototype_accuracy(spec: BenchmarkSpec, split: str,
     """Oracle patch classifier: assign each patch to the most-similar center
     among {class prototypes, background mean}; returns mean accuracy. Used to
     validate that the confusion knobs really produce confusion."""
-    protos = class_prototypes(spec, split)
-    bg = background_direction(spec, split, protos)
+    protos, bg = _split_constants(spec, split)
     centers = np.vstack([protos, bg[None, :]])
     centers = centers / np.linalg.norm(centers, axis=1, keepdims=True)
     correct = 0
@@ -372,8 +390,7 @@ def separation_margins(spec: BenchmarkSpec, split: str,
     patches. Inter-class margin: cosine to the true class center minus the
     best other class, object patches only.
     """
-    protos = class_prototypes(spec, split)
-    bg = background_direction(spec, split, protos)
+    protos, bg = _split_constants(spec, split)
     protos_u = protos / np.linalg.norm(protos, axis=1, keepdims=True)
     ob_vals = []
     oo_vals = []

@@ -80,6 +80,8 @@ class TestGeneration:
         assert h.hexdigest() == digest
 
     def test_builds_split_prototypes_once(self, monkeypatch):
+        """Episodes of one split share one build of its prototypes and
+        background direction, read-only."""
         import fewdet.episodes as episodes
         calls = []
         original = episodes.class_prototypes
@@ -89,8 +91,19 @@ class TestGeneration:
             return original(*args)
 
         monkeypatch.setattr(episodes, "class_prototypes", counted)
-        generate_episode(spec(), 0, "test")
-        assert len(calls) == 1
+        episodes._split_constants.cache_clear()
+        for i in range(5):
+            generate_episode(spec(), i, "test")
+        nearest_prototype_accuracy(spec(), "test", 2)
+        separation_margins(spec(), "test", 2)
+        assert calls == [(spec(), "test")]
+        protos, bg = episodes._split_constants(spec(), "test")
+        fresh = class_prototypes(spec(), "test")
+        np.testing.assert_array_equal(protos, fresh)
+        assert fresh.flags.writeable  # the public builder is not cached
+        for arr in (protos, bg):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_different_indices_differ(self):
         a = generate_episode(spec(), 0, "train")

@@ -293,16 +293,116 @@ class TestEvalReport:
         assert back.to_json() == report.to_json()
 
 
-def test_one_iou_matrix_per_class_episode_and_per_episode(monkeypatch):
-    """AP reads one IoU matrix per (class, episode) for the whole band and
-    the confusion matrix one per episode."""
+def oracle_greedy_match(dets, gts, iou_thresholds):
+    """The per-threshold matcher evaluate_detections used to run: one IoU
+    matrix per episode, then at each threshold one numpy reduction per match
+    over the rows not yet passed."""
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    match = np.full((len(iou_thresholds), len(dets)), -1, dtype=np.int64)
+    gt_by_episode, det_by_episode = {}, {}
+    for i, g in enumerate(gts):
+        gt_by_episode.setdefault(g.episode_id, []).append(i)
+    for di in order:
+        det_by_episode.setdefault(dets[di].episode_id, []).append(di)
+    for episode, det_ids in det_by_episode.items():
+        gt_ids = gt_by_episode.get(episode)
+        if not gt_ids:
+            continue
+        ious = iou(np.array([dets[i].box for i in det_ids])[:, None],
+                   np.array([gts[i].box for i in gt_ids])[None])
+        for j, threshold in enumerate(iou_thresholds):
+            free = ious.copy()
+            start = 0
+            while start < len(det_ids):
+                best = free[start:].max(axis=1)
+                hits = np.flatnonzero((best > 0.0) & (best >= threshold))
+                if not hits.size:
+                    break
+                start += int(hits[0])
+                gi = int(np.argmax(free[start]))
+                match[j, det_ids[start]] = gt_ids[gi]
+                free[:, gi] = 0.0
+                start += 1
+    return order, match
+
+
+def oracle_confusion(dets, gts, iou_threshold, class_ids):
+    index = {cid: i for i, cid in enumerate(class_ids)}
+    bg = len(class_ids)
+    counts = np.zeros((bg + 1, bg + 1), dtype=np.int64)
+    _, (match,) = oracle_greedy_match(dets, gts, (iou_threshold,))
+    for d, gi in zip(dets, match):
+        counts[index[gts[gi].class_id] if gi >= 0 else bg, index[d.class_id]] += 1
+    used = np.zeros(len(gts), dtype=bool)
+    used[match[match >= 0]] = True
+    for gi in np.flatnonzero(~used):
+        counts[index[gts[gi].class_id], bg] += 1
+    return counts
+
+
+def random_episode_set(rng, classes):
+    """Detections and ground truths of several classes over up to six
+    episodes: boxes on a coarse grid, ground truths sharing a box, many
+    detections copying a ground truth's box, scores from a short list, and
+    episodes left without ground truths or without detections."""
+    def box():
+        return [rng.integers(2, 9) / 10, rng.integers(2, 9) / 10,
+                rng.integers(1, 5) / 10, rng.integers(1, 5) / 10]
+    dets, gts = [], []
+    for e in range(int(rng.integers(1, 7))):
+        kind = rng.choice(["both", "no_gts", "no_dets"], p=[0.6, 0.2, 0.2])
+        ep_gts = []
+        for _ in range(0 if kind == "no_gts" else rng.integers(1, 6)):
+            source = (ep_gts[rng.integers(0, len(ep_gts))].box
+                      if ep_gts and rng.random() < 0.3 else box())
+            ep_gts.append(gtr(e, int(rng.choice(classes)), source))
+        gts += ep_gts
+        if kind == "no_dets":
+            continue
+        for _ in range(rng.integers(1, 15)):
+            source = (ep_gts[rng.integers(0, len(ep_gts))].box
+                      if ep_gts and rng.random() < 0.6 else box())
+            dets.append(det(e, int(rng.choice(classes)),
+                            float(rng.choice([0.1, 0.5, 0.5, 0.9])), source))
+    return dets, gts
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_evaluation_matches_per_threshold_oracle(monkeypatch, seed):
+    """AP and the confusion matrix are bit-identical to the per-threshold
+    matcher, on sets full of score and IoU ties."""
+    rng = np.random.default_rng(seed)
+    classes = [4, 5, 6]
+    dets, gts = random_episode_set(rng, classes)
+    got = evaluate_detections(dets, gts, classes, episode_count=6)
+    np.testing.assert_array_equal(got.confusion,
+                                  oracle_confusion(dets, gts, 0.5, classes))
+    monkeypatch.setattr(metrics, "_greedy_match",
+                        lambda d, g, t, overlaps=None: oracle_greedy_match(d, g, t))
+    want = evaluate_detections(dets, gts, classes, episode_count=6)
+    assert got.to_json() == want.to_json()
+    for cid in classes:
+        cls_dets = [d for d in dets if d.class_id == cid]
+        cls_gts = [g for g in gts if g.class_id == cid]
+        np.testing.assert_array_equal(
+            metrics.average_precision(cls_dets, cls_gts, IOU_THRESHOLDS),
+            [reference_average_precision(cls_dets, cls_gts, t)
+             for t in IOU_THRESHOLDS])
+
+
+def test_one_iou_matrix_per_episode_with_detections_and_ground_truths(monkeypatch):
+    """evaluate_detections calls ``iou`` once for each episode that has at
+    least one detection and one ground truth, and never for the others."""
     rng = np.random.default_rng(11)
-    classes, episodes = [0, 1, 2], 4
-    gts = [gtr(e, c, [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2])
-           for e in range(episodes) for c in classes]
-    dets = [det(e, c, rng.uniform(), [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
-                                      0.2, 0.2])
-            for e in range(episodes) for c in classes for _ in range(3)]
+    classes = [0, 1, 2]
+
+    def box():
+        return [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2]
+    # Episodes 0-3 have both, 4 only ground truths, 5 only detections.
+    gts = [gtr(e, c, box()) for e in (0, 1, 2, 3, 4) for c in classes]
+    dets = [det(e, c, rng.uniform(), box())
+            for e in (0, 1, 2, 3, 5) for c in classes for _ in range(3)]
     calls = []
     real_iou = metrics.iou
 
@@ -311,6 +411,6 @@ def test_one_iou_matrix_per_class_episode_and_per_episode(monkeypatch):
         return real_iou(a, b)
 
     monkeypatch.setattr(metrics, "iou", counted_iou)
-    report = evaluate_detections(dets, gts, classes, episode_count=episodes)
+    report = evaluate_detections(dets, gts, classes, episode_count=6)
     assert report.ap.shape == (len(classes), len(IOU_THRESHOLDS))
-    assert 0 < len(calls) <= len(classes) * episodes + episodes
+    assert len(calls) == 4

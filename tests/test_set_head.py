@@ -259,6 +259,32 @@ class TestSecondBestGap:
         if kind != "continuous":
             assert ties > 100
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cutoff_gives_the_exact_gap_or_a_bound_above_it(self, kind):
+        """With a cutoff the gap is exact (up to rounding) when it is at most
+        the cutoff, and otherwise a lower bound above the cutoff;
+        hungarian_match keeps the pairs that the exact gap decides."""
+        from fewdet.set_head import _canonical_search
+        rng = np.random.default_rng(100 + KINDS.index(kind))
+        for _ in range(200):
+            m, g = rng.integers(1, 13, size=2)
+            cost = random_cost(rng, m, g, kind)
+            rows, cols, u, v = linear_sum_assignment(cost)
+            exact = _second_best_gap(cost, rows, cols, u, v)
+            for cutoff in (0.0, 1e-9, 0.3, 1.0, exact):
+                cut = _second_best_gap(cost, rows, cols, u, v, cutoff)
+                if exact <= cutoff:
+                    assert cut == pytest.approx(exact, abs=1e-12)
+                else:
+                    assert cutoff < cut <= exact + 1e-12
+            total = float(cost[rows, cols].sum())
+            tol = 1e-9 * max(1.0, abs(total))
+            want = (list(zip(rows.tolist(), cols.tolist())) if exact > 2 * tol
+                    else _canonical_search(cost, total))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # g > m
+                assert hungarian_match(cost).pairs == want
+
 
 class TestMatchCost:
     def test_perfect_prediction_cost(self):
@@ -687,3 +713,4 @@ class TestDecode:
         assert all(type(c) is int and type(sc) is float for c, sc, _ in got)
         for (_, _, box), (_, _, ref_box) in zip(got, want):
             np.testing.assert_array_equal(box, ref_box)
+            assert box.flags.owndata
