@@ -7,7 +7,8 @@ configuration) and the flags listed with it; any other flag is a usage error.
              a checkpoint: --seed --out --variant --checkpoint (resume, with
              the checkpoint's settings; a --seed or --variant that differs
              from the checkpoint's, or a --config whose settings but out_dir
-             differ from its run's, exits 1)
+             differ from its run's, exits 1). The log first loses its rows
+             from the run's first step on, so each step appears once
   eval       metric report for a checkpoint, on its settings unless --config
              is given: --out --checkpoint --episodes; exits 1 when the
              benchmark's feature_dim is not the checkpoint's input_dim
@@ -124,6 +125,28 @@ def _first_difference(ours, theirs, prefix: str = ""):
     return None
 
 
+def _truncate_log(path: Path, start_step: int) -> None:
+    """Drop the rows of step ``start_step`` and later from the JSONL
+    training log at ``path``, so the rows a run appends from that step
+    follow the earlier ones once each. A log with nothing to drop is left
+    untouched."""
+    try:
+        lines = path.read_bytes().splitlines(keepends=True)
+    except FileNotFoundError:
+        return
+    kept = []
+    for number, line in enumerate(lines, 1):
+        try:
+            earlier = json.loads(line)["step"] < start_step
+        except (ValueError, TypeError, KeyError):
+            raise CorruptionError(f"{path}: line {number} is not a training "
+                                  f"log row") from None
+        if earlier:
+            kept.append(line)
+    if len(kept) < len(lines):
+        _write_atomic(path, b"".join(kept))
+
+
 def cmd_train(args) -> int:
     from .harness import (load_run_checkpoint, save_run_checkpoint, train_run)
     from .model import ablation_variant
@@ -155,6 +178,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     log_path = out / "train_log.jsonl"
+    _truncate_log(log_path, start_step)
     with open(log_path, "a") as log_fh:
         result = train_run(run, cfg=cfg, state=state, opt=opt,
                            start_step=start_step, log_fh=log_fh)

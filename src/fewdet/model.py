@@ -389,8 +389,9 @@ def train_step(episode: Episode, state: ModelState, opt: AdamState,
                            "breakdown": breakdown.as_dict()}
         raise err
     loss.backward()
-    # Free the graph and its gradients first: the update then reuses their
-    # memory instead of adding to the step's peak.
+    # Backward has freed the graph. The diagnostics still hold the final
+    # support sequence's features and their gradient; drop them first, so
+    # the update reuses their memory instead of adding to the step's peak.
     del loss, diag
     adam_step(state.params, collect_grads(state.params), opt)
     return breakdown

@@ -6,6 +6,14 @@ backward closure, so calling :meth:`Tensor.backward` on a scalar loss fills
 summation when a tensor is used more than once, the standard reverse-mode
 convention.
 
+Backward consumes the graph it walks. As soon as a node's closure has
+returned its parents' gradients, the node drops the closure and its parent
+edges, so the forward intermediates the closure kept are freed then, and the
+node itself (its value and gradient) as soon as nothing outside the graph
+holds it. A node the caller still holds keeps its ``.grad``. A second
+backward through a consumed node raises ``ValueError``: build the graph
+again instead.
+
 Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
 the product with a transposed weight (:func:`matmul_t`), the FFN block
 (:func:`ffn_apply`), multi-head attention, layer norm and the row gather
@@ -40,6 +48,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def _consumed(g: np.ndarray | None) -> Sequence[np.ndarray | None]:
+    """The backward of a node whose graph an earlier backward() consumed."""
+    raise ValueError("backward() through a graph an earlier backward() has "
+                     "consumed; build the graph again for new gradients")
 
 
 class Tensor:
@@ -120,6 +134,16 @@ class Tensor:
         never changing an array another node may hold; a leaf copies its
         first gradient and accumulates in place, so its ``.grad`` is an
         array it owns.
+
+        The pass consumes the graph: each interior node drops its closure
+        and parent edges once the closure has returned its parents'
+        gradients (at once, if no gradient reached the node). Its forward
+        intermediates go with the closure, and its value and gradient as
+        soon as nothing outside the graph holds the node; an interior node
+        the caller holds keeps its ``.grad``. A later backward that reaches
+        a consumed node, from the same root or from a new graph built on a
+        held node, raises ``ValueError`` before any gradient changes. A
+        leaf is never consumed.
         """
         if self.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
@@ -139,6 +163,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)  # raises before any gradient changes
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -146,11 +172,16 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        # Popping drops the list's reference to each node as it is walked.
+        while order:
+            node = order.pop()
+            backward, parents = node._backward, node._parents
+            if backward is None:
                 continue
-            parent_grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, parent_grads):
+            node._backward, node._parents = _consumed, ()
+            if node.grad is None:
+                continue
+            for parent, g in zip(parents, backward(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent._backward is not None:

@@ -155,11 +155,47 @@ class TestTrainEval:
         from fewdet.harness import load_run_checkpoint
         _, before = load_run_checkpoint(ckpt)
         assert before.steps_done == 8
+        log = (tmp_path / "out" / "train_log.jsonl").read_bytes()
         assert run_cli("train", "--config", str(fast_config),
                        "--checkpoint", str(ckpt)) == 0
         # resuming at the final step trains no further but re-saves cleanly
         _, after = load_run_checkpoint(ckpt)
         assert after.steps_done == 8
+        assert (tmp_path / "out" / "train_log.jsonl").read_bytes() == log
+
+    def test_resume_from_a_mid_run_checkpoint_logs_each_step_once(
+            self, fast_config, tmp_path, capsys):
+        """The log of a run that went past the checkpoint loses the rows
+        from the checkpoint's step on before the resumed run appends its
+        own, so it ends as the uninterrupted run's log."""
+        import dataclasses
+        from fewdet.harness import (load_run_checkpoint, save_run_checkpoint,
+                                    train_run)
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        log_path = tmp_path / "out" / "train_log.jsonl"
+        uninterrupted = log_path.read_bytes()
+        run, full = load_run_checkpoint(tmp_path / "out" / "checkpoint.fdck")
+        head = dataclasses.replace(run, training=dataclasses.replace(
+            run.training, steps=4, fine_tune_steps=0))
+        mid = tmp_path / "mid.fdck"
+        save_run_checkpoint(mid, run, train_run(head, cfg=full.cfg))
+        assert run_cli("train", "--config", str(fast_config),
+                       "--checkpoint", str(mid)) == 0
+        steps = [json.loads(line)["step"] for line in log_path.read_text().splitlines()]
+        assert steps == [0, 2, 4, 6, 7]
+        assert log_path.read_bytes() == uninterrupted
+
+    def test_resume_onto_a_log_with_a_torn_row_exits_3(self, fast_config, tmp_path,
+                                                        capsys):
+        run_cli("train", "--config", str(fast_config))
+        log_path = tmp_path / "out" / "train_log.jsonl"
+        with open(log_path, "a") as fh:
+            fh.write('{"step": 8, "cls"')
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(fast_config), "--checkpoint",
+                       str(tmp_path / "out" / "checkpoint.fdck")) == 3
+        assert (f"{log_path}: line 6 is not a training log row"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, value, same, theirs", [
         ("--seed", "5", "0", "seed 0"),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,26 @@ def test_default_train_step_graph_node_budget(monkeypatch):
     monkeypatch.setattr(T.Tensor, "_result", staticmethod(counting))
     train_step(episode, state, AdamState(learning_rate=cfg.learning_rate), cfg)
     assert 0 < sum(nodes) <= 98
+
+
+def test_backward_frees_the_graph_it_walks():
+    """After one default-config forward and backward, all that stays live
+    beyond the parameters' gradients is the loss and the diagnostics: the
+    forward intermediates, closures and interior gradients are freed by the
+    pass itself, not when the caller drops the loss."""
+    from fewdet.config import RunConfig
+
+    run = RunConfig()
+    cfg = run.resolved_model()
+    state = init_model_state(cfg)
+    episode = generate_episode(run.benchmark, 0, "train")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _, diag = compute_loss(episode, state, cfg)
+        loss.backward()
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.grad.nbytes for p in state.params.values())
+    assert live <= grad_bytes + 256 * 1024

@@ -469,6 +469,23 @@ def test_backward_from_a_leaf_root_sets_its_gradient():
     np.testing.assert_array_equal(x.grad, 1.0)
 
 
+def test_second_backward_through_a_consumed_graph_raises():
+    """Backward consumes the graph: a second pass from the same root, or
+    from a new graph built on a held interior node, raises before any
+    gradient changes, and the held node keeps its first gradient."""
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    hidden = T.exp(x)
+    loss = T.tsum(hidden * 3.0)
+    loss.backward()
+    first_x, first_hidden = x.grad.copy(), hidden.grad.copy()
+    np.testing.assert_array_equal(first_hidden, 3.0)
+    for root in (loss, T.tsum(hidden * x)):
+        with pytest.raises(ValueError, match="consumed"):
+            root.backward()
+        np.testing.assert_array_equal(x.grad, first_x)
+        np.testing.assert_array_equal(hidden.grad, first_hidden)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
