@@ -184,9 +184,12 @@ def cmd_train(args) -> int:
                            start_step=start_step, log_fh=log_fh)
     ckpt = out / "checkpoint.fdck"
     save_run_checkpoint(ckpt, run, result)
-    last = result.history[-1] if result.history else {}
-    print(f"trained to step {result.steps_done}; final loss "
-          f"{last.get('total', float('nan')):.4f}")
+    if result.history:
+        print(f"trained to step {result.steps_done}; final loss "
+              f"{result.history[-1]['total']:.4f}")
+    else:
+        print(f"no step left to train: the run already reached step "
+              f"{result.steps_done}")
     print(f"checkpoint: {ckpt}")
     print(f"metrics log: {log_path}")
     return EXIT_OK

@@ -34,7 +34,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (DERIVED_MODEL_KEYS, RunConfig, check_integers,
                      run_config_from_dict, run_config_to_dict)
 from .episodes import Episode, generate_episode
-from .errors import CorruptionError, ShapeError
+from .errors import ConfigError, CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_shapes, run_inference,
@@ -59,16 +59,16 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _episode_for_step(run: RunConfig, step: int) -> tuple[Episode, str]:
+def _episode_for_step(run: RunConfig, step: int) -> Episode:
     """Base training consumes train-split episodes; the fine-tune phase
     cycles a fixed pool of test-split episodes."""
     t = run.training
     if t.overfit_episode is not None:
-        return generate_episode(run.benchmark, t.overfit_episode, "train"), "train"
+        return generate_episode(run.benchmark, t.overfit_episode, "train")
     if step < t.steps:
-        return generate_episode(run.benchmark, step, "train"), "train"
+        return generate_episode(run.benchmark, step, "train")
     ft_index = (step - t.steps) % t.fine_tune_episodes
-    return generate_episode(run.benchmark, ft_index, "test"), "test"
+    return generate_episode(run.benchmark, ft_index, "test")
 
 
 def train_run(run: RunConfig, cfg: ModelConfig | None = None,
@@ -80,8 +80,7 @@ def train_run(run: RunConfig, cfg: ModelConfig | None = None,
     total_steps = run.training.steps + run.training.fine_tune_steps
     history = []
     for step in range(start_step, total_steps):
-        episode, _ = _episode_for_step(run, step)
-        ep = training_episode(episode, cfg, step)
+        ep = training_episode(_episode_for_step(run, step), cfg, step)
         breakdown = train_step(ep, state, opt, cfg)
         if step % run.training.log_interval == 0 or step == total_steps - 1:
             row = {"step": step, **breakdown.as_dict()}
@@ -116,11 +115,14 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
                    episodes: list[Episode] | None = None
                    ) -> tuple[EvalReport, EvalDiagnostics]:
     """Run inference over evaluation episodes at ``EVAL_SCORE_THRESHOLD``
-    and compute the metric report."""
+    and compute the metric report. No episode to evaluate is a
+    ConfigError."""
     t = run.training
     if episodes is None:
         episodes = [generate_episode(run.benchmark, t.eval_start_index + i, "test")
                     for i in range(t.eval_episodes)]
+    if not episodes:
+        raise ConfigError("no episodes to evaluate")
     dets: list[Detection] = []
     gts: list[GtRecord] = []
     diag = EvalDiagnostics()
@@ -140,8 +142,8 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
                     diag.episodes_bg_dominant += 1
             if feats.class_count >= 2:
                 diag.separations.append(min_interclass_separation(feats))
-    class_ids = list(episodes[0].class_ids) if episodes else []
-    report = evaluate_detections(dets, gts, class_ids, len(episodes))
+    report = evaluate_detections(dets, gts, list(episodes[0].class_ids),
+                                 len(episodes))
     return report, diag
 
 

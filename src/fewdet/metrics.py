@@ -7,14 +7,15 @@ There is one geometry path: ``iou`` and ``giou`` broadcast over leading
 axes, so two (4,) boxes give a scalar and ``a[:, None]`` against ``b[None]``
 the (m, n) matrix, with the same arithmetic and box checks either way. AP
 and the confusion matrix share one score-ordered greedy matcher that
-rejects non-finite scores. ``evaluate_detections`` computes each episode's
-detections x ground truths IoU matrix once, with one ``iou`` call, rows in
-stable score order and columns in ground-truth index order; the per-class
-``average_precision`` calls and ``confusion_matrix`` read their sub-blocks
-of it. Called on their own, they compute the matrices of their own lists.
-``average_precision`` takes the whole threshold band and returns one AP per
-threshold: each detection's ground truths are ranked by IoU once, and the
-matcher walks those short lists in plain Python at each threshold.
+rejects non-finite scores. It reads one table (``_ranked_overlaps``, one
+``iou`` call per episode with detections and ground truths): each
+detection's overlapping ground truths of its episode, best first. At each
+threshold it walks the detections in score order in plain Python and gives
+each the first free ground truth of its row that reaches the threshold.
+``evaluate_detections`` builds the table once, at the band's lowest
+threshold: ``confusion_matrix`` reads it whole, each class's
+``average_precision`` its detections' rows re-indexed to the class's ground
+truths. Called on their own, they build the table of their own lists.
 
 Everything here is plain numpy on raw values. The training loss's box term
 (:func:`fewdet.set_head.box_loss`) repeats ``giou``'s arithmetic inside one
@@ -113,49 +114,23 @@ def _score_order(dets: list[Detection]) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-@dataclass(frozen=True)
-class _Overlaps:
-    """One IoU matrix per episode, rows the episode's detections in score
-    order, columns its ground truths in index order, held by row as the
-    positive entries ``(IoU, column)`` best first, lower column first on
-    equal IoU. ``row[i]`` and ``col[k]`` place detection ``i`` and ground
-    truth ``k`` of the lists the table belongs to."""
-    matrices: dict[int, list[list[tuple[float, int]]]]
-    row: list[int]
-    col: list[int]
-
-    def restrict(self, det_ids: list[int], gt_ids: list[int]) -> "_Overlaps":
-        """The same matrices, placed for the sub-lists ``[dets[i] for i in
-        det_ids]`` and ``[gts[k] for k in gt_ids]``: their sub-blocks."""
-        return _Overlaps(self.matrices, [self.row[i] for i in det_ids],
-                         [self.col[k] for k in gt_ids])
-
-
-def _group(keys: list, ids) -> dict:
-    """``ids`` split by ``keys[i]``, each part in the order of ``ids``."""
+def _group(keys: list) -> dict[object, list[int]]:
+    """The indices of ``keys`` split by value, each part in list order."""
     groups: dict = {}
-    for i in ids:
-        groups.setdefault(keys[i], []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return groups
 
 
-def _by_episode(records, ids) -> dict[int, list[int]]:
-    return _group([r.episode_id for r in records], ids)
-
-
-def _overlaps(dets: list[Detection], gts: list[GtRecord],
-              order: np.ndarray) -> _Overlaps:
-    """The IoU table of ``dets`` against ``gts``: one ``iou`` call per
-    episode with at least one detection and one ground truth."""
-    row, col = [0] * len(dets), [0] * len(gts)
-    gt_groups = _by_episode(gts, range(len(gts)))
-    for ids in gt_groups.values():
-        for j, k in enumerate(ids):
-            col[k] = j
-    matrices = {}
-    for episode, det_ids in _by_episode(dets, order.tolist()).items():
-        for j, i in enumerate(det_ids):
-            row[i] = j
+def _ranked_overlaps(dets: list[Detection], gts: list[GtRecord],
+                     floor: float) -> list[list[tuple[float, int]]]:
+    """For each detection in list order, its ``(IoU, k)`` entries against
+    the ground truths ``gts[k]`` of its episode with an IoU above 0 and at
+    least ``floor``: best first, lower ``k`` first on equal IoU. One ``iou``
+    call per episode with at least one detection and one ground truth."""
+    ranked: list[list[tuple[float, int]]] = [[] for _ in dets]
+    gt_groups = _group([g.episode_id for g in gts])
+    for episode, det_ids in _group([d.episode_id for d in dets]).items():
         gt_ids = gt_groups.get(episode)
         if not gt_ids:
             continue
@@ -163,78 +138,62 @@ def _overlaps(dets: list[Detection], gts: list[GtRecord],
                    np.array([gts[k].box for k in gt_ids])[None])
         cols = np.argsort(-ious, axis=1, kind="stable")
         values = np.take_along_axis(ious, cols, axis=1)
-        matrices[episode] = [list(zip(v[:n], c[:n])) for v, c, n in zip(
-            values.tolist(), cols.tolist(), (ious > 0.0).sum(axis=1).tolist())]
-    return _Overlaps(matrices, row, col)
+        kept = ((values > 0.0) & (values >= floor)).sum(axis=1)
+        for i, v, c, n in zip(det_ids, values.tolist(), cols.tolist(),
+                              kept.tolist()):
+            ranked[i] = [(value, gt_ids[j]) for value, j in zip(v[:n], c[:n])]
+    return ranked
 
 
 def _greedy_match(dets: list[Detection], gts: list[GtRecord], iou_thresholds,
-                  overlaps: _Overlaps | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ranked: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Score-ordered greedy matching at every threshold of a band.
 
     Returns the detection order (descending score, list order on ties) and
     ``match[j, i]``: the index of the ground truth detection ``i`` takes at
     ``iou_thresholds[j]``, or -1. In that order each detection takes its
-    best-IoU unused ground truth of the same episode (the first in index
-    order on equal IoU) and keeps it when the IoU is above 0 and at least
-    the threshold. The IoUs come from ``overlaps`` (the table of these
-    lists), else from one ``iou`` call per episode. The walk is plain Python
-    over each detection's ground truths ranked once for the band: at each
-    threshold a detection takes the first free one, if that one reaches the
-    threshold.
+    best-IoU unused ground truth of the same episode (the lower index on
+    equal IoU) and keeps it when the IoU is above 0 and at least the
+    threshold. ``ranked`` is the :func:`_ranked_overlaps` table of these
+    lists at a floor no higher than the lowest threshold; without it the
+    table is built at that threshold. At each threshold the walk gives each
+    detection the first free ground truth of its row, if that one reaches
+    the threshold.
     """
     order = _score_order(dets)
-    if overlaps is None:
-        overlaps = _overlaps(dets, gts, order)
+    if ranked is None:
+        ranked = _ranked_overlaps(dets, gts, min(iou_thresholds, default=np.inf))
     match = np.full((len(iou_thresholds), len(dets)), -1, dtype=np.int64)
-    lowest = min(iou_thresholds, default=np.inf)
-    gt_groups = _by_episode(gts, range(len(gts)))
-    for episode, det_ids in _by_episode(dets, order.tolist()).items():
-        gt_ids = gt_groups.get(episode)
-        if not gt_ids:
-            continue
-        matrix = overlaps.matrices[episode]
-        position = {overlaps.col[k]: j for j, k in enumerate(gt_ids)}
-        # Each detection's (IoU, position in gt_ids) at the lowest threshold
-        # or above, best first; a detection with none never matches.
-        ranked = []
-        for i in det_ids:
-            entries = matrix[overlaps.row[i]]
-            if entries and entries[0][0] >= lowest:
-                candidates = [(v, position[c]) for v, c in entries
-                              if v >= lowest and c in position]
-                if candidates:
-                    ranked.append((i, candidates))
-        for t, threshold in enumerate(iou_thresholds):
-            free = [True] * len(gt_ids)
-            for i, candidates in ranked:
-                for value, j in candidates:
-                    if value < threshold:
-                        break
-                    if free[j]:
-                        match[t, i] = gt_ids[j]
-                        free[j] = False
-                        break
+    walk = [(i, ranked[i]) for i in order.tolist() if ranked[i]]
+    for t, threshold in enumerate(iou_thresholds):
+        free = [True] * len(gts)
+        for i, row in walk:
+            for value, k in row:
+                if value < threshold:
+                    break
+                if free[k]:
+                    match[t, i] = k
+                    free[k] = False
+                    break
     return order, match
 
 
 def average_precision(dets: list[Detection], gts: list[GtRecord],
-                      iou_thresholds, overlaps: _Overlaps | None = None
-                      ) -> np.ndarray:
+                      iou_thresholds, ranked: list | None = None) -> np.ndarray:
     """Single-class average precision with 101-point interpolation at each
     threshold of ``iou_thresholds``: a (T,) float64 array.
 
     Detections are greedily matched in descending score order; each ground
     truth is consumed at most once; matches must reach the IoU threshold and
-    stay within the same episode. One sort and one IoU matrix per episode
-    (or the caller's ``overlaps`` table of these lists) serve the whole band.
-    A non-finite score raises ValueError.
+    stay within the same episode. One sort and one :func:`_ranked_overlaps`
+    table (the caller's ``ranked`` rows of these lists, or one built at the
+    lowest threshold) serve the whole band. A non-finite score raises
+    ValueError.
     """
     ap = np.zeros(len(iou_thresholds))
     if not gts or not dets:
         return ap
-    order, match = _greedy_match(dets, gts, iou_thresholds, overlaps)
+    order, match = _greedy_match(dets, gts, iou_thresholds, ranked)
     tp = (match[:, order] >= 0).astype(np.float64)
     cum_tp = np.cumsum(tp, axis=1)
     cum_fp = np.cumsum(1.0 - tp, axis=1)
@@ -254,12 +213,14 @@ def average_precision(dets: list[Detection], gts: list[GtRecord],
 
 def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
                      iou_threshold: float, class_ids: list[int],
-                     overlaps: _Overlaps | None = None) -> np.ndarray:
+                     ranked: list | None = None) -> np.ndarray:
     """(C+1) x (C+1) count matrix, rows true class / columns predicted,
     final index is background. Each detection is assigned to its best-IoU
     unused ground truth of any class (score order, same episode); unmatched
     detections land in the background row, unmatched ground truths in the
-    background column. ``overlaps`` is as for :func:`average_precision`.
+    background column. ``ranked`` is the :func:`_ranked_overlaps` table of
+    these lists at a floor no higher than ``iou_threshold``, built here at
+    ``iou_threshold`` when not given.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold must lie in (0, 1), got {iou_threshold}")
@@ -267,7 +228,7 @@ def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
     bg = len(class_ids)
     counts = np.zeros((bg + 1, bg + 1), dtype=np.int64)
 
-    _, (match,) = _greedy_match(dets, gts, (iou_threshold,), overlaps)
+    _, (match,) = _greedy_match(dets, gts, (iou_threshold,), ranked)
     match = match.tolist()
     cells = Counter((index[gts[k].class_id] if k >= 0 else bg, index[d.class_id])
                     for d, k in zip(dets, match))
@@ -348,20 +309,28 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
                         thresholds=IOU_THRESHOLDS) -> EvalReport:
     """Per-class AP across the threshold band plus the 0.5-IoU confusion
     matrix. Classes with no ground truth anywhere are excluded from AP rows
-    (COCO convention). Each episode's detections x ground truths IoU matrix
-    is computed once; the AP of each class and the confusion matrix read
-    their sub-blocks of it."""
+    (COCO convention). The band must hold 0.5, the threshold of the headline
+    mAP and of the confusion matrix, else ValueError. One
+    :func:`_ranked_overlaps` table at the band's lowest threshold serves
+    both: the confusion matrix reads it whole, the AP of each class its
+    detections' rows, re-indexed to the class's ground truths."""
     thresholds = [float(t) for t in thresholds]
-    gt_classes = _group([g.class_id for g in gts], range(len(gts)))
-    det_classes = _group([d.class_id for d in dets], range(len(dets)))
+    if 0.5 not in thresholds:
+        raise ValueError(f"the threshold band must hold 0.5, the threshold of "
+                         f"mAP@0.5 and the confusion matrix; got {thresholds}")
+    gt_classes = _group([g.class_id for g in gts])
+    det_classes = _group([d.class_id for d in dets])
     present = [cid for cid in class_ids if cid in gt_classes]
-    overlaps = _overlaps(dets, gts, _score_order(dets))
+    ranked = _ranked_overlaps(dets, gts, min(thresholds))
     ap = np.zeros((len(present), len(thresholds)))
-    for i, cid in enumerate(present):
+    for c, cid in enumerate(present):
         det_ids, gt_ids = det_classes.get(cid, []), gt_classes[cid]
-        ap[i] = average_precision([dets[j] for j in det_ids], [gts[k] for k in gt_ids],
-                                  thresholds, overlaps.restrict(det_ids, gt_ids))
-    confusion = confusion_matrix(dets, gts, 0.5, list(class_ids), overlaps)
+        position = {k: j for j, k in enumerate(gt_ids)}
+        rows = [[(v, position[k]) for v, k in ranked[i] if k in position]
+                for i in det_ids]
+        ap[c] = average_precision([dets[i] for i in det_ids],
+                                  [gts[k] for k in gt_ids], thresholds, rows)
+    confusion = confusion_matrix(dets, gts, 0.5, list(class_ids), ranked)
     return EvalReport(class_ids=list(present), thresholds=thresholds, ap=ap,
                       confusion=confusion, episode_count=episode_count,
                       detection_count=len(dets), gt_count=len(gts))

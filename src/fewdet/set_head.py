@@ -186,11 +186,8 @@ def _second_best_gap(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
     Every other assignment moves some row off its column, so the smallest
     reduced cost off the matching is a lower bound. It is returned in place
-    of the exact gap when it already exceeds ``cutoff``. Otherwise the
-    Floyd-Warshall pass runs only on the nodes that can lie on a cycle of
-    edges no dearer than ``cutoff``; when the gap exceeds ``cutoff`` the
-    result is a lower bound above ``cutoff``, and with ``cutoff=inf`` it is
-    always the exact gap.
+    of the exact gap when it already exceeds ``cutoff``; otherwise
+    Floyd-Warshall runs on the whole graph and the gap is exact.
     """
     reduced = cost - u[:, None]
     reduced -= v
@@ -208,31 +205,9 @@ def _second_best_gap(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     graph[:k, k] = reduced[rows][:, free].min(axis=1, initial=np.inf)
     graph[k, :k] = -v[cols]
     graph[k, k] = np.inf
-    # A cycle of cost <= cutoff uses only cheap edges, <= cutoff + slack,
-    # where the slack covers the k other edges of a cycle being below 0 by
-    # rounding. A node without a cheap edge in and out lies on no such
-    # cycle, so nodes are dropped until none is left to drop. A cycle with a
-    # dearer edge costs at least the cheapest dearer edge less the slack.
-    slack = k * max(0.0, -float(graph.min()))
-    cheap = graph <= cutoff + slack
-    edges = list(zip(*(ends.tolist() for ends in np.nonzero(cheap))))
-    alive = set(range(k + 1))
-    while alive:
-        edges = [(a, b) for a, b in edges if a in alive and b in alive]
-        keep = {a for a, _ in edges} & {b for _, b in edges}
-        if keep == alive:
-            break
-        alive = keep
-    gap = np.inf
-    if alive:
-        nodes = sorted(alive)
-        sub = graph[np.ix_(nodes, nodes)]
-        for b in range(len(nodes)):
-            np.minimum(sub, sub[:, b, None] + sub[b], out=sub)
-        gap = float(sub.diagonal().min())
-        if gap <= cutoff:
-            return gap
-    return min(gap, float(graph[~cheap].min(initial=np.inf)) - slack)
+    for b in range(k + 1):
+        np.minimum(graph, graph[:, b, None] + graph[b], out=graph)
+    return float(graph.diagonal().min())
 
 
 def _canonical_search(cost: np.ndarray, total: float) -> list[tuple[int, int]]:

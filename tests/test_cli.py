@@ -156,9 +156,12 @@ class TestTrainEval:
         _, before = load_run_checkpoint(ckpt)
         assert before.steps_done == 8
         log = (tmp_path / "out" / "train_log.jsonl").read_bytes()
+        capsys.readouterr()
         assert run_cli("train", "--config", str(fast_config),
                        "--checkpoint", str(ckpt)) == 0
         # resuming at the final step trains no further but re-saves cleanly
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "no step left to train: the run already reached step 8")
         _, after = load_run_checkpoint(ckpt)
         assert after.steps_done == 8
         assert (tmp_path / "out" / "train_log.jsonl").read_bytes() == log
@@ -246,6 +249,19 @@ class TestTrainEval:
                        str(tmp_path / "out" / "checkpoint.fdck"),
                        "--episodes", str(tmp_path / "out" / "episodes_test.bin"))
         assert code == 0
+
+    def test_eval_on_an_empty_episode_file_exits_1(self, fast_config, tmp_path,
+                                                   capsys):
+        run_cli("train", "--config", str(fast_config))
+        run_cli("gen", "--config", str(fast_config), "--count", "0",
+                "--split", "test")
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint",
+                       str(tmp_path / "out" / "checkpoint.fdck"),
+                       "--episodes", str(tmp_path / "out" / "episodes_test.bin")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no episodes to evaluate\n"
+        assert not (tmp_path / "out" / "eval_report.json").exists()
 
     def test_eval_on_benchmark_of_other_feature_width_exits_1(
             self, fast_config, tmp_path, capsys):

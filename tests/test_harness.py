@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from fewdet.config import RunConfig, TrainingConfig, run_config_from_dict
+from fewdet.episodes import generate_episode
 from fewdet.harness import (VariantOutcome, ablation_summary, ablation_table,
                             evaluate_model, load_run_checkpoint, run_ablation,
                             save_run_checkpoint, train_run)
-from fewdet.model import ablation_variant, init_model_state
+from fewdet.model import (ablation_variant, init_model_state, train_step,
+                          training_episode)
+from fewdet.optim import AdamState
 
 
 def fast_run(**training_kw):
@@ -91,6 +94,13 @@ def test_overfit_mode_reuses_one_episode():
     run = fast_run(steps=4, fine_tune_steps=0, overfit_episode=7)
     result = train_run(run)
     assert result.steps_done == 4
+    cfg = run.resolved_model()
+    state, opt = init_model_state(cfg), AdamState(learning_rate=cfg.learning_rate)
+    episode = generate_episode(run.benchmark, 7, "train")
+    for step in range(4):
+        train_step(training_episode(episode, cfg, step), state, opt, cfg)
+    for name, param in result.state.params.items():
+        np.testing.assert_array_equal(param.data, state.params[name].data)
 
 
 def _one_buffer(arrays):

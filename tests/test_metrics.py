@@ -391,6 +391,45 @@ def test_evaluation_matches_per_threshold_oracle(monkeypatch, seed):
              for t in IOU_THRESHOLDS])
 
 
+@pytest.mark.parametrize("seed", range(25))
+def test_low_thresholds_match_the_oracles(seed):
+    """AP and confusion matrix at thresholds below the default band, where
+    the ranked table keeps low-IoU entries: standalone AP bit-equal to the
+    per-detection reference at each threshold, alone and in one band, and
+    so is each AP row of a report on a low band; the standalone confusion
+    matrix equals the per-threshold oracle's."""
+    rng = np.random.default_rng(seed)
+    classes = [4, 5, 6]
+    dets, gts = random_episode_set(rng, classes)
+    low = (0.0, 0.1, 0.3)
+    report = evaluate_detections(dets, gts, classes, episode_count=6,
+                                 thresholds=low + (0.5,))
+    for cid in classes:
+        cls_dets = [d for d in dets if d.class_id == cid]
+        cls_gts = [g for g in gts if g.class_id == cid]
+        want = [reference_average_precision(cls_dets, cls_gts, t) for t in low]
+        np.testing.assert_array_equal(average_precision(cls_dets, cls_gts, low), want)
+        for t, ap in zip(low, want):
+            assert average_precision(cls_dets, cls_gts, [t])[0] == ap
+        if cid in report.class_ids:
+            np.testing.assert_array_equal(
+                report.ap[report.class_ids.index(cid), :3], want)
+    for t in low[1:]:  # the confusion matrix refuses 0.0
+        np.testing.assert_array_equal(confusion_matrix(dets, gts, t, classes),
+                                      oracle_confusion(dets, gts, t, classes))
+
+
+def test_band_without_half_is_refused():
+    """mAP@0.5 and the confusion matrix are taken at 0.5, so a band
+    without it is refused on entry."""
+    dets, gts = [det(0, 1, 0.9, UNIT)], [gtr(0, 1, UNIT)]
+    with pytest.raises(ValueError, match="0.5"):
+        evaluate_detections(dets, gts, [1], episode_count=1, thresholds=(0.75,))
+    report = evaluate_detections(dets, gts, [1], episode_count=1,
+                                 thresholds=(0.5, 0.75))
+    assert report.map_50 == 1.0
+
+
 def test_one_iou_matrix_per_episode_with_detections_and_ground_truths(monkeypatch):
     """evaluate_detections calls ``iou`` once for each episode that has at
     least one detection and one ground truth, and never for the others."""
