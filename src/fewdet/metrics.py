@@ -282,10 +282,12 @@ class EvalReport:
 
     @staticmethod
     def from_json(text: str) -> "EvalReport":
+        """The report ``to_json`` wrote. A band without 0.5 is refused
+        with :func:`evaluate_detections`'s ValueError."""
         payload = json.loads(text)
         return EvalReport(
             class_ids=list(payload["class_ids"]),
-            thresholds=list(payload["thresholds"]),
+            thresholds=_threshold_band(payload["thresholds"]),
             ap=np.asarray(payload["ap"], dtype=np.float64).reshape(
                 len(payload["class_ids"]), len(payload["thresholds"])),
             confusion=np.asarray(payload["confusion"], dtype=np.int64),
@@ -304,6 +306,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _threshold_band(thresholds) -> list[float]:
+    """The band as floats; ValueError unless it holds 0.5, the threshold of
+    mAP@0.5 and of the confusion matrix."""
+    band = [float(t) for t in thresholds]
+    if 0.5 not in band:
+        raise ValueError(f"the threshold band must hold 0.5, the threshold of "
+                         f"mAP@0.5 and the confusion matrix; got {band}")
+    return band
+
+
 def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
                         class_ids: list[int], episode_count: int,
                         thresholds=IOU_THRESHOLDS) -> EvalReport:
@@ -314,10 +326,7 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
     :func:`_ranked_overlaps` table at the band's lowest threshold serves
     both: the confusion matrix reads it whole, the AP of each class its
     detections' rows, re-indexed to the class's ground truths."""
-    thresholds = [float(t) for t in thresholds]
-    if 0.5 not in thresholds:
-        raise ValueError(f"the threshold band must hold 0.5, the threshold of "
-                         f"mAP@0.5 and the confusion matrix; got {thresholds}")
+    thresholds = _threshold_band(thresholds)
     gt_classes = _group([g.class_id for g in gts])
     det_classes = _group([d.class_id for d in dets])
     present = [cid for cid in class_ids if cid in gt_classes]

@@ -21,6 +21,13 @@ the product with a transposed weight (:func:`matmul_t`), the FFN block
 backward that repeats the arithmetic of the primitive chain it stands for,
 so values and gradients are bit-identical to that chain.
 
+A primitive writes only into arrays it allocated in that call. It never
+writes into its inputs, into the upstream gradient, or into an array it
+returned or its backward closure keeps. Within that rule its element-wise
+chains run in one such buffer (``out=`` or augmented assignment), in the
+order of the out-of-place expression, so the in-place form is bit-identical
+to it.
+
 Everything is float64: this library exists to make gradient checks against
 central finite differences meaningful, not to be fast on large models.
 """
@@ -128,12 +135,12 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode pass from a scalar; accumulates into ``.grad``.
 
-        A backward closure never writes into the upstream gradient it is
-        given, and may hand one array to several parents. So an interior
-        node takes its first gradient as it is and accumulates out of place,
-        never changing an array another node may hold; a leaf copies its
-        first gradient and accumulates in place, so its ``.grad`` is an
-        array it owns.
+        A backward closure writes only into arrays it allocated in that
+        call, never into the upstream gradient it is given, and may hand one
+        array to several parents. So an interior node takes its first
+        gradient as it is and accumulates out of place, never changing an
+        array another node may hold; a leaf copies its first gradient and
+        accumulates in place, so its ``.grad`` is an array it owns.
 
         The pass consumes the graph: each interior node drops its closure
         and parent edges once the closure has returned its parents'
@@ -377,8 +384,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     keeps its sign bit), so no mask indexing is required. The numerator
     ``max(e, x >= 0)`` is 1 where x >= 0 (there e <= 1), e below, and a
     NaN input's own NaN."""
-    e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, x >= 0.0, dtype=np.float64) / (1.0 + e)
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, x >= 0.0, dtype=np.float64)
+    e += 1.0
+    s /= e
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -393,7 +405,16 @@ def silu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     s = _stable_sigmoid(x)
-    return Tensor._result(x * s, (a,), lambda g: (g * (s * (1.0 + x * (1.0 - s))),))
+
+    def backward(g: np.ndarray):
+        ds = np.subtract(1.0, s, out=np.empty_like(x))
+        ds *= x
+        ds += 1.0
+        ds *= s
+        ds *= g
+        return (ds,)
+
+    return Tensor._result(x * s, (a,), backward)
 
 
 # -- attention ---------------------------------------------------------------------
@@ -431,16 +452,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    if not np.isfinite(scores).all():
+    attn = qh @ kh.transpose(0, 2, 1)
+    attn *= scale
+    if not np.isfinite(attn).all():
         raise NumericError("attention received non-finite scores")
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    attn = e / e.sum(axis=2, keepdims=True)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
 
     def backward(g: np.ndarray):
         gh = split(g)
-        d_attn = gh @ vh.transpose(0, 2, 1)
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) * scale
+        d_scores = gh @ vh.transpose(0, 2, 1)
+        d_scores -= (d_scores * attn).sum(axis=2, keepdims=True)
+        d_scores *= attn
+        d_scores *= scale
         return (merge(d_scores @ kh), merge(d_scores.transpose(0, 2, 1) @ qh),
                 merge(attn.transpose(0, 2, 1) @ gh))
 
@@ -526,17 +551,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                          f"gamma {gamma.shape} / beta {beta.shape}")
     width = x.shape[1]
     inv_width = 1.0 / width
-    centered = x.data - x.data.sum(axis=1, keepdims=True) * inv_width
-    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) * inv_width + eps)
-    xhat = centered / std
+    xhat = x.data - x.data.sum(axis=1, keepdims=True) * inv_width
+    out = xhat * xhat
+    std = np.sqrt(out.sum(axis=1, keepdims=True) * inv_width + eps)
+    xhat /= std
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def backward(g: np.ndarray):
-        dxhat = g * gamma.data
-        dx = (dxhat - dxhat.sum(axis=1, keepdims=True) / width
-              - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / width)) / std
-        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        dx = g * gamma.data
+        scratch = dx * xhat
+        row_mean = dx.sum(axis=1, keepdims=True) / width
+        np.multiply(xhat, scratch.sum(axis=1, keepdims=True) / width, out=scratch)
+        dx -= row_mean
+        dx -= scratch
+        dx /= std
+        np.multiply(g, xhat, out=scratch)
+        return (dx, scratch.sum(axis=0), g.sum(axis=0))
 
-    return Tensor._result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+    return Tensor._result(out, (x, gamma, beta), backward)
 
 
 def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
@@ -557,13 +590,19 @@ def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
     a = h * s
     y = a @ w2.data
     y += b2.data
+    y += x.data
 
     def backward(g: np.ndarray):
-        dh = (g @ w2.data.T) * (s * (1.0 + h * (1.0 - s)))
+        ds = np.subtract(1.0, s)
+        ds *= h
+        ds += 1.0
+        ds *= s
+        dh = g @ w2.data.T
+        dh *= ds
         return (g, dh @ w1.data.T, x.data.T @ dh, dh.sum(axis=0), a.T @ g,
                 g.sum(axis=0))
 
-    return Tensor._result(x.data + y, (x, x, w1, b1, w2, b2), backward)
+    return Tensor._result(y, (x, x, w1, b1, w2, b2), backward)
 
 
 # -- finite-difference oracle -------------------------------------------------------

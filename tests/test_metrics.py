@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,13 +423,19 @@ def test_low_thresholds_match_the_oracles(seed):
 
 def test_band_without_half_is_refused():
     """mAP@0.5 and the confusion matrix are taken at 0.5, so a band
-    without it is refused on entry."""
+    without it is refused on entry: by evaluate_detections, and by
+    EvalReport.from_json with the same message, not later by ``map_50``."""
     dets, gts = [det(0, 1, 0.9, UNIT)], [gtr(0, 1, UNIT)]
-    with pytest.raises(ValueError, match="0.5"):
+    with pytest.raises(ValueError, match="0.5") as eval_error:
         evaluate_detections(dets, gts, [1], episode_count=1, thresholds=(0.75,))
     report = evaluate_detections(dets, gts, [1], episode_count=1,
                                  thresholds=(0.5, 0.75))
     assert report.map_50 == 1.0
+    payload = json.loads(report.to_json())
+    payload.update(thresholds=[0.75], ap=[[1.0]])
+    with pytest.raises(ValueError) as load_error:
+        EvalReport.from_json(json.dumps(payload))
+    assert str(load_error.value) == str(eval_error.value)
 
 
 def test_one_iou_matrix_per_episode_with_detections_and_ground_truths(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewdet import tensor as T
+from fewdet import set_head, tensor as T
 from fewdet.errors import NumericError, ShapeError
 from fewdet.obd import RefinedFeatures
 from fewdet.tensor import Tensor, finite_diff_gradient
@@ -134,6 +134,33 @@ class TestSigmoid:
         where_form = np.where(x >= 0, 1.0, e) / (1.0 + e)
         np.testing.assert_array_equal(T._stable_sigmoid(x).view(np.uint64),
                                       where_form.view(np.uint64))
+
+
+class TestSilu:
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 701.0,
+                  -701.0, 745.5, -745.5, 1e308, -1e308, np.inf, -np.inf]),
+        np.random.default_rng(3).normal(0.0, 5.0, (64, 128)),
+        np.array(-0.0),
+        np.array(-800.0),
+    ], ids=["specials", "64x128", "0-d-negative-zero", "0-d-large"])
+    def test_bit_identical_to_numpy_expression(self, x):
+        """Forward ``x * s`` and backward ``g * (s * (1 + x * (1 - s)))``,
+        with s the two-branch sigmoid, bit for bit: signed zeros,
+        infinities (the bit patterns of their NaNs too) and |x| > 700."""
+        g = np.random.default_rng(4).normal(size=x.shape)
+        if x.ndim:
+            g.reshape(-1)[:2] = (-0.0, 0.0)
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):  # inf * 0 at the infinities
+            out = T.silu(t)
+            T.tsum(out * Tensor(g)).backward()
+            s = TestSigmoid.branchwise(x.reshape(-1)).reshape(x.shape)
+            want_out, want_grad = x * s, g * (s * (1.0 + x * (1.0 - s)))
+        for got, want in ((out.data, want_out), (t.grad, want_grad)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestConcatChannels:
@@ -585,6 +612,67 @@ class TestAttention:
         for got, want in zip(fused, reference):
             assert np.abs(got - want).max() < 1e-12
 
+    @staticmethod
+    def numpy_attention(q, k, v, g, heads):
+        """Output, head attention and q/k/v gradients in the out-of-place
+        numpy expression the fused node computes, one temporary a step."""
+        d = q.shape[1]
+        dh = d // heads
+        scale = 1.0 / np.sqrt(dh)
+
+        def split(x):
+            return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+
+        def merge(x):
+            return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+        qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+        scores = (qh @ kh.transpose(0, 2, 1)) * scale
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        attn = e / e.sum(axis=2, keepdims=True)
+        d_attn = gh @ vh.transpose(0, 2, 1)
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) * scale
+        return (merge(attn @ vh), attn, merge(d_scores @ kh),
+                merge(d_scores.transpose(0, 2, 1) @ qh),
+                merge(attn.transpose(0, 2, 1) @ gh))
+
+    @pytest.mark.parametrize("heads, n, m, d, self_attention, zero_rows", [
+        (1, 6, 5, 8, False, False),
+        (4, 6, 5, 8, False, False),
+        (1, 5, 5, 8, True, False),
+        (4, 5, 5, 8, True, False),
+        (4, 6, 1, 8, False, False),
+        (4, 6, 5, 8, False, True),
+        (4, 100, 256, 64, False, False),
+    ], ids=["heads1", "heads4", "self-heads1", "self-heads4", "single-key",
+            "zero-value-rows", "100x256"])
+    def test_bit_identical_to_numpy_expression(self, heads, n, m, d,
+                                               self_attention, zero_rows):
+        rng = np.random.default_rng(17 + heads + m)
+        k_data = rng.normal(size=(m, d)) * 2.0
+        q_data = k_data if self_attention else rng.normal(size=(n, d)) * 2.0
+        v_data = rng.normal(size=(m, d))
+        if zero_rows:
+            v_data[[1, 3]] = 0.0
+        g = rng.normal(size=(q_data.shape[0], d))
+
+        k = Tensor(k_data, requires_grad=True)
+        q = k if self_attention else Tensor(q_data, requires_grad=True)
+        v = Tensor(v_data, requires_grad=True)
+        out, head_attn = T.attention(q, k, v, heads)
+        T.tsum(out * Tensor(g)).backward()
+
+        want_out, want_attn, dq, dk, dv = self.numpy_attention(q_data, k_data,
+                                                               v_data, g, heads)
+        got = [out.data, head_attn, k.grad, v.grad]
+        want = [want_out, want_attn, dq + dk if self_attention else dk, dv]
+        if not self_attention:
+            got.append(q.grad)
+            want.append(dq)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_mean_attention_is_head_average(self):
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.normal(size=(4, 6))) for _ in range(3))
@@ -658,3 +746,71 @@ def test_layer_norm_backward_bit_identical_to_mean_form():
     want = (dxhat - dxhat.mean(axis=1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / std
     np.testing.assert_array_equal(x.grad.view(np.uint64), want.view(np.uint64))
+
+
+def frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_TARGETS = frozen(np.random.default_rng(21).uniform(0.2, 0.8, (2, 4)))
+_POS_W = frozen(np.random.default_rng(22).uniform(0.0, 1.0, (3, 4)))
+_NEG_W = frozen(np.random.default_rng(23).uniform(0.0, 1.0, (3, 4)))
+
+# Each primitive with the shapes of its tensor inputs. The numpy inputs the
+# set_head nodes take beside them are frozen above.
+NO_WRITE_CASES = {
+    "attention": (lambda q, k, v: T.attention(q, k, v, 4),
+                  [(6, 8), (5, 8), (5, 8)]),
+    "attention-single-key": (lambda q, k, v: T.attention(q, k, v, 2),
+                             [(3, 4), (1, 4), (1, 4)]),
+    "layer_norm": (T.layer_norm, [(4, 6), (6,), (6,)]),
+    "ffn_apply": (lambda x, *p: T.ffn_apply(x, T.FfnParams(*p)),
+                  [(5, 4), (4, 8), (8,), (8, 4), (4,)]),
+    "silu": (T.silu, [(3, 5)]),
+    "silu-0d": (T.silu, [()]),
+    "sigmoid": (T.sigmoid, [(3, 5)]),
+    "sigmoid-0d": (T.sigmoid, [()]),
+    "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
+    "matmul_t": (T.matmul_t, [(3, 4), (2, 4)]),
+    "take_rows": (lambda a, f: T.take_rows(a, [0, 4, 2, 0], f), [(4, 3), (3,)]),
+    "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
+                        [(3, 4)]),
+    "box_loss": (lambda b: set_head.box_loss(b, [3, 0], _TARGETS, 5.0, 2.0)[0],
+                 [(5, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_WRITE_CASES))
+def test_primitives_write_no_input_or_upstream_gradient(case):
+    """Forward and backward with every input array and the upstream
+    gradient read-only: a write into any of them raises. The arrays a
+    primitive returns are frozen between its forward and its backward, so
+    the backward must not write into them either."""
+    fn, shapes = NO_WRITE_CASES[case]
+    rng = np.random.default_rng(7)
+    leaves = []
+    for shape in shapes:
+        leaf = Tensor(rng.uniform(0.2, 0.8, shape), requires_grad=True)  # valid boxes too
+        leaf.data.flags.writeable = False
+        leaves.append(leaf)
+    inputs = [leaf.data.copy() for leaf in leaves]
+
+    result = fn(*leaves)
+    out, returned = (result[0], [result[1]]) if isinstance(result, tuple) else (result, [])
+    returned.append(out.data)
+    for a in returned:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    kept = [np.array(a) for a in returned]
+    g = frozen(rng.normal(size=out.shape))
+    g_before = g.copy()
+    Tensor._result(np.asarray(0.0), (out,), lambda _: (g,)).backward()
+
+    for leaf, before in zip(leaves, inputs):
+        assert leaf.grad is not None
+        np.testing.assert_array_equal(leaf.data, before, strict=True)
+    for a, before in zip(returned, kept):
+        np.testing.assert_array_equal(a, before)
+    np.testing.assert_array_equal(g, g_before, strict=True)
