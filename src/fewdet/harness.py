@@ -39,6 +39,7 @@ from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_shapes, run_inference,
                     train_step, training_episode)
+from .obd import background_attention_mass, head_average
 from .ood import min_interclass_separation
 from .optim import (BETA1, BETA2, EPSILON, AdamState, flat_buffers, flat_views,
                     restore)
@@ -135,7 +136,8 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
             with no_grad():
                 _, feats, fdiag = forward(ep, state, cfg)
             mask = ep.object_patch_mask()
-            mass = fdiag["background_mass"][-1]
+            mass = background_attention_mass(head_average(fdiag["query_attention"]),
+                                             fdiag["sequence"])
             if mask.any() and (~mask).any():
                 diag.episodes_with_diag += 1
                 if mass[~mask].mean() > mass[mask].mean():

@@ -18,8 +18,10 @@ Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
 :func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`. The
 embedding and the box head's layers are :func:`fewdet.tensor.linear`
-nodes, each FFN block is one :func:`ffn_apply` node, and the class logits
-score against the support keys through :func:`fewdet.tensor.matmul_t`.
+nodes, each FFN block is one :func:`ffn_apply` node, each realization of
+the support sequence as keys or values is one
+:func:`fewdet.tensor.project_rows` node, and the class logits score
+against the support keys through :func:`fewdet.tensor.matmul_t`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import numpy as np
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError
 from .obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
-                  background_attention_mass, build_key_sequence, ofe_query,
-                  ofe_support)
+                  build_key_sequence, ofe_query, ofe_support)
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
@@ -298,7 +299,8 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
             ) -> tuple[DetectionOutput, SupportClassFeatures, dict]:
     """Full forward pass; returns detections, the support-branch class
     features (contrastive tap), and diagnostics: the final support
-    ``sequence`` and the query branch's per-layer ``background_mass``."""
+    ``sequence`` and the last query layer's (heads, P, n_max)
+    ``query_attention`` over it."""
     patches, seq = extract_features(episode, state, cfg)
     token = state.background_token()
 
@@ -309,12 +311,10 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
 
     support_features = SupportClassFeatures(features=seq.features)
 
-    background_mass = []
     for i in range(cfg.encoder_layers):
         ref = ofe_query(patches, seq, state.ofe_projections(i), token, cfg.d,
                         state.ofe_fusion(i), cfg.heads)
         patches = ref.refined
-        background_mass.append(background_attention_mass(ref.attention, seq))
 
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
@@ -333,7 +333,7 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)
     return out, support_features, {"sequence": seq,
-                                   "background_mass": background_mass}
+                                   "query_attention": ref.head_attention}
 
 
 # -- training -----------------------------------------------------------------------

@@ -6,9 +6,9 @@ placeholder is realized as a shared learnable background token
 (deliberately *not* passed through the key projection); on the value side
 it is a fixed zero vector, so attention mass spent on the background
 contributes nothing to the mixed output and the token is trained purely
-through the similarity path. Each side is two graph nodes: the projection
-of the class features (:func:`fewdet.tensor.matmul_t`) and one row gather
-over the projected rows with the 1-d filler (:func:`fewdet.tensor.take_rows`).
+through the similarity path. Each side is one graph node
+(:func:`fewdet.tensor.project_rows`): the projected class features at the
+class positions, and the token or the zero row at the placeholders.
 
 Two branches share the machinery: the support branch lets class features
 attend over the sequence itself (self-interaction), the query branch lets
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import (FfnParams, Tensor, attention, concat_channels, ffn_apply,
-                     linear, matmul_t, take_rows)
+                     linear, matmul_t, project_rows)
 
 
 @dataclass
@@ -53,8 +53,8 @@ class SupportSequence:
 
     ``layout`` holds a class id at each class position and ``None`` at each
     placeholder; ``features`` is the (C, d) class-feature matrix, row i
-    belonging to the i-th class position. Positions, class ids and the row
-    gather index are derived from the layout once per instance;
+    belonging to the i-th class position. Positions and class ids are
+    derived from the layout once per instance;
     ``dataclasses.replace(seq, features=...)`` swaps the features and
     re-runs the checks.
     """
@@ -88,13 +88,6 @@ class SupportSequence:
     @property
     def class_count(self) -> int:
         return len(self.class_ids)
-
-    @cached_property
-    def gather_index(self) -> tuple[int, ...]:
-        """Row of ``[class rows; filler row]`` realized at each position."""
-        rows = iter(range(self.class_count))
-        return tuple(self.class_count if c is None else next(rows)
-                     for c in self.layout)
 
     def position_of_class(self, class_id: int) -> int:
         if class_id not in self.class_ids:
@@ -135,35 +128,26 @@ class RefinedFeatures:
     def attention(self) -> np.ndarray:
         """The head-averaged (n, m) attention, computed when read: most
         forwards never read it."""
-        return self.head_attention.sum(axis=0) * (1.0 / self.head_attention.shape[0])
+        return head_average(self.head_attention)
 
 
-def _realize(s: SupportSequence, projected: Tensor, filler: Tensor) -> Tensor:
-    """Sequence rows in position order with one gather: row i of
-    ``projected`` at the i-th class position, the 1-d ``filler`` at every
-    placeholder. The filler enters the graph only when the sequence has
-    placeholders."""
-    return take_rows(projected, s.gather_index,
-                     filler if s.placeholder_positions else None)
+def head_average(head_attention: np.ndarray) -> np.ndarray:
+    """The (n, m) mean over the heads of a (heads, n, m) attention."""
+    return head_attention.sum(axis=0) * (1.0 / head_attention.shape[0])
 
 
 def build_key_sequence(s: SupportSequence, w_key: Tensor,
                        token: BackgroundToken) -> Tensor:
     """Key-side realization of the sequence: projected class features with the
     background token dropped in *unprojected* at every placeholder."""
-    d = token.dim
-    projected = matmul_t(s.features, w_key)
-    if projected.shape[1] != d:
-        raise ShapeError(
-            f"key projection output {projected.shape} does not match token dim {d}")
-    return _realize(s, projected, token.vector)
+    return project_rows(s.features, w_key, s.class_positions,
+                        s.placeholder_positions, token.vector)
 
 
 def build_value_sequence(s: SupportSequence, w3: Tensor) -> Tensor:
     """Value-side realization: projected class features, exact zero rows at
     placeholders (the zero rows are constants and carry no gradient)."""
-    projected = matmul_t(s.features, w3)
-    return _realize(s, projected, Tensor(np.zeros(projected.shape[1])))
+    return project_rows(s.features, w3, s.class_positions, s.placeholder_positions)
 
 
 def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken,

@@ -15,11 +15,12 @@ backward through a consumed node raises ``ValueError``: build the graph
 again instead.
 
 Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
-the product with a transposed weight (:func:`matmul_t`), the FFN block
+the product with a transposed weight (:func:`matmul_t`), that product laid
+out among filler rows (:func:`project_rows`), the FFN block
 (:func:`ffn_apply`), multi-head attention, layer norm and the row gather
-(:func:`take_rows`, optionally with a filler row). Each has a hand-derived
-backward that repeats the arithmetic of the primitive chain it stands for,
-so values and gradients are bit-identical to that chain.
+(:func:`take_rows`). Each has a hand-derived backward that repeats the
+arithmetic of the primitive chain it stands for, so values and gradients
+are bit-identical to that chain.
 
 A primitive writes only into arrays it allocated in that call. It never
 writes into its inputs, into the upstream gradient, or into an array it
@@ -323,6 +324,60 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
                           lambda g: (g @ wt.T, (x.data.T @ g).T))
 
 
+def project_rows(x: Tensor, w: Tensor, rows: Sequence[int],
+                 filler_rows: Sequence[int], filler: Tensor | None = None
+                 ) -> Tensor:
+    """Row ``rows[i]`` of the result is row i of ``x @ w^T``, and every row
+    in ``filler_rows`` is the 1-d ``filler``, or zero when ``filler`` is
+    None (a constant with no gradient); the two lists partition the rows.
+    One graph node for the :func:`matmul_t` product followed by a gather
+    from ``[x @ w^T; filler]``, bit-identical to that chain. Its backward
+    slices the upstream gradient as the gather's ``np.add.at`` would have
+    accumulated it into zeros: the projected rows get ``0.0 + g`` (so -0.0
+    becomes 0.0), and the filler the sum of its rows in position order,
+    starting from 0.0. The filler is a parent only when some row holds it."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"project_rows: {x.shape} does not match the "
+                         f"transpose of {w.shape}")
+    rows, filler_rows = list(rows), list(filler_rows)
+    n = len(rows) + len(filler_rows)
+    if len(rows) != x.shape[0] or sorted(rows + filler_rows) != list(range(n)):
+        raise ShapeError(f"project_rows: positions {rows} for {x.shape[0]} rows "
+                         f"and {filler_rows} for the filler do not partition "
+                         f"{n} rows")
+    width = w.shape[0]
+    if filler is not None:
+        filler = _as_tensor(filler)
+        if filler.shape != (width,):
+            raise ShapeError(f"project_rows: filler {filler.shape} does not "
+                             f"match the projected width {width}")
+    filled = filler is not None and bool(filler_rows)
+    if rows == list(range(len(rows))):
+        # Class rows first, as extract_features lays them out: basic slices
+        # cost a fraction of the index arrays a general layout needs.
+        rows, filler_rows = slice(0, len(rows)), slice(len(rows), n)
+    wt = w.data.T.copy()
+    out = np.empty((n, width))
+    out[rows] = x.data @ wt
+    out[filler_rows] = 0.0 if filler is None else filler.data
+
+    def backward(g: np.ndarray):
+        # C-ordered even when g is a transposed view, so BLAS runs the
+        # kernels it ran on the gather's accumulation table.
+        gx = np.add(g[rows], 0.0, order="C")
+        grads = (gx @ wt.T, (x.data.T @ gx).T)
+        if not filled:
+            return grads
+        gf = np.zeros(width)
+        for row in g[filler_rows]:
+            gf += row
+        return grads + (gf,)
+
+    parents = (x, w, filler) if filled else (x, w)
+    return Tensor._result(out, parents, backward)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The affine map ``x @ w + b`` (a width-1 convolution over the channel
     axis) as one graph node. ``x`` gets no gradient unless it requires one,
@@ -419,6 +474,26 @@ def silu(a: Tensor) -> Tensor:
 
 # -- attention ---------------------------------------------------------------------
 
+# numpy reduces the key axis of a (heads, n, m) map one row at a time, so
+# with few keys the per-row overhead outweighs the arithmetic. Below this
+# many it also adds a row sequentially from 0.0, not pairwise.
+_FOLD_KEYS = 8
+
+
+def _reduce_keys(a: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, keepdims=True)`` for ``np.maximum`` or
+    ``np.add``. With fewer than :data:`_FOLD_KEYS` keys the key columns are
+    folded left to right, one element-wise op each, bit-identical to
+    numpy's reduction: a maximum is exact in any order, and the sum starts
+    from 0.0 and adds the columns in order, as numpy adds a short row."""
+    m = a.shape[-1]
+    if m >= _FOLD_KEYS:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+    for j in range(1, m):
+        ufunc(out, a[..., j], out=out)
+    return out[..., None]
+
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
               ) -> tuple[Tensor, np.ndarray]:
@@ -432,7 +507,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 
     Hand-derived backward, per head with attention A and upstream gradient G:
     dV = A^T G, dS = A * (G V^T - rowsum(A * G V^T)) / sqrt(dh), dQ = dS K,
-    dK = dS^T Q.
+    dK = dS^T Q. The row max and both row sums go through
+    :func:`_reduce_keys`, so a short key axis costs no per-row loop.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape \
@@ -456,14 +532,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     attn *= scale
     if not np.isfinite(attn).all():
         raise NumericError("attention received non-finite scores")
-    attn -= attn.max(axis=2, keepdims=True)
+    attn -= _reduce_keys(attn, np.maximum)
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=2, keepdims=True)
+    attn /= _reduce_keys(attn, np.add)
 
     def backward(g: np.ndarray):
         gh = split(g)
         d_scores = gh @ vh.transpose(0, 2, 1)
-        d_scores -= (d_scores * attn).sum(axis=2, keepdims=True)
+        d_scores -= _reduce_keys(d_scores * attn, np.add)
         d_scores *= attn
         d_scores *= scale
         return (merge(d_scores @ kh), merge(d_scores.transpose(0, 2, 1) @ qh),
@@ -490,34 +566,23 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
 
 
-def take_rows(a: Tensor, indices: Sequence[int],
-              filler: Tensor | None = None) -> Tensor:
-    """Select rows of ``a`` by index as one graph node. With a 1-d
-    ``filler`` the rows are those of ``[a; filler]``: index ``len(a)``
-    selects the filler. Backward scatters into that stacked table in index
-    order (``np.add.at``), so a repeated index accumulates in a fixed order."""
+def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
+    """Select rows of ``a`` by index as one graph node. Backward scatters in
+    index order (``np.add.at``), so a repeated index accumulates in a fixed
+    order."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("take_rows expects a flat index list")
-    rows = a.shape[0]
-    if filler is None:
-        parents, table = (a,), a.data
-    else:
-        filler = _as_tensor(filler)
-        if a.ndim != 2 or filler.shape != (a.shape[1],):
-            raise ShapeError(f"take_rows: filler {filler.shape} does not match "
-                             f"rows of {a.shape}")
-        parents, table = (a, filler), np.concatenate((a.data, filler.data[None]))
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(f"row indices out of range for {table.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError(f"row indices out of range for {a.shape}")
 
     def backward(g: np.ndarray):
-        full = np.zeros_like(table)
+        full = np.zeros_like(a.data)
         np.add.at(full, idx, g)
-        return (full,) if filler is None else (full[:rows], full[rows])
+        return (full,)
 
-    return Tensor._result(table[idx], parents, backward)
+    return Tensor._result(a.data[idx], (a,), backward)
 
 
 # -- composite layers ------------------------------------------------------------

@@ -80,7 +80,9 @@ class TestForward:
         assert out.boxes.shape == (cfg.num_object_queries, 4)
         assert out.position_probs.shape == (cfg.num_object_queries, cfg.n_max)
         assert feats.features.shape == (spec.class_count, cfg.d)
-        assert len(diag["background_mass"]) == cfg.encoder_layers
+        rows, cols = ep.grid
+        assert diag["query_attention"].shape == (cfg.heads, rows * cols, cfg.n_max)
+        assert set(diag) == {"sequence", "query_attention"}
 
     def test_zero_state_gives_half_probabilities(self):
         spec = micro_spec()
@@ -231,10 +233,11 @@ def test_full_loss_gradient_matches_finite_differences():
 
 
 def test_default_train_step_graph_node_budget(monkeypatch):
-    """One default +OBD+OOD train step records at most 98 autodiff graph
+    """One default +OBD+OOD train step records at most 89 autodiff graph
     nodes: attention, layer norm, the two set-loss terms, every FFN block,
     affine map (``linear``), transposed projection (``matmul_t``) and
-    support-sequence gather are one node per call."""
+    support-sequence realization (``project_rows``, key or value side) are
+    one node per call."""
     from fewdet import tensor as T
     from fewdet.config import RunConfig
 
@@ -252,7 +255,7 @@ def test_default_train_step_graph_node_budget(monkeypatch):
 
     monkeypatch.setattr(T.Tensor, "_result", staticmethod(counting))
     train_step(episode, state, AdamState(learning_rate=cfg.learning_rate), cfg)
-    assert 0 < sum(nodes) <= 98
+    assert 0 < sum(nodes) <= 89
 
 
 def test_backward_frees_the_graph_it_walks():

@@ -336,7 +336,7 @@ def test_sequence_keeps_given_feature_matrix():
     seq = SupportSequence((3, None, 5), feats)
     assert seq.features is feats and len(seq) == 3
     assert seq.class_positions == (0, 2) and seq.placeholder_positions == (1,)
-    assert seq.class_ids == (3, 5) and seq.gather_index == (0, 2, 1)
+    assert seq.class_ids == (3, 5)
     assert seq.position_of_class(3) == 0 and seq.position_of_class(5) == 2
     for absent in (4, None):
         with pytest.raises(KeyError):

@@ -205,9 +205,11 @@ def run_node(fn, inputs, mix):
 
 
 def assert_bit_identical(got, want):
+    """Equal shapes, dtypes and bits: -0.0 differs from 0.0."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w, strict=True)
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestLinear:
@@ -534,36 +536,94 @@ def test_take_rows_accumulates_repeated_indices():
 
 
 class TestTakeRows:
-    @pytest.mark.parametrize("index", [[0, 3, 1, 3, 3, 2], [3, 3], [2, 0, 1]],
-                             ids=["placeholders-between", "only-filler", "no-filler-row"])
-    def test_filler_is_bit_identical_to_concat_then_take(self, index):
-        """Rows of [a; filler] with the filler repeated: forward and both
-        gradients equal the stacked-table gather, scattered in index order."""
-        rng = np.random.default_rng(18)
-        a, filler = rng.normal(size=(3, 4)), rng.normal(size=4)
-        g = rng.normal(size=(len(index), 4)) * 1e3
-        table = np.concatenate([a, filler[None]])
-        full = np.zeros_like(table)
-        np.add.at(full, index, g)
-        got = run_node(lambda t, f: T.take_rows(t, index, f), (a, filler), g)
-        assert_bit_identical(got, [table[index], full[:3], full[3]])
-
-    def test_filler_gradient(self):
-        rng = np.random.default_rng(19)
-        a, filler = rng.normal(size=(3, 4)), rng.normal(size=4)
-        index = [3, 0, 3, 2, 3]
-        grad_check(lambda t: T.take_rows(t, index, Tensor(filler)), a)
-        grad_check(lambda t: T.take_rows(Tensor(a), index, t), filler)
-
-    @pytest.mark.parametrize("index, filler", [
-        ([[0, 1]], None), ([3], None), ([-1], None), ([4], (2,)), ([0], (3,)),
-        ([0], (1, 2)),
-    ], ids=["nested-index", "past-end", "negative", "past-filler", "filler-width",
-            "filler-rank"])
-    def test_bad_index_or_filler(self, index, filler):
+    @pytest.mark.parametrize("index", [[[0, 1]], [3], [-1]],
+                             ids=["nested-index", "past-end", "negative"])
+    def test_bad_index_or_filler(self, index):
         with pytest.raises(ShapeError):
-            T.take_rows(Tensor(np.zeros((3, 2))), index,
-                        None if filler is None else Tensor(np.zeros(filler)))
+            T.take_rows(Tensor(np.zeros((3, 2))), index)
+
+
+def backward_from(out, g):
+    """Backward with ``g`` itself as the upstream gradient of ``out``."""
+    Tensor._result(np.asarray(0.0), (out,), lambda _: (g,)).backward()
+
+
+def matmul_t_then_gather(x, w, filler, rows, filler_rows, g):
+    """Value and gradients of the two-node chain the realization replaces:
+    ``matmul_t`` against a contiguous ``w^T``, then a gather from
+    ``[x @ w^T; filler]`` whose backward accumulates into zeros with
+    ``np.add.at``."""
+    wt = w.T.copy()
+    table = np.concatenate([x @ wt, filler[None]])
+    index = np.empty(len(rows) + len(filler_rows), dtype=np.intp)
+    index[list(rows)] = np.arange(len(rows))
+    index[list(filler_rows)] = len(rows)
+    full = np.zeros_like(table)
+    np.add.at(full, index, g)
+    projected = full[:len(rows)]
+    return [table[index], projected @ wt.T, (x.T @ projected).T, full[len(rows)]]
+
+
+class TestProjectRows:
+    LAYOUTS = {"prefix": ((0, 1, 2, 3), (4, 5, 6)),
+               "interleaved": ((1, 2, 4, 6), (0, 3, 5)),
+               "no-placeholder": ((0, 1, 2, 3), ()),
+               "only-placeholders": ((), (0, 1, 2))}
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("token", [True, False], ids=["token", "zeros"])
+    def test_bit_identical_to_matmul_t_then_gather(self, token, layout, transposed):
+        """Value and the x, w and filler gradients, bit for bit, with signed
+        zeros in the upstream gradient and that gradient C-ordered or a
+        transposed view (as the class logits' ``matmul_t`` hands it on). The
+        model's shapes, at which BLAS sums a transposed gradient otherwise,
+        and three placeholders, whose sum depends on its order."""
+        rows, filler_rows = self.LAYOUTS[layout]
+        rng = np.random.default_rng(24)
+        x, w, filler = (rng.normal(size=(len(rows), 64)), rng.normal(size=(64, 64)),
+                        rng.normal(size=64))
+        g = rng.normal(size=(64, len(rows) + len(filler_rows))) * 1e3
+        g[:, 1] = -0.0
+        g[2, list(filler_rows)] = -0.0
+        g = g.T if transposed else g.T.copy()
+        want = matmul_t_then_gather(x, w, filler if token else np.zeros(64),
+                                    rows, filler_rows, g)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, filler)]
+        out = T.project_rows(leaves[0], leaves[1], rows, filler_rows,
+                             leaves[2] if token else None)
+        backward_from(out, g)
+        got = [out.data] + [leaf.grad for leaf in leaves[:2]]
+        if token and filler_rows:
+            got.append(leaves[2].grad)
+        else:
+            assert leaves[2].grad is None
+            want.pop()
+        assert_bit_identical(got, want)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(19)
+        x, w, filler = rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+        rows, filler_rows = (1, 3), (0, 2, 4)
+        grad_check(lambda t: T.project_rows(t, Tensor(w), rows, filler_rows,
+                                            Tensor(filler)), x)
+        grad_check(lambda t: T.project_rows(Tensor(x), t, rows, filler_rows), w)
+        grad_check(lambda t: T.project_rows(Tensor(x), Tensor(w), rows, filler_rows, t),
+                   filler)
+
+    @pytest.mark.parametrize("rows, filler_rows, filler", [
+        ((0, 1), (3,), (3,)), ((0, 1), (1,), (3,)), ((0,), (1, 2), (3,)),
+        ((-1, 0), (1,), (3,)), ((0, 1), (2,), (2,)), ((0, 1), (2,), (1, 3)),
+    ], ids=["past-end", "twice", "row-count", "negative", "filler-width", "filler-rank"])
+    def test_bad_positions_or_filler(self, rows, filler_rows, filler):
+        with pytest.raises(ShapeError):
+            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
+                           rows, filler_rows, Tensor(np.zeros(filler)))
+
+    def test_weight_must_match_transposed(self):
+        with pytest.raises(ShapeError):
+            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))),
+                           (0, 1), ())
 
 
 def columns(x, start, stop):
@@ -585,6 +645,25 @@ def reference_attention(q, k, v, heads):
     for o in outs[1:]:
         merged = T.concat_channels(merged, o)
     return merged
+
+
+@pytest.mark.parametrize("keys", range(1, 11))
+def test_key_reductions_are_bit_identical_to_numpy(keys):
+    """The attention's row max and row sums over the key axis against
+    numpy's ``.max(axis=-1)`` and ``.sum(axis=-1)`` bit for bit, on both
+    sides of the fold threshold: ties, rows of signed zeros, and magnitudes
+    over 16 decades, where any other summation order rounds differently."""
+    rng = np.random.default_rng(keys)
+    a = rng.normal(size=(3, 40, keys)) * 10.0 ** rng.integers(-8, 8, size=(3, 40, keys))
+    a[rng.random(a.shape) < 0.15] = -0.0
+    a[rng.random(a.shape) < 0.15] = 0.0
+    a[:, :4] = a[:, :4, :1]
+    a[0, 4], a[0, 5] = -0.0, 0.0
+    a[0, 6, ::2] = -0.0
+    a[0, 6, 1::2] = 0.0
+    for ufunc, reduce in ((np.maximum, np.max), (np.add, np.sum)):
+        assert_bit_identical([T._reduce_keys(a, ufunc)],
+                             [reduce(a, axis=-1, keepdims=True)])
 
 
 class TestAttention:
@@ -774,7 +853,9 @@ NO_WRITE_CASES = {
     "sigmoid-0d": (T.sigmoid, [()]),
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
     "matmul_t": (T.matmul_t, [(3, 4), (2, 4)]),
-    "take_rows": (lambda a, f: T.take_rows(a, [0, 4, 2, 0], f), [(4, 3), (3,)]),
+    "take_rows": (lambda a: T.take_rows(a, [0, 3, 2, 0]), [(4, 3)]),
+    "project_rows": (lambda x, w, f: T.project_rows(x, w, (1, 2, 4), (0, 3), f),
+                     [(3, 4), (5, 4), (5,)]),
     "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
                         [(3, 4)]),
     "box_loss": (lambda b: set_head.box_loss(b, [3, 0], _TARGETS, 5.0, 2.0)[0],
