@@ -379,7 +379,9 @@ def compute_loss(episode: Episode, state: ModelState, cfg: ModelConfig,
 def train_step(episode: Episode, state: ModelState, opt: AdamState,
                cfg: ModelConfig) -> LossBreakdown:
     """One optimization step; raises NumericError (with a diagnostics
-    snapshot attached) if the loss goes non-finite."""
+    snapshot attached) if the loss goes non-finite. Gradients a caller left
+    on the parameters are dropped first, and the step's own are released
+    after the update: on return every parameter's ``.grad`` is None."""
     zero_grads(state.params)
     loss, breakdown, diag = compute_loss(episode, state, cfg)
     if not np.isfinite(breakdown.total):
@@ -394,6 +396,9 @@ def train_step(episode: Episode, state: ModelState, opt: AdamState,
     # the update reuses their memory instead of adding to the step's peak.
     del loss, diag
     adam_step(state.params, collect_grads(state.params), opt)
+    # Nothing reads a gradient after the update: release them now rather
+    # than hold them through whatever runs before the next step.
+    zero_grads(state.params)
     return breakdown
 
 

@@ -13,10 +13,11 @@ class positions, and the token or the zero row at the placeholders.
 Two branches share the machinery: the support branch lets class features
 attend over the sequence itself (self-interaction), the query branch lets
 image patch features attend over the sequence and then fuses the result
-back with the original patches through Conv1D (one
-:func:`fewdet.tensor.linear` node) + FFN (one
-:func:`fewdet.tensor.ffn_apply` node). Both run every head at once through
-the fused :func:`fewdet.tensor.attention` primitive.
+back with the original patches through Conv1D + FFN. The Conv1D is one
+:func:`fewdet.tensor.concat_linear` node over the patches and the attended
+features side by side, which keeps no concatenated copy for backward; the
+FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
+head at once through the fused :func:`fewdet.tensor.attention` primitive.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (FfnParams, Tensor, attention, concat_channels, ffn_apply,
-                     linear, matmul_t, project_rows)
+from .tensor import (FfnParams, Tensor, attention, concat_linear, ffn_apply,
+                     matmul_t, project_rows)
 
 
 @dataclass
@@ -175,8 +176,7 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
     keys = build_key_sequence(s, proj.w2, token)
     values = build_value_sequence(s, proj.w3)
     out, attn = attention(projected_q, keys, values, heads)
-    fused = linear(concat_channels(q_patches, out),
-                   fusion.conv_kernel, fusion.conv_bias)
+    fused = concat_linear(q_patches, out, fusion.conv_kernel, fusion.conv_bias)
     refined = ffn_apply(fused, fusion.ffn)
     if refined.shape != (q_patches.shape[0], d):
         raise ShapeError(f"refined output {refined.shape} != ({q_patches.shape[0]}, {d})")

@@ -338,8 +338,9 @@ def bce_with_logits(z: Tensor, pos_w: np.ndarray, neg_w: np.ndarray) -> Tensor:
 def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
              w_giou: float) -> tuple[Tensor, float, float]:
     """Weighted L1 plus GIoU-complement loss of the matched boxes as one
-    graph node: rows ``q_idx`` of ``boxes`` against the row-aligned
-    ``gt_boxes``, each term averaged over the K pairs. Returns the
+    graph node: the distinct rows ``q_idx`` of ``boxes`` (a repeated index
+    raises ShapeError) against the row-aligned ``gt_boxes``, each term
+    averaged over the K pairs. Returns the
     ``w_l1 * l1 + w_giou * (1 - giou)`` tensor and its two terms as floats.
     The GIoU repeats :func:`fewdet.metrics.giou`'s arithmetic, so each pair's
     value is bit-identical to it. With no pairs both terms are 0 and the
@@ -359,6 +360,8 @@ def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
                          f"targets {gt_boxes.shape} do not match")
     if k and (idx.min() < 0 or idx.max() >= boxes.shape[0]):
         raise ShapeError(f"box_loss: row indices out of range for {boxes.shape}")
+    if len(set(idx.tolist())) != k:
+        raise ShapeError(f"box_loss: repeated row index in {idx.tolist()}")
     if not k:
         return Tensor(0.0), 0.0, 0.0
     inv_k = 1.0 / k
@@ -396,8 +399,9 @@ def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
         d_pred = (g * w_l1 * inv_k) * np.sign(diff)
         d_pred[:, :2] += d_lo + d_hi
         d_pred[:, 2:] += (d_hi - d_lo) * 0.5
+        d_pred += 0.0  # -0.0 becomes 0.0, as accumulating into zeros gives
         full = np.zeros_like(boxes.data)
-        np.add.at(full, idx, d_pred)
+        full[idx] = d_pred
         return (full,)
 
     out = Tensor._result(np.asarray(box_part + giou_part), (boxes,), backward)

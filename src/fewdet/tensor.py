@@ -15,12 +15,17 @@ backward through a consumed node raises ``ValueError``: build the graph
 again instead.
 
 Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
-the product with a transposed weight (:func:`matmul_t`), that product laid
-out among filler rows (:func:`project_rows`), the FFN block
-(:func:`ffn_apply`), multi-head attention, layer norm and the row gather
-(:func:`take_rows`). Each has a hand-derived backward that repeats the
-arithmetic of the primitive chain it stands for, so values and gradients
-are bit-identical to that chain.
+the affine map of two inputs' channels side by side
+(:func:`concat_linear`), the product with a transposed weight
+(:func:`matmul_t`), that product laid out among filler rows
+(:func:`project_rows`), the FFN block (:func:`ffn_apply`), multi-head
+attention, layer norm and the row gather (:func:`take_rows`). Each has a
+hand-derived backward that repeats the arithmetic of the primitive chain it
+stands for, so values and gradients are bit-identical to that chain. A
+closure keeps what its backward reads and cannot cheaply rebuild: an
+intermediate that one element-wise op or one copy of the inputs gives back
+(the FFN's activations, the concatenated input of :func:`concat_linear`) is
+recomputed in backward instead of held from forward to backward.
 
 A primitive writes only into arrays it allocated in that call. It never
 writes into its inputs, into the upstream gradient, or into an array it
@@ -332,8 +337,8 @@ def project_rows(x: Tensor, w: Tensor, rows: Sequence[int],
     None (a constant with no gradient); the two lists partition the rows.
     One graph node for the :func:`matmul_t` product followed by a gather
     from ``[x @ w^T; filler]``, bit-identical to that chain. Its backward
-    slices the upstream gradient as the gather's ``np.add.at`` would have
-    accumulated it into zeros: the projected rows get ``0.0 + g`` (so -0.0
+    slices the upstream gradient as the gather's scatter-add into zeros
+    would have accumulated it: the projected rows get ``0.0 + g`` (so -0.0
     becomes 0.0), and the filler the sum of its rows in position order,
     starting from 0.0. The filler is a parent only when some row holds it."""
     x, w = _as_tensor(x), _as_tensor(w)
@@ -394,6 +399,34 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return (g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0))
 
     return Tensor._result(out, (x, w, b), backward)
+
+
+def concat_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """The affine map ``[a, b] @ w + bias`` of the channels of ``a`` followed
+    by those of ``b`` as one graph node, bit-identical to :func:`linear` on
+    the concatenated input. The (n, wa + wb) concatenation is not kept:
+    backward builds it again for the weight gradient, and hands ``a`` and
+    ``b`` the column blocks of ``g @ w^T``."""
+    a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"concat_linear: inputs {a.shape} and {b.shape} do not "
+                         f"share their rows")
+    wa = a.shape[1]
+    if w.ndim != 2 or w.shape[0] != wa + b.shape[1]:
+        raise ShapeError(f"concat_linear: inputs {a.shape} and {b.shape} do not "
+                         f"match weight {w.shape}")
+    if bias.shape != (w.shape[1],):
+        raise ShapeError(f"concat_linear: bias {bias.shape} does not match "
+                         f"weight {w.shape}")
+    out = np.concatenate([a.data, b.data], axis=1) @ w.data
+    out += bias.data
+
+    def backward(g: np.ndarray):
+        gx = g @ w.data.T
+        return (gx[:, :wa], gx[:, wa:], np.concatenate([a.data, b.data], axis=1).T @ g,
+                g.sum(axis=0))
+
+    return Tensor._result(out, (a, b, w, bias), backward)
 
 
 # -- reductions --------------------------------------------------------------------
@@ -476,18 +509,24 @@ def silu(a: Tensor) -> Tensor:
 
 # numpy reduces the key axis of a (heads, n, m) map one row at a time, so
 # with few keys the per-row overhead outweighs the arithmetic. Below this
-# many it also adds a row sequentially from 0.0, not pairwise.
+# many keys it also adds a row sequentially from 0.0, not pairwise.
 _FOLD_KEYS = 8
+# A fold makes one element-wise call (about 1.2 us) per key after the first,
+# so it pays only with this many rows or more per such key: on a (4, 5, 5)
+# map (20 rows) numpy's row loop is the faster, on (4, 64, 5) the fold.
+_FOLD_ROWS_PER_KEY = 16
 
 
 def _reduce_keys(a: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     """``ufunc.reduce(a, axis=-1, keepdims=True)`` for ``np.maximum`` or
-    ``np.add``. With fewer than :data:`_FOLD_KEYS` keys the key columns are
-    folded left to right, one element-wise op each, bit-identical to
-    numpy's reduction: a maximum is exact in any order, and the sum starts
-    from 0.0 and adds the columns in order, as numpy adds a short row."""
+    ``np.add``. With fewer than :data:`_FOLD_KEYS` keys and at least
+    :data:`_FOLD_ROWS_PER_KEY` rows per key after the first, the key
+    columns are folded left to right, one element-wise op each,
+    bit-identical to numpy's reduction: a maximum is exact in any order,
+    and the sum starts from 0.0 and adds the columns in order, as numpy
+    adds a short row."""
     m = a.shape[-1]
-    if m >= _FOLD_KEYS:
+    if m >= _FOLD_KEYS or a.size < m * (m - 1) * _FOLD_ROWS_PER_KEY:
         return ufunc.reduce(a, axis=-1, keepdims=True)
     out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
     for j in range(1, m):
@@ -552,34 +591,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 # -- shape manipulation -------------------------------------------------------------
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along columns: rows of `a` followed by rows of `b`."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(
-            f"concat_channels leading extents disagree: {a.shape} vs {b.shape}")
-    wa = a.shape[1]
-
-    def backward(g: np.ndarray):
-        return (g[:, :wa], g[:, wa:])
-
-    return Tensor._result(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
-
-
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of ``a`` by index as one graph node. Backward scatters in
-    index order (``np.add.at``), so a repeated index accumulates in a fixed
-    order."""
+    """Select rows of ``a`` by distinct indices as one graph node; a repeated
+    index raises ShapeError. Backward writes ``0.0 + g`` at the selected
+    rows of a zero gradient, what accumulating into zeros gives (-0.0
+    becomes 0.0)."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("take_rows expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"row indices out of range for {a.shape}")
+    if len(set(idx.tolist())) != idx.size:
+        raise ShapeError(f"take_rows: repeated row index in {idx.tolist()}")
 
     def backward(g: np.ndarray):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        full[idx] = 0.0 + g
         return (full,)
 
     return Tensor._result(a.data[idx], (a,), backward)
@@ -641,7 +669,9 @@ def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
     """Two affine layers with SiLU between, plus the residual, as one graph
     node: ``x + silu(x @ w1 + b1) @ w2 + b2``. Backward, with h the hidden
     pre-activation and s = sigmoid(h):
-    dh = (g @ w2^T) * s * (1 + h * (1 - s)), dx = g + dh @ w1^T.
+    dh = (g @ w2^T) * s * (1 + h * (1 - s)), dx = g + dh @ w1^T. The
+    closure keeps h and s; the activations h * s are recomputed for the w2
+    gradient.
     ``x`` is a parent twice, once for the residual and once for the hidden
     layer, so its two gradients accumulate in the order the unfused chain
     gave them."""
@@ -652,8 +682,7 @@ def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
     h = x.data @ w1.data
     h += b1.data
     s = _stable_sigmoid(h)
-    a = h * s
-    y = a @ w2.data
+    y = (h * s) @ w2.data
     y += b2.data
     y += x.data
 
@@ -664,6 +693,8 @@ def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
         ds *= s
         dh = g @ w2.data.T
         dh *= ds
+        # The activations h * s again, in ds's buffer, rather than kept.
+        a = np.multiply(h, s, out=ds)
         return (g, dh @ w1.data.T, x.data.T @ dh, dh.sum(axis=0), a.T @ g,
                 g.sum(axis=0))
 

@@ -143,9 +143,12 @@ class TestTrainStep:
         cfg = micro_cfg(ood_weight=0.0)
         state = init_model_state(cfg)
         ep = generate_episode(spec, 0, "train")
-        b = train_step(ep, state, AdamState(), cfg)
+        opt = AdamState()
+        b = train_step(ep, state, opt, cfg)
         assert b.ood == 0.0
-        assert state.params["ood.embeddings"].grad is None
+        # Adam gives a parameter moments at its first gradient.
+        assert "ood.embeddings" not in opt.first_moment
+        assert "embed.weight" in opt.first_moment
 
     def test_single_class_mode_never_touches_background_token(self):
         spec = micro_spec()
@@ -156,7 +159,7 @@ class TestTrainStep:
         for step in range(4):
             ep = training_episode(generate_episode(spec, step, "train"), cfg, step)
             train_step(ep, state, opt, cfg)
-            assert state.params["obd.background_token"].grad is None
+            assert "obd.background_token" not in opt.first_moment
         np.testing.assert_array_equal(state.params["obd.background_token"].data,
                                       token_before)
 
@@ -233,11 +236,12 @@ def test_full_loss_gradient_matches_finite_differences():
 
 
 def test_default_train_step_graph_node_budget(monkeypatch):
-    """One default +OBD+OOD train step records at most 89 autodiff graph
+    """One default +OBD+OOD train step records at most 87 autodiff graph
     nodes: attention, layer norm, the two set-loss terms, every FFN block,
-    affine map (``linear``), transposed projection (``matmul_t``) and
-    support-sequence realization (``project_rows``, key or value side) are
-    one node per call."""
+    affine map (``linear``, and ``concat_linear`` for the query layers'
+    fusion), transposed projection (``matmul_t``) and support-sequence
+    realization (``project_rows``, key or value side) are one node per
+    call."""
     from fewdet import tensor as T
     from fewdet.config import RunConfig
 
@@ -255,7 +259,7 @@ def test_default_train_step_graph_node_budget(monkeypatch):
 
     monkeypatch.setattr(T.Tensor, "_result", staticmethod(counting))
     train_step(episode, state, AdamState(learning_rate=cfg.learning_rate), cfg)
-    assert 0 < sum(nodes) <= 89
+    assert 0 < sum(nodes) <= 87
 
 
 def test_backward_frees_the_graph_it_walks():
@@ -279,3 +283,26 @@ def test_backward_frees_the_graph_it_walks():
         tracemalloc.stop()
     grad_bytes = sum(p.grad.nbytes for p in state.params.values())
     assert live <= grad_bytes + 256 * 1024
+
+
+def test_train_step_releases_its_gradients():
+    """After a default train step no parameter holds a gradient, and all
+    that stays live beyond the parameters and Adam's moment buffers, bound
+    at a warm-up step, is at most 64 KiB."""
+    from fewdet.config import RunConfig
+
+    run = RunConfig()
+    cfg = run.resolved_model()
+    state = init_model_state(cfg)
+    opt = AdamState(learning_rate=cfg.learning_rate)
+    train_step(generate_episode(run.benchmark, 0, "train"), state, opt, cfg)
+    episode = generate_episode(run.benchmark, 1, "train")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_step(episode, state, opt, cfg)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is None for p in state.params.values())
+    assert live <= 64 * 1024

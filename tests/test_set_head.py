@@ -598,10 +598,15 @@ class TestBoxLoss:
         assert_box_gradient(np.array([boxes]), [0], np.array([targets]))
 
     def test_repeated_and_unmatched_rows(self):
+        """Unmatched rows get a zero gradient; a repeated row is refused
+        before anything is computed."""
         rng = np.random.default_rng(17)
         boxes, targets = random_boxes(rng, 5), random_boxes(rng, 4)
-        grad = assert_box_gradient(boxes, [3, 1, 3, 0], targets)
+        grad = assert_box_gradient(boxes, [3, 1, 0], targets[:3])
         assert not grad[[2, 4]].any()
+        with pytest.raises(ShapeError, match="repeated"):
+            box_loss(Tensor(boxes, requires_grad=True), [3, 1, 3, 0], targets,
+                     5.0, 2.0)
 
     @pytest.mark.parametrize("kind, boxes, targets, side", [
         pytest.param("edge-tie", [0.5, 0.25, 0.25, 0.25], [0.5625, 0.75, 0.125, 0.25],

@@ -163,36 +163,87 @@ class TestSilu:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def concat_channels(a, b):
+    """Columns of ``a`` followed by those of ``b``, as a graph node whose
+    backward hands each input its column block of the upstream gradient."""
+    wa = a.shape[1]
+    return Tensor._result(np.concatenate([a.data, b.data], axis=1), (a, b),
+                          lambda g: (g[:, :wa], g[:, wa:]))
+
+
 class TestConcatChannels:
+    """The channel concatenation inside :func:`T.concat_linear`."""
+
     def test_empty_second(self):
-        x = np.arange(6.0).reshape(3, 2)
-        out = T.concat_channels(Tensor(x), Tensor(np.zeros((3, 0))))
-        np.testing.assert_array_equal(out.data, x)
+        rng = np.random.default_rng(2)
+        x, w, b = rng.normal(size=(3, 2)), rng.normal(size=(2, 4)), rng.normal(size=4)
+        out = T.concat_linear(Tensor(x), Tensor(np.zeros((3, 0))), Tensor(w), Tensor(b))
+        assert_bit_identical([out.data], [T.linear(Tensor(x), Tensor(w), Tensor(b)).data])
 
     def test_single_rows(self):
-        out = T.concat_channels(Tensor([[1.0]]), Tensor([[2.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
+        out = T.concat_linear(Tensor([[1.0]]), Tensor([[2.0]]), Tensor([[3.0], [5.0]]),
+                              Tensor([0.5]))
+        np.testing.assert_array_equal(out.data, [[13.5]])
 
     def test_gradient_split(self):
         rng = np.random.default_rng(3)
-        b = Tensor(rng.normal(size=(3, 2)))
-        mix = Tensor(rng.normal(size=(3, 6)))
-        grad_check(lambda t: T.concat_channels(t, b) * mix, rng.normal(size=(3, 4)))
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
+        w, bias = rng.normal(size=(6, 5)), rng.normal(size=5)
+        grad_check(lambda t: T.concat_linear(t, Tensor(b), Tensor(w), Tensor(bias)), a)
+        grad_check(lambda t: T.concat_linear(Tensor(a), t, Tensor(w), Tensor(bias)), b)
+        grad_check(lambda t: T.concat_linear(Tensor(a), Tensor(b), t, Tensor(bias)), w)
+        grad_check(lambda t: T.concat_linear(Tensor(a), Tensor(b), Tensor(w), t), bias)
 
     def test_gradient_split_is_identity(self):
-        # Concatenate then read both halves: each input's grad equals the
-        # upstream grad of its half exactly.
+        # Through an identity kernel each input's grad equals the upstream
+        # grad of its column block exactly.
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((2, 2)), requires_grad=True)
-        cat = T.concat_channels(a, b)
+        out = T.concat_linear(a, b, Tensor(np.eye(5)), Tensor(np.zeros(5)))
         weights = np.arange(10.0).reshape(2, 5)
-        T.tsum(cat * Tensor(weights)).backward()
+        T.tsum(out * Tensor(weights)).backward()
         np.testing.assert_array_equal(a.grad, weights[:, :3])
         np.testing.assert_array_equal(b.grad, weights[:, 3:])
 
+    @pytest.mark.parametrize("shared", ["none", "a-interior", "b-interior", "a-leaf"])
+    def test_bit_identical_to_concat_then_linear(self, shared):
+        """Output and every input gradient bit for bit against the
+        concatenation followed by :func:`T.linear`, at the query layer's
+        shapes, with signed zeros in the upstream gradient; optionally one
+        input has a second consumer, interior (reached first or last) or a
+        leaf."""
+        rng = np.random.default_rng(31)
+        a, b = rng.normal(size=(64, 64)), rng.normal(size=(64, 64))
+        w, bias = rng.normal(size=(128, 64)), rng.normal(size=64)
+        mix, c = rng.normal(size=(64, 64)), rng.normal(size=(64, 64))
+        mix[:, 3] = -0.0
+
+        def run(block):
+            leaves = [Tensor(x, requires_grad=True) for x in (a, b, w, bias)]
+            ins = list(leaves[:2])
+            extra = []
+            if shared != "none":
+                i = 0 if shared.startswith("a") else 1
+                if shared.endswith("interior"):
+                    ins[i] = T.exp(ins[i] * 0.5)
+                extra = [T.tsum(ins[i] * Tensor(c))]
+            out = block(*ins, *leaves[2:])
+            terms = [T.tsum(out * Tensor(mix))] + extra
+            loss = terms[0] if len(terms) == 1 else terms[1] + terms[0]
+            loss.backward()
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        assert_bit_identical(
+            run(T.concat_linear),
+            run(lambda x, y, k, d: T.linear(concat_channels(x, y), k, d)))
+
     def test_leading_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.concat_channels(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))))
+        """Inputs of different row counts, and a weight or bias that does
+        not fit the concatenated width."""
+        for shapes in (((2, 1), (3, 1), (2, 2), (2,)), ((2, 1), (2, 1), (3, 2), (2,)),
+                       ((2, 1), (2, 1), (2, 2), (3,)), ((2,), (2, 1), (2, 2), (2,))):
+            with pytest.raises(ShapeError):
+                T.concat_linear(*(Tensor(np.zeros(s)) for s in shapes))
 
 
 def run_node(fn, inputs, mix):
@@ -528,11 +579,21 @@ def test_item_requires_a_single_value():
             Tensor(np.arange(float(np.prod(shape))).reshape(shape)).item()
 
 
-def test_take_rows_accumulates_repeated_indices():
-    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.take_rows(x, [1, 1, 2])
-    T.tsum(out).backward()
-    np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [1, 1]])
+def test_take_rows_refuses_repeated_indices():
+    with pytest.raises(ShapeError, match="repeated"):
+        T.take_rows(Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True), [1, 1, 2])
+
+
+def test_take_rows_gradient_is_zero_plus_upstream():
+    """Selected rows get ``0.0 + g`` (so -0.0 becomes 0.0) in any index
+    order; unselected rows stay zero."""
+    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    out = T.take_rows(x, [2, 0, 3])
+    g = np.array([[1.5, -0.0], [-0.0, 2.5], [3.5, 0.0]])
+    backward_from(out, g)
+    assert_bit_identical([out.data, x.grad],
+                         [x.data[[2, 0, 3]],
+                          np.array([[0.0, 2.5], [0.0, 0.0], [1.5, 0.0], [3.5, 0.0]])])
 
 
 class TestTakeRows:
@@ -643,7 +704,7 @@ def reference_attention(q, k, v, heads):
         outs.append(T.matmul(attn, vs))
     merged = outs[0]
     for o in outs[1:]:
-        merged = T.concat_channels(merged, o)
+        merged = concat_channels(merged, o)
     return merged
 
 
@@ -651,19 +712,32 @@ def reference_attention(q, k, v, heads):
 def test_key_reductions_are_bit_identical_to_numpy(keys):
     """The attention's row max and row sums over the key axis against
     numpy's ``.max(axis=-1)`` and ``.sum(axis=-1)`` bit for bit, on both
-    sides of the fold threshold: ties, rows of signed zeros, and magnitudes
-    over 16 decades, where any other summation order rounds differently."""
+    sides of the fold's key threshold and of its row threshold: ties, rows
+    of signed zeros, and magnitudes over 16 decades, where any other
+    summation order rounds differently. The few-row maps are the support
+    self-attention's (4, 5, keys) and single-head maps one row under and at
+    the row threshold."""
     rng = np.random.default_rng(keys)
-    a = rng.normal(size=(3, 40, keys)) * 10.0 ** rng.integers(-8, 8, size=(3, 40, keys))
-    a[rng.random(a.shape) < 0.15] = -0.0
-    a[rng.random(a.shape) < 0.15] = 0.0
+
+    def random_map(shape):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        a[rng.random(a.shape) < 0.15] = -0.0
+        a[rng.random(a.shape) < 0.15] = 0.0
+        return a
+
+    a = random_map((3, 40, keys))
     a[:, :4] = a[:, :4, :1]
     a[0, 4], a[0, 5] = -0.0, 0.0
     a[0, 6, ::2] = -0.0
     a[0, 6, 1::2] = 0.0
-    for ufunc, reduce in ((np.maximum, np.max), (np.add, np.sum)):
-        assert_bit_identical([T._reduce_keys(a, ufunc)],
-                             [reduce(a, axis=-1, keepdims=True)])
+    edge = T._FOLD_ROWS_PER_KEY * (keys - 1)
+    maps = [a] + [random_map(shape) for shape in
+                  ((4, 5, keys), (1, max(edge - 1, 1), keys), (1, max(edge, 1), keys))]
+    for a in maps:
+        a[..., 0, :] = a[..., 0, :1]
+        for ufunc, reduce in ((np.maximum, np.max), (np.add, np.sum)):
+            assert_bit_identical([T._reduce_keys(a, ufunc)],
+                                 [reduce(a, axis=-1, keepdims=True)])
 
 
 class TestAttention:
@@ -852,8 +926,9 @@ NO_WRITE_CASES = {
     "sigmoid": (T.sigmoid, [(3, 5)]),
     "sigmoid-0d": (T.sigmoid, [()]),
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
+    "concat_linear": (T.concat_linear, [(3, 4), (3, 2), (6, 2), (2,)]),
     "matmul_t": (T.matmul_t, [(3, 4), (2, 4)]),
-    "take_rows": (lambda a: T.take_rows(a, [0, 3, 2, 0]), [(4, 3)]),
+    "take_rows": (lambda a: T.take_rows(a, [0, 3, 2]), [(4, 3)]),
     "project_rows": (lambda x, w, f: T.project_rows(x, w, (1, 2, 4), (0, 3), f),
                      [(3, 4), (5, 4), (5,)]),
     "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
