@@ -15,8 +15,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import yaml
-
 from .episodes import BenchmarkSpec
 from .errors import ConfigError
 from .model import ModelConfig
@@ -160,6 +158,8 @@ def load_run_config(path: str | None = None,
     flag overrides (if given), which are top-level keys."""
     data: dict = {}
     if path is not None:
+        import yaml  # only a config file needs the YAML parser
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)

@@ -8,11 +8,11 @@ entirely; the loss then supervises them explicitly: a matched query targets
 query targets 1 at every placeholder position.
 
 Matching is plain numpy: :func:`linear_sum_assignment` is Crouse's
-shortest augmenting path solver (the algorithm scipy runs), and it also
-returns its dual potentials. :func:`hungarian_match` solves once and reads
-from those duals how much dearer the second-best assignment is; only when
-that gap is within tolerance of zero, a tie, does the canonical search
-re-solve sub-problems to pick the lexicographically smallest optimum.
+shortest augmenting path solver (the algorithm scipy runs), and
+:func:`hungarian_match` returns the optimum of its one solve, pairs sorted by
+query. Among equally cheap assignments that optimum is the solver's pick: a
+function of the cost values alone, so the same matrix always gets the same
+pairs, but not a canonical one.
 
 The loss is two graph nodes with hand-derived backwards: ``bce_with_logits``
 for the classification term and ``box_loss`` for the L1 and GIoU terms of the
@@ -83,10 +83,9 @@ class MatchResult:
     unmatched_queries: list[int] = field(default_factory=list)
 
 
-def linear_sum_assignment(cost: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost assignment of min(M, G) pairs of a finite (M, G) cost
-    matrix, with its dual potentials.
+    matrix.
 
     Crouse's rectangular shortest augmenting path algorithm (IEEE TAES
     2016), the one ``scipy.optimize.linear_sum_assignment`` runs, on the
@@ -96,15 +95,15 @@ def linear_sum_assignment(cost: np.ndarray
     augmenting path in reduced costs (Dijkstra, one vectorised scan of the
     columns per step), and the duals are updated as in Crouse's algorithm.
 
-    Returns ``rows`` (ascending), ``cols`` and the duals ``u`` (M,) and
-    ``v`` (G,) of the input's rows and columns: ``cost - u[:, None] - v`` is
-    >= 0 up to rounding and 0 on every matched pair. On the long side a dual
-    is 0 at every unmatched index and <= 0 everywhere.
+    Returns ``rows`` (ascending) and their ``cols``. Every step reads only
+    the cost values, so a matrix and any copy of it (Fortran-ordered
+    included) get the same pairs; among equally cheap optima the result is
+    whichever the augmenting paths reach, not a canonical one.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if min(cost.shape) == 0:
         empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, np.zeros(cost.shape[0]), np.zeros(cost.shape[1])
+        return empty, empty
     transposed = cost.shape[0] > cost.shape[1]
     c = cost.T if transposed else cost
     nr, nc = c.shape
@@ -154,120 +153,19 @@ def linear_sum_assignment(cost: np.ndarray
     cols = np.array(col4row, dtype=np.intp)
     if transposed:
         order = np.argsort(cols)
-        return cols[order], order, v, u
-    return np.arange(nr), cols, u, v
-
-
-def _lsa_total(cost: np.ndarray) -> float:
-    if cost.size == 0 or min(cost.shape) == 0:
-        return 0.0
-    rows, cols, _, _ = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
-def _second_best_gap(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     u: np.ndarray, v: np.ndarray, cutoff: float = np.inf) -> float:
-    """How much more than the optimum ``(rows, cols)`` the cheapest other
-    assignment of min(M, G) pairs costs, read from the solver's duals
-    ``u, v``; ``inf`` when there is no other assignment.
-
-    In the min(M, G) x max(M, G) orientation every row is matched, and
-    another assignment costs the optimum plus its reduced costs
-    ``cost - u - v`` (>= 0) plus ``-v`` (>= 0) of each column it leaves
-    empty, since ``v`` is 0 on the free columns. Its difference with the
-    optimum splits into alternating cycles among matched rows and
-    alternating chains that end at a free column, each of non-negative
-    cost, so the second-best assignment differs from the optimum by one
-    cycle or one chain. Both are cycles in a graph of k + 1 nodes, found by
-    Floyd-Warshall: the k matched rows, with an edge a -> b of the reduced
-    cost of row a taking b's column, and one node for the free columns, with
-    an edge a -> free of row a's cheapest free column and free -> b of
-    ``-v`` of the column b leaves.
-
-    Every other assignment moves some row off its column, so the smallest
-    reduced cost off the matching is a lower bound. It is returned in place
-    of the exact gap when it already exceeds ``cutoff``; otherwise
-    Floyd-Warshall runs on the whole graph and the gap is exact.
-    """
-    reduced = cost - u[:, None]
-    reduced -= v
-    reduced[rows, cols] = np.inf
-    bound = float(reduced.min(initial=np.inf))
-    if bound > cutoff:
-        return bound
-    if cost.shape[0] > cost.shape[1]:
-        reduced, rows, cols, v = reduced.T, cols, rows, u
-    k, n = reduced.shape
-    free = np.ones(n, dtype=bool)
-    free[cols] = False
-    graph = np.empty((k + 1, k + 1))
-    graph[:k, :k] = reduced[np.ix_(rows, cols)]  # inf on the diagonal
-    graph[:k, k] = reduced[rows][:, free].min(axis=1, initial=np.inf)
-    graph[k, :k] = -v[cols]
-    graph[k, k] = np.inf
-    for b in range(k + 1):
-        np.minimum(graph, graph[:, b, None] + graph[b], out=graph)
-    return float(graph.diagonal().min())
-
-
-def _canonical_search(cost: np.ndarray, total: float) -> list[tuple[int, int]]:
-    """Lexicographically smallest optimal pair list, by brute search: for
-    each query in turn, the smallest ground truth whose choice still admits
-    an optimal completion (one assignment solve per candidate)."""
-    m, g = cost.shape
-    tol = 1e-9 * max(1.0, abs(total))
-    total_pairs = min(m, g)
-
-    pairs: list[tuple[int, int]] = []
-    remaining = list(range(g))
-    prefix = 0.0
-    for q in range(m):
-        if not remaining:
-            break
-        queries_left_after = m - q - 1
-        must_match = queries_left_after < len(remaining) and len(pairs) < total_pairs
-        chosen = None
-        for cand in remaining:
-            rest_g = [x for x in remaining if x != cand]
-            needed = total_pairs - len(pairs) - 1
-            if min(queries_left_after, len(rest_g)) < needed:
-                continue
-            sub_cost = cost[np.ix_(range(q + 1, m), rest_g)] if rest_g else \
-                np.zeros((0, 0))
-            completion = _lsa_total(sub_cost) if rest_g else 0.0
-            if prefix + cost[q, cand] + completion <= total + tol:
-                chosen = cand
-                break
-        if chosen is None:
-            if must_match:
-                # Cannot happen for a finite cost matrix: some optimal
-                # completion always exists. Guard against tolerance slippage.
-                chosen = remaining[0]
-            else:
-                continue
-        pairs.append((q, chosen))
-        prefix += cost[q, chosen]
-        remaining.remove(chosen)
-    return pairs
+        return cols[order], order
+    return np.arange(nr), cols
 
 
 def hungarian_match(cost: np.ndarray) -> MatchResult:
     """Minimum-cost assignment of queries (rows) to ground truths (columns).
 
-    Matches min(M, G) pairs. Among equally cheap assignments the result is
-    canonical: the pair list sorted by query index is lexicographically
-    smallest on (query index, gt index). When G > M (more ground truths than
-    queries) the cheapest M ground truths are matched and a diagnostic
-    warning is emitted.
-
-    Fast path: one solve, whose duals give the gap between the optimum and
-    the second-best assignment (:func:`_second_best_gap`). When that gap
-    exceeds twice the search tolerance (``1e-9 * max(1, |total|)``; the
-    factor 2 covers float slop in the search's own sums), the optimum is
-    unique and is returned. This is exact: any other assignment the search
-    could accept would cost at most the optimum plus the tolerance. On a tie
-    the canonical search (`_canonical_search`, one solve per candidate pair)
-    picks the result.
+    Matches min(M, G) pairs at the minimum total cost: the optimum of one
+    :func:`linear_sum_assignment` solve, pairs in ascending query order and
+    ``unmatched_queries`` ascending. The result is deterministic for the given
+    cost values; among equally cheap assignments it is the solver's pick, not
+    a canonical one. When G > M (more ground truths than queries) the
+    cheapest M ground truths are matched and a diagnostic warning is emitted.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -281,14 +179,8 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
         warnings.warn(f"more ground truths ({g}) than queries ({m}); "
                       f"matching the {m} cheapest", RuntimeWarning)
 
-    rows, cols, u, v = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    tol = 1e-9 * max(1.0, abs(total))
-    if _second_best_gap(cost, rows, cols, u, v, 2 * tol) > 2 * tol:
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-    else:
-        pairs = _canonical_search(cost, total)
-
+    rows, cols = linear_sum_assignment(cost)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     matched_q = {q for q, _ in pairs}
     unmatched = [q for q in range(m) if q not in matched_q]
     return MatchResult(pairs=pairs, unmatched_queries=unmatched)

@@ -361,13 +361,15 @@ def test_console_entry_point_runs():
     assert "gradcheck" in proc.stdout
 
 
-def test_fewdet_imports_no_scipy():
-    """Matching is pure numpy: the entry points load no scipy module."""
+@pytest.mark.parametrize("package", ["scipy", "yaml"])
+def test_fewdet_imports_no_package(package):
+    """The entry points load no scipy module (matching is pure numpy) and no
+    yaml module (only a config file needs the parser)."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = ("import sys, fewdet.cli, fewdet.harness, fewdet.model; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
