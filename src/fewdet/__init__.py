@@ -5,7 +5,7 @@ The package is organized as a small numpy-backed library:
 
 - :mod:`fewdet.tensor` - float64 tensors with reverse-mode autodiff and a
   finite-difference gradient oracle
-- :mod:`fewdet.optim` - Adam over named parameters
+- :mod:`fewdet.optim` - Adam over one flat parameter buffer
 - :mod:`fewdet.obd` - background-token attention (support and query branches)
 - :mod:`fewdet.ood` - learnable class feature space + InfoNCE loss
 - :mod:`fewdet.set_head` - Hungarian matching, set loss, detection decoding
@@ -13,6 +13,10 @@ The package is organized as a small numpy-backed library:
 - :mod:`fewdet.episodes` - deterministic synthetic episode benchmark + files
 - :mod:`fewdet.metrics` - IoU/GIoU, COCO-style mAP, confusion matrices
 - :mod:`fewdet.checkpoint` - named-tensor container and checkpoints
+- :mod:`fewdet.config` - the YAML run configuration and its checks
+- :mod:`fewdet.harness` - train / eval / ablate drivers and run checkpoints
+- :mod:`fewdet.gradcheck` - finite-difference audit of every primitive
+- :mod:`fewdet.errors` - the exception classes the CLI maps to exit codes
 - :mod:`fewdet.cli` - gen / train / eval / ablate / gradcheck verbs
 """
 

@@ -12,7 +12,9 @@ A run checkpoint (``fewdet.harness``) is such a file holding three tensors,
 ``params``, ``adam.m`` and ``adam.v``: each one whole 1-D buffer laid out as
 the model config lays out its parameters, so each is written from a view of
 the live buffer and read back with one ``readinto``. The name and offset of
-every parameter come from the config record, not from the file.
+every parameter come from the config record, not from the file. That is the
+only run-checkpoint layout read: a file of the per-parameter layout (a
+tensor per parameter and per Adam moment) is refused.
 
 Checkpoints and episode files are both parsed through :class:`Reader`, which
 reads both formats unchanged. Every malformed input is a CorruptionError that
@@ -32,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import CorruptionError
-from .tensor import Tensor
 
 _TENSOR_MAGIC = b"FDNT"
 _CHECKPOINT_MAGIC = b"FDCK"
@@ -161,13 +162,11 @@ def _write_atomic(path, *chunks: bytes | memoryview) -> None:
         raise
 
 
-def save_checkpoint(path, config: dict, tensors: dict[str, "np.ndarray | Tensor"]) -> None:
-    arrays = {k: (v.data if isinstance(v, Tensor) else np.asarray(v))
-              for k, v in tensors.items()}
+def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
     payload = json.dumps(config, sort_keys=True).encode("utf-8")
     header = (_CHECKPOINT_MAGIC + struct.pack("<II", _VERSION, len(payload))
               + payload)
-    _write_atomic(path, header, *_container_chunks(arrays))
+    _write_atomic(path, header, *_container_chunks(tensors))
 
 
 def load_checkpoint(path, into: Callable[[dict], dict[str, np.ndarray]] | None = None

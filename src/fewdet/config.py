@@ -6,8 +6,10 @@ Seeds: the top-level ``seed`` initialises the model, ``benchmark.seed``
 generates the episodes, and ``ablate_seeds`` seed the ablation's models.
 Every setting has one source: a file that sets a ``model`` key derived from
 another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it, and
-so does an integer setting that is not a YAML integer (``2.5``, ``true``)
-or an ``ablate_seeds`` entry that is not a non-negative integer.
+so does an integer setting that is not a YAML integer (``2.5``, ``true``),
+a float setting that is not a YAML number (``"0.001"``, ``true``), a value
+out of its range (checked by each section's ``__post_init__``; a float must
+be finite) or an ``ablate_seeds`` entry that is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ class TrainingConfig:
         for name in ("eval_episodes", "log_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, not {getattr(self, name)}")
+        for name in ("eval_start_index", "overfit_episode"):
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigError(f"{name} must be >= 0, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -86,19 +91,23 @@ _SECTION_TYPES = {
 _TOP_LEVEL_SCALARS = {"seed", "out_dir", "ablate_seeds"}
 
 
-def check_integers(cls, values: dict, prefix: str) -> None:
+def check_types(cls, values: dict, prefix: str) -> None:
     """ConfigError unless each of ``values`` that sets an int field of ``cls``
-    is an int, not a bool (``f.type`` is a string: annotations are deferred)."""
+    is an int and each that sets a float field an int or a float, never a
+    bool (``f.type`` is a string: annotations are deferred)."""
     for f in dataclasses.fields(cls):
         value = values.get(f.name, 0)
         if f.type in ("int", "int | None") and type(value) is not int and not (
                 value is None and f.type != "int"):
             raise ConfigError(f"{prefix}{f.name} must be an integer, not {value!r}")
+        if f.type == "float" and type(value) not in (int, float):
+            raise ConfigError(f"{prefix}{f.name} must be a number, not {value!r}")
 
 
 def _build_section(cls, values: dict, section: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - allowed
+    if not isinstance(values, dict):
+        raise ConfigError(f"section '{section}' must be a mapping")
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
     derived = sorted(set(values) & set(DERIVED_MODEL_KEYS)) if cls is ModelConfig else []
@@ -106,14 +115,9 @@ def _build_section(cls, values: dict, section: str):
         raise ConfigError("derived key(s) in 'model' cannot be set: " + "; ".join(
             f"{key} comes from {DERIVED_MODEL_KEYS[key]}" for key in derived))
     if cls is ModelConfig and "weights" in values:
-        w = values["weights"]
-        walowed = {f.name for f in dataclasses.fields(Weights)}
-        wunknown = set(w) - walowed
-        if wunknown:
-            raise ConfigError(f"unknown key(s) in 'model.weights': {sorted(wunknown)}")
-        values = dict(values)
-        values["weights"] = Weights(**w)
-    check_integers(cls, values, f"{section}.")
+        values = {**values, "weights": _build_section(Weights, values["weights"],
+                                                      "model.weights")}
+    check_types(cls, values, f"{section}.")
     try:
         return cls(**values)
     except TypeError as exc:
@@ -126,7 +130,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - set(_SECTION_TYPES) - _TOP_LEVEL_SCALARS
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    check_integers(RunConfig, data, "")
+    check_types(RunConfig, data, "")
     kwargs = {}
     for key in _TOP_LEVEL_SCALARS:
         if key in data:
@@ -138,8 +142,6 @@ def run_config_from_dict(data: dict) -> RunConfig:
             kwargs[key] = value
     for section, cls in _SECTION_TYPES.items():
         if section in data:
-            if not isinstance(data[section], dict):
-                raise ConfigError(f"section '{section}' must be a mapping")
             kwargs[section] = _build_section(cls, data[section], section)
     return RunConfig(**kwargs)
 

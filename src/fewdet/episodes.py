@@ -60,11 +60,16 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.class_count < 1:
             raise ConfigError("class_count must be >= 1")
+        if self.capacity < 2:
+            raise ConfigError(f"capacity must be >= 2 (one class plus one "
+                              f"placeholder), not {self.capacity}")
         if self.class_count > self.capacity:
             raise ConfigError(
                 f"class_count {self.class_count} exceeds capacity {self.capacity}")
         if not (0.0 <= self.bg_overlap <= 1.0 and 0.0 <= self.class_overlap <= 1.0):
             raise ConfigError("overlap knobs must lie in [0, 1]")
+        if not 0 <= self.noise_std < np.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, not {self.noise_std!r}")
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ConfigError("grid extents must be >= 2")
         if self.feature_dim < self.class_count + 2:

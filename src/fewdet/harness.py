@@ -10,14 +10,16 @@ evaluation.
 Run checkpoints: a checkpoint (see :mod:`fewdet.checkpoint`) holding three
 tensors, ``params``, ``adam.m`` and ``adam.v``, each one whole 1-D float64
 buffer laid out as ``parameter_shapes(variant_model)`` lays the parameters
-out (see :mod:`fewdet.optim`). The config record holds ``run``, ``step``,
-``adam`` (the step count), ``variant_model`` and ``moments``: the
-parameters that have Adam moments, in layout order; the others are zeros
-in both moment buffers. Per-parameter checkpoints written before, with no
-``moments`` field, hold one tensor per parameter plus ``adam.m.<name>`` and
-``adam.v.<name>`` for each parameter with moments; they load into views of
-the same three buffers. :func:`fewdet.optim.restore` hands either kind's
-moment buffers to the optimizer, zeroing the parts without moments.
+out (see :mod:`fewdet.optim`). The config record holds exactly ``run``,
+``step``, ``adam`` (``{"step_count": n}`` and nothing else),
+``variant_model`` and ``moments``: the parameters that have Adam moments,
+in layout order; the others are zeros in both moment buffers. This is the
+one layout :func:`load_run_checkpoint` reads. A record without
+``moments`` (the per-parameter layout, one tensor per parameter and
+moment) is a CorruptionError naming that layout. So is a key that older
+records carried and no setting has now (a retired ``training`` key, a
+derived ``model`` key, an ``adam`` key other than ``step_count``); the
+error names the key.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (DERIVED_MODEL_KEYS, RunConfig, check_integers,
-                     run_config_from_dict, run_config_to_dict)
+from .config import (RunConfig, check_types, run_config_from_dict,
+                     run_config_to_dict)
 from .episodes import Episode, generate_episode
 from .errors import ConfigError, CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
@@ -41,8 +43,7 @@ from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     train_step, training_episode)
 from .obd import background_attention_mass, head_average
 from .ood import min_interclass_separation
-from .optim import (BETA1, BETA2, EPSILON, AdamState, flat_buffers, flat_views,
-                    restore)
+from .optim import AdamState, flat_buffers, flat_views, restore
 from .set_head import Weights
 from .tensor import Tensor, no_grad
 
@@ -173,38 +174,31 @@ def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
 
 
 def _parse_run_config(path, config: dict
-                      ) -> tuple[RunConfig, ModelConfig, int, AdamState, list | None]:
-    """The run, variant config, step, optimizer state and moment names
-    (None for a per-parameter checkpoint) of a config record."""
+                      ) -> tuple[RunConfig, ModelConfig, int, AdamState, list]:
+    """The run, variant config, step, optimizer state and moment names of a
+    config record."""
     try:
-        # Older checkpoints carry retired keys: training.score_threshold, the
-        # derived model keys, and Adam's learning rate and constants, which
-        # must match the model's rate and adam_step's constants.
-        run_data = dict(config["run"])
-        run_data["training"] = {k: v for k, v in run_data.get("training", {}).items()
-                                if k != "score_threshold"}
-        run_data["model"] = {k: v for k, v in run_data.get("model", {}).items()
-                             if k not in DERIVED_MODEL_KEYS}
-        run = run_config_from_dict(run_data)
+        if "moments" not in config:
+            raise CorruptionError(f"{path}: no 'moments' field: a per-parameter "
+                                  f"run checkpoint, a layout no longer read")
+        run = run_config_from_dict(config["run"])
         vm = dict(config["variant_model"])
-        check_integers(ModelConfig, vm, "variant_model.")
+        check_types(ModelConfig, vm, "variant_model.")
         vm["weights"] = Weights(**vm["weights"])
         cfg = ModelConfig(**vm)
-        step, adam_meta = config["step"], config["adam"]
-        count = adam_meta["step_count"]
+        step, adam = config["step"], config["adam"]
+        count = adam["step_count"]
+        if len(adam) != 1:
+            raise CorruptionError(f"{path}: unknown key(s) in 'adam': "
+                                  f"{sorted(set(adam) - {'step_count'})}")
         for field, value in (("step", step), ("adam.step_count", count)):
             if type(value) is not int or value < 0:  # a bool is not a count
                 raise CorruptionError(f"{path}: {field} is {value!r}, not a "
                                       f"non-negative integer")
-        for key, value in (("learning_rate", cfg.learning_rate), ("beta1", BETA1),
-                           ("beta2", BETA2), ("epsilon", EPSILON)):
-            if adam_meta.get(key, value) != value:
-                raise CorruptionError(f"{path}: adam {key} is {adam_meta[key]}, "
-                                      f"the optimiser uses {value}")
         opt = AdamState(learning_rate=cfg.learning_rate, step_count=count)
-        moments = config.get("moments")
-        if moments is not None and not (isinstance(moments, list) and all(
-                isinstance(name, str) for name in moments)):
+        moments = config["moments"]
+        if not (isinstance(moments, list)
+                and all(isinstance(name, str) for name in moments)):
             raise TypeError(f"moments is not a list of names: {moments!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc
@@ -217,35 +211,25 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
     def into(config: dict) -> dict[str, np.ndarray]:
         # The config record comes before the tensors, so they are read
         # straight into the three buffers, laid out as init_model_state lays
-        # them out: whole, or (per-parameter) into views of them.
+        # them out.
         run, cfg, step, opt, moments = _parse_run_config(path, config)
         shapes = parameter_shapes(cfg)
         seen: set[str] = set()
-        for name in moments or ():
+        for name in moments:
             if name not in shapes:
                 raise CorruptionError(f"{path}: moments: '{name}' is not a parameter")
             if name in seen:
                 raise CorruptionError(f"{path}: moments: '{name}' appears twice")
             seen.add(name)
         param_buf, params = flat_views(shapes, zeroed=False)
-        if moments is None:
-            (m_buf, m_views), (v_buf, v_views) = (flat_views(shapes, zeroed=False)
-                                                  for _ in "mv")
-            slots = dict(params)
-            for prefix, moment_views in (("adam.m.", m_views), ("adam.v.", v_views)):
-                slots.update((prefix + name, v) for name, v in moment_views.items())
-            required = set(shapes)
-        else:
-            m_buf, v_buf = np.empty(param_buf.size), np.empty(param_buf.size)
-            slots = dict(zip(_BUFFERS, (param_buf, m_buf, v_buf)))
-            required = set(_BUFFERS)
-        parsed.extend((run, cfg, step, opt, moments, params, m_buf, v_buf, slots,
-                       required))
+        slots = dict(zip(_BUFFERS, (param_buf, np.empty(param_buf.size),
+                                    np.empty(param_buf.size))))
+        parsed.extend((run, cfg, step, opt, moments, params, slots))
         return slots
 
     _, tensors = load_checkpoint(path, into)
-    run, cfg, step, opt, moments, params, m_buf, v_buf, slots, required = parsed
-    missing = sorted(required - set(tensors))
+    run, cfg, step, opt, moments, params, slots = parsed
+    missing = sorted(set(slots) - set(tensors))
     extra = sorted(set(tensors) - set(slots))
     if missing or extra:
         raise CorruptionError(f"{path}: tensor names do not match config "
@@ -256,19 +240,12 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
                                   f"the config gives {slots[name].shape}")
         if arr is not slots[name]:  # not read in place (a big-endian host)
             slots[name][...] = arr
-    if moments is None:
-        moments = [name for name in params if "adam.m." + name in tensors]
-        unpaired = {name for name in params
-                    if ("adam.m." + name in tensors) != ("adam.v." + name in tensors)}
-        if unpaired:
-            raise CorruptionError(f"{path}: adam.m and adam.v differ for "
-                                  f"{sorted(unpaired)}")
     # Moments may cover only some parameters: one that never had a gradient
     # (the baseline's background token) has none, and restore zeroes its
     # part of the moment buffers.
     state = ModelState({name: Tensor.parameter(view) for name, view in params.items()},
                        cfg)
-    restore(state.params, opt, m_buf, v_buf, moments)
+    restore(state.params, opt, slots["adam.m"], slots["adam.v"], moments)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
 

@@ -292,9 +292,9 @@ class EvalReport:
                 len(payload["class_ids"]), len(payload["thresholds"])),
             confusion=np.asarray(payload["confusion"], dtype=np.int64),
             episode_count=payload["episode_count"],
-            detection_count=payload.get("detection_count", 0),
-            gt_count=payload.get("gt_count", 0),
-            extras=payload.get("extras", {}),
+            detection_count=payload["detection_count"],
+            gt_count=payload["gt_count"],
+            extras=payload["extras"],
         )
 
     def table(self) -> str:

@@ -83,8 +83,13 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_max < 2:
             raise ConfigError("n_max must be >= 2 (one class plus one placeholder)")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        for name in ("learning_rate", "temperature"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and > 0, not "
+                                  f"{getattr(self, name)!r}")
+        if not 0 <= self.ood_weight < np.inf:
+            raise ConfigError(f"ood_weight must be finite and >= 0, not "
+                              f"{self.ood_weight!r}")
 
 
 class ModelState:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .metrics import giou
 from .obd import SupportSequence
 from .tensor import Tensor
@@ -40,6 +40,12 @@ class Weights:
     cls: float = 2.0
     l1: float = 5.0
     giou: float = 2.0
+
+    def __post_init__(self):
+        for name in ("cls", "l1", "giou"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"weights.{name} must be finite and >= 0, "
+                                  f"not {getattr(self, name)!r}")
 
 
 @dataclass

@@ -8,7 +8,6 @@ import pytest
 from fewdet.checkpoint import load_checkpoint, save_checkpoint
 from fewdet.episodes import BenchmarkSpec, read_episodes, write_episodes
 from fewdet.errors import CorruptionError
-from fewdet.tensor import Tensor
 
 
 def test_tensor_container_roundtrip_bit_exact(tmp_path):
@@ -17,15 +16,14 @@ def test_tensor_container_roundtrip_bit_exact(tmp_path):
         "a.weight": rng.normal(size=(3, 4)),
         "b.vector": rng.normal(size=7),
         "c.scalarish": np.array(3.25),
-        "wrapped": Tensor(rng.normal(size=(2, 2, 2))),
+        "d.cube": rng.normal(size=(2, 2, 2)),
     }
     path = tmp_path / "tensors.fdck"
     save_checkpoint(path, {}, tensors)
     _, loaded = load_checkpoint(path)
     assert set(loaded) == set(tensors)
     for name, value in tensors.items():
-        data = value.data if isinstance(value, Tensor) else value
-        np.testing.assert_array_equal(loaded[name], data)
+        np.testing.assert_array_equal(loaded[name], value)
         assert loaded[name].dtype == np.float64
 
 
@@ -342,29 +340,24 @@ def tiny_trained():
     return run, result
 
 
-def test_checkpoint_with_retired_score_threshold_loads(tmp_path, tiny_trained):
-    """Older checkpoints carry keys since retired: training.score_threshold,
-    the derived model keys and the Adam constants. They still load, and the
-    keys are dropped."""
-    import dataclasses
+@pytest.mark.parametrize("record, key, value", [
+    ("training", "score_threshold", 0.5),
+    ("model", "input_dim", 8),
+    ("adam", "beta1", 0.9),
+], ids=["score-threshold", "derived-model-key", "adam-constant"])
+def test_checkpoint_with_retired_key_is_refused(tmp_path, tiny_trained,
+                                                record, key, value):
+    """Keys that older checkpoints carried are refused, each by name, even
+    with the value the program would use: ``training.score_threshold``, a
+    derived model key and an Adam constant."""
     from fewdet.harness import checkpoint_payload, load_run_checkpoint
 
-    run, result = tiny_trained
-    config, tensors = checkpoint_payload(run, result)
-    config["run"]["training"]["score_threshold"] = 0.5
-    config["run"]["model"] = dataclasses.asdict(run.resolved_model())
-    assert "learning_rate" not in config["adam"]
-    config["adam"].update(learning_rate=result.cfg.learning_rate,
-                          beta1=0.9, beta2=0.999, epsilon=1e-8)
-    path = tmp_path / "legacy.fdck"
+    config, tensors = checkpoint_payload(*tiny_trained)
+    (config["adam"] if record == "adam" else config["run"][record])[key] = value
+    path = tmp_path / "retired.fdck"
     save_checkpoint(path, config, tensors)
-
-    run2, result2 = load_run_checkpoint(path)
-    assert run2 == run
-    assert result2.opt.learning_rate == result.cfg.learning_rate
-    for name in result.state.names():
-        np.testing.assert_array_equal(result2.state.params[name].data,
-                                      result.state.params[name].data)
+    with pytest.raises(CorruptionError, match=rf"'{record}'.*\b{key}\b"):
+        load_run_checkpoint(path)
 
 
 def test_checkpoint_with_other_adam_constant_is_corrupt(tmp_path, tiny_trained):
@@ -379,17 +372,16 @@ def test_checkpoint_with_other_adam_constant_is_corrupt(tmp_path, tiny_trained):
 
 
 def test_checkpoint_with_other_adam_learning_rate_is_corrupt(tmp_path, tiny_trained):
-    """The model's rate is the one the optimiser steps at: a legacy Adam
-    record with another rate is refused, naming both."""
+    """The model's rate is the one the optimiser steps at: an Adam record
+    that carries a rate of its own is refused, naming the key."""
     from fewdet.harness import checkpoint_payload, load_run_checkpoint
 
     config, tensors = checkpoint_payload(*tiny_trained)
     config["adam"]["learning_rate"] = 0.5
     path = tmp_path / "legacy.fdck"
     save_checkpoint(path, config, tensors)
-    rate = config["variant_model"]["learning_rate"]
     with pytest.raises(CorruptionError,
-                       match=rf"adam learning_rate is 0\.5, the optimiser uses {rate}"):
+                       match=r"unknown key\(s\) in 'adam': \['learning_rate'\]"):
         load_run_checkpoint(path)
 
 
@@ -447,29 +439,6 @@ def legacy_payload(run, result) -> tuple[dict, dict]:
     return config, tensors
 
 
-@pytest.mark.parametrize("name, change", [
-    ("embed.bias", lambda t: t.update({"embed.bias": np.zeros(1)})),
-    ("adam.v.embed.weight",
-     lambda t: t.update({"adam.v.embed.weight": np.zeros((8, 7))})),
-    ("adam.m.not.a.param", lambda t: t.update({"adam.m.not.a.param": np.zeros(8),
-                                               "adam.v.not.a.param": np.zeros(8)})),
-    ("embed.bias", lambda t: t.pop("adam.v.embed.bias")),
-], ids=["param-shape", "moment-shape", "moment-name", "moment-unpaired"])
-def test_checkpoint_tensor_that_does_not_fit_the_config_is_corrupt(
-        tmp_path, tiny_trained, name, change):
-    """Shapes are checked, not only names: numpy broadcasting would let a
-    model run on a wrongly shaped tensor. Per-parameter layout."""
-    from fewdet.harness import load_run_checkpoint
-
-    config, tensors = legacy_payload(*tiny_trained)
-    tensors = dict(tensors)
-    change(tensors)
-    path = tmp_path / "bad.fdck"
-    save_checkpoint(path, config, tensors)
-    with pytest.raises(CorruptionError, match=re.escape(f"'{name}'")):
-        load_run_checkpoint(path)
-
-
 def _short_params(config, tensors):
     tensors["params"] = tensors["params"][:-1]
     return "'params' has shape"
@@ -522,26 +491,37 @@ def _state_bytes(result) -> dict:
             "steps": (result.steps_done, result.opt.step_count)}
 
 
+_PER_PARAMETER = "per-parameter run checkpoint, a layout no longer read"
+
+
 @pytest.mark.parametrize("variant", ["+OBD+OOD", "baseline"])
-def test_per_parameter_checkpoint_loads_as_the_flat_one(tmp_path, variant):
-    """A checkpoint in the per-parameter layout loads to the same state as
-    the flat checkpoint of the same run."""
+def test_per_parameter_checkpoint_is_refused(tmp_path, variant):
+    """A checkpoint in the per-parameter layout, which nothing writes any
+    more, is refused with an error that names the layout."""
     from fewdet.config import run_config_from_dict
-    from fewdet.harness import load_run_checkpoint, save_run_checkpoint, train_run
+    from fewdet.harness import load_run_checkpoint, train_run
     from fewdet.model import ablation_variant
 
     run = run_config_from_dict(_CLI_CONFIG)
     result = train_run(run, cfg=ablation_variant(run.resolved_model(), variant))
-    flat, legacy = tmp_path / "flat.fdck", tmp_path / "legacy.fdck"
-    save_run_checkpoint(flat, run, result)
-    save_checkpoint(legacy, *legacy_payload(run, result))
-    (run_flat, from_flat), (run_legacy, from_legacy) = (
-        load_run_checkpoint(flat), load_run_checkpoint(legacy))
-    assert run_flat == run_legacy == run
-    assert _state_bytes(from_flat) == _state_bytes(from_legacy) == _state_bytes(result)
-    if variant == "baseline":  # the background token never has a gradient
-        assert "obd.background_token" not in from_legacy.opt.first_moment
-        assert "obd.background_token" not in from_legacy.opt.second_moment
+    path = tmp_path / "legacy.fdck"
+    save_checkpoint(path, *legacy_payload(run, result))
+    with pytest.raises(CorruptionError, match=_PER_PARAMETER):
+        load_run_checkpoint(path)
+
+
+@pytest.mark.parametrize("verb", ["eval", "train"])
+def test_cli_on_a_per_parameter_checkpoint_exits_3(tmp_path, tiny_trained, capsys,
+                                                   verb):
+    from fewdet.cli import main
+
+    path = tmp_path / "legacy.fdck"
+    save_checkpoint(path, *legacy_payload(*tiny_trained))
+    assert main([verb, "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert _PER_PARAMETER in err
+    assert [p.name for p in tmp_path.iterdir()] == ["legacy.fdck"]
 
 
 def _pinned_run():

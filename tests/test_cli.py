@@ -84,8 +84,12 @@ class TestUsageErrors:
         ("training", "log_interval", 0),
         ("model", "d", 0),
         ("model", "d", 6),
+        ("benchmark", "capacity", 1),
+        ("training", "eval_start_index", -1),
+        ("training", "overfit_episode", -1),
     ], ids=["float-steps", "bool-steps", "float-grid-rows", "negative-eval-episodes",
-            "zero-log-interval", "zero-d", "d-not-multiple-of-4"])
+            "zero-log-interval", "zero-d", "d-not-multiple-of-4", "capacity-one",
+            "negative-eval-start-index", "negative-overfit-episode"])
     def test_bad_integer_setting_exits_1(self, fast_config, tmp_path, capsys,
                                          section, key, value):
         cfg = yaml.safe_load(fast_config.read_text())
@@ -95,6 +99,48 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{key} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "learning_rate", -1.0),
+        ("model", "learning_rate", 0.0),
+        ("model", "learning_rate", float("nan")),
+        ("model", "learning_rate", "0.001"),
+        ("model", "learning_rate", True),
+        ("model", "temperature", float("nan")),
+        ("model", "temperature", 0),
+        ("model", "ood_weight", -1),
+        ("model", "ood_weight", float("inf")),
+        ("model", "weights.cls", -1.0),
+        ("model", "weights.l1", float("nan")),
+        ("model", "weights.giou", "2"),
+        ("benchmark", "noise_std", -0.1),
+        ("benchmark", "noise_std", float("inf")),
+        ("benchmark", "noise_std", False),
+    ], ids=["negative-rate", "zero-rate", "nan-rate", "quoted-rate", "bool-rate",
+            "nan-temperature", "zero-temperature", "negative-ood-weight",
+            "inf-ood-weight", "negative-cls-weight", "nan-l1-weight",
+            "quoted-giou-weight", "negative-noise", "inf-noise", "bool-noise"])
+    def test_bad_float_setting_exits_1(self, fast_config, tmp_path, capsys,
+                                       section, key, value):
+        cfg = yaml.safe_load(fast_config.read_text())
+        if key.startswith("weights."):
+            cfg[section] = {**cfg[section], "weights": {key.split(".")[1]: value}}
+        else:
+            cfg[section] = {**cfg[section], key: value}
+        fast_config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("train", "--config", str(fast_config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_with_capacity_one_exits_1(self, fast_config, tmp_path, capsys):
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["benchmark"]["capacity"] = 1
+        fast_config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("gen", "--config", str(fast_config), "--count", "1") == 1
+        assert "capacity must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_gen_count_exits_1(self, fast_config, tmp_path, capsys):

@@ -28,6 +28,11 @@ def test_unknown_weights_key_rejected():
         run_config_from_dict({"model": {"weights": {"cls": 1.0, "l2": 3.0}}})
 
 
+def test_weights_that_are_not_a_mapping_rejected():
+    with pytest.raises(ConfigError, match="section 'model.weights' must be a mapping"):
+        run_config_from_dict({"model": {"weights": 3}})
+
+
 def test_file_overrides_defaults(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"seed": 5, "model": {"d": 32, "heads": 2}}))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -970,3 +973,15 @@ def test_primitives_write_no_input_or_upstream_gradient(case):
     for a, before in zip(returned, kept):
         np.testing.assert_array_equal(a, before)
     np.testing.assert_array_equal(g, g_before, strict=True)
+
+
+def test_no_package_source_calls_add_at():
+    """Backward passes accumulate with slices, never with the unbuffered
+    ``np.add.at`` scatter-add; a new gather node must keep it that way."""
+    package = Path(T.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "at"
+             and ast.unparse(node.value).split(".")[-1] == "add"]
+    assert calls == []
