@@ -75,12 +75,12 @@ class ModelConfig:
         if self.d < 4 or self.d % 4:
             raise ConfigError(f"d must be a positive multiple of 4 (the "
                               f"positional code has four parts), not {self.d}")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         for name in ("heads", "encoder_layers", "decoder_layers",
                      "num_object_queries", "input_dim", "num_class_embeddings"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.d % self.heads != 0:
+            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.n_max < 2:
             raise ConfigError("n_max must be >= 2 (one class plus one placeholder)")
         for name in ("learning_rate", "temperature"):
@@ -328,7 +328,8 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     match_keys = build_key_sequence(seq, state["head.class.support_proj"], token)
     logits = matmul_t(matmul(decoded, state["head.class.query_proj"]),
                       match_keys) * (1.0 / np.sqrt(cfg.d)) + state["head.class.bias"]
-    probs = sigmoid(logits)
+    with no_grad():  # values for matching and decoding; the loss uses logits
+        probs = sigmoid(logits)
 
     # Boxes are offsets from per-query learnable reference boxes, in logit
     # space; with an all-zero state this still decodes to sigmoid(0).

@@ -43,10 +43,6 @@ class BackgroundToken:
         if self.vector.ndim != 1:
             raise ShapeError(f"background token must be a vector, got {self.vector.shape}")
 
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
 
 @dataclass(frozen=True)
 class SupportSequence:
@@ -85,10 +81,6 @@ class SupportSequence:
     @cached_property
     def class_ids(self) -> tuple[int, ...]:
         return tuple(c for c in self.layout if c is not None)
-
-    @property
-    def class_count(self) -> int:
-        return len(self.class_ids)
 
     def position_of_class(self, class_id: int) -> int:
         if class_id not in self.class_ids:

@@ -14,7 +14,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Tensor, exp, log, matmul_t, take_rows, tmean, tsum
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassFeatureSpace:
     """C_max x d matrix of learnable class embeddings, rows indexed by class id."""
 
@@ -22,8 +22,9 @@ class ClassFeatureSpace:
     temperature: float = 0.1
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:  # NaN fails too
+            raise ConfigError(f"temperature must be finite and > 0, not "
+                              f"{self.temperature!r}")
         if self.embeddings.ndim != 2:
             raise ShapeError(f"embeddings must be 2-d, got {self.embeddings.shape}")
 
@@ -54,8 +55,6 @@ def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
     ids = list(class_ids)
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate class ids: {ids}")
-    if t.temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {t.temperature}")
     c = f.class_count
     if len(ids) != c:
         raise ShapeError(f"{c} feature rows but {len(ids)} class ids")

@@ -27,13 +27,13 @@ so ``m / correction1`` is ``m`` bit for bit and that division is skipped.
 Validate before mutate: every gradient name and shape is checked before
 any value, moment or the step count changes.
 
-Ownership: an :class:`AdamState` owns its moment buffers, zeros or a
-checkpoint's given through :func:`restore`, and binds them once to the
-buffer the parameters tile, at its first :func:`adam_step` or
-:func:`flat_buffers` call. Nothing is re-packed: parameters that do not
-tile one buffer in dict order, or a ``Tensor`` or ``.data`` replaced after
-binding, raise ShapeError before anything changes. The moment dicts are
-outputs: no step reads a moment from them.
+Ownership: an :class:`AdamState` owns its moment buffers and binds them
+once to the buffer the parameters tile: a checkpoint's at :func:`restore`,
+zeros at its first :func:`adam_step` or :func:`flat_buffers` call. Nothing
+is re-packed: parameters that do not tile one buffer in dict order, or a
+``Tensor`` or ``.data`` replaced after binding, raise ShapeError before
+anything changes. The moment dicts are outputs: no step reads a moment from
+them.
 """
 
 from __future__ import annotations
@@ -92,10 +92,7 @@ class AdamState:
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
-    # The moment buffers restore gave, and the layout that binds them (or
-    # zeros) to the parameters at the first step or flat_buffers call.
-    _restored: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # The layout binding the moment buffers to the parameters' buffer.
     _flat: "_FlatLayout | None" = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -120,11 +117,12 @@ class _FlatLayout:
         self.blocks = []
         block = []
         lo = hi = 0
+        start = _address(param_buf)
         for name, p in params.items():
             data, size = p.data, p.data.size
             if (data.base is not param_buf or data.dtype != np.float64
                     or not data.flags.c_contiguous or not data.flags.writeable
-                    or _address(data) != _address(param_buf) + hi * data.itemsize):
+                    or _address(data) != start + hi * data.itemsize):
                 raise ShapeError(f"adam: parameter '{name}' is not the next view "
                                  f"of the parameters' flat buffer")
             if block and hi + size - lo > BLOCK_ELEMENTS:
@@ -147,7 +145,7 @@ def _bound_layout(params: dict[str, Tensor], state: AdamState) -> _FlatLayout:
     none yet; ShapeError unless ``params`` hold its views."""
     layout = state._flat
     if layout is None:
-        layout = state._flat = _FlatLayout(params, *(state._restored or ()))
+        layout = state._flat = _FlatLayout(params)
     elif len(params) != len(layout.entries) or any(
             getattr(params.get(name), "data", None) is not data
             for name, data, _, _ in layout.entries):
@@ -168,12 +166,12 @@ def flat_buffers(params: dict[str, Tensor], state: AdamState
 def restore(params: dict[str, Tensor], state: AdamState, m: np.ndarray,
             v: np.ndarray, moments: list[str]) -> None:
     """Give a fresh ``state`` the moment buffers ``m`` and ``v``, laid out as
-    ``params`` tile their buffer (say, read from a checkpoint). The
-    parameters named in ``moments`` enter the moment dicts and the others'
-    parts are zeroed; the first step or flat_buffers call binds them."""
-    if state._flat is not None or state._restored is not None:
+    ``params`` tile their buffer (say, read from a checkpoint), and bind
+    them to that buffer. The parameters named in ``moments`` enter the
+    moment dicts and the others' parts are zeroed."""
+    if state._flat is not None:
         raise ShapeError("adam: restore into an optimizer already bound")
-    state._restored, moments = (m, v), set(moments)
+    state._flat, moments = _FlatLayout(params, m, v), set(moments)
     shapes = {name: p.data.shape for name, p in params.items()}
     for moment_dict, buffer in ((state.first_moment, m), (state.second_moment, v)):
         for name, view in _views(buffer, shapes).items():

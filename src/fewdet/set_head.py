@@ -51,7 +51,8 @@ class Weights:
 @dataclass
 class DetectionOutput:
     boxes: Tensor            # (M, 4) normalized (cx, cy, w, h), sigmoid outputs
-    position_probs: Tensor   # (M, N) independent sigmoid per support position
+    position_probs: Tensor   # (M, N) sigmoid per support position; a value
+                             # outside the graph (matching, decoding)
     position_logits: Tensor  # (M, N) pre-sigmoid logits, used by the loss
 
     def __post_init__(self):
@@ -61,10 +62,6 @@ class DetectionOutput:
         if self.position_probs.shape != self.position_logits.shape \
                 or self.position_probs.shape[0] != m:
             raise ShapeError("position probability/logit shapes disagree")
-
-    @property
-    def num_queries(self) -> int:
-        return self.boxes.shape[0]
 
 
 @dataclass

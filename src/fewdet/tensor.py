@@ -209,14 +209,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -226,15 +220,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x) -> Tensor:
@@ -296,11 +281,6 @@ def div(a, b) -> Tensor:
         a.data / b.data, (a, b),
         lambda g: (_unbroadcast(g / b.data, a.shape),
                    _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor._result(-a.data, (a,), lambda g: (-g,))
 
 
 # -- linear algebra ---------------------------------------------------------------

@@ -87,9 +87,10 @@ class TestUsageErrors:
         ("benchmark", "capacity", 1),
         ("training", "eval_start_index", -1),
         ("training", "overfit_episode", -1),
+        ("model", "heads", 0),
     ], ids=["float-steps", "bool-steps", "float-grid-rows", "negative-eval-episodes",
             "zero-log-interval", "zero-d", "d-not-multiple-of-4", "capacity-one",
-            "negative-eval-start-index", "negative-overfit-episode"])
+            "negative-eval-start-index", "negative-overfit-episode", "heads-zero"])
     def test_bad_integer_setting_exits_1(self, fast_config, tmp_path, capsys,
                                          section, key, value):
         cfg = yaml.safe_load(fast_config.read_text())

@@ -1,9 +1,14 @@
+import dataclasses
+
 import pytest
 import yaml
 
-from fewdet.config import (DERIVED_MODEL_KEYS, RunConfig, load_run_config,
-                           run_config_from_dict, run_config_to_dict)
+from fewdet.config import (DERIVED_MODEL_KEYS, RunConfig, TrainingConfig,
+                           load_run_config, run_config_from_dict,
+                           run_config_to_dict)
+from fewdet.episodes import BenchmarkSpec
 from fewdet.errors import ConfigError
+from fewdet.model import ModelConfig
 
 
 def test_defaults_construct():
@@ -101,3 +106,21 @@ def test_ablate_seed_that_is_not_a_seed_is_refused(tmp_path, seeds, bad):
     path.write_text(yaml.safe_dump({"ablate_seeds": seeds}))
     with pytest.raises(ConfigError, match=bad):
         load_run_config(str(path))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param(section, f.name, value, id=f"{section}.{f.name}={value}")
+    for section, cls in (("model", ModelConfig), ("benchmark", BenchmarkSpec),
+                         ("training", TrainingConfig))
+    for f in dataclasses.fields(cls)
+    if f.type in ("int", "int | None", "float") and not (
+        section == "model" and f.name in DERIVED_MODEL_KEYS)
+    for value in (0, -1)])
+def test_numeric_setting_loads_or_is_a_config_error(section, key, value):
+    """Each int or float setting a file may give, set alone to 0 or -1,
+    loads or raises ConfigError: a range check never trips over a value it
+    has not checked yet (``heads: 0`` once divided by zero)."""
+    try:
+        run_config_from_dict({section: {key: value}})
+    except ConfigError:
+        pass

@@ -235,31 +235,53 @@ def test_full_loss_gradient_matches_finite_differences():
     assert not failures, [f"{r.name}: {r.max_rel_error}" for r in failures]
 
 
-def test_default_train_step_graph_node_budget(monkeypatch):
-    """One default +OBD+OOD train step records at most 87 autodiff graph
-    nodes: attention, layer norm, the two set-loss terms, every FFN block,
-    affine map (``linear``, and ``concat_linear`` for the query layers'
-    fusion), transposed projection (``matmul_t``) and support-sequence
-    realization (``project_rows``, key or value side) are one node per
-    call."""
+def recorded_train_step_nodes(monkeypatch, variant: str):
+    """The autodiff graph nodes one default train step of ``variant``
+    records on train episode 0 (its view at step 0 in single-class mode),
+    held past the step, and that episode."""
     from fewdet import tensor as T
     from fewdet.config import RunConfig
 
     run = RunConfig()
-    cfg = ablation_variant(run.resolved_model(), "+OBD+OOD")
+    cfg = ablation_variant(run.resolved_model(), variant)
     state = init_model_state(cfg)
-    episode = generate_episode(run.benchmark, 0, "train")
+    episode = training_episode(generate_episode(run.benchmark, 0, "train"), cfg, 0)
     result = T.Tensor._result
     nodes = []
 
-    def counting(data, parents, backward):
+    def recording(data, parents, backward):
         out = result(data, parents, backward)
-        nodes.append(out._backward is not None)
+        if out._backward is not None:
+            nodes.append(out)
         return out
 
-    monkeypatch.setattr(T.Tensor, "_result", staticmethod(counting))
+    monkeypatch.setattr(T.Tensor, "_result", staticmethod(recording))
     train_step(episode, state, AdamState(learning_rate=cfg.learning_rate), cfg)
-    assert 0 < sum(nodes) <= 87
+    return nodes, episode
+
+
+def test_default_train_step_graph_node_budget(monkeypatch):
+    """One default +OBD+OOD train step records at most 86 autodiff graph
+    nodes: attention, layer norm, the two set-loss terms, every FFN block,
+    affine map (``linear``, and ``concat_linear`` for the query layers'
+    fusion), transposed projection (``matmul_t``) and support-sequence
+    realization (``project_rows``, key or value side) are one node per
+    call, and the class probabilities are values outside the graph."""
+    nodes, _ = recorded_train_step_nodes(monkeypatch, "+OBD+OOD")
+    assert 0 < len(nodes) <= 86
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_step_backward_walks_every_recorded_node(monkeypatch, variant):
+    """On an episode with ground truth, backward consumes every node the
+    step recorded: no node is built for a value that no gradient flows
+    through. Out of scope: a single-class view with no ground truth, whose
+    box loss is a constant, so its box-head nodes are never walked."""
+    from fewdet.tensor import _consumed
+
+    nodes, episode = recorded_train_step_nodes(monkeypatch, variant)
+    assert len(episode.labels) >= 1
+    assert nodes and [n.shape for n in nodes if n._backward is not _consumed] == []
 
 
 def test_backward_frees_the_graph_it_walks():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,12 +43,12 @@ class TestInfoNce:
         assert loss.item() == pytest.approx(np.log(1 + np.e ** -1), abs=1e-9)
 
     def test_temperature_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            space(np.eye(2), temperature=0.0)
+        for temperature in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="temperature must be finite"):
+                space(np.eye(2), temperature=temperature)
         s = space(np.eye(2), temperature=1.0)
-        s.temperature = -1.0  # mutated after construction
-        with pytest.raises(ConfigError):
-            infonce_loss(feats(np.eye(2)), s, [0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.temperature = -1.0  # the one check ran at construction
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):

@@ -256,6 +256,30 @@ def test_restore_zeroes_moments_of_parameters_without_them():
         restore(params, state, m, v, [])
 
 
+@pytest.mark.parametrize("built", ["separate", "reordered"])
+def test_restore_into_parameters_that_do_not_tile_one_buffer_fails_at_once(built):
+    """Restore binds the optimizer itself, so parameters it cannot bind
+    raise ShapeError at restore, not at the first step, and neither the
+    moment buffers nor the state change."""
+    rng = np.random.default_rng(11)
+    values = _random_params(rng)
+    if built == "separate":
+        params = {n: Tensor(x, requires_grad=True) for n, x in values.items()}
+    else:
+        params = dict(reversed(flat(values).items()))
+    size = sum(x.size for x in values.values())
+    m, v = rng.normal(size=size), np.abs(rng.normal(size=size))
+    m0, v0 = m.copy(), v.copy()
+    state = AdamState()
+    with pytest.raises(ShapeError, match="not views tiling one flat|not the next view"):
+        restore(params, state, m, v, ["a"])
+    assert not state.first_moment and not state.second_moment
+    assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
+    params = flat(values)
+    restore(params, state, m, v, ["a"])  # the state is still fresh
+    assert flat_buffers(params, state)[1] is m
+
+
 def _snapshot(params, state):
     return ({n: p.data.copy() for n, p in params.items()},
             {n: m.copy() for n, m in state.first_moment.items()},

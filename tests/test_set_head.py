@@ -53,7 +53,7 @@ def decode_reference(out, s, score_threshold):
     if not class_positions:
         return []
     detections = []
-    for q in range(out.num_queries):
+    for q in range(out.boxes.shape[0]):
         row = out.position_probs.data[q, class_positions]
         best = int(np.argmax(row))
         score = float(row[best])
