@@ -8,13 +8,7 @@ Container layout (all integers little-endian):
 A checkpoint wraps one container together with a JSON config record:
   magic "FDCK" | u32 version | u32 json length | JSON bytes | container
 
-A run checkpoint (``fewdet.harness``) is such a file holding three tensors,
-``params``, ``adam.m`` and ``adam.v``: each one whole 1-D buffer laid out as
-the model config lays out its parameters, so each is written from a view of
-the live buffer and read back with one ``readinto``. The name and offset of
-every parameter come from the config record, not from the file. That is the
-only run-checkpoint layout read: a file of the per-parameter layout (a
-tensor per parameter and per Adam moment) is refused.
+A run checkpoint is such a file; :mod:`fewdet.harness` says what it holds.
 
 Checkpoints and episode files are both parsed through :class:`Reader`, which
 reads both formats unchanged. Every malformed input is a CorruptionError that
@@ -29,7 +23,6 @@ import json
 import math
 import os
 import struct
-from typing import Callable
 
 import numpy as np
 
@@ -53,15 +46,14 @@ class Reader:
     def error(self, field: str, problem: str) -> CorruptionError:
         return CorruptionError(f"{self.artifact}: {field}: {problem}")
 
-    def read(self, n: int, field: str, into: np.ndarray | None = None) -> bytes | None:
-        """``n`` bytes, or None once they are read into the buffer ``into``."""
+    def read(self, n: int, field: str) -> bytes:
+        self._take(n, field)
+        return self.fh.read(n)
+
+    def _take(self, n: int, field: str) -> None:
         if n > self.left:
             raise self.error(field, f"truncated ({n} bytes needed, {self.left} left)")
         self.left -= n
-        if into is None:
-            return self.fh.read(n)
-        self.fh.readinto(memoryview(into).cast("B"))
-        return None
 
     def unpack(self, fmt: str, field: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), field))
@@ -83,22 +75,22 @@ class Reader:
         except (ValueError, RecursionError) as exc:
             raise self.error(field, f"not JSON: {exc}") from exc
 
-    def array(self, dtype: str, shape: tuple[int, ...], field: str,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """A writable ``shape`` array of ``dtype`` values in row-major order:
-        ``out`` itself, read straight into, when it is a C-contiguous array
-        of that dtype and shape."""
+    def array(self, dtype: str, shape: tuple[int, ...], field: str) -> np.ndarray:
+        """A fresh ``shape`` array of ``dtype`` values in row-major order,
+        read into with one ``readinto``: the length is checked against the
+        file before the array is allocated, and a read that returns fewer
+        bytes is a truncation."""
         dt = np.dtype(dtype)
         n = dt.itemsize * math.prod(shape)
-        if (out is not None and out.dtype == dt and out.shape == tuple(shape)
-                and out.flags.c_contiguous and out.flags.writeable):
-            self.read(n, field, out)
-            return out
-        raw = self.read(n, field)
+        self._take(n, field)
         try:
-            return np.frombuffer(raw, dt).reshape(shape).copy()
-        except ValueError as exc:
+            out = np.empty(shape, dt)
+        except ValueError as exc:  # no values, but an extent past numpy's limit
             raise self.error(field, f"shape {shape} does not decode: {exc}") from exc
+        got = self.fh.readinto(out.reshape(-1).view(np.uint8))
+        if got != n:
+            raise self.error(field, f"truncated ({n} bytes needed, {got} read)")
+        return out
 
     def end(self) -> None:
         if self.left:
@@ -120,7 +112,7 @@ def _container_chunks(tensors: dict[str, np.ndarray]) -> list:
     return chunks + [b"".join(head)]
 
 
-def _read_container(r: Reader, into: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _read_container(r: Reader) -> dict[str, np.ndarray]:
     r.magic(_TENSOR_MAGIC, "tensor container magic")
     version, count = r.unpack("<II", "tensor container header")
     if version != _VERSION:
@@ -133,7 +125,7 @@ def _read_container(r: Reader, into: dict[str, np.ndarray]) -> dict[str, np.ndar
             raise r.error(f"tensor {i} name", f"duplicate name '{name}'")
         (rank,) = r.unpack("<I", f"rank of '{name}'")
         extents = r.unpack(f"<{rank}Q", f"extents of '{name}'")
-        tensors[name] = r.array("<f8", extents, f"values of '{name}'", into.get(name))
+        tensors[name] = r.array("<f8", extents, f"values of '{name}'")
     return tensors
 
 
@@ -169,13 +161,9 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
     _write_atomic(path, header, *_container_chunks(tensors))
 
 
-def load_checkpoint(path, into: Callable[[dict], dict[str, np.ndarray]] | None = None
-                    ) -> tuple[dict, dict[str, np.ndarray]]:
-    """The config record and the tensors of a checkpoint. ``into``, if
-    given, is called with the config record and returns arrays by tensor
-    name: a tensor of that name whose shape matches is read straight into
-    its array, which the returned dict then holds. Other tensors get arrays
-    of their own."""
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The config record and the tensors of a checkpoint, each tensor a
+    fresh array of its own; the record is not interpreted here."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -187,6 +175,6 @@ def load_checkpoint(path, into: Callable[[dict], dict[str, np.ndarray]] | None =
         if version != _VERSION:
             raise r.error("header", f"unsupported version {version}")
         config = r.json(json_len, "config record")
-        tensors = _read_container(r, into(config) if into else {})
+        tensors = _read_container(r)
         r.end()
     return config, tensors

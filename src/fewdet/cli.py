@@ -7,8 +7,10 @@ configuration) and the flags listed with it; any other flag is a usage error.
              a checkpoint: --seed --out --variant --checkpoint (resume, with
              the checkpoint's settings; a --seed or --variant that differs
              from the checkpoint's, or a --config whose settings but out_dir
-             differ from its run's, exits 1). The log first loses its rows
-             from the run's first step on, so each step appears once
+             differ from its run's, exits 1); a resume given neither --out nor
+             --config writes into the checkpoint's directory. The log first
+             loses its rows from the run's first step on, so each step
+             appears once
   eval       metric report for a checkpoint, on its settings unless --config
              is given: --out --checkpoint --episodes; exits 1 when the
              benchmark's feature_dim is not the checkpoint's input_dim
@@ -173,6 +175,8 @@ def cmd_train(args) -> int:
             raise ConfigError("--config gives %s %r, the checkpoint's run has %r"
                               % differs)
         run = prev_run
+        if args.out is None and args.config is None:
+            out = Path(args.checkpoint).parent
     else:
         cfg = ablation_variant(run.resolved_model(), args.variant or "+OBD+OOD")
     out.mkdir(parents=True, exist_ok=True)

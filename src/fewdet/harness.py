@@ -19,13 +19,16 @@ one layout :func:`load_run_checkpoint` reads. A record without
 moment) is a CorruptionError naming that layout. So is a key that older
 records carried and no setting has now (a retired ``training`` key, a
 derived ``model`` key, an ``adam`` key other than ``step_count``); the
-error names the key.
+error names the key. The record is checked against the buffers the file
+holds before anything is sized from it, and the loaded ``params`` buffer
+is the one the parameters view.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -206,46 +209,35 @@ def _parse_run_config(path, config: dict
 
 
 def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
-    parsed = []
-
-    def into(config: dict) -> dict[str, np.ndarray]:
-        # The config record comes before the tensors, so they are read
-        # straight into the three buffers, laid out as init_model_state lays
-        # them out.
-        run, cfg, step, opt, moments = _parse_run_config(path, config)
-        shapes = parameter_shapes(cfg)
-        seen: set[str] = set()
-        for name in moments:
-            if name not in shapes:
-                raise CorruptionError(f"{path}: moments: '{name}' is not a parameter")
-            if name in seen:
-                raise CorruptionError(f"{path}: moments: '{name}' appears twice")
-            seen.add(name)
-        param_buf, params = flat_views(shapes, zeroed=False)
-        slots = dict(zip(_BUFFERS, (param_buf, np.empty(param_buf.size),
-                                    np.empty(param_buf.size))))
-        parsed.extend((run, cfg, step, opt, moments, params, slots))
-        return slots
-
-    _, tensors = load_checkpoint(path, into)
-    run, cfg, step, opt, moments, params, slots = parsed
-    missing = sorted(set(slots) - set(tensors))
-    extra = sorted(set(tensors) - set(slots))
+    config, tensors = load_checkpoint(path)
+    run, cfg, step, opt, moments = _parse_run_config(path, config)
+    shapes = parameter_shapes(cfg)
+    seen: set[str] = set()
+    for name in moments:
+        if name not in shapes:
+            raise CorruptionError(f"{path}: moments: '{name}' is not a parameter")
+        if name in seen:
+            raise CorruptionError(f"{path}: moments: '{name}' appears twice")
+        seen.add(name)
+    missing = sorted(set(_BUFFERS) - set(tensors))
+    extra = sorted(set(tensors) - set(_BUFFERS))
     if missing or extra:
         raise CorruptionError(f"{path}: tensor names do not match config "
                               f"(missing {missing}, unexpected {extra})")
-    for name, arr in tensors.items():
-        if arr.shape != slots[name].shape:
-            raise CorruptionError(f"{path}: '{name}' has shape {arr.shape}, "
-                                  f"the config gives {slots[name].shape}")
-        if arr is not slots[name]:  # not read in place (a big-endian host)
-            slots[name][...] = arr
+    size = (sum(map(math.prod, shapes.values())),)
+    for name in _BUFFERS:
+        if tensors[name].shape != size:
+            raise CorruptionError(f"{path}: '{name}' has shape {tensors[name].shape}, "
+                                  f"the config gives {size}")
+    # Native float64 (a copy on a big-endian host only); the loaded params
+    # buffer is the one the parameters view.
+    param_buf, m, v = (np.asarray(tensors[name], dtype=np.float64) for name in _BUFFERS)
+    state = ModelState({name: Tensor.parameter(view)
+                        for name, view in flat_views(param_buf, shapes).items()}, cfg)
     # Moments may cover only some parameters: one that never had a gradient
     # (the baseline's background token) has none, and restore zeroes its
     # part of the moment buffers.
-    state = ModelState({name: Tensor.parameter(view) for name, view in params.items()},
-                       cfg)
-    restore(state.params, opt, slots["adam.m"], slots["adam.v"], moments)
+    restore(state.params, opt, m, v, moments)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
 

@@ -58,17 +58,10 @@ EPSILON = 1e-8
 BLOCK_ELEMENTS = 32768
 
 
-def flat_views(shapes: dict[str, tuple[int, ...]], zeroed: bool = True
-               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A 1-D float64 buffer, zeroed unless ``zeroed`` is false, and, by
-    name, writable C-contiguous views of the given shapes that tile it in
-    the order of ``shapes``."""
-    buffer = (np.zeros if zeroed else np.empty)(sum(map(math.prod, shapes.values())))
-    return buffer, _views(buffer, shapes)
-
-
-def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]
-           ) -> dict[str, np.ndarray]:
+def flat_views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]
+               ) -> dict[str, np.ndarray]:
+    """By name, writable C-contiguous views of the given shapes that tile
+    the 1-D ``buffer`` in the order of ``shapes``."""
     views, start = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
@@ -82,8 +75,9 @@ def flat_parameters(shapes: dict[str, tuple[int, ...]], zeroed: bool = True
     """Parameters of the given shapes, each ``.data`` a view into one buffer
     (zeroed unless ``zeroed`` is false); callers write their initial values
     into the views."""
-    _, views = flat_views(shapes, zeroed)
-    return {name: Tensor.parameter(view) for name, view in views.items()}
+    buffer = (np.zeros if zeroed else np.empty)(sum(map(math.prod, shapes.values())))
+    return {name: Tensor.parameter(view)
+            for name, view in flat_views(buffer, shapes).items()}
 
 
 @dataclass
@@ -174,7 +168,7 @@ def restore(params: dict[str, Tensor], state: AdamState, m: np.ndarray,
     state._flat, moments = _FlatLayout(params, m, v), set(moments)
     shapes = {name: p.data.shape for name, p in params.items()}
     for moment_dict, buffer in ((state.first_moment, m), (state.second_moment, v)):
-        for name, view in _views(buffer, shapes).items():
+        for name, view in flat_views(buffer, shapes).items():
             if name in moments:
                 moment_dict[name] = view
             else:

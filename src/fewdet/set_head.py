@@ -22,7 +22,7 @@ matched boxes, whose GIoU is :func:`fewdet.metrics.giou`'s arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class GroundTruth:
 @dataclass
 class MatchResult:
     pairs: list[tuple[int, int]]
-    unmatched_queries: list[int] = field(default_factory=list)
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,18 +163,18 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     """Minimum-cost assignment of queries (rows) to ground truths (columns).
 
     Matches min(M, G) pairs at the minimum total cost: the optimum of one
-    :func:`linear_sum_assignment` solve, pairs in ascending query order and
-    ``unmatched_queries`` ascending. The result is deterministic for the given
-    cost values; among equally cheap assignments it is the solver's pick, not
-    a canonical one. When G > M (more ground truths than queries) the
-    cheapest M ground truths are matched and a diagnostic warning is emitted.
+    :func:`linear_sum_assignment` solve, pairs in ascending query order.
+    The result is deterministic for the given cost values; among equally
+    cheap assignments it is the solver's pick, not a canonical one. When
+    G > M (more ground truths than queries) the cheapest M ground truths are
+    matched and a diagnostic warning is emitted.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeError(f"cost must be 2-d, got {cost.shape}")
     m, g = cost.shape
     if g == 0:
-        return MatchResult(pairs=[], unmatched_queries=list(range(m)))
+        return MatchResult(pairs=[])
     if not np.isfinite(cost).all():
         raise NumericError("hungarian_match: non-finite cost entries")
     if g > m:
@@ -183,10 +182,7 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
                       f"matching the {m} cheapest", RuntimeWarning)
 
     rows, cols = linear_sum_assignment(cost)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    matched_q = {q for q, _ in pairs}
-    unmatched = [q for q in range(m) if q not in matched_q]
-    return MatchResult(pairs=pairs, unmatched_queries=unmatched)
+    return MatchResult(pairs=list(zip(rows.tolist(), cols.tolist())))
 
 
 def match_cost(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,

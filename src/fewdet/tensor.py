@@ -218,9 +218,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -272,15 +269,6 @@ def mul(a, b) -> Tensor:
     return Tensor._result(
         a.data * b.data, (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b, "div")
-    return Tensor._result(
-        a.data / b.data, (a, b),
-        lambda g: (_unbroadcast(g / b.data, a.shape),
-                   _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 # -- linear algebra ---------------------------------------------------------------

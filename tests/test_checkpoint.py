@@ -1,4 +1,6 @@
 import hashlib
+import io
+import json
 import re
 import struct
 
@@ -160,6 +162,18 @@ def test_deeply_nested_config_record_is_corrupt(tmp_path):
     path = tmp_path / "nested.fdck"
     path.write_bytes(b"FDCK" + struct.pack("<II", 1, len(payload)) + payload)
     with pytest.raises(CorruptionError, match="config record: not JSON"):
+        load_checkpoint(path)
+
+
+def test_empty_tensor_with_an_extent_past_numpy_is_corrupt(tmp_path):
+    """Zero values need no bytes, but an extent numpy cannot allocate is
+    still refused by name, not raised as numpy's ValueError."""
+    payload = b"{}"
+    path = tmp_path / "extent.fdck"
+    path.write_bytes(b"FDCK" + struct.pack("<II", 1, len(payload)) + payload
+                     + b"FDNT" + struct.pack("<III", 1, 1, 1) + b"w"
+                     + struct.pack("<I2Q", 2, 0, 2 ** 63))
+    with pytest.raises(CorruptionError, match=r"values of 'w': shape .* does not decode"):
         load_checkpoint(path)
 
 
@@ -479,6 +493,62 @@ def test_flat_checkpoint_that_does_not_fit_the_config_is_corrupt(
     path = tmp_path / "bad.fdck"
     save_checkpoint(path, config, tensors)
     with pytest.raises(CorruptionError, match=re.escape(offender)):
+        load_run_checkpoint(path)
+
+
+def _rewrite_config_record(path, change) -> None:
+    """Apply ``change`` to the config record of the checkpoint at ``path``
+    and rewrite the record and its length prefix; the tensors' bytes stay
+    as they are."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
+    config = json.loads(blob[12:12 + length])
+    change(config)
+    record = json.dumps(config, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(record)) + record
+                     + blob[12 + length:])
+
+
+def test_config_larger_than_the_buffers_is_corrupt(tmp_path, tiny_trained, capsys):
+    """A config record whose model is far larger than the buffers the file
+    holds is refused before anything is sized from it: a CorruptionError,
+    exit 3 from the CLI, not a failed allocation."""
+    from fewdet.cli import main
+    from fewdet.harness import load_run_checkpoint, save_run_checkpoint
+
+    path = tmp_path / "huge.fdck"
+    save_run_checkpoint(path, *tiny_trained)
+    _rewrite_config_record(path, lambda config: config["variant_model"].update(
+        d=4_000_000))
+    with pytest.raises(CorruptionError, match="'params' has shape"):
+        load_run_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "'params' has shape" in err
+
+
+class _ShortReads(io.BufferedReader):
+    """A file whose ``readinto`` fills all but the last byte it is asked
+    for, as a file cut short while it is read would."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:-1])
+
+
+def test_short_read_is_corrupt(tmp_path, tiny_trained, monkeypatch):
+    """A read that returns fewer bytes than it asked for is a truncation
+    that names the field, not values left as they were."""
+    from fewdet import checkpoint
+    from fewdet.harness import load_run_checkpoint, save_run_checkpoint
+
+    path = tmp_path / "run.fdck"
+    save_run_checkpoint(path, *tiny_trained)
+    monkeypatch.setattr(checkpoint, "open", raising=False,
+                        value=lambda name, mode: _ShortReads(io.FileIO(name, mode[0])))
+    with pytest.raises(CorruptionError, match=re.escape(
+            f"checkpoint {path}: values of 'adam.m': truncated")):
         load_run_checkpoint(path)
 
 

@@ -235,6 +235,31 @@ class TestTrainEval:
         assert steps == [0, 2, 4, 6, 7]
         assert log_path.read_bytes() == uninterrupted
 
+    def test_resume_without_out_or_config_writes_beside_the_checkpoint(
+            self, fast_config, tmp_path, capsys, monkeypatch):
+        """A resume given neither --out nor --config continues the run in
+        the checkpoint's directory, not under the working directory."""
+        import dataclasses
+        from fewdet.harness import (load_run_checkpoint, save_run_checkpoint,
+                                    train_run)
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        ckpt = tmp_path / "out" / "checkpoint.fdck"
+        log_path = tmp_path / "out" / "train_log.jsonl"
+        uninterrupted, finished = log_path.read_bytes(), ckpt.read_bytes()
+        run, full = load_run_checkpoint(ckpt)
+        head = dataclasses.replace(run, training=dataclasses.replace(
+            run.training, steps=4, fine_tune_steps=0))
+        save_run_checkpoint(ckpt, run, train_run(head, cfg=full.cfg))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("train", "--checkpoint", str(ckpt)) == 0
+        assert list(elsewhere.iterdir()) == []
+        steps = [json.loads(line)["step"] for line in log_path.read_text().splitlines()]
+        assert steps == [0, 2, 4, 6, 7]
+        assert log_path.read_bytes() == uninterrupted
+        assert ckpt.read_bytes() == finished
+
     def test_resume_onto_a_log_with_a_torn_row_exits_3(self, fast_config, tmp_path,
                                                         capsys):
         run_cli("train", "--config", str(fast_config))

@@ -27,6 +27,12 @@ def brute_force_min(cost: np.ndarray) -> float:
     return min(sum(cost[q, j] for q, j in assignment) for assignment in assignments)
 
 
+def unmatched_queries(match, m):
+    """The queries of an (m, G) match that no pair holds, ascending."""
+    matched = {q for q, _ in match.pairs}
+    return [q for q in range(m) if q not in matched]
+
+
 def random_cost(rng, m, g, kind):
     """Continuous costs, or tie-heavy ones: small integers, or continuous
     rows duplicated so that whole queries are interchangeable."""
@@ -76,7 +82,7 @@ class TestHungarian:
         cost = np.array([[0.0, 9, 9], [9, 0, 9], [9, 9, 0]])
         match = hungarian_match(cost)
         assert match.pairs == [(0, 0), (1, 1), (2, 2)]
-        assert match.unmatched_queries == []
+        assert unmatched_queries(match, 3) == []
 
     def test_spec_two_by_two(self):
         match = hungarian_match(np.array([[0.0, 1.0], [0.0, 2.0]]))
@@ -88,13 +94,13 @@ class TestHungarian:
 
     def test_empty_gt(self):
         match = hungarian_match(np.zeros((3, 0)))
-        assert match.pairs == [] and match.unmatched_queries == [0, 1, 2]
+        assert match.pairs == [] and unmatched_queries(match, 3) == [0, 1, 2]
 
     def test_rectangular_more_queries(self):
         cost = np.array([[5.0, 5.0], [0.0, 5.0], [5.0, 0.0]])
         match = hungarian_match(cost)
         assert sorted(match.pairs) == [(1, 0), (2, 1)]
-        assert match.unmatched_queries == [0]
+        assert unmatched_queries(match, 3) == [0]
 
     def test_more_gts_than_queries_warns_and_matches_cheapest(self):
         cost = np.array([[0.0, 5.0, 1.0]])
@@ -131,7 +137,7 @@ class TestHungarian:
         assert queries == sorted(set(queries))
         assert len(set(columns)) == len(columns)
         assert len(match.pairs) == min(m, g)
-        assert match.unmatched_queries == sorted(set(range(m)) - set(queries))
+        assert unmatched_queries(match, m) == sorted(set(range(m)) - set(queries))
 
     @pytest.mark.parametrize("shape", [(100, 12), (25, 4), (6, 6), (3, 8)])
     def test_unique_optimum_needs_one_solve(self, monkeypatch, shape):
@@ -155,7 +161,7 @@ class TestHungarian:
         match = hungarian_match(cost)
         rows, cols = scipy_lsa(cost)
         assert match.pairs == list(zip(rows.tolist(), cols.tolist()))
-        assert len(match.unmatched_queries) == shape[0] - shape[1]
+        assert len(unmatched_queries(match, shape[0])) == shape[0] - shape[1]
 
 
 class TestLinearSumAssignment:
@@ -242,7 +248,7 @@ class TestSetLoss:
         boxes = np.array([[0.5, 0.5, 0.2, 0.2]] * 3)
         out = output(probs, boxes)
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.2, 0.2]], labels=[3])
-        match = MatchResult(pairs=[(0, 0)], unmatched_queries=[1, 2])
+        match = MatchResult(pairs=[(0, 0)])
         loss, parts = set_loss(out, gt, seq, match, Weights())
         assert loss.item() < 1e-6
 
@@ -251,7 +257,7 @@ class TestSetLoss:
         probs = np.full((2, 2), 0.5)
         out = output(probs, np.full((2, 4), 0.5))
         gt = GroundTruth(boxes=np.zeros((0, 4)), labels=[])
-        match = MatchResult(pairs=[], unmatched_queries=[0, 1])
+        match = MatchResult(pairs=[])
         loss, parts = set_loss(out, gt, seq, match, Weights(cls=1.0))
         # all-0.5 probabilities: BCE is ln 2 per entry regardless of target
         assert loss.item() == pytest.approx(np.log(2.0), rel=1e-9)
@@ -266,7 +272,7 @@ class TestSetLoss:
         out = output(probs, boxes)
         gt_box = np.array([[0.4, 0.6, 0.25, 0.2]])
         gt = GroundTruth(boxes=gt_box, labels=[1])
-        match = MatchResult(pairs=[(2, 0)], unmatched_queries=[0, 1])
+        match = MatchResult(pairs=[(2, 0)])
         w = Weights(cls=2.0, l1=5.0, giou=2.0)
         loss, parts = set_loss(out, gt, seq, match, w)
 
@@ -299,7 +305,7 @@ class TestSetLoss:
         raw_boxes0 = rng.normal(size=(m, 4)) * 0.3
         gt = GroundTruth(boxes=[[0.4, 0.6, 0.25, 0.2], [0.7, 0.3, 0.2, 0.3]],
                          labels=[1, 0])
-        match = MatchResult(pairs=[(0, 1), (2, 0)], unmatched_queries=[1])
+        match = MatchResult(pairs=[(0, 1), (2, 0)])
         w = Weights()
 
         from fewdet.tensor import sigmoid
@@ -328,7 +334,7 @@ class TestSetLoss:
         seq = sequence([0], placeholders=1, rng=rng)
         logits, raw = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
         gt = GroundTruth(boxes=np.zeros((0, 4)), labels=[])
-        match = MatchResult(pairs=[], unmatched_queries=[0, 1, 2])
+        match = MatchResult(pairs=[])
 
         from fewdet.tensor import sigmoid
 
@@ -370,7 +376,7 @@ class TestSetLoss:
         rng = np.random.default_rng(8)
         seq = sequence([0], placeholders=1, rng=rng)
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.2, 0.2]], labels=[0])
-        match = MatchResult(pairs=[(0, 0)], unmatched_queries=[1])
+        match = MatchResult(pairs=[(0, 0)])
         pos = seq.position_of_class(0)
         w = Weights()
         boxes = np.full((2, 4), 0.5)
@@ -413,7 +419,7 @@ class TestBceWithLogits:
         probs = rng.uniform(0.05, 0.95, size=(4, 3))
         out = output(probs, random_boxes(rng, 4))
         gt = GroundTruth(boxes=random_boxes(rng, 2), labels=[1, 0])
-        match = MatchResult(pairs=[(1, 1), (3, 0)], unmatched_queries=[0, 2])
+        match = MatchResult(pairs=[(1, 1), (3, 0)])
         w = Weights(cls=1.7)
         _, parts = set_loss(out, gt, seq, match, w)
         targets = np.zeros((4, 3))
