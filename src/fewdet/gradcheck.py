@@ -1,6 +1,8 @@
-"""Gradient checking: reverse-mode gradients of every differentiable
-primitive, and of the full training loss on a micro model, against central
-finite differences. This is the numeric gate the CLI `gradcheck` verb runs.
+"""Gradient checking: reverse-mode gradients of every kind of node a
+training step records, each check named after the function that creates it
+(``attention.q``: :func:`attention` with respect to ``q``), and of the full
+training loss on a micro model, against central finite differences. This
+is the numeric gate the CLI `gradcheck` verb runs.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from . import ood, tensor as T
 from .episodes import BenchmarkSpec, generate_episode
 from .model import ModelConfig, compute_loss, init_model_state
 from .set_head import bce_with_logits, box_loss
@@ -52,13 +54,9 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     m = rng.normal(size=(5, 3))
     results = [
         _check("add", lambda t: t + Tensor(b), a),
-        _check("sub", lambda t: t - Tensor(b), a),
         _check("mul", lambda t: t * Tensor(b), a),
         _check("matmul", lambda t: T.matmul(t, Tensor(m)), a),
-        _check("sum_axis", lambda t: T.tsum(t, axis=1), a),
-        _check("mean", lambda t: T.tmean(t), a),
-        _check("exp", lambda t: T.exp(t), a),
-        _check("log", lambda t: T.log(t), np.abs(a) + 0.5),
+        _check("tsum", lambda t: T.tsum(t, axis=1), a),
         _check("sigmoid", lambda t: T.sigmoid(t), 3.0 * a),
         _check("silu", lambda t: T.silu(t), 3.0 * a),
         _check("take_rows", lambda t: T.take_rows(t, [3, 0, 2]), a),
@@ -87,6 +85,9 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
                                {"x": (3, 5), "w": (4, 5)}),
         "ffn_apply": (ffn, {"x": (4, 5), "w1": (5, 7), "b1": (7,), "w2": (7, 5),
                             "b2": (5,)}),
+        "infonce_loss": (lambda f, e: ood.infonce_loss(
+            ood.SupportClassFeatures(f), ood.ClassFeatureSpace(e, 0.5), [4, 1, 2]),
+                         {"features": (3, 5), "embeddings": (6, 5)}),
     }
     for op, (fn, shapes) in fused.items():
         inputs = {name: rng.normal(size=shape) for name, shape in shapes.items()}

@@ -42,7 +42,7 @@ from .episodes import Episode, generate_episode
 from .errors import ConfigError, CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
-                    forward, init_model_state, parameter_shapes, run_inference,
+                    forward, init_model_state, parameter_layout, run_inference,
                     train_step, training_episode)
 from .obd import background_attention_mass, head_average
 from .ood import min_interclass_separation
@@ -161,7 +161,7 @@ _BUFFERS = ("params", "adam.m", "adam.v")
 def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]:
     params, opt = result.state.params, result.opt
     if ([(name, p.data.shape) for name, p in params.items()]
-            != list(parameter_shapes(result.cfg).items())):
+            != list(parameter_layout(result.cfg))):
         raise ShapeError("checkpoint: the parameters are not the ones, in the "
                          "order, that the model config lays out")
     config = {"run": run_config_to_dict(run), "step": result.steps_done,
@@ -211,7 +211,20 @@ def _parse_run_config(path, config: dict
 def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
     config, tensors = load_checkpoint(path)
     run, cfg, step, opt, moments = _parse_run_config(path, config)
-    shapes = parameter_shapes(cfg)
+    missing = sorted(set(_BUFFERS) - set(tensors))
+    extra = sorted(set(tensors) - set(_BUFFERS))
+    if missing or extra:
+        raise CorruptionError(f"{path}: tensor names do not match config "
+                              f"(missing {missing}, unexpected {extra})")
+    # One entry at a time: no record sizes more than its file holds.
+    held = tensors["params"]
+    shapes, total = {}, 0
+    for name, shape in parameter_layout(cfg):
+        total += math.prod(shape)
+        if total > held.size:
+            raise CorruptionError(f"{path}: 'params' has shape {held.shape}, the "
+                                  f"config gives more than {held.size} values")
+        shapes[name] = shape
     seen: set[str] = set()
     for name in moments:
         if name not in shapes:
@@ -219,16 +232,10 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
         if name in seen:
             raise CorruptionError(f"{path}: moments: '{name}' appears twice")
         seen.add(name)
-    missing = sorted(set(_BUFFERS) - set(tensors))
-    extra = sorted(set(tensors) - set(_BUFFERS))
-    if missing or extra:
-        raise CorruptionError(f"{path}: tensor names do not match config "
-                              f"(missing {missing}, unexpected {extra})")
-    size = (sum(map(math.prod, shapes.values())),)
     for name in _BUFFERS:
-        if tensors[name].shape != size:
+        if tensors[name].shape != (total,):
             raise CorruptionError(f"{path}: '{name}' has shape {tensors[name].shape}, "
-                                  f"the config gives {size}")
+                                  f"the config gives {(total,)}")
     # Native float64 (a copy on a big-endian host only); the loaded params
     # buffer is the one the parameters view.
     param_buf, m, v = (np.asarray(tensors[name], dtype=np.float64) for name in _BUFFERS)

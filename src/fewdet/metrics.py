@@ -18,8 +18,8 @@ threshold: ``confusion_matrix`` reads it whole, each class's
 truths. Called on their own, they build the table of their own lists.
 
 Everything here is plain numpy on raw values. The training loss's box term
-(:func:`fewdet.set_head.box_loss`) repeats ``giou``'s arithmetic inside one
-autodiff node, and the tests hold the two bit-identical pair by pair.
+(:func:`fewdet.set_head.box_loss`) finishes ``giou``'s arithmetic on
+``box_overlap`` inside one autodiff node, bit-identical pair by pair.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return boxes[..., :2] - half, boxes[..., :2] + half
 
 
-def _overlap(a: np.ndarray, b: np.ndarray):
-    """Corners ``(lo, hi)`` of ``a`` and ``b`` plus their intersection and
-    union areas, broadcast over the leading axes. Every box must be finite
-    (else NumericError) with positive width and height (else ShapeError)."""
+def box_overlap(a: np.ndarray, b: np.ndarray):
+    """Corners ``(lo, hi)`` of ``a`` and ``b``, their intersection's extent
+    (0 if apart) and area, and their union's area, broadcast over leading
+    axes. Every box must be finite (else NumericError) with positive width
+    and height (else ShapeError)."""
     corners = []
     for boxes in (a, b):
         boxes = np.asarray(boxes, dtype=np.float64)
@@ -69,21 +70,21 @@ def _overlap(a: np.ndarray, b: np.ndarray):
     ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
     area_a = ext_a[..., 0] * ext_a[..., 1]
     area_b = ext_b[..., 0] * ext_b[..., 1]
-    return corners[0], corners[1], inter, area_a + area_b - inter
+    return corners[0], corners[1], wh, inter, area_a + area_b - inter
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection over union of (cx, cy, w, h) boxes, broadcast over the
     leading axes: two (4,) boxes give a scalar, ``a[:, None]`` against
     ``b[None]`` the (m, n) matrix."""
-    _, _, inter, union = _overlap(a, b)
+    _, _, _, inter, union = box_overlap(a, b)
     return inter / union
 
 
 def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU minus the normalized dead area of the smallest enclosing box,
     broadcast like :func:`iou`."""
-    (lo_a, hi_a), (lo_b, hi_b), inter, union = _overlap(a, b)
+    (lo_a, hi_a), (lo_b, hi_b), _, inter, union = box_overlap(a, b)
     wh_enc = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
     enclose = wh_enc[..., 0] * wh_enc[..., 1]
     return inter / union - (enclose - union) / enclose

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -132,47 +133,49 @@ class ModelState:
                                  temperature=self.cfg.temperature)
 
 
-def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape map; a function of the config alone so checkpoints can
-    be validated against it."""
+def parameter_layout(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each parameter in layout order, from the config
+    alone and one at a time, so a checkpoint reader can stop early."""
     d, h = cfg.d, 2 * cfg.d
-    shapes: dict[str, tuple[int, ...]] = {
-        "embed.weight": (cfg.input_dim, d),
-        "embed.bias": (d,),
-        "obd.background_token": (d,),
-        "ood.embeddings": (cfg.num_class_embeddings, d),
-        "queries.embed": (cfg.num_object_queries, d),
-        "queries.ref": (cfg.num_object_queries, 4),
-        "head.class.query_proj": (d, d),
-        "head.class.support_proj": (d, d),
-        "head.class.bias": (1,),
-        "head.box.w1": (d, h),
-        "head.box.b1": (h,),
-        "head.box.w2": (h, 4),
-        "head.box.b2": (4,),
-    }
+    yield "embed.weight", (cfg.input_dim, d)
+    yield "embed.bias", (d,)
+    yield "obd.background_token", (d,)
+    yield "ood.embeddings", (cfg.num_class_embeddings, d)
+    yield "queries.embed", (cfg.num_object_queries, d)
+    yield "queries.ref", (cfg.num_object_queries, 4)
+    yield "head.class.query_proj", (d, d)
+    yield "head.class.support_proj", (d, d)
+    yield "head.class.bias", (1,)
+    yield "head.box.w1", (d, h)
+    yield "head.box.b1", (h,)
+    yield "head.box.w2", (h, 4)
+    yield "head.box.b2", (4,)
     for i in range(cfg.encoder_layers):
-        shapes[f"obd.layer{i}.w1"] = (d, d)
-        shapes[f"obd.layer{i}.w2"] = (d, d)
-        shapes[f"obd.layer{i}.w3"] = (d, d)
-        shapes[f"obd.layer{i}.conv.kernel"] = (2 * d, d)
-        shapes[f"obd.layer{i}.conv.bias"] = (d,)
-        shapes[f"obd.layer{i}.ffn.w1"] = (d, h)
-        shapes[f"obd.layer{i}.ffn.b1"] = (h,)
-        shapes[f"obd.layer{i}.ffn.w2"] = (h, d)
-        shapes[f"obd.layer{i}.ffn.b2"] = (d,)
+        yield f"obd.layer{i}.w1", (d, d)
+        yield f"obd.layer{i}.w2", (d, d)
+        yield f"obd.layer{i}.w3", (d, d)
+        yield f"obd.layer{i}.conv.kernel", (2 * d, d)
+        yield f"obd.layer{i}.conv.bias", (d,)
+        yield f"obd.layer{i}.ffn.w1", (d, h)
+        yield f"obd.layer{i}.ffn.b1", (h,)
+        yield f"obd.layer{i}.ffn.w2", (h, d)
+        yield f"obd.layer{i}.ffn.b2", (d,)
     for j in range(cfg.decoder_layers):
         for attn in ("self", "cross"):
             for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"dec.layer{j}.{attn}.{w}"] = (d, d)
+                yield f"dec.layer{j}.{attn}.{w}", (d, d)
         for ln in ("ln1", "ln2", "ln3"):
-            shapes[f"dec.layer{j}.{ln}.gamma"] = (d,)
-            shapes[f"dec.layer{j}.{ln}.beta"] = (d,)
-        shapes[f"dec.layer{j}.ffn.w1"] = (d, h)
-        shapes[f"dec.layer{j}.ffn.b1"] = (h,)
-        shapes[f"dec.layer{j}.ffn.w2"] = (h, d)
-        shapes[f"dec.layer{j}.ffn.b2"] = (d,)
-    return shapes
+            yield f"dec.layer{j}.{ln}.gamma", (d,)
+            yield f"dec.layer{j}.{ln}.beta", (d,)
+        yield f"dec.layer{j}.ffn.w1", (d, h)
+        yield f"dec.layer{j}.ffn.b1", (h,)
+        yield f"dec.layer{j}.ffn.w2", (h, d)
+        yield f"dec.layer{j}.ffn.b2", (d,)
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape map of :func:`parameter_layout`, in its order."""
+    return dict(parameter_layout(cfg))
 
 
 def _reference_lattice(m: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Object-object distinguishing: a learnable per-class feature space and the
-temperature-scaled InfoNCE loss aligning support-branch class features with
-it. Pulling each class feature toward its own embedding and away from the
-others' increases inter-class distance."""
+temperature-scaled InfoNCE loss (arXiv 1807.03748), one autodiff node,
+aligning support-branch class features with it. Pulling each class feature
+toward its own embedding and away from the others' increases inter-class
+distance."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor, exp, log, matmul_t, take_rows, tmean, tsum
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,15 @@ class SupportClassFeatures:
 
 def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
                  class_ids: Sequence[int]) -> Tensor:
-    """Mean over classes of -log softmax similarity with the matching
-    embedding, the softmax ranging over the episode's selected rows only.
+    """Mean over the C classes of -log softmax similarity with the matching
+    embedding, the softmax ranging over the episode's selected rows W only,
+    as one graph node over the support features F and the embedding table.
 
-    Differentiable with respect to both the support features and the
-    embedding table.
+    Backward, with e the exponentials of the logits ``F @ W^T / tau`` less
+    their row max (a constant): ``ds = (g/C) / rowsum(e) * e - (g/C) * I``,
+    then :func:`fewdet.tensor.matmul_t`'s gradients of ``ds / tau``. Each
+    step repeats, in order, the arithmetic of the same loss built from
+    elementwise nodes, so the value and both gradients are bit-identical.
     """
     ids = list(class_ids)
     if len(set(ids)) != len(ids):
@@ -60,17 +65,33 @@ def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
         raise ShapeError(f"{c} feature rows but {len(ids)} class ids")
     if c < 1:
         raise ShapeError("infonce_loss requires at least one class")
+    features, table = f.features, t.embeddings
+    idx = np.asarray(ids, dtype=np.intp)
+    if (idx.min() < 0 or idx.max() >= table.shape[0]
+            or features.shape[1] != table.shape[1]):
+        raise ShapeError(f"class ids {ids} or features {features.shape} do not "
+                         f"fit embeddings {table.shape}")
 
-    selected = take_rows(t.embeddings, ids)
-    logits = matmul_t(f.features, selected) * (1.0 / t.temperature)
-    # Row-max subtraction (as a constant) keeps the exponentials bounded
-    # without changing the value or the gradient.
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    shifted = logits - shift
-    lse = log(tsum(exp(shifted), axis=1, keepdims=True))
-    diag = Tensor(np.eye(c))
-    matched = tsum(shifted * diag, axis=1, keepdims=True)
-    return tmean(lse - matched)
+    inv_t, inv_c = 1.0 / t.temperature, 1.0 / c
+    wt = table.data[idx].T.copy()
+    shifted = features.data @ wt
+    shifted *= inv_t
+    shifted -= shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    eye = np.eye(c)  # not np.diagonal: a -inf logit still makes its row NaN
+    loss =(np.log(s) - (shifted * eye).sum(axis=1, keepdims=True)).sum() * inv_c
+
+    def backward(g: np.ndarray):
+        gc = g * inv_c
+        ds = gc / s * e
+        ds += -gc * eye
+        ds *= inv_t
+        full = np.zeros_like(table.data)
+        full[idx] = 0.0 + (features.data.T @ ds).T
+        return (ds @ wt.T, full)
+
+    return Tensor._result(np.asarray(loss), (features, table), backward)
 
 
 def min_interclass_separation(f: SupportClassFeatures) -> float:

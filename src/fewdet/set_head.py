@@ -14,9 +14,9 @@ query. Among equally cheap assignments that optimum is the solver's pick: a
 function of the cost values alone, so the same matrix always gets the same
 pairs, but not a canonical one.
 
-The loss is two graph nodes with hand-derived backwards: ``bce_with_logits``
-for the classification term and ``box_loss`` for the L1 and GIoU terms of the
-matched boxes, whose GIoU is :func:`fewdet.metrics.giou`'s arithmetic.
+The set loss is one graph node per term, each with a hand-derived backward:
+``bce_with_logits`` for classification and ``box_loss`` for the L1 and GIoU
+of the matched boxes, on the geometry of :func:`fewdet.metrics.box_overlap`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .metrics import giou
+from .metrics import box_overlap, giou
 from .obd import SupportSequence
 from .tensor import Tensor
 
@@ -233,10 +233,11 @@ def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
     raises ShapeError) against the row-aligned ``gt_boxes``, each term
     averaged over the K pairs. Returns the
     ``w_l1 * l1 + w_giou * (1 - giou)`` tensor and its two terms as floats.
-    The GIoU repeats :func:`fewdet.metrics.giou`'s arithmetic, so each pair's
-    value is bit-identical to it. With no pairs both terms are 0 and the
-    result is a constant, so ``boxes`` gets no gradient (not a zero one, which
-    would still move Adam's moments).
+    The GIoU reads its corners, intersection and union (and box checks)
+    from :func:`fewdet.metrics.giou`'s helper, so each pair's value is
+    bit-identical to it. With no pairs both terms are 0 and the result is a
+    constant, so ``boxes`` gets no gradient (not a zero one, which would
+    still move Adam's moments).
 
     Hand-derived backward, with the subgradients at ties of the elementwise
     chain it replaces: ``min``/``max`` of a predicted and a target corner
@@ -260,17 +261,8 @@ def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
     diff = pred - gt_boxes
     box_part = np.abs(diff).sum(axis=1).sum() * inv_k * w_l1
 
-    # Corners as (x, y) column pairs, then metrics.giou's arithmetic.
-    lo_p = pred[:, :2] - pred[:, 2:] * 0.5
-    hi_p = pred[:, :2] + pred[:, 2:] * 0.5
-    lo_t = gt_boxes[:, :2] - gt_boxes[:, 2:] * 0.5
-    hi_t = gt_boxes[:, :2] + gt_boxes[:, 2:] * 0.5
-    overlap = np.minimum(hi_p, hi_t) - np.maximum(lo_p, lo_t)
-    inter_wh = np.maximum(overlap, 0.0)
-    inter = inter_wh[:, 0] * inter_wh[:, 1]
+    (lo_p, hi_p), (lo_t, hi_t), inter_wh, inter, union = box_overlap(pred, gt_boxes)
     size_p = hi_p - lo_p
-    size_t = hi_t - lo_t
-    union = size_p[:, 0] * size_p[:, 1] + size_t[:, 0] * size_t[:, 1] - inter
     enclose_wh = np.maximum(hi_p, hi_t) - np.minimum(lo_p, lo_t)
     enclose = enclose_wh[:, 0] * enclose_wh[:, 1]
     giou = inter / union - (enclose - union) / enclose
@@ -282,7 +274,7 @@ def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
         d_union = d_giou / enclose - d_giou * inter / (union * union)
         d_enclose = -d_giou * union / (enclose * enclose)
         d_inter = d_giou / union - d_union
-        d_overlap = (d_inter[:, None] * inter_wh[:, ::-1]) * (overlap > 0.0)
+        d_overlap = (d_inter[:, None] * inter_wh[:, ::-1]) * (inter_wh > 0.0)
         d_size = d_union[:, None] * size_p[:, ::-1]
         d_enclose_wh = d_enclose[:, None] * enclose_wh[:, ::-1]
         d_hi = d_size + d_overlap * (hi_p <= hi_t) + d_enclose_wh * (hi_p >= hi_t)

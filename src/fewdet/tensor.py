@@ -25,7 +25,8 @@ stands for, so values and gradients are bit-identical to that chain. A
 closure keeps what its backward reads and cannot cheaply rebuild: an
 intermediate that one element-wise op or one copy of the inputs gives back
 (the FFN's activations, the concatenated input of :func:`concat_linear`) is
-recomputed in backward instead of held from forward to backward.
+recomputed in backward instead of held from forward to backward. Each loss
+term is one such node too (:mod:`fewdet.set_head`, :mod:`fewdet.ood`).
 
 A primitive writes only into arrays it allocated in that call. It never
 writes into its inputs, into the upstream gradient, or into an array it
@@ -209,9 +210,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -253,14 +251,6 @@ def add(a, b) -> Tensor:
     return Tensor._result(
         a.data + b.data, (a, b),
         lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b, "sub")
-    return Tensor._result(
-        a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -413,24 +403,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return Tensor._result(np.asarray(out), (a,), backward)
 
 
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
 # -- elementwise nonlinearities -----------------------------------------------------
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor._result(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

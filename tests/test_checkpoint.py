@@ -529,6 +529,35 @@ def test_config_larger_than_the_buffers_is_corrupt(tmp_path, tiny_trained, capsy
     assert "'params' has shape" in err
 
 
+@pytest.mark.parametrize("layers", ["encoder_layers", "decoder_layers"])
+def test_layer_count_larger_than_the_buffers_is_corrupt(tmp_path, tiny_trained,
+                                                        capsys, monkeypatch, layers):
+    """A record with about 10^9 layers is refused while its layout is made,
+    once it sizes more values than the file holds: the whole shape table,
+    which would not fit in memory, is never built."""
+    from fewdet import harness, model
+    from fewdet.cli import main
+
+    path = tmp_path / "deep.fdck"
+    harness.save_run_checkpoint(path, *tiny_trained)
+    _rewrite_config_record(path, lambda config: config["variant_model"].update(
+        {layers: 10 ** 9}))
+
+    def refuse(cfg):
+        raise AssertionError(f"parameter_shapes built for {cfg.encoder_layers} "
+                             f"encoder and {cfg.decoder_layers} decoder layers")
+
+    for module in (harness, model):  # harness imported it by name once
+        monkeypatch.setattr(module, "parameter_shapes", refuse, raising=False)
+    with pytest.raises(CorruptionError, match="'params' has shape"):
+        harness.load_run_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "'params' has shape" in err
+
+
 class _ShortReads(io.BufferedReader):
     """A file whose ``readinto`` fills all but the last byte it is asked
     for, as a file cut short while it is read would."""

@@ -9,6 +9,7 @@ from fewdet.ood import (ClassFeatureSpace, SupportClassFeatures, infonce_loss,
                         min_interclass_separation)
 from fewdet.optim import (AdamState, adam_step, collect_grads, flat_parameters,
                           zero_grads)
+from fewdet import tensor as T
 from fewdet.tensor import Tensor, finite_diff_gradient, tsum
 
 
@@ -21,6 +22,58 @@ def space(embeddings, temperature=1.0, requires_grad=False):
 def feats(x, requires_grad=False):
     return SupportClassFeatures(Tensor(np.asarray(x, dtype=float),
                                        requires_grad=requires_grad))
+
+
+def exp(a):
+    out = np.exp(a.data)
+    return Tensor._result(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def sub(a, b):
+    """``a - b``, ``b`` broadcast to ``a``'s shape."""
+    return Tensor._result(a.data - b.data, (a, b),
+                          lambda g: (T._unbroadcast(g, a.shape),
+                                     T._unbroadcast(-g, b.shape)))
+
+
+def infonce_chain(f, t, class_ids):
+    """The InfoNCE loss as the chain of elementwise nodes the fused node
+    stands for: the reference it must reproduce bit for bit."""
+    c = len(class_ids)
+    logits = T.matmul_t(f.features, T.take_rows(t.embeddings, class_ids)) \
+        * (1.0 / t.temperature)
+    shifted = sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
+    lse = log(T.tsum(exp(shifted), axis=1, keepdims=True))
+    matched = T.tsum(shifted * Tensor(np.eye(c)), axis=1, keepdims=True)
+    return T.tsum(sub(lse, matched)) * (1.0 / c)
+
+
+@pytest.mark.parametrize("c, ids", [(3, [4, 1, 2]), (1, [2]), (5, [0, 5, 3, 1, 2])],
+                         ids=["out-of-order", "one-class", "all-but-one"])
+def test_fused_node_is_bit_identical_to_the_chain(c, ids):
+    """The value and both gradients, bit for bit, with the loss weighted and
+    the features an interior node that another term also reads, as in the
+    model's training loss."""
+    rng = np.random.default_rng(c)
+    x, emb = rng.normal(size=(c, 6)) * 0.1, rng.normal(size=(6, 6))
+    mix = rng.normal(size=(c, 6))
+
+    def run(loss_fn):
+        x_t, emb_t = Tensor(x, requires_grad=True), Tensor(emb, requires_grad=True)
+        features = x_t * 1.5
+        loss = loss_fn(SupportClassFeatures(features),
+                       ClassFeatureSpace(emb_t, temperature=0.07), ids)
+        total = tsum(features * Tensor(mix)) + 0.7 * loss
+        total.backward()
+        return [np.asarray(loss.data), x_t.grad, emb_t.grad]
+
+    for got, want in zip(run(infonce_loss), run(infonce_chain)):
+        np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestInfoNce:
@@ -53,6 +106,15 @@ class TestInfoNce:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):
             infonce_loss(feats(np.eye(2)), space(np.eye(2)), [0, 0])
+
+    @pytest.mark.parametrize("f, emb, ids", [
+        (np.eye(2), np.eye(2), [0, 2]), (np.eye(2), np.eye(2), [-1, 0]),
+        (np.eye(2), np.ones((3, 3)), [0, 1]), (np.eye(2), np.eye(2), [0]),
+        (np.zeros((0, 2)), np.eye(2), []),
+    ], ids=["id-past-end", "negative-id", "width", "count", "no-class"])
+    def test_ids_and_shapes_that_do_not_fit_are_rejected(self, f, emb, ids):
+        with pytest.raises(ShapeError):
+            infonce_loss(feats(f), space(emb), ids)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)

@@ -41,7 +41,7 @@ def test_quadratic_descent_monotone_after_warmup():
     losses = []
     for _ in range(200):
         zero_grads(params)
-        diff = params["p"] - Tensor(target)
+        diff = params["p"] + Tensor(-target)
         loss = tsum(diff * diff)
         losses.append(loss.item())
         loss.backward()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewdet import set_head, tensor as T
+from fewdet import ood, set_head, tensor as T
 from fewdet.errors import NumericError, ShapeError
 from fewdet.obd import RefinedFeatures
 from fewdet.tensor import Tensor, finite_diff_gradient
@@ -29,6 +29,25 @@ def transpose(a):
 def sqrt(a):
     out = np.sqrt(a.data)
     return Tensor._result(out, (a,), lambda g: (g * (0.5 / out),))
+
+
+def exp(a):
+    out = np.exp(a.data)
+    return Tensor._result(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def subtract_rows(a, b):
+    """``a - b`` for a column ``b`` of one value per row of ``a``."""
+    return Tensor._result(a.data - b.data, (a, b),
+                          lambda g: (g, (-g).sum(axis=1, keepdims=True)))
+
+
+def mean_rows(a):
+    return T.tsum(a, axis=1, keepdims=True) * (1.0 / a.shape[1])
 
 
 def divide_rows(a, b):
@@ -236,7 +255,7 @@ class TestConcatChannels:
             if shared != "none":
                 i = 0 if shared.startswith("a") else 1
                 if shared.endswith("interior"):
-                    ins[i] = T.exp(ins[i] * 0.5)
+                    ins[i] = exp(ins[i] * 0.5)
                 extra = [T.tsum(ins[i] * Tensor(c))]
             out = block(*ins, *leaves[2:])
             terms = [T.tsum(out * Tensor(mix))] + extra
@@ -393,7 +412,7 @@ class TestFfn:
 
         def run(block):
             x, w1, b1, w2, b2 = (Tensor(p, requires_grad=True) for p in params)
-            hidden = T.exp(x * 0.5)  # an interior input, used twice
+            hidden = exp(x * 0.5)  # an interior input, used twice
             out = block(hidden, w1, b1, w2, b2)
             terms = [T.tsum(out * Tensor(mix)), T.tsum(hidden * Tensor(c))]
             loss = terms[1] + terms[0] if other_first else terms[0] + terms[1]
@@ -442,7 +461,7 @@ class TestFiniteDiff:
     def test_nonfinite_objective(self):
         with pytest.warns(RuntimeWarning, match="invalid value encountered in log"), \
                 pytest.raises(NumericError):
-            finite_diff_gradient(lambda t: T.log(t), Tensor(-1.0))
+            finite_diff_gradient(lambda t: log(t), Tensor(-1.0))
 
 
 _PRIMITIVES = {
@@ -450,11 +469,9 @@ _PRIMITIVES = {
     "mul": lambda t, c: t * c,
     "sigmoid": lambda t, c: T.sigmoid(t * 3.0),
     "silu": lambda t, c: T.silu(t * 3.0),
-    "exp": lambda t, c: T.exp(t),
     "softmax": lambda t, c: softmax_rows(t) * c,
     "matmul_t": lambda t, c: T.matmul_t(t, c),
     "sum_axis0": lambda t, c: T.tsum(t, axis=0),
-    "mean_axis1": lambda t, c: T.tmean(t, axis=1),
 }
 
 
@@ -529,7 +546,7 @@ def test_copy_free_backward_matches_copying_every_gradient():
     def run(backward):
         a, b, d = (Tensor(x, requires_grad=True) for x in data)
         p, q = a * 2.0, b * 3.0
-        loss = T.tsum((a + b) * (p + q) + p * p + q * q + d * d * T.exp(d))
+        loss = T.tsum((a + b) * (p + q) + p * p + q * q + d * d * exp(d))
         backward(loss)
         return a, b, d
 
@@ -564,7 +581,7 @@ def test_second_backward_through_a_consumed_graph_raises():
     from a new graph built on a held interior node, raises before any
     gradient changes, and the held node keeps its first gradient."""
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    hidden = T.exp(x)
+    hidden = exp(x)
     loss = T.tsum(hidden * 3.0)
     loss.backward()
     first_x, first_hidden = x.grad.copy(), hidden.grad.copy()
@@ -870,8 +887,8 @@ class TestAttention:
 
 def reference_layer_norm(x, gamma, beta, eps=1e-5):
     """The layer norm spelled out in elementwise primitives."""
-    centered = x - T.tmean(x, axis=1, keepdims=True)
-    var = T.tmean(centered * centered, axis=1, keepdims=True)
+    centered = subtract_rows(x, mean_rows(x))
+    var = mean_rows(centered * centered)
     return divide_rows(centered, sqrt(var + eps)) * gamma + beta
 
 
@@ -922,7 +939,8 @@ _POS_W = frozen(np.random.default_rng(22).uniform(0.0, 1.0, (3, 4)))
 _NEG_W = frozen(np.random.default_rng(23).uniform(0.0, 1.0, (3, 4)))
 
 # Each primitive with the shapes of its tensor inputs. The numpy inputs the
-# set_head nodes take beside them are frozen above.
+# set_head nodes take beside them are frozen above; InfoNCE selects three of
+# five embedding rows, out of order.
 NO_WRITE_CASES = {
     "attention": (lambda q, k, v: T.attention(q, k, v, 4),
                   [(6, 8), (5, 8), (5, 8)]),
@@ -945,6 +963,9 @@ NO_WRITE_CASES = {
                         [(3, 4)]),
     "box_loss": (lambda b: set_head.box_loss(b, [3, 0], _TARGETS, 5.0, 2.0)[0],
                  [(5, 4)]),
+    "infonce_loss": (lambda f, e: ood.infonce_loss(
+        ood.SupportClassFeatures(f), ood.ClassFeatureSpace(e, 0.1), [4, 1, 2]),
+                     [(3, 4), (5, 4)]),
 }
 
 
