@@ -24,8 +24,8 @@ from .episodes import BenchmarkSpec, Episode, generate_episode
 from .metrics import EvalReport, giou, iou
 from .model import (ModelConfig, ablation_variant, forward, init_model_state,
                     run_inference, train_step)
-from .obd import (BackgroundToken, SupportSequence, background_attention_mass,
-                  ofe_query, ofe_support)
+from .obd import (SupportSequence, background_attention_mass, ofe_query,
+                  ofe_support)
 from .ood import ClassFeatureSpace, infonce_loss, min_interclass_separation
 from .optim import AdamState, adam_step
 from .set_head import (DetectionOutput, GroundTruth, Weights,
@@ -35,7 +35,7 @@ from .tensor import Tensor, finite_diff_gradient, no_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "BackgroundToken", "BenchmarkSpec", "ClassFeatureSpace",
+    "AdamState", "BenchmarkSpec", "ClassFeatureSpace",
     "DetectionOutput", "Episode", "EvalReport", "GroundTruth", "ModelConfig",
     "SupportSequence", "Tensor", "Weights", "ablation_variant", "adam_step",
     "background_attention_mass", "decode_detections", "finite_diff_gradient",

@@ -56,6 +56,8 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed}")
         for i, seed in enumerate(self.ablate_seeds):
             if type(seed) is not int or seed < 0:  # a bool is not a seed
                 raise ConfigError(f"ablate_seeds[{i}] must be a non-negative "
@@ -93,15 +95,20 @@ _TOP_LEVEL_SCALARS = {"seed", "out_dir", "ablate_seeds"}
 
 def check_types(cls, values: dict, prefix: str) -> None:
     """ConfigError unless each of ``values`` that sets an int field of ``cls``
-    is an int and each that sets a float field an int or a float, never a
-    bool (``f.type`` is a string: annotations are deferred)."""
+    is an int, each that sets a float field an int or a float, never a
+    bool, and each that sets a bool field a bool (``f.type`` is a string:
+    annotations are deferred)."""
     for f in dataclasses.fields(cls):
-        value = values.get(f.name, 0)
+        if f.name not in values:
+            continue
+        value = values[f.name]
         if f.type in ("int", "int | None") and type(value) is not int and not (
                 value is None and f.type != "int"):
             raise ConfigError(f"{prefix}{f.name} must be an integer, not {value!r}")
         if f.type == "float" and type(value) not in (int, float):
             raise ConfigError(f"{prefix}{f.name} must be a number, not {value!r}")
+        if f.type == "bool" and type(value) is not bool:
+            raise ConfigError(f"{prefix}{f.name} must be a boolean, not {value!r}")
 
 
 def _build_section(cls, values: dict, section: str):

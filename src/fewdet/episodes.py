@@ -80,6 +80,8 @@ class BenchmarkSpec:
             raise ConfigError("shots must be >= 1")
         if not (1 <= self.objects_min <= self.objects_max):
             raise ConfigError("objects range must satisfy 1 <= min <= max")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed}")
 
     @property
     def num_patches(self) -> int:

@@ -65,8 +65,8 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     # Primitives with several inputs, checked with respect to each input in
     # turn against a random mix of the output. Attention runs two heads, so
     # the head split and merge are exercised too. The support-sequence
-    # realization interleaves placeholders with the projected rows: a token
-    # on the key side, zeros on the value side.
+    # realization puts placeholders after the projected rows: a token on the
+    # key side, zeros on the value side.
     def ffn(x, w1, b1, w2, b2):
         return T.ffn_apply(x, T.FfnParams(w1, b1, w2, b2))
 
@@ -79,9 +79,9 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         "concat_linear": (T.concat_linear, {"a": (4, 3), "b": (4, 2), "w": (5, 3),
                                             "bias": (3,)}),
         "project_rows.token": (
-            lambda x, w, token: T.project_rows(x, w, (0, 2, 5), (1, 3, 4), token),
+            lambda x, w, token: T.project_rows(x, w, 6, token),
             {"x": (3, 5), "w": (4, 5), "token": (4,)}),
-        "project_rows.zeros": (lambda x, w: T.project_rows(x, w, (1, 2, 4), (0, 3)),
+        "project_rows.zeros": (lambda x, w: T.project_rows(x, w, 5),
                                {"x": (3, 5), "w": (4, 5)}),
         "ffn_apply": (ffn, {"x": (4, 5), "w1": (5, 7), "b1": (7,), "w2": (7, 5),
                             "b2": (5,)}),

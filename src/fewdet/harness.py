@@ -187,6 +187,7 @@ def _parse_run_config(path, config: dict
         run = run_config_from_dict(config["run"])
         vm = dict(config["variant_model"])
         check_types(ModelConfig, vm, "variant_model.")
+        check_types(Weights, vm["weights"], "variant_model.weights.")
         vm["weights"] = Weights(**vm["weights"])
         cfg = ModelConfig(**vm)
         step, adam = config["step"], config["adam"]

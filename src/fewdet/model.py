@@ -3,16 +3,17 @@ stack, transformer decoder over learned object queries, and the detection
 heads, plus the training step combining the set loss with the contrastive
 class-separation loss.
 
-The support sequence is a layout (class ids in episode order, then ``None``
-placeholders up to ``n_max``, or none in single-class mode) over the
-embedded (C, d) support features. The support branch refines those features
-through self-interaction layers, each layer replacing the sequence's feature
-matrix and keeping its layout; the final class rows feed the contrastive
-loss. The query branch refines patch features against the *modified*
-support sequence. The classification head scores each decoder output
-against every support position (class rows through a projection,
-placeholders as the raw background token), which is what makes the head
-class-agnostic and gives the background token its supervision path.
+The support sequence is the episode's classes in episode order, then
+background placeholders up to ``n_max`` (none in single-class mode), over
+the embedded (C, d) support features. The support branch refines those
+features through self-interaction layers, each layer replacing the
+sequence's feature matrix and keeping its classes and length; the final
+class rows feed the contrastive loss. The query branch refines patch
+features against the *modified* support sequence. The classification head
+scores each decoder output against every support position (the C class
+rows through a projection, then the placeholders as the raw background
+token), which is what makes the head class-agnostic and gives the
+background token its supervision path.
 
 Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
@@ -35,8 +36,8 @@ import numpy as np
 
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError
-from .obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
-                  build_key_sequence, ofe_query, ofe_support)
+from .obd import (OfeFusion, OfeProjections, SupportSequence, build_key_sequence,
+                  ofe_query, ofe_support)
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
@@ -124,9 +125,6 @@ class ModelState:
             conv_bias=p[f"obd.layer{layer}.conv.bias"],
             ffn=FfnParams(p[f"obd.layer{layer}.ffn.w1"], p[f"obd.layer{layer}.ffn.b1"],
                           p[f"obd.layer{layer}.ffn.w2"], p[f"obd.layer{layer}.ffn.b2"]))
-
-    def background_token(self) -> BackgroundToken:
-        return BackgroundToken(self.params["obd.background_token"])
 
     def class_space(self) -> ClassFeatureSpace:
         return ClassFeatureSpace(embeddings=self.params["ood.embeddings"],
@@ -259,8 +257,8 @@ def extract_features(episode: Episode, state: ModelState,
     n = 1 if cfg.single_class_mode else cfg.n_max
     if c > n:
         raise ConfigError(f"episode has {c} classes but sequence capacity is {n}")
-    layout = tuple(int(cid) for cid in episode.class_ids) + (None,) * (n - c)
-    return patches, SupportSequence(layout, support)
+    class_ids = tuple(int(cid) for cid in episode.class_ids)
+    return patches, SupportSequence(class_ids, n, support)
 
 
 # -- decoder building blocks --------------------------------------------------------
@@ -310,11 +308,11 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     ``sequence`` and the last query layer's (heads, P, n_max)
     ``query_attention`` over it."""
     patches, seq = extract_features(episode, state, cfg)
-    token = state.background_token()
+    token = state["obd.background_token"]
 
     for i in range(cfg.encoder_layers):
         ref = ofe_support(seq, state.ofe_projections(i), token, cfg.d, cfg.heads)
-        refined_rows = take_rows(ref.per_position_output, seq.class_positions)
+        refined_rows = take_rows(ref.per_position_output, range(len(seq.class_ids)))
         seq = dataclasses.replace(seq, features=seq.features + refined_rows)
 
     support_features = SupportClassFeatures(features=seq.features)

@@ -1,14 +1,16 @@
 """Object-background distinguishing attention.
 
-A support sequence is a layout of class positions and background
-placeholders over a (C, d) class-feature matrix. On the key side every
-placeholder is realized as a shared learnable background token
-(deliberately *not* passed through the key projection); on the value side
-it is a fixed zero vector, so attention mass spent on the background
-contributes nothing to the mixed output and the token is trained purely
-through the similarity path. Each side is one graph node
-(:func:`fewdet.tensor.project_rows`): the projected class features at the
-class positions, and the token or the zero row at the placeholders.
+A support sequence holds C class positions followed by n - C background
+placeholders over a (C, d) class-feature matrix: row i is the i-th class.
+Attention over the sequence is permutation-equivariant, so fixing the
+placeholders last loses nothing. On the key side every placeholder is
+realized as the shared learnable background token (deliberately *not*
+passed through the key projection); on the value side it is a fixed zero
+vector, so attention mass spent on the background contributes nothing to
+the mixed output and the token is trained purely through the similarity
+path. Each side is one graph node (:func:`fewdet.tensor.project_rows`):
+the projected class features in the first C rows, and the token or the
+zero row in the rest.
 
 Two branches share the machinery: the support branch lets class features
 attend over the sequence itself (self-interaction), the query branch lets
@@ -23,7 +25,6 @@ head at once through the fused :func:`fewdet.tensor.attention` primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,30 +34,16 @@ from .tensor import (FfnParams, Tensor, attention, concat_linear, ffn_apply,
                      matmul_t, project_rows)
 
 
-@dataclass
-class BackgroundToken:
-    """Learnable d-vector standing in for "not any target class"."""
-
-    vector: Tensor
-
-    def __post_init__(self):
-        if self.vector.ndim != 1:
-            raise ShapeError(f"background token must be a vector, got {self.vector.shape}")
-
-
 @dataclass(frozen=True)
 class SupportSequence:
-    """Ordered support positions: classes and background placeholders.
-
-    ``layout`` holds a class id at each class position and ``None`` at each
-    placeholder; ``features`` is the (C, d) class-feature matrix, row i
-    belonging to the i-th class position. Positions and class ids are
-    derived from the layout once per instance;
+    """Support positions: the classes ``class_ids`` first, in that order,
+    then background placeholders up to ``length``. ``features`` is the
+    (C, d) class-feature matrix, row i belonging to ``class_ids[i]``;
     ``dataclasses.replace(seq, features=...)`` swaps the features and
-    re-runs the checks.
-    """
+    re-runs the checks."""
 
-    layout: tuple[Optional[int], ...]
+    class_ids: tuple[int, ...]
+    length: int
     features: Tensor
 
     def __post_init__(self):
@@ -66,26 +53,12 @@ class SupportSequence:
         if self.features.ndim != 2 or self.features.shape[0] != len(ids):
             raise ShapeError(f"expected {len(ids)} feature rows, "
                              f"got {self.features.shape}")
+        if self.length < len(ids):
+            raise ShapeError(f"sequence length {self.length} is shorter than "
+                             f"its {len(ids)} classes")
 
     def __len__(self) -> int:
-        return len(self.layout)
-
-    @cached_property
-    def class_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.layout) if c is not None)
-
-    @cached_property
-    def placeholder_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.layout) if c is None)
-
-    @cached_property
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(c for c in self.layout if c is not None)
-
-    def position_of_class(self, class_id: int) -> int:
-        if class_id not in self.class_ids:
-            raise KeyError(f"class id {class_id} has no position in this sequence")
-        return self.layout.index(class_id)
+        return self.length
 
 
 @dataclass
@@ -129,21 +102,19 @@ def head_average(head_attention: np.ndarray) -> np.ndarray:
     return head_attention.sum(axis=0) * (1.0 / head_attention.shape[0])
 
 
-def build_key_sequence(s: SupportSequence, w_key: Tensor,
-                       token: BackgroundToken) -> Tensor:
+def build_key_sequence(s: SupportSequence, w_key: Tensor, token: Tensor) -> Tensor:
     """Key-side realization of the sequence: projected class features with the
-    background token dropped in *unprojected* at every placeholder."""
-    return project_rows(s.features, w_key, s.class_positions,
-                        s.placeholder_positions, token.vector)
+    1-d background token dropped in *unprojected* at every placeholder."""
+    return project_rows(s.features, w_key, len(s), token)
 
 
 def build_value_sequence(s: SupportSequence, w3: Tensor) -> Tensor:
     """Value-side realization: projected class features, exact zero rows at
     placeholders (the zero rows are constants and carry no gradient)."""
-    return project_rows(s.features, w3, s.class_positions, s.placeholder_positions)
+    return project_rows(s.features, w3, len(s))
 
 
-def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken,
+def ofe_support(s: SupportSequence, proj: OfeProjections, token: Tensor,
                 d: int, heads: int = 1) -> RefinedFeatures:
     """Support-branch self-interaction: keys double as queries, values carry
     zero rows at placeholders so background mass dilutes rather than leaks."""
@@ -158,7 +129,7 @@ def ofe_support(s: SupportSequence, proj: OfeProjections, token: BackgroundToken
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
-              token: BackgroundToken, d: int, fusion: OfeFusion,
+              token: Tensor, d: int, fusion: OfeFusion,
               heads: int = 1) -> RefinedFeatures:
     """Query-branch cross-interaction plus Conv1D/FFN fusion with the
     original patches, so global image content is retained."""
@@ -178,9 +149,6 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
 
 def background_attention_mass(attention: np.ndarray,
                               s: SupportSequence) -> np.ndarray:
-    """Per row of the attention matrix, the mass spent on placeholder
-    positions (diagnostic; zero vector when the sequence has none)."""
-    positions = s.placeholder_positions
-    if not positions:
-        return np.zeros(attention.shape[0])
-    return attention[:, positions].sum(axis=1)
+    """Per row of the attention matrix, the mass spent on the placeholder
+    columns, the last n - C (diagnostic)."""
+    return attention[:, len(s.class_ids):].sum(axis=1)

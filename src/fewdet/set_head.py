@@ -1,11 +1,12 @@
 """Set-prediction detection head.
 
 Predictions are per-object-query boxes plus independent sigmoid
-probabilities mapped one-to-one onto support sequence positions, background
-placeholders included. Bipartite matching excludes the background columns
-entirely; the loss then supervises them explicitly: a matched query targets
-1 at its ground-truth class position and 0 everywhere else, an unmatched
-query targets 1 at every placeholder position.
+probabilities mapped one-to-one onto support sequence positions: the C
+class columns first, then the background placeholder columns. Bipartite
+matching excludes the background columns entirely; the loss then
+supervises them explicitly: a matched query targets 1 at its ground-truth
+class column and 0 everywhere else, an unmatched query targets 1 at every
+placeholder column.
 
 Matching is plain numpy: :func:`linear_sum_assignment` is Crouse's
 shortest augmenting path solver (the algorithm scipy runs), and
@@ -191,7 +192,7 @@ def match_cost(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     position, L1 box distance, and GIoU complement. Background-position
     probabilities never enter. Computed on raw values; matching carries no
     gradient."""
-    positions = [s.position_of_class(int(label)) for label in gt.labels]
+    positions = [s.class_ids.index(int(label)) for label in gt.labels]
     probs = out.position_probs.data
     boxes = out.boxes.data
     cost_cls = -probs[:, positions]
@@ -309,10 +310,10 @@ def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     q_idx = [q for q, _ in match.pairs]
     g_idx = [g for _, g in match.pairs]
     targets = np.zeros((m, n))
-    targets[q_idx, [s.position_of_class(int(gt.labels[g])) for g in g_idx]] = 1.0
+    targets[q_idx, [s.class_ids.index(int(gt.labels[g])) for g in g_idx]] = 1.0
     unmatched = np.ones(m, dtype=bool)
     unmatched[q_idx] = False
-    targets[np.ix_(unmatched, s.placeholder_positions)] = 1.0
+    targets[unmatched, len(s.class_ids):] = 1.0
 
     # Positives and negatives are each averaged on their own.
     n_pos = targets.sum()
@@ -334,10 +335,9 @@ def decode_detections(out: DetectionOutput, s: SupportSequence,
     Placeholder positions never produce detections."""
     if not (0.0 <= score_threshold <= 1.0):
         raise ValueError(f"score threshold must lie in [0, 1], got {score_threshold}")
-    class_positions = s.class_positions
-    if not class_positions:
+    if not s.class_ids:
         return []
-    probs = out.position_probs.data[:, class_positions]
+    probs = out.position_probs.data[:, :len(s.class_ids)]
     best = np.argmax(probs, axis=1)
     scores = probs[np.arange(len(best)), best].tolist()
     boxes = out.boxes.data

@@ -17,7 +17,7 @@ again instead.
 Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
 the affine map of two inputs' channels side by side
 (:func:`concat_linear`), the product with a transposed weight
-(:func:`matmul_t`), that product laid out among filler rows
+(:func:`matmul_t`), that product followed by filler rows
 (:func:`project_rows`), the FFN block (:func:`ffn_apply`), multi-head
 attention, layer norm and the row gather (:func:`take_rows`). Each has a
 hand-derived backward that repeats the arithmetic of the primitive chain it
@@ -287,53 +287,44 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
                           lambda g: (g @ wt.T, (x.data.T @ g).T))
 
 
-def project_rows(x: Tensor, w: Tensor, rows: Sequence[int],
-                 filler_rows: Sequence[int], filler: Tensor | None = None
+def project_rows(x: Tensor, w: Tensor, n: int, filler: Tensor | None = None
                  ) -> Tensor:
-    """Row ``rows[i]`` of the result is row i of ``x @ w^T``, and every row
-    in ``filler_rows`` is the 1-d ``filler``, or zero when ``filler`` is
-    None (a constant with no gradient); the two lists partition the rows.
-    One graph node for the :func:`matmul_t` product followed by a gather
-    from ``[x @ w^T; filler]``, bit-identical to that chain. Its backward
-    slices the upstream gradient as the gather's scatter-add into zeros
-    would have accumulated it: the projected rows get ``0.0 + g`` (so -0.0
-    becomes 0.0), and the filler the sum of its rows in position order,
-    starting from 0.0. The filler is a parent only when some row holds it."""
+    """An (n, width) result whose row i < C is row i of the (C, width)
+    ``x @ w^T``, and whose every later row is the 1-d ``filler``, or zero
+    when ``filler`` is None (a constant with no gradient). One graph node
+    for the :func:`matmul_t` product followed by a gather from
+    ``[x @ w^T; filler]``, bit-identical to that chain. Its backward slices
+    the upstream gradient as the gather's scatter-add into zeros would have
+    accumulated it: the projected rows get ``0.0 + g`` (so -0.0 becomes
+    0.0), and the filler the sum of its rows in order, starting from 0.0.
+    The filler is a parent only when some row holds it."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"project_rows: {x.shape} does not match the "
                          f"transpose of {w.shape}")
-    rows, filler_rows = list(rows), list(filler_rows)
-    n = len(rows) + len(filler_rows)
-    if len(rows) != x.shape[0] or sorted(rows + filler_rows) != list(range(n)):
-        raise ShapeError(f"project_rows: positions {rows} for {x.shape[0]} rows "
-                         f"and {filler_rows} for the filler do not partition "
-                         f"{n} rows")
-    width = w.shape[0]
+    c, width = x.shape[0], w.shape[0]
+    if n < c:
+        raise ShapeError(f"project_rows: {n} rows cannot hold the {c} projected ones")
     if filler is not None:
         filler = _as_tensor(filler)
         if filler.shape != (width,):
             raise ShapeError(f"project_rows: filler {filler.shape} does not "
                              f"match the projected width {width}")
-    filled = filler is not None and bool(filler_rows)
-    if rows == list(range(len(rows))):
-        # Class rows first, as extract_features lays them out: basic slices
-        # cost a fraction of the index arrays a general layout needs.
-        rows, filler_rows = slice(0, len(rows)), slice(len(rows), n)
+    filled = filler is not None and n > c
     wt = w.data.T.copy()
     out = np.empty((n, width))
-    out[rows] = x.data @ wt
-    out[filler_rows] = 0.0 if filler is None else filler.data
+    out[:c] = x.data @ wt
+    out[c:] = 0.0 if filler is None else filler.data
 
     def backward(g: np.ndarray):
         # C-ordered even when g is a transposed view, so BLAS runs the
         # kernels it ran on the gather's accumulation table.
-        gx = np.add(g[rows], 0.0, order="C")
+        gx = np.add(g[:c], 0.0, order="C")
         grads = (gx @ wt.T, (x.data.T @ gx).T)
         if not filled:
             return grads
         gf = np.zeros(width)
-        for row in g[filler_rows]:
+        for row in g[c:]:
             gf += row
         return grads + (gf,)
 

@@ -435,6 +435,29 @@ def test_variant_model_integer_that_is_not_an_int_is_corrupt(tmp_path, tiny_trai
         load_run_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("single_class_mode", "false", "a boolean"), ("single_class_mode", 1, "a boolean"),
+    ("weights.cls", True, "a number"),
+], ids=["bool-as-string", "bool-as-int", "weight-as-bool"])
+def test_variant_model_value_of_the_wrong_type_is_corrupt(tmp_path, tiny_trained,
+                                                          field, value, kind):
+    """The variant config's boolean and ``weights`` fields load with their
+    JSON types or not at all: a truthy string must not turn the model into
+    the single-class baseline."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    record = config["variant_model"]
+    if field.startswith("weights."):
+        record = record["weights"]
+    record[field.split(".")[-1]] = value
+    path = tmp_path / "variant.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError,
+                       match=rf"variant_model\.{field} must be {kind}, not {value!r}"):
+        load_run_checkpoint(path)
+
+
 def legacy_payload(run, result) -> tuple[dict, dict]:
     """The per-parameter run checkpoint written before checkpoints stored
     flat buffers: one tensor per parameter and per Adam moment, and no

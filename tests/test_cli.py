@@ -88,9 +88,11 @@ class TestUsageErrors:
         ("training", "eval_start_index", -1),
         ("training", "overfit_episode", -1),
         ("model", "heads", 0),
+        ("benchmark", "seed", -3),
     ], ids=["float-steps", "bool-steps", "float-grid-rows", "negative-eval-episodes",
             "zero-log-interval", "zero-d", "d-not-multiple-of-4", "capacity-one",
-            "negative-eval-start-index", "negative-overfit-episode", "heads-zero"])
+            "negative-eval-start-index", "negative-overfit-episode", "heads-zero",
+            "negative-benchmark-seed"])
     def test_bad_integer_setting_exits_1(self, fast_config, tmp_path, capsys,
                                          section, key, value):
         cfg = yaml.safe_load(fast_config.read_text())
@@ -160,6 +162,12 @@ class TestUsageErrors:
     def test_flag_the_verb_does_not_read_exits_1(self, argv, capsys):
         assert run_cli(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_1(self, fast_config, tmp_path, capsys):
+        assert run_cli("train", "--config", str(fast_config), "--seed", "-1") == 1
+        assert capsys.readouterr().err == \
+            "error: seed must be a non-negative integer, not -1\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainEval:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fewdet.config import RunConfig
 from fewdet.episodes import BenchmarkSpec, generate_episode, single_class_view
 from fewdet.errors import ConfigError
 from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
@@ -48,7 +49,7 @@ class TestExtractFeatures:
         ep = generate_episode(spec, 0, "train")
         state = init_model_state(cfg)
         _, seq = extract_features(ep, state, cfg)
-        assert seq.layout == (int(ep.class_ids[0]), None, None)
+        assert seq.class_ids == (int(ep.class_ids[0]),) and len(seq) == 3
 
     def test_identity_embedder_passthrough(self):
         spec = micro_spec()
@@ -117,6 +118,33 @@ class TestForward:
         assert out.boxes.shape == (m, 4)
         assert out.position_probs.shape == (m, cfg.n_max)
         assert feats.features.shape == (c, cfg.d)
+
+    @pytest.mark.parametrize("seed", [0, 7, 104729])
+    def test_reordering_support_classes_permutes_only_their_columns(self, seed):
+        """The sequence puts the classes first in episode order; attention
+        over it is permutation-equivariant, so reversing the classes (support
+        rows and ids, ground truths unchanged) reverses the class columns and
+        leaves the placeholder columns, the boxes and the loss as they
+        were."""
+        run = RunConfig(seed=seed, benchmark=BenchmarkSpec(seed=seed))
+        cfg = run.resolved_model()
+        state = init_model_state(cfg)
+        ep = generate_episode(run.benchmark, 0, "train")
+        flipped = dataclasses.replace(ep, class_ids=ep.class_ids[::-1],
+                                      support=ep.support[::-1])
+        c = len(ep.class_ids)
+        out_a, _, diag_a = forward(ep, state, cfg)
+        out_b, _, diag_b = forward(flipped, state, cfg)
+        assert diag_b["sequence"].class_ids == diag_a["sequence"].class_ids[::-1]
+        probs_a, probs_b = out_a.position_probs.data, out_b.position_probs.data
+        np.testing.assert_allclose(probs_b[:, :c], probs_a[:, c - 1::-1],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs_b[:, c:], probs_a[:, c:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out_b.boxes.data, out_a.boxes.data,
+                                   rtol=0, atol=1e-12)
+        loss_a = compute_loss(ep, state, cfg)[1].total
+        loss_b = compute_loss(flipped, state, cfg)[1].total
+        assert abs(loss_b - loss_a) <= 1e-12
 
 
 class TestTrainStep:
@@ -210,7 +238,7 @@ class TestAblationVariants:
         spec = micro_spec()
         ep = training_episode(generate_episode(spec, 0, "train"), cfg, 0)
         _, seq = extract_features(ep, init_model_state(cfg), cfg)
-        assert len(seq) == 1 and seq.placeholder_positions == ()
+        assert len(seq) == 1 and len(seq.class_ids) == 1
 
     def test_obd_only_zeroes_ood(self):
         cfg = ablation_variant(micro_cfg(), "+OBD")

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fewdet.errors import ShapeError
-from fewdet.obd import (BackgroundToken, OfeFusion, OfeProjections, SupportSequence,
+from fewdet.obd import (OfeFusion, OfeProjections, SupportSequence,
                         background_attention_mass, build_key_sequence,
                         build_value_sequence, ofe_query, ofe_support)
 from fewdet.tensor import FfnParams, Tensor, tsum
 
 
-def make_sequence(features, ids, placeholders_at=()):
-    """Class positions in order, with placeholders inserted at given positions."""
+def make_sequence(features, ids, placeholders=0):
+    """The classes in order, then ``placeholders`` background positions."""
     features = np.asarray(features, dtype=float)
-    id_iter = iter(ids)
-    layout = tuple(None if pos in placeholders_at else next(id_iter)
-                   for pos in range(len(features) + len(placeholders_at)))
-    return SupportSequence(layout, Tensor(features, requires_grad=True))
+    return SupportSequence(tuple(ids), len(ids) + placeholders,
+                           Tensor(features, requires_grad=True))
 
 
 def random_projections(rng, d, requires_grad=True):
@@ -42,44 +40,42 @@ class TestBuildSequences:
         feats = rng.normal(size=(3, d))
         seq = make_sequence(feats, [0, 1, 2])
         w = rng.normal(size=(d, d))
-        token = BackgroundToken(Tensor(rng.normal(size=d)))
-        keys = build_key_sequence(seq, Tensor(w), token)
+        keys = build_key_sequence(seq, Tensor(w), Tensor(rng.normal(size=d)))
         np.testing.assert_allclose(keys.data, feats @ w.T, rtol=1e-12)
 
     def test_all_placeholder_single_row_is_token_verbatim(self):
         d = 4
         token_vec = np.arange(float(d))
-        seq = make_sequence(np.zeros((0, d)), [], placeholders_at=(0,))
-        keys = build_key_sequence(seq, Tensor(np.eye(d)),
-                                  BackgroundToken(Tensor(token_vec)))
+        seq = make_sequence(np.zeros((0, d)), [], placeholders=1)
+        keys = build_key_sequence(seq, Tensor(np.eye(d)), Tensor(token_vec))
         np.testing.assert_array_equal(keys.data, token_vec[None, :])
 
-    def test_paper_layout_placeholder_in_middle(self):
-        # N=5, C=4, placeholder at position 2: the token row sits exactly
-        # there, unprojected; class rows are projected in original order.
+    def test_paper_layout_placeholder_last(self):
+        # N=5, C=4: the token row sits at position 4, unprojected; class
+        # rows are projected in original order.
         rng = np.random.default_rng(1)
         d = 6
         feats = rng.normal(size=(4, d))
         w = rng.normal(size=(d, d))
         token_vec = rng.normal(size=d)
-        seq = make_sequence(feats, [10, 11, 12, 13], placeholders_at=(2,))
-        keys = build_key_sequence(seq, Tensor(w), BackgroundToken(Tensor(token_vec)))
-        expected = np.vstack([feats[0] @ w.T, feats[1] @ w.T, token_vec,
-                              feats[2] @ w.T, feats[3] @ w.T])
+        seq = make_sequence(feats, [10, 11, 12, 13], placeholders=1)
+        keys = build_key_sequence(seq, Tensor(w), Tensor(token_vec))
+        expected = np.vstack([feats[0] @ w.T, feats[1] @ w.T, feats[2] @ w.T,
+                              feats[3] @ w.T, token_vec])
         np.testing.assert_allclose(keys.data, expected, rtol=1e-12)
 
     def test_value_rows_zero_at_placeholders(self):
         rng = np.random.default_rng(2)
         d = 4
         feats = rng.normal(size=(2, d))
-        seq = make_sequence(feats, [0, 1], placeholders_at=(1,))
+        seq = make_sequence(feats, [0, 1], placeholders=1)
         values = build_value_sequence(seq, Tensor(np.eye(d)))
         np.testing.assert_allclose(values.data[0], feats[0])
-        np.testing.assert_array_equal(values.data[1], np.zeros(d))
-        np.testing.assert_allclose(values.data[2], feats[1])
+        np.testing.assert_allclose(values.data[1], feats[1])
+        np.testing.assert_array_equal(values.data[2], np.zeros(d))
 
     def test_all_placeholders_zero_matrix(self):
-        seq = make_sequence(np.zeros((0, 3)), [], placeholders_at=(0, 1))
+        seq = make_sequence(np.zeros((0, 3)), [], placeholders=2)
         values = build_value_sequence(seq, Tensor(np.eye(3)))
         np.testing.assert_array_equal(values.data, np.zeros((2, 3)))
 
@@ -89,8 +85,8 @@ class TestBuildSequences:
         # must be exactly zero (here: absent).
         rng = np.random.default_rng(3)
         d = 4
-        token = BackgroundToken(Tensor(rng.normal(size=d), requires_grad=True))
-        seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders_at=(1,))
+        token = Tensor(rng.normal(size=d), requires_grad=True)
+        seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders=1)
         proj = random_projections(rng, d)
         ref = ofe_support(seq, proj, token, d)
         frozen_attention = Tensor(ref.attention)
@@ -98,7 +94,7 @@ class TestBuildSequences:
         from fewdet.tensor import matmul
         out = matmul(frozen_attention, values)
         tsum(out * out).backward()
-        assert token.vector.grad is None
+        assert token.grad is None
 
 
 class TestOfeSupport:
@@ -108,8 +104,7 @@ class TestOfeSupport:
         feats = rng.normal(size=(1, d))
         seq = make_sequence(feats, [0])
         proj = random_projections(rng, d)
-        token = BackgroundToken(Tensor(rng.normal(size=d)))
-        ref = ofe_support(seq, proj, token, d)
+        ref = ofe_support(seq, proj, Tensor(rng.normal(size=d)), d)
         np.testing.assert_array_equal(ref.attention, [[1.0]])
         np.testing.assert_allclose(ref.per_position_output.data,
                                    feats @ proj.w3.data.T, rtol=1e-12)
@@ -123,9 +118,9 @@ class TestOfeSupport:
         c[0] = d ** 0.25  # ||c||^2 = sqrt(d)
         token_vec = np.zeros(d)
         token_vec[1] = 1.0
-        seq = make_sequence([c], [0], placeholders_at=(1,))
+        seq = make_sequence([c], [0], placeholders=1)
         proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
-        ref = ofe_support(seq, proj, BackgroundToken(Tensor(token_vec)), d)
+        ref = ofe_support(seq, proj, Tensor(token_vec), d)
         e = np.e
         np.testing.assert_allclose(ref.attention[0],
                                    [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
@@ -136,9 +131,9 @@ class TestOfeSupport:
         rng = np.random.default_rng(5)
         d = 4
         c = rng.normal(size=d)
-        seq = make_sequence([c, c], [0, 1], placeholders_at=(2,))
+        seq = make_sequence([c, c], [0, 1], placeholders=1)
         proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
-        ref = ofe_support(seq, proj, BackgroundToken(Tensor(c)), d)
+        ref = ofe_support(seq, proj, Tensor(c), d)
         np.testing.assert_allclose(ref.attention, np.full((3, 3), 1 / 3),
                                    rtol=1e-12)
 
@@ -150,8 +145,7 @@ class TestOfeSupport:
         feats = rng.normal(size=(5, d))
         seq = make_sequence(feats, list(range(5)))
         proj = random_projections(rng, d)
-        token = BackgroundToken(Tensor(rng.normal(size=d)))
-        ref = ofe_support(seq, proj, token, d)
+        ref = ofe_support(seq, proj, Tensor(rng.normal(size=d)), d)
 
         keys = feats @ proj.w2.data.T
         values = feats @ proj.w3.data.T
@@ -167,8 +161,7 @@ class TestOfeSupport:
         feats = rng.normal(size=(4, d))
         seq = make_sequence(feats, list(range(4)))
         proj = random_projections(rng, d)
-        token = BackgroundToken(Tensor(rng.normal(size=d)))
-        ref = ofe_support(seq, proj, token, d, heads=heads)
+        ref = ofe_support(seq, proj, Tensor(rng.normal(size=d)), d, heads=heads)
 
         keys = feats @ proj.w2.data.T
         values = feats @ proj.w3.data.T
@@ -187,14 +180,14 @@ class TestOfeSupport:
 class TestOfeQuery:
     def test_zero_inputs_give_uniform_attention_and_column_mean(self):
         d, p, n = 4, 3, 3
-        seq = make_sequence(np.zeros((2, d)), [0, 1], placeholders_at=(1,))
+        seq = make_sequence(np.zeros((2, d)), [0, 1], placeholders=1)
         proj = OfeProjections(Tensor(np.zeros((d, d))), Tensor(np.zeros((d, d))),
                               Tensor(np.zeros((d, d))))
         fusion = OfeFusion(Tensor(np.zeros((2 * d, d))), Tensor(np.zeros(d)),
                            FfnParams(Tensor(np.zeros((d, d))), Tensor(np.zeros(d)),
                                      Tensor(np.zeros((d, d))), Tensor(np.zeros(d))))
-        token = BackgroundToken(Tensor(np.zeros(d)))
-        ref = ofe_query(Tensor(np.zeros((p, d))), seq, proj, token, d, fusion)
+        ref = ofe_query(Tensor(np.zeros((p, d))), seq, proj, Tensor(np.zeros(d)), d,
+                        fusion)
         np.testing.assert_allclose(ref.attention, np.full((p, n), 1 / n))
         values = build_value_sequence(seq, proj.w3)
         np.testing.assert_allclose(ref.per_position_output.data,
@@ -204,13 +197,12 @@ class TestOfeQuery:
         rng = np.random.default_rng(8)
         d = 4
         feats = np.eye(2, d) * 50.0
-        seq = make_sequence(feats, [0, 1], placeholders_at=(2,))
+        seq = make_sequence(feats, [0, 1], placeholders=1)
         proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
         fusion = random_fusion(rng, d)
-        token = BackgroundToken(Tensor(np.zeros(d)))
         patch = np.zeros((1, d))
         patch[0, 0] = 50.0  # huge dot product with class 0's key only
-        ref = ofe_query(Tensor(patch), seq, proj, token, d, fusion)
+        ref = ofe_query(Tensor(patch), seq, proj, Tensor(np.zeros(d)), d, fusion)
         assert ref.attention[0, 0] > 1.0 - 1e-10
         np.testing.assert_allclose(ref.per_position_output.data[0],
                                    feats[0], rtol=1e-8)
@@ -221,11 +213,11 @@ class TestOfeQuery:
         rng = np.random.default_rng(9)
         d, p = 4, 3
         feats = rng.normal(size=(1, d))
-        seq = make_sequence(feats, [0], placeholders_at=(1,))
+        seq = make_sequence(feats, [0], placeholders=1)
         proj = random_projections(rng, d)
         fusion = random_fusion(rng, d)
         token_vec = rng.normal(size=d)
-        token = BackgroundToken(Tensor(token_vec, requires_grad=True))
+        token = Tensor(token_vec, requires_grad=True)
         patches = rng.normal(size=(p, d))
         ref = ofe_query(Tensor(patches), seq, proj, token, d, fusion)
 
@@ -252,10 +244,9 @@ class TestOfeQuery:
         d, p = 4, 5
         fusion = random_fusion(rng, d)
         proj = random_projections(rng, d)
-        token = BackgroundToken(Tensor(rng.normal(size=d)))
+        token = Tensor(rng.normal(size=d))
         for n_extra in (0, 1, 3):
-            seq = make_sequence(rng.normal(size=(2, d)), [0, 1],
-                                placeholders_at=tuple(range(2, 2 + n_extra)))
+            seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders=n_extra)
             ref = ofe_query(Tensor(rng.normal(size=(p, d))), seq, proj, token,
                             d, fusion)
             assert ref.refined.shape == (p, d)
@@ -268,34 +259,35 @@ class TestBackgroundMass:
         np.testing.assert_array_equal(mass, np.zeros(4))
 
     def test_all_placeholders(self):
-        seq = make_sequence(np.zeros((0, 3)), [], placeholders_at=(0, 1))
+        seq = make_sequence(np.zeros((0, 3)), [], placeholders=2)
         mass = background_attention_mass(np.full((3, 2), 0.5), seq)
         np.testing.assert_allclose(mass, np.ones(3))
 
     def test_uniform_one_of_five(self):
-        seq = make_sequence(np.zeros((4, 3)), [0, 1, 2, 3], placeholders_at=(2,))
+        seq = make_sequence(np.zeros((4, 3)), [0, 1, 2, 3], placeholders=1)
         mass = background_attention_mass(np.full((2, 5), 0.2), seq)
         np.testing.assert_allclose(mass, [0.2, 0.2])
+        attention = np.arange(10.0).reshape(2, 5)
+        np.testing.assert_array_equal(background_attention_mass(attention, seq),
+                                      [4.0, 9.0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2 ** 31 - 1),
        st.sampled_from([1, 2]))
 def test_permutation_equivariance(c, extra, seed, heads):
-    """Permuting support positions permutes attention and output rows
-    identically, placeholder rows included."""
+    """Permuting the classes permutes attention and output rows identically;
+    the placeholder rows, last either way, stay where they are."""
     rng = np.random.default_rng(seed)
     d = 4
     feats = rng.normal(size=(c, d))
     proj = random_projections(rng, d, requires_grad=False)
-    token = BackgroundToken(Tensor(rng.normal(size=d)))
+    token = Tensor(rng.normal(size=d))
 
-    layout = tuple(range(c)) + (None,) * extra
-    perm = rng.permutation(len(layout))
-    base = SupportSequence(layout, Tensor(feats))
-    permuted_layout = tuple(layout[i] for i in perm)
-    permuted = SupportSequence(permuted_layout, Tensor(
-        feats[[cid for cid in permuted_layout if cid is not None]]))
+    order = rng.permutation(c)
+    perm = np.concatenate([order, np.arange(c, c + extra)])
+    base = SupportSequence(tuple(range(c)), c + extra, Tensor(feats))
+    permuted = SupportSequence(tuple(order.tolist()), c + extra, Tensor(feats[order]))
 
     ref_a = ofe_support(base, proj, token, d, heads=heads)
     ref_b = ofe_support(permuted, proj, token, d, heads=heads)
@@ -311,10 +303,9 @@ def test_permutation_equivariance(c, extra, seed, heads):
 def test_attention_rows_stochastic(c, extra, p, seed):
     rng = np.random.default_rng(seed)
     d = 4
-    seq = make_sequence(rng.normal(size=(c, d)), list(range(c)),
-                        placeholders_at=tuple(range(c, c + extra)))
+    seq = make_sequence(rng.normal(size=(c, d)), list(range(c)), placeholders=extra)
     proj = random_projections(rng, d, requires_grad=False)
-    token = BackgroundToken(Tensor(rng.normal(size=d)))
+    token = Tensor(rng.normal(size=d))
     fusion = random_fusion(np.random.default_rng(seed + 1), d)
     sup = ofe_support(seq, proj, token, d)
     qry = ofe_query(Tensor(rng.normal(size=(p, d))), seq, proj, token, d, fusion)
@@ -333,55 +324,45 @@ def test_sequence_keeps_given_feature_matrix():
     rng = np.random.default_rng(12)
     d = 4
     feats = Tensor(rng.normal(size=(2, d)), requires_grad=True)
-    seq = SupportSequence((3, None, 5), feats)
+    seq = SupportSequence((3, 5), 3, feats)
     assert seq.features is feats and len(seq) == 3
-    assert seq.class_positions == (0, 2) and seq.placeholder_positions == (1,)
     assert seq.class_ids == (3, 5)
-    assert seq.position_of_class(3) == 0 and seq.position_of_class(5) == 2
-    for absent in (4, None):
-        with pytest.raises(KeyError):
-            seq.position_of_class(absent)
     w = rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
-    keys = build_key_sequence(seq, Tensor(w), BackgroundToken(Tensor(token_vec)))
-    np.testing.assert_allclose(keys.data, np.vstack([feats.data[0] @ w.T, token_vec,
-                                                     feats.data[1] @ w.T]), rtol=1e-12)
+    keys = build_key_sequence(seq, Tensor(w), Tensor(token_vec))
+    np.testing.assert_allclose(keys.data, np.vstack([feats.data[0] @ w.T,
+                                                     feats.data[1] @ w.T, token_vec]),
+                               rtol=1e-12)
     replaced = dataclasses.replace(seq, features=Tensor(np.zeros((2, d))))
-    assert replaced.layout == seq.layout and replaced.class_ids == (3, 5)
-    assert replaced.placeholder_positions == (1,)
+    assert replaced.class_ids == (3, 5) and len(replaced) == 3
     with pytest.raises(ShapeError):
         dataclasses.replace(seq, features=Tensor(np.zeros((3, d))))
     with pytest.raises(ShapeError):
-        SupportSequence((3, None), Tensor(np.zeros(d)))  # a vector, not (C, d)
+        SupportSequence((3,), 2, Tensor(np.zeros(d)))  # a vector, not (C, d)
+    with pytest.raises(ShapeError):
+        SupportSequence((3, 5), 1, feats)  # shorter than its classes
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=8),
-       st.integers(0, 2 ** 31 - 1))
-@example(is_placeholder=[False], seed=224)  # an entry of -5.7e-6 off by 7.9e-12
-def test_key_and_value_rows_follow_layout(is_placeholder, seed):
-    """Placeholders anywhere among the class positions: class rows are the
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2 ** 31 - 1))
+@example(c=1, extra=0, seed=224)  # an entry of -5.7e-6 off by 7.9e-12
+def test_key_and_value_rows_follow_layout(c, extra, seed):
+    """The classes first, then the placeholders: class rows are the
     projected features in class order, bit for bit the product with the
     contiguous transposed weight that ``project_rows`` documents; placeholder
     rows are the raw token on the key side and exact zeros on the value
     side."""
-    placeholders_at = tuple(i for i, p in enumerate(is_placeholder) if p)
-    n = len(is_placeholder)
-    c = n - len(placeholders_at)
+    n = c + extra
     rng = np.random.default_rng(seed)
     d = 4
     feats = rng.normal(size=(c, d))
-    seq = make_sequence(feats, [10 + i for i in range(c)], placeholders_at)
+    seq = make_sequence(feats, [10 + i for i in range(c)], placeholders=extra)
     w, w3 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
-    keys = build_key_sequence(seq, Tensor(w), BackgroundToken(Tensor(token_vec)))
+    keys = build_key_sequence(seq, Tensor(w), Tensor(token_vec))
     values = build_value_sequence(seq, Tensor(w3))
     assert keys.shape == values.shape == (n, d)
-    assert seq.placeholder_positions == placeholders_at
-    np.testing.assert_array_equal(keys.data[list(seq.class_positions)],
-                                  feats @ np.ascontiguousarray(w.T))
-    np.testing.assert_array_equal(values.data[list(seq.class_positions)],
-                                  feats @ np.ascontiguousarray(w3.T))
-    for pos in placeholders_at:
-        np.testing.assert_array_equal(keys.data[pos], token_vec)
-        np.testing.assert_array_equal(values.data[pos], np.zeros(d))
+    np.testing.assert_array_equal(keys.data[:c], feats @ np.ascontiguousarray(w.T))
+    np.testing.assert_array_equal(values.data[:c], feats @ np.ascontiguousarray(w3.T))
+    np.testing.assert_array_equal(keys.data[c:], np.tile(token_vec, (extra, 1)))
+    np.testing.assert_array_equal(values.data[c:], np.zeros((extra, d)))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from fewdet.errors import NumericError, ShapeError
@@ -49,23 +49,22 @@ KINDS = ["continuous", "small_ints", "duplicated_rows"]
 
 def sequence(ids, placeholders=1, d=4, rng=None):
     rng = rng or np.random.default_rng(0)
-    return SupportSequence(tuple(ids) + (None,) * placeholders,
+    return SupportSequence(tuple(ids), len(ids) + placeholders,
                            Tensor(rng.normal(size=(len(ids), d))))
 
 
 def decode_reference(out, s, score_threshold):
     """The per-query loop that decode_detections replaced."""
-    class_positions = list(s.class_positions)
-    if not class_positions:
+    class_count = len(s.class_ids)
+    if not class_count:
         return []
     detections = []
     for q in range(out.boxes.shape[0]):
-        row = out.position_probs.data[q, class_positions]
+        row = out.position_probs.data[q, :class_count]
         best = int(np.argmax(row))
         score = float(row[best])
         if score >= score_threshold:
-            detections.append((s.layout[class_positions[best]], score,
-                               out.boxes.data[q].copy()))
+            detections.append((s.class_ids[best], score, out.boxes.data[q].copy()))
     return detections
 
 
@@ -226,7 +225,7 @@ class TestMatchCost:
         from fewdet.metrics import giou
         for q in range(m):
             for j in range(g):
-                pos = seq.position_of_class(labels[j])
+                pos = seq.class_ids.index(labels[j])
                 expected = (w.cls * -probs[q, pos]
                             + w.l1 * np.abs(boxes[q] - gt_boxes[j]).sum()
                             + w.giou * (1 - giou(boxes[q], gt_boxes[j])))
@@ -236,7 +235,7 @@ class TestMatchCost:
         seq = sequence([0], placeholders=1)
         out = output([[0.5, 0.5]], [[0.5, 0.5, 0.2, 0.2]])
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.2, 0.2]], labels=[9])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             match_cost(out, gt, seq, Weights())
 
 
@@ -278,8 +277,8 @@ class TestSetLoss:
 
         from fewdet.metrics import giou
         targets = np.zeros((m, n))
-        targets[2, seq.position_of_class(1)] = 1.0
-        bg_pos = seq.placeholder_positions[0]
+        targets[2, seq.class_ids.index(1)] = 1.0
+        bg_pos = 2  # the placeholder follows the two classes
         targets[0, bg_pos] = 1.0
         targets[1, bg_pos] = 1.0
         pos_mask = targets == 1.0
@@ -377,7 +376,7 @@ class TestSetLoss:
         seq = sequence([0], placeholders=1, rng=rng)
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.2, 0.2]], labels=[0])
         match = MatchResult(pairs=[(0, 0)])
-        pos = seq.position_of_class(0)
+        pos = seq.class_ids.index(0)
         w = Weights()
         boxes = np.full((2, 4), 0.5)
         previous = None
@@ -423,8 +422,8 @@ class TestBceWithLogits:
         w = Weights(cls=1.7)
         _, parts = set_loss(out, gt, seq, match, w)
         targets = np.zeros((4, 3))
-        targets[[1, 3], [seq.position_of_class(0), seq.position_of_class(1)]] = 1.0
-        targets[[0, 2], seq.placeholder_positions[0]] = 1.0
+        targets[[1, 3], [seq.class_ids.index(0), seq.class_ids.index(1)]] = 1.0
+        targets[[0, 2], 2] = 1.0  # the placeholder follows the two classes
         z = out.position_logits.data
         bce = ((targets / targets.sum() * softplus_reference(-z)).sum()
                + ((1.0 - targets) / (targets.size - targets.sum())
@@ -602,16 +601,16 @@ class TestDecode:
         assert len(decode_detections(out, seq, 0.0)) == 7
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=6), st.integers(0, 12),
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 12),
            st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 31 - 1))
-    def test_matches_per_query_loop(self, is_placeholder, m, threshold, seed):
+    def test_matches_per_query_loop(self, class_count, extra, m, threshold, seed):
         """Probabilities drawn from a few levels, 1.0 included, so rows tie
         exactly and the threshold-1 case emits."""
+        assume(class_count + extra >= 1)
         rng = np.random.default_rng(seed)
-        layout = tuple(None if p else 20 + i for i, p in enumerate(is_placeholder))
-        class_count = sum(c is not None for c in layout)
-        seq = SupportSequence(layout, Tensor(np.zeros((class_count, 4))))
-        probs = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, len(layout)))
+        seq = SupportSequence(tuple(20 + i for i in range(class_count)),
+                              class_count + extra, Tensor(np.zeros((class_count, 4))))
+        probs = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, len(seq)))
         out = DetectionOutput(boxes=Tensor(rng.uniform(0.3, 0.7, size=(m, 4))),
                               position_probs=Tensor(probs),
                               position_logits=Tensor(np.zeros_like(probs)))

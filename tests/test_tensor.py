@@ -636,27 +636,24 @@ def backward_from(out, g):
     Tensor._result(np.asarray(0.0), (out,), lambda _: (g,)).backward()
 
 
-def matmul_t_then_gather(x, w, filler, rows, filler_rows, g):
+def matmul_t_then_gather(x, w, filler, n, g):
     """Value and gradients of the two-node chain the realization replaces:
-    ``matmul_t`` against a contiguous ``w^T``, then a gather from
-    ``[x @ w^T; filler]`` whose backward accumulates into zeros with
-    ``np.add.at``."""
+    ``matmul_t`` against a contiguous ``w^T``, then a gather of the n rows
+    ``0..C-1, C, C, ...`` from ``[x @ w^T; filler]`` whose backward
+    accumulates into zeros with ``np.add.at``."""
+    c = len(x)
     wt = w.T.copy()
     table = np.concatenate([x @ wt, filler[None]])
-    index = np.empty(len(rows) + len(filler_rows), dtype=np.intp)
-    index[list(rows)] = np.arange(len(rows))
-    index[list(filler_rows)] = len(rows)
+    index = np.minimum(np.arange(n), c)
     full = np.zeros_like(table)
     np.add.at(full, index, g)
-    projected = full[:len(rows)]
-    return [table[index], projected @ wt.T, (x.T @ projected).T, full[len(rows)]]
+    projected = full[:c]
+    return [table[index], projected @ wt.T, (x.T @ projected).T, full[c]]
 
 
 class TestProjectRows:
-    LAYOUTS = {"prefix": ((0, 1, 2, 3), (4, 5, 6)),
-               "interleaved": ((1, 2, 4, 6), (0, 3, 5)),
-               "no-placeholder": ((0, 1, 2, 3), ()),
-               "only-placeholders": ((), (0, 1, 2))}
+    # (class rows C, sequence length n)
+    LAYOUTS = {"prefix": (4, 7), "no-placeholder": (4, 4), "only-placeholders": (0, 3)}
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -667,22 +664,20 @@ class TestProjectRows:
         transposed view (as the class logits' ``matmul_t`` hands it on). The
         model's shapes, at which BLAS sums a transposed gradient otherwise,
         and three placeholders, whose sum depends on its order."""
-        rows, filler_rows = self.LAYOUTS[layout]
+        c, n = self.LAYOUTS[layout]
         rng = np.random.default_rng(24)
-        x, w, filler = (rng.normal(size=(len(rows), 64)), rng.normal(size=(64, 64)),
+        x, w, filler = (rng.normal(size=(c, 64)), rng.normal(size=(64, 64)),
                         rng.normal(size=64))
-        g = rng.normal(size=(64, len(rows) + len(filler_rows))) * 1e3
+        g = rng.normal(size=(64, n)) * 1e3
         g[:, 1] = -0.0
-        g[2, list(filler_rows)] = -0.0
+        g[2, c:] = -0.0
         g = g.T if transposed else g.T.copy()
-        want = matmul_t_then_gather(x, w, filler if token else np.zeros(64),
-                                    rows, filler_rows, g)
+        want = matmul_t_then_gather(x, w, filler if token else np.zeros(64), n, g)
         leaves = [Tensor(a, requires_grad=True) for a in (x, w, filler)]
-        out = T.project_rows(leaves[0], leaves[1], rows, filler_rows,
-                             leaves[2] if token else None)
+        out = T.project_rows(leaves[0], leaves[1], n, leaves[2] if token else None)
         backward_from(out, g)
         got = [out.data] + [leaf.grad for leaf in leaves[:2]]
-        if token and filler_rows:
+        if token and n > c:
             got.append(leaves[2].grad)
         else:
             assert leaves[2].grad is None
@@ -692,26 +687,23 @@ class TestProjectRows:
     def test_gradient(self):
         rng = np.random.default_rng(19)
         x, w, filler = rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
-        rows, filler_rows = (1, 3), (0, 2, 4)
-        grad_check(lambda t: T.project_rows(t, Tensor(w), rows, filler_rows,
-                                            Tensor(filler)), x)
-        grad_check(lambda t: T.project_rows(Tensor(x), t, rows, filler_rows), w)
-        grad_check(lambda t: T.project_rows(Tensor(x), Tensor(w), rows, filler_rows, t),
-                   filler)
+        grad_check(lambda t: T.project_rows(t, Tensor(w), 5, Tensor(filler)), x)
+        grad_check(lambda t: T.project_rows(Tensor(x), t, 5), w)
+        grad_check(lambda t: T.project_rows(Tensor(x), Tensor(w), 5, t), filler)
 
-    @pytest.mark.parametrize("rows, filler_rows, filler", [
-        ((0, 1), (3,), (3,)), ((0, 1), (1,), (3,)), ((0,), (1, 2), (3,)),
-        ((-1, 0), (1,), (3,)), ((0, 1), (2,), (2,)), ((0, 1), (2,), (1, 3)),
-    ], ids=["past-end", "twice", "row-count", "negative", "filler-width", "filler-rank"])
-    def test_bad_positions_or_filler(self, rows, filler_rows, filler):
+    @pytest.mark.parametrize("n, filler", [
+        (1, (3,)), (-1, (3,)), (3, (2,)), (3, (1, 3)),
+    ], ids=["row-count", "negative", "filler-width", "filler-rank"])
+    def test_bad_positions_or_filler(self, n, filler):
+        """A length shorter than the projected rows, or a filler that is not
+        one row of the projection."""
         with pytest.raises(ShapeError):
             T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                           rows, filler_rows, Tensor(np.zeros(filler)))
+                           n, Tensor(np.zeros(filler)))
 
     def test_weight_must_match_transposed(self):
         with pytest.raises(ShapeError):
-            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))),
-                           (0, 1), ())
+            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), 2)
 
 
 def columns(x, start, stop):
@@ -957,7 +949,7 @@ NO_WRITE_CASES = {
     "concat_linear": (T.concat_linear, [(3, 4), (3, 2), (6, 2), (2,)]),
     "matmul_t": (T.matmul_t, [(3, 4), (2, 4)]),
     "take_rows": (lambda a: T.take_rows(a, [0, 3, 2]), [(4, 3)]),
-    "project_rows": (lambda x, w, f: T.project_rows(x, w, (1, 2, 4), (0, 3), f),
+    "project_rows": (lambda x, w, f: T.project_rows(x, w, 5, f),
                      [(3, 4), (5, 4), (5,)]),
     "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
                         [(3, 4)]),
