@@ -7,7 +7,8 @@ generates the episodes, and ``ablate_seeds`` seed the ablation's models.
 Every setting has one source: a file that sets a ``model`` key derived from
 another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it, and
 so does an integer setting that is not a YAML integer (``2.5``, ``true``),
-a float setting that is not a YAML number (``"0.001"``, ``true``), a value
+a float setting that is not a YAML number (``"0.001"``, ``true``), a string
+setting that is not a YAML string (``out_dir: 5``), a value
 out of its range (checked by each section's ``__post_init__``; a float must
 be finite) or an ``ablate_seeds`` entry that is not a non-negative integer.
 """
@@ -96,8 +97,8 @@ _TOP_LEVEL_SCALARS = {"seed", "out_dir", "ablate_seeds"}
 def check_types(cls, values: dict, prefix: str) -> None:
     """ConfigError unless each of ``values`` that sets an int field of ``cls``
     is an int, each that sets a float field an int or a float, never a
-    bool, and each that sets a bool field a bool (``f.type`` is a string:
-    annotations are deferred)."""
+    bool, each that sets a bool field a bool and each that sets a str field
+    a str (``f.type`` is a string: annotations are deferred)."""
     for f in dataclasses.fields(cls):
         if f.name not in values:
             continue
@@ -109,6 +110,8 @@ def check_types(cls, values: dict, prefix: str) -> None:
             raise ConfigError(f"{prefix}{f.name} must be a number, not {value!r}")
         if f.type == "bool" and type(value) is not bool:
             raise ConfigError(f"{prefix}{f.name} must be a boolean, not {value!r}")
+        if f.type == "str" and type(value) is not str:
+            raise ConfigError(f"{prefix}{f.name} must be a string, not {value!r}")
 
 
 def _build_section(cls, values: dict, section: str):

@@ -184,6 +184,7 @@ def _parse_run_config(path, config: dict
         if "moments" not in config:
             raise CorruptionError(f"{path}: no 'moments' field: a per-parameter "
                                   f"run checkpoint, a layout no longer read")
+        check_types(RunConfig, config["run"], "run.")
         run = run_config_from_dict(config["run"])
         vm = dict(config["variant_model"])
         check_types(ModelConfig, vm, "variant_model.")

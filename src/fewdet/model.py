@@ -15,6 +15,12 @@ rows through a projection, then the placeholders as the raw background
 token), which is what makes the head class-agnostic and gives the
 background token its supervision path.
 
+:func:`forward` hands the OBD layers the weights they read, each layer's
+``obd.layer{i}.w1/w2/w3`` from ``state.params`` (as :func:`_decoder` reads
+its own), and gets plain tensors and per-head attention back; its
+diagnostics keep the last query layer's, which
+:func:`fewdet.obd.head_average` averages wherever a caller needs the mean.
+
 Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
 :func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`. The
@@ -27,6 +33,7 @@ against the support keys through :func:`fewdet.tensor.matmul_t`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from dataclasses import dataclass, field
@@ -36,8 +43,8 @@ import numpy as np
 
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError
-from .obd import (OfeFusion, OfeProjections, SupportSequence, build_key_sequence,
-                  ofe_query, ofe_support)
+from .obd import (OfeFusion, SupportSequence, build_key_sequence, ofe_query,
+                  ofe_support)
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
@@ -111,12 +118,6 @@ class ModelState:
 
     def names(self) -> list[str]:
         return sorted(self.params)
-
-    def ofe_projections(self, layer: int) -> OfeProjections:
-        p = self.params
-        return OfeProjections(w1=p[f"obd.layer{layer}.w1"],
-                              w2=p[f"obd.layer{layer}.w2"],
-                              w3=p[f"obd.layer{layer}.w3"])
 
     def ofe_fusion(self, layer: int) -> OfeFusion:
         p = self.params
@@ -308,19 +309,21 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     ``sequence`` and the last query layer's (heads, P, n_max)
     ``query_attention`` over it."""
     patches, seq = extract_features(episode, state, cfg)
-    token = state["obd.background_token"]
+    p = state.params
+    token = p["obd.background_token"]
 
     for i in range(cfg.encoder_layers):
-        ref = ofe_support(seq, state.ofe_projections(i), token, cfg.d, cfg.heads)
-        refined_rows = take_rows(ref.per_position_output, range(len(seq.class_ids)))
+        attended, _ = ofe_support(seq, p[f"obd.layer{i}.w2"], p[f"obd.layer{i}.w3"],
+                                  token, cfg.heads)
+        refined_rows = take_rows(attended, range(len(seq.class_ids)))
         seq = dataclasses.replace(seq, features=seq.features + refined_rows)
 
     support_features = SupportClassFeatures(features=seq.features)
 
     for i in range(cfg.encoder_layers):
-        ref = ofe_query(patches, seq, state.ofe_projections(i), token, cfg.d,
-                        state.ofe_fusion(i), cfg.heads)
-        patches = ref.refined
+        patches, _, query_attention = ofe_query(
+            patches, seq, p[f"obd.layer{i}.w1"], p[f"obd.layer{i}.w2"],
+            p[f"obd.layer{i}.w3"], token, state.ofe_fusion(i), cfg.heads)
 
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
@@ -333,14 +336,16 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
         probs = sigmoid(logits)
 
     # Boxes are offsets from per-query learnable reference boxes, in logit
-    # space; with an all-zero state this still decodes to sigmoid(0).
-    box_hidden = linear(decoded, state["head.box.w1"], state["head.box.b1"])
-    box_delta = linear(silu(box_hidden), state["head.box.w2"], state["head.box.b2"])
-    boxes = sigmoid(state["queries.ref"] + box_delta)
+    # space; with an all-zero state this still decodes to sigmoid(0). With no
+    # ground truth the box loss is a constant, so the head records no nodes.
+    with contextlib.nullcontext() if len(episode.labels) else no_grad():
+        box_hidden = linear(decoded, state["head.box.w1"], state["head.box.b1"])
+        box_delta = linear(silu(box_hidden), state["head.box.w2"], state["head.box.b2"])
+        boxes = sigmoid(state["queries.ref"] + box_delta)
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)
     return out, support_features, {"sequence": seq,
-                                   "query_attention": ref.head_attention}
+                                   "query_attention": query_attention}
 
 
 # -- training -----------------------------------------------------------------------

@@ -20,12 +20,19 @@ back with the original patches through Conv1D + FFN. The Conv1D is one
 features side by side, which keeps no concatenated copy for backward; the
 FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
 head at once through the fused :func:`fewdet.tensor.attention` primitive.
+
+The branches take the weight tensors they read and return plain values:
+:func:`ofe_support` takes the key and value projections and returns
+``attention``'s ``(out, head_attention)``; :func:`ofe_query` also takes the
+query projection and the :class:`OfeFusion` tensors, and returns
+``(refined, out, head_attention)``. The head attention is the
+(heads, rows, n) array ``attention`` returns; :func:`head_average` is the
+one place it is averaged over the heads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -62,39 +69,12 @@ class SupportSequence:
 
 
 @dataclass
-class OfeProjections:
-    """Per-layer weight matrices: w1 on query patches, w2 keys, w3 values."""
-
-    w1: Tensor
-    w2: Tensor
-    w3: Tensor
-
-    def __post_init__(self):
-        for name, w in (("w1", self.w1), ("w2", self.w2), ("w3", self.w3)):
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ShapeError(f"{name} must be square, got {w.shape}")
-
-
-@dataclass
 class OfeFusion:
     """Conv1D + FFN parameters fusing patches with their attended features."""
 
     conv_kernel: Tensor  # (2d, d)
     conv_bias: Tensor    # (d,)
     ffn: FfnParams
-
-
-@dataclass
-class RefinedFeatures:
-    per_position_output: Tensor
-    head_attention: np.ndarray  # (heads, n, m), a constant outside the graph
-    refined: Optional[Tensor] = None
-
-    @property
-    def attention(self) -> np.ndarray:
-        """The head-averaged (n, m) attention, computed when read: most
-        forwards never read it."""
-        return head_average(self.head_attention)
 
 
 def head_average(head_attention: np.ndarray) -> np.ndarray:
@@ -108,43 +88,38 @@ def build_key_sequence(s: SupportSequence, w_key: Tensor, token: Tensor) -> Tens
     return project_rows(s.features, w_key, len(s), token)
 
 
-def build_value_sequence(s: SupportSequence, w3: Tensor) -> Tensor:
+def build_value_sequence(s: SupportSequence, w_value: Tensor) -> Tensor:
     """Value-side realization: projected class features, exact zero rows at
     placeholders (the zero rows are constants and carry no gradient)."""
-    return project_rows(s.features, w3, len(s))
+    return project_rows(s.features, w_value, len(s))
 
 
-def ofe_support(s: SupportSequence, proj: OfeProjections, token: Tensor,
-                d: int, heads: int = 1) -> RefinedFeatures:
+def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
+                token: Tensor, heads: int = 1) -> tuple[Tensor, np.ndarray]:
     """Support-branch self-interaction: keys double as queries, values carry
-    zero rows at placeholders so background mass dilutes rather than leaks."""
+    zero rows at placeholders so background mass dilutes rather than leaks.
+    Returns :func:`fewdet.tensor.attention`'s (n, d) output and (heads, n, n)
+    attention."""
     if len(s) == 0:
         raise ShapeError("ofe_support: empty support sequence")
-    keys = build_key_sequence(s, proj.w2, token)
-    values = build_value_sequence(s, proj.w3)
-    if keys.shape[1] != d:
-        raise ShapeError(f"sequence dim {keys.shape[1]} does not match d={d}")
-    out, attn = attention(keys, keys, values, heads)
-    return RefinedFeatures(per_position_output=out, head_attention=attn)
+    keys = build_key_sequence(s, w_key, token)
+    return attention(keys, keys, build_value_sequence(s, w_value), heads)
 
 
-def ofe_query(q_patches: Tensor, s: SupportSequence, proj: OfeProjections,
-              token: Tensor, d: int, fusion: OfeFusion,
-              heads: int = 1) -> RefinedFeatures:
+def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
+              w_key: Tensor, w_value: Tensor, token: Tensor, fusion: OfeFusion,
+              heads: int = 1) -> tuple[Tensor, Tensor, np.ndarray]:
     """Query-branch cross-interaction plus Conv1D/FFN fusion with the
-    original patches, so global image content is retained."""
+    original patches, so global image content is retained. Returns the
+    (P, d) refined patches, the (P, d) attended features and the
+    (heads, P, n) attention."""
     if q_patches.ndim != 2 or q_patches.shape[0] < 1:
         raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
-    projected_q = matmul_t(q_patches, proj.w1)
-    keys = build_key_sequence(s, proj.w2, token)
-    values = build_value_sequence(s, proj.w3)
-    out, attn = attention(projected_q, keys, values, heads)
+    out, attn = attention(matmul_t(q_patches, w_query),
+                          build_key_sequence(s, w_key, token),
+                          build_value_sequence(s, w_value), heads)
     fused = concat_linear(q_patches, out, fusion.conv_kernel, fusion.conv_bias)
-    refined = ffn_apply(fused, fusion.ffn)
-    if refined.shape != (q_patches.shape[0], d):
-        raise ShapeError(f"refined output {refined.shape} != ({q_patches.shape[0]}, {d})")
-    return RefinedFeatures(per_position_output=out, head_attention=attn,
-                           refined=refined)
+    return ffn_apply(fused, fusion.ffn), out, attn
 
 
 def background_attention_mass(attention: np.ndarray,

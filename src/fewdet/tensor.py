@@ -35,6 +35,11 @@ chains run in one such buffer (``out=`` or augmented assignment), in the
 order of the out-of-place expression, so the in-place form is bit-identical
 to it.
 
+Only :func:`add` and :func:`mul`, and so ``+`` and ``*``, take a float or
+an array where a Tensor goes, and wrap it as a constant: that is where a
+scale or a loss weight meets a Tensor. Every other primitive takes
+Tensors.
+
 Everything is float64: this library exists to make gradient checks against
 central finite differences meaningful, not to be fast on large models.
 """
@@ -265,7 +270,6 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul requires 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -279,7 +283,6 @@ def matmul_t(x: Tensor, w: Tensor) -> Tensor:
     """``x @ w^T`` as one graph node. The product runs against a contiguous
     copy of ``w^T``: OpenBLAS picks other small-matrix kernels for a
     transposed view, whose sums can differ in the last bits."""
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"matmul_t: {x.shape} does not match the transpose of {w.shape}")
     wt = w.data.T.copy()
@@ -298,18 +301,15 @@ def project_rows(x: Tensor, w: Tensor, n: int, filler: Tensor | None = None
     accumulated it: the projected rows get ``0.0 + g`` (so -0.0 becomes
     0.0), and the filler the sum of its rows in order, starting from 0.0.
     The filler is a parent only when some row holds it."""
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"project_rows: {x.shape} does not match the "
                          f"transpose of {w.shape}")
     c, width = x.shape[0], w.shape[0]
     if n < c:
         raise ShapeError(f"project_rows: {n} rows cannot hold the {c} projected ones")
-    if filler is not None:
-        filler = _as_tensor(filler)
-        if filler.shape != (width,):
-            raise ShapeError(f"project_rows: filler {filler.shape} does not "
-                             f"match the projected width {width}")
+    if filler is not None and filler.shape != (width,):
+        raise ShapeError(f"project_rows: filler {filler.shape} does not "
+                         f"match the projected width {width}")
     filled = filler is not None and n > c
     wt = w.data.T.copy()
     out = np.empty((n, width))
@@ -336,7 +336,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The affine map ``x @ w + b`` (a width-1 convolution over the channel
     axis) as one graph node. ``x`` gets no gradient unless it requires one,
     so raw inputs cost no backward product."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
     if b.shape != (w.shape[1],):
@@ -356,7 +355,6 @@ def concat_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     the concatenated input. The (n, wa + wb) concatenation is not kept:
     backward builds it again for the weight gradient, and hands ``a`` and
     ``b`` the column blocks of ``g @ w^T``."""
-    a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_linear: inputs {a.shape} and {b.shape} do not "
                          f"share their rows")
@@ -382,7 +380,6 @@ def concat_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g: np.ndarray):
@@ -415,14 +412,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function; the gradient is y * (1 - y)."""
-    a = _as_tensor(a)
     out = _stable_sigmoid(a.data)
     return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x): the smooth nonlinearity used inside FFN blocks."""
-    a = _as_tensor(a)
     x = a.data
     s = _stable_sigmoid(x)
 
@@ -481,7 +476,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     dK = dS^T Q. The row max and both row sums go through
     :func:`_reduce_keys`, so a short key axis costs no per-row loop.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape \
             or k.shape[1] != q.shape[1] or k.shape[0] < 1:
         raise ShapeError(f"attention: queries {q.shape}, keys {k.shape} and "
@@ -528,7 +522,6 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     index raises ShapeError. Backward writes ``0.0 + g`` at the selected
     rows of a zero gradient, what accumulating into zeros gives (-0.0
     becomes 0.0)."""
-    a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("take_rows expects a flat index list")
@@ -570,7 +563,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     row means and dxhat = g * gamma:
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps).
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError(f"layer_norm: input {x.shape} does not match "
                          f"gamma {gamma.shape} / beta {beta.shape}")
@@ -607,7 +599,6 @@ def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
     ``x`` is a parent twice, once for the residual and once for the hidden
     layer, so its two gradients accumulate in the order the unfused chain
     gave them."""
-    x = _as_tensor(x)
     w1, b1, w2, b2 = params.tensors()
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise ShapeError(f"ffn_apply: input {x.shape} does not match w1 {w1.shape}")

@@ -435,6 +435,19 @@ def test_variant_model_integer_that_is_not_an_int_is_corrupt(tmp_path, tiny_trai
         load_run_checkpoint(path)
 
 
+def test_run_out_dir_that_is_not_a_string_is_corrupt(tmp_path, tiny_trained):
+    """The run record's ``out_dir`` loads as a JSON string or not at all:
+    not as a number that ``eval`` later fails to build a path from."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    config["run"]["out_dir"] = 5
+    path = tmp_path / "run.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError, match=r"run\.out_dir must be a string, not 5"):
+        load_run_checkpoint(path)
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("single_class_mode", "false", "a boolean"), ("single_class_mode", 1, "a boolean"),
     ("weights.cls", True, "a number"),

@@ -138,6 +138,17 @@ class TestUsageErrors:
         assert f"{key} must be" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb, value", [("train", 5), ("gen", [1])],
+                             ids=["train-integer", "gen-list"])
+    def test_out_dir_that_is_not_a_string_exits_1(self, fast_config, capsys,
+                                                  verb, value):
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["out_dir"] = value
+        fast_config.write_text(yaml.safe_dump(cfg))
+        assert run_cli(verb, "--config", str(fast_config)) == 1
+        assert capsys.readouterr().err == \
+            f"error: out_dir must be a string, not {value!r}\n"
+
     def test_gen_with_capacity_one_exits_1(self, fast_config, tmp_path, capsys):
         cfg = yaml.safe_load(fast_config.read_text())
         cfg["benchmark"]["capacity"] = 1

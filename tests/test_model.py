@@ -263,18 +263,19 @@ def test_full_loss_gradient_matches_finite_differences():
     assert not failures, [f"{r.name}: {r.max_rel_error}" for r in failures]
 
 
-def recorded_train_step_nodes(monkeypatch, variant: str):
+def recorded_train_step_nodes(monkeypatch, variant: str, step: int = 0):
     """The autodiff graph nodes one default train step of ``variant``
-    records on train episode 0 (its view at step 0 in single-class mode),
-    held past the step, the name of the function that created each, and
-    that episode."""
+    records on train episode ``step`` (its view at that step in
+    single-class mode), held past the step, the name of the function that
+    created each, and that episode."""
     from fewdet import tensor as T
     from fewdet.config import RunConfig
 
     run = RunConfig()
     cfg = ablation_variant(run.resolved_model(), variant)
     state = init_model_state(cfg)
-    episode = training_episode(generate_episode(run.benchmark, 0, "train"), cfg, 0)
+    episode = training_episode(generate_episode(run.benchmark, step, "train"),
+                               cfg, step)
     result = T.Tensor._result
     nodes, creators = [], []
 
@@ -303,16 +304,21 @@ def test_default_train_step_graph_node_budget(monkeypatch):
     assert 0 < len(nodes) <= 75
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_train_step_backward_walks_every_recorded_node(monkeypatch, variant):
-    """On an episode with ground truth, backward consumes every node the
-    step recorded: no node is built for a value that no gradient flows
-    through. Out of scope: a single-class view with no ground truth, whose
-    box loss is a constant, so its box-head nodes are never walked."""
+@pytest.mark.parametrize("variant, step, nodes_recorded", [
+    *((variant, 0, None) for variant in VARIANTS),
+    ("baseline", 4, 66),
+], ids=[*VARIANTS, "baseline-view-without-ground-truth"])
+def test_train_step_backward_walks_every_recorded_node(monkeypatch, variant, step,
+                                                       nodes_recorded):
+    """Backward consumes every node the step recorded: no node is built for
+    a value that no gradient flows through. Step 0's episode has ground
+    truth; the baseline's view at step 4 has none, so its box loss is a
+    constant and the box head records no nodes."""
     from fewdet.tensor import _consumed
 
-    nodes, _, episode = recorded_train_step_nodes(monkeypatch, variant)
-    assert len(episode.labels) >= 1
+    nodes, _, episode = recorded_train_step_nodes(monkeypatch, variant, step)
+    assert (len(episode.labels) == 0) == (step == 4)
+    assert nodes_recorded in (None, len(nodes))
     assert nodes and [n.shape for n in nodes if n._backward is not _consumed] == []
 
 

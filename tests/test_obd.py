@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fewdet.errors import ShapeError
-from fewdet.obd import (OfeFusion, OfeProjections, SupportSequence,
-                        background_attention_mass, build_key_sequence,
-                        build_value_sequence, ofe_query, ofe_support)
+from fewdet.obd import (OfeFusion, SupportSequence, background_attention_mass,
+                        build_key_sequence, build_value_sequence, head_average,
+                        ofe_query, ofe_support)
 from fewdet.tensor import FfnParams, Tensor, tsum
 
 
@@ -19,8 +19,13 @@ def make_sequence(features, ids, placeholders=0):
 
 
 def random_projections(rng, d, requires_grad=True):
-    return OfeProjections(*[Tensor(rng.normal(size=(d, d)), requires_grad=requires_grad)
-                            for _ in range(3)])
+    """Query, key and value weights (an OBD layer's w1, w2 and w3)."""
+    return tuple(Tensor(rng.normal(size=(d, d)), requires_grad=requires_grad)
+                 for _ in range(3))
+
+
+def identity_projections(d):
+    return tuple(Tensor(np.eye(d)) for _ in range(3))
 
 
 def random_fusion(rng, d):
@@ -87,10 +92,10 @@ class TestBuildSequences:
         d = 4
         token = Tensor(rng.normal(size=d), requires_grad=True)
         seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders=1)
-        proj = random_projections(rng, d)
-        ref = ofe_support(seq, proj, token, d)
-        frozen_attention = Tensor(ref.attention)
-        values = build_value_sequence(seq, proj.w3)
+        _, w_key, w_value = random_projections(rng, d)
+        _, attn = ofe_support(seq, w_key, w_value, token)
+        frozen_attention = Tensor(head_average(attn))
+        values = build_value_sequence(seq, w_value)
         from fewdet.tensor import matmul
         out = matmul(frozen_attention, values)
         tsum(out * out).backward()
@@ -103,11 +108,10 @@ class TestOfeSupport:
         d = 4
         feats = rng.normal(size=(1, d))
         seq = make_sequence(feats, [0])
-        proj = random_projections(rng, d)
-        ref = ofe_support(seq, proj, Tensor(rng.normal(size=d)), d)
-        np.testing.assert_array_equal(ref.attention, [[1.0]])
-        np.testing.assert_allclose(ref.per_position_output.data,
-                                   feats @ proj.w3.data.T, rtol=1e-12)
+        _, w_key, w_value = random_projections(rng, d)
+        out, attn = ofe_support(seq, w_key, w_value, Tensor(rng.normal(size=d)))
+        np.testing.assert_array_equal(head_average(attn), [[1.0]])
+        np.testing.assert_allclose(out.data, feats @ w_value.data.T, rtol=1e-12)
 
     def test_hand_derived_two_position_case(self):
         # One class feature orthogonal to the token with squared norm
@@ -119,22 +123,21 @@ class TestOfeSupport:
         token_vec = np.zeros(d)
         token_vec[1] = 1.0
         seq = make_sequence([c], [0], placeholders=1)
-        proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
-        ref = ofe_support(seq, proj, Tensor(token_vec), d)
+        _, w_key, w_value = identity_projections(d)
+        out, attn = ofe_support(seq, w_key, w_value, Tensor(token_vec))
         e = np.e
-        np.testing.assert_allclose(ref.attention[0],
+        np.testing.assert_allclose(head_average(attn)[0],
                                    [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
-        np.testing.assert_allclose(ref.per_position_output.data[0],
-                                   (e / (e + 1)) * c, rtol=1e-12)
+        np.testing.assert_allclose(out.data[0], (e / (e + 1)) * c, rtol=1e-12)
 
     def test_identical_features_and_token_give_uniform_attention(self):
         rng = np.random.default_rng(5)
         d = 4
         c = rng.normal(size=d)
         seq = make_sequence([c, c], [0, 1], placeholders=1)
-        proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
-        ref = ofe_support(seq, proj, Tensor(c), d)
-        np.testing.assert_allclose(ref.attention, np.full((3, 3), 1 / 3),
+        _, w_key, w_value = identity_projections(d)
+        _, attn = ofe_support(seq, w_key, w_value, Tensor(c))
+        np.testing.assert_allclose(head_average(attn), np.full((3, 3), 1 / 3),
                                    rtol=1e-12)
 
     def test_reduces_to_standard_self_attention_without_placeholders(self):
@@ -144,27 +147,28 @@ class TestOfeSupport:
         d = 8
         feats = rng.normal(size=(5, d))
         seq = make_sequence(feats, list(range(5)))
-        proj = random_projections(rng, d)
-        ref = ofe_support(seq, proj, Tensor(rng.normal(size=d)), d)
+        _, w_key, w_value = random_projections(rng, d)
+        out, _ = ofe_support(seq, w_key, w_value, Tensor(rng.normal(size=d)))
 
-        keys = feats @ proj.w2.data.T
-        values = feats @ proj.w3.data.T
+        keys = feats @ w_key.data.T
+        values = feats @ w_value.data.T
         scores = keys @ keys.T / np.sqrt(d)
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
         expected = attn @ values
-        assert np.abs(ref.per_position_output.data - expected).max() < 1e-10
+        assert np.abs(out.data - expected).max() < 1e-10
 
     def test_multi_head_matches_per_slice_oracle(self):
         rng = np.random.default_rng(7)
         d, heads = 8, 2
         feats = rng.normal(size=(4, d))
         seq = make_sequence(feats, list(range(4)))
-        proj = random_projections(rng, d)
-        ref = ofe_support(seq, proj, Tensor(rng.normal(size=d)), d, heads=heads)
+        _, w_key, w_value = random_projections(rng, d)
+        out, _ = ofe_support(seq, w_key, w_value, Tensor(rng.normal(size=d)),
+                             heads=heads)
 
-        keys = feats @ proj.w2.data.T
-        values = feats @ proj.w3.data.T
+        keys = feats @ w_key.data.T
+        values = feats @ w_value.data.T
         dh = d // heads
         parts = []
         for h in range(heads):
@@ -174,23 +178,22 @@ class TestOfeSupport:
             attn = np.exp(scores - scores.max(axis=1, keepdims=True))
             attn /= attn.sum(axis=1, keepdims=True)
             parts.append(attn @ v)
-        assert np.abs(ref.per_position_output.data - np.hstack(parts)).max() < 1e-10
+        assert np.abs(out.data - np.hstack(parts)).max() < 1e-10
 
 
 class TestOfeQuery:
     def test_zero_inputs_give_uniform_attention_and_column_mean(self):
         d, p, n = 4, 3, 3
         seq = make_sequence(np.zeros((2, d)), [0, 1], placeholders=1)
-        proj = OfeProjections(Tensor(np.zeros((d, d))), Tensor(np.zeros((d, d))),
-                              Tensor(np.zeros((d, d))))
+        w_query, w_key, w_value = (Tensor(np.zeros((d, d))) for _ in range(3))
         fusion = OfeFusion(Tensor(np.zeros((2 * d, d))), Tensor(np.zeros(d)),
                            FfnParams(Tensor(np.zeros((d, d))), Tensor(np.zeros(d)),
                                      Tensor(np.zeros((d, d))), Tensor(np.zeros(d))))
-        ref = ofe_query(Tensor(np.zeros((p, d))), seq, proj, Tensor(np.zeros(d)), d,
-                        fusion)
-        np.testing.assert_allclose(ref.attention, np.full((p, n), 1 / n))
-        values = build_value_sequence(seq, proj.w3)
-        np.testing.assert_allclose(ref.per_position_output.data,
+        _, out, attn = ofe_query(Tensor(np.zeros((p, d))), seq, w_query, w_key,
+                                 w_value, Tensor(np.zeros(d)), fusion)
+        np.testing.assert_allclose(head_average(attn), np.full((p, n), 1 / n))
+        values = build_value_sequence(seq, w_value)
+        np.testing.assert_allclose(out.data,
                                    np.tile(values.data.mean(axis=0), (p, 1)))
 
     def test_saturating_patch_attends_to_single_class(self):
@@ -198,14 +201,13 @@ class TestOfeQuery:
         d = 4
         feats = np.eye(2, d) * 50.0
         seq = make_sequence(feats, [0, 1], placeholders=1)
-        proj = OfeProjections(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
         fusion = random_fusion(rng, d)
         patch = np.zeros((1, d))
         patch[0, 0] = 50.0  # huge dot product with class 0's key only
-        ref = ofe_query(Tensor(patch), seq, proj, Tensor(np.zeros(d)), d, fusion)
-        assert ref.attention[0, 0] > 1.0 - 1e-10
-        np.testing.assert_allclose(ref.per_position_output.data[0],
-                                   feats[0], rtol=1e-8)
+        _, out, attn = ofe_query(Tensor(patch), seq, *identity_projections(d),
+                                 Tensor(np.zeros(d)), fusion)
+        assert head_average(attn)[0, 0] > 1.0 - 1e-10
+        np.testing.assert_allclose(out.data[0], feats[0], rtol=1e-8)
 
     def test_straight_line_oracle_full_forward(self):
         # P=3, N=2, d=4 random instance against a direct transcription of
@@ -214,16 +216,17 @@ class TestOfeQuery:
         d, p = 4, 3
         feats = rng.normal(size=(1, d))
         seq = make_sequence(feats, [0], placeholders=1)
-        proj = random_projections(rng, d)
+        w_query, w_key, w_value = random_projections(rng, d)
         fusion = random_fusion(rng, d)
         token_vec = rng.normal(size=d)
         token = Tensor(token_vec, requires_grad=True)
         patches = rng.normal(size=(p, d))
-        ref = ofe_query(Tensor(patches), seq, proj, token, d, fusion)
+        refined, _, head_attn = ofe_query(Tensor(patches), seq, w_query, w_key,
+                                          w_value, token, fusion)
 
-        q = patches @ proj.w1.data.T
-        keys = np.vstack([feats @ proj.w2.data.T, token_vec])
-        values = np.vstack([feats @ proj.w3.data.T, np.zeros(d)])
+        q = patches @ w_query.data.T
+        keys = np.vstack([feats @ w_key.data.T, token_vec])
+        values = np.vstack([feats @ w_value.data.T, np.zeros(d)])
         scores = q @ keys.T / np.sqrt(d)
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
@@ -236,20 +239,20 @@ class TestOfeQuery:
         hidden = hidden / (1.0 + np.exp(-hidden))
         expected = fused + hidden @ w2 + b2
 
-        np.testing.assert_allclose(ref.attention, attn, rtol=1e-10)
-        np.testing.assert_allclose(ref.refined.data, expected, rtol=1e-9)
+        np.testing.assert_allclose(head_average(head_attn), attn, rtol=1e-10)
+        np.testing.assert_allclose(refined.data, expected, rtol=1e-9)
 
     def test_refined_shape_independent_of_n(self):
         rng = np.random.default_rng(10)
         d, p = 4, 5
         fusion = random_fusion(rng, d)
-        proj = random_projections(rng, d)
+        w_query, w_key, w_value = random_projections(rng, d)
         token = Tensor(rng.normal(size=d))
         for n_extra in (0, 1, 3):
             seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders=n_extra)
-            ref = ofe_query(Tensor(rng.normal(size=(p, d))), seq, proj, token,
-                            d, fusion)
-            assert ref.refined.shape == (p, d)
+            refined, _, _ = ofe_query(Tensor(rng.normal(size=(p, d))), seq, w_query,
+                                      w_key, w_value, token, fusion)
+            assert refined.shape == (p, d)
 
 
 class TestBackgroundMass:
@@ -281,7 +284,7 @@ def test_permutation_equivariance(c, extra, seed, heads):
     rng = np.random.default_rng(seed)
     d = 4
     feats = rng.normal(size=(c, d))
-    proj = random_projections(rng, d, requires_grad=False)
+    _, w_key, w_value = random_projections(rng, d, requires_grad=False)
     token = Tensor(rng.normal(size=d))
 
     order = rng.permutation(c)
@@ -289,12 +292,11 @@ def test_permutation_equivariance(c, extra, seed, heads):
     base = SupportSequence(tuple(range(c)), c + extra, Tensor(feats))
     permuted = SupportSequence(tuple(order.tolist()), c + extra, Tensor(feats[order]))
 
-    ref_a = ofe_support(base, proj, token, d, heads=heads)
-    ref_b = ofe_support(permuted, proj, token, d, heads=heads)
-    np.testing.assert_allclose(ref_b.per_position_output.data,
-                               ref_a.per_position_output.data[perm], atol=1e-12)
-    np.testing.assert_allclose(ref_b.attention,
-                               ref_a.attention[np.ix_(perm, perm)], atol=1e-12)
+    out_a, attn_a = ofe_support(base, w_key, w_value, token, heads=heads)
+    out_b, attn_b = ofe_support(permuted, w_key, w_value, token, heads=heads)
+    np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-12)
+    np.testing.assert_allclose(head_average(attn_b),
+                               head_average(attn_a)[np.ix_(perm, perm)], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -304,14 +306,15 @@ def test_attention_rows_stochastic(c, extra, p, seed):
     rng = np.random.default_rng(seed)
     d = 4
     seq = make_sequence(rng.normal(size=(c, d)), list(range(c)), placeholders=extra)
-    proj = random_projections(rng, d, requires_grad=False)
+    w_query, w_key, w_value = random_projections(rng, d, requires_grad=False)
     token = Tensor(rng.normal(size=d))
     fusion = random_fusion(np.random.default_rng(seed + 1), d)
-    sup = ofe_support(seq, proj, token, d)
-    qry = ofe_query(Tensor(rng.normal(size=(p, d))), seq, proj, token, d, fusion)
-    np.testing.assert_allclose(sup.attention.sum(axis=1),
+    _, sup = ofe_support(seq, w_key, w_value, token)
+    _, _, qry = ofe_query(Tensor(rng.normal(size=(p, d))), seq, w_query, w_key,
+                          w_value, token, fusion)
+    np.testing.assert_allclose(head_average(sup).sum(axis=1),
                                np.ones(len(seq)), atol=1e-9)
-    np.testing.assert_allclose(qry.attention.sum(axis=1),
+    np.testing.assert_allclose(head_average(qry).sum(axis=1),
                                np.ones(p), atol=1e-9)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fewdet import ood, set_head, tensor as T
 from fewdet.errors import NumericError, ShapeError
-from fewdet.obd import RefinedFeatures
+from fewdet.obd import head_average
 from fewdet.tensor import Tensor, finite_diff_gradient
 
 
@@ -853,8 +853,7 @@ class TestAttention:
                                           transpose(columns(k, h * 3, h * 3 + 3)))
                                  * (1.0 / np.sqrt(3))).data for h in range(2)]
         np.testing.assert_allclose(head_attn, per_head, rtol=1e-12)
-        mean_attn = RefinedFeatures(per_position_output=q,
-                                    head_attention=head_attn).attention
+        mean_attn = head_average(head_attn)
         # The expression attention() used to return, bit for bit.
         np.testing.assert_array_equal(mean_attn, head_attn.sum(axis=0) * (1.0 / 2))
         np.testing.assert_allclose(mean_attn, (per_head[0] + per_head[1]) / 2,
