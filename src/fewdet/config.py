@@ -115,6 +115,8 @@ def check_types(cls, values: dict, prefix: str) -> None:
 
 
 def _build_section(cls, values: dict, section: str):
+    """``cls`` built from ``values``; ``section`` is the full path of the
+    section, and every error names it."""
     if not isinstance(values, dict):
         raise ConfigError(f"section '{section}' must be a mapping")
     unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
@@ -122,11 +124,11 @@ def _build_section(cls, values: dict, section: str):
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
     derived = sorted(set(values) & set(DERIVED_MODEL_KEYS)) if cls is ModelConfig else []
     if derived:
-        raise ConfigError("derived key(s) in 'model' cannot be set: " + "; ".join(
+        raise ConfigError(f"derived key(s) in '{section}' cannot be set: " + "; ".join(
             f"{key} comes from {DERIVED_MODEL_KEYS[key]}" for key in derived))
     if cls is ModelConfig and "weights" in values:
         values = {**values, "weights": _build_section(Weights, values["weights"],
-                                                      "model.weights")}
+                                                      f"{section}.weights")}
     check_types(cls, values, f"{section}.")
     try:
         return cls(**values)
@@ -134,25 +136,29 @@ def _build_section(cls, values: dict, section: str):
         raise ConfigError(f"bad value in '{section}': {exc}") from exc
 
 
-def run_config_from_dict(data: dict) -> RunConfig:
+def run_config_from_dict(data: dict, prefix: str = "") -> RunConfig:
+    """The run config of ``data``; ``prefix`` is the path of ``data`` in a
+    larger record (``"run."`` in a run checkpoint), and every error about a
+    value names it with its full path."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
     unknown = set(data) - set(_SECTION_TYPES) - _TOP_LEVEL_SCALARS
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    check_types(RunConfig, data, "")
+    check_types(RunConfig, data, prefix)
     kwargs = {}
     for key in _TOP_LEVEL_SCALARS:
         if key in data:
             value = data[key]
             if key == "ablate_seeds":
                 if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"ablate_seeds must be a list, not {value!r}")
+                    raise ConfigError(f"{prefix}ablate_seeds must be a list, "
+                                      f"not {value!r}")
                 value = tuple(value)
             kwargs[key] = value
     for section, cls in _SECTION_TYPES.items():
         if section in data:
-            kwargs[section] = _build_section(cls, data[section], section)
+            kwargs[section] = _build_section(cls, data[section], prefix + section)
     return RunConfig(**kwargs)
 
 

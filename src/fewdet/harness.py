@@ -20,8 +20,11 @@ moment) is a CorruptionError naming that layout. So is a key that older
 records carried and no setting has now (a retired ``training`` key, a
 derived ``model`` key, an ``adam`` key other than ``step_count``); the
 error names the key. The record is checked against the buffers the file
-holds before anything is sized from it, and the loaded ``params`` buffer
-is the one the parameters view.
+holds before anything is sized from it; then one
+:func:`fewdet.optim.restore` call cuts the parameters and both Adam moments
+from the three loaded buffers at the same offsets, in one walk over the
+layout, and binds the optimizer to them: the loaded ``params`` buffer is
+the one the parameters view.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     train_step, training_episode)
 from .obd import background_attention_mass, head_average
 from .ood import min_interclass_separation
-from .optim import AdamState, flat_buffers, flat_views, restore
+from .optim import AdamState, flat_buffers, restore
 from .set_head import Weights
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 # Evaluation keeps every query's best guess, so precision/recall curves are
 # not truncated; the CLI's eval report records this value.
@@ -184,8 +187,7 @@ def _parse_run_config(path, config: dict
         if "moments" not in config:
             raise CorruptionError(f"{path}: no 'moments' field: a per-parameter "
                                   f"run checkpoint, a layout no longer read")
-        check_types(RunConfig, config["run"], "run.")
-        run = run_config_from_dict(config["run"])
+        run = run_config_from_dict(config["run"], "run.")
         vm = dict(config["variant_model"])
         check_types(ModelConfig, vm, "variant_model.")
         check_types(Weights, vm["weights"], "variant_model.weights.")
@@ -238,15 +240,12 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
         if tensors[name].shape != (total,):
             raise CorruptionError(f"{path}: '{name}' has shape {tensors[name].shape}, "
                                   f"the config gives {(total,)}")
-    # Native float64 (a copy on a big-endian host only); the loaded params
-    # buffer is the one the parameters view.
+    # Native float64 (a copy on a big-endian host only). Moments may cover
+    # only some parameters: one that never had a gradient (the baseline's
+    # background token) has none, and restore zeroes its part of the moment
+    # buffers. The loaded params buffer is the one the parameters view.
     param_buf, m, v = (np.asarray(tensors[name], dtype=np.float64) for name in _BUFFERS)
-    state = ModelState({name: Tensor.parameter(view)
-                        for name, view in flat_views(param_buf, shapes).items()}, cfg)
-    # Moments may cover only some parameters: one that never had a gradient
-    # (the baseline's background token) has none, and restore zeroes its
-    # part of the moment buffers.
-    restore(state.params, opt, m, v, moments)
+    state = ModelState(restore(param_buf, m, v, shapes, moments, opt), cfg)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
 

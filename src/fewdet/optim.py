@@ -28,9 +28,13 @@ Validate before mutate: every gradient name and shape is checked before
 any value, moment or the step count changes.
 
 Ownership: an :class:`AdamState` owns its moment buffers and binds them
-once to the buffer the parameters tile: a checkpoint's at :func:`restore`,
-zeros at its first :func:`adam_step` or :func:`flat_buffers` call. Nothing
-is re-packed: parameters that do not tile one buffer in dict order, or a
+once to the buffer the parameters tile: zeros at its first
+:func:`adam_step` or :func:`flat_buffers` call, which checks that the
+caller's parameters are the views of one buffer in dict order; or a
+checkpoint's three buffers at :func:`restore`, which makes the parameters
+itself, cutting them and the moments at the same offsets in one walk over
+the layout, so there is nothing to check view by view. Nothing is
+re-packed: parameters that do not tile one buffer in dict order, or a
 ``Tensor`` or ``.data`` replaced after binding, raise ShapeError before
 anything changes. The moment dicts are outputs: no step reads a moment from
 them.
@@ -58,26 +62,18 @@ EPSILON = 1e-8
 BLOCK_ELEMENTS = 32768
 
 
-def flat_views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]
-               ) -> dict[str, np.ndarray]:
-    """By name, writable C-contiguous views of the given shapes that tile
-    the 1-D ``buffer`` in the order of ``shapes``."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        views[name] = buffer[start:start + size].reshape(shape)
-        start += size
-    return views
-
-
 def flat_parameters(shapes: dict[str, tuple[int, ...]], zeroed: bool = True
                     ) -> dict[str, Tensor]:
     """Parameters of the given shapes, each ``.data`` a view into one buffer
-    (zeroed unless ``zeroed`` is false); callers write their initial values
-    into the views."""
+    (zeroed unless ``zeroed`` is false), tiling it in the order of
+    ``shapes``; callers write their initial values into the views."""
     buffer = (np.zeros if zeroed else np.empty)(sum(map(math.prod, shapes.values())))
-    return {name: Tensor.parameter(view)
-            for name, view in flat_views(buffer, shapes).items()}
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name] = Tensor.parameter(buffer[start:start + size].reshape(shape))
+        start += size
+    return params
 
 
 @dataclass
@@ -92,33 +88,19 @@ class AdamState:
 
 
 class _FlatLayout:
-    """The buffer the parameters tile (else ShapeError) and two moment
-    buffers (zeros unless given), cut into blocks at parameter boundaries."""
+    """Three buffers of one layout, parameters and two moments, cut into
+    blocks at parameter boundaries; ``entries`` are (name, .data, size) of
+    each parameter in buffer order."""
 
-    def __init__(self, params: dict[str, Tensor], m_buf: np.ndarray | None = None,
-                 v_buf: np.ndarray | None = None):
-        param_buf = next(iter(params.values())).data.base if params else None
-        if not (isinstance(param_buf, np.ndarray) and param_buf.ndim == 1
-                and param_buf.dtype == np.float64 and param_buf.flags.c_contiguous
-                and param_buf.size == sum(p.data.size for p in params.values())):
-            raise ShapeError("adam: the parameters are not views tiling one flat "
-                             "float64 buffer (see flat_parameters)")
-        if m_buf is None:
-            m_buf, v_buf = np.zeros(param_buf.size), np.zeros(param_buf.size)
-        self.buffers = (param_buf, m_buf, v_buf)
+    def __init__(self, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 entries: list[tuple[str, np.ndarray, int]]):
+        param_buf, m_buf, v_buf = self.buffers = buffers
         # Per block: (name, .data, span in the block) of each parameter, and
         # the block's slices of the three buffers.
         self.blocks = []
         block = []
         lo = hi = 0
-        start = _address(param_buf)
-        for name, p in params.items():
-            data, size = p.data, p.data.size
-            if (data.base is not param_buf or data.dtype != np.float64
-                    or not data.flags.c_contiguous or not data.flags.writeable
-                    or _address(data) != start + hi * data.itemsize):
-                raise ShapeError(f"adam: parameter '{name}' is not the next view "
-                                 f"of the parameters' flat buffer")
+        for name, data, size in entries:
             if block and hi + size - lo > BLOCK_ELEMENTS:
                 self.blocks.append((block, param_buf[lo:hi], m_buf[lo:hi], v_buf[lo:hi]))
                 block, lo = [], hi
@@ -130,6 +112,35 @@ class _FlatLayout:
         self.width = max(param.size for _, param, _, _ in self.blocks)
 
 
+def _is_flat(buffer, size: int) -> bool:
+    """Whether ``buffer`` is a writable 1-D C-contiguous float64 array of
+    ``size`` elements."""
+    return (isinstance(buffer, np.ndarray) and buffer.ndim == 1
+            and buffer.dtype == np.float64 and buffer.flags.c_contiguous
+            and buffer.flags.writeable and buffer.size == size)
+
+
+def _tiled_layout(params: dict[str, Tensor]) -> _FlatLayout:
+    """The layout of the buffer ``params`` tile in dict order, with zero
+    moments; ShapeError unless each ``.data`` is the next view of it."""
+    param_buf = next(iter(params.values())).data.base if params else None
+    if not _is_flat(param_buf, sum(p.data.size for p in params.values())):
+        raise ShapeError("adam: the parameters are not views tiling one flat "
+                         "float64 buffer (see flat_parameters)")
+    entries, offset = [], _address(param_buf)
+    for name, p in params.items():
+        data = p.data
+        if (data.base is not param_buf or data.dtype != np.float64
+                or not data.flags.c_contiguous or not data.flags.writeable
+                or _address(data) != offset):
+            raise ShapeError(f"adam: parameter '{name}' is not the next view "
+                             f"of the parameters' flat buffer")
+        entries.append((name, data, data.size))
+        offset += data.nbytes
+    return _FlatLayout((param_buf, np.zeros(param_buf.size),
+                        np.zeros(param_buf.size)), entries)
+
+
 def _address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
@@ -139,7 +150,7 @@ def _bound_layout(params: dict[str, Tensor], state: AdamState) -> _FlatLayout:
     none yet; ShapeError unless ``params`` hold its views."""
     layout = state._flat
     if layout is None:
-        layout = state._flat = _FlatLayout(params)
+        layout = state._flat = _tiled_layout(params)
     elif len(params) != len(layout.entries) or any(
             getattr(params.get(name), "data", None) is not data
             for name, data, _, _ in layout.entries):
@@ -157,22 +168,43 @@ def flat_buffers(params: dict[str, Tensor], state: AdamState
     return _bound_layout(params, state).buffers
 
 
-def restore(params: dict[str, Tensor], state: AdamState, m: np.ndarray,
-            v: np.ndarray, moments: list[str]) -> None:
-    """Give a fresh ``state`` the moment buffers ``m`` and ``v``, laid out as
-    ``params`` tile their buffer (say, read from a checkpoint), and bind
-    them to that buffer. The parameters named in ``moments`` enter the
-    moment dicts and the others' parts are zeroed."""
+def restore(param_buf: np.ndarray, m: np.ndarray, v: np.ndarray,
+            shapes: dict[str, tuple[int, ...]], moments: list[str],
+            state: AdamState) -> dict[str, Tensor]:
+    """The parameters of the given shapes, as views tiling ``param_buf`` in
+    the order of ``shapes``, with a fresh ``state`` bound to them and to the
+    moment buffers ``m`` and ``v`` of the same layout (say, the three buffers
+    of a checkpoint). One walk over ``shapes`` cuts all three buffers: the
+    parameters named in ``moments`` enter the moment dicts and the others'
+    parts of ``m`` and ``v`` are zeroed. ShapeError, with nothing changed,
+    if ``state`` is already bound or a buffer is not a writable 1-D
+    C-contiguous float64 array of as many elements as ``shapes`` hold."""
     if state._flat is not None:
         raise ShapeError("adam: restore into an optimizer already bound")
-    state._flat, moments = _FlatLayout(params, m, v), set(moments)
-    shapes = {name: p.data.shape for name, p in params.items()}
-    for moment_dict, buffer in ((state.first_moment, m), (state.second_moment, v)):
-        for name, view in flat_views(buffer, shapes).items():
-            if name in moments:
-                moment_dict[name] = view
-            else:
-                view[...] = 0.0
+    total = sum(map(math.prod, shapes.values()))
+    for label, buffer in (("parameter", param_buf), ("first-moment", m),
+                          ("second-moment", v)):
+        if not _is_flat(buffer, total):
+            raise ShapeError(f"adam: the {label} buffer is not a writable 1-D "
+                             f"C-contiguous float64 array of the {total} "
+                             f"elements the shapes hold")
+    moments = set(moments)
+    params, entries, start = {}, [], 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        stop = start + size
+        data = param_buf[start:stop].reshape(shape)
+        params[name] = Tensor.parameter(data)
+        entries.append((name, data, size))
+        if name in moments:
+            state.first_moment[name] = m[start:stop].reshape(shape)
+            state.second_moment[name] = v[start:stop].reshape(shape)
+        else:
+            m[start:stop] = 0.0
+            v[start:stop] = 0.0
+        start = stop
+    state._flat = _FlatLayout((param_buf, m, v), entries)
+    return params
 
 
 def _validate(params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:

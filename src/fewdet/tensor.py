@@ -94,7 +94,7 @@ class Tensor:
         """A leaf that requires grad and holds the float64 array ``data``
         itself, not a copy, so that a parameter can be a view into a buffer
         (:func:`fewdet.optim.flat_parameters`, or a loaded checkpoint's that
-        :func:`fewdet.optim.restore` binds the optimizer to)."""
+        :func:`fewdet.optim.restore` cuts the parameters from)."""
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = True

@@ -370,7 +370,8 @@ def test_checkpoint_with_retired_key_is_refused(tmp_path, tiny_trained,
     (config["adam"] if record == "adam" else config["run"][record])[key] = value
     path = tmp_path / "retired.fdck"
     save_checkpoint(path, config, tensors)
-    with pytest.raises(CorruptionError, match=rf"'{record}'.*\b{key}\b"):
+    where = record if record == "adam" else f"run.{record}"
+    with pytest.raises(CorruptionError, match=rf"'{where}'.*\b{key}\b"):
         load_run_checkpoint(path)
 
 
@@ -432,6 +433,29 @@ def test_variant_model_integer_that_is_not_an_int_is_corrupt(tmp_path, tiny_trai
     save_checkpoint(path, config, tensors)
     with pytest.raises(CorruptionError,
                        match=rf"variant_model\.{field} must be an integer, not {value!r}"):
+        load_run_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("training.steps", 2.5, "an integer"), ("benchmark.grid_rows", "4", "an integer"),
+    ("model.d", 8.0, "an integer"), ("model.weights.giou", True, "a number"),
+], ids=["training", "benchmark", "model", "model-weights"])
+def test_bad_nested_run_value_is_named_by_its_full_path(tmp_path, tiny_trained,
+                                                        field, value, kind):
+    """A bad value in a section of the run record is named by its path
+    from the record's root, ``run.`` included, as a top-level one is."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    *sections, key = field.split(".")
+    record = config["run"]
+    for section in sections:
+        record = record[section]
+    record[key] = value
+    path = tmp_path / "nested.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError,
+                       match=rf": run\.{re.escape(field)} must be {kind}, not {value!r}"):
         load_run_checkpoint(path)
 
 

@@ -14,6 +14,7 @@ from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
                           run_inference, train_step, training_episode,
                           zero_model_state)
 from fewdet.optim import AdamState
+from fewdet.tensor import no_grad
 
 
 def micro_spec(**kw):
@@ -103,6 +104,29 @@ class TestForward:
         b, _, _ = forward(ep, state, cfg)
         np.testing.assert_array_equal(a.position_probs.data, b.position_probs.data)
         np.testing.assert_array_equal(a.boxes.data, b.boxes.data)
+
+    def test_in_place_weight_edit_reaches_the_next_forward(self):
+        """The gradient spot checks and finite differences edit one element
+        of a weight's ``.data`` in place between forwards; the next forward
+        must see the edit, bit for bit as a fresh state holding the same
+        values, so nothing derived from the weights may outlive such an
+        edit."""
+        cfg = micro_cfg()
+        state = init_model_state(cfg)
+        ep = generate_episode(micro_spec(), 0, "train")
+        with no_grad():
+            before, _, _ = forward(ep, state, cfg)
+        state.params["obd.layer0.w2"].data[1, 2] += 0.25
+        fresh = init_model_state(cfg)
+        for name, p in fresh.params.items():
+            p.data[...] = state.params[name].data
+        with no_grad():
+            edited, _, _ = forward(ep, state, cfg)
+            expected, _, _ = forward(ep, fresh, cfg)
+        assert edited.position_logits.data.tobytes() != before.position_logits.data.tobytes()
+        for field in ("boxes", "position_probs", "position_logits"):
+            assert (getattr(edited, field).data.tobytes()
+                    == getattr(expected, field).data.tobytes()), field
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 3), st.integers(3, 5), st.integers(4, 6),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -230,15 +232,19 @@ def test_restore_zeroes_moments_of_parameters_without_them():
     those moments."""
     rng = np.random.default_rng(9)
     values = _random_params(rng)
-    params = flat(values)
     size = sum(v.size for v in values.values())
+    param_buf = np.concatenate([v.reshape(-1) for v in values.values()])
     m, v = rng.normal(size=size), np.abs(rng.normal(size=size))
     state = AdamState(learning_rate=0.01, step_count=4)
-    restore(params, state, m, v, ["c", "a"])
+    params = restore(param_buf, m, v, SHAPES, ["c", "a"], state)
+    assert list(params) == list(SHAPES)
+    assert all(p.data.base is param_buf and p.requires_grad for p in params.values())
     assert sorted(state.first_moment) == sorted(state.second_moment) == ["a", "c"]
     assert state.first_moment["c"].base is m and state.second_moment["c"].base is v
+    assert all(a is b for a, b in zip(flat_buffers(params, state), (param_buf, m, v)))
     offset = 0
     for name, value in values.items():
+        assert params[name].data.tobytes() == value.tobytes(), name
         for buffer in (m, v):
             assert buffer[offset:offset + value.size].any() == (name in "ac"), name
         offset += value.size
@@ -252,32 +258,57 @@ def test_restore_zeroes_moments_of_parameters_without_them():
         adam_step(params, grads, state)
         adam_reference(ref_params, grads, ref_state)
         _assert_same(params, state, ref_params, ref_state)
-    with pytest.raises(ShapeError, match="already bound"):
-        restore(params, state, m, v, [])
 
 
-@pytest.mark.parametrize("built", ["separate", "reordered"])
-def test_restore_into_parameters_that_do_not_tile_one_buffer_fails_at_once(built):
-    """Restore binds the optimizer itself, so parameters it cannot bind
-    raise ShapeError at restore, not at the first step, and neither the
-    moment buffers nor the state change."""
+def test_restore_into_a_bound_optimizer_fails_at_once():
+    """A state bound already, by restore or by a step, is refused with its
+    parameters, moments and step count unchanged."""
+    rng = np.random.default_rng(10)
+    size = sum(math.prod(shape) for shape in SHAPES.values())
+    for bind in ("restore", "step"):
+        state = AdamState()
+        if bind == "restore":
+            params = restore(rng.normal(size=size), np.zeros(size), np.zeros(size),
+                             SHAPES, [], state)
+        else:
+            params = flat(_random_params(rng))
+            adam_step(params, {"a": np.ones(SHAPES["a"])}, state)
+        before = _snapshot(params, state)
+        m, v = rng.normal(size=size), rng.normal(size=size)
+        m0, v0 = m.copy(), v.copy()
+        with pytest.raises(ShapeError, match="already bound"):
+            restore(rng.normal(size=size), m, v, SHAPES, ["a"], state)
+        _assert_unchanged(before, params, state)
+        assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["params", "adam.m", "adam.v"])
+@pytest.mark.parametrize("bad", ["short", "long", "float32", "2-D", "strided",
+                                 "read-only"])
+def test_restore_from_a_bad_buffer_fails_at_once(which, bad):
+    """A buffer of the wrong size, dtype or rank (or one not C-contiguous or
+    not writable) raises ShapeError at restore, and neither the buffers nor
+    the state change; the state is still fresh after it."""
     rng = np.random.default_rng(11)
-    values = _random_params(rng)
-    if built == "separate":
-        params = {n: Tensor(x, requires_grad=True) for n, x in values.items()}
-    else:
-        params = dict(reversed(flat(values).items()))
-    size = sum(x.size for x in values.values())
-    m, v = rng.normal(size=size), np.abs(rng.normal(size=size))
-    m0, v0 = m.copy(), v.copy()
+    size = sum(math.prod(shape) for shape in SHAPES.values())
+    buffers = [rng.normal(size=size) for _ in range(3)]
+    good = buffers[which]
+    buffers[which] = {
+        "short": good[:-1], "long": np.append(good, 0.0),
+        "float32": good.astype(np.float32), "2-D": good.reshape(1, size),
+        "strided": np.repeat(good, 2)[::2],
+        "read-only": np.frombuffer(good.tobytes()),
+    }[bad]
+    copies = [b.copy() for b in buffers]
     state = AdamState()
-    with pytest.raises(ShapeError, match="not views tiling one flat|not the next view"):
-        restore(params, state, m, v, ["a"])
+    with pytest.raises(ShapeError, match="buffer is not a writable 1-D"):
+        restore(*buffers, SHAPES, ["a", "c"], state)
     assert not state.first_moment and not state.second_moment
-    assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
-    params = flat(values)
-    restore(params, state, m, v, ["a"])  # the state is still fresh
-    assert flat_buffers(params, state)[1] is m
+    assert state._flat is None and state.step_count == 0
+    assert all(b.tobytes() == c.tobytes() for b, c in zip(buffers, copies))
+    buffers[which] = good
+    params = restore(*buffers, SHAPES, ["a", "c"], state)
+    assert flat_buffers(params, state)[which] is good
 
 
 def _snapshot(params, state):

@@ -13,6 +13,8 @@ change that keeps the arithmetic prints the same object. Per seed (0, 7 and
   total, and on the 50 default test episodes the sha256 of
   ``EvalReport.to_json()``, ``bg_dominance_rate`` and ``mean_separation``
   (null where they are NaN, as for the baseline);
+* for the +OBD+OOD variant, the sha256 of its run-checkpoint bytes and
+  whether saving the checkpoint loaded back from them gives the same bytes;
 * a +OBD+OOD model of the ``train_dense`` workload after 10 steps: its
   state digest and the sha256 of its detections on test episode 0.
 
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # One BLAS thread, as the benchmark runs, set before numpy is first imported.
@@ -39,7 +42,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from fewbench.checks import state_digest  # noqa: E402
 from fewbench.workloads import VARIANT, WORKLOADS  # noqa: E402
 from fewdet.episodes import generate_episode  # noqa: E402
-from fewdet.harness import EVAL_SCORE_THRESHOLD, evaluate_model, train_run  # noqa: E402
+from fewdet.harness import (EVAL_SCORE_THRESHOLD, evaluate_model,  # noqa: E402
+                            load_run_checkpoint, save_run_checkpoint, train_run)
 from fewdet.model import VARIANTS, ablation_variant, run_inference  # noqa: E402
 
 SEEDS = (0, 7, 104729)
@@ -61,6 +65,18 @@ def _trained(workload: str, seed: int, variant: str, steps: int,
     return run, train_run(run, cfg=ablation_variant(run.resolved_model(), variant))
 
 
+def _checkpoint(run, result) -> dict:
+    """The sha256 of ``result``'s run-checkpoint bytes, and whether a save of
+    the checkpoint loaded from them writes the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.fdck"), Path(tmp, "second.fdck")
+        save_run_checkpoint(first, run, result)
+        save_run_checkpoint(second, *load_run_checkpoint(first))
+        data = first.read_bytes()
+        return {"sha256": hashlib.sha256(data).hexdigest(),
+                "resave_identical": second.read_bytes() == data}
+
+
 def digests(seeds=SEEDS, steps: int = 40, fine_tune_steps: int = 10,
             dense_steps: int = 10) -> dict:
     out = {"steps": steps, "fine_tune_steps": fine_tune_steps,
@@ -78,10 +94,13 @@ def digests(seeds=SEEDS, steps: int = 40, fine_tune_steps: int = 10,
                 "report": hashlib.sha256(report.to_json().encode()).hexdigest(),
                 "bg_dominance_rate": _number(diag.bg_dominance_rate),
                 "mean_separation": _number(diag.mean_separation)}
+            if variant == VARIANT:
+                checkpoint = _checkpoint(run, result)
         run, result = _trained("train_dense", seed, VARIANT, dense_steps, 0)
         dets = run_inference(generate_episode(run.benchmark, 0, "test"),
                              result.state, result.cfg, EVAL_SCORE_THRESHOLD)
-        out["seeds"][str(seed)] = {"variants": variants, "dense": {
+        out["seeds"][str(seed)] = {"variants": variants, "checkpoint": checkpoint,
+                                   "dense": {
             "state": state_digest(result.state, result.opt),
             "detections": _sha256([[c, s, b.tolist()] for c, s, b in dets])}}
     return out
