@@ -2,7 +2,7 @@
 configuration) and the flags listed with it; any other flag is a usage error.
 
   gen        episode file; data seed from the config's benchmark.seed:
-             --out --count (>= 0) --split --start-index
+             --out --count (>= 0) --split --start-index (>= 0; plus --count, <= 2**64)
   train      base training plus optional fine-tuning, a JSONL metrics log and
              a checkpoint: --seed --out --variant --checkpoint (resume, with
              the checkpoint's settings; a --seed or --variant that differs
@@ -104,6 +104,9 @@ def cmd_gen(args) -> int:
     run = _load_run(args)
     if args.count < 0:
         raise ConfigError(f"--count must be >= 0, not {args.count}")
+    if not 0 <= args.start_index <= 2 ** 64 - args.count:  # a u64 episode index
+        raise ConfigError(f"--start-index must be >= 0 with --start-index + --count "
+                          f"<= 2**64, not {args.start_index}")
     out = _out_dir(run)
     path = out / f"episodes_{args.split}.bin"
     manifest = write_episodes(run.benchmark, args.count, path,

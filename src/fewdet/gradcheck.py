@@ -67,9 +67,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     # the head split and merge are exercised too. The support-sequence
     # realization puts placeholders after the projected rows: a token on the
     # key side, zeros on the value side.
-    def ffn(x, w1, b1, w2, b2):
-        return T.ffn_apply(x, T.FfnParams(w1, b1, w2, b2))
-
     fused = {
         "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
                       {"q": (3, 4), "k": (5, 4), "v": (5, 4)}),
@@ -83,8 +80,8 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
             {"x": (3, 5), "w": (4, 5), "token": (4,)}),
         "project_rows.zeros": (lambda x, w: T.project_rows(x, w, 5),
                                {"x": (3, 5), "w": (4, 5)}),
-        "ffn_apply": (ffn, {"x": (4, 5), "w1": (5, 7), "b1": (7,), "w2": (7, 5),
-                            "b2": (5,)}),
+        "ffn_apply": (T.ffn_apply, {"x": (4, 5), "w1": (5, 7), "b1": (7,),
+                                    "w2": (7, 5), "b2": (5,)}),
         "infonce_loss": (lambda f, e: ood.infonce_loss(
             ood.SupportClassFeatures(f), ood.ClassFeatureSpace(e, 0.5), [4, 1, 2]),
                          {"features": (3, 5), "embeddings": (6, 5)}),

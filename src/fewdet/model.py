@@ -15,10 +15,10 @@ rows through a projection, then the placeholders as the raw background
 token), which is what makes the head class-agnostic and gives the
 background token its supervision path.
 
-:func:`forward` hands the OBD layers the weights they read, each layer's
-``obd.layer{i}.w1/w2/w3`` from ``state.params`` (as :func:`_decoder` reads
-its own), and gets plain tensors and per-head attention back; its
-diagnostics keep the last query layer's, which
+:func:`forward` reads every weight from ``state.params``, hands the OBD
+layers the tensors they read (the FFN's four picked by :func:`_ffn`, as
+for :func:`_decoder`), and gets plain tensors and per-head attention back;
+its diagnostics keep the last query layer's, which
 :func:`fewdet.obd.head_average` averages wherever a caller needs the mean.
 
 Every attention block, in the encoders and the decoder alike, runs its heads
@@ -43,15 +43,14 @@ import numpy as np
 
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError
-from .obd import (OfeFusion, SupportSequence, build_key_sequence, ofe_query,
-                  ofe_support)
+from .obd import SupportSequence, build_key_sequence, ofe_query, ofe_support
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
-from .set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
-                       decode_detections, hungarian_match, match_cost, set_loss)
-from .tensor import (FfnParams, Tensor, attention, ffn_apply, layer_norm, linear,
-                     matmul, matmul_t, no_grad, sigmoid, silu, take_rows)
+from .set_head import (DetectionOutput, GroundTruth, Weights, decode_detections,
+                       hungarian_match, match_cost, set_loss)
+from .tensor import (Tensor, attention, ffn_apply, layer_norm, linear, matmul,
+                     matmul_t, no_grad, sigmoid, silu, take_rows)
 
 VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
@@ -113,19 +112,8 @@ class ModelState:
         self.params = params
         self.cfg = cfg
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self.params[name]
-
     def names(self) -> list[str]:
         return sorted(self.params)
-
-    def ofe_fusion(self, layer: int) -> OfeFusion:
-        p = self.params
-        return OfeFusion(
-            conv_kernel=p[f"obd.layer{layer}.conv.kernel"],
-            conv_bias=p[f"obd.layer{layer}.conv.bias"],
-            ffn=FfnParams(p[f"obd.layer{layer}.ffn.w1"], p[f"obd.layer{layer}.ffn.b1"],
-                          p[f"obd.layer{layer}.ffn.w2"], p[f"obd.layer{layer}.ffn.b2"]))
 
     def class_space(self) -> ClassFeatureSpace:
         return ClassFeatureSpace(embeddings=self.params["ood.embeddings"],
@@ -248,7 +236,7 @@ def extract_features(episode: Episode, state: ModelState,
         raise ConfigError(
             f"episode feature dim {episode.patches.shape[1]} does not match "
             f"model input_dim {cfg.input_dim}")
-    w, b = state["embed.weight"], state["embed.bias"]
+    w, b = state.params["embed.weight"], state.params["embed.bias"]
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
     patches = linear(Tensor(episode.patches), w, b) + pos
@@ -265,6 +253,11 @@ def extract_features(episode: Episode, state: ModelState,
 # -- decoder building blocks --------------------------------------------------------
 
 
+def _ffn(params: dict[str, Tensor], layer: str) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The ``(w1, b1, w2, b2)`` of the FFN of ``layer``, e.g. ``dec.layer1``."""
+    return tuple(params[f"{layer}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2"))
+
+
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor,
                          wv: Tensor, wo: Tensor, heads: int) -> Tensor:
     """Project queries, keys and values, attend over all heads at once, and
@@ -279,9 +272,9 @@ def _decoder(state: ModelState, cfg: ModelConfig, memory: Tensor,
     # values): encoder refinement is free to wash them out of the content,
     # the decoder still needs them to localize.
     memory_pos = memory + pos
-    x = state["queries.embed"]
+    p = state.params
+    x = p["queries.embed"]
     for j in range(cfg.decoder_layers):
-        p = state.params
         attn = multi_head_attention(x, x, p[f"dec.layer{j}.self.wq"],
                                     p[f"dec.layer{j}.self.wk"],
                                     p[f"dec.layer{j}.self.wv"],
@@ -292,10 +285,8 @@ def _decoder(state: ModelState, cfg: ModelConfig, memory: Tensor,
                                      p[f"dec.layer{j}.cross.wv"],
                                      p[f"dec.layer{j}.cross.wo"], cfg.heads)
         x = layer_norm(x + cross, p[f"dec.layer{j}.ln2.gamma"], p[f"dec.layer{j}.ln2.beta"])
-        ffn = FfnParams(p[f"dec.layer{j}.ffn.w1"], p[f"dec.layer{j}.ffn.b1"],
-                        p[f"dec.layer{j}.ffn.w2"], p[f"dec.layer{j}.ffn.b2"])
-        x = layer_norm(ffn_apply(x, ffn), p[f"dec.layer{j}.ln3.gamma"],
-                       p[f"dec.layer{j}.ln3.beta"])
+        x = layer_norm(ffn_apply(x, *_ffn(p, f"dec.layer{j}")),
+                       p[f"dec.layer{j}.ln3.gamma"], p[f"dec.layer{j}.ln3.beta"])
     return x
 
 
@@ -323,15 +314,16 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     for i in range(cfg.encoder_layers):
         patches, _, query_attention = ofe_query(
             patches, seq, p[f"obd.layer{i}.w1"], p[f"obd.layer{i}.w2"],
-            p[f"obd.layer{i}.w3"], token, state.ofe_fusion(i), cfg.heads)
+            p[f"obd.layer{i}.w3"], token, p[f"obd.layer{i}.conv.kernel"],
+            p[f"obd.layer{i}.conv.bias"], _ffn(p, f"obd.layer{i}"), cfg.heads)
 
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
     decoded = _decoder(state, cfg, patches, pos)
 
-    match_keys = build_key_sequence(seq, state["head.class.support_proj"], token)
-    logits = matmul_t(matmul(decoded, state["head.class.query_proj"]),
-                      match_keys) * (1.0 / np.sqrt(cfg.d)) + state["head.class.bias"]
+    match_keys = build_key_sequence(seq, p["head.class.support_proj"], token)
+    logits = matmul_t(matmul(decoded, p["head.class.query_proj"]),
+                      match_keys) * (1.0 / np.sqrt(cfg.d)) + p["head.class.bias"]
     with no_grad():  # values for matching and decoding; the loss uses logits
         probs = sigmoid(logits)
 
@@ -339,9 +331,9 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     # space; with an all-zero state this still decodes to sigmoid(0). With no
     # ground truth the box loss is a constant, so the head records no nodes.
     with contextlib.nullcontext() if len(episode.labels) else no_grad():
-        box_hidden = linear(decoded, state["head.box.w1"], state["head.box.b1"])
-        box_delta = linear(silu(box_hidden), state["head.box.w2"], state["head.box.b2"])
-        boxes = sigmoid(state["queries.ref"] + box_delta)
+        box_hidden = linear(decoded, p["head.box.w1"], p["head.box.b1"])
+        box_delta = linear(silu(box_hidden), p["head.box.w2"], p["head.box.b2"])
+        boxes = sigmoid(p["queries.ref"] + box_delta)
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)
     return out, support_features, {"sequence": seq,
@@ -364,10 +356,11 @@ class LossBreakdown:
 
 
 def compute_loss(episode: Episode, state: ModelState, cfg: ModelConfig,
-                 match: MatchResult | None = None
+                 match: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[Tensor, LossBreakdown, dict]:
     """Forward + matching + combined loss (no parameter update). A given
-    ``match`` is used as it is instead of matching the forward's output."""
+    ``match``, a :func:`hungarian_match` ``(rows, cols)`` pair, is used as
+    it is instead of matching the forward's output."""
     out, support_features, diag = forward(episode, state, cfg)
     seq: SupportSequence = diag["sequence"]
     gt = GroundTruth(boxes=episode.boxes, labels=episode.labels)
@@ -418,17 +411,16 @@ def run_inference(episode: Episode, state: ModelState, cfg: ModelConfig,
                   threshold: float) -> list[tuple[int, float, np.ndarray]]:
     """Forward without graph recording, then decode detections. In
     single-class mode the model sees one class per pass, so each class of
-    the episode is run separately and the detections are merged."""
+    the episode is run on its own view and the detections are concatenated
+    in ``episode.class_ids`` order."""
+    views = ([single_class_view(episode, int(cid)) for cid in episode.class_ids]
+             if cfg.single_class_mode else [episode])
+    detections: list[tuple[int, float, np.ndarray]] = []
     with no_grad():
-        if cfg.single_class_mode:
-            merged: list[tuple[int, float, np.ndarray]] = []
-            for cid in episode.class_ids:
-                view = single_class_view(episode, int(cid))
-                out, _, diag = forward(view, state, cfg)
-                merged.extend(decode_detections(out, diag["sequence"], threshold))
-            return merged
-        out, _, diag = forward(episode, state, cfg)
-        return decode_detections(out, diag["sequence"], threshold)
+        for view in views:
+            out, _, diag = forward(view, state, cfg)
+            detections.extend(decode_detections(out, diag["sequence"], threshold))
+    return detections
 
 
 def ablation_variant(cfg: ModelConfig, variant: str) -> ModelConfig:

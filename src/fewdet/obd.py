@@ -24,8 +24,8 @@ head at once through the fused :func:`fewdet.tensor.attention` primitive.
 The branches take the weight tensors they read and return plain values:
 :func:`ofe_support` takes the key and value projections and returns
 ``attention``'s ``(out, head_attention)``; :func:`ofe_query` also takes the
-query projection and the :class:`OfeFusion` tensors, and returns
-``(refined, out, head_attention)``. The head attention is the
+query projection, the Conv1D kernel and bias and the FFN's four tensors,
+and returns ``(refined, out, head_attention)``. The head attention is the
 (heads, rows, n) array ``attention`` returns; :func:`head_average` is the
 one place it is averaged over the heads.
 """
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (FfnParams, Tensor, attention, concat_linear, ffn_apply,
-                     matmul_t, project_rows)
+from .tensor import Tensor, attention, concat_linear, ffn_apply, matmul_t, project_rows
 
 
 @dataclass(frozen=True)
@@ -66,15 +65,6 @@ class SupportSequence:
 
     def __len__(self) -> int:
         return self.length
-
-
-@dataclass
-class OfeFusion:
-    """Conv1D + FFN parameters fusing patches with their attended features."""
-
-    conv_kernel: Tensor  # (2d, d)
-    conv_bias: Tensor    # (d,)
-    ffn: FfnParams
 
 
 def head_average(head_attention: np.ndarray) -> np.ndarray:
@@ -107,10 +97,12 @@ def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
-              w_key: Tensor, w_value: Tensor, token: Tensor, fusion: OfeFusion,
+              w_key: Tensor, w_value: Tensor, token: Tensor, conv_kernel: Tensor,
+              conv_bias: Tensor, ffn: tuple[Tensor, Tensor, Tensor, Tensor],
               heads: int = 1) -> tuple[Tensor, Tensor, np.ndarray]:
     """Query-branch cross-interaction plus Conv1D/FFN fusion with the
-    original patches, so global image content is retained. Returns the
+    original patches, so global image content is retained; ``ffn`` is the
+    FFN's ``(w1, b1, w2, b2)``. Returns the
     (P, d) refined patches, the (P, d) attended features and the
     (heads, P, n) attention."""
     if q_patches.ndim != 2 or q_patches.shape[0] < 1:
@@ -118,8 +110,8 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
     out, attn = attention(matmul_t(q_patches, w_query),
                           build_key_sequence(s, w_key, token),
                           build_value_sequence(s, w_value), heads)
-    fused = concat_linear(q_patches, out, fusion.conv_kernel, fusion.conv_bias)
-    return ffn_apply(fused, fusion.ffn), out, attn
+    fused = concat_linear(q_patches, out, conv_kernel, conv_bias)
+    return ffn_apply(fused, *ffn), out, attn
 
 
 def background_attention_mass(attention: np.ndarray,

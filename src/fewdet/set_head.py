@@ -10,10 +10,11 @@ placeholder column.
 
 Matching is plain numpy: :func:`linear_sum_assignment` is Crouse's
 shortest augmenting path solver (the algorithm scipy runs), and
-:func:`hungarian_match` returns the optimum of its one solve, pairs sorted by
-query. Among equally cheap assignments that optimum is the solver's pick: a
-function of the cost values alone, so the same matrix always gets the same
-pairs, but not a canonical one.
+:func:`hungarian_match` returns the optimum of its one solve, the solver's
+``(rows, cols)`` index arrays, rows ascending. Among equally cheap
+assignments that optimum is the solver's pick: a function of the cost
+values alone, so the same matrix always gets the same pairs, but not a
+canonical one.
 
 The set loss is one graph node per term, each with a hand-derived backward:
 ``bce_with_logits`` for classification and ``box_loss`` for the L1 and GIoU
@@ -79,11 +80,6 @@ class GroundTruth:
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
-
-
-@dataclass
-class MatchResult:
-    pairs: list[tuple[int, int]]
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,30 +156,28 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(nr), cols
 
 
-def hungarian_match(cost: np.ndarray) -> MatchResult:
+def hungarian_match(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost assignment of queries (rows) to ground truths (columns).
 
     Matches min(M, G) pairs at the minimum total cost: the optimum of one
-    :func:`linear_sum_assignment` solve, pairs in ascending query order.
-    The result is deterministic for the given cost values; among equally
-    cheap assignments it is the solver's pick, not a canonical one. When
-    G > M (more ground truths than queries) the cheapest M ground truths are
+    :func:`linear_sum_assignment` solve, as its ``(rows, cols)`` index
+    arrays, query ``rows[k]`` matched to ground truth ``cols[k]``, rows
+    ascending (both empty with no ground truth). The result is
+    deterministic for the given cost values; among equally cheap
+    assignments it is the solver's pick, not a canonical one. When G > M
+    (more ground truths than queries) the cheapest M ground truths are
     matched and a diagnostic warning is emitted.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeError(f"cost must be 2-d, got {cost.shape}")
     m, g = cost.shape
-    if g == 0:
-        return MatchResult(pairs=[])
     if not np.isfinite(cost).all():
         raise NumericError("hungarian_match: non-finite cost entries")
     if g > m:
         warnings.warn(f"more ground truths ({g}) than queries ({m}); "
                       f"matching the {m} cheapest", RuntimeWarning)
-
-    rows, cols = linear_sum_assignment(cost)
-    return MatchResult(pairs=list(zip(rows.tolist(), cols.tolist())))
+    return linear_sum_assignment(cost)
 
 
 def match_cost(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
@@ -293,8 +287,11 @@ def box_loss(boxes: Tensor, q_idx, gt_boxes: np.ndarray, w_l1: float,
 
 
 def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
-             match: MatchResult, weights: Weights) -> tuple[Tensor, dict[str, float]]:
-    """Classification + localization loss under a fixed matching.
+             match: tuple[np.ndarray, np.ndarray],
+             weights: Weights) -> tuple[Tensor, dict[str, float]]:
+    """Classification + localization loss under a fixed matching: ``match``
+    is the ``(rows, cols)`` pair of :func:`hungarian_match`, query
+    ``rows[k]`` matched to ground truth ``cols[k]``.
 
     Classification is binary cross-entropy over every (query, position)
     probability, with a balanced reduction: the few positive entries and the
@@ -307,8 +304,7 @@ def set_loss(out: DetectionOutput, gt: GroundTruth, s: SupportSequence,
     if len(gt) and ((gt.boxes[:, 2] <= 0).any() or (gt.boxes[:, 3] <= 0).any()):
         raise ShapeError("ground truth contains a degenerate box (w or h <= 0)")
 
-    q_idx = [q for q, _ in match.pairs]
-    g_idx = [g for _, g in match.pairs]
+    q_idx, g_idx = match
     targets = np.zeros((m, n))
     targets[q_idx, [s.class_ids.index(int(gt.labels[g])) for g in g_idx]] = 1.0
     unmatched = np.ones(m, dtype=bool)

@@ -18,7 +18,8 @@ Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
 the affine map of two inputs' channels side by side
 (:func:`concat_linear`), the product with a transposed weight
 (:func:`matmul_t`), that product followed by filler rows
-(:func:`project_rows`), the FFN block (:func:`ffn_apply`), multi-head
+(:func:`project_rows`), the FFN block (:func:`ffn_apply`, which takes its
+two weights and two biases as tensors and checks their shapes), multi-head
 attention, layer norm and the row gather (:func:`take_rows`). Each has a
 hand-derived backward that repeats the arithmetic of the primitive chain it
 stands for, so values and gradients are bit-identical to that chain. A
@@ -541,22 +542,6 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
 # -- composite layers ------------------------------------------------------------
 
 
-class FfnParams:
-    """Weights of a two-layer feed-forward block: d -> hidden -> d."""
-
-    __slots__ = ("w1", "b1", "w2", "b2")
-
-    def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-        if w1.shape[1] != w2.shape[0] or w1.shape[0] != w2.shape[1]:
-            raise ShapeError(f"FFN weight shapes disagree: {w1.shape} vs {w2.shape}")
-        if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
-            raise ShapeError("FFN bias shapes do not match weights")
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-
-    def tensors(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.w1, self.b1, self.w2, self.b2)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Rows normalized to zero mean and unit (biased) variance, scaled by
     ``gamma`` and shifted by ``beta``, as one graph node. Backward, with
@@ -589,9 +574,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._result(out, (x, gamma, beta), backward)
 
 
-def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
+def ffn_apply(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two affine layers with SiLU between, plus the residual, as one graph
-    node: ``x + silu(x @ w1 + b1) @ w2 + b2``. Backward, with h the hidden
+    node: ``x + silu(x @ w1 + b1) @ w2 + b2``, d -> hidden -> d, so ``w2``
+    has the transposed shape of ``w1``. Backward, with h the hidden
     pre-activation and s = sigmoid(h):
     dh = (g @ w2^T) * s * (1 + h * (1 - s)), dx = g + dh @ w1^T. The
     closure keeps h and s; the activations h * s are recomputed for the w2
@@ -599,7 +585,10 @@ def ffn_apply(x: Tensor, params: FfnParams) -> Tensor:
     ``x`` is a parent twice, once for the residual and once for the hidden
     layer, so its two gradients accumulate in the order the unfused chain
     gave them."""
-    w1, b1, w2, b2 = params.tensors()
+    if w1.ndim != 2 or w2.shape != w1.shape[::-1] or b1.shape != (w1.shape[1],) \
+            or b2.shape != (w1.shape[0],):
+        raise ShapeError(f"ffn_apply: weights {w1.shape}, {w2.shape} and biases "
+                         f"{b1.shape}, {b2.shape} disagree")
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise ShapeError(f"ffn_apply: input {x.shape} does not match w1 {w1.shape}")
     h = x.data @ w1.data

@@ -162,6 +162,18 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --count must be >= 0, not -1\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("start", ["-1", str(2 ** 64)],
+                             ids=["negative", "past-u64"])
+    def test_bad_start_index_exits_1(self, fast_config, tmp_path, capsys, start):
+        """An episode record stores its index as a u64: the last index,
+        start + count - 1, must fit, and is checked before anything is
+        written."""
+        assert run_cli("gen", "--config", str(fast_config), "--count", "1",
+                       "--start-index", start) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --start-index must be") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ("gen", "--seed", "1"),
         ("eval", "--checkpoint", "x.fdck", "--seed", "1"),

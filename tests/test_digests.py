@@ -26,7 +26,7 @@ def test_short_run_prints_every_documented_key(monkeypatch):
     assert (out["steps"], out["fine_tune_steps"], out["dense_steps"]) == (2, 2, 2)
     assert list(out["seeds"]) == ["0"]
     seed = out["seeds"]["0"]
-    assert set(seed) == {"variants", "checkpoint", "dense"}
+    assert set(seed) == {"variants", "checkpoint", "baseline_detections", "dense"}
     assert list(seed["variants"]) == list(VARIANTS)
     for variant, row in seed["variants"].items():
         assert set(row) == {"state", "history", "final_loss", "report",
@@ -39,6 +39,7 @@ def test_short_run_prints_every_documented_key(monkeypatch):
     assert seed["checkpoint"].keys() == {"sha256", "resave_identical"}
     assert len(seed["checkpoint"]["sha256"]) == 64
     assert seed["checkpoint"]["resave_identical"] is True
+    assert len(seed["baseline_detections"]) == 64
     assert set(seed["dense"]) == {"state", "detections"}
     assert all(len(value) == 64 for value in seed["dense"].values())
     states = [row["state"] for row in seed["variants"].values()]

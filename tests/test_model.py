@@ -14,6 +14,7 @@ from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
                           run_inference, train_step, training_episode,
                           zero_model_state)
 from fewdet.optim import AdamState
+from fewdet.set_head import decode_detections
 from fewdet.tensor import no_grad
 
 
@@ -187,7 +188,8 @@ class TestTrainStep:
         view = single_class_view(ep, absent)
         assert len(view.labels) == 0
         loss, b, diag = compute_loss(view, init_model_state(cfg), cfg)
-        assert diag["match"].pairs == []
+        rows, cols = diag["match"]
+        assert list(zip(rows.tolist(), cols.tolist())) == []
         assert b.box == b.giou == 0.0 and np.isfinite(b.total)
 
     def test_ood_weight_zero_means_no_embedding_gradient(self):
@@ -253,6 +255,26 @@ class TestInference:
         ep = generate_episode(spec, 0, "train")
         dets = run_inference(ep, state, cfg, 0.0)
         assert len(dets) == cfg.num_object_queries * spec.class_count
+
+    def test_single_class_mode_concatenates_each_view_in_class_order(self):
+        """Baseline inference is, exactly, the decoded no_grad forward of
+        each single-class view, in episode.class_ids order."""
+        cfg = ablation_variant(micro_cfg(), "baseline")
+        state = init_model_state(cfg)
+        ep = generate_episode(micro_spec(), 0, "test")
+        want = []
+        with no_grad():
+            for cid in ep.class_ids:
+                view = single_class_view(ep, int(cid))
+                out, _, diag = forward(view, state, cfg)
+                want.extend(decode_detections(out, diag["sequence"], 0.0))
+        got = run_inference(ep, state, cfg, 0.0)
+        assert [c for c, _, _ in got] == [c for c, _, _ in want] == [
+            cid for cid in ep.class_ids for _ in range(cfg.num_object_queries)]
+        assert [s for _, s, _ in got] == [s for _, s, _ in want]
+        for (_, _, box), (_, _, want_box) in zip(got, want):
+            np.testing.assert_array_equal(box.view(np.uint64),
+                                          want_box.view(np.uint64))
 
 
 class TestAblationVariants:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fewdet.errors import ShapeError
-from fewdet.obd import (OfeFusion, SupportSequence, background_attention_mass,
+from fewdet.obd import (SupportSequence, background_attention_mass,
                         build_key_sequence, build_value_sequence, head_average,
                         ofe_query, ofe_support)
-from fewdet.tensor import FfnParams, Tensor, tsum
+from fewdet.tensor import Tensor, tsum
 
 
 def make_sequence(features, ids, placeholders=0):
@@ -29,13 +29,15 @@ def identity_projections(d):
 
 
 def random_fusion(rng, d):
-    return OfeFusion(
-        conv_kernel=Tensor(rng.normal(size=(2 * d, d)), requires_grad=True),
-        conv_bias=Tensor(rng.normal(size=d), requires_grad=True),
-        ffn=FfnParams(Tensor(rng.normal(size=(d, 2 * d)), requires_grad=True),
-                      Tensor(rng.normal(size=2 * d), requires_grad=True),
-                      Tensor(rng.normal(size=(2 * d, d)), requires_grad=True),
-                      Tensor(rng.normal(size=d), requires_grad=True)))
+    """The Conv1D kernel and bias and the FFN's (w1, b1, w2, b2), in the
+    order ofe_query takes them."""
+    conv_kernel = Tensor(rng.normal(size=(2 * d, d)), requires_grad=True)
+    conv_bias = Tensor(rng.normal(size=d), requires_grad=True)
+    ffn = (Tensor(rng.normal(size=(d, 2 * d)), requires_grad=True),
+           Tensor(rng.normal(size=2 * d), requires_grad=True),
+           Tensor(rng.normal(size=(2 * d, d)), requires_grad=True),
+           Tensor(rng.normal(size=d), requires_grad=True))
+    return conv_kernel, conv_bias, ffn
 
 
 class TestBuildSequences:
@@ -186,11 +188,11 @@ class TestOfeQuery:
         d, p, n = 4, 3, 3
         seq = make_sequence(np.zeros((2, d)), [0, 1], placeholders=1)
         w_query, w_key, w_value = (Tensor(np.zeros((d, d))) for _ in range(3))
-        fusion = OfeFusion(Tensor(np.zeros((2 * d, d))), Tensor(np.zeros(d)),
-                           FfnParams(Tensor(np.zeros((d, d))), Tensor(np.zeros(d)),
-                                     Tensor(np.zeros((d, d))), Tensor(np.zeros(d))))
+        fusion = (Tensor(np.zeros((2 * d, d))), Tensor(np.zeros(d)),
+                  (Tensor(np.zeros((d, d))), Tensor(np.zeros(d)),
+                   Tensor(np.zeros((d, d))), Tensor(np.zeros(d))))
         _, out, attn = ofe_query(Tensor(np.zeros((p, d))), seq, w_query, w_key,
-                                 w_value, Tensor(np.zeros(d)), fusion)
+                                 w_value, Tensor(np.zeros(d)), *fusion)
         np.testing.assert_allclose(head_average(attn), np.full((p, n), 1 / n))
         values = build_value_sequence(seq, w_value)
         np.testing.assert_allclose(out.data,
@@ -205,7 +207,7 @@ class TestOfeQuery:
         patch = np.zeros((1, d))
         patch[0, 0] = 50.0  # huge dot product with class 0's key only
         _, out, attn = ofe_query(Tensor(patch), seq, *identity_projections(d),
-                                 Tensor(np.zeros(d)), fusion)
+                                 Tensor(np.zeros(d)), *fusion)
         assert head_average(attn)[0, 0] > 1.0 - 1e-10
         np.testing.assert_allclose(out.data[0], feats[0], rtol=1e-8)
 
@@ -217,12 +219,12 @@ class TestOfeQuery:
         feats = rng.normal(size=(1, d))
         seq = make_sequence(feats, [0], placeholders=1)
         w_query, w_key, w_value = random_projections(rng, d)
-        fusion = random_fusion(rng, d)
+        conv_kernel, conv_bias, ffn = random_fusion(rng, d)
         token_vec = rng.normal(size=d)
         token = Tensor(token_vec, requires_grad=True)
         patches = rng.normal(size=(p, d))
         refined, _, head_attn = ofe_query(Tensor(patches), seq, w_query, w_key,
-                                          w_value, token, fusion)
+                                          w_value, token, conv_kernel, conv_bias, ffn)
 
         q = patches @ w_query.data.T
         keys = np.vstack([feats @ w_key.data.T, token_vec])
@@ -231,10 +233,8 @@ class TestOfeQuery:
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
         f_out = attn @ values
-        fused = np.hstack([patches, f_out]) @ fusion.conv_kernel.data \
-            + fusion.conv_bias.data
-        w1, b1 = fusion.ffn.w1.data, fusion.ffn.b1.data
-        w2, b2 = fusion.ffn.w2.data, fusion.ffn.b2.data
+        fused = np.hstack([patches, f_out]) @ conv_kernel.data + conv_bias.data
+        w1, b1, w2, b2 = (t.data for t in ffn)
         hidden = fused @ w1 + b1
         hidden = hidden / (1.0 + np.exp(-hidden))
         expected = fused + hidden @ w2 + b2
@@ -251,7 +251,7 @@ class TestOfeQuery:
         for n_extra in (0, 1, 3):
             seq = make_sequence(rng.normal(size=(2, d)), [0, 1], placeholders=n_extra)
             refined, _, _ = ofe_query(Tensor(rng.normal(size=(p, d))), seq, w_query,
-                                      w_key, w_value, token, fusion)
+                                      w_key, w_value, token, *fusion)
             assert refined.shape == (p, d)
 
 
@@ -311,7 +311,7 @@ def test_attention_rows_stochastic(c, extra, p, seed):
     fusion = random_fusion(np.random.default_rng(seed + 1), d)
     _, sup = ofe_support(seq, w_key, w_value, token)
     _, _, qry = ofe_query(Tensor(rng.normal(size=(p, d))), seq, w_query, w_key,
-                          w_value, token, fusion)
+                          w_value, token, *fusion)
     np.testing.assert_allclose(head_average(sup).sum(axis=1),
                                np.ones(len(seq)), atol=1e-9)
     np.testing.assert_allclose(head_average(qry).sum(axis=1),

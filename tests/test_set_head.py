@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from fewdet.errors import NumericError, ShapeError
 from fewdet.obd import SupportSequence
-from fewdet.set_head import (DetectionOutput, GroundTruth, MatchResult, Weights,
+from fewdet.set_head import (DetectionOutput, GroundTruth, Weights,
                              bce_with_logits, box_loss, decode_detections,
                              hungarian_match, linear_sum_assignment, match_cost,
                              set_loss)
@@ -27,9 +27,21 @@ def brute_force_min(cost: np.ndarray) -> float:
     return min(sum(cost[q, j] for q, j in assignment) for assignment in assignments)
 
 
+def pairs(match):
+    """The (query, ground truth) pairs of a hungarian_match (rows, cols)."""
+    rows, cols = match
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def match_of(*matched):
+    """A hungarian_match-style (rows, cols) pair of index arrays holding the
+    (query, ground truth) pairs ``matched``."""
+    return tuple(np.array(matched, dtype=np.intp).reshape(-1, 2).T)
+
+
 def unmatched_queries(match, m):
     """The queries of an (m, G) match that no pair holds, ascending."""
-    matched = {q for q, _ in match.pairs}
+    matched = {q for q, _ in pairs(match)}
     return [q for q in range(m) if q not in matched]
 
 
@@ -80,12 +92,12 @@ class TestHungarian:
     def test_diagonal(self):
         cost = np.array([[0.0, 9, 9], [9, 0, 9], [9, 9, 0]])
         match = hungarian_match(cost)
-        assert match.pairs == [(0, 0), (1, 1), (2, 2)]
+        assert pairs(match) == [(0, 0), (1, 1), (2, 2)]
         assert unmatched_queries(match, 3) == []
 
     def test_spec_two_by_two(self):
         match = hungarian_match(np.array([[0.0, 1.0], [0.0, 2.0]]))
-        assert sorted(match.pairs) == [(0, 1), (1, 0)]
+        assert sorted(pairs(match)) == [(0, 1), (1, 0)]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
@@ -93,19 +105,19 @@ class TestHungarian:
 
     def test_empty_gt(self):
         match = hungarian_match(np.zeros((3, 0)))
-        assert match.pairs == [] and unmatched_queries(match, 3) == [0, 1, 2]
+        assert pairs(match) == [] and unmatched_queries(match, 3) == [0, 1, 2]
 
     def test_rectangular_more_queries(self):
         cost = np.array([[5.0, 5.0], [0.0, 5.0], [5.0, 0.0]])
         match = hungarian_match(cost)
-        assert sorted(match.pairs) == [(1, 0), (2, 1)]
+        assert sorted(pairs(match)) == [(1, 0), (2, 1)]
         assert unmatched_queries(match, 3) == [0]
 
     def test_more_gts_than_queries_warns_and_matches_cheapest(self):
         cost = np.array([[0.0, 5.0, 1.0]])
         with pytest.warns(RuntimeWarning):
             match = hungarian_match(cost)
-        assert match.pairs == [(0, 0)]
+        assert pairs(match) == [(0, 0)]
 
     def test_tied_optimum_is_deterministic(self):
         """A tie gets an optimal assignment, and the same one on a repeated
@@ -113,11 +125,11 @@ class TestHungarian:
         tied_block = np.array([[1.0, 1.0, 5.0], [1.0, 1.0, 5.0], [5.0, 5.0, 0.0]])
         for cost in (np.zeros((3, 3)), tied_block):
             match = hungarian_match(cost)
-            assert sum(cost[q, j] for q, j in match.pairs) == brute_force_min(cost)
-            assert [q for q, _ in match.pairs] == [0, 1, 2]
-            assert sorted(j for _, j in match.pairs) == [0, 1, 2]
-            assert hungarian_match(cost).pairs == match.pairs
-            assert hungarian_match(np.asfortranarray(cost)).pairs == match.pairs
+            assert sum(cost[q, j] for q, j in pairs(match)) == brute_force_min(cost)
+            assert [q for q, _ in pairs(match)] == [0, 1, 2]
+            assert sorted(j for _, j in pairs(match)) == [0, 1, 2]
+            assert pairs(hungarian_match(cost)) == pairs(match)
+            assert pairs(hungarian_match(np.asfortranarray(cost))) == pairs(match)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 31 - 1),
@@ -129,13 +141,13 @@ class TestHungarian:
                 match = hungarian_match(cost)
         else:
             match = hungarian_match(cost)
-        total = sum(cost[q, j] for q, j in match.pairs)
+        total = sum(cost[q, j] for q, j in pairs(match))
         assert total == pytest.approx(brute_force_min(cost), abs=1e-9)
-        queries = [q for q, _ in match.pairs]
-        columns = [j for _, j in match.pairs]
+        queries = [q for q, _ in pairs(match)]
+        columns = [j for _, j in pairs(match)]
         assert queries == sorted(set(queries))
         assert len(set(columns)) == len(columns)
-        assert len(match.pairs) == min(m, g)
+        assert len(pairs(match)) == min(m, g)
         assert unmatched_queries(match, m) == sorted(set(range(m)) - set(queries))
 
     @pytest.mark.parametrize("shape", [(100, 12), (25, 4), (6, 6), (3, 8)])
@@ -159,7 +171,7 @@ class TestHungarian:
         cost = random_cost(np.random.default_rng(12), *shape, "continuous")
         match = hungarian_match(cost)
         rows, cols = scipy_lsa(cost)
-        assert match.pairs == list(zip(rows.tolist(), cols.tolist()))
+        assert pairs(match) == list(zip(rows.tolist(), cols.tolist()))
         assert len(unmatched_queries(match, shape[0])) == shape[0] - shape[1]
 
 
@@ -247,7 +259,7 @@ class TestSetLoss:
         boxes = np.array([[0.5, 0.5, 0.2, 0.2]] * 3)
         out = output(probs, boxes)
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.2, 0.2]], labels=[3])
-        match = MatchResult(pairs=[(0, 0)])
+        match = match_of((0, 0))
         loss, parts = set_loss(out, gt, seq, match, Weights())
         assert loss.item() < 1e-6
 
@@ -256,7 +268,7 @@ class TestSetLoss:
         probs = np.full((2, 2), 0.5)
         out = output(probs, np.full((2, 4), 0.5))
         gt = GroundTruth(boxes=np.zeros((0, 4)), labels=[])
-        match = MatchResult(pairs=[])
+        match = match_of()
         loss, parts = set_loss(out, gt, seq, match, Weights(cls=1.0))
         # all-0.5 probabilities: BCE is ln 2 per entry regardless of target
         assert loss.item() == pytest.approx(np.log(2.0), rel=1e-9)
@@ -271,7 +283,7 @@ class TestSetLoss:
         out = output(probs, boxes)
         gt_box = np.array([[0.4, 0.6, 0.25, 0.2]])
         gt = GroundTruth(boxes=gt_box, labels=[1])
-        match = MatchResult(pairs=[(2, 0)])
+        match = match_of((2, 0))
         w = Weights(cls=2.0, l1=5.0, giou=2.0)
         loss, parts = set_loss(out, gt, seq, match, w)
 
@@ -294,7 +306,7 @@ class TestSetLoss:
         out = output([[0.5, 0.5]], [[0.5, 0.5, 0.2, 0.2]])
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.0, 0.2]], labels=[0])
         with pytest.raises(ShapeError):
-            set_loss(out, gt, seq, MatchResult(pairs=[(0, 0)]), Weights())
+            set_loss(out, gt, seq, match_of((0, 0)), Weights())
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -304,7 +316,7 @@ class TestSetLoss:
         raw_boxes0 = rng.normal(size=(m, 4)) * 0.3
         gt = GroundTruth(boxes=[[0.4, 0.6, 0.25, 0.2], [0.7, 0.3, 0.2, 0.3]],
                          labels=[1, 0])
-        match = MatchResult(pairs=[(0, 1), (2, 0)])
+        match = match_of((0, 1), (2, 0))
         w = Weights()
 
         from fewdet.tensor import sigmoid
@@ -333,7 +345,7 @@ class TestSetLoss:
         seq = sequence([0], placeholders=1, rng=rng)
         logits, raw = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
         gt = GroundTruth(boxes=np.zeros((0, 4)), labels=[])
-        match = MatchResult(pairs=[])
+        match = match_of()
 
         from fewdet.tensor import sigmoid
 
@@ -375,7 +387,7 @@ class TestSetLoss:
         rng = np.random.default_rng(8)
         seq = sequence([0], placeholders=1, rng=rng)
         gt = GroundTruth(boxes=[[0.5, 0.5, 0.2, 0.2]], labels=[0])
-        match = MatchResult(pairs=[(0, 0)])
+        match = match_of((0, 0))
         pos = seq.class_ids.index(0)
         w = Weights()
         boxes = np.full((2, 4), 0.5)
@@ -418,7 +430,7 @@ class TestBceWithLogits:
         probs = rng.uniform(0.05, 0.95, size=(4, 3))
         out = output(probs, random_boxes(rng, 4))
         gt = GroundTruth(boxes=random_boxes(rng, 2), labels=[1, 0])
-        match = MatchResult(pairs=[(1, 1), (3, 0)])
+        match = match_of((1, 1), (3, 0))
         w = Weights(cls=1.7)
         _, parts = set_loss(out, gt, seq, match, w)
         targets = np.zeros((4, 3))

@@ -364,16 +364,16 @@ class TestMatmulT:
 
 class TestFfn:
     def zero_params(self, d, h):
-        return T.FfnParams(Tensor(np.zeros((d, h))), Tensor(np.zeros(h)),
-                           Tensor(np.zeros((h, d))), Tensor(np.zeros(d)))
+        return (Tensor(np.zeros((d, h))), Tensor(np.zeros(h)),
+                Tensor(np.zeros((h, d))), Tensor(np.zeros(d)))
 
     def test_zero_weights_residual_passthrough(self):
         x = np.arange(8.0).reshape(2, 4)
-        out = T.ffn_apply(Tensor(x), self.zero_params(4, 6))
+        out = T.ffn_apply(Tensor(x), *self.zero_params(4, 6))
         np.testing.assert_array_equal(out.data, x)
 
     def test_empty_rows(self):
-        out = T.ffn_apply(Tensor(np.zeros((0, 4))), self.zero_params(4, 6))
+        out = T.ffn_apply(Tensor(np.zeros((0, 4))), *self.zero_params(4, 6))
         assert out.shape == (0, 4)
 
     @staticmethod
@@ -384,7 +384,7 @@ class TestFfn:
 
     @staticmethod
     def fused(x, w1, b1, w2, b2):
-        return T.ffn_apply(x, T.FfnParams(w1, b1, w2, b2))
+        return T.ffn_apply(x, w1, b1, w2, b2)
 
     @staticmethod
     def inputs(seed, n=5, d=4, h=8):
@@ -441,7 +441,18 @@ class TestFfn:
 
     def test_input_width_mismatch(self):
         with pytest.raises(ShapeError):
-            T.ffn_apply(Tensor(np.zeros((2, 3))), self.zero_params(4, 6))
+            T.ffn_apply(Tensor(np.zeros((2, 3))), *self.zero_params(4, 6))
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 6), (6,), (4, 6), (4,)),
+        ((4, 6), (4,), (6, 4), (4,)),
+        ((4, 6), (6,), (6, 4), (6,)),
+        ((4,), (4,), (4,), (4,)),
+    ], ids=["w2-not-transposed", "b1-length", "b2-length", "1d-w1"])
+    def test_mismatched_weights_are_refused(self, shapes):
+        params = [Tensor(np.zeros(shape)) for shape in shapes]
+        with pytest.raises(ShapeError, match="ffn_apply"):
+            T.ffn_apply(Tensor(np.zeros((2, 4))), *params)
 
 
 class TestFiniteDiff:
@@ -938,8 +949,7 @@ NO_WRITE_CASES = {
     "attention-single-key": (lambda q, k, v: T.attention(q, k, v, 2),
                              [(3, 4), (1, 4), (1, 4)]),
     "layer_norm": (T.layer_norm, [(4, 6), (6,), (6,)]),
-    "ffn_apply": (lambda x, *p: T.ffn_apply(x, T.FfnParams(*p)),
-                  [(5, 4), (4, 8), (8,), (8, 4), (4,)]),
+    "ffn_apply": (T.ffn_apply, [(5, 4), (4, 8), (8,), (8, 4), (4,)]),
     "silu": (T.silu, [(3, 5)]),
     "silu-0d": (T.silu, [()]),
     "sigmoid": (T.sigmoid, [(3, 5)]),

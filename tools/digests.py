@@ -15,6 +15,8 @@ change that keeps the arithmetic prints the same object. Per seed (0, 7 and
   (null where they are NaN, as for the baseline);
 * for the +OBD+OOD variant, the sha256 of its run-checkpoint bytes and
   whether saving the checkpoint loaded back from them gives the same bytes;
+* for the baseline variant, the sha256 of its detections on test episode 0
+  at score threshold 0, so every query of every single-class pass counts;
 * a +OBD+OOD model of the ``train_dense`` workload after 10 steps: its
   state digest and the sha256 of its detections on test episode 0.
 
@@ -65,6 +67,11 @@ def _trained(workload: str, seed: int, variant: str, steps: int,
     return run, train_run(run, cfg=ablation_variant(run.resolved_model(), variant))
 
 
+def _detections(episode, result, threshold: float) -> str:
+    dets = run_inference(episode, result.state, result.cfg, threshold)
+    return _sha256([[c, s, b.tolist()] for c, s, b in dets])
+
+
 def _checkpoint(run, result) -> dict:
     """The sha256 of ``result``'s run-checkpoint bytes, and whether a save of
     the checkpoint loaded from them writes the same bytes."""
@@ -96,13 +103,16 @@ def digests(seeds=SEEDS, steps: int = 40, fine_tune_steps: int = 10,
                 "mean_separation": _number(diag.mean_separation)}
             if variant == VARIANT:
                 checkpoint = _checkpoint(run, result)
+            if variant == "baseline":
+                baseline = _detections(generate_episode(run.benchmark, 0, "test"),
+                                       result, 0.0)
         run, result = _trained("train_dense", seed, VARIANT, dense_steps, 0)
-        dets = run_inference(generate_episode(run.benchmark, 0, "test"),
-                             result.state, result.cfg, EVAL_SCORE_THRESHOLD)
-        out["seeds"][str(seed)] = {"variants": variants, "checkpoint": checkpoint,
-                                   "dense": {
-            "state": state_digest(result.state, result.opt),
-            "detections": _sha256([[c, s, b.tolist()] for c, s, b in dets])}}
+        episode = generate_episode(run.benchmark, 0, "test")
+        out["seeds"][str(seed)] = {
+            "variants": variants, "checkpoint": checkpoint,
+            "baseline_detections": baseline,
+            "dense": {"state": state_digest(result.state, result.opt),
+                      "detections": _detections(episode, result, EVAL_SCORE_THRESHOLD)}}
     return out
 
 
