@@ -133,14 +133,16 @@ def _first_difference(ours, theirs, prefix: str = ""):
 def _truncate_log(path: Path, start_step: int) -> None:
     """Drop the rows of step ``start_step`` and later from the JSONL
     training log at ``path``, so the rows a run appends from that step
-    follow the earlier ones once each. A log with nothing to drop is left
-    untouched."""
+    follow the earlier ones once each. A final line with no newline is an
+    append that a kill tore, and is dropped too. A log with nothing to drop
+    is left untouched."""
     try:
         lines = path.read_bytes().splitlines(keepends=True)
     except FileNotFoundError:
         return
+    torn = bool(lines) and not lines[-1].endswith(b"\n")
     kept = []
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(lines[:-1] if torn else lines, 1):
         try:
             earlier = json.loads(line)["step"] < start_step
         except (ValueError, TypeError, KeyError):

@@ -10,7 +10,8 @@ so does an integer setting that is not a YAML integer (``2.5``, ``true``),
 a float setting that is not a YAML number (``"0.001"``, ``true``), a string
 setting that is not a YAML string (``out_dir: 5``), a value
 out of its range (checked by each section's ``__post_init__``; a float must
-be finite) or an ``ablate_seeds`` entry that is not a non-negative integer.
+be finite), an empty ``ablate_seeds`` or an entry of it that is not a
+non-negative integer.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed}")
+        if not self.ablate_seeds:
+            raise ConfigError("ablate_seeds must hold at least one seed")
         for i, seed in enumerate(self.ablate_seeds):
             if type(seed) is not int or seed < 0:  # a bool is not a seed
                 raise ConfigError(f"ablate_seeds[{i}] must be a non-negative "

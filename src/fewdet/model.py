@@ -6,14 +6,14 @@ class-separation loss.
 The support sequence is the episode's classes in episode order, then
 background placeholders up to ``n_max`` (none in single-class mode), over
 the embedded (C, d) support features. The support branch refines those
-features through self-interaction layers, each layer replacing the
-sequence's feature matrix and keeping its classes and length; the final
-class rows feed the contrastive loss. The query branch refines patch
-features against the *modified* support sequence. The classification head
-scores each decoder output against every support position (the C class
-rows through a projection, then the placeholders as the raw background
-token), which is what makes the head class-agnostic and gives the
-background token its supervision path.
+features through self-interaction layers: each adds what the C class rows
+gather over the whole sequence to its feature matrix, keeping its classes
+and length; the final class rows feed the contrastive loss. The query
+branch refines patch features against the *modified* support sequence.
+The classification head scores each decoder output against every support
+position (the C class rows through a projection, then the placeholders as
+the raw background token), which is what makes the head class-agnostic
+and gives the background token its supervision path.
 
 :func:`forward` reads every weight from ``state.params``, hands the OBD
 layers the tensors they read (the FFN's four picked by :func:`_ffn`, as
@@ -50,7 +50,7 @@ from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
 from .set_head import (DetectionOutput, GroundTruth, Weights, decode_detections,
                        hungarian_match, match_cost, set_loss)
 from .tensor import (Tensor, attention, ffn_apply, layer_norm, linear, matmul,
-                     matmul_t, no_grad, sigmoid, silu, take_rows)
+                     matmul_t, no_grad, sigmoid, silu)
 
 VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
@@ -306,8 +306,7 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
     for i in range(cfg.encoder_layers):
         attended, _ = ofe_support(seq, p[f"obd.layer{i}.w2"], p[f"obd.layer{i}.w3"],
                                   token, cfg.heads)
-        refined_rows = take_rows(attended, range(len(seq.class_ids)))
-        seq = dataclasses.replace(seq, features=seq.features + refined_rows)
+        seq = dataclasses.replace(seq, features=seq.features + attended)
 
     support_features = SupportClassFeatures(features=seq.features)
 

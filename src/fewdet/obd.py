@@ -12,22 +12,25 @@ path. Each side is one graph node (:func:`fewdet.tensor.project_rows`):
 the projected class features in the first C rows, and the token or the
 zero row in the rest.
 
-Two branches share the machinery: the support branch lets class features
-attend over the sequence itself (self-interaction), the query branch lets
-image patch features attend over the sequence and then fuses the result
-back with the original patches through Conv1D + FFN. The Conv1D is one
-:func:`fewdet.tensor.concat_linear` node over the patches and the attended
-features side by side, which keeps no concatenated copy for backward; the
-FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
+Two branches share one wiring: rows projected by one :func:`matmul_t` node
+attend over the key and value sequences, whose placeholders are keys and
+values only, never rows that attend. The support branch's rows are its C
+class features under the key projection (self-interaction), the query
+branch's the image patches under the query projection; it then fuses the
+result back with the original patches through Conv1D + FFN. The Conv1D is
+one :func:`fewdet.tensor.concat_linear` node over the patches and the
+attended features side by side, which keeps no concatenated copy for
+backward; the FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
 head at once through the fused :func:`fewdet.tensor.attention` primitive.
 
 The branches take the weight tensors they read and return plain values:
 :func:`ofe_support` takes the key and value projections and returns
-``attention``'s ``(out, head_attention)``; :func:`ofe_query` also takes the
-query projection, the Conv1D kernel and bias and the FFN's four tensors,
-and returns ``(refined, out, head_attention)``. The head attention is the
-(heads, rows, n) array ``attention`` returns; :func:`head_average` is the
-one place it is averaged over the heads.
+``attention``'s ``(out, head_attention)`` for the C class rows;
+:func:`ofe_query` also takes the query projection, the Conv1D kernel and
+bias and the FFN's four tensors, and returns ``(refined, out,
+head_attention)``. The head attention is the (heads, rows, n) array
+``attention`` returns; :func:`head_average` is the one place it is averaged
+over the heads.
 """
 
 from __future__ import annotations
@@ -86,14 +89,13 @@ def build_value_sequence(s: SupportSequence, w_value: Tensor) -> Tensor:
 
 def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
                 token: Tensor, heads: int = 1) -> tuple[Tensor, np.ndarray]:
-    """Support-branch self-interaction: keys double as queries, values carry
-    zero rows at placeholders so background mass dilutes rather than leaks.
-    Returns :func:`fewdet.tensor.attention`'s (n, d) output and (heads, n, n)
-    attention."""
-    if len(s) == 0:
-        raise ShapeError("ofe_support: empty support sequence")
-    keys = build_key_sequence(s, w_key, token)
-    return attention(keys, keys, build_value_sequence(s, w_value), heads)
+    """Support-branch self-interaction: each class row attends over the
+    sequence with its own key as the query; values carry zero rows at
+    placeholders so background mass dilutes rather than leaks. Returns
+    :func:`fewdet.tensor.attention`'s (C, d) output and (heads, C, n)
+    attention: the first C rows of self-attention over all n positions."""
+    return attention(matmul_t(s.features, w_key), build_key_sequence(s, w_key, token),
+                     build_value_sequence(s, w_value), heads)
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,

@@ -34,7 +34,7 @@ from .obd import SupportSequence
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class Weights:
     """Shared weighting of the classification / L1 / GIoU terms, used both
     for the matching cost and the training loss."""

@@ -20,12 +20,12 @@ the affine map of two inputs' channels side by side
 (:func:`matmul_t`), that product followed by filler rows
 (:func:`project_rows`), the FFN block (:func:`ffn_apply`, which takes its
 two weights and two biases as tensors and checks their shapes), multi-head
-attention, layer norm and the row gather (:func:`take_rows`). Each has a
-hand-derived backward that repeats the arithmetic of the primitive chain it
-stands for, so values and gradients are bit-identical to that chain. A
-closure keeps what its backward reads and cannot cheaply rebuild: an
-intermediate that one element-wise op or one copy of the inputs gives back
-(the FFN's activations, the concatenated input of :func:`concat_linear`) is
+attention and layer norm. Each has a hand-derived backward that repeats
+the arithmetic of the primitive chain it stands for, so values and
+gradients are bit-identical to that chain. A closure keeps what its
+backward reads and cannot cheaply rebuild: an intermediate that one
+element-wise op or one copy of the inputs gives back (the FFN's
+activations, the concatenated input of :func:`concat_linear`) is
 recomputed in backward instead of held from forward to backward. Each loss
 term is one such node too (:mod:`fewdet.set_head`, :mod:`fewdet.ood`).
 
@@ -513,30 +513,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 
     out = Tensor._result(merge(attn @ vh), (q, k, v), backward)
     return out, attn
-
-
-# -- shape manipulation -------------------------------------------------------------
-
-
-def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of ``a`` by distinct indices as one graph node; a repeated
-    index raises ShapeError. Backward writes ``0.0 + g`` at the selected
-    rows of a zero gradient, what accumulating into zeros gives (-0.0
-    becomes 0.0)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("take_rows expects a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"row indices out of range for {a.shape}")
-    if len(set(idx.tolist())) != idx.size:
-        raise ShapeError(f"take_rows: repeated row index in {idx.tolist()}")
-
-    def backward(g: np.ndarray):
-        full = np.zeros_like(a.data)
-        full[idx] = 0.0 + g
-        return (full,)
-
-    return Tensor._result(a.data[idx], (a,), backward)
 
 
 # -- composite layers ------------------------------------------------------------

@@ -291,17 +291,41 @@ class TestTrainEval:
         assert log_path.read_bytes() == uninterrupted
         assert ckpt.read_bytes() == finished
 
-    def test_resume_onto_a_log_with_a_torn_row_exits_3(self, fast_config, tmp_path,
-                                                        capsys):
+    def test_resume_onto_a_log_with_a_corrupt_row_exits_3(self, fast_config, tmp_path,
+                                                           capsys):
+        """A row that ends in a newline was fully written, so one that does
+        not parse is corruption, not a torn append."""
         run_cli("train", "--config", str(fast_config))
         log_path = tmp_path / "out" / "train_log.jsonl"
         with open(log_path, "a") as fh:
-            fh.write('{"step": 8, "cls"')
+            fh.write('{"step": 8, "cls"\n')
         capsys.readouterr()
         assert run_cli("train", "--config", str(fast_config), "--checkpoint",
                        str(tmp_path / "out" / "checkpoint.fdck")) == 3
         assert (f"{log_path}: line 6 is not a training log row"
                 in capsys.readouterr().err)
+
+    def test_a_torn_final_row_is_dropped_by_fresh_and_resumed_runs(
+            self, fast_config, tmp_path, capsys):
+        """A kill during an append leaves a last line with no newline. A
+        fresh run and a resume each drop it, and the log ends as the
+        uninterrupted run's."""
+        import dataclasses
+        from fewdet.harness import (load_run_checkpoint, save_run_checkpoint,
+                                    train_run)
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        log_path = tmp_path / "out" / "train_log.jsonl"
+        uninterrupted = log_path.read_bytes()
+        run, full = load_run_checkpoint(tmp_path / "out" / "checkpoint.fdck")
+        head = dataclasses.replace(run, training=dataclasses.replace(
+            run.training, steps=4, fine_tune_steps=0))
+        mid = tmp_path / "mid.fdck"
+        save_run_checkpoint(mid, run, train_run(head, cfg=full.cfg))
+        for resume in ((), ("--checkpoint", str(mid))):
+            with open(log_path, "ab") as fh:
+                fh.write(b'{"step": 4, "cls": 0.5')
+            assert run_cli("train", "--config", str(fast_config), *resume) == 0
+            assert log_path.read_bytes() == uninterrupted
 
     @pytest.mark.parametrize("flag, value, same, theirs", [
         ("--seed", "5", "0", "seed 0"),

@@ -100,7 +100,8 @@ def test_resolved_model_derives_benchmark_fields():
     ([1, 2, -3], "ablate_seeds\\[2\\] must be a non-negative integer, not -3"),
     (["7"], "ablate_seeds\\[0\\] must be a non-negative integer, not '7'"),
     (5, "ablate_seeds must be a list, not 5"),
-], ids=["fraction", "bool", "negative", "string", "not-a-list"])
+    ([], "ablate_seeds must hold at least one seed"),
+], ids=["fraction", "bool", "negative", "string", "not-a-list", "empty"])
 def test_ablate_seed_that_is_not_a_seed_is_refused(tmp_path, seeds, bad):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"ablate_seeds": seeds}))

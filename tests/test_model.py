@@ -298,6 +298,16 @@ class TestAblationVariants:
         with pytest.raises(ConfigError):
             ablation_variant(micro_cfg(), "nonsense")
 
+    def test_configs_hash_and_their_weights_are_frozen(self):
+        """A frozen config holds frozen weights: it hashes, and no variant
+        can change the loss weights the others share."""
+        cfgs = [ablation_variant(ModelConfig(), v) for v in VARIANTS]
+        assert len(set(cfgs)) == len(VARIANTS)
+        assert hash(ModelConfig()) == hash(ModelConfig())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfgs[0].weights.cls = 0.0
+        assert all(cfg.weights.cls == 2.0 for cfg in cfgs)
+
 
 def test_full_loss_gradient_matches_finite_differences():
     """Reverse-mode through the whole pipeline equals the oracle (micro

@@ -8,7 +8,7 @@ from fewdet.errors import ShapeError
 from fewdet.obd import (SupportSequence, background_attention_mass,
                         build_key_sequence, build_value_sequence, head_average,
                         ofe_query, ofe_support)
-from fewdet.tensor import Tensor, tsum
+from fewdet.tensor import Tensor, attention, tsum
 
 
 def make_sequence(features, ids, placeholders=0):
@@ -133,13 +133,16 @@ class TestOfeSupport:
         np.testing.assert_allclose(out.data[0], (e / (e + 1)) * c, rtol=1e-12)
 
     def test_identical_features_and_token_give_uniform_attention(self):
+        # Two class rows attend 1/3 to each of the three positions, the
+        # placeholder included; the placeholder itself attends from no row.
         rng = np.random.default_rng(5)
         d = 4
         c = rng.normal(size=d)
         seq = make_sequence([c, c], [0, 1], placeholders=1)
         _, w_key, w_value = identity_projections(d)
-        _, attn = ofe_support(seq, w_key, w_value, Tensor(c))
-        np.testing.assert_allclose(head_average(attn), np.full((3, 3), 1 / 3),
+        out, attn = ofe_support(seq, w_key, w_value, Tensor(c))
+        assert out.shape == (2, d) and attn.shape == (1, 2, 3)
+        np.testing.assert_allclose(head_average(attn), np.full((2, 3), 1 / 3),
                                    rtol=1e-12)
 
     def test_reduces_to_standard_self_attention_without_placeholders(self):
@@ -279,8 +282,9 @@ class TestBackgroundMass:
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2 ** 31 - 1),
        st.sampled_from([1, 2]))
 def test_permutation_equivariance(c, extra, seed, heads):
-    """Permuting the classes permutes attention and output rows identically;
-    the placeholder rows, last either way, stay where they are."""
+    """Permuting the classes permutes the output rows, and the attention's
+    rows and class columns, identically; the placeholder columns, last
+    either way, stay where they are."""
     rng = np.random.default_rng(seed)
     d = 4
     feats = rng.normal(size=(c, d))
@@ -294,9 +298,10 @@ def test_permutation_equivariance(c, extra, seed, heads):
 
     out_a, attn_a = ofe_support(base, w_key, w_value, token, heads=heads)
     out_b, attn_b = ofe_support(permuted, w_key, w_value, token, heads=heads)
-    np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-12)
+    assert out_a.shape == (c, d) and attn_a.shape == (heads, c, c + extra)
+    np.testing.assert_allclose(out_b.data, out_a.data[order], atol=1e-12)
     np.testing.assert_allclose(head_average(attn_b),
-                               head_average(attn_a)[np.ix_(perm, perm)], atol=1e-12)
+                               head_average(attn_a)[np.ix_(order, perm)], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,10 +317,47 @@ def test_attention_rows_stochastic(c, extra, p, seed):
     _, sup = ofe_support(seq, w_key, w_value, token)
     _, _, qry = ofe_query(Tensor(rng.normal(size=(p, d))), seq, w_query, w_key,
                           w_value, token, *fusion)
-    np.testing.assert_allclose(head_average(sup).sum(axis=1),
-                               np.ones(len(seq)), atol=1e-9)
+    np.testing.assert_allclose(head_average(sup).sum(axis=1), np.ones(c), atol=1e-9)
     np.testing.assert_allclose(head_average(qry).sum(axis=1),
                                np.ones(p), atol=1e-9)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 3])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_support_rows_match_full_self_attention(extra, heads):
+    """The class rows' output and attention are the first C rows of
+    self-attention over all n = C + extra positions, each position's key
+    its own query, within 1e-12. So are the gradients of a loss on those
+    rows with respect to the features, both projections and the token (the
+    reference's loss reads its placeholder rows with zero weight)."""
+    rng = np.random.default_rng(31 + extra)
+    c, d = 3, 8
+    arrays = [rng.normal(size=(c, d)), rng.normal(size=(d, d)),
+              rng.normal(size=(d, d)), rng.normal(size=d)]
+    mix = rng.normal(size=(c, d))
+
+    def run(attend, weight):
+        feats, w_key, w_value, token = leaves = [Tensor(a, requires_grad=True)
+                                                 for a in arrays]
+        seq = SupportSequence(tuple(range(c)), c + extra, feats)
+        out, attn = attend(seq, w_key, w_value, token)
+        tsum(out * Tensor(weight)).backward()
+        grads = [leaf.grad for leaf in leaves]
+        assert (token.grad is None) == (extra == 0)  # no placeholder, no token
+        return [out.data, attn] + [g for g in grads if g is not None]
+
+    def full_self_attention(seq, w_key, w_value, token):
+        keys = build_key_sequence(seq, w_key, token)
+        return attention(keys, keys, build_value_sequence(seq, w_value), heads)
+
+    got = run(lambda *args: ofe_support(*args, heads=heads), mix)
+    want = run(full_self_attention, np.vstack([mix, np.zeros((extra, d))]))
+    want[:2] = want[0][:c], want[1][:, :c]
+    assert got[0].shape == (c, d) and got[1].shape == (heads, c, c + extra)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
 def test_duplicate_class_ids_rejected():

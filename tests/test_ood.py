@@ -40,11 +40,24 @@ def sub(a, b):
                                      T._unbroadcast(-g, b.shape)))
 
 
+def take_rows(a, indices):
+    """Rows ``indices`` of ``a`` as a graph node whose backward writes
+    ``0.0 + g`` at those rows of a zero gradient."""
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[idx] = 0.0 + g
+        return (full,)
+
+    return Tensor._result(a.data[idx], (a,), backward)
+
+
 def infonce_chain(f, t, class_ids):
     """The InfoNCE loss as the chain of elementwise nodes the fused node
     stands for: the reference it must reproduce bit for bit."""
     c = len(class_ids)
-    logits = T.matmul_t(f.features, T.take_rows(t.embeddings, class_ids)) \
+    logits = T.matmul_t(f.features, take_rows(t.embeddings, class_ids)) \
         * (1.0 / t.temperature)
     shifted = sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
     lse = log(T.tsum(exp(shifted), axis=1, keepdims=True))

@@ -617,31 +617,6 @@ def test_item_requires_a_single_value():
             Tensor(np.arange(float(np.prod(shape))).reshape(shape)).item()
 
 
-def test_take_rows_refuses_repeated_indices():
-    with pytest.raises(ShapeError, match="repeated"):
-        T.take_rows(Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True), [1, 1, 2])
-
-
-def test_take_rows_gradient_is_zero_plus_upstream():
-    """Selected rows get ``0.0 + g`` (so -0.0 becomes 0.0) in any index
-    order; unselected rows stay zero."""
-    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    out = T.take_rows(x, [2, 0, 3])
-    g = np.array([[1.5, -0.0], [-0.0, 2.5], [3.5, 0.0]])
-    backward_from(out, g)
-    assert_bit_identical([out.data, x.grad],
-                         [x.data[[2, 0, 3]],
-                          np.array([[0.0, 2.5], [0.0, 0.0], [1.5, 0.0], [3.5, 0.0]])])
-
-
-class TestTakeRows:
-    @pytest.mark.parametrize("index", [[[0, 1]], [3], [-1]],
-                             ids=["nested-index", "past-end", "negative"])
-    def test_bad_index_or_filler(self, index):
-        with pytest.raises(ShapeError):
-            T.take_rows(Tensor(np.zeros((3, 2))), index)
-
-
 def backward_from(out, g):
     """Backward with ``g`` itself as the upstream gradient of ``out``."""
     Tensor._result(np.asarray(0.0), (out,), lambda _: (g,)).backward()
@@ -718,9 +693,14 @@ class TestProjectRows:
 
 
 def columns(x, start, stop):
-    """Columns [start, stop) of a 2-d tensor, as an exact row gather of its
-    transpose."""
-    return transpose(T.take_rows(transpose(x), range(start, stop)))
+    """Columns [start, stop) of a 2-d tensor as a graph node whose backward
+    writes ``0.0 + g`` into those columns of a zero gradient."""
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = 0.0 + g
+        return (full,)
+
+    return Tensor._result(x.data[:, start:stop].copy(), (x,), backward)
 
 
 def reference_attention(q, k, v, heads):
@@ -957,7 +937,6 @@ NO_WRITE_CASES = {
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
     "concat_linear": (T.concat_linear, [(3, 4), (3, 2), (6, 2), (2,)]),
     "matmul_t": (T.matmul_t, [(3, 4), (2, 4)]),
-    "take_rows": (lambda a: T.take_rows(a, [0, 3, 2]), [(4, 3)]),
     "project_rows": (lambda x, w, f: T.project_rows(x, w, 5, f),
                      [(3, 4), (5, 4), (5,)]),
     "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
