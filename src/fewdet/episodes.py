@@ -295,12 +295,17 @@ def write_episodes(spec: BenchmarkSpec, count: int, path,
         buf.write(struct.pack("<Q", len(r)))
         buf.write(r)
     _write_atomic(path, buf.getbuffer())
+    return _manifest(spec, split, start_index, header_bytes, digests)
 
-    manifest_digest = hashlib.sha256(header_bytes).hexdigest()
-    return {"format_version": _FORMAT_VERSION, "count": count, "split": split,
+
+def _manifest(spec: BenchmarkSpec, split: str, start_index: int,
+              header_bytes: bytes, digests: list[bytes]) -> dict:
+    """An episode file's manifest: its header fields, each record's sha256
+    and the sha256 of the header bytes (the manifest digest)."""
+    return {"format_version": _FORMAT_VERSION, "count": len(digests), "split": split,
             "spec": asdict(spec), "start_index": start_index,
             "episode_digests": [d.hex() for d in digests],
-            "manifest_digest": manifest_digest}
+            "manifest_digest": hashlib.sha256(header_bytes).hexdigest()}
 
 
 def _spec_mismatch(ep: Episode, spec: BenchmarkSpec) -> str | None:
@@ -359,12 +364,7 @@ def read_episodes(path) -> tuple[dict, list[Episode]]:
             raise r.error(f"episode {i}", mismatch)
         episodes.append(ep)
     r.end()
-
-    manifest = {"format_version": version, "count": count, "split": split,
-                "spec": asdict(spec), "start_index": start,
-                "episode_digests": [d.hex() for d in digests],
-                "manifest_digest": hashlib.sha256(header_bytes).hexdigest()}
-    return manifest, episodes
+    return _manifest(spec, split, start, header_bytes, digests), episodes
 
 
 def nearest_prototype_accuracy(spec: BenchmarkSpec, split: str,

@@ -165,6 +165,16 @@ def test_deeply_nested_config_record_is_corrupt(tmp_path):
         load_checkpoint(path)
 
 
+def test_duplicate_tensor_name_is_corrupt(tmp_path):
+    path = tmp_path / "twice.fdck"
+    save_checkpoint(path, {}, {"wa": np.zeros(2), "wb": np.zeros(2)})
+    blob = path.read_bytes()
+    assert blob.count(b"wb") == 1
+    path.write_bytes(blob.replace(b"wb", b"wa"))
+    with pytest.raises(CorruptionError, match="tensor 1 name: duplicate name 'wa'"):
+        load_checkpoint(path)
+
+
 def test_empty_tensor_with_an_extent_past_numpy_is_corrupt(tmp_path):
     """Zero values need no bytes, but an extent numpy cannot allocate is
     still refused by name, not raised as numpy's ValueError."""
@@ -518,6 +528,11 @@ def _short_params(config, tensors):
     return "'params' has shape"
 
 
+def _short_first_moments(config, tensors):
+    tensors["adam.m"] = tensors["adam.m"][:-1]
+    return "'adam.m' has shape"
+
+
 def _no_second_moments(config, tensors):
     del tensors["adam.v"]
     return "missing ['adam.v']"
@@ -538,11 +553,12 @@ def _moments_not_names(config, tensors):
     return "moments is not a list of names"
 
 
-@pytest.mark.parametrize("change", [_short_params, _no_second_moments,
-                                    _unknown_moment, _repeated_moment,
-                                    _moments_not_names],
-                         ids=["buffer-length", "missing-buffer", "unknown-moment",
-                              "repeated-moment", "moments-not-names"])
+@pytest.mark.parametrize("change", [_short_params, _short_first_moments,
+                                    _no_second_moments, _unknown_moment,
+                                    _repeated_moment, _moments_not_names],
+                         ids=["buffer-length", "moment-length", "missing-buffer",
+                              "unknown-moment", "repeated-moment",
+                              "moments-not-names"])
 def test_flat_checkpoint_that_does_not_fit_the_config_is_corrupt(
         tmp_path, tiny_trained, change):
     from fewdet.harness import checkpoint_payload, load_run_checkpoint

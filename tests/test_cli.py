@@ -423,6 +423,32 @@ class TestTrainEval:
             (tmp_path / "out" / "eval_report.json").read_text())
         assert report.confusion.shape == (4, 4)
 
+    def test_eval_with_out_writes_the_report_there(self, fast_config, tmp_path, capsys):
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        other = tmp_path / "other"
+        assert run_cli("eval", "--checkpoint", str(tmp_path / "out" / "checkpoint.fdck"),
+                       "--out", str(other)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"report: {other / 'eval_report.json'}")
+        assert (other / "eval_report.json").exists()
+        assert not (tmp_path / "out" / "eval_report.json").exists()
+
+    def test_resume_into_a_non_finite_loss_exits_2(self, fast_config, tmp_path, capsys):
+        """A checkpoint whose class embeddings hold NaN trains into a
+        non-finite loss: a numeric failure."""
+        import dataclasses
+        from fewdet.config import load_run_config
+        from fewdet.harness import save_run_checkpoint, train_run
+        run = load_run_config(str(fast_config))
+        head = train_run(dataclasses.replace(run, training=dataclasses.replace(
+            run.training, steps=4, fine_tune_steps=0)))
+        head.state.params["ood.embeddings"].data[:] = np.nan
+        save_run_checkpoint(tmp_path / "mid.fdck", run, head)
+        assert run_cli("train", "--config", str(fast_config),
+                       "--checkpoint", str(tmp_path / "mid.fdck")) == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: non-finite loss at step 5: ")
+
     def test_eval_missing_checkpoint_exits_3(self, capsys):
         assert run_cli("eval", "--checkpoint", "/no/such/file.fdck") == 3
 

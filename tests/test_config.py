@@ -52,6 +52,12 @@ def test_flags_override_file(tmp_path):
     assert run.seed == 9
 
 
+def test_empty_file_gives_the_defaults(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("")
+    assert load_run_config(str(path)) == RunConfig()
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(str(tmp_path / "absent.yaml"))

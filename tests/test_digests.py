@@ -1,7 +1,10 @@
-"""Smoke test of ``tools/digests.py`` on a short run."""
+"""``tools/digests.py`` on a short run: what it saves, and what ``--diff``
+fails."""
 
+import ast
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -11,85 +14,201 @@ import pytest
 from fewdet.model import VARIANTS
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+RUNS = (*VARIANTS, "untrained", "dense")
+DETECTIONS = ("detections/classes", "detections/scores", "detections/boxes")
 
 
-@pytest.fixture
-def digests(monkeypatch):
-    # The module puts its checkout first on sys.path and pins BLAS to one
-    # thread; both are undone after the test.
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    spec = importlib.util.spec_from_file_location("digests", DIGESTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture(scope="module")
+def digests():
+    # The module puts its checkout's sources first on sys.path and pins BLAS
+    # to one thread; both are undone after the module's tests.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", sys.path[:])
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            mp.setenv(var, "1")
+        spec = importlib.util.spec_from_file_location("digests", DIGESTS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
 
 
-def test_short_run_prints_every_documented_key(digests):
+@pytest.fixture(scope="module")
+def saved(digests):
+    return digests.results(seeds=(0,), steps=2, fine_tune_steps=1, dense_steps=1)
+
+
+def test_short_run_saves_every_documented_array(digests, saved):
     assert digests.SEEDS == (0, 7, 104729)
-
-    out = digests.digests(seeds=(0,), steps=2, fine_tune_steps=2, dense_steps=2)
-    json.dumps(out, allow_nan=False)  # strict JSON: NaN is printed as null
-    assert (out["steps"], out["fine_tune_steps"], out["dense_steps"]) == (2, 2, 2)
-    assert list(out["seeds"]) == ["0"]
-    seed = out["seeds"]["0"]
-    assert set(seed) == {"variants", "checkpoint", "untrained_detections", "dense"}
-    assert list(seed["variants"]) == list(VARIANTS)
-    for variant, row in seed["variants"].items():
-        assert set(row) == {"state", "history", "final_loss", "report",
-                            "bg_dominance_rate", "mean_separation", "detections"}
-        assert all(len(row[key]) == 64
-                   for key in ("state", "history", "report", "detections"))
-        assert isinstance(row["final_loss"], float)
+    assert {name.split("/")[1] for name in saved} == set(RUNS)
+    assert all(name.startswith("0/") for name in saved)
+    for run in RUNS:
+        arrays = {name[len(f"0/{run}/"):] for name in saved
+                  if name.startswith(f"0/{run}/")}
+        assert set(DETECTIONS) <= arrays
+        assert saved[f"0/{run}/detections/classes"].dtype == np.int64
+        assert saved[f"0/{run}/detections/boxes"].shape[1:] == (4,)
+        if run == "untrained":
+            assert arrays == set(DETECTIONS)
+            continue
+        params = {a[len("param/"):] for a in arrays if a.startswith("param/")}
+        assert "obd.background_token" in params
+        moments = {a[len("adam_m/"):] for a in arrays if a.startswith("adam_m/")}
+        assert moments and moments <= params
+        assert moments == {a[len("adam_v/"):] for a in arrays if a.startswith("adam_v/")}
+        extras = arrays - set(DETECTIONS) - {a for a in arrays if a.startswith(
+            ("param/", "adam_m/", "adam_v/"))}
+        if run == "dense":
+            assert extras == set()
+            continue
+        assert extras == ({"history", "report", "bg_dominance_rate", "mean_separation"}
+                          | ({"record"} if run == "+OBD+OOD" else set()))
+        assert saved[f"0/{run}/history"].shape[0] == 3  # one row per step
+        report = saved[f"0/{run}/report"]
+        assert report.dtype == np.uint8
+        json.loads(report.tobytes())
         # The baseline gathers no attention or separation diagnostics.
-        assert (row["bg_dominance_rate"] is None) == (variant == "baseline")
-        assert (row["mean_separation"] is None) == (variant == "baseline")
-    assert seed["checkpoint"].keys() == {"sha256", "resave_identical"}
-    assert len(seed["checkpoint"]["sha256"]) == 64
-    assert seed["checkpoint"]["resave_identical"] is True
-    assert len(seed["untrained_detections"]) == 64
-    assert set(seed["dense"]) == {"state", "detections"}
-    assert all(len(value) == 64 for value in seed["dense"].values())
-    states = [row["state"] for row in seed["variants"].values()]
-    assert len(set(states + [seed["dense"]["state"]])) == 4
+        assert np.isnan(saved[f"0/{run}/bg_dominance_rate"]) == (run == "baseline")
+        assert np.isnan(saved[f"0/{run}/mean_separation"]) == (run == "baseline")
+    record = json.loads(saved["0/+OBD+OOD/record"].tobytes())
+    assert (record["step"], record["adam"]) == (3, {"step_count": 3})
+    assert record["run"]["seed"] == record["run"]["benchmark"]["seed"] == 0
 
 
-def test_values_diffed_with_themselves_pass_and_one_changed_element_fails(
-        digests, tmp_path, capsys):
-    values = {}
-    digests.digests(seeds=(0,), steps=1, fine_tune_steps=1, dense_steps=1,
-                    values=values)
-    for run in (*VARIANTS, "untrained", "dense"):
-        for array in ("detections/classes", "detections/scores", "detections/boxes"):
-            assert f"0/{run}/{array}" in values
-    for array in ("param/obd.background_token", "adam_m/obd.background_token",
-                  "adam_v/obd.background_token", "history", "report",
-                  "bg_dominance_rate", "mean_separation"):
-        assert f"0/+OBD/{array}" in values
-    assert values["0/+OBD/report"].dtype == np.uint8
-    assert np.isnan(values["0/baseline/bg_dominance_rate"])  # NaN matches NaN
-    same = tmp_path / "a.npz"
-    np.savez(same, **values)
-    assert digests.main(["--diff", str(same), str(same)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1].startswith(
-        f"{len(values)} arrays; max |a - b| 0.000e+00; 0 fail")
+def save(path, arrays) -> Path:
+    np.savez(path, **arrays)
+    return path
 
-    def changed(name, edit):
-        path = tmp_path / "b.npz"
-        np.savez(path, **{**values, name: edit(values[name].copy())})
-        code = digests.main(["--diff", str(same), str(path)])
-        return code, capsys.readouterr().out
 
-    def nudge(by):
-        def edit(a):
-            a.flat[0] += by
-            return a
-        return edit
+def run_diff(digests, capsys, a, b) -> tuple[int, list[str]]:
+    code = digests.main(["--diff", str(a), str(b)])
+    return code, capsys.readouterr().out.splitlines()
 
-    code, out = changed("0/+OBD+OOD/param/obd.background_token", nudge(1e-6))
-    assert code == 1 and "1 fail" in out.splitlines()[-1]
-    assert "ABOVE BOUND" in next(line for line in out.splitlines()
-                                 if "0/+OBD+OOD/param/obd.background_token" in line)
-    assert changed("0/+OBD+OOD/param/obd.background_token", nudge(1e-14))[0] == 0
-    assert changed("0/+OBD/report", nudge(1))[0] == 1
+
+def line_of(lines, name) -> str:
+    return next(line for line in lines if line.split()[-1] == name
+                or line.endswith(f"{name}  FAILS"))
+
+
+def test_save_diffed_with_itself_is_identical(digests, saved, tmp_path, capsys):
+    path = save(tmp_path / "a.npz", saved)
+    code, lines = run_diff(digests, capsys, path, path)
+    assert code == 0
+    assert all(line.split() == ["identical", name]
+               for line, name in zip(lines, sorted(saved)))
+    assert lines[-1].startswith(f"{len(saved)} arrays, {len(saved)} identical; 0 fail")
+
+
+def edited(arrays, name, edit) -> dict:
+    out = dict(arrays)
+    out[name] = edit(arrays[name].copy())
+    return out
+
+
+def nudge(by):
+    def edit(a):
+        a.flat[0] += by
+        return a
+    return edit
+
+
+@pytest.mark.parametrize("name, by, code", [
+    ("0/+OBD+OOD/param/obd.background_token", 1e-11, 1),
+    ("0/dense/param/obd.background_token", 1e-11, 1),
+    ("0/+OBD+OOD/detections/scores", 1e-11, 1),
+    ("0/untrained/detections/boxes", 1e-11, 1),
+    ("0/+OBD+OOD/param/obd.background_token", 1e-14, 0),
+    ("0/+OBD+OOD/history", 1e-11, 0),
+    ("0/+OBD+OOD/adam_m/obd.background_token", 1e-11, 0),
+    ("0/+OBD+OOD/adam_v/obd.background_token", 1e-11, 0),
+    ("0/+OBD/mean_separation", 1e-11, 0),
+], ids=lambda v: str(v))
+def test_bound_binds_parameters_and_detections_only(
+        digests, saved, tmp_path, capsys, name, by, code):
+    a = save(tmp_path / "a.npz", saved)
+    b = save(tmp_path / "b.npz", edited(saved, name, nudge(by)))
+    got, lines = run_diff(digests, capsys, a, b)
+    assert got == code
+    line = line_of(lines, name)
+    assert math.isclose(float(line.split()[0]), by, rel_tol=1e-3)
+    assert line.endswith("FAILS") == bool(code)
+    assert lines[-1].startswith(f"{len(saved)} arrays, {len(saved) - 1} identical; "
+                                f"{code} fail")
+
+
+def set_first(value):
+    def edit(a):
+        a.flat[0] = value
+        return a
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("0/+OBD/report", nudge(1)),
+    ("0/+OBD+OOD/record", nudge(1)),
+    ("0/baseline/detections/classes", nudge(1)),
+    ("0/+OBD+OOD/history", set_first(np.nan)),
+    ("0/+OBD+OOD/adam_m/obd.background_token", set_first(np.inf)),
+    ("0/+OBD/mean_separation", set_first(np.nan)),
+    ("0/baseline/bg_dominance_rate", set_first(0.5)),  # a number against NaN
+    ("0/+OBD+OOD/history", lambda a: a[:-1]),
+    ("0/dense/detections/classes", lambda a: a.astype(np.int32)),
+], ids=["report", "record", "classes", "nan-history", "inf-moment",
+        "nan-diagnostic", "number-for-nan", "shape", "dtype"])
+def test_exact_and_structural_changes_fail(digests, saved, tmp_path, capsys,
+                                           name, edit):
+    a = save(tmp_path / "a.npz", saved)
+    b = save(tmp_path / "b.npz", edited(saved, name, edit))
+    code, lines = run_diff(digests, capsys, a, b)
+    assert code == 1
+    assert line_of(lines, name).endswith("FAILS")
+    assert lines[-1].endswith("1 fail (param/ and detections/ within 1e-12, "
+                              "integer arrays exact)")
+
+
+def test_a_missing_array_fails(digests, saved, tmp_path, capsys):
+    a = save(tmp_path / "a.npz", saved)
+    kept = {k: v for k, v in saved.items() if k != "0/+OBD/history"}
+    b = save(tmp_path / "b.npz", kept)
+    code, lines = run_diff(digests, capsys, a, b)
+    assert code == 1
+    assert line_of(lines, "0/+OBD/history") == f"missing: only in {a}  0/+OBD/history  FAILS"
+
+
+def test_a_resave_mismatch_fails_the_run(digests, monkeypatch):
+    load = digests.load_run_checkpoint
+
+    def drifting(path):
+        run, result = load(path)
+        result.steps_done += 1
+        return run, result
+
+    monkeypatch.setattr(digests, "load_run_checkpoint", drifting)
+    with pytest.raises(SystemExit, match="seed 0: a save of the loaded run "
+                                         "checkpoint writes other bytes"):
+        digests.results(seeds=(0,), steps=1, fine_tune_steps=0, dense_steps=1)
+
+
+def test_command_line_takes_an_output_path_or_diff(digests, tmp_path, capsys,
+                                                   monkeypatch):
+    for argv in ([], ["out.npz", "--diff", "a.npz", "b.npz"]):
+        with pytest.raises(SystemExit) as exc:
+            digests.main(argv)
+        assert exc.value.code == 2
+    assert "give OUT.npz or --diff A.npz B.npz" in capsys.readouterr().err
+    monkeypatch.setattr(digests, "results", lambda: {"0/untrained/x": np.zeros(2)})
+    assert digests.main([str(tmp_path / "out.npz")]) == 0
+    assert capsys.readouterr().out == f"1 arrays saved to {tmp_path / 'out.npz'}\n"
+    with np.load(tmp_path / "out.npz") as f:
+        assert f.files == ["0/untrained/x"]
+
+
+def test_tool_does_not_import_fewbench():
+    """The gate builds its own run configs: no benchmark edit can move it."""
+    tree = ast.parse(DIGESTS.read_text(), str(DIGESTS))
+    imports = [f"{DIGESTS.name}:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "fewbench" for a in node.names)
+               or isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "fewbench"]
+    assert imports == []
+    assert "fewbench" not in DIGESTS.read_text()

@@ -105,6 +105,10 @@ class TestGeneration:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ConfigError, match="episode index must be non-negative"):
+            generate_episode(spec(), -1, "train")
+
     def test_different_indices_differ(self):
         a = generate_episode(spec(), 0, "train")
         b = generate_episode(spec(), 1, "train")
@@ -266,6 +270,23 @@ class TestFiles:
         with pytest.raises(CorruptionError, match=(
                 r"episode 0: grid \(2, 2\) where the header gives "
                 r"\(grid_rows, grid_cols\) \(3, 2\)")):
+            read_episodes(path)
+
+    def test_record_with_an_unknown_split_code_is_corrupt(self, tmp_path):
+        """A record whose split byte names no split is refused, even with
+        its digest rewritten to match."""
+        path = tmp_path / "episodes.bin"
+        write_episodes(spec(), 1, path)
+        blob = bytearray(path.read_bytes())
+        (spec_len,) = struct.unpack_from("<I", blob, 12)
+        table = 16 + spec_len
+        record = table + 32 + 8
+        assert blob[record + 8] == 0  # the split byte follows the u64 index
+        blob[record + 8] = 2
+        blob[table:table + 32] = hashlib.sha256(blob[record:]).digest()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="episode 0: header: invalid split "
+                                                  "code 2"):
             read_episodes(path)
 
     def test_empty_file_ok(self, tmp_path):

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fewdet import obd, ood, set_head, tensor as T
 from fewdet.config import RunConfig
 from fewdet.episodes import BenchmarkSpec, generate_episode, single_class_view
-from fewdet.errors import ConfigError
+from fewdet.errors import ConfigError, NumericError, ShapeError
 from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
                           extract_features, forward, init_model_state,
                           run_inference, train_step, training_episode,
                           zero_model_state)
 from fewdet.optim import AdamState
 from fewdet.set_head import decode_detections
-from fewdet.tensor import no_grad
+from fewdet.tensor import Tensor, no_grad
 
 
 def micro_spec(**kw):
@@ -36,8 +37,8 @@ def micro_cfg(**kw):
 
 class TestConfig:
     def test_d_divisible_by_heads(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(d=10, heads=4)
+        with pytest.raises(ConfigError, match="d=12 not divisible by heads=8"):
+            ModelConfig(d=12, heads=8)
 
     def test_n_max_minimum(self):
         with pytest.raises(ConfigError):
@@ -192,6 +193,37 @@ class TestTrainStep:
         assert list(zip(rows.tolist(), cols.tolist())) == []
         assert b.box == b.giou == 0.0 and np.isfinite(b.total)
 
+    def test_non_finite_loss_raises_before_any_update(self):
+        """A NaN row of the class embeddings reaches only the InfoNCE term:
+        the step raises with a diagnostics snapshot and leaves the
+        parameters, both Adam moments and the step count as they were."""
+        cfg = micro_cfg()
+        state, opt = init_model_state(cfg), AdamState()
+        train_step(generate_episode(micro_spec(), 0, "train"), state, opt, cfg)
+        ep = generate_episode(micro_spec(), 1, "train")
+        state.params["ood.embeddings"].data[ep.class_ids[0]] = np.nan
+
+        def snapshot():
+            return [{n: p.data.copy() for n, p in state.params.items()},
+                    {n: a.copy() for n, a in opt.first_moment.items()},
+                    {n: a.copy() for n, a in opt.second_moment.items()}]
+
+        before = snapshot()
+        with pytest.raises(NumericError, match="non-finite loss at step 2") as exc:
+            train_step(ep, state, opt, cfg)
+        diagnostics = exc.value.diagnostics
+        assert set(diagnostics) == {"episode_index", "breakdown"}
+        assert diagnostics["episode_index"] == 1
+        breakdown = diagnostics["breakdown"]
+        assert set(breakdown) == {"cls", "box", "giou", "ood", "total"}
+        assert np.isnan(breakdown["ood"]) and np.isnan(breakdown["total"])
+        assert all(np.isfinite(breakdown[k]) for k in ("cls", "box", "giou"))
+        assert opt.step_count == 1
+        for now, then in zip(snapshot(), before):
+            assert now.keys() == then.keys()
+            for name in then:
+                np.testing.assert_array_equal(now[name], then[name], strict=True)
+
     def test_ood_weight_zero_means_no_embedding_gradient(self):
         spec = micro_spec()
         cfg = micro_cfg(ood_weight=0.0)
@@ -307,6 +339,48 @@ class TestAblationVariants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfgs[0].weights.cls = 0.0
         assert all(cfg.weights.cls == 2.0 for cfg in cfgs)
+
+
+def _rows(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: extract_features(generate_episode(micro_spec(), 0, "train"),
+                              init_model_state(micro_cfg(single_class_mode=True)),
+                              micro_cfg(single_class_mode=True)),
+     ConfigError, "episode has 2 classes but sequence capacity is 1"),
+    (lambda: set_head.DetectionOutput(_rows(2, 3), _rows(2, 2), _rows(2, 2)),
+     ShapeError, r"boxes must be \(M, 4\), got \(2, 3\)"),
+    (lambda: set_head.DetectionOutput(_rows(2, 4), _rows(2, 2), _rows(2, 3)),
+     ShapeError, "position probability/logit shapes disagree"),
+    (lambda: set_head.GroundTruth(np.zeros((2, 4)), [0]),
+     ShapeError, "2 boxes but 1 labels"),
+    (lambda: set_head.hungarian_match(np.zeros(3)),
+     ShapeError, r"cost must be 2-d, got \(3,\)"),
+    (lambda: decode_detections(
+        set_head.DetectionOutput(_rows(1, 4), _rows(1, 2), _rows(1, 2)),
+        obd.SupportSequence((0,), 2, _rows(1, 4)), 1.5),
+     ValueError, r"score threshold must lie in \[0, 1\], got 1.5"),
+    (lambda: T.add(_rows(2, 3), _rows(4)),
+     ShapeError, r"add: shapes \(2, 3\) and \(4,\) do not broadcast"),
+    (lambda: T.matmul(_rows(3), _rows(3, 2)),
+     ShapeError, r"matmul requires 2-d operands, got \(3,\) and \(3, 2\)"),
+    (lambda: T.layer_norm(_rows(2, 3), _rows(4), _rows(3)),
+     ShapeError, r"layer_norm: input \(2, 3\) does not match gamma \(4,\)"),
+    # The patch rows are checked before any other argument is read.
+    (lambda: obd.ofe_query(_rows(0, 4), *[None] * 8),
+     ShapeError, r"ofe_query: need at least one patch row, got \(0, 4\)"),
+    (lambda: ood.ClassFeatureSpace(_rows(4)),
+     ShapeError, r"embeddings must be 2-d, got \(4,\)"),
+    (lambda: ood.SupportClassFeatures(_rows(4)),
+     ShapeError, r"class features must be 2-d, got \(4,\)"),
+], ids=["model-capacity", "head-boxes", "head-probs-logits", "gt-labels",
+        "match-cost", "decode-threshold", "tensor-broadcast", "tensor-matmul",
+        "tensor-layer-norm", "obd-query-rows", "ood-embeddings", "ood-features"])
+def test_malformed_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_full_loss_gradient_matches_finite_differences():

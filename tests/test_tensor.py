@@ -587,6 +587,22 @@ def test_backward_from_a_leaf_root_sets_its_gradient():
     np.testing.assert_array_equal(x.grad, 1.0)
 
 
+def test_backward_from_a_root_without_grad_raises():
+    with pytest.raises(ValueError, match="does not require grad"):
+        (Tensor(np.array([1.0])) * 2.0).backward()
+
+
+def test_backward_passes_a_node_no_gradient_reached():
+    """A node whose consumers gave it no gradient is consumed unwalked, and
+    nothing below it gets a gradient."""
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    hidden = x * 3.0
+    Tensor._result(np.asarray(0.0), (hidden,), lambda g: (None,)).backward()
+    assert hidden.grad is None and x.grad is None
+    with pytest.raises(ValueError, match="consumed"):
+        T.tsum(hidden).backward()
+
+
 def test_second_backward_through_a_consumed_graph_raises():
     """Backward consumes the graph: a second pass from the same root, or
     from a new graph built on a held interior node, raises before any
