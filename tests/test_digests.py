@@ -1,7 +1,6 @@
 """``tools/digests.py`` on a short run: what it saves, and what ``--diff``
 fails."""
 
-import ast
 import importlib.util
 import json
 import math
@@ -204,11 +203,4 @@ def test_command_line_takes_an_output_path_or_diff(digests, tmp_path, capsys,
 
 def test_tool_does_not_import_fewbench():
     """The gate builds its own run configs: no benchmark edit can move it."""
-    tree = ast.parse(DIGESTS.read_text(), str(DIGESTS))
-    imports = [f"{DIGESTS.name}:{node.lineno}" for node in ast.walk(tree)
-               if isinstance(node, ast.Import)
-               and any(a.name.split(".")[0] == "fewbench" for a in node.names)
-               or isinstance(node, ast.ImportFrom)
-               and (node.module or "").split(".")[0] == "fewbench"]
-    assert imports == []
     assert "fewbench" not in DIGESTS.read_text()

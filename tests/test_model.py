@@ -40,6 +40,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="d=12 not divisible by heads=8"):
             ModelConfig(d=12, heads=8)
 
+    def test_d_multiple_of_four(self):
+        with pytest.raises(ConfigError, match="positive multiple of 4"):
+            ModelConfig(d=10, heads=2)
+
     def test_n_max_minimum(self):
         with pytest.raises(ConfigError):
             ModelConfig(n_max=1)
