@@ -124,7 +124,9 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
                    ) -> tuple[EvalReport, EvalDiagnostics]:
     """Run inference over evaluation episodes at ``EVAL_SCORE_THRESHOLD``
     and compute the metric report. No episode to evaluate is a
-    ConfigError."""
+    ConfigError. Outside single-class mode the diagnostics come from a
+    second, ``detect=False`` forward that stops after the query-OBD layers,
+    until ROADMAP item 1 reads them from inference's own forward."""
     t = run.training
     if episodes is None:
         episodes = [generate_episode(run.benchmark, t.eval_start_index + i, "test")
@@ -141,7 +143,7 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
             gts.append(GtRecord(ep.index, int(label), box.copy()))
         if not cfg.single_class_mode:
             with no_grad():
-                _, feats, fdiag = forward(ep, state, cfg)
+                _, feats, fdiag = forward(ep, state, cfg, detect=False)
             mask = ep.object_patch_mask()
             mass = background_attention_mass(head_average(fdiag["query_attention"]),
                                              fdiag["sequence"])

@@ -20,6 +20,8 @@ layers the tensors they read (the FFN's four picked by :func:`_ffn`, as
 for :func:`_decoder`), and gets plain tensors and per-head attention back;
 its diagnostics keep the last query layer's, which
 :func:`fewdet.obd.head_average` averages wherever a caller needs the mean.
+``forward(..., detect=False)`` stops there, before the decoder and the
+heads: evaluation's diagnostic forward reads nothing past that point.
 
 Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
@@ -293,12 +295,19 @@ def _decoder(state: ModelState, cfg: ModelConfig, memory: Tensor,
 # -- forward pass -------------------------------------------------------------------
 
 
-def forward(episode: Episode, state: ModelState, cfg: ModelConfig
-            ) -> tuple[DetectionOutput, SupportClassFeatures, dict]:
+def forward(episode: Episode, state: ModelState, cfg: ModelConfig, *,
+            detect: bool = True
+            ) -> tuple[DetectionOutput | None, SupportClassFeatures, dict]:
     """Full forward pass; returns detections, the support-branch class
     features (contrastive tap), and diagnostics: the final support
     ``sequence`` and the last query layer's (heads, P, n_max)
-    ``query_attention`` over it."""
+    ``query_attention`` over it.
+
+    With ``detect=False`` it stops after the last query-OBD layer and
+    returns ``None`` for the detections: no decoder, no heads. Only the
+    diagnostic forward of :func:`fewdet.harness.evaluate_model` asks for
+    that, until ROADMAP item 1 reads the diagnostics from inference's own
+    forward and deletes the parameter with that call."""
     patches, seq = extract_features(episode, state, cfg)
     p = state.params
     token = p["obd.background_token"]
@@ -315,6 +324,9 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
             patches, seq, p[f"obd.layer{i}.w1"], p[f"obd.layer{i}.w2"],
             p[f"obd.layer{i}.w3"], token, p[f"obd.layer{i}.conv.kernel"],
             p[f"obd.layer{i}.conv.bias"], _ffn(p, f"obd.layer{i}"), cfg.heads)
+    diag = {"sequence": seq, "query_attention": query_attention}
+    if not detect:
+        return None, support_features, diag
 
     rows, cols = episode.grid
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
@@ -335,8 +347,7 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig
         boxes = sigmoid(p["queries.ref"] + box_delta)
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)
-    return out, support_features, {"sequence": seq,
-                                   "query_attention": query_attention}
+    return out, support_features, diag
 
 
 # -- training -----------------------------------------------------------------------

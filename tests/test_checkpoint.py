@@ -385,6 +385,21 @@ def test_checkpoint_with_retired_key_is_refused(tmp_path, tiny_trained,
         load_run_checkpoint(path)
 
 
+@pytest.mark.parametrize("run_record", [[], "run", 3, None],
+                         ids=["list", "string", "int", "null"])
+def test_checkpoint_whose_run_is_not_a_mapping_is_corrupt(tmp_path, tiny_trained,
+                                                          run_record):
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    config["run"] = run_record
+    path = tmp_path / "bad-run.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError, match="malformed checkpoint config: "
+                                              "configuration root must be a mapping"):
+        load_run_checkpoint(path)
+
+
 def test_checkpoint_with_other_adam_constant_is_corrupt(tmp_path, tiny_trained):
     from fewdet.harness import checkpoint_payload, load_run_checkpoint
 

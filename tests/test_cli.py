@@ -485,6 +485,14 @@ class TestAblate:
 
 
 class TestGradcheckVerb:
+    def test_all_checks_passing_exits_0(self, fast_config, capsys):
+        assert run_cli("gradcheck", "--config", str(fast_config)) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == ""
+        assert len(lines) > 1 and all(line.endswith("  ok") for line in lines[:-1])
+        assert lines[-1] == f"all {len(lines) - 1} gradient checks passed"
+
     def test_injected_fault_exits_2_and_names_op(self, fast_config, monkeypatch,
                                                  capsys):
         """A sigmoid whose backward is negated fails its primitive check.

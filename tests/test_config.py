@@ -38,6 +38,13 @@ def test_weights_that_are_not_a_mapping_rejected():
         run_config_from_dict({"model": {"weights": 3}})
 
 
+@pytest.mark.parametrize("root", [[], [{"seed": 1}], "seed: 1", 3, None],
+                         ids=["empty-list", "list", "string", "int", "none"])
+def test_root_that_is_not_a_mapping_rejected(root):
+    with pytest.raises(ConfigError, match="configuration root must be a mapping"):
+        run_config_from_dict(root)
+
+
 def test_file_overrides_defaults(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"seed": 5, "model": {"d": 32, "heads": 2}}))
@@ -67,6 +74,15 @@ def test_malformed_yaml_is_config_error(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("model: [unclosed")
     with pytest.raises(ConfigError):
+        load_run_config(str(path))
+
+
+@pytest.mark.parametrize("text", ["- seed\n- 5\n", "5\n", "just text\n"],
+                         ids=["list", "int", "string"])
+def test_file_that_is_not_a_mapping_is_config_error(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"config file {path} must contain a mapping"):
         load_run_config(str(path))
 
 

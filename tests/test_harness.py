@@ -164,3 +164,32 @@ def test_resumed_run_equals_uninterrupted_run(tmp_path, variant):
             assert got[name].tobytes() == arr.tobytes(), name
     if variant == "baseline":  # the background token never has a gradient
         assert "obd.background_token" not in resumed.opt.first_moment
+
+
+@pytest.mark.parametrize("variant", ["+OBD+OOD", "+OBD", "baseline"])
+def test_evaluation_runs_the_decoder_for_inference_only(monkeypatch, variant):
+    """The diagnostic forward stops before the decoder: the decoder runs
+    once per episode, or once per class view in single-class mode, where
+    no diagnostic forward runs."""
+    import fewdet.harness as H
+    import fewdet.model as M
+
+    run = fast_run()
+    cfg = ablation_variant(run.resolved_model(), variant)
+    calls = {"decoder": 0, "diagnostic": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(M, "_decoder", counted("decoder", M._decoder))
+    monkeypatch.setattr(H, "forward", counted("diagnostic", H.forward))
+    evaluate_model(init_model_state(cfg), cfg, run)
+    episodes = run.training.eval_episodes
+    if cfg.single_class_mode:
+        expected = {"decoder": run.benchmark.class_count * episodes, "diagnostic": 0}
+    else:
+        expected = {"decoder": episodes, "diagnostic": episodes}
+    assert calls == expected

@@ -134,6 +134,26 @@ class TestForward:
             assert (getattr(edited, field).data.tobytes()
                     == getattr(expected, field).data.tobytes()), field
 
+    @pytest.mark.parametrize("seed", [0, 7, 104729])
+    def test_forward_without_detection_stops_with_the_same_diagnostics(self, seed):
+        """``detect=False`` returns no detections, and support features and
+        diagnostics equal the full forward's bit for bit."""
+        run = RunConfig(seed=seed, benchmark=BenchmarkSpec(seed=seed))
+        cfg = run.resolved_model()
+        state = init_model_state(cfg)
+        for index in range(2):
+            ep = generate_episode(run.benchmark, index, "test")
+            with no_grad():
+                _, feats, diag = forward(ep, state, cfg)
+                out, short_feats, short_diag = forward(ep, state, cfg, detect=False)
+            assert out is None
+            assert set(short_diag) == set(diag)
+            assert np.array_equal(short_feats.features.data, feats.features.data)
+            seq, short_seq = diag["sequence"], short_diag["sequence"]
+            assert np.array_equal(short_seq.features.data, seq.features.data)
+            assert (short_seq.class_ids, short_seq.length) == (seq.class_ids, seq.length)
+            assert np.array_equal(short_diag["query_attention"], diag["query_attention"])
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 3), st.integers(3, 5), st.integers(4, 6),
            st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
