@@ -7,7 +7,8 @@ generates the episodes, and ``ablate_seeds`` seed the ablation's models.
 Every setting has one source: a file that sets a ``model`` key derived from
 another setting (``DERIVED_MODEL_KEYS``) gets a ConfigError naming it, and
 so does an integer setting that is not a YAML integer (``2.5``, ``true``),
-a float setting that is not a YAML number (``"0.001"``, ``true``), a string
+a float setting that is not a YAML number (``"0.001"``, ``true``) or is an
+integer too large for a float (``10**400``), a string
 setting that is not a YAML string (``out_dir: 5``), a value
 out of its range (checked by each section's ``__post_init__``; a float must
 be finite), an empty ``ablate_seeds`` or an entry of it that is not a
@@ -99,9 +100,10 @@ _TOP_LEVEL_SCALARS = {"seed", "out_dir", "ablate_seeds"}
 
 def check_types(cls, values: dict, prefix: str) -> None:
     """ConfigError unless each of ``values`` that sets an int field of ``cls``
-    is an int, each that sets a float field an int or a float, never a
-    bool, each that sets a bool field a bool and each that sets a str field
-    a str (``f.type`` is a string: annotations are deferred)."""
+    is an int, each that sets a float field an int a float can hold or a
+    float, never a bool, each that sets a bool field a bool and each that
+    sets a str field a str (``f.type`` is a string: annotations are
+    deferred)."""
     for f in dataclasses.fields(cls):
         if f.name not in values:
             continue
@@ -111,6 +113,13 @@ def check_types(cls, values: dict, prefix: str) -> None:
             raise ConfigError(f"{prefix}{f.name} must be an integer, not {value!r}")
         if f.type == "float" and type(value) not in (int, float):
             raise ConfigError(f"{prefix}{f.name} must be a number, not {value!r}")
+        if f.type == "float" and type(value) is int:
+            try:
+                float(value)  # the int itself is kept
+            except OverflowError:
+                raise ConfigError(f"{prefix}{f.name} must be a finite number, not an "
+                                  f"integer too large for a float "
+                                  f"({value.bit_length()} bits)") from None
         if f.type == "bool" and type(value) is not bool:
             raise ConfigError(f"{prefix}{f.name} must be a boolean, not {value!r}")
         if f.type == "str" and type(value) is not str:

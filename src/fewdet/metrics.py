@@ -5,17 +5,20 @@ background row/column.
 
 There is one geometry path: ``iou`` and ``giou`` broadcast over leading
 axes, so two (4,) boxes give a scalar and ``a[:, None]`` against ``b[None]``
-the (m, n) matrix, with the same arithmetic and box checks either way. AP
-and the confusion matrix share one score-ordered greedy matcher that
-rejects non-finite scores. It reads one table (``_ranked_overlaps``, one
-``iou`` call per episode with detections and ground truths): each
-detection's overlapping ground truths of its episode, best first. At each
-threshold it walks the detections in score order in plain Python and gives
-each the first free ground truth of its row that reaches the threshold.
-``evaluate_detections`` builds the table once, at the band's lowest
-threshold: ``confusion_matrix`` reads it whole, each class's
-``average_precision`` its detections' rows re-indexed to the class's ground
-truths. Called on their own, they build the table of their own lists.
+the (m, n) matrix, with the same arithmetic and box checks either way; a
+bad box is reported by its index, its values and the count of bad boxes.
+AP and the confusion matrix share one score-ordered greedy matcher that
+rejects non-finite scores. It reads one table (``_ranked_overlaps``, a
+:class:`Ranked` of flat arrays): every detection's overlapping ground
+truths of its episode, best first, from one ``iou`` call over all the
+same-episode pairs of the lists, so one per ``evaluate_model`` sweep. At
+each threshold it walks the table's entries in score order in plain Python
+and gives each detection the first free ground truth of its entries that
+reaches the threshold. ``evaluate_detections`` builds the table once, at
+the band's lowest threshold: ``confusion_matrix`` reads it whole and counts
+its cells with one ``np.bincount``, each class's ``average_precision`` the
+table masked to the class's detections and ground truths. Called on their
+own, they build the table of their own lists.
 
 Everything here is plain numpy on raw values. The training loss's box term
 (:func:`fewdet.set_head.box_loss`) finishes ``giou``'s arithmetic on
@@ -25,8 +28,8 @@ Everything here is plain numpy on raw values. The training loss's box term
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,10 +62,11 @@ def box_overlap(a: np.ndarray, b: np.ndarray):
             raise ShapeError(f"boxes must have 4 entries on the last axis, "
                              f"got shape {boxes.shape}")
         if not np.isfinite(boxes).all():
-            raise NumericError(f"non-finite box coordinates: {boxes.tolist()}")
+            raise _bad_boxes(NumericError, "non-finite box coordinates", boxes,
+                             ~np.isfinite(boxes).all(axis=-1))
         if (boxes[..., 2:] <= 0).any():
-            raise ShapeError(f"degenerate box with non-positive extent: "
-                             f"{boxes.tolist()}")
+            raise _bad_boxes(ShapeError, "degenerate box with non-positive extent",
+                             boxes, (boxes[..., 2:] <= 0).any(axis=-1))
         corners.append(_corners(boxes))
     (lo_a, hi_a), (lo_b, hi_b) = corners
     wh = np.clip(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0, None)
@@ -71,6 +75,15 @@ def box_overlap(a: np.ndarray, b: np.ndarray):
     area_a = ext_a[..., 0] * ext_a[..., 1]
     area_b = ext_b[..., 0] * ext_b[..., 1]
     return corners[0], corners[1], wh, inter, area_a + area_b - inter
+
+
+def _bad_boxes(error: type, what: str, boxes: np.ndarray, bad: np.ndarray):
+    """``error`` naming how many of ``boxes`` are ``bad`` (a mask over the
+    leading axes) and the first one's index and values, never every box."""
+    where = np.argwhere(bad)
+    first = tuple(where[0].tolist())
+    return error(f"{what}: {len(where)} of {bad.size} boxes, the first at "
+                 f"index {list(first)}: {boxes[first].tolist()}")
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,39 +128,54 @@ def _score_order(dets: list[Detection]) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _group(keys: list) -> dict[object, list[int]]:
-    """The indices of ``keys`` split by value, each part in list order."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
+class Ranked(NamedTuple):
+    """The ranked-overlap table: one entry per detection ``det`` and ground
+    truth ``gt`` of its episode whose IoU is above 0 and at least a floor.
+    Entries run in detection order, each detection's best first (the lower
+    ground-truth index on equal IoU)."""
+    det: np.ndarray
+    gt: np.ndarray
+    iou: np.ndarray
+
+    def restrict(self, det_mask: np.ndarray, gt_mask: np.ndarray) -> "Ranked":
+        """The table of the detections and ground truths in the masks, each
+        re-indexed to its position among the kept ones."""
+        keep = det_mask[self.det] & gt_mask[self.gt]
+        return Ranked((np.cumsum(det_mask) - 1)[self.det[keep]],
+                      (np.cumsum(gt_mask) - 1)[self.gt[keep]], self.iou[keep])
 
 
 def _ranked_overlaps(dets: list[Detection], gts: list[GtRecord],
-                     floor: float) -> list[list[tuple[float, int]]]:
-    """For each detection in list order, its ``(IoU, k)`` entries against
-    the ground truths ``gts[k]`` of its episode with an IoU above 0 and at
-    least ``floor``: best first, lower ``k`` first on equal IoU. One ``iou``
-    call per episode with at least one detection and one ground truth."""
-    ranked: list[list[tuple[float, int]]] = [[] for _ in dets]
-    gt_groups = _group([g.episode_id for g in gts])
-    for episode, det_ids in _group([d.episode_id for d in dets]).items():
-        gt_ids = gt_groups.get(episode)
-        if not gt_ids:
-            continue
-        ious = iou(np.array([dets[i].box for i in det_ids])[:, None],
-                   np.array([gts[k].box for k in gt_ids])[None])
-        cols = np.argsort(-ious, axis=1, kind="stable")
-        values = np.take_along_axis(ious, cols, axis=1)
-        kept = ((values > 0.0) & (values >= floor)).sum(axis=1)
-        for i, v, c, n in zip(det_ids, values.tolist(), cols.tolist(),
-                              kept.tolist()):
-            ranked[i] = [(value, gt_ids[j]) for value, j in zip(v[:n], c[:n])]
-    return ranked
+                     floor: float) -> Ranked:
+    """The :class:`Ranked` table of these lists at ``floor``, from one
+    ``iou`` call over every same-episode pair, made only when there is one."""
+    det_episodes = np.array([d.episode_id for d in dets], dtype=np.int64)
+    gt_episodes = np.array([g.episode_id for g in gts], dtype=np.int64)
+    # Each detection pairs with the run runs[lo:lo + count] of its episode's
+    # ground truths; the stable sort keeps each run in list order.
+    by_episode = np.argsort(gt_episodes, kind="stable")
+    runs = gt_episodes[by_episode]
+    lo = np.searchsorted(runs, det_episodes, side="left")
+    count = np.searchsorted(runs, det_episodes, side="right") - lo
+    det = np.repeat(np.arange(len(dets)), count)
+    if not det.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return Ranked(empty, empty, np.zeros(0))
+    # Pair p of detection i, whose pairs start at first[i], is run entry
+    # lo[i] + p - first[i].
+    first = np.cumsum(count) - count
+    gt = by_episode[np.repeat(lo - first, count) + np.arange(det.size)]
+    det_boxes = np.array([d.box for d in dets], dtype=np.float64)
+    gt_boxes = np.array([g.box for g in gts], dtype=np.float64)
+    values = iou(np.take(det_boxes, det, axis=0), np.take(gt_boxes, gt, axis=0))
+    keep = (values > 0.0) & (values >= floor)
+    det, gt, values = det[keep], gt[keep], values[keep]
+    order = np.lexsort((gt, -values, det))
+    return Ranked(det[order], gt[order], values[order])
 
 
 def _greedy_match(dets: list[Detection], gts: list[GtRecord], iou_thresholds,
-                  ranked: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  ranked: Ranked | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Score-ordered greedy matching at every threshold of a band.
 
     Returns the detection order (descending score, list order on ties) and
@@ -158,36 +186,44 @@ def _greedy_match(dets: list[Detection], gts: list[GtRecord], iou_thresholds,
     threshold. ``ranked`` is the :func:`_ranked_overlaps` table of these
     lists at a floor no higher than the lowest threshold; without it the
     table is built at that threshold. At each threshold the walk gives each
-    detection the first free ground truth of its row, if that one reaches
-    the threshold.
+    detection the first free ground truth of its entries, if that one
+    reaches the threshold.
     """
     order = _score_order(dets)
     if ranked is None:
         ranked = _ranked_overlaps(dets, gts, min(iou_thresholds, default=np.inf))
     match = np.full((len(iou_thresholds), len(dets)), -1, dtype=np.int64)
-    walk = [(i, ranked[i]) for i in order.tolist() if ranked[i]]
+    rank = np.empty(len(dets), dtype=np.int64)
+    rank[order] = np.arange(len(dets))
+    # The entries in score order; the stable sort keeps each detection's
+    # entries together and best first.
+    by_score = np.argsort(rank[ranked.det], kind="stable")
+    walk = list(zip(ranked.det[by_score].tolist(), ranked.gt[by_score].tolist(),
+                    ranked.iou[by_score].tolist()))
     for t, threshold in enumerate(iou_thresholds):
         free = [True] * len(gts)
-        for i, row in walk:
-            for value, k in row:
-                if value < threshold:
-                    break
-                if free[k]:
-                    match[t, i] = k
-                    free[k] = False
-                    break
+        done = -1  # the detection whose remaining entries are skipped
+        for i, k, value in walk:
+            if i == done:
+                continue
+            if value < threshold:
+                done = i
+            elif free[k]:
+                match[t, i] = k
+                free[k] = False
+                done = i
     return order, match
 
 
 def average_precision(dets: list[Detection], gts: list[GtRecord],
-                      iou_thresholds, ranked: list | None = None) -> np.ndarray:
+                      iou_thresholds, ranked: Ranked | None = None) -> np.ndarray:
     """Single-class average precision with 101-point interpolation at each
     threshold of ``iou_thresholds``: a (T,) float64 array.
 
     Detections are greedily matched in descending score order; each ground
     truth is consumed at most once; matches must reach the IoU threshold and
     stay within the same episode. One sort and one :func:`_ranked_overlaps`
-    table (the caller's ``ranked`` rows of these lists, or one built at the
+    table (the caller's ``ranked`` table of these lists, or one built at the
     lowest threshold) serve the whole band. A non-finite score raises
     ValueError.
     """
@@ -214,7 +250,7 @@ def average_precision(dets: list[Detection], gts: list[GtRecord],
 
 def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
                      iou_threshold: float, class_ids: list[int],
-                     ranked: list | None = None) -> np.ndarray:
+                     ranked: Ranked | None = None) -> np.ndarray:
     """(C+1) x (C+1) count matrix, rows true class / columns predicted,
     final index is background. Each detection is assigned to its best-IoU
     unused ground truth of any class (score order, same episode); unmatched
@@ -227,17 +263,16 @@ def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
         raise ValueError(f"iou threshold must lie in (0, 1), got {iou_threshold}")
     index = {cid: i for i, cid in enumerate(class_ids)}
     bg = len(class_ids)
-    counts = np.zeros((bg + 1, bg + 1), dtype=np.int64)
-
     _, (match,) = _greedy_match(dets, gts, (iou_threshold,), ranked)
-    match = match.tolist()
-    cells = Counter((index[gts[k].class_id] if k >= 0 else bg, index[d.class_id])
-                    for d, k in zip(dets, match))
-    taken = set(match)
-    cells.update((index[g.class_id], bg) for k, g in enumerate(gts) if k not in taken)
-    for cell, n in cells.items():
-        counts[cell] = n
-    return counts
+    predicted = np.array([index[d.class_id] for d in dets], dtype=np.int64)
+    # The true class of each ground truth, then background: the row an
+    # unmatched detection (match -1) reads.
+    true = np.array([index[g.class_id] for g in gts] + [bg], dtype=np.int64)
+    taken = np.zeros(len(gts), dtype=bool)
+    taken[match[match >= 0]] = True
+    cells = np.concatenate([true[match] * (bg + 1) + predicted,
+                            true[:-1][~taken] * (bg + 1) + bg])
+    return np.bincount(cells, minlength=(bg + 1) ** 2).reshape(bg + 1, bg + 1)
 
 
 @dataclass
@@ -325,21 +360,19 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
     (COCO convention). The band must hold 0.5, the threshold of the headline
     mAP and of the confusion matrix, else ValueError. One
     :func:`_ranked_overlaps` table at the band's lowest threshold serves
-    both: the confusion matrix reads it whole, the AP of each class its
-    detections' rows, re-indexed to the class's ground truths."""
+    both: the confusion matrix reads it whole, the AP of each class the
+    table restricted to the class's detections and ground truths."""
     thresholds = _threshold_band(thresholds)
-    gt_classes = _group([g.class_id for g in gts])
-    det_classes = _group([d.class_id for d in dets])
-    present = [cid for cid in class_ids if cid in gt_classes]
+    det_classes = np.array([d.class_id for d in dets], dtype=np.int64)
+    gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
+    present = [cid for cid in class_ids if (gt_classes == cid).any()]
     ranked = _ranked_overlaps(dets, gts, min(thresholds))
     ap = np.zeros((len(present), len(thresholds)))
     for c, cid in enumerate(present):
-        det_ids, gt_ids = det_classes.get(cid, []), gt_classes[cid]
-        position = {k: j for j, k in enumerate(gt_ids)}
-        rows = [[(v, position[k]) for v, k in ranked[i] if k in position]
-                for i in det_ids]
-        ap[c] = average_precision([dets[i] for i in det_ids],
-                                  [gts[k] for k in gt_ids], thresholds, rows)
+        det_mask, gt_mask = det_classes == cid, gt_classes == cid
+        ap[c] = average_precision([dets[i] for i in np.flatnonzero(det_mask).tolist()],
+                                  [gts[k] for k in np.flatnonzero(gt_mask).tolist()],
+                                  thresholds, ranked.restrict(det_mask, gt_mask))
     confusion = confusion_matrix(dets, gts, 0.5, list(class_ids), ranked)
     return EvalReport(class_ids=list(present), thresholds=thresholds, ap=ap,
                       confusion=confusion, episode_count=episode_count,

@@ -120,10 +120,12 @@ class TestUsageErrors:
         ("benchmark", "noise_std", -0.1),
         ("benchmark", "noise_std", float("inf")),
         ("benchmark", "noise_std", False),
+        ("model", "learning_rate", 10**400),
     ], ids=["negative-rate", "zero-rate", "nan-rate", "quoted-rate", "bool-rate",
             "nan-temperature", "zero-temperature", "negative-ood-weight",
             "inf-ood-weight", "negative-cls-weight", "nan-l1-weight",
-            "quoted-giou-weight", "negative-noise", "inf-noise", "bool-noise"])
+            "quoted-giou-weight", "negative-noise", "inf-noise", "bool-noise",
+            "rate-too-large-for-a-float"])
     def test_bad_float_setting_exits_1(self, fast_config, tmp_path, capsys,
                                        section, key, value):
         cfg = yaml.safe_load(fast_config.read_text())

@@ -9,6 +9,7 @@ from fewdet.config import (DERIVED_MODEL_KEYS, RunConfig, TrainingConfig,
 from fewdet.episodes import BenchmarkSpec
 from fewdet.errors import ConfigError
 from fewdet.model import ModelConfig
+from fewdet.set_head import Weights
 
 
 def test_defaults_construct():
@@ -147,3 +148,32 @@ def test_numeric_setting_loads_or_is_a_config_error(section, key, value):
         run_config_from_dict({section: {key: value}})
     except ConfigError:
         pass
+
+
+FLOAT_FIELDS = [
+    (section, f.name)
+    for section, cls in (("model", ModelConfig), ("benchmark", BenchmarkSpec),
+                         ("training", TrainingConfig), ("model.weights", Weights))
+    for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+def nested(section: str, key: str, value) -> dict:
+    data = {key: value}
+    for part in reversed(section.split(".")):
+        data = {part: data}
+    return data
+
+
+@pytest.mark.parametrize("section, key", FLOAT_FIELDS,
+                         ids=[f"{s}.{k}" for s, k in FLOAT_FIELDS])
+def test_integer_too_large_for_a_float_is_refused(section, key):
+    """An int a float cannot hold is refused naming the field; an int it
+    can hold is kept as the int, so records written from it do not change."""
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be a finite "
+                                          rf"number, not an integer too large for "
+                                          rf"a float \(1329 bits\)$"):
+        run_config_from_dict(nested(section, key, 10**400))
+    cfg = run_config_from_dict(nested(section, key, 1))
+    for part in (*section.split("."), key):
+        cfg = getattr(cfg, part)
+    assert type(cfg) is int and cfg == 1

@@ -13,7 +13,7 @@ import pytest
 from fewdet.model import VARIANTS
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
-RUNS = (*VARIANTS, "untrained", "dense")
+RUNS = (*VARIANTS, "untrained", "dense", "matching")
 DETECTIONS = ("detections/classes", "detections/scores", "detections/boxes")
 
 
@@ -43,6 +43,9 @@ def test_short_run_saves_every_documented_array(digests, saved):
     for run in RUNS:
         arrays = {name[len(f"0/{run}/"):] for name in saved
                   if name.startswith(f"0/{run}/")}
+        if run == "matching":
+            assert arrays == {"report"}
+            continue
         assert set(DETECTIONS) <= arrays
         assert saved[f"0/{run}/detections/classes"].dtype == np.int64
         assert saved[f"0/{run}/detections/boxes"].shape[1:] == (4,)
@@ -71,6 +74,20 @@ def test_short_run_saves_every_documented_array(digests, saved):
     record = json.loads(saved["0/+OBD+OOD/record"].tobytes())
     assert (record["step"], record["adam"]) == (3, {"step_count": 3})
     assert record["run"]["seed"] == record["run"]["benchmark"]["seed"] == 0
+
+
+def test_matching_report_walks_the_matcher_through_the_band(saved):
+    """The synthetic set on the 50 default test episodes matches some
+    ground truths at every threshold and misses some at the top one, and
+    class swaps put counts off the confusion matrix's diagonal."""
+    report = json.loads(saved["0/matching/report"].tobytes())
+    assert report["episode_count"] == 50
+    assert report["detection_count"] > 5 * report["gt_count"] > 0
+    ap = np.array(report["ap"])
+    assert (ap > 0).all() and (ap[:, -1] < ap[:, 0]).all()
+    confusion = np.array(report["confusion"])
+    classes = len(report["class_ids"])
+    assert np.trace(confusion[:classes, :classes]) < confusion[:classes, :classes].sum()
 
 
 def save(path, arrays) -> Path:
@@ -143,6 +160,7 @@ def set_first(value):
 
 @pytest.mark.parametrize("name, edit", [
     ("0/+OBD/report", nudge(1)),
+    ("0/matching/report", nudge(1)),
     ("0/+OBD+OOD/record", nudge(1)),
     ("0/baseline/detections/classes", nudge(1)),
     ("0/+OBD+OOD/history", set_first(np.nan)),
@@ -151,7 +169,7 @@ def set_first(value):
     ("0/baseline/bg_dominance_rate", set_first(0.5)),  # a number against NaN
     ("0/+OBD+OOD/history", lambda a: a[:-1]),
     ("0/dense/detections/classes", lambda a: a.astype(np.int32)),
-], ids=["report", "record", "classes", "nan-history", "inf-moment",
+], ids=["report", "matching-report", "record", "classes", "nan-history", "inf-moment",
         "nan-diagnostic", "number-for-nan", "shape", "dtype"])
 def test_exact_and_structural_changes_fail(digests, saved, tmp_path, capsys,
                                            name, edit):

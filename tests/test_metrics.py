@@ -89,6 +89,23 @@ class TestGiou:
         with pytest.raises(ShapeError):
             fn(np.ones((2, 1, 3)), np.ones((1, 2, 4)))
 
+    @pytest.mark.parametrize("fn", [iou, giou])
+    def test_bad_box_message_names_the_first_and_counts_them(self, fn):
+        """The message stays short on a sweep's worth of boxes."""
+        boxes = np.tile(UNIT, (1000, 1))
+        boxes[617, 1] = np.nan
+        with pytest.raises(NumericError) as exc:
+            fn(boxes, boxes[::-1])
+        assert str(exc.value) == ("non-finite box coordinates: 1 of 1000 boxes, "
+                                  "the first at index [617]: [0.5, nan, 1.0, 1.0]")
+        boxes[617, 1] = 0.5
+        boxes[[40, 3], 2] = [-1.0, 0.0]
+        with pytest.raises(ShapeError) as exc:
+            fn(boxes[:, None], boxes[None, :5])
+        assert str(exc.value) == ("degenerate box with non-positive extent: 2 of "
+                                  "1000 boxes, the first at index [3, 0]: "
+                                  "[0.5, 0.5, 0.0, 1.0]")
+
 
 def reference_average_precision(dets, gts, threshold):
     """The per-detection form of AP at one threshold: a greedy loop over every
@@ -438,9 +455,23 @@ def test_band_without_half_is_refused():
     assert str(load_error.value) == str(eval_error.value)
 
 
-def test_one_iou_matrix_per_episode_with_detections_and_ground_truths(monkeypatch):
-    """evaluate_detections calls ``iou`` once for each episode that has at
-    least one detection and one ground truth, and never for the others."""
+def count_iou_calls(monkeypatch) -> list:
+    """The shapes of the boxes each ``metrics.iou`` call gets, in order."""
+    calls = []
+    real_iou = metrics.iou
+
+    def counted_iou(a, b):
+        calls.append(np.shape(a))
+        return real_iou(a, b)
+
+    monkeypatch.setattr(metrics, "iou", counted_iou)
+    return calls
+
+
+def test_one_iou_call_per_evaluation(monkeypatch):
+    """evaluate_detections calls ``iou`` once, over the pairs of every
+    episode that has at least one detection and one ground truth: 9
+    detections against 3 ground truths in each of 4 episodes."""
     rng = np.random.default_rng(11)
     classes = [0, 1, 2]
 
@@ -450,14 +481,117 @@ def test_one_iou_matrix_per_episode_with_detections_and_ground_truths(monkeypatc
     gts = [gtr(e, c, box()) for e in (0, 1, 2, 3, 4) for c in classes]
     dets = [det(e, c, rng.uniform(), box())
             for e in (0, 1, 2, 3, 5) for c in classes for _ in range(3)]
-    calls = []
-    real_iou = metrics.iou
-
-    def counted_iou(a, b):
-        calls.append(1)
-        return real_iou(a, b)
-
-    monkeypatch.setattr(metrics, "iou", counted_iou)
+    calls = count_iou_calls(monkeypatch)
     report = evaluate_detections(dets, gts, classes, episode_count=6)
     assert report.ap.shape == (len(classes), len(IOU_THRESHOLDS))
-    assert len(calls) == 4
+    assert calls == [(4 * 9 * 3, 4)]
+
+
+@pytest.mark.parametrize("dets, gts", [
+    ([], []),
+    ([det(0, 1, 0.9, UNIT)], []),
+    ([], [gtr(0, 1, UNIT)]),
+    ([det(0, 1, 0.9, UNIT), det(2, 1, 0.5, UNIT)], [gtr(1, 1, UNIT), gtr(3, 1, UNIT)]),
+], ids=["empty", "detections-only", "ground-truths-only", "disjoint-episodes"])
+def test_no_iou_call_without_an_episode_holding_both(monkeypatch, dets, gts):
+    calls = count_iou_calls(monkeypatch)
+    report = evaluate_detections(dets, gts, [1], episode_count=4)
+    assert calls == []
+    assert report.confusion.sum() == len(dets) + len(gts)
+
+
+def assert_matches_oracles(monkeypatch, dets, gts, classes):
+    """The report equals the one the per-threshold oracle matcher gives, the
+    confusion matrix the oracle's, and each class's AP the per-detection
+    reference at every threshold."""
+    got = evaluate_detections(dets, gts, classes, episode_count=8)
+    np.testing.assert_array_equal(got.confusion,
+                                  oracle_confusion(dets, gts, 0.5, classes))
+    with monkeypatch.context() as mp:
+        mp.setattr(metrics, "_greedy_match",
+                   lambda d, g, t, ranked=None: oracle_greedy_match(d, g, t))
+        want = evaluate_detections(dets, gts, classes, episode_count=8)
+    assert got.to_json() == want.to_json()
+    for cid in got.class_ids:
+        cls_dets = [d for d in dets if d.class_id == cid]
+        cls_gts = [g for g in gts if g.class_id == cid]
+        np.testing.assert_array_equal(
+            got.ap[got.class_ids.index(cid)],
+            [reference_average_precision(cls_dets, cls_gts, t) for t in IOU_THRESHOLDS])
+    return got
+
+
+def jittered(box, rng, scale=0.04):
+    return list(np.asarray(box) + rng.uniform(-scale, scale, 4) * [1, 1, 0.5, 0.5])
+
+
+def test_episodes_with_none_one_and_the_most_ground_truths(monkeypatch):
+    """Episodes with 0, 1 and 7 ground truths (the most of any), each with
+    detections near its ground truths and elsewhere: the flat pairs of one
+    ``iou`` call cover runs of every length."""
+    rng = np.random.default_rng(3)
+    classes = [1, 2]
+    gts, dets = [], []
+    for e, n in enumerate([0, 1, 7, 1, 0, 7]):
+        ep_gts = [gtr(e, int(rng.choice(classes)),
+                      [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.2, 0.2])
+                  for _ in range(n)]
+        gts += ep_gts
+        dets += [det(e, int(rng.choice(classes)), float(rng.uniform()),
+                     jittered(g.box, rng)) for g in ep_gts for _ in range(2)]
+        dets += [det(e, 1, float(rng.uniform()), [0.5, 0.5, 0.3, 0.3])]
+    report = assert_matches_oracles(monkeypatch, dets, gts, classes)
+    assert report.map_50 > 0
+
+
+def test_detections_in_episodes_without_ground_truth_are_false_positives(monkeypatch):
+    """A detection of an episode with no ground truth has no entries: it
+    lands in the background row and counts as a false positive, even on
+    the box of another episode's ground truth."""
+    gts = [gtr(0, 1, UNIT), gtr(2, 1, RIGHT)]
+    dets = [det(1, 1, 0.95, UNIT), det(0, 1, 0.9, UNIT),
+            det(3, 1, 0.8, RIGHT), det(2, 1, 0.7, RIGHT)]
+    report = assert_matches_oracles(monkeypatch, dets, gts, [1])
+    # Two false positives ahead of each true positive: precision 1/2 at
+    # recall 1/2 and 1 alike.
+    assert report.ap[0, 0] == pytest.approx(0.5, abs=0.01)
+    np.testing.assert_array_equal(report.confusion, [[2, 0], [2, 0]])
+
+
+def test_ground_truth_only_episodes_are_missed(monkeypatch):
+    gts = [gtr(0, 1, UNIT), gtr(1, 1, UNIT), gtr(1, 2, RIGHT), gtr(2, 2, SPAN)]
+    dets = [det(0, 1, 0.9, UNIT), det(0, 2, 0.4, RIGHT)]
+    report = assert_matches_oracles(monkeypatch, dets, gts, [1, 2])
+    assert report.class_ids == [1, 2]
+    # Class 1 reaches recall 1/2 at precision 1: 51 of the 101 points.
+    np.testing.assert_array_equal(report.ap[:, 0], [51 / 101, 0.0])
+    np.testing.assert_array_equal(report.confusion, [[1, 0, 1], [0, 0, 2], [0, 1, 0]])
+
+
+def test_exact_iou_ties_go_to_the_lower_ground_truth(monkeypatch):
+    """SPAN overlaps UNIT and RIGHT by exactly 1/3, and duplicate ground
+    truths tie at 1: each detection takes the lowest free index, in score
+    order, list order on equal scores."""
+    gts = [gtr(0, 1, RIGHT), gtr(0, 1, UNIT), gtr(0, 1, UNIT), gtr(1, 1, UNIT)]
+    dets = [det(0, 1, 0.5, UNIT), det(0, 1, 0.5, UNIT), det(0, 1, 0.9, SPAN),
+            det(0, 1, 0.5, UNIT), det(1, 1, 0.5, UNIT)]
+    ranked = metrics._ranked_overlaps(dets, gts, 0.3)
+    np.testing.assert_array_equal(ranked.det, [0, 0, 1, 1, 2, 2, 2, 3, 3, 4])
+    np.testing.assert_array_equal(ranked.gt, [1, 2, 1, 2, 0, 1, 2, 1, 2, 3])
+    assert ranked.iou[4] == ranked.iou[5] == ranked.iou[6] == iou(SPAN, UNIT)
+    _, match = metrics._greedy_match(dets, gts, (0.3, 0.5), ranked)
+    np.testing.assert_array_equal(match, [[1, 2, 0, -1, 3], [1, 2, -1, -1, 3]])
+    assert_matches_oracles(monkeypatch, dets, gts, [1])
+
+
+def test_class_whose_ground_truths_sit_apart_from_its_detections(monkeypatch):
+    """Class 2's ground truths are all in episodes without a class-2
+    detection, though class-2 detections elsewhere sit on class-1 boxes:
+    its AP is 0 at every threshold, and the confusion matrix counts those
+    detections as class 1 taken for class 2."""
+    gts = [gtr(0, 1, UNIT), gtr(1, 2, UNIT), gtr(1, 2, RIGHT), gtr(2, 1, RIGHT)]
+    dets = [det(0, 1, 0.8, UNIT), det(0, 2, 0.9, UNIT), det(2, 2, 0.7, RIGHT),
+            det(1, 1, 0.6, UNIT)]
+    report = assert_matches_oracles(monkeypatch, dets, gts, [1, 2])
+    np.testing.assert_array_equal(report.ap[1], np.zeros(len(IOU_THRESHOLDS)))
+    np.testing.assert_array_equal(report.confusion, [[0, 2, 0], [1, 0, 1], [1, 0, 0]])

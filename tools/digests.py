@@ -23,7 +23,15 @@ it saves each result once, as an array keyed ``<seed>/<run>/<array>``:
 * ``untrained``: the detections of the untrained ``+OBD+OOD`` model;
 * ``dense``: a ``+OBD+OOD`` model on a 16x16 grid with 8-12 objects and
   the default model config, after 10 steps: its parameters, Adam moments
-  and detections.
+  and detections;
+* ``matching``: the ``EvalReport.to_json()`` bytes (``report``) of a
+  seeded synthetic detection set on the ground truths of the 50 default
+  test episodes, some of them with a relabelled twin: jittered copies of
+  each ground truth from near-exact to barely overlapping, a copy at an
+  IoU of exactly 0.5 or 0.75, class swaps, exact copies and duplicates,
+  and stray boxes, with scores from a short list so that they tie. The
+  trained models above overlap few ground truths; this set walks the
+  matcher through every threshold of the band and its tie rules.
 
 ``--diff`` prints each array of two saves as ``identical`` (same dtype,
 shape and bytes) or with its largest |a - b|, and exits 1 when an array is
@@ -58,6 +66,7 @@ from fewdet.config import RunConfig, TrainingConfig  # noqa: E402
 from fewdet.episodes import BenchmarkSpec, generate_episode  # noqa: E402
 from fewdet.harness import (checkpoint_payload, evaluate_model,  # noqa: E402
                             load_run_checkpoint, save_run_checkpoint, train_run)
+from fewdet.metrics import Detection, GtRecord, evaluate_detections  # noqa: E402
 from fewdet.model import (VARIANTS, ablation_variant,  # noqa: E402
                           init_model_state, run_inference)
 
@@ -103,6 +112,44 @@ def _record(run, result) -> np.ndarray:
     return np.frombuffer(record.encode(), dtype=np.uint8)
 
 
+def _matching_report(seed: int) -> np.ndarray:
+    """The report bytes of the synthetic detection set on the default test
+    episodes of ``seed`` (see the module docstring)."""
+    run = RunConfig(seed=seed, benchmark=BenchmarkSpec(seed=seed))
+    t = run.training
+    episodes = [generate_episode(run.benchmark, t.eval_start_index + i, "test")
+                for i in range(t.eval_episodes)]
+    rng = np.random.default_rng([seed, 1])
+    scores = (0.2, 0.4, 0.4, 0.6, 0.8, 0.8, 0.9)
+    class_ids = list(episodes[0].class_ids)
+    dets, gts = [], []
+    for ep in episodes:
+        for box, label in zip(ep.boxes, ep.labels):
+            gts.append(GtRecord(ep.index, int(label), box.copy()))
+            if rng.random() < 0.15:  # a relabelled twin: exact IoU ties
+                gts.append(GtRecord(ep.index, int(rng.choice(class_ids)), box.copy()))
+            # Boxes sit on a 1/16 grid, so a copy narrowed by 1/2 or 3/4
+            # about its centre has an IoU of exactly 0.5 or 0.75.
+            narrowed = box * [1, 1, rng.choice([0.5, 0.75]), 1]
+            copies = [box.copy()] * int(rng.integers(0, 3)) + [narrowed]
+            for spread in (0.05, 0.15, 0.3, 0.5):
+                shift = rng.uniform(-spread, spread, 2) * box[2:]
+                scale = np.exp(rng.uniform(-spread, spread, 2))
+                copies.append(np.concatenate([box[:2] + shift, box[2:] * scale]))
+            for copy in copies:
+                label_of = int(rng.choice(class_ids)) if rng.random() < 0.2 else int(label)
+                score = float(rng.choice(scores))
+                dets += [Detection(ep.index, label_of, score, copy)] * (
+                    1 + int(rng.random() < 0.1))
+        for _ in range(int(rng.integers(0, 4))):
+            dets.append(Detection(ep.index, int(rng.choice(class_ids)),
+                                  float(rng.choice(scores)),
+                                  np.concatenate([rng.uniform(0, 1, 2),
+                                                  rng.uniform(0.1, 0.4, 2)])))
+    report = evaluate_detections(dets, gts, class_ids, len(episodes))
+    return np.frombuffer(report.to_json().encode(), dtype=np.uint8)
+
+
 def results(seeds=SEEDS, steps: int = 40, fine_tune_steps: int = 10,
             dense_steps: int = 10) -> dict[str, np.ndarray]:
     """Every array the gate compares, keyed ``<seed>/<run>/<array>``."""
@@ -128,6 +175,7 @@ def results(seeds=SEEDS, steps: int = 40, fine_tune_steps: int = 10,
         run, result = _trained(seed, VARIANT, dense_steps, 0, **DENSE)
         keep(f"{seed}/dense", {**_state(result),
                                **_detections(run, result.state, result.cfg)})
+        keep(f"{seed}/matching", {"report": _matching_report(seed)})
     return out
 
 
