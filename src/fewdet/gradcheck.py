@@ -70,7 +70,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
                       {"q": (3, 4), "k": (5, 4), "v": (5, 4)}),
         "layer_norm": (T.layer_norm, {"x": (4, 5), "gamma": (5,), "beta": (5,)}),
-        "matmul_t": (T.matmul_t, {"x": (4, 5), "w": (3, 5)}),
         "linear": (T.linear, {"x": (4, 5), "w": (5, 3), "b": (3,)}),
         "concat_linear": (T.concat_linear, {"a": (4, 3), "b": (4, 2), "w": (5, 3),
                                             "bias": (3,)}),

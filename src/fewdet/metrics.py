@@ -62,11 +62,11 @@ def box_overlap(a: np.ndarray, b: np.ndarray):
             raise ShapeError(f"boxes must have 4 entries on the last axis, "
                              f"got shape {boxes.shape}")
         if not np.isfinite(boxes).all():
-            raise _bad_boxes(NumericError, "non-finite box coordinates", boxes,
-                             ~np.isfinite(boxes).all(axis=-1))
+            raise bad_boxes(NumericError, "non-finite box coordinates", boxes,
+                            ~np.isfinite(boxes).all(axis=-1))
         if (boxes[..., 2:] <= 0).any():
-            raise _bad_boxes(ShapeError, "degenerate box with non-positive extent",
-                             boxes, (boxes[..., 2:] <= 0).any(axis=-1))
+            raise bad_boxes(ShapeError, "degenerate box with non-positive extent",
+                            boxes, (boxes[..., 2:] <= 0).any(axis=-1))
         corners.append(_corners(boxes))
     (lo_a, hi_a), (lo_b, hi_b) = corners
     wh = np.clip(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0, None)
@@ -77,7 +77,7 @@ def box_overlap(a: np.ndarray, b: np.ndarray):
     return corners[0], corners[1], wh, inter, area_a + area_b - inter
 
 
-def _bad_boxes(error: type, what: str, boxes: np.ndarray, bad: np.ndarray):
+def bad_boxes(error: type, what: str, boxes: np.ndarray, bad: np.ndarray):
     """``error`` naming how many of ``boxes`` are ``bad`` (a mask over the
     leading axes) and the first one's index and values, never every box."""
     where = np.argwhere(bad)
@@ -358,13 +358,20 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
     """Per-class AP across the threshold band plus the 0.5-IoU confusion
     matrix. Classes with no ground truth anywhere are excluded from AP rows
     (COCO convention). The band must hold 0.5, the threshold of the headline
-    mAP and of the confusion matrix, else ValueError. One
+    mAP and of the confusion matrix, else ValueError; so is a detection or
+    ground truth whose class is not in ``class_ids``. One
     :func:`_ranked_overlaps` table at the band's lowest threshold serves
     both: the confusion matrix reads it whole, the AP of each class the
     table restricted to the class's detections and ground truths."""
     thresholds = _threshold_band(thresholds)
     det_classes = np.array([d.class_id for d in dets], dtype=np.int64)
     gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
+    known = set(class_ids)
+    for name, records in (("detections", dets), ("ground truths", gts)):
+        stray = next((r.class_id for r in records if r.class_id not in known), None)
+        if stray is not None:
+            raise ValueError(f"the {name} hold class {stray}, which is not "
+                             f"in class_ids {list(class_ids)}")
     present = [cid for cid in class_ids if (gt_classes == cid).any()]
     ranked = _ranked_overlaps(dets, gts, min(thresholds))
     ap = np.zeros((len(present), len(thresholds)))

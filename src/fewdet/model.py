@@ -27,10 +27,10 @@ Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
 :func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`. The
 embedding and the box head's layers are :func:`fewdet.tensor.linear`
-nodes, each FFN block is one :func:`ffn_apply` node, each realization of
-the support sequence as keys or values is one
-:func:`fewdet.tensor.project_rows` node, and the class logits score
-against the support keys through :func:`fewdet.tensor.matmul_t`.
+nodes, each FFN block is one :func:`ffn_apply` node, and every product
+with a transposed matrix is one :func:`fewdet.tensor.project_rows` node:
+the OBD projections, the support keys of the class head, and its logits
+against those keys.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ import numpy as np
 
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError
-from .obd import SupportSequence, build_key_sequence, ofe_query, ofe_support
+from .metrics import bad_boxes
+from .obd import SupportSequence, ofe_query, ofe_support
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
 from .set_head import (DetectionOutput, GroundTruth, Weights, decode_detections,
                        hungarian_match, match_cost, set_loss)
 from .tensor import (Tensor, attention, ffn_apply, layer_norm, linear, matmul,
-                     matmul_t, no_grad, sigmoid, silu)
+                     no_grad, project_rows, sigmoid, silu)
 
 VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
@@ -332,19 +333,24 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig, *,
     pos = Tensor(sinusoidal_grid_encoding(rows, cols, cfg.d))
     decoded = _decoder(state, cfg, patches, pos)
 
-    match_keys = build_key_sequence(seq, p["head.class.support_proj"], token)
-    logits = matmul_t(matmul(decoded, p["head.class.query_proj"]),
-                      match_keys) * (1.0 / np.sqrt(cfg.d)) + p["head.class.bias"]
+    match_keys = project_rows(seq.features, p["head.class.support_proj"], len(seq), token)
+    logits = project_rows(matmul(decoded, p["head.class.query_proj"]),
+                          match_keys) * (1.0 / np.sqrt(cfg.d)) + p["head.class.bias"]
     with no_grad():  # values for matching and decoding; the loss uses logits
         probs = sigmoid(logits)
 
     # Boxes are offsets from per-query learnable reference boxes, in logit
     # space; with an all-zero state this still decodes to sigmoid(0). With no
     # ground truth the box loss is a constant, so the head records no nodes.
+    # An extent that underflows to 0 is reported here, before matching,
+    # training or scoring reads the boxes.
     with contextlib.nullcontext() if len(episode.labels) else no_grad():
         box_hidden = linear(decoded, p["head.box.w1"], p["head.box.b1"])
         box_delta = linear(silu(box_hidden), p["head.box.w2"], p["head.box.b2"])
         boxes = sigmoid(p["queries.ref"] + box_delta)
+    if (boxes.data[:, 2:] <= 0).any():
+        raise bad_boxes(NumericError, "predicted box extent underflowed to 0",
+                        boxes.data, (boxes.data[:, 2:] <= 0).any(axis=1))
 
     out = DetectionOutput(boxes=boxes, position_probs=probs, position_logits=logits)
     return out, support_features, diag

@@ -8,19 +8,22 @@ realized as the shared learnable background token (deliberately *not*
 passed through the key projection); on the value side it is a fixed zero
 vector, so attention mass spent on the background contributes nothing to
 the mixed output and the token is trained purely through the similarity
-path. Each side is one graph node (:func:`fewdet.tensor.project_rows`):
-the projected class features in the first C rows, and the token or the
-zero row in the rest.
+path. Every projection is one :func:`fewdet.tensor.project_rows` node
+(``x @ w^T``, then any placeholder rows): the key side is
+``project_rows(s.features, w_key, len(s), token)`` and the value side
+``project_rows(s.features, w_value, len(s))``, the projected class
+features in the first C rows and the token or the zero row in the rest.
 
-Two branches share one wiring: rows projected by one :func:`matmul_t` node
-attend over the key and value sequences, whose placeholders are keys and
-values only, never rows that attend. The support branch's rows are its C
-class features under the key projection (self-interaction), the query
-branch's the image patches under the query projection; it then fuses the
-result back with the original patches through Conv1D + FFN. The Conv1D is
-one :func:`fewdet.tensor.concat_linear` node over the patches and the
-attended features side by side, which keeps no concatenated copy for
-backward; the FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
+Two branches share one wiring: rows projected with no placeholders
+(``project_rows(x, w)``) attend over the key and value sequences, whose
+placeholders are keys and values only, never rows that attend. The support
+branch's rows are its C class features under the key projection
+(self-interaction), the query branch's the image patches under the query
+projection; it then fuses the result back with the original patches
+through Conv1D + FFN. The Conv1D is one
+:func:`fewdet.tensor.concat_linear` node over the patches and the attended
+features side by side, which keeps no concatenated copy for backward; the
+FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
 head at once through the fused :func:`fewdet.tensor.attention` primitive.
 
 The branches take the weight tensors they read and return plain values:
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, attention, concat_linear, ffn_apply, matmul_t, project_rows
+from .tensor import Tensor, attention, concat_linear, ffn_apply, project_rows
 
 
 @dataclass(frozen=True)
@@ -75,18 +78,6 @@ def head_average(head_attention: np.ndarray) -> np.ndarray:
     return head_attention.sum(axis=0) * (1.0 / head_attention.shape[0])
 
 
-def build_key_sequence(s: SupportSequence, w_key: Tensor, token: Tensor) -> Tensor:
-    """Key-side realization of the sequence: projected class features with the
-    1-d background token dropped in *unprojected* at every placeholder."""
-    return project_rows(s.features, w_key, len(s), token)
-
-
-def build_value_sequence(s: SupportSequence, w_value: Tensor) -> Tensor:
-    """Value-side realization: projected class features, exact zero rows at
-    placeholders (the zero rows are constants and carry no gradient)."""
-    return project_rows(s.features, w_value, len(s))
-
-
 def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
                 token: Tensor, heads: int = 1) -> tuple[Tensor, np.ndarray]:
     """Support-branch self-interaction: each class row attends over the
@@ -94,8 +85,9 @@ def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
     placeholders so background mass dilutes rather than leaks. Returns
     :func:`fewdet.tensor.attention`'s (C, d) output and (heads, C, n)
     attention: the first C rows of self-attention over all n positions."""
-    return attention(matmul_t(s.features, w_key), build_key_sequence(s, w_key, token),
-                     build_value_sequence(s, w_value), heads)
+    return attention(project_rows(s.features, w_key),
+                     project_rows(s.features, w_key, len(s), token),
+                     project_rows(s.features, w_value, len(s)), heads)
 
 
 def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
@@ -109,9 +101,9 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
     (heads, P, n) attention."""
     if q_patches.ndim != 2 or q_patches.shape[0] < 1:
         raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
-    out, attn = attention(matmul_t(q_patches, w_query),
-                          build_key_sequence(s, w_key, token),
-                          build_value_sequence(s, w_value), heads)
+    out, attn = attention(project_rows(q_patches, w_query),
+                          project_rows(s.features, w_key, len(s), token),
+                          project_rows(s.features, w_value, len(s)), heads)
     fused = concat_linear(q_patches, out, conv_kernel, conv_bias)
     return ffn_apply(fused, *ffn), out, attn
 

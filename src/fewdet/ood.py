@@ -53,9 +53,10 @@ def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
 
     Backward, with e the exponentials of the logits ``F @ W^T / tau`` less
     their row max (a constant): ``ds = (g/C) / rowsum(e) * e - (g/C) * I``,
-    then :func:`fewdet.tensor.matmul_t`'s gradients of ``ds / tau``. Each
-    step repeats, in order, the arithmetic of the same loss built from
-    elementwise nodes, so the value and both gradients are bit-identical.
+    then the product ``F @ W^T``'s gradients of ``ds / tau``, against the
+    same contiguous ``W^T`` as the forward. Each step repeats, in order, the
+    arithmetic of the same loss built from elementwise nodes, so the value
+    and both gradients are bit-identical.
     """
     ids = list(class_ids)
     if len(set(ids)) != len(ids):

@@ -16,18 +16,18 @@ again instead.
 
 Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
 the affine map of two inputs' channels side by side
-(:func:`concat_linear`), the product with a transposed weight
-(:func:`matmul_t`), that product followed by filler rows
-(:func:`project_rows`), the FFN block (:func:`ffn_apply`, which takes its
-two weights and two biases as tensors and checks their shapes), multi-head
-attention and layer norm. Each has a hand-derived backward that repeats
-the arithmetic of the primitive chain it stands for, so values and
-gradients are bit-identical to that chain. A closure keeps what its
-backward reads and cannot cheaply rebuild: an intermediate that one
-element-wise op or one copy of the inputs gives back (the FFN's
-activations, the concatenated input of :func:`concat_linear`) is
-recomputed in backward instead of held from forward to backward. Each loss
-term is one such node too (:mod:`fewdet.set_head`, :mod:`fewdet.ood`).
+(:func:`concat_linear`), the product with a transposed weight, optionally
+followed by filler rows (:func:`project_rows`), the FFN block
+(:func:`ffn_apply`, which takes its two weights and two biases as tensors
+and checks their shapes), multi-head attention and layer norm. Each has a
+hand-derived backward that repeats the arithmetic of the primitive chain
+it stands for, so values and gradients are bit-identical to that chain. A
+closure keeps what its backward reads and cannot cheaply rebuild: an
+intermediate that one element-wise op or one copy of the inputs gives back
+(the FFN's activations, the concatenated input of :func:`concat_linear`)
+is recomputed in backward instead of held from forward to backward. Each
+loss term is one such node too (:mod:`fewdet.set_head`,
+:mod:`fewdet.ood`).
 
 A primitive writes only into arrays it allocated in that call. It never
 writes into its inputs, into the upstream gradient, or into an array it
@@ -280,23 +280,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def matmul_t(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w^T`` as one graph node. The product runs against a contiguous
-    copy of ``w^T``: OpenBLAS picks other small-matrix kernels for a
-    transposed view, whose sums can differ in the last bits."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"matmul_t: {x.shape} does not match the transpose of {w.shape}")
-    wt = w.data.T.copy()
-    return Tensor._result(x.data @ wt, (x, w),
-                          lambda g: (g @ wt.T, (x.data.T @ g).T))
-
-
-def project_rows(x: Tensor, w: Tensor, n: int, filler: Tensor | None = None
-                 ) -> Tensor:
+def project_rows(x: Tensor, w: Tensor, n: int | None = None,
+                 filler: Tensor | None = None) -> Tensor:
     """An (n, width) result whose row i < C is row i of the (C, width)
     ``x @ w^T``, and whose every later row is the 1-d ``filler``, or zero
-    when ``filler`` is None (a constant with no gradient). One graph node
-    for the :func:`matmul_t` product followed by a gather from
+    when ``filler`` is None (a constant with no gradient); ``n`` defaults
+    to C, so ``project_rows(x, w)`` is ``x @ w^T``. The product runs
+    against a contiguous copy of ``w^T``: OpenBLAS picks other small-matrix
+    kernels for a transposed view, whose sums can differ in the last bits.
+    One graph node for that product followed by a gather from
     ``[x @ w^T; filler]``, bit-identical to that chain. Its backward slices
     the upstream gradient as the gather's scatter-add into zeros would have
     accumulated it: the projected rows get ``0.0 + g`` (so -0.0 becomes
@@ -306,6 +298,7 @@ def project_rows(x: Tensor, w: Tensor, n: int, filler: Tensor | None = None
         raise ShapeError(f"project_rows: {x.shape} does not match the "
                          f"transpose of {w.shape}")
     c, width = x.shape[0], w.shape[0]
+    n = c if n is None else n
     if n < c:
         raise ShapeError(f"project_rows: {n} rows cannot hold the {c} projected ones")
     if filler is not None and filler.shape != (width,):
@@ -314,7 +307,7 @@ def project_rows(x: Tensor, w: Tensor, n: int, filler: Tensor | None = None
     filled = filler is not None and n > c
     wt = w.data.T.copy()
     out = np.empty((n, width))
-    out[:c] = x.data @ wt
+    np.matmul(x.data, wt, out=out[:c])
     out[c:] = 0.0 if filler is None else filler.data
 
     def backward(g: np.ndarray):

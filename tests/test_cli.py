@@ -451,6 +451,19 @@ class TestTrainEval:
         assert capsys.readouterr().err.startswith(
             "numeric failure: non-finite loss at step 5: ")
 
+    def test_box_extent_underflow_exits_2(self, tmp_path, capsys):
+        """A learning rate of 1.0 on the default benchmark drives the box
+        extents to 0 within five steps: a numeric failure on one line, not
+        a traceback."""
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"model": {"learning_rate": 1.0},
+                                        "training": {"steps": 5},
+                                        "out_dir": str(tmp_path / "out")}))
+        assert run_cli("train", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: predicted box extent underflowed to 0: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_eval_missing_checkpoint_exits_3(self, capsys):
         assert run_cli("eval", "--checkpoint", "/no/such/file.fdck") == 3
 

@@ -500,6 +500,21 @@ def test_no_iou_call_without_an_episode_holding_both(monkeypatch, dets, gts):
     assert report.confusion.sum() == len(dets) + len(gts)
 
 
+@pytest.mark.parametrize("dets, gts, named", [
+    ([det(0, 9, 0.9, UNIT)], [gtr(0, 1, UNIT)], "detections hold class 9"),
+    ([det(0, 1, 0.9, UNIT)], [gtr(0, 1, UNIT), gtr(1, 9, UNIT)],
+     "ground truths hold class 9"),
+], ids=["detection", "ground-truth"])
+def test_class_outside_class_ids_is_named(monkeypatch, dets, gts, named):
+    """A detection or ground truth whose class is not in ``class_ids`` is
+    refused on entry, naming the list that holds it and the class, before
+    any scoring."""
+    calls = count_iou_calls(monkeypatch)
+    with pytest.raises(ValueError, match=named + r", which is not in class_ids \[1, 2\]"):
+        evaluate_detections(dets, gts, [1, 2], episode_count=2)
+    assert calls == []
+
+
 def assert_matches_oracles(monkeypatch, dets, gts, classes):
     """The report equals the one the per-threshold oracle matcher gives, the
     confusion matrix the oracle's, and each class's AP the per-detection

@@ -248,6 +248,21 @@ class TestTrainStep:
             for name in then:
                 np.testing.assert_array_equal(now[name], then[name], strict=True)
 
+    def test_box_extent_underflow_is_a_numeric_error(self):
+        """Extent offsets of -1e3 decode to widths and heights of
+        sigmoid(-1e3) = 0: forward and inference raise NumericError naming
+        the count and the first box, before matching or scoring reads them."""
+        cfg = micro_cfg()
+        state = init_model_state(cfg)
+        state.params["head.box.b2"].data[2:] = -1e3
+        ep = generate_episode(micro_spec(), 0, "train")
+        message = (r"^predicted box extent underflowed to 0: 4 of 4 boxes, "
+                   r"the first at index \[0\]: \[.*, 0\.0, 0\.0\]$")
+        with pytest.raises(NumericError, match=message):
+            forward(ep, state, cfg)
+        with pytest.raises(NumericError, match=message):
+            run_inference(ep, state, cfg, 0.0)
+
     def test_ood_weight_zero_means_no_embedding_gradient(self):
         spec = micro_spec()
         cfg = micro_cfg(ood_weight=0.0)
@@ -450,10 +465,11 @@ def test_default_train_step_graph_node_budget(monkeypatch):
     """One default +OBD+OOD train step records at most 75 autodiff graph
     nodes: attention, layer norm, each loss term (``bce_with_logits``,
     ``box_loss`` and ``infonce_loss``), every FFN block, affine map
-    (``linear``, and ``concat_linear`` for the query layers' fusion),
-    transposed projection (``matmul_t``) and support-sequence realization
-    (``project_rows``, key or value side) are one node per call, and the
-    class probabilities are values outside the graph."""
+    (``linear``, and ``concat_linear`` for the query layers' fusion) and
+    product with a transposed matrix (``project_rows``: the OBD queries,
+    keys and values, the class head's support keys and its logits) are one
+    node per call, and the class probabilities are values outside the
+    graph."""
     nodes, _, _ = recorded_train_step_nodes(monkeypatch, "+OBD+OOD")
     assert 0 < len(nodes) <= 75
 

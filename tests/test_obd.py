@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fewdet.errors import ShapeError
-from fewdet.obd import (SupportSequence, background_attention_mass,
-                        build_key_sequence, build_value_sequence, head_average,
+from fewdet.obd import (SupportSequence, background_attention_mass, head_average,
                         ofe_query, ofe_support)
-from fewdet.tensor import Tensor, attention, tsum
+from fewdet.tensor import Tensor, attention, project_rows, tsum
 
 
 def make_sequence(features, ids, placeholders=0):
@@ -47,14 +46,15 @@ class TestBuildSequences:
         feats = rng.normal(size=(3, d))
         seq = make_sequence(feats, [0, 1, 2])
         w = rng.normal(size=(d, d))
-        keys = build_key_sequence(seq, Tensor(w), Tensor(rng.normal(size=d)))
+        keys = project_rows(seq.features, Tensor(w), len(seq),
+                            Tensor(rng.normal(size=d)))
         np.testing.assert_allclose(keys.data, feats @ w.T, rtol=1e-12)
 
     def test_all_placeholder_single_row_is_token_verbatim(self):
         d = 4
         token_vec = np.arange(float(d))
         seq = make_sequence(np.zeros((0, d)), [], placeholders=1)
-        keys = build_key_sequence(seq, Tensor(np.eye(d)), Tensor(token_vec))
+        keys = project_rows(seq.features, Tensor(np.eye(d)), len(seq), Tensor(token_vec))
         np.testing.assert_array_equal(keys.data, token_vec[None, :])
 
     def test_paper_layout_placeholder_last(self):
@@ -66,7 +66,7 @@ class TestBuildSequences:
         w = rng.normal(size=(d, d))
         token_vec = rng.normal(size=d)
         seq = make_sequence(feats, [10, 11, 12, 13], placeholders=1)
-        keys = build_key_sequence(seq, Tensor(w), Tensor(token_vec))
+        keys = project_rows(seq.features, Tensor(w), len(seq), Tensor(token_vec))
         expected = np.vstack([feats[0] @ w.T, feats[1] @ w.T, feats[2] @ w.T,
                               feats[3] @ w.T, token_vec])
         np.testing.assert_allclose(keys.data, expected, rtol=1e-12)
@@ -76,14 +76,14 @@ class TestBuildSequences:
         d = 4
         feats = rng.normal(size=(2, d))
         seq = make_sequence(feats, [0, 1], placeholders=1)
-        values = build_value_sequence(seq, Tensor(np.eye(d)))
+        values = project_rows(seq.features, Tensor(np.eye(d)), len(seq))
         np.testing.assert_allclose(values.data[0], feats[0])
         np.testing.assert_allclose(values.data[1], feats[1])
         np.testing.assert_array_equal(values.data[2], np.zeros(d))
 
     def test_all_placeholders_zero_matrix(self):
         seq = make_sequence(np.zeros((0, 3)), [], placeholders=2)
-        values = build_value_sequence(seq, Tensor(np.eye(3)))
+        values = project_rows(seq.features, Tensor(np.eye(3)), len(seq))
         np.testing.assert_array_equal(values.data, np.zeros((2, 3)))
 
     def test_token_gets_no_gradient_through_value_path(self):
@@ -97,7 +97,7 @@ class TestBuildSequences:
         _, w_key, w_value = random_projections(rng, d)
         _, attn = ofe_support(seq, w_key, w_value, token)
         frozen_attention = Tensor(head_average(attn))
-        values = build_value_sequence(seq, w_value)
+        values = project_rows(seq.features, w_value, len(seq))
         from fewdet.tensor import matmul
         out = matmul(frozen_attention, values)
         tsum(out * out).backward()
@@ -197,7 +197,7 @@ class TestOfeQuery:
         _, out, attn = ofe_query(Tensor(np.zeros((p, d))), seq, w_query, w_key,
                                  w_value, Tensor(np.zeros(d)), *fusion)
         np.testing.assert_allclose(head_average(attn), np.full((p, n), 1 / n))
-        values = build_value_sequence(seq, w_value)
+        values = project_rows(seq.features, w_value, len(seq))
         np.testing.assert_allclose(out.data,
                                    np.tile(values.data.mean(axis=0), (p, 1)))
 
@@ -347,8 +347,9 @@ def test_support_rows_match_full_self_attention(extra, heads):
         return [out.data, attn] + [g for g in grads if g is not None]
 
     def full_self_attention(seq, w_key, w_value, token):
-        keys = build_key_sequence(seq, w_key, token)
-        return attention(keys, keys, build_value_sequence(seq, w_value), heads)
+        keys = project_rows(seq.features, w_key, len(seq), token)
+        values = project_rows(seq.features, w_value, len(seq))
+        return attention(keys, keys, values, heads)
 
     got = run(lambda *args: ofe_support(*args, heads=heads), mix)
     want = run(full_self_attention, np.vstack([mix, np.zeros((extra, d))]))
@@ -374,7 +375,7 @@ def test_sequence_keeps_given_feature_matrix():
     assert seq.class_ids == (3, 5)
     w = rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
-    keys = build_key_sequence(seq, Tensor(w), Tensor(token_vec))
+    keys = project_rows(seq.features, Tensor(w), len(seq), Tensor(token_vec))
     np.testing.assert_allclose(keys.data, np.vstack([feats.data[0] @ w.T,
                                                      feats.data[1] @ w.T, token_vec]),
                                rtol=1e-12)
@@ -404,8 +405,8 @@ def test_key_and_value_rows_follow_layout(c, extra, seed):
     seq = make_sequence(feats, [10 + i for i in range(c)], placeholders=extra)
     w, w3 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
-    keys = build_key_sequence(seq, Tensor(w), Tensor(token_vec))
-    values = build_value_sequence(seq, Tensor(w3))
+    keys = project_rows(seq.features, Tensor(w), len(seq), Tensor(token_vec))
+    values = project_rows(seq.features, Tensor(w3), len(seq))
     assert keys.shape == values.shape == (n, d)
     np.testing.assert_array_equal(keys.data[:c], feats @ np.ascontiguousarray(w.T))
     np.testing.assert_array_equal(values.data[:c], feats @ np.ascontiguousarray(w3.T))

@@ -53,11 +53,18 @@ def take_rows(a, indices):
     return Tensor._result(a.data[idx], (a,), backward)
 
 
+def times_transpose(a, b):
+    """``a @ b^T`` against a contiguous copy of ``b^T``."""
+    bt = b.data.T.copy()
+    return Tensor._result(a.data @ bt, (a, b),
+                          lambda g: (g @ bt.T, (a.data.T @ g).T))
+
+
 def infonce_chain(f, t, class_ids):
     """The InfoNCE loss as the chain of elementwise nodes the fused node
     stands for: the reference it must reproduce bit for bit."""
     c = len(class_ids)
-    logits = T.matmul_t(f.features, take_rows(t.embeddings, class_ids)) \
+    logits = times_transpose(f.features, take_rows(t.embeddings, class_ids)) \
         * (1.0 / t.temperature)
     shifted = sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
     lse = log(T.tsum(exp(shifted), axis=1, keepdims=True))

@@ -336,32 +336,6 @@ class TestLinear:
             T.linear(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
 
-class TestMatmulT:
-    def test_bit_identical_to_product_with_copied_transpose(self):
-        rng = np.random.default_rng(10)
-        for n, m, k in ((4, 3, 64), (5, 5, 64), (25, 7, 64), (1, 2, 3)):
-            x, w, g = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(size=(n, m))
-            wt = w.T.copy()
-            assert_bit_identical(run_node(T.matmul_t, (x, w), g),
-                                 [x @ wt, g @ wt.T, (x.T @ g).T])
-
-    def test_bit_identical_to_matmul_of_transpose(self):
-        rng = np.random.default_rng(11)
-        x, w, g = rng.normal(size=(6, 8)), rng.normal(size=(5, 8)), rng.normal(size=(6, 5))
-        assert_bit_identical(run_node(T.matmul_t, (x, w), g),
-                             run_node(lambda a, b: T.matmul(a, transpose(b)), (x, w), g))
-
-    def test_gradient(self):
-        rng = np.random.default_rng(12)
-        x, w = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
-        grad_check(lambda t: T.matmul_t(t, Tensor(w)), x)
-        grad_check(lambda t: T.matmul_t(Tensor(x), t), w)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
-            T.matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-
-
 class TestFfn:
     def zero_params(self, d, h):
         return (Tensor(np.zeros((d, h))), Tensor(np.zeros(h)),
@@ -481,7 +455,7 @@ _PRIMITIVES = {
     "sigmoid": lambda t, c: T.sigmoid(t * 3.0),
     "silu": lambda t, c: T.silu(t * 3.0),
     "softmax": lambda t, c: softmax_rows(t) * c,
-    "matmul_t": lambda t, c: T.matmul_t(t, c),
+    "project_rows": lambda t, c: T.project_rows(t, c),
     "sum_axis0": lambda t, c: T.tsum(t, axis=0),
 }
 
@@ -640,9 +614,9 @@ def backward_from(out, g):
 
 def matmul_t_then_gather(x, w, filler, n, g):
     """Value and gradients of the two-node chain the realization replaces:
-    ``matmul_t`` against a contiguous ``w^T``, then a gather of the n rows
-    ``0..C-1, C, C, ...`` from ``[x @ w^T; filler]`` whose backward
-    accumulates into zeros with ``np.add.at``."""
+    the product ``x @ w^T`` against a contiguous ``w^T``, then a gather of
+    the n rows ``0..C-1, C, C, ...`` from ``[x @ w^T; filler]`` whose
+    backward accumulates into zeros with ``np.add.at``."""
     c = len(x)
     wt = w.T.copy()
     table = np.concatenate([x @ wt, filler[None]])
@@ -663,9 +637,10 @@ class TestProjectRows:
     def test_bit_identical_to_matmul_t_then_gather(self, token, layout, transposed):
         """Value and the x, w and filler gradients, bit for bit, with signed
         zeros in the upstream gradient and that gradient C-ordered or a
-        transposed view (as the class logits' ``matmul_t`` hands it on). The
-        model's shapes, at which BLAS sums a transposed gradient otherwise,
-        and three placeholders, whose sum depends on its order."""
+        transposed view (as the class logits' ``project_rows`` hands it on
+        to the support keys). The model's shapes, at which BLAS sums a
+        transposed gradient otherwise, and three placeholders, whose sum
+        depends on its order."""
         c, n = self.LAYOUTS[layout]
         rng = np.random.default_rng(24)
         x, w, filler = (rng.normal(size=(c, 64)), rng.normal(size=(64, 64)),
@@ -706,6 +681,33 @@ class TestProjectRows:
     def test_weight_must_match_transposed(self):
         with pytest.raises(ShapeError):
             T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), 2)
+
+    def test_default_length_is_product_with_copied_transpose(self):
+        """With no length given there are no placeholder rows: the value and
+        both gradients are those of ``x @ w^T`` against a contiguous copy of
+        ``w^T``, bit for bit."""
+        rng = np.random.default_rng(10)
+        for n, m, k in ((4, 3, 64), (5, 5, 64), (25, 7, 64), (1, 2, 3)):
+            x, w, g = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(size=(n, m))
+            wt = w.T.copy()
+            assert_bit_identical(run_node(T.project_rows, (x, w), g),
+                                 [x @ wt, g @ wt.T, (x.T @ g).T])
+
+    def test_default_length_is_matmul_of_transpose(self):
+        rng = np.random.default_rng(11)
+        x, w, g = rng.normal(size=(6, 8)), rng.normal(size=(5, 8)), rng.normal(size=(6, 5))
+        assert_bit_identical(run_node(T.project_rows, (x, w), g),
+                             run_node(lambda a, b: T.matmul(a, transpose(b)), (x, w), g))
+
+    def test_default_length_gradient(self):
+        rng = np.random.default_rng(12)
+        x, w = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        grad_check(lambda t: T.project_rows(t, Tensor(w)), x)
+        grad_check(lambda t: T.project_rows(Tensor(x), t), w)
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+            T.project_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 def columns(x, start, stop):
@@ -952,7 +954,7 @@ NO_WRITE_CASES = {
     "sigmoid-0d": (T.sigmoid, [()]),
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
     "concat_linear": (T.concat_linear, [(3, 4), (3, 2), (6, 2), (2,)]),
-    "matmul_t": (T.matmul_t, [(3, 4), (2, 4)]),
+    "project_rows-no-placeholder": (T.project_rows, [(3, 4), (2, 4)]),
     "project_rows": (lambda x, w, f: T.project_rows(x, w, 5, f),
                      [(3, 4), (5, 4), (5,)]),
     "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
