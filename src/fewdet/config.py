@@ -142,10 +142,7 @@ def _build_section(cls, values: dict, section: str):
         values = {**values, "weights": _build_section(Weights, values["weights"],
                                                       f"{section}.weights")}
     check_types(cls, values, f"{section}.")
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in '{section}': {exc}") from exc
+    return cls(**values)
 
 
 def run_config_from_dict(data: dict, prefix: str = "") -> RunConfig:

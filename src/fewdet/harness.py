@@ -125,7 +125,8 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
     """Run inference over evaluation episodes at ``EVAL_SCORE_THRESHOLD``
     and compute the metric report. No episode to evaluate is a
     ConfigError. Outside single-class mode the diagnostics come from a
-    second, ``detect=False`` forward that stops after the query-OBD layers,
+    second, ``detect=False`` forward that stops at the last query-OBD
+    layer's attention, before its Conv1D and FFN fusion and the decoder,
     until ROADMAP item 1 reads them from inference's own forward."""
     t = run.training
     if episodes is None:

@@ -248,6 +248,18 @@ def average_precision(dets: list[Detection], gts: list[GtRecord],
     return ap
 
 
+def _check_classes(dets: list[Detection], gts: list[GtRecord],
+                   class_ids: list[int]) -> None:
+    """ValueError naming the first detection or ground truth class that is
+    not in ``class_ids``, and which list holds it."""
+    known = set(class_ids)
+    for name, records in (("detections", dets), ("ground truths", gts)):
+        stray = next((r.class_id for r in records if r.class_id not in known), None)
+        if stray is not None:
+            raise ValueError(f"the {name} hold class {stray}, which is not "
+                             f"in class_ids {list(class_ids)}")
+
+
 def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
                      iou_threshold: float, class_ids: list[int],
                      ranked: Ranked | None = None) -> np.ndarray:
@@ -257,10 +269,12 @@ def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
     detections land in the background row, unmatched ground truths in the
     background column. ``ranked`` is the :func:`_ranked_overlaps` table of
     these lists at a floor no higher than ``iou_threshold``, built here at
-    ``iou_threshold`` when not given.
+    ``iou_threshold`` when not given. A detection or ground truth whose
+    class is not in ``class_ids`` is a ValueError naming it.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold must lie in (0, 1), got {iou_threshold}")
+    _check_classes(dets, gts, class_ids)
     index = {cid: i for i, cid in enumerate(class_ids)}
     bg = len(class_ids)
     _, (match,) = _greedy_match(dets, gts, (iou_threshold,), ranked)
@@ -366,12 +380,7 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
     thresholds = _threshold_band(thresholds)
     det_classes = np.array([d.class_id for d in dets], dtype=np.int64)
     gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
-    known = set(class_ids)
-    for name, records in (("detections", dets), ("ground truths", gts)):
-        stray = next((r.class_id for r in records if r.class_id not in known), None)
-        if stray is not None:
-            raise ValueError(f"the {name} hold class {stray}, which is not "
-                             f"in class_ids {list(class_ids)}")
+    _check_classes(dets, gts, class_ids)
     present = [cid for cid in class_ids if (gt_classes == cid).any()]
     ranked = _ranked_overlaps(dets, gts, min(thresholds))
     ap = np.zeros((len(present), len(thresholds)))

@@ -20,8 +20,10 @@ layers the tensors they read (the FFN's four picked by :func:`_ffn`, as
 for :func:`_decoder`), and gets plain tensors and per-head attention back;
 its diagnostics keep the last query layer's, which
 :func:`fewdet.obd.head_average` averages wherever a caller needs the mean.
-``forward(..., detect=False)`` stops there, before the decoder and the
-heads: evaluation's diagnostic forward reads nothing past that point.
+``forward(..., detect=False)`` stops there, at the last query layer's
+attention (:func:`fewdet.obd.ofe_query_attention`), before that layer's
+Conv1D and FFN fusion, the decoder and the heads: evaluation's diagnostic
+forward reads nothing past that point.
 
 Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
@@ -46,7 +48,7 @@ import numpy as np
 from .episodes import Episode, single_class_view
 from .errors import ConfigError, NumericError
 from .metrics import bad_boxes
-from .obd import SupportSequence, ofe_query, ofe_support
+from .obd import SupportSequence, ofe_query, ofe_query_attention, ofe_support
 from .ood import ClassFeatureSpace, SupportClassFeatures, infonce_loss
 from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
                     zero_grads)
@@ -304,8 +306,10 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig, *,
     ``sequence`` and the last query layer's (heads, P, n_max)
     ``query_attention`` over it.
 
-    With ``detect=False`` it stops after the last query-OBD layer and
-    returns ``None`` for the detections: no decoder, no heads. Only the
+    With ``detect=False`` it stops at the last query-OBD layer's attention
+    (:func:`fewdet.obd.ofe_query_attention`), before that layer's Conv1D and
+    FFN fusion, and returns ``None`` for the detections: no fusion of the
+    last layer, no decoder, no heads. Only the
     diagnostic forward of :func:`fewdet.harness.evaluate_model` asks for
     that, until ROADMAP item 1 reads the diagnostics from inference's own
     forward and deletes the parameter with that call."""
@@ -321,9 +325,15 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig, *,
     support_features = SupportClassFeatures(features=seq.features)
 
     for i in range(cfg.encoder_layers):
+        qkv = p[f"obd.layer{i}.w1"], p[f"obd.layer{i}.w2"], p[f"obd.layer{i}.w3"]
+        if not detect and i == cfg.encoder_layers - 1:
+            # The diagnostics read this layer's attention, never the patches
+            # its Conv1D and FFN would refine: run the attention half only.
+            _, query_attention = ofe_query_attention(patches, seq, *qkv, token,
+                                                     cfg.heads)
+            break
         patches, _, query_attention = ofe_query(
-            patches, seq, p[f"obd.layer{i}.w1"], p[f"obd.layer{i}.w2"],
-            p[f"obd.layer{i}.w3"], token, p[f"obd.layer{i}.conv.kernel"],
+            patches, seq, *qkv, token, p[f"obd.layer{i}.conv.kernel"],
             p[f"obd.layer{i}.conv.bias"], _ffn(p, f"obd.layer{i}"), cfg.heads)
     diag = {"sequence": seq, "query_attention": query_attention}
     if not detect:
@@ -400,13 +410,21 @@ def compute_loss(episode: Episode, state: ModelState, cfg: ModelConfig,
 def train_step(episode: Episode, state: ModelState, opt: AdamState,
                cfg: ModelConfig) -> LossBreakdown:
     """One optimization step; raises NumericError (with a diagnostics
-    snapshot attached) if the loss goes non-finite. Gradients a caller left
+    snapshot attached) if the loss goes non-finite. A NumericError from the
+    forward or the loss, such as a box extent underflow, is raised again
+    naming the step, with the episode index attached. Gradients a caller left
     on the parameters are dropped first, and the step's own are released
     after the update: on return every parameter's ``.grad`` is None."""
     zero_grads(state.params)
-    loss, breakdown, diag = compute_loss(episode, state, cfg)
+    step = opt.step_count + 1
+    try:
+        loss, breakdown, diag = compute_loss(episode, state, cfg)
+    except NumericError as exc:
+        err = NumericError(f"{exc} (at step {step})")
+        err.diagnostics = {"episode_index": episode.index}
+        raise err from exc
     if not np.isfinite(breakdown.total):
-        err = NumericError(f"non-finite loss at step {opt.step_count + 1}: "
+        err = NumericError(f"non-finite loss at step {step}: "
                            f"{breakdown.as_dict()}")
         err.diagnostics = {"episode_index": episode.index,
                            "breakdown": breakdown.as_dict()}

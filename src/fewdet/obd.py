@@ -31,9 +31,12 @@ The branches take the weight tensors they read and return plain values:
 ``attention``'s ``(out, head_attention)`` for the C class rows;
 :func:`ofe_query` also takes the query projection, the Conv1D kernel and
 bias and the FFN's four tensors, and returns ``(refined, out,
-head_attention)``. The head attention is the (heads, rows, n) array
-``attention`` returns; :func:`head_average` is the one place it is averaged
-over the heads.
+head_attention)``. Its attention half is :func:`ofe_query_attention`,
+which returns ``(out, head_attention)`` with no fusion: the diagnostic
+forward (``fewdet.model.forward(..., detect=False)``) stops there at the
+last query layer, whose refined patches nothing reads. The head attention
+is the (heads, rows, n) array ``attention`` returns; :func:`head_average`
+is the one place it is averaged over the heads.
 """
 
 from __future__ import annotations
@@ -90,20 +93,31 @@ def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
                      project_rows(s.features, w_value, len(s)), heads)
 
 
+def ofe_query_attention(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
+                        w_key: Tensor, w_value: Tensor, token: Tensor,
+                        heads: int = 1) -> tuple[Tensor, np.ndarray]:
+    """The attention half of :func:`ofe_query`: the patches, under the
+    query projection, attend over the sequence. Returns the (P, d) attended
+    features and the (heads, P, n) attention, with no fusion; the diagnostic
+    forward of :func:`fewdet.model.forward` stops here at its last layer."""
+    if q_patches.ndim != 2 or q_patches.shape[0] < 1:
+        raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
+    return attention(project_rows(q_patches, w_query),
+                     project_rows(s.features, w_key, len(s), token),
+                     project_rows(s.features, w_value, len(s)), heads)
+
+
 def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
               w_key: Tensor, w_value: Tensor, token: Tensor, conv_kernel: Tensor,
               conv_bias: Tensor, ffn: tuple[Tensor, Tensor, Tensor, Tensor],
               heads: int = 1) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Query-branch cross-interaction plus Conv1D/FFN fusion with the
-    original patches, so global image content is retained; ``ffn`` is the
-    FFN's ``(w1, b1, w2, b2)``. Returns the
+    """Query-branch cross-interaction (:func:`ofe_query_attention`) plus
+    Conv1D/FFN fusion with the original patches, so global image content is
+    retained; ``ffn`` is the FFN's ``(w1, b1, w2, b2)``. Returns the
     (P, d) refined patches, the (P, d) attended features and the
     (heads, P, n) attention."""
-    if q_patches.ndim != 2 or q_patches.shape[0] < 1:
-        raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
-    out, attn = attention(project_rows(q_patches, w_query),
-                          project_rows(s.features, w_key, len(s), token),
-                          project_rows(s.features, w_value, len(s)), heads)
+    out, attn = ofe_query_attention(q_patches, s, w_query, w_key, w_value,
+                                    token, heads)
     fused = concat_linear(q_patches, out, conv_kernel, conv_bias)
     return ffn_apply(fused, *ffn), out, attn
 

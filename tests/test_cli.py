@@ -453,8 +453,8 @@ class TestTrainEval:
 
     def test_box_extent_underflow_exits_2(self, tmp_path, capsys):
         """A learning rate of 1.0 on the default benchmark drives the box
-        extents to 0 within five steps: a numeric failure on one line, not
-        a traceback."""
+        extents to 0 at step 3: a numeric failure on one line that names
+        the step, not a traceback."""
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"model": {"learning_rate": 1.0},
                                         "training": {"steps": 5},
@@ -462,6 +462,7 @@ class TestTrainEval:
         assert run_cli("train", "--config", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: predicted box extent underflowed to 0: ")
+        assert err.endswith(" (at step 3)\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_eval_missing_checkpoint_exits_3(self, capsys):

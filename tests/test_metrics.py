@@ -500,11 +500,14 @@ def test_no_iou_call_without_an_episode_holding_both(monkeypatch, dets, gts):
     assert report.confusion.sum() == len(dets) + len(gts)
 
 
-@pytest.mark.parametrize("dets, gts, named", [
+STRAY_CLASS = pytest.mark.parametrize("dets, gts, named", [
     ([det(0, 9, 0.9, UNIT)], [gtr(0, 1, UNIT)], "detections hold class 9"),
     ([det(0, 1, 0.9, UNIT)], [gtr(0, 1, UNIT), gtr(1, 9, UNIT)],
      "ground truths hold class 9"),
 ], ids=["detection", "ground-truth"])
+
+
+@STRAY_CLASS
 def test_class_outside_class_ids_is_named(monkeypatch, dets, gts, named):
     """A detection or ground truth whose class is not in ``class_ids`` is
     refused on entry, naming the list that holds it and the class, before
@@ -512,6 +515,16 @@ def test_class_outside_class_ids_is_named(monkeypatch, dets, gts, named):
     calls = count_iou_calls(monkeypatch)
     with pytest.raises(ValueError, match=named + r", which is not in class_ids \[1, 2\]"):
         evaluate_detections(dets, gts, [1, 2], episode_count=2)
+    assert calls == []
+
+
+@STRAY_CLASS
+def test_confusion_matrix_names_a_class_outside_class_ids(monkeypatch, dets, gts, named):
+    """``confusion_matrix`` called on its own refuses the same records with
+    ``evaluate_detections``' error, before any IoU."""
+    calls = count_iou_calls(monkeypatch)
+    with pytest.raises(ValueError, match=named + r", which is not in class_ids \[1, 2\]"):
+        confusion_matrix(dets, gts, 0.5, [1, 2])
     assert calls == []
 
 

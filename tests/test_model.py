@@ -154,6 +154,38 @@ class TestForward:
             assert (short_seq.class_ids, short_seq.length) == (seq.class_ids, seq.length)
             assert np.array_equal(short_diag["query_attention"], diag["query_attention"])
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_forward_without_detection_skips_the_last_fusion(self, layers, monkeypatch):
+        """A full forward fuses every query-OBD layer's output, one Conv1D
+        (``concat_linear``) and one FFN (``ffn_apply``) each; ``detect=False``
+        stops at the last layer's attention, so it skips that layer's (all
+        of them at one layer), and its diagnostics still equal the full
+        forward's bit for bit."""
+        calls = {"concat_linear": 0, "ffn_apply": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(obd, name, counting(name, getattr(obd, name)))
+        cfg = micro_cfg(encoder_layers=layers)
+        state = init_model_state(cfg)
+        ep = generate_episode(micro_spec(), 0, "test")
+        with no_grad():
+            _, feats, diag = forward(ep, state, cfg)
+            assert calls == {"concat_linear": layers, "ffn_apply": layers}
+            out, short_feats, short_diag = forward(ep, state, cfg, detect=False)
+        assert calls == {"concat_linear": 2 * layers - 1, "ffn_apply": 2 * layers - 1}
+        assert out is None and set(short_diag) == set(diag)
+        assert np.array_equal(short_feats.features.data, feats.features.data)
+        seq, short_seq = diag["sequence"], short_diag["sequence"]
+        assert np.array_equal(short_seq.features.data, seq.features.data)
+        assert (short_seq.class_ids, short_seq.length) == (seq.class_ids, seq.length)
+        assert np.array_equal(short_diag["query_attention"], diag["query_attention"])
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 3), st.integers(3, 5), st.integers(4, 6),
            st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
@@ -251,7 +283,8 @@ class TestTrainStep:
     def test_box_extent_underflow_is_a_numeric_error(self):
         """Extent offsets of -1e3 decode to widths and heights of
         sigmoid(-1e3) = 0: forward and inference raise NumericError naming
-        the count and the first box, before matching or scoring reads them."""
+        the count and the first box, before matching or scoring reads them;
+        a training step raises it again naming the step and the episode."""
         cfg = micro_cfg()
         state = init_model_state(cfg)
         state.params["head.box.b2"].data[2:] = -1e3
@@ -262,6 +295,12 @@ class TestTrainStep:
             forward(ep, state, cfg)
         with pytest.raises(NumericError, match=message):
             run_inference(ep, state, cfg, 0.0)
+        # A training step names itself and the episode, like a non-finite loss.
+        opt = AdamState()
+        with pytest.raises(NumericError, match=message[:-1] + r" \(at step 1\)$") as exc:
+            train_step(ep, state, opt, cfg)
+        assert exc.value.diagnostics == {"episode_index": 0}
+        assert opt.step_count == 0
 
     def test_ood_weight_zero_means_no_embedding_gradient(self):
         spec = micro_spec()
