@@ -7,18 +7,21 @@ There is one geometry path: ``iou`` and ``giou`` broadcast over leading
 axes, so two (4,) boxes give a scalar and ``a[:, None]`` against ``b[None]``
 the (m, n) matrix, with the same arithmetic and box checks either way; a
 bad box is reported by its index, its values and the count of bad boxes.
-AP and the confusion matrix share one score-ordered greedy matcher that
-rejects non-finite scores. It reads one table (``_ranked_overlaps``, a
-:class:`Ranked` of flat arrays): every detection's overlapping ground
-truths of its episode, best first, from one ``iou`` call over all the
-same-episode pairs of the lists, so one per ``evaluate_model`` sweep. At
-each threshold it walks the table's entries in score order in plain Python
-and gives each detection the first free ground truth of its entries that
-reaches the threshold. ``evaluate_detections`` builds the table once, at
-the band's lowest threshold: ``confusion_matrix`` reads it whole and counts
-its cells with one ``np.bincount``, each class's ``average_precision`` the
-table masked to the class's detections and ground truths. Called on their
-own, they build the table of their own lists.
+
+There is one scoring path, :func:`evaluate_detections`, and it builds
+everything once: the class index of every record (:func:`_check_classes`),
+the score order (:func:`_score_order`, which rejects non-finite scores),
+and the ranked-overlap table (:func:`_ranked_overlaps`, a :class:`Ranked` of
+flat arrays): every detection's overlapping ground truths of its episode,
+best first, from one ``iou`` call over all the same-episode pairs. The
+greedy matcher :func:`_greedy_match` walks table entries in score order in
+plain Python and gives each detection the first free ground truth of its
+entries that reaches the threshold. One walk over the same-class entries
+matches every class at every threshold of the band; one more over the
+whole table at 0.5 feeds the confusion matrix. :func:`average_precision`
+and :func:`confusion_matrix` are array kernels on the results: a class's
+(T, D) true-positive table, and class indices with a match, counted with
+one ``np.bincount``.
 
 Everything here is plain numpy on raw values. The training loss's box term
 (:func:`fewdet.set_head.box_loss`) finishes ``giou``'s arithmetic on
@@ -36,6 +39,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
+_RECALL_GRID = np.linspace(0.0, 1.0, 101)  # the 101 points of interpolated AP
 
 
 def box_corners(boxes: np.ndarray) -> np.ndarray:
@@ -118,10 +122,9 @@ class GtRecord:
     box: np.ndarray
 
 
-def _score_order(dets: list[Detection]) -> np.ndarray:
-    """Detection indices by descending score, list order on ties; a
+def _score_order(scores: np.ndarray) -> np.ndarray:
+    """Indices of ``scores`` by descending score, lower index on ties; a
     non-finite score raises ValueError."""
-    scores = np.array([d.score for d in dets], dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError(f"non-finite detection score: "
                          f"{scores[~np.isfinite(scores)][0]}")
@@ -136,13 +139,6 @@ class Ranked(NamedTuple):
     det: np.ndarray
     gt: np.ndarray
     iou: np.ndarray
-
-    def restrict(self, det_mask: np.ndarray, gt_mask: np.ndarray) -> "Ranked":
-        """The table of the detections and ground truths in the masks, each
-        re-indexed to its position among the kept ones."""
-        keep = det_mask[self.det] & gt_mask[self.gt]
-        return Ranked((np.cumsum(det_mask) - 1)[self.det[keep]],
-                      (np.cumsum(gt_mask) - 1)[self.gt[keep]], self.iou[keep])
 
 
 def _ranked_overlaps(dets: list[Detection], gts: list[GtRecord],
@@ -174,34 +170,27 @@ def _ranked_overlaps(dets: list[Detection], gts: list[GtRecord],
     return Ranked(det[order], gt[order], values[order])
 
 
-def _greedy_match(dets: list[Detection], gts: list[GtRecord], iou_thresholds,
-                  ranked: Ranked | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_match(order: np.ndarray, ranked: Ranked, gt_count: int,
+                  thresholds) -> np.ndarray:
     """Score-ordered greedy matching at every threshold of a band.
 
-    Returns the detection order (descending score, list order on ties) and
-    ``match[j, i]``: the index of the ground truth detection ``i`` takes at
-    ``iou_thresholds[j]``, or -1. In that order each detection takes its
-    best-IoU unused ground truth of the same episode (the lower index on
-    equal IoU) and keeps it when the IoU is above 0 and at least the
-    threshold. ``ranked`` is the :func:`_ranked_overlaps` table of these
-    lists at a floor no higher than the lowest threshold; without it the
-    table is built at that threshold. At each threshold the walk gives each
-    detection the first free ground truth of its entries, if that one
-    reaches the threshold.
+    Returns ``match[j, i]``: the ground truth detection ``i`` takes at
+    ``thresholds[j]``, or -1. In ``order`` (a :func:`_score_order`) each
+    detection takes its first entry of ``ranked`` whose ground truth is
+    still free, and keeps it if its IoU reaches the threshold; ``ranked``
+    is a :func:`_ranked_overlaps` table at a floor no higher than the
+    lowest threshold, or a subset of its entries.
     """
-    order = _score_order(dets)
-    if ranked is None:
-        ranked = _ranked_overlaps(dets, gts, min(iou_thresholds, default=np.inf))
-    match = np.full((len(iou_thresholds), len(dets)), -1, dtype=np.int64)
-    rank = np.empty(len(dets), dtype=np.int64)
-    rank[order] = np.arange(len(dets))
+    match = np.full((len(thresholds), len(order)), -1, dtype=np.int64)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
     # The entries in score order; the stable sort keeps each detection's
     # entries together and best first.
     by_score = np.argsort(rank[ranked.det], kind="stable")
     walk = list(zip(ranked.det[by_score].tolist(), ranked.gt[by_score].tolist(),
                     ranked.iou[by_score].tolist()))
-    for t, threshold in enumerate(iou_thresholds):
-        free = [True] * len(gts)
+    for t, threshold in enumerate(thresholds):
+        free = [True] * gt_count
         done = -1  # the detection whose remaining entries are skipped
         for i, k, value in walk:
             if i == done:
@@ -212,80 +201,66 @@ def _greedy_match(dets: list[Detection], gts: list[GtRecord], iou_thresholds,
                 match[t, i] = k
                 free[k] = False
                 done = i
-    return order, match
+    return match
 
 
-def average_precision(dets: list[Detection], gts: list[GtRecord],
-                      iou_thresholds, ranked: Ranked | None = None) -> np.ndarray:
-    """Single-class average precision with 101-point interpolation at each
-    threshold of ``iou_thresholds``: a (T,) float64 array.
-
-    Detections are greedily matched in descending score order; each ground
-    truth is consumed at most once; matches must reach the IoU threshold and
-    stay within the same episode. One sort and one :func:`_ranked_overlaps`
-    table (the caller's ``ranked`` table of these lists, or one built at the
-    lowest threshold) serve the whole band. A non-finite score raises
-    ValueError.
-    """
-    ap = np.zeros(len(iou_thresholds))
-    if not gts or not dets:
-        return ap
-    order, match = _greedy_match(dets, gts, iou_thresholds, ranked)
-    tp = (match[:, order] >= 0).astype(np.float64)
+def average_precision(tp: np.ndarray, gt_count: int) -> np.ndarray:
+    """Average precision with 101-point interpolation, one per row of the
+    (T, D) true-positive table ``tp`` of one class (a column per detection,
+    in descending score order) against its ``gt_count`` ground truths: a
+    (T,) float64 array, 0 where there is no detection."""
+    tp = tp.astype(np.float64)
     cum_tp = np.cumsum(tp, axis=1)
     cum_fp = np.cumsum(1.0 - tp, axis=1)
-    recall = cum_tp / len(gts)
+    recall = cum_tp / gt_count
     precision = cum_tp / (cum_tp + cum_fp)
 
     # 101-point interpolation: for each recall grid point take the best
-    # precision achieved at that recall or beyond. The sum runs left to
-    # right (cumsum, not the pairwise np.sum) so every bit is kept.
-    grid = np.linspace(0.0, 1.0, 101)
-    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    for j in range(len(ap)):
-        idx = np.searchsorted(recall[j], grid, side="left")
-        ap[j] = np.cumsum(envelope[j, idx[idx < len(dets)]])[-1] / len(grid)
-    return ap
+    # precision achieved at that recall or beyond; a zero column past the
+    # last detection scores the grid points no recall reaches. The sum runs
+    # left to right (cumsum, not the pairwise np.sum) so every bit is kept.
+    envelope = np.zeros((len(tp), tp.shape[1] + 1))
+    envelope[:, :-1] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    idx = np.array([np.searchsorted(row, _RECALL_GRID, side="left") for row in recall])
+    points = np.take_along_axis(envelope, idx, axis=1)
+    return np.cumsum(points, axis=1)[:, -1] / len(_RECALL_GRID)
 
 
 def _check_classes(dets: list[Detection], gts: list[GtRecord],
-                   class_ids: list[int]) -> None:
-    """ValueError naming the first detection or ground truth class that is
-    not in ``class_ids``, and which list holds it."""
-    known = set(class_ids)
+                   class_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The index in ``class_ids`` of each detection's and each ground
+    truth's class. ValueError naming a class that ``class_ids`` repeats, or
+    the first detection or ground truth class that is not in it and which
+    list holds it."""
+    index: dict = {}
+    for i, cid in enumerate(class_ids):
+        if index.setdefault(cid, i) != i:
+            raise ValueError(f"class_ids hold class {cid} twice: {list(class_ids)}")
+    indices = []
     for name, records in (("detections", dets), ("ground truths", gts)):
-        stray = next((r.class_id for r in records if r.class_id not in known), None)
-        if stray is not None:
+        found = np.array([index.get(r.class_id, -1) for r in records], dtype=np.int64)
+        if (found < 0).any():
+            stray = records[int(np.argmax(found < 0))].class_id
             raise ValueError(f"the {name} hold class {stray}, which is not "
                              f"in class_ids {list(class_ids)}")
+        indices.append(found)
+    return tuple(indices)
 
 
-def confusion_matrix(dets: list[Detection], gts: list[GtRecord],
-                     iou_threshold: float, class_ids: list[int],
-                     ranked: Ranked | None = None) -> np.ndarray:
+def confusion_matrix(predicted: np.ndarray, true: np.ndarray, match: np.ndarray,
+                     num_classes: int) -> np.ndarray:
     """(C+1) x (C+1) count matrix, rows true class / columns predicted,
-    final index is background. Each detection is assigned to its best-IoU
-    unused ground truth of any class (score order, same episode); unmatched
-    detections land in the background row, unmatched ground truths in the
-    background column. ``ranked`` is the :func:`_ranked_overlaps` table of
-    these lists at a floor no higher than ``iou_threshold``, built here at
-    ``iou_threshold`` when not given. A detection or ground truth whose
-    class is not in ``class_ids`` is a ValueError naming it.
-    """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError(f"iou threshold must lie in (0, 1), got {iou_threshold}")
-    _check_classes(dets, gts, class_ids)
-    index = {cid: i for i, cid in enumerate(class_ids)}
-    bg = len(class_ids)
-    _, (match,) = _greedy_match(dets, gts, (iou_threshold,), ranked)
-    predicted = np.array([index[d.class_id] for d in dets], dtype=np.int64)
+    final index background: ``predicted`` holds each detection's class index,
+    ``true`` each ground truth's and ``match`` the ground truth each
+    detection took, or -1. An unmatched detection lands in the background
+    row, an unmatched ground truth in the background column."""
+    bg = num_classes
+    taken = np.zeros(len(true), dtype=bool)
+    taken[match[match >= 0]] = True
     # The true class of each ground truth, then background: the row an
     # unmatched detection (match -1) reads.
-    true = np.array([index[g.class_id] for g in gts] + [bg], dtype=np.int64)
-    taken = np.zeros(len(gts), dtype=bool)
-    taken[match[match >= 0]] = True
-    cells = np.concatenate([true[match] * (bg + 1) + predicted,
-                            true[:-1][~taken] * (bg + 1) + bg])
+    rows = np.append(true, bg)[match]
+    cells = np.concatenate([rows * (bg + 1) + predicted, true[~taken] * (bg + 1) + bg])
     return np.bincount(cells, minlength=(bg + 1) ** 2).reshape(bg + 1, bg + 1)
 
 
@@ -357,9 +332,14 @@ class EvalReport:
 
 
 def _threshold_band(thresholds) -> list[float]:
-    """The band as floats; ValueError unless it holds 0.5, the threshold of
-    mAP@0.5 and of the confusion matrix."""
+    """The band as floats; ValueError naming a threshold that is not a
+    finite number in [0, 1], or unless the band holds 0.5, the threshold
+    of mAP@0.5 and of the confusion matrix."""
     band = [float(t) for t in thresholds]
+    for t in band:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"IoU threshold {t} is not a finite number in "
+                             f"[0, 1]; got {band}")
     if 0.5 not in band:
         raise ValueError(f"the threshold band must hold 0.5, the threshold of "
                          f"mAP@0.5 and the confusion matrix; got {band}")
@@ -371,25 +351,33 @@ def evaluate_detections(dets: list[Detection], gts: list[GtRecord],
                         thresholds=IOU_THRESHOLDS) -> EvalReport:
     """Per-class AP across the threshold band plus the 0.5-IoU confusion
     matrix. Classes with no ground truth anywhere are excluded from AP rows
-    (COCO convention). The band must hold 0.5, the threshold of the headline
-    mAP and of the confusion matrix, else ValueError; so is a detection or
-    ground truth whose class is not in ``class_ids``. One
-    :func:`_ranked_overlaps` table at the band's lowest threshold serves
-    both: the confusion matrix reads it whole, the AP of each class the
-    table restricted to the class's detections and ground truths."""
+    (COCO convention). ValueError for a band threshold that is not a finite
+    number in [0, 1] or a band without 0.5, the threshold of the headline
+    mAP and of the confusion matrix; for a class that ``class_ids``
+    repeats; and for a detection or ground truth whose class is not in
+    ``class_ids``.
+
+    One score order and one :func:`_ranked_overlaps` table at the band's
+    lowest threshold serve two walks. The AP walk covers every class and
+    threshold at once over the table's same-class entries: a ground truth
+    is reached only by detections of its class, and the score order kept
+    to one class is that class's own. The confusion walk reads the whole
+    table at 0.5."""
     thresholds = _threshold_band(thresholds)
-    det_classes = np.array([d.class_id for d in dets], dtype=np.int64)
-    gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
-    _check_classes(dets, gts, class_ids)
-    present = [cid for cid in class_ids if (gt_classes == cid).any()]
+    det_class, gt_class = _check_classes(dets, gts, class_ids)
     ranked = _ranked_overlaps(dets, gts, min(thresholds))
+    order = _score_order(np.array([d.score for d in dets], dtype=np.float64))
+    same = det_class[ranked.det] == gt_class[ranked.gt]
+    tp = _greedy_match(order, Ranked(*(a[same] for a in ranked)), len(gts),
+                       thresholds)[:, order] >= 0
+    class_by_score = det_class[order]
+    gt_counts = np.bincount(gt_class, minlength=len(class_ids))
+    present = np.flatnonzero(gt_counts)
     ap = np.zeros((len(present), len(thresholds)))
-    for c, cid in enumerate(present):
-        det_mask, gt_mask = det_classes == cid, gt_classes == cid
-        ap[c] = average_precision([dets[i] for i in np.flatnonzero(det_mask).tolist()],
-                                  [gts[k] for k in np.flatnonzero(gt_mask).tolist()],
-                                  thresholds, ranked.restrict(det_mask, gt_mask))
-    confusion = confusion_matrix(dets, gts, 0.5, list(class_ids), ranked)
-    return EvalReport(class_ids=list(present), thresholds=thresholds, ap=ap,
-                      confusion=confusion, episode_count=episode_count,
+    for c, k in enumerate(present):
+        ap[c] = average_precision(tp[:, class_by_score == k], int(gt_counts[k]))
+    (at_half,) = _greedy_match(order, ranked, len(gts), (0.5,))
+    confusion = confusion_matrix(det_class, gt_class, at_half, len(class_ids))
+    return EvalReport(class_ids=[class_ids[k] for k in present], thresholds=thresholds,
+                      ap=ap, confusion=confusion, episode_count=episode_count,
                       detection_count=len(dets), gt_count=len(gts))

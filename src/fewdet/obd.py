@@ -14,13 +14,13 @@ path. Every projection is one :func:`fewdet.tensor.project_rows` node
 ``project_rows(s.features, w_value, len(s))``, the projected class
 features in the first C rows and the token or the zero row in the rest.
 
-Two branches share one wiring: rows projected with no placeholders
-(``project_rows(x, w)``) attend over the key and value sequences, whose
-placeholders are keys and values only, never rows that attend. The support
-branch's rows are its C class features under the key projection
-(self-interaction), the query branch's the image patches under the query
-projection; it then fuses the result back with the original patches
-through Conv1D + FFN. The Conv1D is one
+Two branches share one wiring, :func:`ofe_query_attention`: rows
+projected with no placeholders (``project_rows(x, w)``) attend over the key
+and value sequences, whose placeholders are keys and values only, never
+rows that attend. The support branch's rows are its C class features under
+the key projection (self-interaction), the query branch's the image patches
+under the query projection; it then fuses the result back with the original
+patches through Conv1D + FFN. The Conv1D is one
 :func:`fewdet.tensor.concat_linear` node over the patches and the attended
 features side by side, which keeps no concatenated copy for backward; the
 FFN is one :func:`fewdet.tensor.ffn_apply` node. Both branches run every
@@ -28,7 +28,7 @@ head at once through the fused :func:`fewdet.tensor.attention` primitive.
 
 The branches take the weight tensors they read and return plain values:
 :func:`ofe_support` takes the key and value projections and returns
-``attention``'s ``(out, head_attention)`` for the C class rows;
+``(out, head_attention)`` for the C class rows;
 :func:`ofe_query` also takes the query projection, the Conv1D kernel and
 bias and the FFN's four tensors, and returns ``(refined, out,
 head_attention)``. Its attention half is :func:`ofe_query_attention`,
@@ -85,12 +85,12 @@ def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
                 token: Tensor, heads: int = 1) -> tuple[Tensor, np.ndarray]:
     """Support-branch self-interaction: each class row attends over the
     sequence with its own key as the query; values carry zero rows at
-    placeholders so background mass dilutes rather than leaks. Returns
-    :func:`fewdet.tensor.attention`'s (C, d) output and (heads, C, n)
-    attention: the first C rows of self-attention over all n positions."""
-    return attention(project_rows(s.features, w_key),
-                     project_rows(s.features, w_key, len(s), token),
-                     project_rows(s.features, w_value, len(s)), heads)
+    placeholders so background mass dilutes rather than leaks. It is
+    :func:`ofe_query_attention` with the class features as the rows and the
+    key projection as the query projection. Returns the (C, d) output and
+    (heads, C, n) attention: the first C rows of self-attention over all n
+    positions."""
+    return ofe_query_attention(s.features, s, w_key, w_key, w_value, token, heads)
 
 
 def ofe_query_attention(q_patches: Tensor, s: SupportSequence, w_query: Tensor,

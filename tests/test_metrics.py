@@ -155,44 +155,68 @@ def random_tie_set(rng):
     return dets, gts
 
 
+def class_ap(dets, gts, band=IOU_THRESHOLDS, cid=1):
+    """Class ``cid``'s AP row in the report on ``band`` (which holds 0.5),
+    zeros when the class has no ground truth."""
+    report = evaluate_detections(dets, gts, [cid], episode_count=4, thresholds=band)
+    return report.ap[0] if report.class_ids else np.zeros(len(band))
+
+
+def ap_at(dets, gts, threshold, cid=1):
+    """Class ``cid``'s AP at one threshold, from the report on the band of
+    that threshold and 0.5."""
+    return class_ap(dets, gts, (threshold, 0.5), cid)[0]
+
+
+def confusion_at(dets, gts, threshold, class_ids):
+    """The confusion matrix at any threshold, composed the way
+    evaluate_detections composes it at 0.5."""
+    order = metrics._score_order(np.array([d.score for d in dets], dtype=np.float64))
+    ranked = metrics._ranked_overlaps(dets, gts, threshold)
+    (match,) = metrics._greedy_match(order, ranked, len(gts), (threshold,))
+    predicted = np.array([class_ids.index(d.class_id) for d in dets], dtype=np.int64)
+    true = np.array([class_ids.index(g.class_id) for g in gts], dtype=np.int64)
+    return confusion_matrix(predicted, true, match, len(class_ids))
+
+
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
         dets = [det(0, 1, 0.7, UNIT)]
         gts = [gtr(0, 1, UNIT)]
-        ap = average_precision(dets, gts, IOU_THRESHOLDS)
+        ap = class_ap(dets, gts)
         assert ap.shape == (len(IOU_THRESHOLDS),) and ap.dtype == np.float64
         np.testing.assert_array_equal(ap, np.ones(len(IOU_THRESHOLDS)))
 
     def test_no_detections(self):
-        np.testing.assert_array_equal(
-            average_precision([], [gtr(0, 1, UNIT)], IOU_THRESHOLDS),
-            np.zeros(len(IOU_THRESHOLDS)))
+        report = evaluate_detections([], [gtr(0, 1, UNIT)], [1], episode_count=1)
+        assert report.class_ids == [1]
+        np.testing.assert_array_equal(report.ap, np.zeros((1, len(IOU_THRESHOLDS))))
 
     def test_tp_before_fp_gives_full_ap(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.9, UNIT), det(0, 1, 0.8, [5, 5, 1, 1])]
-        assert average_precision(dets, gts, [0.5])[0] == 1.0
+        assert ap_at(dets, gts, 0.5) == 1.0
 
     def test_fp_before_tp_halves_ap(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.8, UNIT), det(0, 1, 0.9, [5, 5, 1, 1])]
-        assert average_precision(dets, gts, [0.5])[0] == pytest.approx(0.5)
+        assert ap_at(dets, gts, 0.5) == pytest.approx(0.5)
 
     def test_one_gt_used_once(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.9, UNIT), det(0, 1, 0.8, UNIT)]
         # second detection duplicates the first -> FP
-        assert average_precision(dets, gts, [0.5])[0] == 1.0
+        assert ap_at(dets, gts, 0.5) == 1.0
 
     def test_episodes_do_not_cross_match(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(1, 1, 0.9, UNIT)]  # right box, wrong episode
-        assert average_precision(dets, gts, [0.5])[0] == 0.0
+        assert ap_at(dets, gts, 0.5) == 0.0
 
     def test_zero_threshold_still_needs_overlap(self):
         gts = [gtr(0, 1, UNIT)]
         dets = [det(0, 1, 0.9, [5, 5, 1, 1]), det(0, 1, 0.8, SPAN)]
-        ap = average_precision(dets, gts, [0.0, 0.5])
+        ap = class_ap(dets, gts, (0.0, 0.5))
         assert ap[0] == reference_average_precision(dets, gts, 0.0) == 0.5
         assert ap[1] == 0.0
 
@@ -202,8 +226,8 @@ class TestAveragePrecision:
         # With equal scores list order decides which of the two goes first.
         gts = [gtr(0, 1, UNIT), gtr(0, 1, RIGHT)]
         span, exact = det(0, 1, 0.5, SPAN), det(0, 1, 0.5, UNIT)
-        assert average_precision([span, exact], gts, [0.3])[0] == 51 / 101
-        assert average_precision([exact, span], gts, [0.3])[0] == 1.0
+        assert ap_at([span, exact], gts, 0.3) == 51 / 101
+        assert ap_at([exact, span], gts, 0.3) == 1.0
 
     def test_band_equals_per_detection_reference(self):
         """Every threshold of the band is bit-equal to the per-detection
@@ -212,7 +236,7 @@ class TestAveragePrecision:
         rng = np.random.default_rng(2024)
         for _ in range(400):
             dets, gts = random_tie_set(rng)
-            ap = average_precision(dets, gts, IOU_THRESHOLDS)
+            ap = class_ap(dets, gts)
             for j, t in enumerate(IOU_THRESHOLDS):
                 assert ap[j] == reference_average_precision(dets, gts, t)
 
@@ -225,40 +249,57 @@ class TestAveragePrecision:
         dets = [det(rng.integers(0, 3), 1, rng.uniform(0.1, 0.9),
                     [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2])
                 for _ in range(8)]
-        base = average_precision(dets, gts, IOU_THRESHOLDS)
+        base = class_ap(dets, gts)
         scaled = [Detection(d.episode_id, d.class_id, scale * d.score + 2.0, d.box)
                   for d in dets]
-        np.testing.assert_allclose(average_precision(scaled, gts, IOU_THRESHOLDS),
-                                   base)
+        np.testing.assert_allclose(class_ap(scaled, gts), base)
+
+
+def test_kernels_read_arrays_only():
+    """``average_precision`` scores a (T, D) true-positive table, 0 with no
+    detection; ``confusion_matrix`` counts class indices and a match."""
+    # Recall 1/2 at precision 1 for 51 grid points, then 1 at 2/3 for 50.
+    tp = np.array([[True, False, True], [False, False, False]])
+    ap = average_precision(tp, 2)
+    assert ap.shape == (2,) and ap[1] == 0.0
+    assert ap[0] == pytest.approx((51 + 50 * 2 / 3) / 101, rel=1e-15)
+    np.testing.assert_array_equal(average_precision(tp[:, :0], 2), [0.0, 0.0])
+    # Detection 0 (class 1) took ground truth 1 (class 0), detection 1
+    # (class 0) took nothing; ground truth 0 (class 1) was missed.
+    np.testing.assert_array_equal(
+        confusion_matrix(np.array([1, 0]), np.array([1, 0]), np.array([1, -1]), 2),
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
 def test_non_finite_score_raises_in_ap_and_confusion(score):
-    gts = [gtr(0, 0, UNIT)]
+    """Refused whether or not the detection's class has a ground truth to
+    score AP against: the one score order serves both walks."""
     dets = [det(0, 0, 0.9, UNIT), det(0, 0, score, RIGHT)]
+    for gts in ([gtr(0, 0, UNIT)], [gtr(0, 1, UNIT)], []):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_detections(dets, gts, [0, 1], episode_count=1)
     with pytest.raises(ValueError, match="non-finite"):
-        average_precision(dets, gts, IOU_THRESHOLDS)
-    with pytest.raises(ValueError, match="non-finite"):
-        confusion_matrix(dets, gts, 0.5, [0])
+        metrics._score_order(np.array([0.9, score]))
 
 
 class TestConfusion:
     def test_perfect_detector_is_diagonal(self):
         gts = [gtr(0, 0, UNIT), gtr(0, 1, [3, 3, 1, 1])]
         dets = [det(0, 0, 0.9, UNIT), det(0, 1, 0.8, [3, 3, 1, 1])]
-        counts = confusion_matrix(dets, gts, 0.5, [0, 1])
+        counts = evaluate_detections(dets, gts, [0, 1], episode_count=1).confusion
         np.testing.assert_array_equal(counts, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
 
     def test_no_detections_fill_bg_column(self):
         gts = [gtr(0, 0, UNIT), gtr(1, 1, UNIT)]
-        counts = confusion_matrix([], gts, 0.5, [0, 1])
+        counts = evaluate_detections([], gts, [0, 1], episode_count=2).confusion
         np.testing.assert_array_equal(counts, [[0, 0, 1], [0, 0, 1], [0, 0, 0]])
 
     def test_cross_class_error(self):
         gts = [gtr(0, 0, UNIT), gtr(0, 1, [3, 3, 1, 1])]
         dets = [det(0, 1, 0.9, UNIT),          # class-1 prediction on class-0 gt
                 det(0, 1, 0.8, [3, 3, 1, 1])]
-        counts = confusion_matrix(dets, gts, 0.5, [0, 1])
+        counts = evaluate_detections(dets, gts, [0, 1], episode_count=1).confusion
         assert counts[0, 1] == 1 and counts[1, 1] == 1
         assert counts.sum() == 2
 
@@ -266,12 +307,10 @@ class TestConfusion:
         gts = [gtr(0, 0, UNIT), gtr(0, 1, RIGHT)]
         span, exact = det(0, 1, 0.5, SPAN), det(0, 0, 0.5, UNIT)
         # span takes gt 0 (first on equal IoU), exact finds nothing left.
-        np.testing.assert_array_equal(
-            confusion_matrix([span, exact], gts, 0.3, [0, 1]),
-            [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        np.testing.assert_array_equal(
-            confusion_matrix([exact, span], gts, 0.3, [0, 1]),
-            [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(confusion_at([span, exact], gts, 0.3, [0, 1]),
+                                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        np.testing.assert_array_equal(confusion_at([exact, span], gts, 0.3, [0, 1]),
+                                      [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
 
     def test_total_count_identity(self):
         rng = np.random.default_rng(4)
@@ -281,13 +320,28 @@ class TestConfusion:
         dets = [det(int(rng.integers(0, 5)), int(rng.integers(0, 2)),
                     rng.uniform(), [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
                                     0.2, 0.2]) for _ in range(9)]
-        counts = confusion_matrix(dets, gts, 0.5, [0, 1])
+        counts = evaluate_detections(dets, gts, [0, 1], episode_count=5).confusion
         unmatched_gts = counts[:, -1].sum()
         assert counts.sum() == len(dets) + unmatched_gts
 
     def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([], [], 0.0, [0])
+        """A band threshold that is not a finite number in [0, 1] is refused
+        by name, whatever its place in the band, by evaluate_detections and
+        EvalReport.from_json alike; 0 and 1 themselves are kept."""
+        dets, gts = [det(0, 1, 0.9, UNIT)], [gtr(0, 1, UNIT)]
+        report = evaluate_detections(dets, gts, [1], episode_count=1,
+                                     thresholds=(0.0, 0.5, 1.0))
+        np.testing.assert_array_equal(report.ap, [[1.0, 1.0, 1.0]])
+        for bad in (np.nan, np.inf, -np.inf, 1.5, -0.1):
+            for band in ((0.5, bad), (bad, 0.5)):
+                named = rf"IoU threshold {float(bad)} is not a finite number in \[0, 1\]"
+                with pytest.raises(ValueError, match=named):
+                    evaluate_detections(dets, gts, [1], episode_count=1,
+                                        thresholds=band)
+                payload = json.loads(report.to_json())
+                payload.update(thresholds=list(band), ap=[[1.0, 1.0]])
+                with pytest.raises(ValueError, match=named):
+                    EvalReport.from_json(json.dumps(payload))
 
 
 class TestEvalReport:
@@ -387,54 +441,63 @@ def random_episode_set(rng, classes):
     return dets, gts
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_evaluation_matches_per_threshold_oracle(monkeypatch, seed):
-    """AP and the confusion matrix are bit-identical to the per-threshold
-    matcher, on sets full of score and IoU ties."""
-    rng = np.random.default_rng(seed)
-    classes = [4, 5, 6]
-    dets, gts = random_episode_set(rng, classes)
-    got = evaluate_detections(dets, gts, classes, episode_count=6)
+def assert_matches_oracles(dets, gts, classes, band=IOU_THRESHOLDS):
+    """On ``band``, the whole-table match equals the per-threshold oracle
+    matcher's, the report's confusion matrix the oracle's and each class's
+    AP row the per-detection reference at every threshold."""
+    got = evaluate_detections(dets, gts, classes, episode_count=8, thresholds=band)
+    order = metrics._score_order(np.array([d.score for d in dets], dtype=np.float64))
+    match = metrics._greedy_match(order, metrics._ranked_overlaps(dets, gts, min(band)),
+                                  len(gts), band)
+    want_order, want_match = oracle_greedy_match(dets, gts, band)
+    np.testing.assert_array_equal(order, want_order)
+    np.testing.assert_array_equal(match, want_match)
     np.testing.assert_array_equal(got.confusion,
                                   oracle_confusion(dets, gts, 0.5, classes))
-    monkeypatch.setattr(metrics, "_greedy_match",
-                        lambda d, g, t, overlaps=None: oracle_greedy_match(d, g, t))
-    want = evaluate_detections(dets, gts, classes, episode_count=6)
-    assert got.to_json() == want.to_json()
-    for cid in classes:
+    assert got.class_ids == [c for c in classes if any(g.class_id == c for g in gts)]
+    for cid in got.class_ids:
         cls_dets = [d for d in dets if d.class_id == cid]
         cls_gts = [g for g in gts if g.class_id == cid]
         np.testing.assert_array_equal(
-            metrics.average_precision(cls_dets, cls_gts, IOU_THRESHOLDS),
-            [reference_average_precision(cls_dets, cls_gts, t)
-             for t in IOU_THRESHOLDS])
+            got.ap[got.class_ids.index(cid)],
+            [reference_average_precision(cls_dets, cls_gts, t) for t in band])
+    return got
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_evaluation_matches_per_threshold_oracle(seed):
+    """AP and the confusion matrix are bit-identical to the per-threshold
+    matcher and the per-detection reference, on sets full of score and IoU
+    ties."""
+    rng = np.random.default_rng(seed)
+    dets, gts = random_episode_set(rng, [4, 5, 6])
+    assert_matches_oracles(dets, gts, [4, 5, 6])
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_low_thresholds_match_the_oracles(seed):
     """AP and confusion matrix at thresholds below the default band, where
-    the ranked table keeps low-IoU entries: standalone AP bit-equal to the
-    per-detection reference at each threshold, alone and in one band, and
-    so is each AP row of a report on a low band; the standalone confusion
-    matrix equals the per-threshold oracle's."""
+    the ranked table keeps low-IoU entries: each AP row of a report on a
+    low band, and on the band of each low threshold and 0.5, is bit-equal
+    to the per-detection reference; the confusion matrix at each low
+    threshold equals the per-threshold oracle's."""
     rng = np.random.default_rng(seed)
     classes = [4, 5, 6]
     dets, gts = random_episode_set(rng, classes)
     low = (0.0, 0.1, 0.3)
-    report = evaluate_detections(dets, gts, classes, episode_count=6,
-                                 thresholds=low + (0.5,))
+    report = assert_matches_oracles(dets, gts, classes, low + (0.5,))
     for cid in classes:
         cls_dets = [d for d in dets if d.class_id == cid]
         cls_gts = [g for g in gts if g.class_id == cid]
-        want = [reference_average_precision(cls_dets, cls_gts, t) for t in low]
-        np.testing.assert_array_equal(average_precision(cls_dets, cls_gts, low), want)
-        for t, ap in zip(low, want):
-            assert average_precision(cls_dets, cls_gts, [t])[0] == ap
+        for t in low:
+            assert ap_at(cls_dets, cls_gts, t, cid) == reference_average_precision(
+                cls_dets, cls_gts, t)
         if cid in report.class_ids:
             np.testing.assert_array_equal(
-                report.ap[report.class_ids.index(cid), :3], want)
-    for t in low[1:]:  # the confusion matrix refuses 0.0
-        np.testing.assert_array_equal(confusion_matrix(dets, gts, t, classes),
+                report.ap[report.class_ids.index(cid), :3],
+                [reference_average_precision(cls_dets, cls_gts, t) for t in low])
+    for t in low:
+        np.testing.assert_array_equal(confusion_at(dets, gts, t, classes),
                                       oracle_confusion(dets, gts, t, classes))
 
 
@@ -487,6 +550,38 @@ def test_one_iou_call_per_evaluation(monkeypatch):
     assert calls == [(4 * 9 * 3, 4)]
 
 
+@pytest.mark.parametrize("classes", [[1], [1, 2, 3, 4]], ids=["one-class", "four-classes"])
+def test_one_walk_set_up_per_evaluation(monkeypatch, classes):
+    """Whatever the class count, one evaluation checks the classes once,
+    orders the scores once, calls ``iou`` once and walks the table twice:
+    once for the AP of every class and threshold, once at 0.5 for the
+    confusion matrix."""
+    rng = np.random.default_rng(5)
+    gts = [gtr(e, c, [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2])
+           for e in range(3) for c in classes]
+    dets = [det(g.episode_id, int(rng.choice(classes)), float(rng.uniform()),
+                jittered(g.box, rng)) for g in gts for _ in range(2)]
+    calls = {name: 0 for name in ("_check_classes", "_score_order", "_greedy_match")}
+    for name in calls:
+        def counted(*args, _real=getattr(metrics, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(metrics, name, counted)
+    iou_calls = count_iou_calls(monkeypatch)
+    report = evaluate_detections(dets, gts, classes, episode_count=6)
+    assert report.class_ids == classes
+    assert calls == {"_check_classes": 1, "_score_order": 1, "_greedy_match": 2}
+    assert len(iou_calls) == 1
+
+
+def test_repeated_class_id_is_refused():
+    """A class id that ``class_ids`` holds twice is refused by name: its AP
+    row and confusion row and column would otherwise split in two."""
+    with pytest.raises(ValueError, match=r"class_ids hold class 1 twice: \[1, 1, 2\]"):
+        evaluate_detections([det(0, 2, 0.8, UNIT)], [gtr(0, 1, UNIT), gtr(0, 2, UNIT)],
+                            [1, 1, 2], episode_count=1)
+
+
 @pytest.mark.parametrize("dets, gts", [
     ([], []),
     ([det(0, 1, 0.9, UNIT)], []),
@@ -500,14 +595,11 @@ def test_no_iou_call_without_an_episode_holding_both(monkeypatch, dets, gts):
     assert report.confusion.sum() == len(dets) + len(gts)
 
 
-STRAY_CLASS = pytest.mark.parametrize("dets, gts, named", [
+@pytest.mark.parametrize("dets, gts, named", [
     ([det(0, 9, 0.9, UNIT)], [gtr(0, 1, UNIT)], "detections hold class 9"),
     ([det(0, 1, 0.9, UNIT)], [gtr(0, 1, UNIT), gtr(1, 9, UNIT)],
      "ground truths hold class 9"),
 ], ids=["detection", "ground-truth"])
-
-
-@STRAY_CLASS
 def test_class_outside_class_ids_is_named(monkeypatch, dets, gts, named):
     """A detection or ground truth whose class is not in ``class_ids`` is
     refused on entry, naming the list that holds it and the class, before
@@ -518,42 +610,11 @@ def test_class_outside_class_ids_is_named(monkeypatch, dets, gts, named):
     assert calls == []
 
 
-@STRAY_CLASS
-def test_confusion_matrix_names_a_class_outside_class_ids(monkeypatch, dets, gts, named):
-    """``confusion_matrix`` called on its own refuses the same records with
-    ``evaluate_detections``' error, before any IoU."""
-    calls = count_iou_calls(monkeypatch)
-    with pytest.raises(ValueError, match=named + r", which is not in class_ids \[1, 2\]"):
-        confusion_matrix(dets, gts, 0.5, [1, 2])
-    assert calls == []
-
-
-def assert_matches_oracles(monkeypatch, dets, gts, classes):
-    """The report equals the one the per-threshold oracle matcher gives, the
-    confusion matrix the oracle's, and each class's AP the per-detection
-    reference at every threshold."""
-    got = evaluate_detections(dets, gts, classes, episode_count=8)
-    np.testing.assert_array_equal(got.confusion,
-                                  oracle_confusion(dets, gts, 0.5, classes))
-    with monkeypatch.context() as mp:
-        mp.setattr(metrics, "_greedy_match",
-                   lambda d, g, t, ranked=None: oracle_greedy_match(d, g, t))
-        want = evaluate_detections(dets, gts, classes, episode_count=8)
-    assert got.to_json() == want.to_json()
-    for cid in got.class_ids:
-        cls_dets = [d for d in dets if d.class_id == cid]
-        cls_gts = [g for g in gts if g.class_id == cid]
-        np.testing.assert_array_equal(
-            got.ap[got.class_ids.index(cid)],
-            [reference_average_precision(cls_dets, cls_gts, t) for t in IOU_THRESHOLDS])
-    return got
-
-
 def jittered(box, rng, scale=0.04):
     return list(np.asarray(box) + rng.uniform(-scale, scale, 4) * [1, 1, 0.5, 0.5])
 
 
-def test_episodes_with_none_one_and_the_most_ground_truths(monkeypatch):
+def test_episodes_with_none_one_and_the_most_ground_truths():
     """Episodes with 0, 1 and 7 ground truths (the most of any), each with
     detections near its ground truths and elsewhere: the flat pairs of one
     ``iou`` call cover runs of every length."""
@@ -568,35 +629,35 @@ def test_episodes_with_none_one_and_the_most_ground_truths(monkeypatch):
         dets += [det(e, int(rng.choice(classes)), float(rng.uniform()),
                      jittered(g.box, rng)) for g in ep_gts for _ in range(2)]
         dets += [det(e, 1, float(rng.uniform()), [0.5, 0.5, 0.3, 0.3])]
-    report = assert_matches_oracles(monkeypatch, dets, gts, classes)
+    report = assert_matches_oracles(dets, gts, classes)
     assert report.map_50 > 0
 
 
-def test_detections_in_episodes_without_ground_truth_are_false_positives(monkeypatch):
+def test_detections_in_episodes_without_ground_truth_are_false_positives():
     """A detection of an episode with no ground truth has no entries: it
     lands in the background row and counts as a false positive, even on
     the box of another episode's ground truth."""
     gts = [gtr(0, 1, UNIT), gtr(2, 1, RIGHT)]
     dets = [det(1, 1, 0.95, UNIT), det(0, 1, 0.9, UNIT),
             det(3, 1, 0.8, RIGHT), det(2, 1, 0.7, RIGHT)]
-    report = assert_matches_oracles(monkeypatch, dets, gts, [1])
+    report = assert_matches_oracles(dets, gts, [1])
     # Two false positives ahead of each true positive: precision 1/2 at
     # recall 1/2 and 1 alike.
     assert report.ap[0, 0] == pytest.approx(0.5, abs=0.01)
     np.testing.assert_array_equal(report.confusion, [[2, 0], [2, 0]])
 
 
-def test_ground_truth_only_episodes_are_missed(monkeypatch):
+def test_ground_truth_only_episodes_are_missed():
     gts = [gtr(0, 1, UNIT), gtr(1, 1, UNIT), gtr(1, 2, RIGHT), gtr(2, 2, SPAN)]
     dets = [det(0, 1, 0.9, UNIT), det(0, 2, 0.4, RIGHT)]
-    report = assert_matches_oracles(monkeypatch, dets, gts, [1, 2])
+    report = assert_matches_oracles(dets, gts, [1, 2])
     assert report.class_ids == [1, 2]
     # Class 1 reaches recall 1/2 at precision 1: 51 of the 101 points.
     np.testing.assert_array_equal(report.ap[:, 0], [51 / 101, 0.0])
     np.testing.assert_array_equal(report.confusion, [[1, 0, 1], [0, 0, 2], [0, 1, 0]])
 
 
-def test_exact_iou_ties_go_to_the_lower_ground_truth(monkeypatch):
+def test_exact_iou_ties_go_to_the_lower_ground_truth():
     """SPAN overlaps UNIT and RIGHT by exactly 1/3, and duplicate ground
     truths tie at 1: each detection takes the lowest free index, in score
     order, list order on equal scores."""
@@ -607,12 +668,14 @@ def test_exact_iou_ties_go_to_the_lower_ground_truth(monkeypatch):
     np.testing.assert_array_equal(ranked.det, [0, 0, 1, 1, 2, 2, 2, 3, 3, 4])
     np.testing.assert_array_equal(ranked.gt, [1, 2, 1, 2, 0, 1, 2, 1, 2, 3])
     assert ranked.iou[4] == ranked.iou[5] == ranked.iou[6] == iou(SPAN, UNIT)
-    _, match = metrics._greedy_match(dets, gts, (0.3, 0.5), ranked)
+    order = metrics._score_order(np.array([d.score for d in dets]))
+    np.testing.assert_array_equal(order, [2, 0, 1, 3, 4])
+    match = metrics._greedy_match(order, ranked, len(gts), (0.3, 0.5))
     np.testing.assert_array_equal(match, [[1, 2, 0, -1, 3], [1, 2, -1, -1, 3]])
-    assert_matches_oracles(monkeypatch, dets, gts, [1])
+    assert_matches_oracles(dets, gts, [1])
 
 
-def test_class_whose_ground_truths_sit_apart_from_its_detections(monkeypatch):
+def test_class_whose_ground_truths_sit_apart_from_its_detections():
     """Class 2's ground truths are all in episodes without a class-2
     detection, though class-2 detections elsewhere sit on class-1 boxes:
     its AP is 0 at every threshold, and the confusion matrix counts those
@@ -620,6 +683,6 @@ def test_class_whose_ground_truths_sit_apart_from_its_detections(monkeypatch):
     gts = [gtr(0, 1, UNIT), gtr(1, 2, UNIT), gtr(1, 2, RIGHT), gtr(2, 1, RIGHT)]
     dets = [det(0, 1, 0.8, UNIT), det(0, 2, 0.9, UNIT), det(2, 2, 0.7, RIGHT),
             det(1, 1, 0.6, UNIT)]
-    report = assert_matches_oracles(monkeypatch, dets, gts, [1, 2])
+    report = assert_matches_oracles(dets, gts, [1, 2])
     np.testing.assert_array_equal(report.ap[1], np.zeros(len(IOU_THRESHOLDS)))
     np.testing.assert_array_equal(report.confusion, [[0, 2, 0], [1, 0, 1], [1, 0, 0]])
