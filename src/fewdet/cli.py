@@ -8,7 +8,8 @@ configuration) and the flags listed with it; any other flag is a usage error.
              the checkpoint's settings; a --seed or --variant that differs
              from the checkpoint's, or a --config whose settings but out_dir
              differ from its run's, exits 1); a resume given neither --out nor
-             --config writes into the checkpoint's directory. The log first
+             --config writes into the checkpoint's directory; a resume's
+             checkpoint records the directory it wrote to. The log first
              loses its rows from the run's first step on, so each step
              appears once
   eval       metric report for a checkpoint, on its settings unless --config
@@ -170,8 +171,7 @@ def cmd_train(args) -> int:
                               f"seed {prev_run.seed}")
         if (args.variant is not None
                 and ablation_variant(cfg, args.variant) != cfg):
-            theirs = next((v for v in VARIANTS if ablation_variant(cfg, v) == cfg),
-                          f"(none of {', '.join(VARIANTS)})")
+            theirs = next(v for v in VARIANTS if ablation_variant(cfg, v) == cfg)
             raise ConfigError(f"--variant {args.variant} differs from the "
                               f"checkpoint's variant {theirs}")
         differs = args.config and _first_difference(
@@ -179,9 +179,9 @@ def cmd_train(args) -> int:
         if differs:
             raise ConfigError("--config gives %s %r, the checkpoint's run has %r"
                               % differs)
-        run = prev_run
         if args.out is None and args.config is None:
             out = Path(args.checkpoint).parent
+        run = dataclasses.replace(prev_run, out_dir=str(out))
     else:
         cfg = ablation_variant(run.resolved_model(), args.variant or "+OBD+OOD")
     out.mkdir(parents=True, exist_ok=True)

@@ -309,8 +309,8 @@ def _manifest(spec: BenchmarkSpec, split: str, start_index: int,
 
 
 def _spec_mismatch(ep: Episode, spec: BenchmarkSpec) -> str | None:
-    """How an episode record disagrees with the header's spec on the grid,
-    the feature width or the class ids, or None if it does not."""
+    """How an episode record disagrees with the header's spec or with
+    itself, naming the field, or None if it does not."""
     grid = (spec.grid_rows, spec.grid_cols)
     if tuple(ep.grid) != grid:
         return (f"grid {tuple(ep.grid)} where the header gives "
@@ -322,14 +322,23 @@ def _spec_mismatch(ep: Episode, spec: BenchmarkSpec) -> str | None:
     ids = class_id_range(spec, ep.split)
     if ep.class_ids != ids:
         return f"class ids {ep.class_ids} where the header gives {ids}"
+    for field, got, want in (("patches: rows", len(ep.patches), spec.num_patches),
+                             ("support: rows", len(ep.support), len(ids)),
+                             ("boxes: columns", ep.boxes.shape[1], 4),
+                             ("labels: count", len(ep.labels), len(ep.boxes))):
+        if got != want:
+            return f"{field} {got}, expected {want}"
+    stray = sorted(set(ep.labels.tolist()) - set(ids))
+    if stray:
+        return f"labels: {stray} are not among the class ids {ids}"
     return None
 
 
 def read_episodes(path) -> tuple[dict, list[Episode]]:
     """Load an episode file, checking its structure, its digests, that
     record i is episode ``start_index + i`` of the header's ``split``, and
-    that every record has the grid, feature width and class ids of the
-    header's spec."""
+    that every record agrees with the header's spec and with itself (see
+    ``_spec_mismatch``)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     buf = io.BytesIO(blob)

@@ -9,22 +9,21 @@ evaluation.
 
 Run checkpoints: a checkpoint (see :mod:`fewdet.checkpoint`) holding three
 tensors, ``params``, ``adam.m`` and ``adam.v``, each one whole 1-D float64
-buffer laid out as ``parameter_shapes(variant_model)`` lays the parameters
-out (see :mod:`fewdet.optim`). The config record holds exactly ``run``,
-``step``, ``adam`` (``{"step_count": n}`` and nothing else),
-``variant_model`` and ``moments``: the parameters that have Adam moments,
-in layout order; the others are zeros in both moment buffers. This is the
-one layout :func:`load_run_checkpoint` reads. A record without
-``moments`` (the per-parameter layout, one tensor per parameter and
-moment) is a CorruptionError naming that layout. So is a key that older
-records carried and no setting has now (a retired ``training`` key, a
-derived ``model`` key, an ``adam`` key other than ``step_count``); the
-error names the key. The record is checked against the buffers the file
-holds before anything is sized from it; then one
-:func:`fewdet.optim.restore` call cuts the parameters and both Adam moments
-from the three loaded buffers at the same offsets, in one walk over the
-layout, and binds the optimizer to them: the loaded ``params`` buffer is
-the one the parameters view.
+buffer laid out as ``parameter_layout`` lays the model's parameters out
+(see :mod:`fewdet.optim`). The config record holds exactly ``run``,
+``step``, ``adam`` (``{"step_count": n}`` and nothing else) and
+``variant``, each fact once: the model config is
+``ablation_variant(run.resolved_model(), variant)``, and the writer names
+the first of ``VARIANTS`` that gives the saved config (``+OBD`` when
+``model.ood_weight`` is 0) or raises ConfigError. This is the one layout
+:func:`load_run_checkpoint` reads: any other key set (the keys the record
+has and lacks are named), an unknown variant, or a key that older records
+carried in ``run`` or ``adam`` is a CorruptionError. The record is checked
+against the buffers the file holds before anything is sized from it; then
+one :func:`fewdet.optim.restore` call cuts the parameters and both Adam
+moments from the three loaded buffers at the same offsets and binds the
+optimizer to them: the loaded ``params`` buffer is the one the parameters
+view.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (RunConfig, check_types, run_config_from_dict,
-                     run_config_to_dict)
+from .config import RunConfig, run_config_from_dict, run_config_to_dict
 from .episodes import Episode, generate_episode
 from .errors import ConfigError, CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
@@ -50,7 +48,6 @@ from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
 from .obd import background_attention_mass, head_average
 from .ood import min_interclass_separation
 from .optim import AdamState, flat_buffers, restore
-from .set_head import Weights
 from .tensor import no_grad
 
 # Evaluation keeps every query's best guess, so precision/recall curves are
@@ -166,14 +163,18 @@ _BUFFERS = ("params", "adam.m", "adam.v")
 
 def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]:
     params, opt = result.state.params, result.opt
+    base = run.resolved_model()
+    variant = next((v for v in VARIANTS if ablation_variant(base, v) == result.cfg),
+                   None)
+    if variant is None:
+        raise ConfigError("checkpoint: the model config is none of the run's "
+                          f"variants {', '.join(VARIANTS)}")
     if ([(name, p.data.shape) for name, p in params.items()]
             != list(parameter_layout(result.cfg))):
         raise ShapeError("checkpoint: the parameters are not the ones, in the "
                          "order, that the model config lays out")
     config = {"run": run_config_to_dict(run), "step": result.steps_done,
-              "adam": {"step_count": opt.step_count},
-              "variant_model": dataclasses.asdict(result.cfg),
-              "moments": [name for name in params if name in opt.first_moment]}
+              "adam": {"step_count": opt.step_count}, "variant": variant}
     return config, dict(zip(_BUFFERS, flat_buffers(params, opt)))
 
 
@@ -182,20 +183,21 @@ def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
     save_checkpoint(path, config, tensors)
 
 
+_RECORD_KEYS = {"adam", "run", "step", "variant"}
+
+
 def _parse_run_config(path, config: dict
-                      ) -> tuple[RunConfig, ModelConfig, int, AdamState, list]:
-    """The run, variant config, step, optimizer state and moment names of a
-    config record."""
+                      ) -> tuple[RunConfig, ModelConfig, int, AdamState]:
+    """The run, variant config, step and optimizer state of a config
+    record."""
     try:
-        if "moments" not in config:
-            raise CorruptionError(f"{path}: no 'moments' field: a per-parameter "
-                                  f"run checkpoint, a layout no longer read")
+        if set(config) != _RECORD_KEYS:
+            raise CorruptionError(
+                f"{path}: the config record has keys {sorted(config)} and lacks "
+                f"{sorted(_RECORD_KEYS - set(config))}; a run checkpoint's record "
+                f"holds exactly {sorted(_RECORD_KEYS)}")
         run = run_config_from_dict(config["run"], "run.")
-        vm = dict(config["variant_model"])
-        check_types(ModelConfig, vm, "variant_model.")
-        check_types(Weights, vm["weights"], "variant_model.weights.")
-        vm["weights"] = Weights(**vm["weights"])
-        cfg = ModelConfig(**vm)
+        cfg = ablation_variant(run.resolved_model(), config["variant"])
         step, adam = config["step"], config["adam"]
         count = adam["step_count"]
         if len(adam) != 1:
@@ -206,18 +208,14 @@ def _parse_run_config(path, config: dict
                 raise CorruptionError(f"{path}: {field} is {value!r}, not a "
                                       f"non-negative integer")
         opt = AdamState(learning_rate=cfg.learning_rate, step_count=count)
-        moments = config["moments"]
-        if not (isinstance(moments, list)
-                and all(isinstance(name, str) for name in moments)):
-            raise TypeError(f"moments is not a list of names: {moments!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed checkpoint config: {exc}") from exc
-    return run, cfg, step, opt, moments
+    return run, cfg, step, opt
 
 
 def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
     config, tensors = load_checkpoint(path)
-    run, cfg, step, opt, moments = _parse_run_config(path, config)
+    run, cfg, step, opt = _parse_run_config(path, config)
     missing = sorted(set(_BUFFERS) - set(tensors))
     extra = sorted(set(tensors) - set(_BUFFERS))
     if missing or extra:
@@ -232,23 +230,14 @@ def load_run_checkpoint(path) -> tuple[RunConfig, TrainResult]:
             raise CorruptionError(f"{path}: 'params' has shape {held.shape}, the "
                                   f"config gives more than {held.size} values")
         shapes[name] = shape
-    seen: set[str] = set()
-    for name in moments:
-        if name not in shapes:
-            raise CorruptionError(f"{path}: moments: '{name}' is not a parameter")
-        if name in seen:
-            raise CorruptionError(f"{path}: moments: '{name}' appears twice")
-        seen.add(name)
     for name in _BUFFERS:
         if tensors[name].shape != (total,):
             raise CorruptionError(f"{path}: '{name}' has shape {tensors[name].shape}, "
                                   f"the config gives {(total,)}")
-    # Native float64 (a copy on a big-endian host only). Moments may cover
-    # only some parameters: one that never had a gradient (the baseline's
-    # background token) has none, and restore zeroes its part of the moment
-    # buffers. The loaded params buffer is the one the parameters view.
+    # Native float64 (a copy on a big-endian host only). The loaded params
+    # buffer is the one the parameters view.
     param_buf, m, v = (np.asarray(tensors[name], dtype=np.float64) for name in _BUFFERS)
-    state = ModelState(restore(param_buf, m, v, shapes, moments, opt), cfg)
+    state = ModelState(restore(param_buf, m, v, shapes, opt), cfg)
     return run, TrainResult(state=state, opt=opt, cfg=cfg, steps_done=step)
 
 

@@ -89,7 +89,7 @@ def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
     :func:`ofe_query_attention` with the class features as the rows and the
     key projection as the query projection. Returns the (C, d) output and
     (heads, C, n) attention: the first C rows of self-attention over all n
-    positions."""
+    positions; with no class (C = 0), zero rows of each."""
     return ofe_query_attention(s.features, s, w_key, w_key, w_value, token, heads)
 
 
@@ -100,8 +100,6 @@ def ofe_query_attention(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
     query projection, attend over the sequence. Returns the (P, d) attended
     features and the (heads, P, n) attention, with no fusion; the diagnostic
     forward of :func:`fewdet.model.forward` stops here at its last layer."""
-    if q_patches.ndim != 2 or q_patches.shape[0] < 1:
-        raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
     return attention(project_rows(q_patches, w_query),
                      project_rows(s.features, w_key, len(s), token),
                      project_rows(s.features, w_value, len(s)), heads)
@@ -115,7 +113,9 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
     Conv1D/FFN fusion with the original patches, so global image content is
     retained; ``ffn`` is the FFN's ``(w1, b1, w2, b2)``. Returns the
     (P, d) refined patches, the (P, d) attended features and the
-    (heads, P, n) attention."""
+    (heads, P, n) attention. No patch row is a ShapeError."""
+    if q_patches.ndim != 2 or q_patches.shape[0] < 1:
+        raise ShapeError(f"ofe_query: need at least one patch row, got {q_patches.shape}")
     out, attn = ofe_query_attention(q_patches, s, w_query, w_key, w_value,
                                     token, heads)
     fused = concat_linear(q_patches, out, conv_kernel, conv_bias)

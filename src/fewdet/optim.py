@@ -3,11 +3,11 @@
 Buffer layout: every parameter's ``Tensor.data`` is a writable C-contiguous
 view into one 1-D float64 buffer, in the order of the parameter dict, and
 the Adam moments live in two buffers with the same layout. The moment
-dicts of :class:`AdamState` are views into those buffers, holding only the
-parameters that have had a gradient; the moments of a parameter without
-one are zeros in the buffers. :func:`flat_parameters` builds parameters in
-such a buffer from the start, and :func:`flat_buffers` hands the three
-buffers to a checkpoint writer.
+dicts of :class:`AdamState` hold a view into those buffers for every
+parameter, in layout order, from the moment the optimizer binds its
+buffers; a parameter that has never had a gradient has zero moments.
+:func:`flat_parameters` builds parameters in such a buffer from the start,
+and :func:`flat_buffers` hands the three buffers to a checkpoint writer.
 
 Block-wise update: the buffer is cut at parameter boundaries into blocks of
 about ``BLOCK_ELEMENTS`` (a parameter larger than that is a block of its
@@ -32,12 +32,12 @@ once to the buffer the parameters tile: zeros at its first
 :func:`adam_step` or :func:`flat_buffers` call, which checks that the
 caller's parameters are the views of one buffer in dict order; or a
 checkpoint's three buffers at :func:`restore`, which makes the parameters
-itself, cutting them and the moments at the same offsets in one walk over
-the layout, so there is nothing to check view by view. Nothing is
-re-packed: parameters that do not tile one buffer in dict order, or a
-``Tensor`` or ``.data`` replaced after binding, raise ShapeError before
-anything changes. The moment dicts are outputs: no step reads a moment from
-them.
+itself, cutting them and the moments at the same offsets, so there is
+nothing to check view by view. Nothing is re-packed: parameters that do
+not tile one buffer in dict order, or a ``Tensor`` or ``.data`` replaced
+after binding, raise ShapeError before anything changes. Binding fills the
+moment dicts, in ``_FlatLayout`` alone. They are outputs: no step reads a
+moment from them or changes which parameters they hold.
 """
 
 from __future__ import annotations
@@ -90,9 +90,12 @@ class AdamState:
 class _FlatLayout:
     """Three buffers of one layout, parameters and two moments, cut into
     blocks at parameter boundaries; ``entries`` are (name, .data, size) of
-    each parameter in buffer order."""
+    each parameter in buffer order. Making one binds ``state`` to it: every
+    parameter's moments enter the moment dicts, as views of the moment
+    buffers, in layout order."""
 
-    def __init__(self, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+    def __init__(self, state: AdamState,
+                 buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
                  entries: list[tuple[str, np.ndarray, int]]):
         param_buf, m_buf, v_buf = self.buffers = buffers
         # Per block: (name, .data, span in the block) of each parameter, and
@@ -105,11 +108,14 @@ class _FlatLayout:
                 self.blocks.append((block, param_buf[lo:hi], m_buf[lo:hi], v_buf[lo:hi]))
                 block, lo = [], hi
             block.append((name, data, hi - lo, hi - lo + size))
+            state.first_moment[name] = m_buf[hi:hi + size].reshape(data.shape)
+            state.second_moment[name] = v_buf[hi:hi + size].reshape(data.shape)
             hi += size
         if block:
             self.blocks.append((block, param_buf[lo:hi], m_buf[lo:hi], v_buf[lo:hi]))
         self.entries = [e for entries, *_ in self.blocks for e in entries]
         self.width = max(param.size for _, param, _, _ in self.blocks)
+        state._flat = self
 
 
 def _is_flat(buffer, size: int) -> bool:
@@ -120,9 +126,10 @@ def _is_flat(buffer, size: int) -> bool:
             and buffer.flags.writeable and buffer.size == size)
 
 
-def _tiled_layout(params: dict[str, Tensor]) -> _FlatLayout:
+def _tiled_layout(params: dict[str, Tensor], state: AdamState) -> _FlatLayout:
     """The layout of the buffer ``params`` tile in dict order, with zero
-    moments; ShapeError unless each ``.data`` is the next view of it."""
+    moments, bound to ``state``; ShapeError unless each ``.data`` is the
+    next view of it."""
     param_buf = next(iter(params.values())).data.base if params else None
     if not _is_flat(param_buf, sum(p.data.size for p in params.values())):
         raise ShapeError("adam: the parameters are not views tiling one flat "
@@ -137,8 +144,8 @@ def _tiled_layout(params: dict[str, Tensor]) -> _FlatLayout:
                              f"of the parameters' flat buffer")
         entries.append((name, data, data.size))
         offset += data.nbytes
-    return _FlatLayout((param_buf, np.zeros(param_buf.size),
-                        np.zeros(param_buf.size)), entries)
+    return _FlatLayout(state, (param_buf, np.zeros(param_buf.size),
+                               np.zeros(param_buf.size)), entries)
 
 
 def _address(arr: np.ndarray) -> int:
@@ -150,7 +157,7 @@ def _bound_layout(params: dict[str, Tensor], state: AdamState) -> _FlatLayout:
     none yet; ShapeError unless ``params`` hold its views."""
     layout = state._flat
     if layout is None:
-        layout = state._flat = _tiled_layout(params)
+        layout = _tiled_layout(params, state)
     elif len(params) != len(layout.entries) or any(
             getattr(params.get(name), "data", None) is not data
             for name, data, _, _ in layout.entries):
@@ -164,20 +171,20 @@ def flat_buffers(params: dict[str, Tensor], state: AdamState
     """The parameter, first-moment and second-moment buffers of ``params``
     and ``state``, in the order of ``params``: the live buffers the next
     :func:`adam_step` updates in place (bound here if ``state`` has none
-    yet). A parameter without moments is zeros in the moment buffers."""
+    yet). A parameter that never had a gradient is zeros in the moment
+    buffers."""
     return _bound_layout(params, state).buffers
 
 
 def restore(param_buf: np.ndarray, m: np.ndarray, v: np.ndarray,
-            shapes: dict[str, tuple[int, ...]], moments: list[str],
-            state: AdamState) -> dict[str, Tensor]:
+            shapes: dict[str, tuple[int, ...]], state: AdamState
+            ) -> dict[str, Tensor]:
     """The parameters of the given shapes, as views tiling ``param_buf`` in
     the order of ``shapes``, with a fresh ``state`` bound to them and to the
     moment buffers ``m`` and ``v`` of the same layout (say, the three buffers
-    of a checkpoint). One walk over ``shapes`` cuts all three buffers: the
-    parameters named in ``moments`` enter the moment dicts and the others'
-    parts of ``m`` and ``v`` are zeroed. ShapeError, with nothing changed,
-    if ``state`` is already bound or a buffer is not a writable 1-D
+    of a checkpoint), whose moments are taken as they are; binding cuts them
+    at the parameters' offsets. ShapeError, with nothing changed, if
+    ``state`` is already bound or a buffer is not a writable 1-D
     C-contiguous float64 array of as many elements as ``shapes`` hold."""
     if state._flat is not None:
         raise ShapeError("adam: restore into an optimizer already bound")
@@ -188,22 +195,14 @@ def restore(param_buf: np.ndarray, m: np.ndarray, v: np.ndarray,
             raise ShapeError(f"adam: the {label} buffer is not a writable 1-D "
                              f"C-contiguous float64 array of the {total} "
                              f"elements the shapes hold")
-    moments = set(moments)
     params, entries, start = {}, [], 0
     for name, shape in shapes.items():
         size = math.prod(shape)
-        stop = start + size
-        data = param_buf[start:stop].reshape(shape)
+        data = param_buf[start:start + size].reshape(shape)
         params[name] = Tensor.parameter(data)
         entries.append((name, data, size))
-        if name in moments:
-            state.first_moment[name] = m[start:stop].reshape(shape)
-            state.second_moment[name] = v[start:stop].reshape(shape)
-        else:
-            m[start:stop] = 0.0
-            v[start:stop] = 0.0
-        start = stop
-    state._flat = _FlatLayout((param_buf, m, v), entries)
+        start += size
+    _FlatLayout(state, (param_buf, m, v), entries)
     return params
 
 
@@ -243,17 +242,12 @@ def adam_step(params: dict[str, Tensor],
         n = p.size
         g, tmp = grad_buf[:n], tmp_buf[:n]
         skipped = False
-        for name, data, lo, hi in entries:
+        for name, _, lo, hi in entries:
             grad = grads.get(name)
             if grad is None:
                 skipped = True
                 continue
             g[lo:hi] = grad.reshape(-1)
-            if name not in state.first_moment:
-                # A parameter's first gradient: its moments, zero until now,
-                # enter the moment dicts.
-                state.first_moment[name] = m[lo:hi].reshape(data.shape)
-                state.second_moment[name] = v[lo:hi].reshape(data.shape)
         where = True
         if skipped:
             where = np.zeros(n, bool)

@@ -443,24 +443,6 @@ def test_step_counter_that_is_not_a_count_is_corrupt(tmp_path, tiny_trained,
         load_run_checkpoint(path)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("heads", 2.0), ("encoder_layers", 1.0), ("d", True), ("num_object_queries", "3"),
-])
-def test_variant_model_integer_that_is_not_an_int_is_corrupt(tmp_path, tiny_trained,
-                                                             field, value):
-    """The variant config's integer fields load as JSON integers or not at
-    all: not as a float that a later shape computation trips over."""
-    from fewdet.harness import checkpoint_payload, load_run_checkpoint
-
-    config, tensors = checkpoint_payload(*tiny_trained)
-    config["variant_model"][field] = value
-    path = tmp_path / "variant.fdck"
-    save_checkpoint(path, config, tensors)
-    with pytest.raises(CorruptionError,
-                       match=rf"variant_model\.{field} must be an integer, not {value!r}"):
-        load_run_checkpoint(path)
-
-
 @pytest.mark.parametrize("field, value, kind", [
     ("training.steps", 2.5, "an integer"), ("benchmark.grid_rows", "4", "an integer"),
     ("model.d", 8.0, "an integer"), ("model.weights.giou", True, "a number"),
@@ -497,33 +479,10 @@ def test_run_out_dir_that_is_not_a_string_is_corrupt(tmp_path, tiny_trained):
         load_run_checkpoint(path)
 
 
-@pytest.mark.parametrize("field, value, kind", [
-    ("single_class_mode", "false", "a boolean"), ("single_class_mode", 1, "a boolean"),
-    ("weights.cls", True, "a number"),
-], ids=["bool-as-string", "bool-as-int", "weight-as-bool"])
-def test_variant_model_value_of_the_wrong_type_is_corrupt(tmp_path, tiny_trained,
-                                                          field, value, kind):
-    """The variant config's boolean and ``weights`` fields load with their
-    JSON types or not at all: a truthy string must not turn the model into
-    the single-class baseline."""
-    from fewdet.harness import checkpoint_payload, load_run_checkpoint
-
-    config, tensors = checkpoint_payload(*tiny_trained)
-    record = config["variant_model"]
-    if field.startswith("weights."):
-        record = record["weights"]
-    record[field.split(".")[-1]] = value
-    path = tmp_path / "variant.fdck"
-    save_checkpoint(path, config, tensors)
-    with pytest.raises(CorruptionError,
-                       match=rf"variant_model\.{field} must be {kind}, not {value!r}"):
-        load_run_checkpoint(path)
-
-
 def legacy_payload(run, result) -> tuple[dict, dict]:
     """The per-parameter run checkpoint written before checkpoints stored
-    flat buffers: one tensor per parameter and per Adam moment, and no
-    ``moments`` field."""
+    flat buffers: one tensor per parameter and per Adam moment, the model
+    config as ``variant_model``, and no ``variant`` field."""
     import dataclasses
     from fewdet.config import run_config_to_dict
 
@@ -553,27 +512,9 @@ def _no_second_moments(config, tensors):
     return "missing ['adam.v']"
 
 
-def _unknown_moment(config, tensors):
-    config["moments"].append("not.a.param")
-    return "moments: 'not.a.param' is not a parameter"
-
-
-def _repeated_moment(config, tensors):
-    config["moments"].append(config["moments"][0])
-    return f"moments: '{config['moments'][0]}' appears twice"
-
-
-def _moments_not_names(config, tensors):
-    config["moments"] = 3
-    return "moments is not a list of names"
-
-
 @pytest.mark.parametrize("change", [_short_params, _short_first_moments,
-                                    _no_second_moments, _unknown_moment,
-                                    _repeated_moment, _moments_not_names],
-                         ids=["buffer-length", "moment-length", "missing-buffer",
-                              "unknown-moment", "repeated-moment",
-                              "moments-not-names"])
+                                    _no_second_moments],
+                         ids=["buffer-length", "moment-length", "missing-buffer"])
 def test_flat_checkpoint_that_does_not_fit_the_config_is_corrupt(
         tmp_path, tiny_trained, change):
     from fewdet.harness import checkpoint_payload, load_run_checkpoint
@@ -609,7 +550,7 @@ def test_config_larger_than_the_buffers_is_corrupt(tmp_path, tiny_trained, capsy
 
     path = tmp_path / "huge.fdck"
     save_run_checkpoint(path, *tiny_trained)
-    _rewrite_config_record(path, lambda config: config["variant_model"].update(
+    _rewrite_config_record(path, lambda config: config["run"]["model"].update(
         d=4_000_000))
     with pytest.raises(CorruptionError, match="'params' has shape"):
         load_run_checkpoint(path)
@@ -631,7 +572,7 @@ def test_layer_count_larger_than_the_buffers_is_corrupt(tmp_path, tiny_trained,
 
     path = tmp_path / "deep.fdck"
     harness.save_run_checkpoint(path, *tiny_trained)
-    _rewrite_config_record(path, lambda config: config["variant_model"].update(
+    _rewrite_config_record(path, lambda config: config["run"]["model"].update(
         {layers: 10 ** 9}))
 
     def refuse(cfg):
@@ -681,7 +622,10 @@ def _state_bytes(result) -> dict:
             "steps": (result.steps_done, result.opt.step_count)}
 
 
-_PER_PARAMETER = "per-parameter run checkpoint, a layout no longer read"
+_PER_PARAMETER = re.escape(
+    "the config record has keys ['adam', 'run', 'step', 'variant_model'] and "
+    "lacks ['variant']; a run checkpoint's record holds exactly ['adam', 'run', "
+    "'step', 'variant']")
 
 
 @pytest.mark.parametrize("variant", ["+OBD+OOD", "baseline"])
@@ -710,7 +654,7 @@ def test_cli_on_a_per_parameter_checkpoint_exits_3(tmp_path, tiny_trained, capsy
     assert main([verb, "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
-    assert _PER_PARAMETER in err
+    assert re.search(_PER_PARAMETER, err)
     assert [p.name for p in tmp_path.iterdir()] == ["legacy.fdck"]
 
 
@@ -734,8 +678,9 @@ def _pinned_run():
 
 
 def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
-    """A run checkpoint is three flat buffers and a ``moments`` list; a
-    parameter without moments is zeros in both moment buffers."""
+    """A run checkpoint is three flat buffers and a record naming the
+    variant; a parameter that never had a gradient is zeros in both moment
+    buffers."""
     from fewdet.harness import load_run_checkpoint, save_run_checkpoint
     from fewdet.model import parameter_shapes
 
@@ -743,12 +688,12 @@ def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "run.fdck"
     save_run_checkpoint(path, run, result)
     blob = path.read_bytes()
-    assert len(blob) == 48688
+    assert len(blob) == 47585
     assert hashlib.sha256(blob).hexdigest() == (
-        "8e8a35951cbd0c7845972a6decd349118def832c6fbae22b1abe1156bccc1ef7")
+        "8a1220d5a082e47b93c32c64542513030fec2d405e1d3f6abfe65592e07939f2")
     config, tensors = load_checkpoint(path)
     names = list(parameter_shapes(result.cfg))
-    assert config["moments"] == [n for n in names if n != "obd.background_token"]
+    assert config["variant"] == "+OBD+OOD"
     size = sum(p.data.size for p in result.state.params.values())
     assert {k: v.shape for k, v in tensors.items()} == {
         "params": (size,), "adam.m": (size,), "adam.v": (size,)}
@@ -762,8 +707,9 @@ def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
 
 
 def test_model_without_moments_round_trips(tmp_path):
-    """A model that has not taken a step yet has no moments: the buffers are
-    packed for the save, the state is left as it was."""
+    """A model that has not taken a step yet has all-zero moments: the save
+    binds the optimizer, whose moment dicts then hold every parameter, and
+    leaves the parameters as they were."""
     from fewdet.config import run_config_from_dict
     from fewdet.harness import TrainResult, load_run_checkpoint, save_run_checkpoint
     from fewdet.model import init_model_state
@@ -778,12 +724,14 @@ def test_model_without_moments_round_trips(tmp_path):
     path = tmp_path / "fresh.fdck"
     save_run_checkpoint(path, run, result)
     assert all(state.params[n].data is kept[n] for n in kept)
-    config, tensors = load_checkpoint(path)
-    assert config["moments"] == []
+    _, tensors = load_checkpoint(path)
     assert not tensors["adam.m"].any() and not tensors["adam.v"].any()
     _, loaded = load_run_checkpoint(path)
     assert _state_bytes(loaded) == _state_bytes(result)
-    assert loaded.opt.first_moment == {} and loaded.opt.second_moment == {}
+    for opt in (result.opt, loaded.opt):
+        for moments in (opt.first_moment, opt.second_moment):
+            assert list(moments) == list(kept)
+            assert not any(m.any() for m in moments.values())
 
 
 def test_parameters_out_of_layout_order_are_refused(tmp_path, tiny_trained):
@@ -800,3 +748,134 @@ def test_parameters_out_of_layout_order_are_refused(tmp_path, tiny_trained):
     with pytest.raises(ShapeError, match="the model config lays out"):
         save_run_checkpoint(path, run, dataclasses.replace(result, state=state))
     assert not path.exists()
+
+
+# -- the record: each fact once ------------------------------------------------------
+
+
+def _variant_run(variant, ood_weight=1.0):
+    """A tiny run and a one-step model of ``variant``, the run's model at
+    ``ood_weight``."""
+    import dataclasses
+    from fewdet.config import run_config_from_dict
+    from fewdet.harness import train_run
+    from fewdet.model import ablation_variant
+
+    run = run_config_from_dict(_CLI_CONFIG)
+    run = dataclasses.replace(
+        run, model=dataclasses.replace(run.model, ood_weight=ood_weight),
+        training=dataclasses.replace(run.training, steps=1, fine_tune_steps=0))
+    return run, train_run(run, cfg=ablation_variant(run.resolved_model(), variant))
+
+
+@pytest.mark.parametrize("variant, ood_weight, named", [
+    ("baseline", 1.0, "baseline"), ("+OBD", 1.0, "+OBD"),
+    ("+OBD+OOD", 1.0, "+OBD+OOD"), ("+OBD+OOD", 0.0, "+OBD"),
+], ids=["baseline", "+OBD", "+OBD+OOD", "+OBD+OOD-ood-weight-0"])
+def test_record_names_the_variant_and_loads_its_config(tmp_path, variant,
+                                                       ood_weight, named):
+    """The record holds exactly ``adam``, ``run``, ``step`` and ``variant``:
+    the first variant whose config is the saved one. The loaded config is
+    that variant of the run's model, equal to the saved config, and the
+    state round-trips bit for bit. With ``ood_weight`` 0, ``+OBD+OOD`` and
+    ``+OBD`` are one config, named ``+OBD``."""
+    from fewdet.harness import load_run_checkpoint, save_run_checkpoint
+    from fewdet.model import ablation_variant
+
+    run, result = _variant_run(variant, ood_weight)
+    path = tmp_path / "run.fdck"
+    save_run_checkpoint(path, run, result)
+    config, _ = load_checkpoint(path)
+    assert sorted(config) == ["adam", "run", "step", "variant"]
+    assert config["variant"] == named
+    loaded_run, loaded = load_run_checkpoint(path)
+    assert loaded_run == run
+    assert loaded.cfg == ablation_variant(run.resolved_model(), named) == result.cfg
+    assert _state_bytes(loaded) == _state_bytes(result)
+
+
+def test_saving_a_config_that_is_no_variant_of_the_run_is_refused(tmp_path):
+    """A model config that no variant of the run's model gives could not be
+    rebuilt from the record: a ConfigError, and nothing is written."""
+    import dataclasses
+    from fewdet.errors import ConfigError
+    from fewdet.harness import save_run_checkpoint
+
+    run, result = _variant_run("+OBD")
+    other = dataclasses.replace(run, model=dataclasses.replace(run.model,
+                                                               temperature=0.5))
+    path = tmp_path / "run.fdck"
+    with pytest.raises(ConfigError, match="none of the run's variants"):
+        save_run_checkpoint(path, other, result)
+    assert not path.exists()
+
+
+def _parent_record(config):
+    """The flat record before it named the variant: the model config as
+    ``variant_model`` and a ``moments`` list."""
+    import dataclasses
+    from fewdet.config import run_config_from_dict
+    from fewdet.model import ablation_variant
+
+    run = run_config_from_dict(config["run"])
+    cfg = ablation_variant(run.resolved_model(), config.pop("variant"))
+    config["variant_model"] = dataclasses.asdict(cfg)
+    config["moments"] = []
+    return "keys ['adam', 'moments', 'run', 'step', 'variant_model'] and lacks ['variant']"
+
+
+def _stray_key(config):
+    config["note"] = "hello"
+    return "keys ['adam', 'note', 'run', 'step', 'variant'] and lacks []"
+
+
+def _no_variant(config):
+    del config["variant"]
+    return "keys ['adam', 'run', 'step'] and lacks ['variant']"
+
+
+def _unknown_variant(config):
+    config["variant"] = "+OOD"
+    return "unknown ablation variant '+OOD'"
+
+
+def _variant_not_a_name(config):
+    config["variant"] = ["+OBD"]
+    return "unknown ablation variant '['+OBD']'"
+
+
+@pytest.mark.parametrize("change", [_parent_record, _stray_key, _no_variant,
+                                    _unknown_variant, _variant_not_a_name],
+                         ids=["parent-flat-record", "stray-key", "no-variant",
+                              "unknown-variant", "variant-not-a-name"])
+def test_record_other_than_the_four_keys_is_corrupt(tmp_path, tiny_trained, change):
+    """Any key set but the four, an earlier flat record's included, and a
+    variant that is not one of ``VARIANTS`` are a CorruptionError that says
+    what is wrong."""
+    from fewdet.harness import checkpoint_payload, load_run_checkpoint
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    offender = change(config)
+    path = tmp_path / "record.fdck"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CorruptionError, match=re.escape(offender)):
+        load_run_checkpoint(path)
+
+
+@pytest.mark.parametrize("verb", ["eval", "train"])
+def test_cli_on_an_earlier_flat_checkpoint_exits_3(tmp_path, tiny_trained, capsys,
+                                                   verb):
+    """A checkpoint whose record still carries ``variant_model`` and
+    ``moments`` exits 3, names both, and writes nothing."""
+    from fewdet.cli import main
+    from fewdet.harness import checkpoint_payload
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    _parent_record(config)
+    path = tmp_path / "flat.fdck"
+    save_checkpoint(path, config, tensors)
+    assert main([verb, "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "'moments'" in err and "'variant_model'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["flat.fdck"]

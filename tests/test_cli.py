@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -368,7 +369,32 @@ class TestTrainEval:
         cfg["training"] = FAST_CONFIG["training"]
         more.write_text(yaml.safe_dump(cfg))
         assert run_cli("train", "--config", str(more), "--checkpoint", str(ckpt)) == 0
-        assert (tmp_path / "more" / "checkpoint.fdck").read_bytes() == ckpt.read_bytes()
+        # The same run and state, recorded with the directory it wrote to.
+        from fewdet.checkpoint import load_checkpoint
+        (old, old_tensors), (new, new_tensors) = (
+            load_checkpoint(path) for path in (ckpt, tmp_path / "more" / "checkpoint.fdck"))
+        assert new["run"]["out_dir"] == str(tmp_path / "more")
+        new["run"]["out_dir"] = old["run"]["out_dir"]
+        assert new == old
+        assert {k: v.tobytes() for k, v in new_tensors.items()} == {
+            k: v.tobytes() for k, v in old_tensors.items()}
+
+    def test_resume_with_out_records_and_evaluates_the_new_directory(
+            self, fast_config, tmp_path, capsys):
+        """A resume given --out writes its checkpoint there with that
+        out_dir, so an eval of it writes its report beside it and leaves the
+        first run's directory alone."""
+        from fewdet.harness import load_run_checkpoint
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        first = tmp_path / "out"
+        second = tmp_path / "b"
+        assert run_cli("train", "--checkpoint", str(first / "checkpoint.fdck"),
+                       "--out", str(second)) == 0
+        run, _ = load_run_checkpoint(second / "checkpoint.fdck")
+        assert run.out_dir == str(second)
+        assert run_cli("eval", "--checkpoint", str(second / "checkpoint.fdck")) == 0
+        assert (second / "eval_report.json").exists()
+        assert not (first / "eval_report.json").exists()
 
     def test_eval_on_episode_file(self, fast_config, tmp_path, capsys):
         run_cli("train", "--config", str(fast_config))
@@ -378,6 +404,47 @@ class TestTrainEval:
                        str(tmp_path / "out" / "checkpoint.fdck"),
                        "--episodes", str(tmp_path / "out" / "episodes_test.bin"))
         assert code == 0
+
+    @pytest.mark.parametrize("field, damage, message", [
+        ("patches", lambda ep: {"patches": np.vstack([ep.patches, ep.patches[:2]])},
+         "patches: rows 18, expected 16"),
+        ("support", lambda ep: {"support": ep.support[:1]},
+         "support: rows 1, expected 2"),
+        ("boxes", lambda ep: {"boxes": ep.boxes[:, :3]},
+         "boxes: columns 3, expected 4"),
+        ("labels", lambda ep: {"labels": ep.labels[:1]}, "labels: count 1, expected 2"),
+        ("label-value", lambda ep: {"labels": np.array([ep.labels[0], 99])},
+         "labels: [99] are not among the class ids [2, 3]"),
+    ], ids=["patch-rows", "support-rows", "box-width", "label-count", "label-value"])
+    def test_episode_record_that_contradicts_its_header_is_corrupt(
+            self, fast_config, tmp_path, capsys, monkeypatch, field, damage, message):
+        """A record with valid digests whose shapes or labels contradict the
+        header's spec, or each other, is refused naming the field: by
+        read_episodes, and by eval --episodes with exit 3 and no report."""
+        import dataclasses
+        from fewdet import episodes
+        from fewdet.errors import CorruptionError
+
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        spec = episodes.BenchmarkSpec(**yaml.safe_load(fast_config.read_text())["benchmark"])
+        index = next(i for i in range(100)
+                     if len(episodes.generate_episode(spec, i, "test").labels) == 2)
+        ep = episodes.generate_episode(spec, index, "test")
+        damaged = dataclasses.replace(ep, **damage(ep))
+        path = tmp_path / "damaged.bin"
+        with monkeypatch.context() as mp:
+            mp.setattr(episodes, "generate_episode", lambda *args: damaged)
+            episodes.write_episodes(spec, 1, path, split="test", start_index=index)
+        expected = f"episode 0: {message}"
+        with pytest.raises(CorruptionError, match=re.escape(expected)):
+            read_episodes(path)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(tmp_path / "out" / "checkpoint.fdck"),
+                       "--episodes", str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert expected in err
+        assert not (tmp_path / "out" / "eval_report.json").exists()
 
     def test_eval_on_an_empty_episode_file_exits_1(self, fast_config, tmp_path,
                                                    capsys):

@@ -55,7 +55,7 @@ def test_short_run_saves_every_documented_array(digests, saved):
         params = {a[len("param/"):] for a in arrays if a.startswith("param/")}
         assert "obd.background_token" in params
         moments = {a[len("adam_m/"):] for a in arrays if a.startswith("adam_m/")}
-        assert moments and moments <= params
+        assert moments == params  # zeros for a parameter without a gradient
         assert moments == {a[len("adam_v/"):] for a in arrays if a.startswith("adam_v/")}
         extras = arrays - set(DETECTIONS) - {a for a in arrays if a.startswith(
             ("param/", "adam_m/", "adam_v/"))}
@@ -72,7 +72,9 @@ def test_short_run_saves_every_documented_array(digests, saved):
         assert np.isnan(saved[f"0/{run}/bg_dominance_rate"]) == (run == "baseline")
         assert np.isnan(saved[f"0/{run}/mean_separation"]) == (run == "baseline")
     record = json.loads(saved["0/+OBD+OOD/record"].tobytes())
+    assert sorted(record) == ["adam", "run", "step", "variant"]
     assert (record["step"], record["adam"]) == (3, {"step_count": 3})
+    assert record["variant"] == "+OBD+OOD"
     assert record["run"]["seed"] == record["run"]["benchmark"]["seed"] == 0
 
 

@@ -310,9 +310,10 @@ class TestTrainStep:
         opt = AdamState()
         b = train_step(ep, state, opt, cfg)
         assert b.ood == 0.0
-        # Adam gives a parameter moments at its first gradient.
-        assert "ood.embeddings" not in opt.first_moment
-        assert "embed.weight" in opt.first_moment
+        # A parameter without a gradient keeps its zero moments.
+        assert not opt.first_moment["ood.embeddings"].any()
+        assert not opt.second_moment["ood.embeddings"].any()
+        assert opt.second_moment["embed.weight"].any()
 
     def test_single_class_mode_never_touches_background_token(self):
         spec = micro_spec()
@@ -323,7 +324,8 @@ class TestTrainStep:
         for step in range(4):
             ep = training_episode(generate_episode(spec, step, "train"), cfg, step)
             train_step(ep, state, opt, cfg)
-            assert "obd.background_token" not in opt.first_moment
+            assert not opt.first_moment["obd.background_token"].any()
+            assert not opt.second_moment["obd.background_token"].any()
         np.testing.assert_array_equal(state.params["obd.background_token"].data,
                                       token_before)
 

@@ -115,6 +115,19 @@ class TestOfeSupport:
         np.testing.assert_array_equal(head_average(attn), [[1.0]])
         np.testing.assert_allclose(out.data, feats @ w_value.data.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_empty_support_gives_zero_rows(self, heads):
+        """With no class (C = 0) the support branch returns a (0, d) output
+        and a (heads, 0, n) attention, not a patch-row error from the query
+        branch."""
+        rng = np.random.default_rng(14)
+        d = 4
+        seq = make_sequence(np.zeros((0, d)), [], placeholders=3)
+        _, w_key, w_value = random_projections(rng, d)
+        token = Tensor(rng.normal(size=d))
+        out, attn = ofe_support(seq, w_key, w_value, token, heads=heads)
+        assert out.shape == (0, d) and attn.shape == (heads, 0, 3)
+
     def test_hand_derived_two_position_case(self):
         # One class feature orthogonal to the token with squared norm
         # sqrt(d), identity projections: the class row attends

@@ -69,7 +69,9 @@ def test_skipped_parameters_keep_moments_untouched():
     params = flat({"p": np.zeros(2), "q": np.zeros(2)})
     state = AdamState()
     adam_step(params, {"p": np.ones(2)}, state)
-    assert "q" not in state.first_moment
+    assert list(state.first_moment) == list(state.second_moment) == ["p", "q"]
+    assert not state.first_moment["q"].any() and not state.second_moment["q"].any()
+    assert state.first_moment["p"].all() and state.second_moment["p"].all()
     np.testing.assert_array_equal(params["q"].data, np.zeros(2))
 
 
@@ -115,15 +117,19 @@ def _random_params(rng):
 
 
 def _assert_same(params, state, ref_params, ref_state):
+    """Parameters and moments bit for bit the reference's; the moment dicts
+    hold every parameter in layout order, and a parameter the reference has
+    no moments for (it never had a gradient) has all-zero ones."""
     assert state.step_count == ref_state.step_count
     for name in ref_params:
         assert params[name].data.tobytes() == ref_params[name].data.tobytes(), name
     for moments, ref in ((state.first_moment, ref_state.first_moment),
                          (state.second_moment, ref_state.second_moment)):
-        assert sorted(moments) == sorted(ref)
-        for name, arr in ref.items():
-            assert moments[name].shape == arr.shape
-            assert moments[name].tobytes() == arr.tobytes(), name
+        assert list(moments) == list(ref_params)
+        for name, arr in moments.items():
+            want = ref.get(name, np.zeros(ref_params[name].data.shape))
+            assert arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes(), name
 
 
 def _shares_one_buffer(arrays):
@@ -157,7 +163,7 @@ def test_flat_update_equals_per_parameter_loop(monkeypatch, block, built):
         _assert_same(params, state, ref_params, ref_state)
     assert _shares_one_buffer([p.data for p in params.values()])
     assert _shares_one_buffer(list(state.first_moment.values()))
-    assert "e" not in state.first_moment
+    assert "e" not in ref_state.first_moment  # so its moments are checked zero
 
 
 def test_parameters_out_of_buffer_order_are_refused():
@@ -218,39 +224,45 @@ def test_flat_buffers_before_a_step_are_the_ones_the_step_updates():
     buffers = flat_buffers(params, state)
     assert buffers[0] is params["a"].data.base
     assert not buffers[1].any() and not buffers[2].any()
+    # Binding gives every parameter its (zero) moments, in layout order.
+    assert list(state.first_moment) == list(state.second_moment) == list(SHAPES)
     adam_step(params, {n: rng.normal(size=SHAPES[n]) for n in "ab"}, state)
     assert all(a is b for a, b in zip(flat_buffers(params, state), buffers))
     for moments, buffer in ((state.first_moment, buffers[1]),
                             (state.second_moment, buffers[2])):
-        assert sorted(moments) == ["a", "b"]
-        assert all(m.base is buffer and m.any() for m in moments.values())
+        assert list(moments) == list(SHAPES)
+        assert all(m.base is buffer and m.any() == (name in "ab")
+                   for name, m in moments.items())
 
 
-def test_restore_zeroes_moments_of_parameters_without_them():
-    """Moment buffers full of garbage: the regions of the named parameters
-    are kept, the others' zeroed, and the run goes on as the reference with
-    those moments."""
+def test_restore_binds_the_moment_buffers_as_given():
+    """Moment buffers full of random values: every parameter's region is
+    bound as it is, nothing is zeroed, and the run goes on as the reference
+    with those moments."""
     rng = np.random.default_rng(9)
     values = _random_params(rng)
     size = sum(v.size for v in values.values())
     param_buf = np.concatenate([v.reshape(-1) for v in values.values()])
     m, v = rng.normal(size=size), np.abs(rng.normal(size=size))
+    m0, v0 = m.copy(), v.copy()
     state = AdamState(learning_rate=0.01, step_count=4)
-    params = restore(param_buf, m, v, SHAPES, ["c", "a"], state)
+    params = restore(param_buf, m, v, SHAPES, state)
     assert list(params) == list(SHAPES)
     assert all(p.data.base is param_buf and p.requires_grad for p in params.values())
-    assert sorted(state.first_moment) == sorted(state.second_moment) == ["a", "c"]
-    assert state.first_moment["c"].base is m and state.second_moment["c"].base is v
+    assert list(state.first_moment) == list(state.second_moment) == list(SHAPES)
+    assert all(state.first_moment[n].base is m and state.second_moment[n].base is v
+               for n in SHAPES)
     assert all(a is b for a, b in zip(flat_buffers(params, state), (param_buf, m, v)))
+    assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
     offset = 0
     for name, value in values.items():
         assert params[name].data.tobytes() == value.tobytes(), name
-        for buffer in (m, v):
-            assert buffer[offset:offset + value.size].any() == (name in "ac"), name
+        assert (state.first_moment[name].tobytes()
+                == m0[offset:offset + value.size].tobytes()), name
         offset += value.size
     ref_params = {n: Tensor(x, requires_grad=True) for n, x in values.items()}
     ref_state = AdamState(learning_rate=0.01, step_count=4)
-    for name in "ac":
+    for name in SHAPES:
         ref_state.first_moment[name] = state.first_moment[name].copy()
         ref_state.second_moment[name] = state.second_moment[name].copy()
     for names in SCHEDULE:
@@ -269,7 +281,7 @@ def test_restore_into_a_bound_optimizer_fails_at_once():
         state = AdamState()
         if bind == "restore":
             params = restore(rng.normal(size=size), np.zeros(size), np.zeros(size),
-                             SHAPES, [], state)
+                             SHAPES, state)
         else:
             params = flat(_random_params(rng))
             adam_step(params, {"a": np.ones(SHAPES["a"])}, state)
@@ -277,7 +289,7 @@ def test_restore_into_a_bound_optimizer_fails_at_once():
         m, v = rng.normal(size=size), rng.normal(size=size)
         m0, v0 = m.copy(), v.copy()
         with pytest.raises(ShapeError, match="already bound"):
-            restore(rng.normal(size=size), m, v, SHAPES, ["a"], state)
+            restore(rng.normal(size=size), m, v, SHAPES, state)
         _assert_unchanged(before, params, state)
         assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
 
@@ -302,12 +314,12 @@ def test_restore_from_a_bad_buffer_fails_at_once(which, bad):
     copies = [b.copy() for b in buffers]
     state = AdamState()
     with pytest.raises(ShapeError, match="buffer is not a writable 1-D"):
-        restore(*buffers, SHAPES, ["a", "c"], state)
+        restore(*buffers, SHAPES, state)
     assert not state.first_moment and not state.second_moment
     assert state._flat is None and state.step_count == 0
     assert all(b.tobytes() == c.tobytes() for b, c in zip(buffers, copies))
     buffers[which] = good
-    params = restore(*buffers, SHAPES, ["a", "c"], state)
+    params = restore(*buffers, SHAPES, state)
     assert flat_buffers(params, state)[which] is good
 
 

@@ -11,8 +11,10 @@ it saves each result once, as an array keyed ``<seed>/<run>/<array>``:
 
 * for each ablation variant of the default run config, after 40 base steps
   and 10 fine-tune steps: the parameters (``param/<name>``) and Adam
-  moments (``adam_m/``, ``adam_v/``); the loss history (``history``, one
-  row per step, its keys in sorted order); on the 50 default test episodes
+  moments (``adam_m/``, ``adam_v/``, one array for every parameter, all
+  zeros for one that never had a gradient, such as the baseline's
+  ``obd.background_token``); the loss history (``history``, one row per
+  step, its keys in sorted order); on the 50 default test episodes
   the ``EvalReport.to_json()`` bytes (``report``), ``bg_dominance_rate``
   and ``mean_separation`` (NaN for the baseline); and the detections on
   test episode 0 at score threshold 0, so every query of every
