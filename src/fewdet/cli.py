@@ -11,10 +11,14 @@ configuration) and the flags listed with it; any other flag is a usage error.
              --config writes into the checkpoint's directory; a resume's
              checkpoint records the directory it wrote to. The log first
              loses its rows from the run's first step on, so each step
-             appears once
+             appears once; a resume into a directory with no log yet starts
+             it with the earlier rows of the log in the directory the
+             checkpoint records
   eval       metric report for a checkpoint, on its settings unless --config
-             is given: --out --checkpoint --episodes; exits 1 when the
-             benchmark's feature_dim is not the checkpoint's input_dim
+             is given: --out --checkpoint --episodes; the report is written
+             to --out, else the --config's out_dir, else beside the
+             checkpoint; exits 1 when the benchmark's feature_dim is not the
+             checkpoint's input_dim
   ablate     three variants on one fixed benchmark, one model per config
              ablate_seeds entry: --out
   gradcheck  finite-difference audit of every primitive and the full loss;
@@ -131,27 +135,30 @@ def _first_difference(ours, theirs, prefix: str = ""):
     return None
 
 
-def _truncate_log(path: Path, start_step: int) -> None:
-    """Drop the rows of step ``start_step`` and later from the JSONL
-    training log at ``path``, so the rows a run appends from that step
-    follow the earlier ones once each. A final line with no newline is an
-    append that a kill tore, and is dropped too. A log with nothing to drop
-    is left untouched."""
+def _start_log(path: Path, earlier: Path, start_step: int) -> None:
+    """Leave at ``path`` the rows of the JSONL training log before step
+    ``start_step``, so the rows a run appends from that step follow the
+    earlier ones once each. They are read from ``path``, or from the log
+    ``earlier`` when ``path`` has none yet, and written atomically. A final
+    line with no newline is an append that a kill tore, and is dropped too.
+    With no log to read, nothing is written; a log with nothing to drop is
+    left untouched."""
+    source = path if path.exists() else earlier
     try:
-        lines = path.read_bytes().splitlines(keepends=True)
+        lines = source.read_bytes().splitlines(keepends=True)
     except FileNotFoundError:
         return
     torn = bool(lines) and not lines[-1].endswith(b"\n")
     kept = []
     for number, line in enumerate(lines[:-1] if torn else lines, 1):
         try:
-            earlier = json.loads(line)["step"] < start_step
+            before = json.loads(line)["step"] < start_step
         except (ValueError, TypeError, KeyError):
-            raise CorruptionError(f"{path}: line {number} is not a training "
+            raise CorruptionError(f"{source}: line {number} is not a training "
                                   f"log row") from None
-        if earlier:
+        if before:
             kept.append(line)
-    if len(kept) < len(lines):
+    if source != path or len(kept) < len(lines):
         _write_atomic(path, b"".join(kept))
 
 
@@ -187,7 +194,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     log_path = out / "train_log.jsonl"
-    _truncate_log(log_path, start_step)
+    earlier = Path(prev_run.out_dir) / log_path.name if args.checkpoint else log_path
+    _start_log(log_path, earlier, start_step)
     with open(log_path, "a") as log_fh:
         result = train_run(run, cfg=cfg, state=state, opt=opt,
                            start_step=start_step, log_fh=log_fh)
@@ -212,6 +220,8 @@ def cmd_eval(args) -> int:
     run = ckpt_run if args.config is None else _load_run(args)
     if args.out is not None:
         run = dataclasses.replace(run, out_dir=args.out)
+    elif args.config is None:
+        run = dataclasses.replace(run, out_dir=str(Path(args.checkpoint).parent))
     out = _out_dir(run)
 
     episodes = None

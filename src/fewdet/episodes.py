@@ -101,13 +101,17 @@ class Episode:
 
     def patch_classes(self) -> np.ndarray:
         """(P,) position in ``class_ids`` of the class whose ground-truth box
-        covers each patch, -1 where no box does. Box edges are rounded to
-        the patch grid."""
+        covers each patch, -1 where no box does. Every box's edges come from
+        one array expression, rounded to the patch grid half to even (as
+        ``round`` rounds); then each box is painted by a slice assignment in
+        order, so where boxes overlap the last one wins, and an edge past
+        the grid is cut as a slice cuts it."""
         rows, cols = self.grid
         classes = np.full((rows, cols), -1)
-        for (cx, cy, w, h), label in zip(self.boxes, self.labels):
-            c0, c1 = int(round((cx - w / 2) * cols)), int(round((cx + w / 2) * cols))
-            r0, r1 = int(round((cy - h / 2) * rows)), int(round((cy + h / 2) * rows))
+        centre, half = self.boxes[:, :2], self.boxes[:, 2:] / 2
+        edges = np.rint(np.concatenate((centre - half, centre + half), axis=1)
+                        * (cols, rows, cols, rows)).astype(int)
+        for (c0, r0, c1, r1), label in zip(edges.tolist(), self.labels):
             classes[r0:r1, c0:c1] = self.class_ids.index(int(label))
         return classes.reshape(-1)
 

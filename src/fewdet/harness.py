@@ -45,10 +45,10 @@ from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_layout, run_inference,
                     train_step, training_episode)
-from .obd import background_attention_mass, head_average
-from .ood import min_interclass_separation
+from .obd import SupportSequence, background_attention_mass, head_average
+from .ood import SupportClassFeatures, min_interclass_separation
 from .optim import AdamState, flat_buffers, restore
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 
 # Evaluation keeps every query's best guess, so precision/recall curves are
 # not truncated; the CLI's eval report records this value.
@@ -121,10 +121,12 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
                    ) -> tuple[EvalReport, EvalDiagnostics]:
     """Run inference over evaluation episodes at ``EVAL_SCORE_THRESHOLD``
     and compute the metric report. No episode to evaluate is a
-    ConfigError. Outside single-class mode the diagnostics come from a
-    second, ``detect=False`` forward that stops at the last query-OBD
-    layer's attention, before its Conv1D and FFN fusion and the decoder,
-    until ROADMAP item 1 reads them from inference's own forward."""
+    ConfigError. Outside single-class mode each episode also runs a second,
+    ``detect=False`` forward that stops at the last query-OBD layer's
+    attention, before its Conv1D and FFN fusion and the decoder, until
+    ROADMAP item 1 reads the diagnostics from inference's own forward. The
+    loop keeps what the diagnostics read, and :func:`_diagnostics` computes
+    them after the scoring, which refuses a non-finite box first."""
     t = run.training
     if episodes is None:
         episodes = [generate_episode(run.benchmark, t.eval_start_index + i, "test")
@@ -133,7 +135,7 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
         raise ConfigError("no episodes to evaluate")
     dets: list[Detection] = []
     gts: list[GtRecord] = []
-    diag = EvalDiagnostics()
+    kept = []
     for ep in episodes:
         for class_id, score, box in run_inference(ep, state, cfg, EVAL_SCORE_THRESHOLD):
             dets.append(Detection(ep.index, class_id, score, box))
@@ -142,18 +144,46 @@ def evaluate_model(state: ModelState, cfg: ModelConfig, run: RunConfig,
         if not cfg.single_class_mode:
             with no_grad():
                 _, feats, fdiag = forward(ep, state, cfg, detect=False)
-            mask = ep.object_patch_mask()
-            mass = background_attention_mass(head_average(fdiag["query_attention"]),
-                                             fdiag["sequence"])
-            if mask.any() and (~mask).any():
-                diag.episodes_with_diag += 1
-                if mass[~mask].mean() > mass[mask].mean():
-                    diag.episodes_bg_dominant += 1
-            if feats.class_count >= 2:
-                diag.separations.append(min_interclass_separation(feats))
+            kept.append((ep, fdiag["query_attention"], fdiag["sequence"], feats))
     report = evaluate_detections(dets, gts, list(episodes[0].class_ids),
                                  len(episodes))
-    return report, diag
+    return report, _diagnostics(kept)
+
+
+def _diagnostics(kept: list[tuple[Episode, np.ndarray, SupportSequence,
+                                  SupportClassFeatures]]) -> EvalDiagnostics:
+    """The diagnostics of the episodes that :func:`evaluate_model` kept,
+    each with its last query-OBD layer's (heads, P, n) attention over its
+    support sequence and its (C, d) class features. The episodes of equal
+    shapes are stacked, and each helper runs once on the stack: a list that
+    mixes grids makes one stack per grid. Per episode there remain its
+    object mask and the two means of its masked background mass. The
+    separations are listed in episode order, since ``mean_separation`` sums
+    them pairwise in that order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, attn, _, feats) in enumerate(kept):
+        groups.setdefault((attn.shape, feats.features.shape), []).append(i)
+    per_episode: list = [None] * len(kept)  # (mass, object mask, separation)
+    for members in groups.values():
+        episodes, attns, seqs, feats = zip(*(kept[i] for i in members))
+        masses = background_attention_mass(head_average(np.stack(attns)), seqs[0])
+        separations = [None] * len(members)
+        if feats[0].class_count >= 2:
+            stacked = Tensor(np.stack([f.features.data for f in feats]))
+            separations = min_interclass_separation(
+                SupportClassFeatures(stacked)).tolist()
+        for i, ep, mass, sep in zip(members, episodes, masses, separations):
+            per_episode[i] = mass, ep.object_patch_mask(), sep
+    diag = EvalDiagnostics()
+    for mass, mask, sep in per_episode:
+        background = ~mask
+        if mask.any() and background.any():
+            diag.episodes_with_diag += 1
+            if mass[background].mean() > mass[mask].mean():
+                diag.episodes_bg_dominant += 1
+        if sep is not None:
+            diag.separations.append(sep)
+    return diag
 
 
 # -- checkpoints ------------------------------------------------------------------

@@ -77,8 +77,11 @@ class SupportSequence:
 
 
 def head_average(head_attention: np.ndarray) -> np.ndarray:
-    """The (n, m) mean over the heads of a (heads, n, m) attention."""
-    return head_attention.sum(axis=0) * (1.0 / head_attention.shape[0])
+    """The (..., n, m) mean over the heads of a (..., heads, n, m)
+    attention: a (heads, n, m) attention, or a stack of them on leading
+    batch axes. The sum runs over the heads axis, so each stacked attention
+    averages to the bits of its own call."""
+    return head_attention.sum(axis=-3) * (1.0 / head_attention.shape[-3])
 
 
 def ofe_support(s: SupportSequence, w_key: Tensor, w_value: Tensor,
@@ -124,6 +127,8 @@ def ofe_query(q_patches: Tensor, s: SupportSequence, w_query: Tensor,
 
 def background_attention_mass(attention: np.ndarray,
                               s: SupportSequence) -> np.ndarray:
-    """Per row of the attention matrix, the mass spent on the placeholder
-    columns, the last n - C (diagnostic)."""
-    return attention[:, len(s.class_ids):].sum(axis=1)
+    """Per row of the (..., rows, n) attention, the mass spent on the
+    placeholder columns, the last n - C (diagnostic). Leading batch axes
+    stack attentions over sequences of ``s``'s class count; each row sums
+    as it does alone."""
+    return attention[..., len(s.class_ids):].sum(axis=-1)

@@ -32,17 +32,20 @@ class ClassFeatureSpace:
 
 @dataclass
 class SupportClassFeatures:
-    """Support-branch output rows for class positions only (no placeholders)."""
+    """Support-branch output rows for class positions only (no
+    placeholders): (C, d), or a stack of (C, d) matrices on leading batch
+    axes, which only :func:`min_interclass_separation` reads."""
 
     features: Tensor
 
     def __post_init__(self):
-        if self.features.ndim != 2:
-            raise ShapeError(f"class features must be 2-d, got {self.features.shape}")
+        if self.features.ndim < 2:
+            raise ShapeError(f"class features must be 2-d, got {self.features.shape} "
+                             f"(a batch adds leading axes)")
 
     @property
     def class_count(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
 
 def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
@@ -68,7 +71,7 @@ def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
         raise ShapeError("infonce_loss requires at least one class")
     features, table = f.features, t.embeddings
     idx = np.asarray(ids, dtype=np.intp)
-    if (idx.min() < 0 or idx.max() >= table.shape[0]
+    if (idx.min() < 0 or idx.max() >= table.shape[0] or features.ndim != 2
             or features.shape[1] != table.shape[1]):
         raise ShapeError(f"class ids {ids} or features {features.shape} do not "
                          f"fit embeddings {table.shape}")
@@ -95,16 +98,20 @@ def infonce_loss(f: SupportClassFeatures, t: ClassFeatureSpace,
     return Tensor._result(np.asarray(loss), (features, table), backward)
 
 
-def min_interclass_separation(f: SupportClassFeatures) -> float:
+def min_interclass_separation(f: SupportClassFeatures) -> float | np.ndarray:
     """Minimum pairwise cosine distance (1 - cosine similarity) among the
-    class feature rows. Diagnostic only: operates on raw values."""
+    class feature rows: a float for (C, d) features, and an array of one per
+    matrix for a stack of them on leading batch axes, each the bits of its
+    own call (the norms as ``np.linalg.norm`` takes them, the cosines from
+    one batched product). Diagnostic only: operates on raw values."""
     x = f.features.data
-    if x.shape[0] < 2:
+    if f.class_count < 2:
         raise ShapeError("separation needs at least two classes")
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.linalg.norm(x, axis=-1)
     if np.any(norms == 0):
         raise NumericError("zero-norm class feature row")
-    unit = x / norms[:, None]
-    cos = unit @ unit.T
-    mask = ~np.eye(x.shape[0], dtype=bool)
-    return float((1.0 - cos[mask]).min())
+    unit = x / norms[..., None]
+    cos = unit @ np.swapaxes(unit, -1, -2)
+    off_diagonal = ~np.eye(f.class_count, dtype=bool)
+    separations = (1.0 - cos[..., off_diagonal]).min(axis=-1)
+    return float(separations) if x.ndim == 2 else separations

@@ -294,6 +294,36 @@ class TestTrainEval:
         assert log_path.read_bytes() == uninterrupted
         assert ckpt.read_bytes() == finished
 
+    def test_resume_into_another_directory_starts_its_log_with_the_earlier_rows(
+            self, fast_config, tmp_path, capsys):
+        """A resume into a directory with no log yet first copies the rows
+        before the resume step from the log where the checkpoint's run
+        wrote, so the new log ends as the uninterrupted run's; that log is
+        left as it was. With no earlier log, the new one starts at the
+        resume step."""
+        import dataclasses
+        from fewdet.harness import (load_run_checkpoint, save_run_checkpoint,
+                                    train_run)
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        log_path = tmp_path / "out" / "train_log.jsonl"
+        uninterrupted = log_path.read_bytes()
+        run, full = load_run_checkpoint(tmp_path / "out" / "checkpoint.fdck")
+        head = dataclasses.replace(run, training=dataclasses.replace(
+            run.training, steps=4, fine_tune_steps=0))
+        mid = tmp_path / "out" / "mid.fdck"
+        save_run_checkpoint(mid, run, train_run(head, cfg=full.cfg))
+        b = tmp_path / "b"
+        assert run_cli("train", "--checkpoint", str(mid), "--out", str(b)) == 0
+        assert (b / "train_log.jsonl").read_bytes() == uninterrupted
+        assert log_path.read_bytes() == uninterrupted
+
+        log_path.unlink()
+        c = tmp_path / "c"
+        assert run_cli("train", "--checkpoint", str(mid), "--out", str(c)) == 0
+        steps = [json.loads(line)["step"]
+                 for line in (c / "train_log.jsonl").read_text().splitlines()]
+        assert steps == [4, 6, 7]
+
     def test_resume_onto_a_log_with_a_corrupt_row_exits_3(self, fast_config, tmp_path,
                                                            capsys):
         """A row that ends in a newline was fully written, so one that does
@@ -500,6 +530,21 @@ class TestTrainEval:
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"report: {other / 'eval_report.json'}")
         assert (other / "eval_report.json").exists()
+        assert not (tmp_path / "out" / "eval_report.json").exists()
+
+    def test_eval_of_a_moved_checkpoint_writes_beside_it(self, fast_config, tmp_path,
+                                                        capsys):
+        """Given neither --out nor --config, eval writes its report beside
+        the checkpoint, not into the out_dir the checkpoint records."""
+        import shutil
+        assert run_cli("train", "--config", str(fast_config)) == 0
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        shutil.copy(tmp_path / "out" / "checkpoint.fdck", moved)
+        assert run_cli("eval", "--checkpoint", str(moved / "checkpoint.fdck")) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"report: {moved / 'eval_report.json'}")
+        assert (moved / "eval_report.json").exists()
         assert not (tmp_path / "out" / "eval_report.json").exists()
 
     def test_resume_into_a_non_finite_loss_exits_2(self, fast_config, tmp_path, capsys):

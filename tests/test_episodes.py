@@ -160,6 +160,54 @@ class TestGeneration:
         assert all(a > b for a, b in zip(oo_margins, oo_margins[1:]))
 
 
+def _patch_classes_box_by_box(ep):
+    """The oracle: the per-box loop that ``patch_classes`` replaced, each
+    edge rounded by Python's ``round``."""
+    rows, cols = ep.grid
+    classes = np.full((rows, cols), -1)
+    for (cx, cy, w, h), label in zip(ep.boxes, ep.labels):
+        c0, c1 = int(round((cx - w / 2) * cols)), int(round((cx + w / 2) * cols))
+        r0, r1 = int(round((cy - h / 2) * rows)), int(round((cy + h / 2) * rows))
+        classes[r0:r1, c0:c1] = ep.class_ids.index(int(label))
+    return classes.reshape(-1)
+
+
+class TestPatchClasses:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("bench", [
+        BenchmarkSpec(),
+        BenchmarkSpec(grid_rows=16, grid_cols=16, objects_min=8, objects_max=12),
+    ], ids=["default", "dense"])
+    def test_generated_episodes_match_the_box_loop(self, bench, split):
+        for i in range(200):
+            ep = generate_episode(bench, i, split)
+            np.testing.assert_array_equal(ep.patch_classes(),
+                                          _patch_classes_box_by_box(ep))
+
+    @pytest.mark.parametrize("boxes, labels, painted", [
+        # The second box, 4x4 patches, overlaps 3x3 of the first and wins them.
+        ([[0.375, 0.375, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], [4, 5],
+         {4: 16 - 9, 5: 16}),
+        # Past the right edge (columns 6 to 9) the slice stops at the grid.
+        ([[0.925, 0.5, 0.35, 0.25]], [6], {6: 2 * 2}),
+        # A left edge at -2 slices from column 6: [-2:2] is empty.
+        ([[0.0, 0.5, 0.5, 0.25]], [6], {}),
+        # Edges on half cells, 2.5 to 3.5 by 4.5 to 5.5, round half to even:
+        # columns 2 to 4 by rows 4 to 6 (half up would paint one patch).
+        ([[0.375, 0.625, 0.125, 0.125]], [7], {7: 4}),
+        # No box at all.
+        (np.zeros((0, 4)), [], {}),
+    ], ids=["overlap", "past-the-edge", "negative-edge", "half-cells", "no-box"])
+    def test_hand_built_boxes_match_the_box_loop(self, boxes, labels, painted):
+        ep = dataclasses.replace(generate_episode(BenchmarkSpec(), 0, "test"),
+                                 boxes=np.asarray(boxes, dtype=float),
+                                 labels=np.asarray(labels, dtype=np.int64))
+        classes = ep.patch_classes()
+        np.testing.assert_array_equal(classes, _patch_classes_box_by_box(ep))
+        assert {ep.class_ids[k]: int(v) for k, v in
+                zip(*np.unique(classes[classes >= 0], return_counts=True))} == painted
+
+
 class TestSingleClassView:
     def test_keeps_only_selected_class(self):
         ep = generate_episode(spec(), 0, "train")

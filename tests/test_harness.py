@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from fewdet.config import RunConfig, TrainingConfig, run_config_from_dict
-from fewdet.episodes import generate_episode
-from fewdet.harness import (VariantOutcome, ablation_summary, ablation_table,
-                            evaluate_model, load_run_checkpoint, run_ablation,
-                            save_run_checkpoint, train_run)
-from fewdet.model import (ablation_variant, init_model_state, train_step,
-                          training_episode)
+from fewdet.episodes import BenchmarkSpec, generate_episode
+from fewdet.errors import NumericError
+from fewdet.harness import (EvalDiagnostics, VariantOutcome, ablation_summary,
+                            ablation_table, evaluate_model, load_run_checkpoint,
+                            run_ablation, save_run_checkpoint, train_run)
+from fewdet.model import (ablation_variant, forward, init_model_state, train_step,
+                          training_episode, zero_model_state)
+from fewdet.obd import background_attention_mass, head_average
+from fewdet.ood import min_interclass_separation
 from fewdet.optim import AdamState
+from fewdet.tensor import no_grad
 
 
 def fast_run(**training_kw):
@@ -65,6 +69,72 @@ def test_single_class_evaluation_merges_classes():
     assert report.detection_count == 3 * 2 * run.model.num_object_queries
     assert diag.episodes_with_diag == 0  # no background diagnostics at N=1
 
+
+def _diagnostics_episode_by_episode(state, cfg, episodes) -> EvalDiagnostics:
+    """The reference: each episode's diagnostics from the 2-D helper calls,
+    in episode order."""
+    diag = EvalDiagnostics()
+    for ep in episodes:
+        with no_grad():
+            _, feats, fdiag = forward(ep, state, cfg, detect=False)
+        mask = ep.object_patch_mask()
+        mass = background_attention_mass(head_average(fdiag["query_attention"]),
+                                         fdiag["sequence"])
+        if mask.any() and (~mask).any():
+            diag.episodes_with_diag += 1
+            if mass[~mask].mean() > mass[mask].mean():
+                diag.episodes_bg_dominant += 1
+        if feats.class_count >= 2:
+            diag.separations.append(min_interclass_separation(feats))
+    return diag
+
+
+def _assert_same_diagnostics(got: EvalDiagnostics, want: EvalDiagnostics):
+    assert (got.episodes_with_diag, got.episodes_bg_dominant) == (
+        want.episodes_with_diag, want.episodes_bg_dominant)
+    assert [s.hex() for s in got.separations] == [s.hex() for s in want.separations]
+    assert got.mean_separation.hex() == want.mean_separation.hex()
+
+
+@pytest.mark.parametrize("steps", [0, 20], ids=["untrained", "20-steps"])
+@pytest.mark.parametrize("seed", [0, 7, 104729])
+def test_sweep_diagnostics_equal_the_per_episode_calls(seed, steps):
+    """The stacked diagnostics of a default sweep (50 test episodes) are
+    the bits that the 2-D helper calls give episode by episode."""
+    run = RunConfig(seed=seed, benchmark=BenchmarkSpec(seed=seed),
+                    training=TrainingConfig(steps=steps, fine_tune_steps=0))
+    result = train_run(run)
+    _, diag = evaluate_model(result.state, result.cfg, run)
+    episodes = [generate_episode(run.benchmark, run.training.eval_start_index + i,
+                                 "test") for i in range(run.training.eval_episodes)]
+    assert len(diag.separations) == 50
+    _assert_same_diagnostics(diag, _diagnostics_episode_by_episode(
+        result.state, result.cfg, episodes))
+
+
+def test_a_list_that_mixes_grids_is_evaluated_in_episode_order():
+    """An 8x8, a 16x16 and another 8x8 episode: two stacks, and the
+    separations still follow the list."""
+    run = RunConfig()
+    dense = dataclasses.replace(run.benchmark, grid_rows=16, grid_cols=16,
+                                objects_min=8, objects_max=12)
+    episodes = [generate_episode(run.benchmark, 0, "test"),
+                generate_episode(dense, 1, "test"),
+                generate_episode(run.benchmark, 2, "test")]
+    cfg = run.resolved_model()
+    state = init_model_state(cfg)
+    report, diag = evaluate_model(state, cfg, run, episodes=episodes)
+    assert report.episode_count == 3
+    assert diag.episodes_with_diag == 3
+    _assert_same_diagnostics(diag, _diagnostics_episode_by_episode(state, cfg,
+                                                                   episodes))
+
+
+def test_zero_class_features_are_a_numeric_error():
+    run = fast_run()
+    cfg = run.resolved_model()
+    with pytest.raises(NumericError, match="zero-norm class feature row"):
+        evaluate_model(zero_model_state(cfg), cfg, run)
 
 def test_ablation_covers_variants_and_seeds():
     run = dataclasses.replace(fast_run(), ablate_seeds=(0, 1))

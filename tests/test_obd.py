@@ -291,6 +291,26 @@ class TestBackgroundMass:
                                       [4.0, 9.0])
 
 
+
+@pytest.mark.parametrize("batch, heads, p, n, c", [
+    (50, 4, 64, 5, 4),     # the default eval sweep
+    (3, 2, 256, 20, 3),    # a 16x16 grid; a sum over 17 placeholder columns
+    (1, 1, 1, 2, 1),
+])
+def test_stacked_attention_gives_each_episode_its_own_bits(batch, heads, p, n, c):
+    """head_average and background_attention_mass on a stack of
+    attentions equal, byte for byte, their calls on each one alone."""
+    logits = np.random.default_rng(batch + p).normal(size=(batch, heads, p, n))
+    stacked = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    seq = make_sequence(np.ones((c, 3)), range(c), placeholders=n - c)
+    averaged = head_average(stacked)
+    mass = background_attention_mass(averaged, seq)
+    assert averaged.shape == (batch, p, n) and mass.shape == (batch, p)
+    for b in range(batch):
+        alone = head_average(stacked[b])
+        assert averaged[b].tobytes() == alone.tobytes()
+        assert mass[b].tobytes() == background_attention_mass(alone, seq).tobytes()
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2 ** 31 - 1),
        st.sampled_from([1, 2]))

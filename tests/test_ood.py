@@ -207,6 +207,25 @@ class TestSeparation:
         with pytest.raises(NumericError):
             min_interclass_separation(feats([[0.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("batch, c, d", [(50, 4, 64), (7, 2, 3), (1, 5, 16)])
+    def test_stacked_features_give_each_episode_its_own_bits(self, batch, c, d):
+        x = np.random.default_rng(batch).normal(size=(batch, c, d))
+        x[0, 1] = x[0, 0]  # a separation of 0
+        separations = min_interclass_separation(feats(x))
+        assert separations.shape == (batch,)
+        assert [s.hex() for s in separations.tolist()] == [
+            min_interclass_separation(feats(x[b])).hex() for b in range(batch)]
+
+    def test_zero_norm_row_anywhere_in_a_stack_is_rejected(self):
+        x = np.ones((3, 2, 4))
+        x[2, 1] = 0.0
+        with pytest.raises(NumericError, match="zero-norm class feature row"):
+            min_interclass_separation(feats(x))
+
+    def test_a_stack_is_no_infonce_input(self):
+        with pytest.raises(ShapeError):
+            infonce_loss(feats(np.ones((2, 2, 2))), space(np.eye(2)), [0, 1])
+
 
 def test_minimizing_infonce_increases_separation():
     """Adam on the contrastive loss alone (C=4, d=8, 500 steps): features
