@@ -314,7 +314,9 @@ def _manifest(spec: BenchmarkSpec, split: str, start_index: int,
 
 def _spec_mismatch(ep: Episode, spec: BenchmarkSpec) -> str | None:
     """How an episode record disagrees with the header's spec or with
-    itself, naming the field, or None if it does not."""
+    itself, naming the field, or None if it does not. A non-finite feature
+    or box value, or a box whose width or height is not > 0, is such a
+    disagreement: no generated episode has one."""
     grid = (spec.grid_rows, spec.grid_cols)
     if tuple(ep.grid) != grid:
         return (f"grid {tuple(ep.grid)} where the header gives "
@@ -332,6 +334,17 @@ def _spec_mismatch(ep: Episode, spec: BenchmarkSpec) -> str | None:
                              ("labels: count", len(ep.labels), len(ep.boxes))):
         if got != want:
             return f"{field} {got}, expected {want}"
+    for name, arr in (("support", ep.support), ("patches", ep.patches),
+                      ("boxes", ep.boxes)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            at = tuple(int(i) for i in bad[0])
+            return f"{name}: non-finite value {arr[at]} at {at}"
+    empty = np.flatnonzero(~(ep.boxes[:, 2:] > 0).all(axis=1))
+    if len(empty):
+        width, height = ep.boxes[empty[0], 2:]
+        return (f"boxes: box {empty[0]} has width {width} and height {height}; "
+                f"both must be > 0")
     stray = sorted(set(ep.labels.tolist()) - set(ids))
     if stray:
         return f"labels: {stray} are not among the class ids {ids}"

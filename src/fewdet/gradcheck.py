@@ -75,9 +75,9 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
                                             "bias": (3,)}),
         "project_rows.token": (
             lambda x, w, token: T.project_rows(x, w, 6, token),
-            {"x": (3, 5), "w": (4, 5), "token": (4,)}),
+            {"x": (3, 5), "w": (5, 4), "token": (4,)}),
         "project_rows.zeros": (lambda x, w: T.project_rows(x, w, 5),
-                               {"x": (3, 5), "w": (4, 5)}),
+                               {"x": (3, 5), "w": (5, 4)}),
         "ffn_apply": (T.ffn_apply, {"x": (4, 5), "w1": (5, 7), "b1": (7,),
                                     "w2": (7, 5), "b2": (5,)}),
         "infonce_loss": (lambda f, e: ood.infonce_loss(
@@ -104,6 +104,9 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     results.append(_check("box_loss.boxes",
                           lambda t: box_loss(t, [4, 2, 0, 3], targets, 5.0, 2.0)[0],
                           boxes))
+    # The transpose node, against a random mix of its (5, 4) output.
+    mix = Tensor(rng.normal(size=(5, 4)))
+    results.append(_check("transpose", lambda t: T.transpose(t) * mix, a))
     return results
 
 

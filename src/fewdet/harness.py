@@ -11,14 +11,20 @@ Run checkpoints: a checkpoint (see :mod:`fewdet.checkpoint`) holding three
 tensors, ``params``, ``adam.m`` and ``adam.v``, each one whole 1-D float64
 buffer laid out as ``parameter_layout`` lays the model's parameters out
 (see :mod:`fewdet.optim`). The config record holds exactly ``run``,
-``step``, ``adam`` (``{"step_count": n}`` and nothing else) and
-``variant``, each fact once: the model config is
+``step``, ``adam`` (``{"step_count": n}`` and nothing else), ``variant``
+and ``layout``, each fact once: the model config is
 ``ablation_variant(run.resolved_model(), variant)``, and the writer names
 the first of ``VARIANTS`` that gives the saved config (``+OBD`` when
-``model.ood_weight`` is 0) or raises ConfigError. This is the one layout
-:func:`load_run_checkpoint` reads: any other key set (the keys the record
-has and lacks are named), an unknown variant, or a key that older records
-carried in ``run`` or ``adam`` is a CorruptionError. The record is checked
+``model.ood_weight`` is 0) or raises ConfigError. ``layout`` is
+``"product"``: every weight, the OBD projections and
+``head.class.support_proj`` included, is the (in, out) matrix that
+``x @ w`` reads. Records written before it have no ``layout`` and hold
+those projections, and their Adam moments, transposed. This is the one
+layout :func:`load_run_checkpoint` reads. A record with the four other
+keys and no ``layout`` is a CorruptionError that names the layout change.
+So is any other key set (the keys the record has and lacks are named),
+another ``layout``, an unknown variant, or a key that older records
+carried in ``run`` or ``adam``. The record is checked
 against the buffers the file holds before anything is sized from it; then
 one :func:`fewdet.optim.restore` call cuts the parameters and both Adam
 moments from the three loaded buffers at the same offsets and binds the
@@ -204,7 +210,8 @@ def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]
         raise ShapeError("checkpoint: the parameters are not the ones, in the "
                          "order, that the model config lays out")
     config = {"run": run_config_to_dict(run), "step": result.steps_done,
-              "adam": {"step_count": opt.step_count}, "variant": variant}
+              "adam": {"step_count": opt.step_count}, "variant": variant,
+              "layout": _LAYOUT}
     return config, dict(zip(_BUFFERS, flat_buffers(params, opt)))
 
 
@@ -213,7 +220,8 @@ def save_run_checkpoint(path, run: RunConfig, result: TrainResult) -> None:
     save_checkpoint(path, config, tensors)
 
 
-_RECORD_KEYS = {"adam", "run", "step", "variant"}
+_LAYOUT = "product"
+_RECORD_KEYS = {"adam", "layout", "run", "step", "variant"}
 
 
 def _parse_run_config(path, config: dict
@@ -221,12 +229,22 @@ def _parse_run_config(path, config: dict
     """The run, variant config, step and optimizer state of a config
     record."""
     try:
+        if set(config) == _RECORD_KEYS - {"layout"}:
+            raise CorruptionError(
+                f"{path}: the config record has no 'layout': it was written "
+                f"with the OBD projections and head.class.support_proj stored "
+                f"as the (out, in) matrices of x @ w^T; this version stores "
+                f"every weight in {_LAYOUT!r} layout, the (in, out) matrix of "
+                f"x @ w, and does not read the older one")
         if set(config) != _RECORD_KEYS:
             raise CorruptionError(
                 f"{path}: the config record has keys {sorted(config)} and lacks "
                 f"{sorted(_RECORD_KEYS - set(config))}; a run checkpoint's record "
                 f"holds exactly {sorted(_RECORD_KEYS)}")
         run = run_config_from_dict(config["run"], "run.")
+        if config["layout"] != _LAYOUT:
+            raise CorruptionError(f"{path}: parameter layout {config['layout']!r}, "
+                                  f"not {_LAYOUT!r}")
         cfg = ablation_variant(run.resolved_model(), config["variant"])
         step, adam = config["step"], config["adam"]
         count = adam["step_count"]

@@ -29,10 +29,14 @@ Every attention block, in the encoders and the decoder alike, runs its heads
 at once through the fused :func:`fewdet.tensor.attention` primitive, and
 :func:`layer_norm` is the fused primitive of :mod:`fewdet.tensor`. The
 embedding and the box head's layers are :func:`fewdet.tensor.linear`
-nodes, each FFN block is one :func:`ffn_apply` node, and every product
-with a transposed matrix is one :func:`fewdet.tensor.project_rows` node:
-the OBD projections, the support keys of the class head, and its logits
-against those keys.
+nodes, each FFN block is one :func:`ffn_apply` node, and the OBD
+projections, the support keys of the class head and its logits against
+those keys are :func:`fewdet.tensor.project_rows` nodes. Every weight is
+stored as the (in, out) matrix its product ``x @ w`` reads:
+:func:`init_model_state` stores each OBD projection and
+``head.class.support_proj`` as the transpose of the (out, in) matrix it
+draws. The logits' transposed operand is the support keys, an activation,
+which :func:`fewdet.tensor.transpose` copies once per forward.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .optim import (AdamState, adam_step, collect_grads, flat_parameters,
 from .set_head import (DetectionOutput, GroundTruth, Weights, decode_detections,
                        hungarian_match, match_cost, set_loss)
 from .tensor import (Tensor, attention, ffn_apply, layer_norm, linear, matmul,
-                     no_grad, project_rows, sigmoid, silu)
+                     no_grad, project_rows, sigmoid, silu, transpose)
 
 VARIANTS = ("baseline", "+OBD", "+OBD+OOD")
 
@@ -182,9 +186,19 @@ def _reference_lattice(m: int) -> np.ndarray:
     return np.log(p / (1 - p))
 
 
+def _projection_names(cfg: ModelConfig) -> set[str]:
+    """The weights drawn as the (out, in) matrix of ``x @ w^T``:
+    the OBD query, key and value projections and the class head's support
+    projection. Each is stored as its draw's transpose."""
+    return {"head.class.support_proj",
+            *(f"obd.layer{i}.{w}" for i in range(cfg.encoder_layers)
+              for w in ("w1", "w2", "w3"))}
+
+
 def init_model_state(cfg: ModelConfig) -> ModelState:
     rng = np.random.default_rng(cfg.seed)
     shapes = parameter_shapes(cfg)
+    projections = _projection_names(cfg)
     params = flat_parameters(shapes, zeroed=False)  # every value is set below
     for name, shape in shapes.items():
         if name == "obd.background_token":
@@ -202,6 +216,8 @@ def init_model_state(cfg: ModelConfig) -> ModelState:
         else:
             fan_in = shape[0]
             data = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+            if name in projections:  # drawn (out, in), stored (in, out); both (d, d)
+                data = data.T
         params[name].data[...] = data
     return ModelState(params, cfg)
 
@@ -345,7 +361,7 @@ def forward(episode: Episode, state: ModelState, cfg: ModelConfig, *,
 
     match_keys = project_rows(seq.features, p["head.class.support_proj"], len(seq), token)
     logits = project_rows(matmul(decoded, p["head.class.query_proj"]),
-                          match_keys) * (1.0 / np.sqrt(cfg.d)) + p["head.class.bias"]
+                          transpose(match_keys)) * (1.0 / np.sqrt(cfg.d)) + p["head.class.bias"]
     with no_grad():  # values for matching and decoding; the loss uses logits
         probs = sigmoid(logits)
 

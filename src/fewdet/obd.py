@@ -9,7 +9,8 @@ passed through the key projection); on the value side it is a fixed zero
 vector, so attention mass spent on the background contributes nothing to
 the mixed output and the token is trained purely through the similarity
 path. Every projection is one :func:`fewdet.tensor.project_rows` node
-(``x @ w^T``, then any placeholder rows): the key side is
+(``x @ w``, then any placeholder rows), each weight stored as the
+(in, out) matrix that product reads: the key side is
 ``project_rows(s.features, w_key, len(s), token)`` and the value side
 ``project_rows(s.features, w_value, len(s))``, the projected class
 features in the first C rows and the token or the zero row in the rest.

@@ -16,8 +16,8 @@ again instead.
 
 Dense sub-blocks are one graph node each: the affine map (:func:`linear`),
 the affine map of two inputs' channels side by side
-(:func:`concat_linear`), the product with a transposed weight, optionally
-followed by filler rows (:func:`project_rows`), the FFN block
+(:func:`concat_linear`), a product followed by filler rows
+(:func:`project_rows`), the FFN block
 (:func:`ffn_apply`, which takes its two weights and two biases as tensors
 and checks their shapes), multi-head attention and layer norm. Each has a
 hand-derived backward that repeats the arithmetic of the primitive chain
@@ -28,6 +28,11 @@ intermediate that one element-wise op or one copy of the inputs gives back
 is recomputed in backward instead of held from forward to backward. Each
 loss term is one such node too (:mod:`fewdet.set_head`,
 :mod:`fewdet.ood`).
+
+Every weight is stored as the matrix its product reads, ``x @ w``, so no
+primitive copies a weight's transpose. The one product with a transposed
+operand, the class logits against the support keys, transposes an
+activation: :func:`transpose` copies the keys once, as its own node.
 
 A primitive writes only into arrays it allocated in that call. It never
 writes into its inputs, into the upstream gradient, or into an array it
@@ -280,24 +285,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def transpose(a: Tensor) -> Tensor:
+    """The 2-d ``a^T`` as a C-contiguous copy, one graph node whose backward
+    is ``g^T``. It copies an activation, never a weight: every weight is
+    stored as the matrix its product reads. The class head hands its
+    support keys through it to :func:`project_rows` for the logits."""
+    if a.ndim != 2:
+        raise ShapeError(f"transpose requires a 2-d operand, got {a.shape}")
+    return Tensor._result(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
 def project_rows(x: Tensor, w: Tensor, n: int | None = None,
                  filler: Tensor | None = None) -> Tensor:
     """An (n, width) result whose row i < C is row i of the (C, width)
-    ``x @ w^T``, and whose every later row is the 1-d ``filler``, or zero
+    ``x @ w``, and whose every later row is the 1-d ``filler``, or zero
     when ``filler`` is None (a constant with no gradient); ``n`` defaults
-    to C, so ``project_rows(x, w)`` is ``x @ w^T``. The product runs
-    against a contiguous copy of ``w^T``: OpenBLAS picks other small-matrix
-    kernels for a transposed view, whose sums can differ in the last bits.
-    One graph node for that product followed by a gather from
-    ``[x @ w^T; filler]``, bit-identical to that chain. Its backward slices
-    the upstream gradient as the gather's scatter-add into zeros would have
-    accumulated it: the projected rows get ``0.0 + g`` (so -0.0 becomes
-    0.0), and the filler the sum of its rows in order, starting from 0.0.
-    The filler is a parent only when some row holds it."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"project_rows: {x.shape} does not match the "
-                         f"transpose of {w.shape}")
-    c, width = x.shape[0], w.shape[0]
+    to C, so ``project_rows(x, w)`` is ``x @ w``. The product reads
+    ``w.data`` as it is stored, with no copy: a projection weight is stored
+    as the (in, out) matrix it reads. One graph node for that product
+    followed by a gather from ``[x @ w; filler]``, bit-identical to that
+    chain. Its backward slices the upstream gradient as the gather's
+    scatter-add into zeros would have accumulated it: the projected rows
+    get ``0.0 + g`` (so -0.0 becomes 0.0), and the filler the sum of its
+    rows in order, starting from 0.0. The filler is a parent only when
+    some row holds it."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"project_rows: input {x.shape} does not match "
+                         f"weight {w.shape}")
+    c, width = x.shape[0], w.shape[1]
     n = c if n is None else n
     if n < c:
         raise ShapeError(f"project_rows: {n} rows cannot hold the {c} projected ones")
@@ -305,16 +320,15 @@ def project_rows(x: Tensor, w: Tensor, n: int | None = None,
         raise ShapeError(f"project_rows: filler {filler.shape} does not "
                          f"match the projected width {width}")
     filled = filler is not None and n > c
-    wt = w.data.T.copy()
     out = np.empty((n, width))
-    np.matmul(x.data, wt, out=out[:c])
+    np.matmul(x.data, w.data, out=out[:c])
     out[c:] = 0.0 if filler is None else filler.data
 
     def backward(g: np.ndarray):
         # C-ordered even when g is a transposed view, so BLAS runs the
         # kernels it ran on the gather's accumulation table.
         gx = np.add(g[:c], 0.0, order="C")
-        grads = (gx @ wt.T, (x.data.T @ gx).T)
+        grads = (gx @ w.data.T, x.data.T @ gx)
         if not filled:
             return grads
         gf = np.zeros(width)

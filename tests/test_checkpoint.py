@@ -624,8 +624,8 @@ def _state_bytes(result) -> dict:
 
 _PER_PARAMETER = re.escape(
     "the config record has keys ['adam', 'run', 'step', 'variant_model'] and "
-    "lacks ['variant']; a run checkpoint's record holds exactly ['adam', 'run', "
-    "'step', 'variant']")
+    "lacks ['layout', 'variant']; a run checkpoint's record holds exactly "
+    "['adam', 'layout', 'run', 'step', 'variant']")
 
 
 @pytest.mark.parametrize("variant", ["+OBD+OOD", "baseline"])
@@ -679,8 +679,8 @@ def _pinned_run():
 
 def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
     """A run checkpoint is three flat buffers and a record naming the
-    variant; a parameter that never had a gradient is zeros in both moment
-    buffers."""
+    variant and the parameter layout; a parameter that never had a gradient
+    is zeros in both moment buffers."""
     from fewdet.harness import load_run_checkpoint, save_run_checkpoint
     from fewdet.model import parameter_shapes
 
@@ -688,12 +688,12 @@ def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "run.fdck"
     save_run_checkpoint(path, run, result)
     blob = path.read_bytes()
-    assert len(blob) == 47585
+    assert len(blob) == 47606
     assert hashlib.sha256(blob).hexdigest() == (
-        "8a1220d5a082e47b93c32c64542513030fec2d405e1d3f6abfe65592e07939f2")
+        "83da7ba620544d8f3d5123413b90dd6513e9ecf2bc10cbad3a86ab52fefa5586")
     config, tensors = load_checkpoint(path)
     names = list(parameter_shapes(result.cfg))
-    assert config["variant"] == "+OBD+OOD"
+    assert config["variant"] == "+OBD+OOD" and config["layout"] == "product"
     size = sum(p.data.size for p in result.state.params.values())
     assert {k: v.shape for k, v in tensors.items()} == {
         "params": (size,), "adam.m": (size,), "adam.v": (size,)}
@@ -774,8 +774,8 @@ def _variant_run(variant, ood_weight=1.0):
 ], ids=["baseline", "+OBD", "+OBD+OOD", "+OBD+OOD-ood-weight-0"])
 def test_record_names_the_variant_and_loads_its_config(tmp_path, variant,
                                                        ood_weight, named):
-    """The record holds exactly ``adam``, ``run``, ``step`` and ``variant``:
-    the first variant whose config is the saved one. The loaded config is
+    """The record holds exactly ``adam``, ``layout``, ``run``, ``step`` and
+    ``variant``: the first variant whose config is the saved one. The loaded config is
     that variant of the run's model, equal to the saved config, and the
     state round-trips bit for bit. With ``ood_weight`` 0, ``+OBD+OOD`` and
     ``+OBD`` are one config, named ``+OBD``."""
@@ -786,8 +786,8 @@ def test_record_names_the_variant_and_loads_its_config(tmp_path, variant,
     path = tmp_path / "run.fdck"
     save_run_checkpoint(path, run, result)
     config, _ = load_checkpoint(path)
-    assert sorted(config) == ["adam", "run", "step", "variant"]
-    assert config["variant"] == named
+    assert sorted(config) == ["adam", "layout", "run", "step", "variant"]
+    assert config["variant"] == named and config["layout"] == "product"
     loaded_run, loaded = load_run_checkpoint(path)
     assert loaded_run == run
     assert loaded.cfg == ablation_variant(run.resolved_model(), named) == result.cfg
@@ -812,26 +812,33 @@ def test_saving_a_config_that_is_no_variant_of_the_run_is_refused(tmp_path):
 
 def _parent_record(config):
     """The flat record before it named the variant: the model config as
-    ``variant_model`` and a ``moments`` list."""
+    ``variant_model``, a ``moments`` list, and no ``layout``."""
     import dataclasses
     from fewdet.config import run_config_from_dict
     from fewdet.model import ablation_variant
 
     run = run_config_from_dict(config["run"])
     cfg = ablation_variant(run.resolved_model(), config.pop("variant"))
+    del config["layout"]
     config["variant_model"] = dataclasses.asdict(cfg)
     config["moments"] = []
-    return "keys ['adam', 'moments', 'run', 'step', 'variant_model'] and lacks ['variant']"
+    return ("keys ['adam', 'moments', 'run', 'step', 'variant_model'] and lacks "
+            "['layout', 'variant']")
 
 
 def _stray_key(config):
     config["note"] = "hello"
-    return "keys ['adam', 'note', 'run', 'step', 'variant'] and lacks []"
+    return "keys ['adam', 'layout', 'note', 'run', 'step', 'variant'] and lacks []"
 
 
 def _no_variant(config):
     del config["variant"]
-    return "keys ['adam', 'run', 'step'] and lacks ['variant']"
+    return "keys ['adam', 'layout', 'run', 'step'] and lacks ['variant']"
+
+
+def _other_layout(config):
+    config["layout"] = "transposed"
+    return "parameter layout 'transposed', not 'product'"
 
 
 def _unknown_variant(config):
@@ -845,13 +852,16 @@ def _variant_not_a_name(config):
 
 
 @pytest.mark.parametrize("change", [_parent_record, _stray_key, _no_variant,
-                                    _unknown_variant, _variant_not_a_name],
+                                    _unknown_variant, _variant_not_a_name,
+                                    _other_layout],
                          ids=["parent-flat-record", "stray-key", "no-variant",
-                              "unknown-variant", "variant-not-a-name"])
+                              "unknown-variant", "variant-not-a-name",
+                              "other-layout"])
 def test_record_other_than_the_four_keys_is_corrupt(tmp_path, tiny_trained, change):
-    """Any key set but the four, an earlier flat record's included, and a
-    variant that is not one of ``VARIANTS`` are a CorruptionError that says
-    what is wrong."""
+    """Any key set but the five (the four facts the record held before it
+    named the parameter layout, and ``layout``), an earlier flat record's
+    included, a variant that is not one of ``VARIANTS`` and a layout other
+    than ``product`` are a CorruptionError that says what is wrong."""
     from fewdet.harness import checkpoint_payload, load_run_checkpoint
 
     config, tensors = checkpoint_payload(*tiny_trained)
@@ -879,3 +889,61 @@ def test_cli_on_an_earlier_flat_checkpoint_exits_3(tmp_path, tiny_trained, capsy
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert "'moments'" in err and "'variant_model'" in err
     assert [p.name for p in tmp_path.iterdir()] == ["flat.fdck"]
+
+
+# -- the parameter layout ------------------------------------------------------------
+
+
+def _parent_layout_payload(run, result) -> tuple[dict, dict]:
+    """The run checkpoint as it was written before the record named the
+    parameter layout: no ``layout`` key, and the OBD projections and
+    ``head.class.support_proj`` stored as the (out, in) matrices of
+    ``x @ w^T``, transposed in every buffer."""
+    from fewdet.harness import checkpoint_payload
+    from fewdet.model import parameter_layout
+
+    config, tensors = checkpoint_payload(run, result)
+    del config["layout"]
+    tensors = {k: v.copy() for k, v in tensors.items()}
+    start = 0
+    for name, shape in parameter_layout(result.cfg):
+        size = int(np.prod(shape))
+        if name == "head.class.support_proj" or (
+                name.startswith("obd.layer") and name.endswith((".w1", ".w2", ".w3"))
+                and ".ffn." not in name):
+            for buf in tensors.values():
+                block = buf[start:start + size].reshape(shape)
+                buf[start:start + size] = block.T.reshape(-1)
+        start += size
+    return config, tensors
+
+
+_PARENT_LAYOUT = re.escape(
+    "the config record has no 'layout': it was written with the OBD projections "
+    "and head.class.support_proj stored as the (out, in) matrices of x @ w^T")
+
+
+def test_parent_layout_checkpoint_is_refused(tmp_path, tiny_trained):
+    """A run checkpoint written before the projection weights were stored
+    as the (in, out) matrices their product reads is refused with an error
+    that names the layout change: it never loads with transposed weights."""
+    from fewdet.harness import load_run_checkpoint
+
+    path = tmp_path / "parent.fdck"
+    save_checkpoint(path, *_parent_layout_payload(*tiny_trained))
+    with pytest.raises(CorruptionError, match=_PARENT_LAYOUT):
+        load_run_checkpoint(path)
+
+
+@pytest.mark.parametrize("verb", ["eval", "train"])
+def test_cli_on_a_parent_layout_checkpoint_exits_3(tmp_path, tiny_trained, capsys,
+                                                   verb):
+    from fewdet.cli import main
+
+    path = tmp_path / "parent.fdck"
+    save_checkpoint(path, *_parent_layout_payload(*tiny_trained))
+    assert main([verb, "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert re.search(_PARENT_LAYOUT, err)
+    assert [p.name for p in tmp_path.iterdir()] == ["parent.fdck"]

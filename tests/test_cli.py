@@ -37,6 +37,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _with(arr, at, value):
+    """A copy of ``arr`` with ``value`` at index ``at``."""
+    out = arr.copy()
+    out[at] = value
+    return out
+
+
 class TestGen:
     def test_gen_writes_and_prints_digest(self, fast_config, tmp_path, capsys):
         assert run_cli("gen", "--config", str(fast_config), "--count", "4") == 0
@@ -445,12 +452,20 @@ class TestTrainEval:
         ("labels", lambda ep: {"labels": ep.labels[:1]}, "labels: count 1, expected 2"),
         ("label-value", lambda ep: {"labels": np.array([ep.labels[0], 99])},
          "labels: [99] are not among the class ids [2, 3]"),
-    ], ids=["patch-rows", "support-rows", "box-width", "label-count", "label-value"])
+        ("nan-box", lambda ep: {"boxes": _with(ep.boxes, (1, 1), np.nan)},
+         "boxes: non-finite value nan at (1, 1)"),
+        ("inf-patch", lambda ep: {"patches": _with(ep.patches, (5, 3), np.inf)},
+         "patches: non-finite value inf at (5, 3)"),
+        ("zero-width-box", lambda ep: {"boxes": ep.boxes * [1, 1, 0, 1]},
+         "boxes: box 0 has width 0.0 and height "),
+    ], ids=["patch-rows", "support-rows", "box-width", "label-count", "label-value",
+            "nan-box", "inf-patch", "zero-width-box"])
     def test_episode_record_that_contradicts_its_header_is_corrupt(
             self, fast_config, tmp_path, capsys, monkeypatch, field, damage, message):
         """A record with valid digests whose shapes or labels contradict the
-        header's spec, or each other, is refused naming the field: by
-        read_episodes, and by eval --episodes with exit 3 and no report."""
+        header's spec, or each other, or that holds a non-finite value or a
+        box of no width, is refused naming the field: by read_episodes, and
+        by eval --episodes with exit 3 and no report."""
         import dataclasses
         from fewdet import episodes
         from fewdet.errors import CorruptionError

@@ -72,9 +72,9 @@ def test_short_run_saves_every_documented_array(digests, saved):
         assert np.isnan(saved[f"0/{run}/bg_dominance_rate"]) == (run == "baseline")
         assert np.isnan(saved[f"0/{run}/mean_separation"]) == (run == "baseline")
     record = json.loads(saved["0/+OBD+OOD/record"].tobytes())
-    assert sorted(record) == ["adam", "run", "step", "variant"]
+    assert sorted(record) == ["adam", "layout", "run", "step", "variant"]
     assert (record["step"], record["adam"]) == (3, {"step_count": 3})
-    assert record["variant"] == "+OBD+OOD"
+    assert record["variant"] == "+OBD+OOD" and record["layout"] == "product"
     assert record["run"]["seed"] == record["run"]["benchmark"]["seed"] == 0
 
 

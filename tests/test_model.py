@@ -49,6 +49,45 @@ class TestConfig:
             ModelConfig(n_max=1)
 
 
+class TestInit:
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(seed=104729),
+                                     micro_cfg(encoder_layers=3)],
+                             ids=["default", "seed-104729", "three-layers"])
+    def test_projections_are_stored_as_the_transpose_of_their_draw(self, cfg):
+        """Replaying ``default_rng(cfg.seed)`` over ``parameter_layout``, with
+        every parameter drawn as the (out, in) matrix of ``x @ w^T`` where it
+        is a projection: the OBD query, key and value projections and
+        ``head.class.support_proj`` hold the transpose of their draw, every
+        other parameter its draw, bit for bit."""
+        from fewdet.model import parameter_layout
+
+        rng = np.random.default_rng(cfg.seed)
+        state = init_model_state(cfg)
+        projections = {"head.class.support_proj"} | {
+            f"obd.layer{i}.{w}" for i in range(cfg.encoder_layers)
+            for w in ("w1", "w2", "w3")}
+        transposed = set()
+        for name, shape in parameter_layout(cfg):
+            got = state.params[name].data
+            if name == "obd.background_token":
+                want = rng.normal(0.0, 0.02, size=shape)
+            elif name in ("ood.embeddings", "queries.embed"):
+                want = rng.normal(0.0, 1.0 / np.sqrt(cfg.d), size=shape)
+            elif name == "queries.ref" or name.endswith(
+                    (".gamma", ".bias", ".beta", ".b1", ".b2")):
+                continue
+            else:
+                want = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+            if name in projections:
+                assert not np.array_equal(want, want.T)
+                want = want.T
+                transposed.add(name)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert transposed == projections
+        assert len(projections) == 3 * cfg.encoder_layers + 1
+
+
 class TestExtractFeatures:
     def test_padding_appends_placeholders(self):
         spec = micro_spec(class_count=1, capacity=3)
@@ -503,21 +542,21 @@ def recorded_train_step_nodes(monkeypatch, variant: str, step: int = 0):
 
 
 def test_default_train_step_graph_node_budget(monkeypatch):
-    """One default +OBD+OOD train step records at most 75 autodiff graph
+    """One default +OBD+OOD train step records at most 76 autodiff graph
     nodes: attention, layer norm, each loss term (``bce_with_logits``,
     ``box_loss`` and ``infonce_loss``), every FFN block, affine map
-    (``linear``, and ``concat_linear`` for the query layers' fusion) and
-    product with a transposed matrix (``project_rows``: the OBD queries,
-    keys and values, the class head's support keys and its logits) are one
-    node per call, and the class probabilities are values outside the
-    graph."""
+    (``linear``, and ``concat_linear`` for the query layers' fusion),
+    projection with its filler rows (``project_rows``: the OBD queries,
+    keys and values, the class head's support keys and its logits) and the
+    transpose of those keys (``transpose``) are one node per call, and the
+    class probabilities are values outside the graph."""
     nodes, _, _ = recorded_train_step_nodes(monkeypatch, "+OBD+OOD")
-    assert 0 < len(nodes) <= 75
+    assert 0 < len(nodes) <= 76
 
 
 @pytest.mark.parametrize("variant, step, nodes_recorded", [
     *((variant, 0, None) for variant in VARIANTS),
-    ("baseline", 4, 66),
+    ("baseline", 4, 67),
 ], ids=[*VARIANTS, "baseline-view-without-ground-truth"])
 def test_train_step_backward_walks_every_recorded_node(monkeypatch, variant, step,
                                                        nodes_recorded):

@@ -17,9 +17,16 @@ def make_sequence(features, ids, placeholders=0):
                            Tensor(features, requires_grad=True))
 
 
+def stored(w):
+    """The (in, out) matrix a projection stores for the (out, in) matrix
+    ``w`` of ``x @ w^T``: the product reads it as ``x @ stored(w)``."""
+    return np.ascontiguousarray(w.T)
+
+
 def random_projections(rng, d, requires_grad=True):
-    """Query, key and value weights (an OBD layer's w1, w2 and w3)."""
-    return tuple(Tensor(rng.normal(size=(d, d)), requires_grad=requires_grad)
+    """Query, key and value weights (an OBD layer's w1, w2 and w3), each
+    stored as the transpose of its draw."""
+    return tuple(Tensor(stored(rng.normal(size=(d, d))), requires_grad=requires_grad)
                  for _ in range(3))
 
 
@@ -46,7 +53,7 @@ class TestBuildSequences:
         feats = rng.normal(size=(3, d))
         seq = make_sequence(feats, [0, 1, 2])
         w = rng.normal(size=(d, d))
-        keys = project_rows(seq.features, Tensor(w), len(seq),
+        keys = project_rows(seq.features, Tensor(stored(w)), len(seq),
                             Tensor(rng.normal(size=d)))
         np.testing.assert_allclose(keys.data, feats @ w.T, rtol=1e-12)
 
@@ -66,7 +73,7 @@ class TestBuildSequences:
         w = rng.normal(size=(d, d))
         token_vec = rng.normal(size=d)
         seq = make_sequence(feats, [10, 11, 12, 13], placeholders=1)
-        keys = project_rows(seq.features, Tensor(w), len(seq), Tensor(token_vec))
+        keys = project_rows(seq.features, Tensor(stored(w)), len(seq), Tensor(token_vec))
         expected = np.vstack([feats[0] @ w.T, feats[1] @ w.T, feats[2] @ w.T,
                               feats[3] @ w.T, token_vec])
         np.testing.assert_allclose(keys.data, expected, rtol=1e-12)
@@ -113,7 +120,7 @@ class TestOfeSupport:
         _, w_key, w_value = random_projections(rng, d)
         out, attn = ofe_support(seq, w_key, w_value, Tensor(rng.normal(size=d)))
         np.testing.assert_array_equal(head_average(attn), [[1.0]])
-        np.testing.assert_allclose(out.data, feats @ w_value.data.T, rtol=1e-12)
+        np.testing.assert_allclose(out.data, feats @ w_value.data, rtol=1e-12)
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_empty_support_gives_zero_rows(self, heads):
@@ -168,8 +175,8 @@ class TestOfeSupport:
         _, w_key, w_value = random_projections(rng, d)
         out, _ = ofe_support(seq, w_key, w_value, Tensor(rng.normal(size=d)))
 
-        keys = feats @ w_key.data.T
-        values = feats @ w_value.data.T
+        keys = feats @ w_key.data
+        values = feats @ w_value.data
         scores = keys @ keys.T / np.sqrt(d)
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
@@ -185,8 +192,8 @@ class TestOfeSupport:
         out, _ = ofe_support(seq, w_key, w_value, Tensor(rng.normal(size=d)),
                              heads=heads)
 
-        keys = feats @ w_key.data.T
-        values = feats @ w_value.data.T
+        keys = feats @ w_key.data
+        values = feats @ w_value.data
         dh = d // heads
         parts = []
         for h in range(heads):
@@ -242,9 +249,9 @@ class TestOfeQuery:
         refined, _, head_attn = ofe_query(Tensor(patches), seq, w_query, w_key,
                                           w_value, token, conv_kernel, conv_bias, ffn)
 
-        q = patches @ w_query.data.T
-        keys = np.vstack([feats @ w_key.data.T, token_vec])
-        values = np.vstack([feats @ w_value.data.T, np.zeros(d)])
+        q = patches @ w_query.data
+        keys = np.vstack([feats @ w_key.data, token_vec])
+        values = np.vstack([feats @ w_value.data, np.zeros(d)])
         scores = q @ keys.T / np.sqrt(d)
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
@@ -408,7 +415,7 @@ def test_sequence_keeps_given_feature_matrix():
     assert seq.class_ids == (3, 5)
     w = rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
-    keys = project_rows(seq.features, Tensor(w), len(seq), Tensor(token_vec))
+    keys = project_rows(seq.features, Tensor(stored(w)), len(seq), Tensor(token_vec))
     np.testing.assert_allclose(keys.data, np.vstack([feats.data[0] @ w.T,
                                                      feats.data[1] @ w.T, token_vec]),
                                rtol=1e-12)
@@ -428,7 +435,7 @@ def test_sequence_keeps_given_feature_matrix():
 def test_key_and_value_rows_follow_layout(c, extra, seed):
     """The classes first, then the placeholders: class rows are the
     projected features in class order, bit for bit the product with the
-    contiguous transposed weight that ``project_rows`` documents; placeholder
+    stored (in, out) weight, a contiguous transpose of the draw; placeholder
     rows are the raw token on the key side and exact zeros on the value
     side."""
     n = c + extra
@@ -438,8 +445,8 @@ def test_key_and_value_rows_follow_layout(c, extra, seed):
     seq = make_sequence(feats, [10 + i for i in range(c)], placeholders=extra)
     w, w3 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     token_vec = rng.normal(size=d)
-    keys = project_rows(seq.features, Tensor(w), len(seq), Tensor(token_vec))
-    values = project_rows(seq.features, Tensor(w3), len(seq))
+    keys = project_rows(seq.features, Tensor(stored(w)), len(seq), Tensor(token_vec))
+    values = project_rows(seq.features, Tensor(stored(w3)), len(seq))
     assert keys.shape == values.shape == (n, d)
     np.testing.assert_array_equal(keys.data[:c], feats @ np.ascontiguousarray(w.T))
     np.testing.assert_array_equal(values.data[:c], feats @ np.ascontiguousarray(w3.T))

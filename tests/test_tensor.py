@@ -455,7 +455,7 @@ _PRIMITIVES = {
     "sigmoid": lambda t, c: T.sigmoid(t * 3.0),
     "silu": lambda t, c: T.silu(t * 3.0),
     "softmax": lambda t, c: softmax_rows(t) * c,
-    "project_rows": lambda t, c: T.project_rows(t, c),
+    "project_rows": lambda t, c: T.project_rows(t, Tensor(np.ascontiguousarray(c.data.T))),
     "sum_axis0": lambda t, c: T.tsum(t, axis=0),
 }
 
@@ -650,10 +650,11 @@ class TestProjectRows:
         g[2, c:] = -0.0
         g = g.T if transposed else g.T.copy()
         want = matmul_t_then_gather(x, w, filler if token else np.zeros(64), n, g)
-        leaves = [Tensor(a, requires_grad=True) for a in (x, w, filler)]
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in (x, np.ascontiguousarray(w.T), filler)]
         out = T.project_rows(leaves[0], leaves[1], n, leaves[2] if token else None)
         backward_from(out, g)
-        got = [out.data] + [leaf.grad for leaf in leaves[:2]]
+        got = [out.data, leaves[0].grad, leaves[1].grad.T]
         if token and n > c:
             got.append(leaves[2].grad)
         else:
@@ -664,6 +665,7 @@ class TestProjectRows:
     def test_gradient(self):
         rng = np.random.default_rng(19)
         x, w, filler = rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+        w = np.ascontiguousarray(w.T)
         grad_check(lambda t: T.project_rows(t, Tensor(w), 5, Tensor(filler)), x)
         grad_check(lambda t: T.project_rows(Tensor(x), t, 5), w)
         grad_check(lambda t: T.project_rows(Tensor(x), Tensor(w), 5, t), filler)
@@ -675,39 +677,92 @@ class TestProjectRows:
         """A length shorter than the projected rows, or a filler that is not
         one row of the projection."""
         with pytest.raises(ShapeError):
-            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
+            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))),
                            n, Tensor(np.zeros(filler)))
 
     def test_weight_must_match_transposed(self):
         with pytest.raises(ShapeError):
-            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), 2)
+            T.project_rows(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), 2)
 
     def test_default_length_is_product_with_copied_transpose(self):
         """With no length given there are no placeholder rows: the value and
         both gradients are those of ``x @ w^T`` against a contiguous copy of
-        ``w^T``, bit for bit."""
+        ``w^T``, bit for bit, with that copy as the stored weight."""
         rng = np.random.default_rng(10)
         for n, m, k in ((4, 3, 64), (5, 5, 64), (25, 7, 64), (1, 2, 3)):
             x, w, g = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(size=(n, m))
             wt = w.T.copy()
-            assert_bit_identical(run_node(T.project_rows, (x, w), g),
-                                 [x @ wt, g @ wt.T, (x.T @ g).T])
+            got = run_node(T.project_rows, (x, wt), g)
+            assert_bit_identical(got[:2] + [got[2].T], [x @ wt, g @ wt.T, (x.T @ g).T])
 
     def test_default_length_is_matmul_of_transpose(self):
+        """Through the transpose node, as the class logits read their keys,
+        the chain is the matmul of the transpose, bit for bit."""
         rng = np.random.default_rng(11)
         x, w, g = rng.normal(size=(6, 8)), rng.normal(size=(5, 8)), rng.normal(size=(6, 5))
-        assert_bit_identical(run_node(T.project_rows, (x, w), g),
-                             run_node(lambda a, b: T.matmul(a, transpose(b)), (x, w), g))
+        assert_bit_identical(
+            run_node(lambda a, b: T.project_rows(a, T.transpose(b)), (x, w), g),
+            run_node(lambda a, b: T.matmul(a, transpose(b)), (x, w), g))
 
     def test_default_length_gradient(self):
         rng = np.random.default_rng(12)
         x, w = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        w = np.ascontiguousarray(w.T)
         grad_check(lambda t: T.project_rows(t, Tensor(w)), x)
         grad_check(lambda t: T.project_rows(Tensor(x), t), w)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
-            T.project_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
+            T.project_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("c", [0, 1, 4])
+    @pytest.mark.parametrize("token", [True, False], ids=["token", "zeros"])
+    def test_product_reads_the_stored_weight(self, c, token):
+        """Rows below C are ``x.data @ w.data`` bit for bit, with the weight
+        as stored; the rest are the filler, or zeros. The weight's gradient
+        is ``x^T @ g``, C-contiguous, with no transposed view."""
+        rng = np.random.default_rng(30 + c)
+        x, w, filler = rng.normal(size=(c, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)
+        n = 7
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, filler)]
+        out = T.project_rows(leaves[0], leaves[1], n, leaves[2] if token else None)
+        np.testing.assert_array_equal(out.data[:c].view(np.uint64),
+                                      (x @ w).view(np.uint64))
+        np.testing.assert_array_equal(out.data[c:],
+                                      np.tile(filler if token else np.zeros(64), (n - c, 1)))
+        g = rng.normal(size=(n, 64))
+        backward_from(out, g)
+        assert leaves[1].grad.flags.c_contiguous
+        np.testing.assert_array_equal(leaves[1].grad.view(np.uint64),
+                                      (x.T @ (g[:c] + 0.0)).view(np.uint64))
+
+
+class TestTranspose:
+    def test_value_is_a_contiguous_copy(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        out = T.transpose(a)
+        np.testing.assert_array_equal(out.data, a.data.T)
+        assert out.data.flags.c_contiguous
+        assert not np.shares_memory(out.data, a.data)
+
+    def test_gradient_is_the_transposed_upstream(self):
+        rng = np.random.default_rng(13)
+        a, g = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
+        leaf = Tensor(a, requires_grad=True)
+        backward_from(T.transpose(leaf), g)
+        np.testing.assert_array_equal(leaf.grad, g.T)
+        grad_check(lambda t: T.transpose(t) * Tensor(g), a)
+
+    def test_rejects_other_ranks(self):
+        for shape in ((3,), (2, 2, 2)):
+            with pytest.raises(ShapeError):
+                T.transpose(Tensor(np.zeros(shape)))
+
+    def test_gradcheck_checks_it(self):
+        from fewdet.gradcheck import primitive_checks
+
+        checks = {r.name: r for r in primitive_checks()}
+        assert checks["transpose"].ok
 
 
 def columns(x, start, stop):
@@ -954,9 +1009,10 @@ NO_WRITE_CASES = {
     "sigmoid-0d": (T.sigmoid, [()]),
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
     "concat_linear": (T.concat_linear, [(3, 4), (3, 2), (6, 2), (2,)]),
-    "project_rows-no-placeholder": (T.project_rows, [(3, 4), (2, 4)]),
+    "project_rows-no-placeholder": (T.project_rows, [(3, 4), (4, 2)]),
     "project_rows": (lambda x, w, f: T.project_rows(x, w, 5, f),
-                     [(3, 4), (5, 4), (5,)]),
+                     [(3, 4), (4, 5), (5,)]),
+    "transpose": (T.transpose, [(3, 4)]),
     "bce_with_logits": (lambda z: set_head.bce_with_logits(z, _POS_W, _NEG_W),
                         [(3, 4)]),
     "box_loss": (lambda b: set_head.box_loss(b, [3, 0], _TARGETS, 5.0, 2.0)[0],

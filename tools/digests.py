@@ -18,7 +18,11 @@ it saves each result once, as an array keyed ``<seed>/<run>/<array>``:
   the ``EvalReport.to_json()`` bytes (``report``), ``bg_dominance_rate``
   and ``mean_separation`` (NaN for the baseline); and the detections on
   test episode 0 at score threshold 0, so every query of every
-  single-class pass counts (``detections/classes``, ``scores``, ``boxes``);
+  single-class pass counts (``detections/classes``, ``scores``, ``boxes``).
+  Parameters and moments are saved as the model stores them, in product
+  layout: the OBD projections ``obd.layer<i>.w1/w2/w3`` and
+  ``head.class.support_proj`` as the (in, out) matrix of ``x @ w``, the
+  transpose of what a save from before that layout holds;
 * for ``+OBD+OOD``, the config record of its run checkpoint as bytes
   (``record``); the checkpoint's float buffers are the arrays above. The
   run fails when a save of the checkpoint loaded back writes other bytes;
