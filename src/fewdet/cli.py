@@ -5,15 +5,17 @@ configuration) and the flags listed with it; any other flag is a usage error.
              --out --count (>= 0) --split --start-index (>= 0; plus --count, <= 2**64)
   train      base training plus optional fine-tuning, a JSONL metrics log and
              a checkpoint: --seed --out --variant --checkpoint (resume, with
-             the checkpoint's settings; a --seed or --variant that differs
-             from the checkpoint's, or a --config whose settings but out_dir
-             differ from its run's, exits 1); a resume given neither --out nor
-             --config writes into the checkpoint's directory; a resume's
-             checkpoint records the directory it wrote to. The log first
-             loses its rows from the run's first step on, so each step
-             appears once; a resume into a directory with no log yet starts
-             it with the earlier rows of the log in the directory the
-             checkpoint records
+             the checkpoint's settings; a --seed that differs from the
+             checkpoint's, a --variant whose config, built from the
+             checkpoint's run, differs from the checkpoint's config, or a
+             --config whose settings but out_dir differ from its run's,
+             exits 1); a resume given neither --out nor --config writes
+             into the checkpoint's directory; a resume's checkpoint
+             records the directory it wrote to. The log first loses its
+             rows from the run's first step on, so each step appears once;
+             a resume into a directory with no log yet starts it with the
+             earlier rows of the log in the directory the checkpoint
+             records
   eval       metric report for a checkpoint, on its settings unless --config
              is given: --out --checkpoint --episodes; the report is written
              to --out, else the --config's out_dir, else beside the
@@ -164,7 +166,7 @@ def _start_log(path: Path, earlier: Path, start_step: int) -> None:
 
 def cmd_train(args) -> int:
     from .harness import (load_run_checkpoint, save_run_checkpoint, train_run)
-    from .model import ablation_variant
+    from .model import ablation_variant, variant_of
 
     run = _load_run(args)
     out = Path(run.out_dir)
@@ -176,11 +178,11 @@ def cmd_train(args) -> int:
         if args.seed is not None and args.seed != prev_run.seed:
             raise ConfigError(f"--seed {args.seed} differs from the checkpoint's "
                               f"seed {prev_run.seed}")
+        base = prev_run.resolved_model()
         if (args.variant is not None
-                and ablation_variant(cfg, args.variant) != cfg):
-            theirs = next(v for v in VARIANTS if ablation_variant(cfg, v) == cfg)
+                and ablation_variant(base, args.variant) != cfg):
             raise ConfigError(f"--variant {args.variant} differs from the "
-                              f"checkpoint's variant {theirs}")
+                              f"checkpoint's variant {variant_of(base, cfg)}")
         differs = args.config and _first_difference(
             dataclasses.replace(run, out_dir=prev_run.out_dir), prev_run)
         if differs:

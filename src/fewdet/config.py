@@ -11,8 +11,11 @@ a float setting that is not a YAML number (``"0.001"``, ``true``) or is an
 integer too large for a float (``10**400``), a string
 setting that is not a YAML string (``out_dir: 5``), a value
 out of its range (checked by each section's ``__post_init__``; a float must
-be finite), an empty ``ablate_seeds`` or an entry of it that is not a
-non-negative integer.
+be finite), an empty ``ablate_seeds``, an entry of it that is not a
+non-negative integer, or one that repeats an earlier entry (the ablation's
+means would count that seed twice). The ``training`` section sets the
+schedule and nothing else: base steps, fine-tune steps and episodes, the
+evaluation episodes and the log interval.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class TrainingConfig:
     eval_episodes: int = 50
     eval_start_index: int = 10_000
     log_interval: int = 50
-    overfit_episode: int | None = None
 
     def __post_init__(self):
         if self.steps < 0 or self.fine_tune_steps < 0:
@@ -44,9 +46,9 @@ class TrainingConfig:
         for name in ("eval_episodes", "log_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, not {getattr(self, name)}")
-        for name in ("eval_start_index", "overfit_episode"):
-            if (getattr(self, name) or 0) < 0:
-                raise ConfigError(f"{name} must be >= 0, not {getattr(self, name)}")
+        if self.eval_start_index < 0:
+            raise ConfigError(f"eval_start_index must be >= 0, "
+                              f"not {self.eval_start_index}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,14 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed}")
         if not self.ablate_seeds:
             raise ConfigError("ablate_seeds must hold at least one seed")
+        first: dict[int, int] = {}
         for i, seed in enumerate(self.ablate_seeds):
             if type(seed) is not int or seed < 0:  # a bool is not a seed
                 raise ConfigError(f"ablate_seeds[{i}] must be a non-negative "
                                   f"integer, not {seed!r}")
+            if first.setdefault(seed, i) != i:
+                raise ConfigError(f"ablate_seeds[{i}] repeats seed {seed} "
+                                  f"(ablate_seeds[{first[seed]}])")
 
     def resolved_model(self) -> ModelConfig:
         """Model config with the fields that must agree with the benchmark
@@ -108,8 +114,7 @@ def check_types(cls, values: dict, prefix: str) -> None:
         if f.name not in values:
             continue
         value = values[f.name]
-        if f.type in ("int", "int | None") and type(value) is not int and not (
-                value is None and f.type != "int"):
+        if f.type == "int" and type(value) is not int:
             raise ConfigError(f"{prefix}{f.name} must be an integer, not {value!r}")
         if f.type == "float" and type(value) not in (int, float):
             raise ConfigError(f"{prefix}{f.name} must be a number, not {value!r}")

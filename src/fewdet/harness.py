@@ -14,9 +14,9 @@ buffer laid out as ``parameter_layout`` lays the model's parameters out
 ``step``, ``adam`` (``{"step_count": n}`` and nothing else), ``variant``
 and ``layout``, each fact once: the model config is
 ``ablation_variant(run.resolved_model(), variant)``, and the writer names
-the first of ``VARIANTS`` that gives the saved config (``+OBD`` when
-``model.ood_weight`` is 0) or raises ConfigError. ``layout`` is
-``"product"``: every weight, the OBD projections and
+it by :func:`fewdet.model.variant_of` (``+OBD`` when ``model.ood_weight``
+is 0), which raises ConfigError for a config no variant gives. ``layout``
+is ``"product"``: every weight, the OBD projections and
 ``head.class.support_proj`` included, is the (in, out) matrix that
 ``x @ w`` reads. Records written before it have no ``layout`` and hold
 those projections, and their Adam moments, transposed. This is the one
@@ -24,12 +24,12 @@ layout :func:`load_run_checkpoint` reads. A record with the four other
 keys and no ``layout`` is a CorruptionError that names the layout change.
 So is any other key set (the keys the record has and lacks are named),
 another ``layout``, an unknown variant, or a key that older records
-carried in ``run`` or ``adam``. The record is checked
-against the buffers the file holds before anything is sized from it; then
-one :func:`fewdet.optim.restore` call cuts the parameters and both Adam
-moments from the three loaded buffers at the same offsets and binds the
-optimizer to them: the loaded ``params`` buffer is the one the parameters
-view.
+carried in ``run`` or ``adam``, ``run.training.overfit_episode`` among
+them. The record is checked against the buffers the file holds before
+anything is sized from it; then one :func:`fewdet.optim.restore` call cuts
+the parameters and both Adam moments from the three loaded buffers at the
+same offsets and binds the optimizer to them: the loaded ``params`` buffer
+is the one the parameters view.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import ConfigError, CorruptionError, ShapeError
 from .metrics import Detection, EvalReport, GtRecord, evaluate_detections
 from .model import (VARIANTS, ModelConfig, ModelState, ablation_variant,
                     forward, init_model_state, parameter_layout, run_inference,
-                    train_step, training_episode)
+                    train_step, training_episode, variant_of)
 from .obd import SupportSequence, background_attention_mass, head_average
 from .ood import SupportClassFeatures, min_interclass_separation
 from .optim import AdamState, flat_buffers, restore
@@ -71,11 +71,11 @@ class TrainResult:
 
 
 def _episode_for_step(run: RunConfig, step: int) -> Episode:
-    """Base training consumes train-split episodes; the fine-tune phase
-    cycles a fixed pool of test-split episodes."""
+    """The episode of ``step``: base training takes train-split episode
+    ``step`` for each of its ``training.steps`` steps, and the fine-tune
+    phase then cycles the first ``training.fine_tune_episodes`` test-split
+    episodes."""
     t = run.training
-    if t.overfit_episode is not None:
-        return generate_episode(run.benchmark, t.overfit_episode, "train")
     if step < t.steps:
         return generate_episode(run.benchmark, step, "train")
     ft_index = (step - t.steps) % t.fine_tune_episodes
@@ -198,13 +198,13 @@ _BUFFERS = ("params", "adam.m", "adam.v")
 
 
 def checkpoint_payload(run: RunConfig, result: TrainResult) -> tuple[dict, dict]:
+    """The config record and the three buffers of ``result``'s run
+    checkpoint. The record names the variant that :func:`variant_of` finds
+    for ``result.cfg`` on ``run``'s model; a config that no variant gives
+    is a ConfigError, and parameters that are not the ones, in the order,
+    that the config lays out are a ShapeError."""
     params, opt = result.state.params, result.opt
-    base = run.resolved_model()
-    variant = next((v for v in VARIANTS if ablation_variant(base, v) == result.cfg),
-                   None)
-    if variant is None:
-        raise ConfigError("checkpoint: the model config is none of the run's "
-                          f"variants {', '.join(VARIANTS)}")
+    variant = variant_of(run.resolved_model(), result.cfg)
     if ([(name, p.data.shape) for name, p in params.items()]
             != list(parameter_layout(result.cfg))):
         raise ShapeError("checkpoint: the parameters are not the ones, in the "
@@ -303,12 +303,12 @@ class VariantOutcome:
     train_seconds: float
 
 
-def run_ablation(run: RunConfig, variants=VARIANTS,
-                 log=None) -> list[VariantOutcome]:
-    """Train and evaluate every variant on the identical benchmark for each
-    configured seed. Deterministic given the config."""
+def run_ablation(run: RunConfig, log=None) -> list[VariantOutcome]:
+    """Train and evaluate each of ``VARIANTS`` on the identical benchmark
+    for each of ``run.ablate_seeds``, variant by variant; ``log``, if given,
+    receives one line per outcome. Deterministic given the config."""
     outcomes = []
-    for variant in variants:
+    for variant in VARIANTS:
         for seed in run.ablate_seeds:
             seeded = dataclasses.replace(run, seed=int(seed))
             cfg = ablation_variant(seeded.resolved_model(), variant)

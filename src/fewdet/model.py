@@ -477,7 +477,7 @@ def ablation_variant(cfg: ModelConfig, variant: str) -> ModelConfig:
     """Table-style ablation configs: 'baseline' trains and evaluates with a
     single-class support (no placeholder, no background token participation)
     and no contrastive loss; '+OBD' restores the full sequence; '+OBD+OOD'
-    is the unmodified config."""
+    is the unmodified config. :func:`variant_of` is its inverse."""
     if variant == "baseline":
         return dataclasses.replace(cfg, single_class_mode=True, ood_weight=0.0)
     if variant == "+OBD":
@@ -486,6 +486,18 @@ def ablation_variant(cfg: ModelConfig, variant: str) -> ModelConfig:
         return dataclasses.replace(cfg, single_class_mode=False)
     raise ConfigError(f"unknown ablation variant '{variant}' "
                       f"(expected one of {VARIANTS})")
+
+
+def variant_of(base: ModelConfig, cfg: ModelConfig) -> str:
+    """The first of ``VARIANTS`` whose :func:`ablation_variant` of ``base``
+    is ``cfg``: with ``ood_weight`` 0, ``+OBD`` and ``+OBD+OOD`` give one
+    config, named ``+OBD``. A config that no variant gives is a
+    ConfigError."""
+    for variant in VARIANTS:
+        if ablation_variant(base, variant) == cfg:
+            return variant
+    raise ConfigError(f"the model config is none of the run's variants "
+                      f"{', '.join(VARIANTS)}")
 
 
 def training_episode(episode: Episode, cfg: ModelConfig, step: int) -> Episode:

@@ -368,12 +368,15 @@ def tiny_trained():
     ("training", "score_threshold", 0.5),
     ("model", "input_dim", 8),
     ("adam", "beta1", 0.9),
-], ids=["score-threshold", "derived-model-key", "adam-constant"])
+    ("training", "overfit_episode", None),
+], ids=["score-threshold", "derived-model-key", "adam-constant",
+        "overfit-episode"])
 def test_checkpoint_with_retired_key_is_refused(tmp_path, tiny_trained,
                                                 record, key, value):
     """Keys that older checkpoints carried are refused, each by name, even
     with the value the program would use: ``training.score_threshold``, a
-    derived model key and an Adam constant."""
+    derived model key, an Adam constant and ``training.overfit_episode``,
+    which every record carried, null, before it was retired."""
     from fewdet.harness import checkpoint_payload, load_run_checkpoint
 
     config, tensors = checkpoint_payload(*tiny_trained)
@@ -688,9 +691,9 @@ def test_written_run_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "run.fdck"
     save_run_checkpoint(path, run, result)
     blob = path.read_bytes()
-    assert len(blob) == 47606
+    assert len(blob) == 47581
     assert hashlib.sha256(blob).hexdigest() == (
-        "83da7ba620544d8f3d5123413b90dd6513e9ecf2bc10cbad3a86ab52fefa5586")
+        "55df2b4053327dad656fb322fab0c37ddc5af85ede790ea03d06877ad9b4d096")
     config, tensors = load_checkpoint(path)
     names = list(parameter_shapes(result.cfg))
     assert config["variant"] == "+OBD+OOD" and config["layout"] == "product"
@@ -889,6 +892,26 @@ def test_cli_on_an_earlier_flat_checkpoint_exits_3(tmp_path, tiny_trained, capsy
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert "'moments'" in err and "'variant_model'" in err
     assert [p.name for p in tmp_path.iterdir()] == ["flat.fdck"]
+
+
+@pytest.mark.parametrize("verb", ["eval", "train"])
+def test_cli_on_a_record_with_overfit_episode_exits_3(tmp_path, tiny_trained, capsys,
+                                                      verb):
+    """A record written before ``training.overfit_episode`` was retired
+    (today's record with ``"overfit_episode": null`` in ``run.training``)
+    exits 3, names the key, and writes nothing."""
+    from fewdet.cli import main
+    from fewdet.harness import checkpoint_payload
+
+    config, tensors = checkpoint_payload(*tiny_trained)
+    config["run"]["training"]["overfit_episode"] = None
+    path = tmp_path / "overfit.fdck"
+    save_checkpoint(path, config, tensors)
+    assert main([verb, "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "unknown key(s) in 'run.training': ['overfit_episode']" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["overfit.fdck"]
 
 
 # -- the parameter layout ------------------------------------------------------------

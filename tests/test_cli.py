@@ -11,6 +11,8 @@ import yaml
 
 from fewdet.cli import main
 from fewdet.episodes import read_episodes
+from fewdet.harness import load_run_checkpoint
+from fewdet.model import VARIANTS, ablation_variant
 
 FAST_CONFIG = {
     "benchmark": {"class_count": 2, "shots": 3, "capacity": 3, "grid_rows": 4,
@@ -94,12 +96,11 @@ class TestUsageErrors:
         ("model", "d", 6),
         ("benchmark", "capacity", 1),
         ("training", "eval_start_index", -1),
-        ("training", "overfit_episode", -1),
         ("model", "heads", 0),
         ("benchmark", "seed", -3),
     ], ids=["float-steps", "bool-steps", "float-grid-rows", "negative-eval-episodes",
             "zero-log-interval", "zero-d", "d-not-multiple-of-4", "capacity-one",
-            "negative-eval-start-index", "negative-overfit-episode", "heads-zero",
+            "negative-eval-start-index", "heads-zero",
             "negative-benchmark-seed"])
     def test_bad_integer_setting_exits_1(self, fast_config, tmp_path, capsys,
                                          section, key, value):
@@ -386,6 +387,44 @@ class TestTrainEval:
         assert ckpt.read_bytes() == before
         assert run_cli(*resume, flag, same) == 0
 
+    @pytest.mark.parametrize("variant, ood_weight, named, accepted", [
+        ("baseline", 1.0, "baseline", {"baseline"}),
+        ("+OBD", 1.0, "+OBD", {"+OBD"}),
+        ("+OBD+OOD", 1.0, "+OBD+OOD", {"+OBD+OOD"}),
+        ("+OBD+OOD", 0.0, "+OBD", {"+OBD", "+OBD+OOD"}),
+    ], ids=["baseline", "+OBD", "+OBD+OOD", "+OBD+OOD-ood-weight-0"])
+    def test_resume_variant_is_checked_against_the_run(
+            self, fast_config, tmp_path, capsys, variant, ood_weight, named,
+            accepted):
+        """A resume's --variant is built from the checkpoint's run and
+        compared with the checkpoint's config: it resumes exactly when they
+        are equal, so with ``ood_weight`` 0 a ``+OBD+OOD`` run resumes under
+        either name. A refusal names both variants and writes nothing."""
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["model"] = {**cfg["model"], "ood_weight": ood_weight}
+        fast_config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("train", "--config", str(fast_config), "--variant", variant) == 0
+        ckpt = tmp_path / "out" / "checkpoint.fdck"
+        before = ckpt.read_bytes()
+        run, result = load_run_checkpoint(ckpt)
+        for flag in VARIANTS:
+            assert (flag in accepted) == (
+                ablation_variant(run.resolved_model(), flag) == result.cfg)
+            out = tmp_path / flag
+            capsys.readouterr()
+            code = run_cli("train", "--checkpoint", str(ckpt), "--variant", flag,
+                           "--out", str(out))
+            if flag in accepted:
+                assert code == 0
+                assert (out / "checkpoint.fdck").exists()
+            else:
+                assert code == 1
+                assert capsys.readouterr().err == (
+                    f"error: --variant {flag} differs from the checkpoint's "
+                    f"variant {named}\n")
+                assert not (out / "checkpoint.fdck").exists()
+            assert ckpt.read_bytes() == before
+
     def test_resume_with_a_differing_config_exits_1(self, fast_config, tmp_path,
                                                     capsys):
         """A config that differs from the checkpoint's run is refused,
@@ -613,6 +652,17 @@ class TestAblate:
         table_lines = [l for l in out.splitlines()
                        if l.startswith(("baseline", "+OBD"))]
         assert len(table_lines) >= 3
+
+    def test_repeated_ablate_seed_exits_1(self, fast_config, tmp_path, capsys):
+        """Each variant's mean would count a repeated seed twice: one error
+        line, and no summary is written."""
+        cfg = yaml.safe_load(fast_config.read_text())
+        cfg["ablate_seeds"] = [0, 0]
+        fast_config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("ablate", "--config", str(fast_config)) == 1
+        assert capsys.readouterr().err == (
+            "error: ablate_seeds[1] repeats seed 0 (ablate_seeds[0])\n")
+        assert not (tmp_path / "out" / "ablation.json").exists()
 
     def test_ablate_deterministic(self, fast_config, tmp_path, capsys):
         def load():

@@ -124,12 +124,22 @@ def test_resolved_model_derives_benchmark_fields():
     (["7"], "ablate_seeds\\[0\\] must be a non-negative integer, not '7'"),
     (5, "ablate_seeds must be a list, not 5"),
     ([], "ablate_seeds must hold at least one seed"),
-], ids=["fraction", "bool", "negative", "string", "not-a-list", "empty"])
+    ([0, 0], "ablate_seeds\\[1\\] repeats seed 0 \\(ablate_seeds\\[0\\]\\)"),
+], ids=["fraction", "bool", "negative", "string", "not-a-list", "empty",
+        "repeated"])
 def test_ablate_seed_that_is_not_a_seed_is_refused(tmp_path, seeds, bad):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"ablate_seeds": seeds}))
     with pytest.raises(ConfigError, match=bad):
         load_run_config(str(path))
+
+
+def test_repeated_ablate_seed_is_refused_naming_both_positions():
+    """The ablation averages each variant over its seeds: a repeated seed
+    would count twice."""
+    with pytest.raises(ConfigError, match=r"^ablate_seeds\[3\] repeats seed 1 "
+                                          r"\(ablate_seeds\[1\]\)$"):
+        RunConfig(ablate_seeds=(3, 1, 4, 1))
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -11,11 +11,10 @@ from fewdet.errors import NumericError
 from fewdet.harness import (EvalDiagnostics, VariantOutcome, ablation_summary,
                             ablation_table, evaluate_model, load_run_checkpoint,
                             run_ablation, save_run_checkpoint, train_run)
-from fewdet.model import (ablation_variant, forward, init_model_state, train_step,
-                          training_episode, zero_model_state)
+from fewdet.model import (ablation_variant, forward, init_model_state,
+                          zero_model_state)
 from fewdet.obd import background_attention_mass, head_average
 from fewdet.ood import min_interclass_separation
-from fewdet.optim import AdamState
 from fewdet.tensor import no_grad
 
 
@@ -158,19 +157,6 @@ def test_ablation_table_prints_null_means_as_nan():
         "baseline         0.1875           0.0469           nan         nan\n"
         "+OBD             0.2500           0.1500         0.750      0.3125\n"
         "+OBD+OOD         1.0000           0.3333         0.400      1.2500")
-
-
-def test_overfit_mode_reuses_one_episode():
-    run = fast_run(steps=4, fine_tune_steps=0, overfit_episode=7)
-    result = train_run(run)
-    assert result.steps_done == 4
-    cfg = run.resolved_model()
-    state, opt = init_model_state(cfg), AdamState(learning_rate=cfg.learning_rate)
-    episode = generate_episode(run.benchmark, 7, "train")
-    for step in range(4):
-        train_step(training_episode(episode, cfg, step), state, opt, cfg)
-    for name, param in result.state.params.items():
-        np.testing.assert_array_equal(param.data, state.params[name].data)
 
 
 def _one_buffer(arrays):

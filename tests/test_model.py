@@ -13,7 +13,7 @@ from fewdet.errors import ConfigError, NumericError, ShapeError
 from fewdet.model import (ModelConfig, VARIANTS, ablation_variant, compute_loss,
                           extract_features, forward, init_model_state,
                           run_inference, train_step, training_episode,
-                          zero_model_state)
+                          variant_of, zero_model_state)
 from fewdet.optim import AdamState
 from fewdet.set_head import decode_detections
 from fewdet.tensor import Tensor, no_grad
@@ -448,6 +448,21 @@ class TestAblationVariants:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             ablation_variant(micro_cfg(), "nonsense")
+
+    def test_variant_of_inverts_ablation_variant(self):
+        """Each variant of a base config maps back to its name; with
+        ``ood_weight`` 0 the first of the two equal configs, ``+OBD``, is
+        named for both; a config no variant gives is a ConfigError."""
+        base = micro_cfg()
+        for variant in VARIANTS:
+            assert variant_of(base, ablation_variant(base, variant)) == variant
+        base = dataclasses.replace(base, ood_weight=0.0)
+        for variant in ("+OBD", "+OBD+OOD"):
+            assert variant_of(base, ablation_variant(base, variant)) == "+OBD"
+        other = dataclasses.replace(base, temperature=2 * base.temperature)
+        with pytest.raises(ConfigError, match="none of the run's variants "
+                                              "baseline, \\+OBD, \\+OBD\\+OOD"):
+            variant_of(base, ablation_variant(other, "+OBD"))
 
     def test_configs_hash_and_their_weights_are_frozen(self):
         """A frozen config holds frozen weights: it hashes, and no variant
